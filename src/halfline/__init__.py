@@ -68,6 +68,7 @@ from .scattering import (
     scalar_jost_function,
     scalar_smatrix,
     smatrix,
+    smatrix_grid,
 )
 from .solver import (
     Potential,

@@ -11,8 +11,9 @@ Commands (all driven by a JSON job config, see :mod:`halfline.config`):
     halfline example <id> [--mode exact|numeric] [--out report.json]
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure,
-4 fixture mismatch.  Sweep rows are evaluated concurrently (capped by the
-HALFLINE_NUM_THREADS environment variable) but always emitted in k order;
+4 fixture mismatch.  A sweep evaluates its whole k grid in one batched pass
+(:func:`halfline.scattering.smatrix_grid`) and emits rows in k order; the
+HALFLINE_NUM_THREADS environment variable of earlier versions is ignored.
 CSV floats use fixed 17-digit scientific notation so runs are
 byte-reproducible.
 """
@@ -21,9 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional
 
@@ -41,10 +40,10 @@ from .bc import (
     validate_ab,
 )
 from .config import JobConfig, parse_config
-from .errors import HalflineError, NumericalError, ValidationError, JordanAmbiguityError
+from .errors import NumericalError, ValidationError, JordanAmbiguityError
 from .fixtures import get_fixture
 from .lowenergy import exact_free_pipeline, zero_energy_pipeline
-from .scattering import jost_matrix, smatrix
+from .scattering import jost_matrix, smatrix, smatrix_grid
 from .verify import run_property_checks
 
 EXIT_OK = 0
@@ -55,17 +54,6 @@ EXIT_MISMATCH = 4
 
 def _fmt(x: float) -> str:
     return f"{x:.17e}"
-
-
-def _thread_count(n_jobs: int) -> int:
-    env = os.environ.get("HALFLINE_NUM_THREADS", "")
-    try:
-        cap = int(env) if env else 0
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs))
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -148,27 +136,6 @@ def cmd_bc(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_rows(cfg: JobConfig):
-    ks = cfg.kvalues()
-    a = cfg.resolve_a()
-
-    def one(k: float) -> dict:
-        try:
-            J = jost_matrix(cfg.potential, cfg.bc, k, a, cfg.solver)
-            ev = smatrix(cfg.potential, cfg.bc, k, a, cfg.solver)
-            return {
-                "k": k,
-                "S": ev.S,
-                "unitarity_residual": ev.unitarity_residual,
-                "det_J_abs": float(abs(np.linalg.det(J.J))),
-            }
-        except HalflineError as exc:
-            return {"k": k, "error": f"{type(exc).__name__}: {exc}"}
-
-    with ThreadPoolExecutor(max_workers=_thread_count(len(ks))) as pool:
-        return list(pool.map(one, ks))
-
-
 def _sweep_csv(rows, n: int) -> str:
     header = ["k"]
     for i in range(n):
@@ -207,9 +174,10 @@ def _sweep_json(rows) -> str:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    rows = _sweep_rows(cfg)
-    csv_text = _sweep_csv(rows, cfg.bc.n)
-    json_text = _sweep_json(rows)
+    rows = smatrix_grid(cfg.potential, cfg.bc, cfg.kvalues(), cfg.resolve_a(), cfg.solver)
+    formats = {args.format} | {kind for sink in cfg.outputs for kind in sink}
+    csv_text = _sweep_csv(rows, cfg.bc.n) if "csv" in formats else None
+    json_text = _sweep_json(rows) if "json" in formats else None
     _emit_sinks(cfg, csv_text, json_text)
     _emit(json_text if args.format == "json" else csv_text, args.out)
     failures = [row for row in rows if "error" in row]

@@ -32,16 +32,17 @@ S = -(B + ikA)(B - ikA)^(-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .bc import BCPair
-from .errors import NumericalError, ValidationError
+from .errors import HalflineError, NumericalError, ValidationError
 from .solver import (
     DEFAULT_CONFIG,
     Potential,
     SolverConfig,
+    _integrate_weighted,
     jost_solution,
     regular_solution,
     wronskian,
@@ -55,6 +56,7 @@ __all__ = [
     "jost_matrix_zero",
     "l_matrix",
     "smatrix",
+    "smatrix_grid",
     "free_closed_forms",
     "p_matrix",
     "log_derivative",
@@ -118,13 +120,22 @@ def jost_matrix(
     if cross_check:
         F0 = jost_solution(pot, km, 0.0, cfg)
         J0 = F0.value.conj().T @ bc.B - F0.deriv.conj().T @ bc.A
-        scale = max(np.linalg.norm(J, 2), 1.0)
-        if np.linalg.norm(J - J0, 2) > CROSSCHECK_TOL * scale:
-            raise NumericalError(
-                f"Jost pairing differs between x = 0 and x = {a}: "
-                f"{np.linalg.norm(J - J0, 2):.3e}"
-            )
+        diff, scale = _norm2(J - J0), np.maximum(_norm2(J), 1.0)
+        if diff > CROSSCHECK_TOL * scale:
+            raise _pairing_error(a, diff)
     return JostEvaluation(k=k, J=J, cond=float(np.linalg.cond(J)))
+
+
+def _norm2(M):  # spectral norm of a matrix, or of each matrix of a stack
+    return np.linalg.norm(M, 2, axis=(-2, -1))
+
+
+def _pairing_error(a, diff) -> NumericalError:
+    return NumericalError(f"Jost pairing differs between x = 0 and x = {a}: {diff:.3e}")
+
+
+def _cond_error(k, cond) -> NumericalError:
+    return NumericalError(f"J({k:g}) condition {cond:.3e} exceeds cap {COND_CAP:.1e}")
 
 
 def jost_matrix_zero(
@@ -143,11 +154,8 @@ def jost_matrix_zero(
     F0 = jost_solution(pot, 0.0, 0.0, cfg)
     J_pairing = F0.value.conj().T @ bc.B - F0.deriv.conj().T @ bc.A
 
-    n = pot.n
-    moment = np.zeros((n, n), dtype=complex)
-    for lo, hi, V in pot.pieces:
-        moment += _integrate_phi_weighted(pot, bc, lo, hi, V, cfg)
-    J_moment = bc.B + moment
+    J_moment = bc.B + _integrate_weighted(
+        pot, 0.0, lambda y: 1.0, lambda lo, hi: regular_solution(pot, bc, 0.0, lo, cfg), cfg)
 
     _, beta = zero_energy_decomposition(pot, bc, cfg)
 
@@ -160,28 +168,6 @@ def jost_matrix_zero(
             f"fundamental-system diff {d2:.3e}"
         )
     return J_pairing
-
-
-def _integrate_phi_weighted(pot, bc, lo, hi, V, cfg, order=12, max_levels=6, tol=1e-11):
-    """Refined Gauss-Legendre quadrature of V(y) phi(0, y) over one piece."""
-    n = pot.n
-    prev = None
-    panels = 1
-    for _ in range(max_levels):
-        acc = np.zeros((n, n), dtype=complex)
-        edges = np.linspace(lo, hi, panels + 1)
-        for p_lo, p_hi in zip(edges, edges[1:]):
-            xs, ws = np.polynomial.legendre.leggauss(order)
-            mid, half = 0.5 * (p_lo + p_hi), 0.5 * (p_hi - p_lo)
-            for t, w in zip(xs, ws):
-                y = float(mid + half * t)
-                phi = regular_solution(pot, bc, 0.0, y, cfg)
-                acc += (half * w) * (V @ phi.value)
-        if prev is not None and np.linalg.norm(acc - prev, 2) <= tol:
-            return acc
-        prev = acc
-        panels *= 2
-    return prev
 
 
 def l_matrix(
@@ -218,12 +204,83 @@ def smatrix(
     Jp = jost_matrix(pot, bc, k, a, cfg)
     Jm = jost_matrix(pot, bc, -k, a, cfg)
     if Jp.cond > COND_CAP:
-        raise NumericalError(
-            f"J({k:g}) condition {Jp.cond:.3e} exceeds cap {COND_CAP:.1e}"
-        )
+        raise _cond_error(k, Jp.cond)
     S = np.linalg.solve(Jp.J.T, -Jm.J.T).T
     resid = float(np.linalg.norm(S.conj().T @ S - np.eye(bc.n), 2))
     return SMatrixEvaluation(k=k, S=S, unitarity_residual=resid)
+
+
+def _error_row(k: float, exc: HalflineError) -> dict:
+    return {"k": k, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _smatrix_row(pot, bc, k, a, cfg) -> dict:
+    try:
+        J = jost_matrix(pot, bc, k, a, cfg)
+        ev = smatrix(pot, bc, k, a, cfg)
+    except HalflineError as exc:
+        return _error_row(k, exc)
+    return {"k": k, "S": ev.S, "unitarity_residual": ev.unitarity_residual,
+            "det_J_abs": float(abs(np.linalg.det(J.J)))}
+
+
+def smatrix_grid(
+    pot: Potential,
+    bc: BCPair,
+    ks,
+    a: Optional[float] = None,
+    cfg: SolverConfig = DEFAULT_CONFIG,
+) -> List[dict]:
+    """S(k) on a grid of real k != 0: one row per k, in grid order.
+
+    A row is ``{"k", "S", "unitarity_residual", "det_J_abs"}`` (|det J(k)|),
+    or ``{"k", "error"}`` with the "<ExcName>: <message>" that
+    :func:`jost_matrix` or :func:`smatrix` raises at that k.  The analytic
+    method walks +k and -k of the whole grid as one stack: f(-+k, .) from
+    the support edge to a and to 0, phi(+-k, .) from 0 to a.  "rk45", or an
+    overflowing stack, goes one k at a time.
+    """
+    _check_sizes(pot, bc)
+    ks = [float(k) for k in ks]
+    if 0.0 in ks:
+        raise ValidationError("k = 0 is handled by the zero-energy pipeline")
+    if a is None:
+        a = cfg.resolve_a(pot)
+    if cfg.method == "analytic":
+        try:
+            return _batched_rows(pot, bc, ks, a, cfg)
+        except NumericalError:
+            pass  # evaluate row by row so that only the overflowing k fail
+    return [_smatrix_row(pot, bc, k, a, cfg) for k in ks]
+
+
+def _batched_rows(pot, bc, ks, a, cfg) -> List[dict]:
+    m = len(ks)
+    kpm = np.concatenate([ks, np.negative(ks)]).astype(complex)  # J(k), then J(-k)
+    km = -kpm.conj()
+    F, F0 = jost_solution(pot, km, a, cfg), jost_solution(pot, km, 0.0, cfg)
+    J = wronskian(F, regular_solution(pot, bc, kpm, a, cfg))
+    J0 = F0.value.conj().swapaxes(-1, -2) @ bc.B - F0.deriv.conj().swapaxes(-1, -2) @ bc.A
+    diff = _norm2(J - J0)
+    bad = diff > CROSSCHECK_TOL * np.maximum(_norm2(J), 1.0)
+    Jp, Jm = J[:m], J[m:]
+    cond = np.linalg.cond(Jp)
+    ok = ~(bad[:m] | bad[m:]) & (cond <= COND_CAP)
+    S = np.linalg.solve(Jp[ok].swapaxes(-1, -2), -Jm[ok].swapaxes(-1, -2)).swapaxes(-1, -2)
+    resid = _norm2(S.conj().swapaxes(-1, -2) @ S - np.eye(bc.n))
+    det = np.linalg.det(Jp)
+    good = iter(zip(S, resid))
+    rows = []
+    for i, k in enumerate(ks):
+        if bad[i] or bad[m + i]:
+            rows.append(_error_row(k, _pairing_error(a, diff[i] if bad[i] else diff[m + i])))
+        elif not ok[i]:
+            rows.append(_error_row(k, _cond_error(k, cond[i])))
+        else:
+            Sk, r = next(good)
+            rows.append({"k": k, "S": Sk, "unitarity_residual": float(r),
+                         "det_J_abs": float(abs(det[i]))})
+    return rows
 
 
 def free_closed_forms(bc: BCPair, k: complex) -> Tuple[np.ndarray, Optional[np.ndarray]]:

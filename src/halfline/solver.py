@@ -27,12 +27,13 @@ An embedded Dormand-Prince 5(4) integrator over the first-order 2n-row
 system is provided as an independent cross-check backend ("rk45"); both
 methods step piece by piece so interfaces are always hit exactly.
 
-All functions are pure; a single propagation is single-threaded, and
-independent k values may be evaluated concurrently.
+All functions are pure and single-threaded.  One propagation may carry a
+whole stack of k values: every step then advances all of them at once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -104,7 +105,7 @@ class Potential:
         eigs = []
         for _, _, V in cleaned:
             w, Q = np.linalg.eigh(V)
-            eigs.append((w, Q))
+            eigs.append((w, Q, Q.conj().T))
         object.__setattr__(self, "_eigs", tuple(eigs))
 
     def piece_at(self, x: float) -> Optional[int]:
@@ -128,7 +129,7 @@ def free_potential(n: int) -> Potential:
 
 @dataclass(frozen=True)
 class StateMatrix:
-    """Snapshot (x, psi(x), psi'(x)) of an n x n matrix solution."""
+    """Snapshot (x, psi(x), psi'(x)) of an n x n matrix solution, or a (K, n, n) stack."""
 
     x: float
     value: np.ndarray
@@ -137,7 +138,7 @@ class StateMatrix:
     def __post_init__(self):
         v = np.asarray(self.value, dtype=complex)
         d = np.asarray(self.deriv, dtype=complex)
-        if v.shape != d.shape or v.ndim != 2:
+        if v.shape != d.shape or v.ndim not in (2, 3):
             raise ValidationError("value and deriv must be matrices of equal shape")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
             raise ValidationError("state contains non-finite entries")
@@ -150,7 +151,7 @@ class StateMatrix:
 
     @property
     def n(self) -> int:
-        return self.value.shape[0]
+        return self.value.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -191,40 +192,37 @@ DEFAULT_CONFIG = SolverConfig()
 # Exact stepping within a constant piece.
 # ---------------------------------------------------------------------------
 
-def _cos_sinc(z: complex) -> Tuple[complex, complex]:
-    """(cos z, sin z / z) with a series branch for small |z|."""
-    if abs(z) < 1e-4:
-        z2 = z * z
-        c = 1.0 - z2 / 2.0 + z2 * z2 / 24.0 - z2 * z2 * z2 / 720.0
-        s = 1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2 * z2 * z2 / 5040.0
-        return c, s
-    return np.cos(z), np.sin(z) / z
+def _step(eig, k, h, value, deriv):
+    """Exact steps through one constant piece, one per (k, h) pair.
 
-
-def _step_constant(w, Q, k: complex, h: float, value, deriv):
-    """Exact step of length h through a piece with eigendata (w, Q).
-
-    For free territory pass w = None (scalar shortcut without rotation).
+    ``k`` (a complex array) and ``h`` are 0-d or 1-D and broadcast to the
+    stack shape S, () or (m,); ``value`` and ``deriv`` are (n, n) or
+    S + (n, n), and so is the result.  ``eig`` is the piece's (w, Q, Q'), or
+    None on free territory (no rotation).  Raises NumericalError when a step
+    overflows.
     """
-    if w is None:
-        om2 = k * k
-        om = np.sqrt(complex(om2))
-        c, s = _cos_sinc(om * h)
-        s *= h
-        return c * value + s * deriv, (-om2 * s) * value + c * deriv
-    om2 = k * k - w.astype(complex)
-    om = np.sqrt(om2)
-    c = np.empty_like(om)
-    s = np.empty_like(om)
-    for j, z in enumerate(om * h):
-        cj, sj = _cos_sinc(z)
-        c[j] = cj
-        s[j] = sj * h
-    Qh = Q.conj().T
-    rot_v = Qh @ value
-    rot_d = Qh @ deriv
-    new_v = Q @ (c[:, None] * rot_v + s[:, None] * rot_d)
-    new_d = Q @ ((-om2 * s)[:, None] * rot_v + c[:, None] * rot_d)
+    w, Q, Qh = (0.0, None, None) if eig is None else eig
+    h = np.asarray(h)[..., None]
+    with np.errstate(all="ignore"):
+        om2 = (k * k)[..., None] - w
+        z = np.sqrt(om2) * h
+        c, s = np.cos(z), np.sin(z) / z
+        small = np.abs(z) < 1e-4
+        if small.any():
+            z2 = z * z
+            c = np.where(small, 1.0 - z2 / 2.0 + z2 * z2 / 24.0 - z2 * z2 * z2 / 720.0, c)
+            s = np.where(small, 1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2 * z2 * z2 / 5040.0, s)
+        s = s * h
+        c, s, g = c[..., None], s[..., None], (-om2 * s)[..., None]
+        if Q is not None:
+            value, deriv = Qh @ value, Qh @ deriv
+        new_v = c * value + s * deriv
+        new_d = g * value + c * deriv
+        if Q is not None:
+            new_v, new_d = Q @ new_v, Q @ new_d
+    if not (np.isfinite(new_v).all() and np.isfinite(new_d).all()):
+        raise NumericalError("solution overflows within one exact step: the piece "
+                             "is too wide or too deep at this k")
     return new_v, new_d
 
 
@@ -303,7 +301,7 @@ def _breakpoints(pot: Potential, x0: float, x1: float):
 
 def propagate(
     pot: Potential,
-    k: complex,
+    k,
     state: StateMatrix,
     x_target: float,
     cfg: SolverConfig = DEFAULT_CONFIG,
@@ -311,47 +309,49 @@ def propagate(
     """Move a solution snapshot to x_target through the piece structure.
 
     The first-order system (psi, psi')' = (psi', (V - k^2) psi) is advanced
-    segment by segment; segments never straddle a piece interface.
+    segment by segment; segments never straddle a piece interface.  ``k``
+    may be a 1-D array of K values: the result then holds (K, n, n) stacks,
+    one solution per k, and ``state`` may be one start or such a stack.
     """
     if x_target < 0:
         raise ValidationError("x_target must be >= 0")
-    value, deriv = np.array(state.value), np.array(state.deriv)
+    k = np.asarray(k, dtype=complex)
+    value, deriv = state.value, state.deriv
+    if k.ndim:  # one solution per k, also on a walk without steps
+        value, deriv = (np.broadcast_to(a, k.shape + a.shape[-2:]) for a in (value, deriv))
     pts = _breakpoints(pot, state.x, x_target)
     for lo, hi in zip(pts, pts[1:]):
-        mid = 0.5 * (lo + hi)
-        idx = pot.piece_at(mid)
+        idx = pot.piece_at(0.5 * (lo + hi))
+        V = None if idx is None else pot.pieces[idx][2]
         if cfg.method == "analytic":
-            if idx is None:
-                value, deriv = _step_constant(None, None, k, hi - lo, value, deriv)
-            else:
-                w, Q = pot._eigs[idx]
-                value, deriv = _step_constant(w, Q, k, hi - lo, value, deriv)
+            eig = None if V is None else pot._eigs[idx]
+            value, deriv = _step(eig, k, hi - lo, value, deriv)
+        elif k.ndim:
+            steps = [_rk45_segment(V, kj, lo, hi, v, d, cfg)
+                     for kj, v, d in zip(k, value, deriv)]
+            value, deriv = np.array([v for v, _ in steps]), np.array([d for _, d in steps])
         else:
-            V = None if idx is None else pot.pieces[idx][2]
             value, deriv = _rk45_segment(V, k, lo, hi, value, deriv, cfg)
     return StateMatrix(x=x_target, value=value, deriv=deriv)
 
 
 def jost_solution(
-    pot: Potential, k: complex, x: float, cfg: SolverConfig = DEFAULT_CONFIG
+    pot: Potential, k, x: float, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> StateMatrix:
     """Outgoing solution equal to exp(ikx) I beyond the support.
 
-    Defined for Im k >= 0.  On x >= x_max the closed form is returned
-    directly; otherwise the edge data is propagated backward.
+    Defined for Im k >= 0; ``k`` may be a 1-D array (see :func:`propagate`).
+    On x >= x_max the closed form is returned directly; otherwise the edge
+    data is propagated backward.
     """
-    k = complex(k)
-    if k.imag < -1e-14:
+    k = np.asarray(k, dtype=complex)
+    if (k.imag < -1e-14).any():
         raise ValidationError("outgoing solution needs Im k >= 0")
-    n = pot.n
-    if x >= pot.x_max:
-        ph = np.exp(1j * k * x)
-        return StateMatrix(x=x, value=ph * np.eye(n), deriv=1j * k * ph * np.eye(n))
-    ph = np.exp(1j * k * pot.x_max)
-    edge = StateMatrix(
-        x=pot.x_max, value=ph * np.eye(n), deriv=1j * k * ph * np.eye(n)
-    )
-    return propagate(pot, k, edge, x, cfg)
+    x_edge = max(x, pot.x_max)
+    ph = np.exp(1j * k * x_edge)[..., None, None]
+    eye = np.eye(pot.n)
+    edge = StateMatrix(x=x_edge, value=ph * eye, deriv=(1j * k)[..., None, None] * ph * eye)
+    return edge if x >= pot.x_max else propagate(pot, k, edge, x, cfg)
 
 
 def zero_energy_pair(
@@ -370,13 +370,13 @@ def zero_energy_pair(
 
 
 def regular_solution(
-    pot: Potential, bc: BCPair, k: complex, x: float, cfg: SolverConfig = DEFAULT_CONFIG
+    pot: Potential, bc: BCPair, k, x: float, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> StateMatrix:
-    """Solution with data (A, B) at the origin; entire in k."""
+    """Solution with data (A, B) at the origin; entire in k (a scalar or 1-D array)."""
     if bc.n != pot.n:
         raise ValidationError("boundary pair and potential sizes differ")
     start = StateMatrix(x=0.0, value=bc.A, deriv=bc.B)
-    return propagate(pot, complex(k), start, x, cfg)
+    return propagate(pot, k, start, x, cfg)
 
 
 def cs_solutions(
@@ -402,13 +402,14 @@ def omega_solution(
 
 def wronskian(Fstate: StateMatrix, Gstate: StateMatrix, conjugate_first: bool = True) -> np.ndarray:
     """[F; G] = F G' - F' G, with F replaced by its conjugate transpose
-    when ``conjugate_first`` is set."""
+    when ``conjugate_first`` is set; stacked states pair slice by slice."""
     if abs(Fstate.x - Gstate.x) > 1e-12 * max(1.0, abs(Fstate.x)):
         raise ValidationError(
             f"states evaluated at different points: {Fstate.x} vs {Gstate.x}"
         )
     if conjugate_first:
-        return Fstate.value.conj().T @ Gstate.deriv - Fstate.deriv.conj().T @ Gstate.value
+        return (Fstate.value.conj().swapaxes(-1, -2) @ Gstate.deriv
+                - Fstate.deriv.conj().swapaxes(-1, -2) @ Gstate.value)
     return Fstate.value @ Gstate.deriv - Fstate.deriv @ Gstate.value
 
 
@@ -431,32 +432,41 @@ def zero_energy_decomposition(
 # Quadrature of V-weighted moments of the bounded zero-energy solution.
 # ---------------------------------------------------------------------------
 
-def _gauss_panel_nodes(lo: float, hi: float, order: int):
-    xs, ws = np.polynomial.legendre.leggauss(order)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + half * xs, half * ws
+@functools.lru_cache(maxsize=None)  # numpy.polynomial loads on first use, not on import
+def _gauss_rule(order: int):
+    return np.polynomial.legendre.leggauss(order)
 
 
-def _integrate_weighted(pot: Potential, a: float, weight, cfg: SolverConfig,
+def _integrate_weighted(pot: Potential, a: float, weight, edge_state, cfg: SolverConfig,
                         order: int = 12, tol: float = 1e-11, max_levels: int = 6):
-    """Refined Gauss-Legendre quadrature of weight(y) V(y) f(0, y) over the
-    support beyond a; panel counts double until the value settles."""
+    """Refined Gauss-Legendre quadrature of weight(y) V(y) psi(y) over the
+    support beyond a, psi a zero-energy solution; panels double until the
+    value settles.
+
+    ``edge_state(lo, hi)`` gives psi at the edge of the piece [lo, hi] that
+    a walk to a point inside it enters through.  Every node of a level is
+    reached from there by one stacked step, the last step of such a walk.
+    """
+    xs, ws = _gauss_rule(order)
     n = pot.n
     total = np.zeros((n, n), dtype=complex)
-    for lo, hi, V in pot.pieces:
+    for (lo, hi, V), eig in zip(pot.pieces, pot._eigs):
         lo = max(lo, a)
         if hi <= lo:
             continue
+        edge = edge_state(lo, hi)
         prev = None
         panels = 1
         for _ in range(max_levels):
-            acc = np.zeros((n, n), dtype=complex)
             edges = np.linspace(lo, hi, panels + 1)
-            for p_lo, p_hi in zip(edges, edges[1:]):
-                ys, ws = _gauss_panel_nodes(p_lo, p_hi, order)
-                for y, w in zip(ys, ws):
-                    fy = jost_solution(pot, 0.0, float(y), cfg)
-                    acc += w * weight(y) * (V @ fy.value)
+            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+            ys = (mid[:, None] + half[:, None] * xs).ravel()
+            coef = (half[:, None] * ws).ravel() * weight(ys)
+            if cfg.method == "analytic":
+                psi = _step(eig, np.zeros(1, complex), ys - edge.x, edge.value, edge.deriv)[0]
+            else:
+                psi = np.array([propagate(pot, 0.0, edge, y, cfg).value for y in ys])
+            acc = (coef[:, None, None] * (V @ psi)).sum(axis=0)
             if prev is not None and np.linalg.norm(acc - prev, 2) <= tol:
                 prev = acc
                 break
@@ -476,8 +486,12 @@ def moment_identities_residual(
     by independent quadrature and returned as norms.
     """
     f0a = jost_solution(pot, 0.0, a, cfg)
-    m0 = _integrate_weighted(pot, a, lambda y: 1.0, cfg)
-    m1 = _integrate_weighted(pot, a, lambda y: y, cfg)
+
+    def edge(lo, hi):
+        return jost_solution(pot, 0.0, hi, cfg)
+
+    m0 = _integrate_weighted(pot, a, lambda y: 1.0, edge, cfg)
+    m1 = _integrate_weighted(pot, a, lambda y: y, edge, cfg)
     n = pot.n
     r1 = float(np.linalg.norm(m0 + f0a.deriv, 2))
     r2 = float(np.linalg.norm(m1 - f0a.value + a * f0a.deriv + np.eye(n), 2))

@@ -37,7 +37,7 @@ def _record(name: str, residual: float, tol: float, ok: Optional[bool] = None) -
 
 
 def _failure(name: str, exc: Exception) -> dict:
-    return {"name": name, "residual": float("nan"), "tol": 0.0, "pass": False,
+    return {"name": name, "residual": None, "tol": 0.0, "pass": False,
             "error": f"{type(exc).__name__}: {exc}"}
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import halfline.cli as cli
 from halfline.config import parse_config
-from halfline.errors import ValidationError
+from halfline.errors import NumericalError, ValidationError
 
 
 ANGLES_CFG = {
@@ -159,6 +159,16 @@ def test_sweep_thread_cap_respected(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_sweep_builds_only_the_emitted_format(tmp_path, monkeypatch, capsys):
+    def unused(*args):
+        raise AssertionError("CSV text built but not emitted")
+
+    monkeypatch.setattr(cli, "_sweep_csv", unused)
+    path = write_cfg(tmp_path, WELL_CFG)
+    assert cli.main(["sweep", "--config", path, "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 4
+
+
 def test_sweep_writes_config_sinks(tmp_path):
     sink_csv = tmp_path / "sink.csv"
     sink_json = tmp_path / "sink.json"
@@ -231,6 +241,24 @@ def test_verify_reports_slow_near_resonant_continuity(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     failing = [c["name"] for c in report["checks"] if not c["pass"]]
     assert failing == ["s0_continuity"]
+
+
+def test_verify_failure_record_is_strict_json(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise NumericalError("injected")
+
+    monkeypatch.setattr("halfline.verify.p_matrix", broken)
+    path = write_cfg(tmp_path, WELL_CFG)
+    assert cli.main(["verify", "--config", path]) == 3
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["p_ratio_decay"]
+    assert failed[0]["residual"] is None
+    assert failed[0]["error"] == "NumericalError: injected"
 
 
 def test_example_exact_all_fixtures(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Jost matrix, scattering matrix, and the supporting identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import halfline as hl
-from halfline.errors import ValidationError
+from halfline.errors import HalflineError, NumericalError, ValidationError
 from halfline.fixtures import get_fixture
 from conftest import rand_bc, rand_potential, scalar_well
 
@@ -334,3 +336,97 @@ def test_smatrix_near_resonance_stays_conditioned():
     bc = hl.dirichlet(1)
     ev = hl.smatrix(pot, bc, 1e-5)
     assert ev.unitarity_residual < 1e-7
+
+
+SHAPES = [(n, pieces) for n in (1, 2, 8) for pieces in (2, 20)]
+GRID = np.linspace(0.05, 10.0, 9)
+
+
+def _loop_rows(pot, bc, a):
+    """The per-k path smatrix_grid replaces: jost_matrix then smatrix."""
+    rows = []
+    for k in GRID:
+        try:
+            J = hl.jost_matrix(pot, bc, k, a)
+            ev = hl.smatrix(pot, bc, k, a)
+        except HalflineError as exc:
+            rows.append({"k": k, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        rows.append({"k": k, "S": ev.S, "unitarity_residual": ev.unitarity_residual,
+                     "det_J_abs": float(abs(np.linalg.det(J.J)))})
+    return rows
+
+
+def _assert_same_rows(rows, refs):
+    assert [row["k"] for row in rows] == list(GRID)
+    for row, ref in zip(rows, refs):
+        if "error" in ref:
+            assert row.get("error") == ref["error"]
+            continue
+        assert "error" not in row
+        assert np.array_equal(row["S"], ref["S"])
+        assert row["unitarity_residual"] == ref["unitarity_residual"]
+        assert row["det_J_abs"] == ref["det_J_abs"]
+
+
+@pytest.mark.parametrize("n,pieces", SHAPES)
+@pytest.mark.parametrize("inside", [False, True])
+def test_smatrix_grid_equals_per_k_loop(rng, n, pieces, inside):
+    pot = rand_potential(rng, n, pieces, scale=0.3)
+    bc = rand_bc(rng, n)
+    a = 0.5 * pot.x_max if inside else None
+    refs = _loop_rows(pot, bc, a)
+    assert not any("error" in ref for ref in refs)
+    _assert_same_rows(hl.smatrix_grid(pot, bc, GRID, a), refs)
+
+
+@pytest.mark.parametrize("n,pieces", SHAPES)
+@pytest.mark.parametrize("name,value", [("CROSSCHECK_TOL", 1e-300), ("COND_CAP", 0.5)])
+def test_smatrix_grid_error_rows_match_per_k_loop(rng, monkeypatch, n, pieces, name, value):
+    pot = rand_potential(rng, n, pieces, scale=0.3)
+    bc = rand_bc(rng, n)
+    monkeypatch.setattr(hl.scattering, name, value)
+    refs = _loop_rows(pot, bc, None)
+    assert all("error" in ref for ref in refs)
+    _assert_same_rows(hl.smatrix_grid(pot, bc, GRID), refs)
+
+
+@pytest.mark.parametrize("n,pieces", SHAPES)
+@pytest.mark.parametrize("tol", [1e-16, 1e-15])
+def test_smatrix_grid_mixed_rows_match_per_k_loop(rng, monkeypatch, n, pieces, tol):
+    # At roundoff-level tolerances the x = 0 cross-check fails for some k,
+    # for +k or -k alone, and passes for others.
+    pot = rand_potential(rng, n, pieces, scale=0.3)
+    bc = rand_bc(rng, n)
+    monkeypatch.setattr(hl.scattering, "CROSSCHECK_TOL", tol)
+    _assert_same_rows(hl.smatrix_grid(pot, bc, GRID), _loop_rows(pot, bc, None))
+
+
+def test_smatrix_grid_rk45_and_zero_k(rng):
+    pot = rand_potential(rng, 2)
+    bc = rand_bc(rng, 2)
+    cfg = hl.SolverConfig(method="rk45", abs_tol=1e-12, rel_tol=1e-12, max_step=0.05)
+    for row, k in zip(hl.smatrix_grid(pot, bc, [0.7, 2.1], cfg=cfg), (0.7, 2.1)):
+        assert np.linalg.norm(row["S"] - hl.smatrix(pot, bc, k).S, 2) < 1e-8
+    with pytest.raises(ValidationError):
+        hl.smatrix_grid(pot, bc, [0.5, 0.0])
+
+
+def test_jost_overflow_is_a_numerical_error():
+    # k = 50i on a width-50 well grows like exp(2500) across the piece.
+    pot = hl.Potential(n=1, pieces=((0.0, 50.0, np.array([[-1.0]])),))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match="overflows"):
+            hl.jost_matrix(pot, hl.dirichlet(1), 50j)
+    assert caught == []
+
+
+def test_smatrix_grid_overflowing_row_fails_alone():
+    # Below the barrier top the width-20 barrier overflows one exact step;
+    # above it the row is an ordinary S(k).
+    pot = hl.Potential(n=1, pieces=((0.0, 20.0, np.array([[2000.0]])),))
+    bc = hl.neumann(1)
+    low, high = hl.smatrix_grid(pot, bc, [1.0, 50.0])
+    assert low["error"].startswith("NumericalError: solution overflows")
+    assert np.array_equal(high["S"], hl.smatrix(pot, bc, 50.0).S)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import halfline as hl
+from halfline import solver
 from halfline.errors import ValidationError
 from halfline.solver import potential_from_json, potential_to_json
 from conftest import rand_bc, rand_potential, scalar_well
@@ -358,3 +359,42 @@ def test_propagate_rejects_negative_target():
     state = hl.StateMatrix(0.0, np.eye(1), np.zeros((1, 1)))
     with pytest.raises(ValidationError):
         hl.propagate(pot, 1.0, state, -0.5)
+
+
+@pytest.mark.parametrize("n,pieces", [(n, p) for n in (1, 2, 8) for p in (2, 20)])
+def test_quadrature_nodes_equal_walked_solutions(rng, monkeypatch, n, pieces):
+    # Every Gauss node is reached by one stacked step from a piece edge; the
+    # value must be the one a full walk to the node gives.
+    pot = rand_potential(rng, n, pieces, scale=0.3)
+    bc = rand_bc(rng, n)
+    nodes, values = [], []
+    step = solver._step
+
+    def spy(eig, k, h, value, deriv):
+        out = step(eig, k, h, value, deriv)
+        if np.ndim(h) == 1:
+            values.append(out[0])
+        return out
+
+    def weight(ys):
+        nodes.append(ys)
+        return 1.0
+
+    families = (
+        (0.0, lambda lo, hi: hl.regular_solution(pot, bc, 0.0, lo),
+         lambda y: hl.regular_solution(pot, bc, 0.0, y)),
+        (0.5 * pot.x_max, lambda lo, hi: hl.jost_solution(pot, 0.0, hi),
+         lambda y: hl.jost_solution(pot, 0.0, y)),
+    )
+    for a, edge, walk in families:
+        nodes.clear()
+        values.clear()
+        monkeypatch.setattr(solver, "_step", spy)
+        solver._integrate_weighted(pot, a, weight, edge, hl.SolverConfig())
+        monkeypatch.setattr(solver, "_step", step)
+        assert len(nodes) == len(values) >= len(pot.pieces)
+        ys = np.concatenate(nodes)
+        psi = np.concatenate(values)
+        assert ys.min() >= a
+        for y, v in list(zip(ys, psi))[::7]:
+            assert np.array_equal(walk(float(y)).value, v)
