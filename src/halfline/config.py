@@ -40,14 +40,8 @@ class JobConfig:
     bc: BCPair
     potential: Potential
     kgrid: Optional[Tuple[float, float, int]] = None
-    a_choice: object = "auto"
     outputs: Tuple[dict, ...] = field(default_factory=tuple)
     solver: SolverConfig = field(default_factory=SolverConfig)
-
-    def resolve_a(self) -> float:
-        if self.a_choice == "auto":
-            return self.potential.x_max
-        return float(self.a_choice)
 
     def kvalues(self):
         if self.kgrid is None:
@@ -145,6 +139,5 @@ def parse_config(text) -> JobConfig:
         raise ValidationError(f"config.tolerances: {exc}") from exc
 
     return JobConfig(
-        bc=bc, potential=pot, kgrid=kgrid, a_choice=a_choice,
-        outputs=tuple(outputs), solver=solver,
+        bc=bc, potential=pot, kgrid=kgrid, outputs=tuple(outputs), solver=solver,
     )

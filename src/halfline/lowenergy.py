@@ -27,15 +27,19 @@ the Jordan decomposition of J(0):
 Generic case mu = 0 gives S(0) = -I; the fully exceptional case mu = n
 gives S(0) = I.
 
-Two Jordan backends are provided.  The numeric backend clusters eigenvalues
-at a relative radius and runs an SVD rank staircase; it reports failure
-when the defective structure is ambiguous at the thresholds.  The exact
-backend works over Gaussian rationals (entries must be exactly
-representable); eigenvalue candidates are proposed numerically, snapped to
-small-denominator rationals, and accepted only if the shifted matrix is
-exactly singular.  Chain ordering is deterministic in both backends: zero
-chains first, remaining eigenvalues by (Re, Im), and inside a cluster by
-the pivot position of the chain eigenvector.
+Only step 1 differs between the two arithmetic backends, so there are two
+Jordan backends and one assembly of steps 2-4.  The numeric Jordan backend
+clusters eigenvalues at a relative radius and runs an SVD rank staircase;
+it reports failure when the defective structure is ambiguous at the
+thresholds.  The exact backend works over Gaussian rationals (entries must
+be exactly representable); eigenvalue candidates are proposed numerically,
+snapped to small-denominator rationals, and accepted only if the shifted
+matrix is exactly singular.  Chain ordering is deterministic in both
+backends: zero chains first, remaining eigenvalues by (Re, Im), and inside
+a cluster by the pivot position of the chain eigenvector.  The assembly
+(permutations, blocks, S(0)) is written once with numpy operators and runs
+on complex arrays or on object arrays of Gaussian rationals; the backends
+differ only in the inverse they supply for A1.
 """
 
 from __future__ import annotations
@@ -128,16 +132,25 @@ class JordanData:
 
     def jordan_matrix(self) -> np.ndarray:
         """The block-diagonal Jordan form implied by ``chains``."""
-        n = self.n
-        J = np.zeros((n, n), dtype=complex)
-        pos = 0
-        for lam, length in self.chains:
-            for i in range(length):
-                J[pos + i, pos + i] = lam
-                if i + 1 < length:
-                    J[pos + i, pos + i + 1] = 1.0
-            pos += length
-        return J
+        return _jordan_matrix(self.chains, np.eye(self.n, dtype=complex))
+
+
+def _jordan_matrix(chains, eye):
+    """``eye`` with its trailing diagonal block replaced by the Jordan blocks
+    of the (eigenvalue, length) ``chains``, in order.
+
+    ``eye`` is an identity in the backend's scalar type (complex or
+    Gaussian-rational); the superdiagonal ones are copied from it.
+    """
+    J = eye.copy()
+    pos = len(eye) - sum(length for _, length in chains)
+    for lam, length in chains:
+        for i in range(pos, pos + length):
+            J[i, i] = lam
+            if i > pos:
+                J[i - 1, i] = eye[i, i]
+        pos += length
+    return J
 
 
 @dataclass(frozen=True)
@@ -164,7 +177,6 @@ class LowEnergyResult:
     involution_residual: float
     unitarity_residual: float
     continuity_probes: Tuple[Tuple[float, float], ...]
-    exact_s0: Optional[list] = field(default=None, repr=False, compare=False)
     exact_blocks: Optional[dict] = field(default=None, repr=False, compare=False)
 
 
@@ -357,7 +369,7 @@ def _exact_independent(stack_rows: list, candidate: List[xa.QC]) -> bool:
     return xa.rank(stack_rows + [list(candidate)]) > base
 
 
-def _exact_jordan(Mq: list) -> Tuple[ExactJordan, Tuple, int, int, int]:
+def _exact_jordan(Mq: list) -> ExactJordan:
     n = len(Mq)
     Mc = xa.mat_to_complex(Mq)
     raw = np.linalg.eigvals(Mc)
@@ -439,10 +451,7 @@ def _exact_jordan(Mq: list) -> Tuple[ExactJordan, Tuple, int, int, int]:
     Smat = [[cols[j][i] for j in range(n)] for i in range(n)]
     Sinv = xa.inverse(Smat)
     chain_info = tuple((lam, len(vecs)) for lam, vecs, _ in chains)
-    mu = sum(1 for lam, length in chain_info if not lam)
-    nu = sum(length for lam, length in chain_info if not lam)
-    payload = ExactJordan(M=Mq, Smat=Smat, Sinv=Sinv, chains=chain_info)
-    return payload, chain_info, mu, nu, len(chain_info)
+    return ExactJordan(M=Mq, Smat=Smat, Sinv=Sinv, chains=chain_info)
 
 
 def jordan_form(
@@ -467,13 +476,15 @@ def jordan_form(
             Mq = xa.mat([[xa.qc(complex(x)) for x in row] for row in M])
         else:
             Mq = xa.mat(M)
-        payload, chain_info, mu, nu, kappa = _exact_jordan(Mq)
+        payload = _exact_jordan(Mq)
+        zero = [length for lam, length in payload.chains if not lam]
         return JordanData(
             M=xa.mat_to_complex(Mq),
             Smat=xa.mat_to_complex(payload.Smat),
             Sinv=xa.mat_to_complex(payload.Sinv),
-            chains=tuple((complex(lam), length) for lam, length in chain_info),
-            mu=mu, nu=nu, kappa=kappa, mode="exact", exact=payload,
+            chains=tuple((complex(lam), length) for lam, length in payload.chains),
+            mu=len(zero), nu=sum(zero), kappa=len(payload.chains), mode="exact",
+            exact=payload,
         )
     raise ValidationError(f"unknown Jordan mode {mode!r}")
 
@@ -487,64 +498,45 @@ def _perm_indices(lengths: Sequence[int]) -> Tuple[List[int], List[int]]:
 
     q lists the basis positions of the chain eigenvectors, then of the
     generalized vectors; sigma lists the positions of the chain tails, then
-    of the non-tail vectors.  Both follow the unique (chain, height) solution
-    of the index equation for each slot.
+    of the non-tail vectors.  For slot t of the identity block both follow
+    the chain alpha of the unique (chain, height) solution of the index
+    equation cum[alpha - 1] - alpha + j = t with 2 <= j <= lengths[alpha - 1].
     """
     mu = len(lengths)
     nu = sum(lengths)
     cum = [0]
     for L in lengths:
         cum.append(cum[-1] + L)
-    q = [cum[tau - 1] + 1 for tau in range(1, mu + 1)]
-    for tau in range(mu + 1, nu + 1):
-        t = tau - mu
-        hit = None
-        for alpha in range(1, mu + 1):
-            for j in range(2, lengths[alpha - 1] + 1):
-                if cum[alpha - 1] - alpha + j == t:
-                    hit = (alpha, j)
-                    break
-            if hit:
-                break
-        if hit is None:
+    q = [cum[alpha] + 1 for alpha in range(mu)]
+    sigma = [cum[alpha + 1] for alpha in range(mu)]
+    for t in range(1, nu - mu + 1):
+        alpha = next(
+            (alpha for alpha in range(1, mu + 1)
+             if 2 <= t - cum[alpha - 1] + alpha <= lengths[alpha - 1]),
+            None,
+        )
+        if alpha is None:
             raise NumericalError("permutation index equation has no solution")
-        q.append(t + hit[0])
-    sigma = [cum[alpha] for alpha in range(1, mu + 1)]
-    for alpha in range(mu + 1, nu + 1):
-        t = alpha - mu
-        hit = None
-        for rho in range(1, mu + 1):
-            for s in range(2, lengths[rho - 1] + 1):
-                if cum[rho - 1] - rho + s == t:
-                    hit = (rho, s)
-                    break
-            if hit:
-                break
-        if hit is None:
-            raise NumericalError("permutation index equation has no solution")
-        sigma.append(t + hit[0] - 1)
+        q.append(t + alpha)
+        sigma.append(t + alpha - 1)
     return q, sigma
+
+
+def _permutations(chains, eye) -> Tuple[np.ndarray, np.ndarray]:
+    """P1 (columns of ``eye``) and P2 (rows of ``eye``) for the zero chains
+    among the (eigenvalue, length) ``chains``; ``eye`` is the n x n
+    identity in the backend's scalar type."""
+    lengths = [length for lam, length in chains if not lam]
+    q, sigma = _perm_indices(lengths)
+    tail = list(range(sum(lengths), len(eye)))
+    return eye[:, [j - 1 for j in q] + tail], eye[[i - 1 for i in sigma] + tail, :]
 
 
 def build_permutations(jd: JordanData) -> Tuple[np.ndarray, np.ndarray]:
     """P1 (column permutation) and P2 (row permutation) gathering the
     nilpotent ones into an identity block; both act only on the first nu
     coordinates and restrict to diag(Pi, I) block form."""
-    n = jd.n
-    lengths = [length for lam, length in jd.chains if lam == 0]
-    q, sigma = _perm_indices(lengths)
-    nu = jd.nu
-    P1 = np.zeros((n, n))
-    P2 = np.zeros((n, n))
-    for j, qj in enumerate(q):
-        P1[qj - 1, j] = 1.0
-    for i in range(nu, n):
-        P1[i, i] = 1.0
-    for i, si in enumerate(sigma):
-        P2[i, si - 1] = 1.0
-    for i in range(nu, n):
-        P2[i, i] = 1.0
-    return P1, P2
+    return _permutations(jd.chains, np.eye(jd.n))
 
 
 # ---------------------------------------------------------------------------
@@ -571,22 +563,36 @@ def r_matrix(
     return np.linalg.solve(f0.value, phi.value)
 
 
-def _nonzero_block(jd: JordanData) -> np.ndarray:
-    """diag(I_(nu-mu), Jordan blocks of the nonzero eigenvalues)."""
-    n, mu, nu = jd.n, jd.mu, jd.nu
-    D0 = np.zeros((n - mu, n - mu), dtype=complex)
-    m = nu - mu
-    D0[:m, :m] = np.eye(m)
-    pos = m
-    for lam, length in jd.chains:
-        if lam == 0:
-            continue
-        for i in range(length):
-            D0[pos + i, pos + i] = lam
-            if i + 1 < length:
-                D0[pos + i, pos + i + 1] = 1.0
-        pos += length
-    return D0
+def _checked_inverse(A1: np.ndarray) -> np.ndarray:
+    if np.linalg.cond(A1) > COND_CAP:
+        raise NumericalError(
+            "kernel block A1 is numerically singular: Jordan data and R "
+            "do not belong to the same configuration"
+        )
+    return np.linalg.inv(A1)
+
+
+def _assemble(Smat, Sinv, chains, R, P1, P2, inv):
+    """Steps 3 and 4 of the construction: A1, B1, C1, D0 and S(0).
+
+    Shared by both arithmetic backends: complex arrays with a checked
+    ``np.linalg.inv``, or object arrays of Gaussian rationals with an exact
+    inverse.  ``chains`` lists (eigenvalue, length) in the order of the
+    columns of ``Smat``.
+    """
+    mu = sum(1 for lam, _ in chains if not lam)
+    eye = P1 @ P1.T  # the identity in the backend's scalar type
+    Mt = P2 @ Sinv @ R @ Smat @ P1
+    A1 = -1j * Mt[:mu, :mu]
+    B1 = -1j * Mt[:mu, mu:]
+    C1 = -1j * Mt[mu:, :mu]
+    D0 = _jordan_matrix(
+        [c for c in chains if c[0]], eye[mu:, mu:].astype(Mt.dtype)
+    )
+    lower = 2 * C1 @ inv(A1) if mu else eye[mu:, :mu]
+    mid = np.block([[eye[:mu, :mu], eye[:mu, mu:]], [lower, -eye[mu:, mu:]]])
+    S0 = Smat @ P2.T @ mid @ P2 @ Sinv
+    return A1, B1, C1, D0, S0
 
 
 def z_blocks(
@@ -599,18 +605,8 @@ def z_blocks(
     be invertible (it represents the kernel bijection u -> R u); a singular
     A1 signals an inconsistent Jordan/R pairing upstream.
     """
-    mu = jd.mu
-    Mt = P2 @ jd.Sinv @ np.asarray(R, dtype=complex) @ jd.Smat @ P1
-    A1 = -1j * Mt[:mu, :mu]
-    B1 = -1j * Mt[:mu, mu:]
-    C1 = -1j * Mt[mu:, :mu]
-    D0 = _nonzero_block(jd)
-    if mu and np.linalg.cond(A1) > COND_CAP:
-        raise NumericalError(
-            "kernel block A1 is numerically singular: Jordan data and R "
-            "do not belong to the same configuration"
-        )
-    return A1, B1, C1, D0
+    R = np.asarray(R, dtype=complex)
+    return _assemble(jd.Smat, jd.Sinv, jd.chains, R, P1, P2, _checked_inverse)[:4]
 
 
 def z_of_k(
@@ -681,24 +677,6 @@ def _snap_matrix(M: np.ndarray, name: str) -> list:
     return out
 
 
-def _xc(exact_matrix: list, shape: Tuple[int, int]) -> np.ndarray:
-    """Exact matrix to complex array, honoring zero-size shapes."""
-    if shape[0] == 0 or shape[1] == 0:
-        return np.zeros(shape, dtype=complex)
-    return xa.mat_to_complex(exact_matrix)
-
-
-def _assemble_s0(jd: JordanData, A1: np.ndarray, C1: np.ndarray) -> np.ndarray:
-    n, mu = jd.n, jd.mu
-    _, P2 = build_permutations(jd)
-    mid = np.zeros((n, n), dtype=complex)
-    mid[:mu, :mu] = np.eye(mu)
-    mid[mu:, mu:] = -np.eye(n - mu)
-    if mu:
-        mid[mu:, :mu] = 2.0 * C1 @ np.linalg.inv(A1)
-    return jd.Smat @ P2.T @ mid @ P2 @ jd.Sinv
-
-
 def zero_energy_pipeline(
     pot: Potential,
     bc: BCPair,
@@ -719,7 +697,6 @@ def zero_energy_pipeline(
     if a is None:
         a = cfg.resolve_a(pot)
 
-    exact_s0 = None
     exact_blocks = None
     if mode == "exact":
         if pot.pieces:
@@ -727,25 +704,20 @@ def zero_energy_pipeline(
         Aq = _snap_matrix(bc.A, "A")
         Bq = _snap_matrix(bc.B, "B")
         a_exact = xa.qc(int(a)) if float(a).is_integer() else xa.snap(complex(a))
-        exact = exact_free_pipeline(Aq, Bq, a=a_exact)
-        jd = exact["jordan_data"]
-        P1, P2 = build_permutations(jd)
-        n, mu = bc.n, jd.mu
-        R = xa.mat_to_complex(exact["R"])
-        A1 = _xc(exact["A1"], (mu, mu))
-        B1 = _xc(exact["B1"], (mu, n - mu))
-        C1 = _xc(exact["C1"], (n - mu, mu))
-        D0 = _xc(exact["D0"], (n - mu, n - mu))
-        S0 = xa.mat_to_complex(exact["S0"])
-        exact_s0 = exact["S0"]
-        exact_blocks = exact
+        exact_blocks = exact_free_pipeline(Aq, Bq, a=a_exact)
+        jd = exact_blocks["jordan_data"]
+        P1, P2, R, A1, B1, C1, D0, S0 = (
+            exact_blocks[name].astype(complex)
+            for name in ("P1", "P2", "R", "A1", "B1", "C1", "D0", "S0")
+        )
     else:
         J0 = jost_matrix_zero(pot, bc, cfg)
         jd = jordan_override if jordan_override is not None else jordan_form(J0, "numeric")
         P1, P2 = build_permutations(jd)
         R = r_matrix(pot, bc, a, cfg)
-        A1, B1, C1, D0 = z_blocks(jd, R, P1, P2)
-        S0 = _assemble_s0(jd, A1, C1)
+        A1, B1, C1, D0, S0 = _assemble(
+            jd.Smat, jd.Sinv, jd.chains, R, P1, P2, _checked_inverse
+        )
 
     n = bc.n
     inv_resid = float(np.linalg.norm(S0 @ S0 - np.eye(n), 2))
@@ -763,7 +735,6 @@ def zero_energy_pipeline(
         involution_residual=inv_resid,
         unitarity_residual=uni_resid,
         continuity_probes=tuple(probe_list),
-        exact_s0=exact_s0,
         exact_blocks=exact_blocks,
     )
 
@@ -788,70 +759,20 @@ def exact_free_pipeline(Aq: list, Bq: list, a=xa.QC(0)) -> dict:
 
     There J(k) = B - ikA exactly, J(0) = B, and the slope matrix is
     R = A + aB.  Everything downstream (Jordan data, permutations, blocks,
-    S(0)) is carried out over Gaussian rationals; the returned dict also
-    exposes closed forms for J(k) and Z(k) at exact rational k.
+    S(0)) is carried out over Gaussian rationals: the matrices in the
+    returned dict are numpy object arrays of :class:`exactalg.QC`.  The dict
+    also exposes closed forms for J(k) and S(k) at exact rational k.
     """
     Aq = xa.mat(Aq)
     Bq = xa.mat(Bq)
-    n = len(Aq)
-    payload, chain_info, mu, nu, kappa = _exact_jordan(Bq)
-    jd = JordanData(
-        M=xa.mat_to_complex(Bq),
-        Smat=xa.mat_to_complex(payload.Smat),
-        Sinv=xa.mat_to_complex(payload.Sinv),
-        chains=tuple((complex(lam), length) for lam, length in chain_info),
-        mu=mu, nu=nu, kappa=kappa, mode="exact", exact=payload,
-    )
-    a = xa.qc(a)
-    R = xa.madd(Aq, xa.scalar_mul(a, Bq))
-
-    lengths = [length for lam, length in chain_info if not lam]
-    q, sigma = _perm_indices(lengths)
-    P1q = xa.zeros(n, n)
-    P2q = xa.zeros(n, n)
-    for j, qj in enumerate(q):
-        P1q[qj - 1][j] = xa.QC(1)
-    for i in range(nu, n):
-        P1q[i][i] = xa.QC(1)
-    for i, si in enumerate(sigma):
-        P2q[i][si - 1] = xa.QC(1)
-    for i in range(nu, n):
-        P2q[i][i] = xa.QC(1)
-
-    Mt = xa.matmul(xa.matmul(P2q, xa.matmul(payload.Sinv, xa.matmul(R, payload.Smat))), P1q)
-    minus_i = xa.QC(0, -1)
-    A1 = [[minus_i * Mt[i][j] for j in range(mu)] for i in range(mu)]
-    B1 = [[minus_i * Mt[i][j] for j in range(mu, n)] for i in range(mu)]
-    C1 = [[minus_i * Mt[i][j] for j in range(mu)] for i in range(mu, n)]
-
-    D0 = xa.zeros(n - mu, n - mu)
-    m = nu - mu
-    for i in range(m):
-        D0[i][i] = xa.QC(1)
-    pos = m
-    for lam, length in chain_info:
-        if not lam:
-            continue
-        for i in range(length):
-            D0[pos + i][pos + i] = lam
-            if i + 1 < length:
-                D0[pos + i][pos + i + 1] = xa.QC(1)
-        pos += length
-
-    mid = xa.zeros(n, n)
-    for i in range(mu):
-        mid[i][i] = xa.QC(1)
-    for i in range(mu, n):
-        mid[i][i] = xa.QC(-1)
-    if 0 < mu < n:
-        two_c1_a1inv = xa.scalar_mul(xa.QC(2), xa.matmul(C1, xa.inverse(A1)))
-        for i in range(n - mu):
-            for j in range(mu):
-                mid[mu + i][j] = two_c1_a1inv[i][j]
-    P2t = [[P2q[j][i] for j in range(n)] for i in range(n)]
-    S0 = xa.matmul(
-        xa.matmul(payload.Smat, P2t),
-        xa.matmul(mid, xa.matmul(P2q, payload.Sinv)),
+    jd = jordan_form(Bq, "exact")
+    ex = jd.exact
+    R = np.array(xa.madd(Aq, xa.scalar_mul(xa.qc(a), Bq)), dtype=object)
+    P1, P2 = _permutations(ex.chains, np.array(xa.identity(jd.n), dtype=object))
+    A1, B1, C1, D0, S0 = _assemble(
+        np.array(ex.Smat, dtype=object), np.array(ex.Sinv, dtype=object),
+        ex.chains, R, P1, P2,
+        lambda M: np.array(xa.inverse(M.tolist()), dtype=object),
     )
 
     def jost_at(kq) -> list:
@@ -864,17 +785,11 @@ def exact_free_pipeline(Aq: list, Bq: list, a=xa.QC(0)) -> dict:
         Jm = jost_at(-kq)
         return xa.scalar_mul(xa.QC(-1), xa.matmul(Jm, xa.inverse(Jp)))
 
-    def z_at(kq) -> list:
-        F = jost_at(kq)  # f is trivial for the zero potential
-        return xa.matmul(
-            xa.matmul(P2q, xa.matmul(payload.Sinv, xa.matmul(F, payload.Smat))), P1q
-        )
-
     return {
         "jordan_data": jd,
         "R": R,
-        "P1": P1q,
-        "P2": P2q,
+        "P1": P1,
+        "P2": P2,
         "A1": A1,
         "B1": B1,
         "C1": C1,
@@ -882,10 +797,9 @@ def exact_free_pipeline(Aq: list, Bq: list, a=xa.QC(0)) -> dict:
         "S0": S0,
         "jost_at": jost_at,
         "smatrix_at": smatrix_at,
-        "z_at": z_at,
-        "mu": mu,
-        "nu": nu,
-        "kappa": kappa,
+        "mu": jd.mu,
+        "nu": jd.nu,
+        "kappa": jd.kappa,
     }
 
 

@@ -44,7 +44,7 @@ def _failure(name: str, exc: Exception) -> dict:
 def run_property_checks(cfg: JobConfig) -> List[dict]:
     pot, bc, solver = cfg.potential, cfg.bc, cfg.solver
     n = bc.n
-    a = cfg.resolve_a()
+    a = solver.resolve_a(pot)
     eye = np.eye(n)
     checks: List[dict] = []
 

@@ -1,5 +1,7 @@
 """Jordan pipeline, zero-energy scattering matrix, and kernel maps."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -140,9 +142,10 @@ def _nilpotent_jordan(lengths):
     return Jz
 
 
+# every ordered list of chain lengths with sum <= 6 (63 lists)
 @pytest.mark.parametrize("lengths", [
-    [1], [2], [3], [1, 1], [1, 2], [2, 1], [2, 2], [1, 3], [3, 1],
-    [1, 1, 1], [1, 2, 3], [3, 2, 1], [2, 1, 2], [1, 1, 4],
+    list(c) for m in range(1, 7) for c in itertools.product(range(1, 7), repeat=m)
+    if sum(c) <= 6
 ])
 def test_perm_indices_gather_identity_block(lengths):
     mu, nu = len(lengths), sum(lengths)
@@ -204,17 +207,27 @@ def test_r_matrix_free_values(rng):
     assert np.allclose(hl.r_matrix(pot, bc, a=1.5), bc.A + 1.5 * bc.B, atol=1e-12)
 
 
-def test_z_blocks_fixture_71():
-    fx = get_fixture("7.1")
+@pytest.mark.parametrize("fid", ["7.1", "7.2", "7.3", "7.4"])
+def test_z_blocks_fixture(fid):
+    # The numeric assembly on exact Jordan data reproduces the exact
+    # pipeline's blocks and S(0).
+    fx = get_fixture(fid)
     pot, bc = fx.potential(), fx.bc()
     jd = hl.jordan_form(hl.jost_matrix_zero(pot, bc), mode="exact")
     P1, P2 = hl.build_permutations(jd)
     R = hl.r_matrix(pot, bc, a=0.0)
     A1, B1, C1, D0 = hl.z_blocks(jd, R, P1, P2)
-    assert np.linalg.norm(A1 - np.array([[-1j, -1j], [1j, -2j]]), 2) < 1e-12
-    assert np.linalg.norm(B1 - np.array([[0.0], [-1j]]), 2) < 1e-12  # a = 2
-    assert np.linalg.norm(C1 - np.array([[0.0, 1j]]), 2) < 1e-12
-    assert np.linalg.norm(D0 - np.array([[-1.0]]), 2) < 1e-14
+    S0 = hl.zero_energy_pipeline(pot, bc, a=0.0, jordan_override=jd).s0.S
+    pipe = exact_free_pipeline(fx.A_exact, fx.B_exact)
+    for name, got in (("A1", A1), ("C1", C1), ("D0", D0), ("S0", S0)):
+        expect = pipe[name].astype(complex)
+        assert got.shape == expect.shape, name
+        assert np.linalg.norm(got - expect) < 1e-12, name
+    if fid == "7.1":
+        assert np.linalg.norm(A1 - np.array([[-1j, -1j], [1j, -2j]]), 2) < 1e-12
+        assert np.linalg.norm(B1 - np.array([[0.0], [-1j]]), 2) < 1e-12  # a = 2
+        assert np.linalg.norm(C1 - np.array([[0.0, 1j]]), 2) < 1e-12
+        assert np.linalg.norm(D0 - np.array([[-1.0]]), 2) < 1e-14
 
 
 def test_z_blocks_fixture_73_and_74():
