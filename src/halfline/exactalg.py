@@ -241,7 +241,8 @@ def inverse(a: Matrix) -> Matrix:
 def mat_to_complex(a: Matrix):
     import numpy as np
 
-    return np.array([[complex(x) for x in row] for row in a], dtype=complex)
+    rows = [[complex(x) for x in row] for row in a]
+    return np.array(rows, dtype=complex).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
 def mat_equal(a: Matrix, b: Matrix) -> bool:

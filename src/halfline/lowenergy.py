@@ -55,9 +55,10 @@ from .errors import JordanAmbiguityError, NumericalError, ValidationError
 from .scattering import (
     COND_CAP,
     SMatrixEvaluation,
+    _first_error,
+    _smatrix_stack,
     jost_matrix,
     jost_matrix_zero,
-    smatrix,
 )
 from .solver import (
     DEFAULT_CONFIG,
@@ -722,10 +723,8 @@ def zero_energy_pipeline(
     n = bc.n
     inv_resid = float(np.linalg.norm(S0 @ S0 - np.eye(n), 2))
     uni_resid = float(np.linalg.norm(S0.conj().T @ S0 - np.eye(n), 2))
-    probe_list = []
-    for kp in probes:
-        Sk = smatrix(pot, bc, float(kp), a, cfg)
-        probe_list.append((float(kp), float(np.linalg.norm(Sk.S - S0, 2))))
+    rows = _first_error(_smatrix_stack(pot, bc, [float(kp) for kp in probes], a, cfg))
+    probe_list = [(row["k"], float(np.linalg.norm(row["S"] - S0, 2))) for row in rows]
     expansion = LowEnergyExpansion(P1=P1, P2=P2, R=R, A1=A1, B1=B1, C1=C1, D0=D0, S0=S0)
     s0_eval = SMatrixEvaluation(k=0.0, S=S0, unitarity_residual=uni_resid)
     return LowEnergyResult(

@@ -14,6 +14,10 @@ unitary and invariant under right gauge factors on (A, B).  J(k) is
 invertible for every real k != 0; only k = 0 can be exceptional, which is
 the regime handled by :mod:`halfline.lowenergy`.
 
+Both are evaluated once, over a stack of k, for :func:`jost_matrix`,
+:func:`smatrix`, :func:`smatrix_grid`, the S(0) continuity probes of
+:mod:`halfline.lowenergy` and the fixed-k checks of :mod:`halfline.verify`.
+
 Supporting quantities computed here:
 
 * L(k) = f'(-k, 0)' B E^(-2) + f(-k, 0)' A E^(-2), which pairs with J in
@@ -70,6 +74,8 @@ COND_CAP = 1e10
 #: Internal agreement tolerance for redundant evaluations.
 CROSSCHECK_TOL = 1e-8
 
+_ZERO_K = "k = 0 is handled by the zero-energy pipeline"
+
 
 @dataclass(frozen=True)
 class JostEvaluation:
@@ -100,12 +106,11 @@ def jost_matrix(
     k: complex,
     a: Optional[float] = None,
     cfg: SolverConfig = DEFAULT_CONFIG,
-    cross_check: bool = True,
 ) -> JostEvaluation:
     """Evaluate J(k) as the outgoing/regular pairing at x = a.
 
-    With ``cross_check`` on, the same pairing is read off at x = 0 and the
-    two values must agree; disagreement signals a solver misconfiguration.
+    The same pairing is read off at x = 0 and the two values must agree;
+    disagreement signals a solver misconfiguration.
     """
     _check_sizes(pot, bc)
     k = complex(k)
@@ -113,17 +118,26 @@ def jost_matrix(
         raise ValidationError("Jost matrix requires Im k >= 0")
     if a is None:
         a = cfg.resolve_a(pot)
-    km = -k.conjugate()
-    F = jost_solution(pot, km, a, cfg)
-    phi = regular_solution(pot, bc, k, a, cfg)
-    J = wronskian(F, phi, conjugate_first=True)
-    if cross_check:
-        F0 = jost_solution(pot, km, 0.0, cfg)
-        J0 = F0.value.conj().T @ bc.B - F0.deriv.conj().T @ bc.A
-        diff, scale = _norm2(J - J0), np.maximum(_norm2(J), 1.0)
-        if diff > CROSSCHECK_TOL * scale:
-            raise _pairing_error(a, diff)
+    (J,), errors = _jost_stack(pot, bc, [k], a, cfg)
+    _first_error(errors)
     return JostEvaluation(k=k, J=J, cond=float(np.linalg.cond(J)))
+
+
+def _jost_stack(pot, bc, ks, a, cfg) -> Tuple[np.ndarray, List[Optional[NumericalError]]]:
+    """J(k) for a 1-D sequence of k with Im k >= 0, and per k the error of
+    its x = 0 cross-check (None when it passes).
+
+    f(-k*, .) is walked from the support edge to a and to 0, phi(k, .) from
+    0 to a, each as one stack; a walk that fails raises for the whole stack.
+    """
+    ks = np.asarray(ks, dtype=complex)
+    km = -ks.conj()
+    F, F0 = jost_solution(pot, km, a, cfg), jost_solution(pot, km, 0.0, cfg)
+    J = wronskian(F, regular_solution(pot, bc, ks, a, cfg))
+    J0 = F0.value.conj().swapaxes(-1, -2) @ bc.B - F0.deriv.conj().swapaxes(-1, -2) @ bc.A
+    diff = _norm2(J - J0)
+    bad = diff > CROSSCHECK_TOL * np.maximum(_norm2(J), 1.0)
+    return J, [_pairing_error(a, d) if b else None for d, b in zip(diff, bad)]
 
 
 def _norm2(M):  # spectral norm of a matrix, or of each matrix of a stack
@@ -200,28 +214,48 @@ def smatrix(
     """
     k = float(k)
     if k == 0.0:
-        raise ValidationError("k = 0 is handled by the zero-energy pipeline")
-    Jp = jost_matrix(pot, bc, k, a, cfg)
-    Jm = jost_matrix(pot, bc, -k, a, cfg)
-    if Jp.cond > COND_CAP:
-        raise _cond_error(k, Jp.cond)
-    S = np.linalg.solve(Jp.J.T, -Jm.J.T).T
-    resid = float(np.linalg.norm(S.conj().T @ S - np.eye(bc.n), 2))
-    return SMatrixEvaluation(k=k, S=S, unitarity_residual=resid)
+        raise ValidationError(_ZERO_K)
+    _check_sizes(pot, bc)
+    if a is None:
+        a = cfg.resolve_a(pot)
+    (row,) = _first_error(_smatrix_stack(pot, bc, [k], a, cfg))
+    return SMatrixEvaluation(k=k, S=row["S"], unitarity_residual=row["unitarity_residual"])
 
 
-def _error_row(k: float, exc: HalflineError) -> dict:
-    return {"k": k, "error": f"{type(exc).__name__}: {exc}"}
+def _smatrix_stack(pot, bc, ks: List[float], a, cfg) -> list:
+    """S(k) for a list of real k, with J(k) and J(-k) from one stack.
 
-
-def _smatrix_row(pot, bc, k, a, cfg) -> dict:
+    Per k: the row ``{"k", "S", "unitarity_residual", "det_J_abs"}`` or the
+    HalflineError :func:`smatrix` raises there (k = 0, the x = 0 cross-check
+    of J(k), then of J(-k), the condition cap).  A stacked walk that
+    overflows is redone one k at a time, so only the k that overflow fail.
+    """
+    m = len(ks)
     try:
-        J = jost_matrix(pot, bc, k, a, cfg)
-        ev = smatrix(pot, bc, k, a, cfg)
-    except HalflineError as exc:
-        return _error_row(k, exc)
-    return {"k": k, "S": ev.S, "unitarity_residual": ev.unitarity_residual,
-            "det_J_abs": float(abs(np.linalg.det(J.J)))}
+        J, pairing = _jost_stack(pot, bc, np.concatenate([ks, np.negative(ks)]), a, cfg)
+    except NumericalError as exc:
+        if m > 1:
+            return [_smatrix_stack(pot, bc, [k], a, cfg)[0] for k in ks]
+        return [ValidationError(_ZERO_K) if ks[0] == 0.0 else exc]
+    Jp, Jm = J[:m], J[m:]
+    cond = np.linalg.cond(Jp)
+    out = [ValidationError(_ZERO_K) if k == 0.0 else ep or em
+           or (_cond_error(k, c) if c > COND_CAP else None)
+           for k, ep, em, c in zip(ks, pairing[:m], pairing[m:], cond)]
+    ok = [i for i, e in enumerate(out) if e is None]
+    S = np.linalg.solve(Jp[ok].swapaxes(-1, -2), -Jm[ok].swapaxes(-1, -2)).swapaxes(-1, -2)
+    resid = _norm2(S.conj().swapaxes(-1, -2) @ S - np.eye(bc.n))
+    for i, Sk, r, d in zip(ok, S, resid, np.linalg.det(Jp[ok])):
+        out[i] = {"k": ks[i], "S": Sk, "unitarity_residual": float(r), "det_J_abs": float(abs(d))}
+    return out
+
+
+def _first_error(results: list) -> list:
+    """Raise the first HalflineError of ``results``, else return them."""
+    for r in results:
+        if isinstance(r, HalflineError):
+            raise r
+    return results
 
 
 def smatrix_grid(
@@ -235,52 +269,18 @@ def smatrix_grid(
 
     A row is ``{"k", "S", "unitarity_residual", "det_J_abs"}`` (|det J(k)|),
     or ``{"k", "error"}`` with the "<ExcName>: <message>" that
-    :func:`jost_matrix` or :func:`smatrix` raises at that k.  The analytic
-    method walks +k and -k of the whole grid as one stack: f(-+k, .) from
-    the support edge to a and to 0, phi(+-k, .) from 0 to a.  "rk45", or an
-    overflowing stack, goes one k at a time.
+    :func:`smatrix` raises at that k.  The evaluator behind both walks +k
+    and -k of the whole grid as one stack, or each k alone when that walk
+    overflows, so only the overflowing rows fail.
     """
     _check_sizes(pot, bc)
     ks = [float(k) for k in ks]
     if 0.0 in ks:
-        raise ValidationError("k = 0 is handled by the zero-energy pipeline")
+        raise ValidationError(_ZERO_K)
     if a is None:
         a = cfg.resolve_a(pot)
-    if cfg.method == "analytic":
-        try:
-            return _batched_rows(pot, bc, ks, a, cfg)
-        except NumericalError:
-            pass  # evaluate row by row so that only the overflowing k fail
-    return [_smatrix_row(pot, bc, k, a, cfg) for k in ks]
-
-
-def _batched_rows(pot, bc, ks, a, cfg) -> List[dict]:
-    m = len(ks)
-    kpm = np.concatenate([ks, np.negative(ks)]).astype(complex)  # J(k), then J(-k)
-    km = -kpm.conj()
-    F, F0 = jost_solution(pot, km, a, cfg), jost_solution(pot, km, 0.0, cfg)
-    J = wronskian(F, regular_solution(pot, bc, kpm, a, cfg))
-    J0 = F0.value.conj().swapaxes(-1, -2) @ bc.B - F0.deriv.conj().swapaxes(-1, -2) @ bc.A
-    diff = _norm2(J - J0)
-    bad = diff > CROSSCHECK_TOL * np.maximum(_norm2(J), 1.0)
-    Jp, Jm = J[:m], J[m:]
-    cond = np.linalg.cond(Jp)
-    ok = ~(bad[:m] | bad[m:]) & (cond <= COND_CAP)
-    S = np.linalg.solve(Jp[ok].swapaxes(-1, -2), -Jm[ok].swapaxes(-1, -2)).swapaxes(-1, -2)
-    resid = _norm2(S.conj().swapaxes(-1, -2) @ S - np.eye(bc.n))
-    det = np.linalg.det(Jp)
-    good = iter(zip(S, resid))
-    rows = []
-    for i, k in enumerate(ks):
-        if bad[i] or bad[m + i]:
-            rows.append(_error_row(k, _pairing_error(a, diff[i] if bad[i] else diff[m + i])))
-        elif not ok[i]:
-            rows.append(_error_row(k, _cond_error(k, cond[i])))
-        else:
-            Sk, r = next(good)
-            rows.append({"k": k, "S": Sk, "unitarity_residual": float(r),
-                         "det_J_abs": float(abs(det[i]))})
-    return rows
+    return [{"k": k, "error": f"{type(r).__name__}: {r}"} if isinstance(r, HalflineError)
+            else r for k, r in zip(ks, _smatrix_stack(pot, bc, ks, a, cfg))]
 
 
 def free_closed_forms(bc: BCPair, k: complex) -> Tuple[np.ndarray, Optional[np.ndarray]]:

@@ -15,8 +15,8 @@ import numpy as np
 from .config import JobConfig
 from .errors import HalflineError
 from .lowenergy import zero_energy_pipeline
-from .scattering import jost_matrix, jost_matrix_zero, l_matrix, p_matrix, smatrix, \
-    log_derivative, jost_decomposition
+from .scattering import _first_error, _jost_stack, _norm2, _smatrix_stack, jost_matrix_zero, \
+    l_matrix, p_matrix, log_derivative, jost_decomposition
 from .solver import (
     jost_solution,
     moment_identities_residual,
@@ -46,6 +46,7 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
     n = bc.n
     a = solver.resolve_a(pot)
     eye = np.eye(n)
+    ks = np.array(K_GRID)
     checks: List[dict] = []
 
     def guarded(name, fn, *args, **kwargs):
@@ -64,24 +65,20 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
         return _record("wronskian_constancy", np.linalg.norm(w0 - w1, 2), 1e-8)
 
     def outgoing_self_pairing():
-        worst = 0.0
-        for k in K_GRID:
-            f = jost_solution(pot, k, 0.0, solver)
-            worst = max(worst, np.linalg.norm(wronskian(f, f) - 2j * k * eye, 2))
+        f = jost_solution(pot, ks, 0.0, solver)
+        worst = _norm2(wronskian(f, f) - 2j * ks[:, None, None] * eye).max()
         return _record("outgoing_self_pairing", worst, 1e-8)
 
     def outgoing_cross_pairing():
-        worst = 0.0
-        for k in K_GRID:
-            fp = jost_solution(pot, k, 0.0, solver)
-            fm = jost_solution(pot, -k, 0.0, solver)
-            worst = max(worst, np.linalg.norm(wronskian(fm, fp), 2))
-        return _record("outgoing_cross_pairing", worst, 1e-8)
+        fp = jost_solution(pot, ks, 0.0, solver)
+        fm = jost_solution(pot, -ks, 0.0, solver)
+        return _record("outgoing_cross_pairing", _norm2(wronskian(fm, fp)).max(), 1e-8)
 
     def jl_constancy():
         worst = 0.0
-        for k in K_GRID:
-            J = jost_matrix(pot, bc, k, a, solver).J
+        Js, errors = _jost_stack(pot, bc, K_GRID, a, solver)
+        _first_error(errors)  # l_matrix(k) only redoes this stack's walk of f(-k, .) to 0
+        for k, J in zip(K_GRID, Js):
             L = l_matrix(pot, bc, k, solver)
             worst = max(
                 worst,
@@ -115,9 +112,11 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
 
     def jost_split():
         worst = 0.0
-        for k in (0.7, 2.3):
+        split_ks = (0.7, 2.3)
+        for k, J, err in zip(split_ks, *_jost_stack(pot, bc, split_ks, a, solver)):
             T1, T2 = jost_decomposition(pot, bc, k, a, solver)
-            J = jost_matrix(pot, bc, k, a, solver).J
+            if err is not None:
+                raise err
             worst = max(worst, np.linalg.norm(T1 + T2 - J, 2))
         return _record("jost_split_consistency", worst, 1e-8)
 
@@ -131,11 +130,11 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
     def smatrix_properties():
         worst_u = 0.0
         worst_inv = 0.0
-        for k in K_GRID:
-            Sp = smatrix(pot, bc, k, a, solver)
-            Sm = smatrix(pot, bc, -k, a, solver)
-            worst_u = max(worst_u, Sp.unitarity_residual)
-            worst_inv = max(worst_inv, np.linalg.norm(Sm.S @ Sp.S - eye, 2))
+        pm = [s * k for k in K_GRID for s in (1.0, -1.0)]  # S(k), then S(-k)
+        rows = _first_error(_smatrix_stack(pot, bc, pm, a, solver))
+        for Sp, Sm in zip(rows[::2], rows[1::2]):
+            worst_u = max(worst_u, Sp["unitarity_residual"])
+            worst_inv = max(worst_inv, np.linalg.norm(Sm["S"] @ Sp["S"] - eye, 2))
         return [_record("smatrix_unitarity", worst_u, 1e-7),
                 _record("smatrix_inverse_symmetry", worst_inv, 1e-8)]
 

@@ -62,3 +62,10 @@ def test_matmul_matches_numpy(rng):
          for rx, ry in zip(rng.integers(-4, 5, (3, 3)), rng.integers(-4, 5, (3, 3)))]
     C = xa.matmul(A, B)
     assert np.allclose(xa.mat_to_complex(C), xa.mat_to_complex(A) @ xa.mat_to_complex(B))
+
+
+@pytest.mark.parametrize("rows,shape", [([], (0, 0)), ([[], []], (2, 0)),
+                                        ([[xa.QC(1, 2)]], (1, 1))])
+def test_mat_to_complex_is_always_two_dimensional(rows, shape):
+    M = xa.mat_to_complex(rows)
+    assert M.shape == shape and M.dtype == complex

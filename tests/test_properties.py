@@ -1,0 +1,55 @@
+"""The paper's identities on generated potentials and vertex conditions.
+
+Pieces are random Hermitian matrices, may touch their neighbour (or the
+origin) and may have a repeated eigenvalue; vertex conditions come from
+random unitaries.  The tolerances are the ones ``verify`` pins.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import halfline as hl  # noqa: E402
+
+KS = (0.3, 1.7, 4.9)
+
+
+def _unitary(draw, n):
+    re = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))
+    im = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n))
+    return np.linalg.qr(np.reshape(re, (n, n)) + 1j * np.reshape(im, (n, n)))[0]
+
+
+@st.composite
+def configurations(draw):
+    n = draw(st.integers(1, 3))
+    pieces = []
+    x = 0.0
+    for _ in range(draw(st.integers(1, 3))):
+        lo = x if draw(st.booleans()) else x + draw(st.floats(0.05, 0.5))
+        hi = lo + draw(st.floats(0.1, 0.8))
+        w = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        if n > 1 and draw(st.booleans()):
+            w[-1] = w[0]
+        Q = _unitary(draw, n)
+        pieces.append((lo, hi, Q @ np.diag(w) @ Q.conj().T))
+        x = hi
+    bc = hl.from_unitary(hl.UnitaryBC(U=_unitary(draw, n)))
+    return hl.Potential(n=n, pieces=tuple(pieces)), bc
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(configurations())
+def test_scattering_identities(config):
+    pot, bc = config
+    eye = np.eye(pot.n)
+    rows = hl.smatrix_grid(pot, bc, KS + tuple(-k for k in KS))
+    assert all("error" not in row for row in rows)
+    m = len(KS)
+    for k, Sp, Sm in zip(KS, rows[:m], rows[m:]):
+        assert Sp["unitarity_residual"] <= 1e-7 and Sm["unitarity_residual"] <= 1e-7
+        assert np.linalg.norm(Sm["S"] @ Sp["S"] - eye, 2) <= 1e-8
+        J, L = hl.jost_matrix(pot, bc, k).J, hl.l_matrix(pot, bc, k)
+        assert np.linalg.norm(J @ L.conj().T - L @ J.conj().T + 2j * k * eye, 2) <= 1e-8

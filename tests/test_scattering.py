@@ -342,31 +342,54 @@ SHAPES = [(n, pieces) for n in (1, 2, 8) for pieces in (2, 20)]
 GRID = np.linspace(0.05, 10.0, 9)
 
 
+def _jost_ref(pot, bc, k, a, cfg=hl.SolverConfig()):
+    """J(k) from 2-D states, one k at a time, with the x = 0 cross-check:
+    the reference for the stacked evaluator behind jost_matrix."""
+    k = complex(k)
+    km = -k.conjugate()
+    J = hl.wronskian(hl.jost_solution(pot, km, a, cfg), hl.regular_solution(pot, bc, k, a, cfg))
+    F0 = hl.jost_solution(pot, km, 0.0, cfg)
+    diff = np.linalg.norm(J - (F0.value.conj().T @ bc.B - F0.deriv.conj().T @ bc.A), 2)
+    if diff > hl.scattering.CROSSCHECK_TOL * max(np.linalg.norm(J, 2), 1.0):
+        raise hl.scattering._pairing_error(a, diff)
+    return J
+
+
+def _ref_row(pot, bc, k, a, cfg=hl.SolverConfig()):
+    """One smatrix_grid row from _jost_ref: J(k), J(-k), cond cap, solve."""
+    k = float(k)
+    a = pot.x_max if a is None else a
+    try:
+        Jp, Jm = _jost_ref(pot, bc, k, a, cfg), _jost_ref(pot, bc, -k, a, cfg)
+        cond = np.linalg.cond(Jp)
+        if cond > hl.scattering.COND_CAP:
+            raise hl.scattering._cond_error(k, cond)
+    except HalflineError as exc:
+        return {"k": k, "error": f"{type(exc).__name__}: {exc}"}
+    S = np.linalg.solve(Jp.T, -Jm.T).T
+    resid = float(np.linalg.norm(S.conj().T @ S - np.eye(bc.n), 2))
+    return {"k": k, "S": S, "unitarity_residual": resid, "det_J_abs": float(abs(np.linalg.det(Jp)))}
+
+
 def _loop_rows(pot, bc, a):
-    """The per-k path smatrix_grid replaces: jost_matrix then smatrix."""
-    rows = []
-    for k in GRID:
-        try:
-            J = hl.jost_matrix(pot, bc, k, a)
-            ev = hl.smatrix(pot, bc, k, a)
-        except HalflineError as exc:
-            rows.append({"k": k, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        rows.append({"k": k, "S": ev.S, "unitarity_residual": ev.unitarity_residual,
-                     "det_J_abs": float(abs(np.linalg.det(J.J)))})
-    return rows
+    return [_ref_row(pot, bc, k, a) for k in GRID]
+
+
+def _assert_same_row(row, ref):
+    assert row["k"] == ref["k"]
+    if "error" in ref:
+        assert row.get("error") == ref["error"]
+        return
+    assert "error" not in row
+    assert np.array_equal(row["S"], ref["S"])
+    assert row["unitarity_residual"] == ref["unitarity_residual"]
+    assert row["det_J_abs"] == ref["det_J_abs"]
 
 
 def _assert_same_rows(rows, refs):
     assert [row["k"] for row in rows] == list(GRID)
     for row, ref in zip(rows, refs):
-        if "error" in ref:
-            assert row.get("error") == ref["error"]
-            continue
-        assert "error" not in row
-        assert np.array_equal(row["S"], ref["S"])
-        assert row["unitarity_residual"] == ref["unitarity_residual"]
-        assert row["det_J_abs"] == ref["det_J_abs"]
+        _assert_same_row(row, ref)
 
 
 @pytest.mark.parametrize("n,pieces", SHAPES)
@@ -378,6 +401,129 @@ def test_smatrix_grid_equals_per_k_loop(rng, n, pieces, inside):
     refs = _loop_rows(pot, bc, a)
     assert not any("error" in ref for ref in refs)
     _assert_same_rows(hl.smatrix_grid(pot, bc, GRID, a), refs)
+
+
+@pytest.mark.parametrize("n,pieces", SHAPES)
+@pytest.mark.parametrize("inside", [False, True])
+def test_jost_matrix_and_smatrix_equal_per_k_reference(rng, n, pieces, inside):
+    pot = rand_potential(rng, n, pieces, scale=0.3)
+    bc = rand_bc(rng, n)
+    a = 0.5 * pot.x_max if inside else None
+    for k in (0.7, 3.2, 2.0 + 0.5j, 1.5j):
+        J = hl.jost_matrix(pot, bc, k, a).J
+        assert np.array_equal(J, _jost_ref(pot, bc, k, pot.x_max if a is None else a))
+    for k in (0.7, 3.2):
+        ev, ref = hl.smatrix(pot, bc, k, a), _ref_row(pot, bc, k, a)
+        assert np.array_equal(ev.S, ref["S"])
+        assert ev.unitarity_residual == ref["unitarity_residual"]
+
+
+def test_jost_matrix_rk45_equals_per_k_reference(rng):
+    pot = rand_potential(rng, 2, 2, scale=0.3)
+    bc = rand_bc(rng, 2)
+    cfg = hl.SolverConfig(method="rk45")
+    for k in (0.7, 1.0 + 0.5j):
+        assert np.array_equal(hl.jost_matrix(pot, bc, k, cfg=cfg).J,
+                              _jost_ref(pot, bc, k, pot.x_max, cfg))
+
+
+def test_zero_energy_probes_equal_per_k_reference(rng):
+    pot = rand_potential(rng, 2, 20, scale=0.3)
+    bc = rand_bc(rng, 2)
+    res = hl.zero_energy_pipeline(pot, bc)
+    S0 = res.s0.S
+    expect = [(k, float(np.linalg.norm(_ref_row(pot, bc, k, None)["S"] - S0, 2)))
+              for k in hl.lowenergy.DEFAULT_PROBES]
+    assert list(res.continuity_probes) == expect
+
+
+@pytest.mark.parametrize("probes,name,value", [
+    ((0.1, 0.0, 0.2), None, None),             # k = 0 fails in its own slot
+    ((0.1, 0.01), "CROSSCHECK_TOL", 1e-300),   # every probe fails: the first is raised
+    ((0.1, 0.01), "COND_CAP", 0.5),
+])
+def test_zero_energy_probes_raise_first_error_in_order(rng, monkeypatch, probes, name, value):
+    pot = rand_potential(rng, 2, 2, scale=0.3)
+    bc = rand_bc(rng, 2)
+    if name is None:
+        with pytest.raises(ValidationError, match="zero-energy pipeline"):
+            hl.zero_energy_pipeline(pot, bc, probes=probes)
+        return
+    monkeypatch.setattr(hl.scattering, name, value)
+    ref = _ref_row(pot, bc, probes[0], None)["error"]
+    with pytest.raises(NumericalError) as info:
+        hl.zero_energy_pipeline(pot, bc, probes=probes)
+    assert f"NumericalError: {info.value}" == ref
+
+
+@pytest.mark.parametrize("n,pieces", [(1, 2), (2, 20)])
+def test_verify_stacked_checks_equal_per_k_loops(rng, n, pieces):
+    from halfline.config import JobConfig
+    from halfline.verify import K_GRID, run_property_checks
+
+    pot = rand_potential(rng, n, pieces, scale=0.3)
+    bc = rand_bc(rng, n)
+    a, eye = pot.x_max, np.eye(n)
+    checks = run_property_checks(JobConfig(bc=bc, potential=pot))
+    records = {r["name"]: r["residual"] for r in checks}
+    self_p, cross_p, jl, uni, inv = [], [], [], [], []
+    for k in K_GRID:
+        f, fm = hl.jost_solution(pot, k, 0.0), hl.jost_solution(pot, -k, 0.0)
+        self_p.append(np.linalg.norm(hl.wronskian(f, f) - 2j * k * eye, 2))
+        cross_p.append(np.linalg.norm(hl.wronskian(fm, f), 2))
+        J, L = _jost_ref(pot, bc, k, a), hl.l_matrix(pot, bc, k)
+        jl.append(np.linalg.norm(J @ L.conj().T - L @ J.conj().T + 2j * k * eye, 2))
+        Sp, Sm = _ref_row(pot, bc, k, a), _ref_row(pot, bc, -k, a)
+        uni.append(Sp["unitarity_residual"])
+        inv.append(np.linalg.norm(Sm["S"] @ Sp["S"] - eye, 2))
+    split = []
+    for k in (0.7, 2.3):
+        T1, T2 = hl.jost_decomposition(pot, bc, k, a)
+        split.append(np.linalg.norm(T1 + T2 - _jost_ref(pot, bc, k, a), 2))
+    assert records["outgoing_self_pairing"] == max(self_p)
+    assert records["outgoing_cross_pairing"] == max(cross_p)
+    assert records["jl_pairing_constancy"] == max(jl)
+    assert records["jost_split_consistency"] == max(split)
+    assert records["smatrix_unitarity"] == max(uni)
+    assert records["smatrix_inverse_symmetry"] == max(inv)
+
+
+def _jost_50_digits(mp, pot, bc, k):
+    """J(k) = f(-k*, 0)' B - f'(-k*, 0)' A with f(-k*, .) walked from its
+    exp(-ik* x) data at the support edge back to 0 through mpmath.expm of
+    each segment's generator [[0, I], [V - k*^2, 0]] h, at 50 digits."""
+    n = pot.n
+    with mp.workdps(50):
+        kap = -mp.conj(mp.mpc(k))
+        eye = mp.eye(n)
+        ph = mp.exp(1j * kap * pot.x_max)
+        Y = mp.matrix(2 * n, n)
+        Y[:n, :] = ph * eye
+        Y[n:, :] = 1j * kap * ph * eye
+        x = pot.x_max
+        for lo, hi, V in reversed(((0.0, 0.0, np.zeros((n, n))),) + pot.pieces):
+            for x0, V0 in ((hi, np.zeros((n, n))), (lo, V)):  # the gap above, then the piece
+                G = mp.matrix(2 * n, 2 * n)
+                G[:n, n:] = eye
+                G[n:, :n] = mp.matrix([[mp.mpc(complex(v)) for v in row] for row in V0]) \
+                    - kap ** 2 * eye
+                Y = mp.expm(-(x - x0) * G) * Y
+                x = x0
+        A = mp.matrix([[mp.mpc(complex(v)) for v in row] for row in bc.A])
+        B = mp.matrix([[mp.mpc(complex(v)) for v in row] for row in bc.B])
+        J = Y[:n, :].H * B - Y[n:, :].H * A
+        return np.array([[complex(J[i, j]) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("k", [0.3, 2.1, 0.5j])
+def test_jost_matrix_matches_50_digit_reference(rng, n, k):
+    mp = pytest.importorskip("mpmath")
+    pot = rand_potential(rng, n, 2)
+    bc = rand_bc(rng, n)
+    ref = _jost_50_digits(mp, pot, bc, k)
+    J = hl.jost_matrix(pot, bc, k).J
+    assert np.linalg.norm(J - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2)
 
 
 @pytest.mark.parametrize("n,pieces", SHAPES)
@@ -408,6 +554,7 @@ def test_smatrix_grid_rk45_and_zero_k(rng):
     cfg = hl.SolverConfig(method="rk45", abs_tol=1e-12, rel_tol=1e-12, max_step=0.05)
     for row, k in zip(hl.smatrix_grid(pot, bc, [0.7, 2.1], cfg=cfg), (0.7, 2.1)):
         assert np.linalg.norm(row["S"] - hl.smatrix(pot, bc, k).S, 2) < 1e-8
+        _assert_same_row(row, _ref_row(pot, bc, k, None, cfg))
     with pytest.raises(ValidationError):
         hl.smatrix_grid(pot, bc, [0.5, 0.0])
 
@@ -429,4 +576,5 @@ def test_smatrix_grid_overflowing_row_fails_alone():
     bc = hl.neumann(1)
     low, high = hl.smatrix_grid(pot, bc, [1.0, 50.0])
     assert low["error"].startswith("NumericalError: solution overflows")
-    assert np.array_equal(high["S"], hl.smatrix(pot, bc, 50.0).S)
+    _assert_same_row(low, _ref_row(pot, bc, 1.0, None))
+    _assert_same_row(high, _ref_row(pot, bc, 50.0, None))
