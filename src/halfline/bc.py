@@ -80,6 +80,8 @@ def _as_matrix(m, name: str) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name} has non-finite entries")
     return a
 
 

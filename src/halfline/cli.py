@@ -3,8 +3,9 @@
 Commands (all driven by a JSON job config, see :mod:`halfline.config`):
 
     halfline bc validate  --config cfg.json [--out report.json]
-    halfline bc convert   --config cfg.json --to normalized|unitary-harmer|
-                          unitary-cosine-sine [--out bc.json]
+    halfline bc convert   --config cfg.json --to normalized|kostrykin|
+                          unitary-harmer|unitary-cosine-sine|general-ab
+                          [--out bc.json]
     halfline sweep        --config cfg.json [--out rows.csv] [--format csv|json]
     halfline s0           --config cfg.json [--mode exact|numeric] [--out r.json]
     halfline verify       --config cfg.json [--out report.json]
@@ -247,9 +248,9 @@ def cmd_verify(args) -> int:
 # example
 # ---------------------------------------------------------------------------
 
-def _exact_residual(got: list, expect: list) -> float:
-    return 0.0 if xa.mat_equal(got, expect) else float(
-        np.linalg.norm(xa.mat_to_complex(got) - xa.mat_to_complex(expect), 2)
+def _exact_residual(got: np.ndarray, expect: np.ndarray) -> float:
+    return 0.0 if np.array_equal(got, expect) else float(
+        np.linalg.norm(got.astype(complex) - expect.astype(complex), 2)
     )
 
 
@@ -298,14 +299,14 @@ def _example_checks_numeric(fx) -> List[dict]:
     checks = []
     for k, label in ((1.0, "1"), (0.5j, "i/2")):
         J = jost_matrix(pot, bc, k).J
-        expect = xa.mat_to_complex(fx.jost_display(xa.snap(complex(k))))
+        expect = fx.jost_display(xa.snap(complex(k))).astype(complex)
         checks.append({
             "name": f"jost_at_k={label}",
             "residual": float(np.linalg.norm(J - expect, 2)),
             "tol": 1e-10,
         })
     Sk = smatrix(pot, bc, 1.0).S
-    expect = xa.mat_to_complex(fx.smatrix_display(xa.QC(1)))
+    expect = fx.smatrix_display(xa.QC(1)).astype(complex)
     checks.append({
         "name": "smatrix_at_k=1",
         "residual": float(np.linalg.norm(Sk - expect, 2)),
@@ -346,7 +347,7 @@ def run_example(fixture_id: str, mode: str = "exact") -> dict:
     if fx.printed_s0 is not None:
         flags.append({
             "flag": "printed_s0_discrepancy",
-            "printed": complex_matrix_to_json(xa.mat_to_complex(fx.printed_s0)),
+            "printed": complex_matrix_to_json(fx.printed_s0.astype(complex)),
             "computed": complex_matrix_to_json(fx.s0),
         })
     return {

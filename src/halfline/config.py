@@ -12,7 +12,9 @@ A job config is a UTF-8 JSON object:
                      "method": "analytic" | "rk45"}
     }
 
-Unknown keys are rejected with the offending field path.  Sweep grids must
+Unknown keys are rejected with the offending field path, and so is any
+number that is not finite (the non-standard JSON tokens NaN, Infinity and
+-Infinity, or a literal such as 1e999 that overflows a float).  Sweep grids must
 start at k_min > 0: the zero-energy point is served by the dedicated
 zero-energy command, not by grid evaluation.
 """
@@ -20,6 +22,7 @@ zero-energy command, not by grid evaluation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -52,6 +55,21 @@ class JobConfig:
         return [k_min + (k_max - k_min) * i / (steps - 1) for i in range(steps)]
 
 
+def _reject_constant(token: str):
+    raise ValidationError(f"config: non-finite number {token} is not allowed")
+
+
+def _finite(parse):
+    """json.loads hook: ``parse(text)``, refused where a float of the
+    number is not finite (1e999, or an integer literal beyond 1.8e308)."""
+    def hook(text: str):
+        if not math.isfinite(float(text)):
+            shown = text if len(text) <= 24 else text[:20] + "..."
+            raise ValidationError(f"config: number {shown} is not finite")
+        return parse(text)
+    return hook
+
+
 def parse_config(text) -> JobConfig:
     """Parse and validate a job config from bytes or str."""
     if isinstance(text, bytes):
@@ -60,7 +78,10 @@ def parse_config(text) -> JobConfig:
         except UnicodeDecodeError as exc:
             raise ValidationError(f"config is not UTF-8: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(
+            text, parse_constant=_reject_constant,
+            parse_float=_finite(float), parse_int=_finite(int),
+        )
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -88,8 +109,10 @@ def parse_config(text) -> JobConfig:
             raise ValidationError("config.kgrid: expected [k_min, k_max, steps]")
         try:
             k_min, k_max = float(raw[0]), float(raw[1])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("config.kgrid: k_min/k_max must be numbers") from exc
+        if not (math.isfinite(k_min) and math.isfinite(k_max)):
+            raise ValidationError("config.kgrid: k_min/k_max must be finite")
         steps = raw[2]
         if not isinstance(steps, int) or steps < 1:
             raise ValidationError("config.kgrid: steps must be an integer >= 1")
@@ -106,10 +129,10 @@ def parse_config(text) -> JobConfig:
     if a_choice != "auto":
         try:
             a_choice = float(a_choice)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("config.a_choice: 'auto' or a number") from exc
-        if a_choice < 0:
-            raise ValidationError("config.a_choice: must be >= 0")
+        if not 0 <= a_choice < math.inf:
+            raise ValidationError("config.a_choice: must be finite and >= 0")
 
     outputs = []
     for i, sink in enumerate(data.get("outputs", [])):

@@ -2,9 +2,12 @@
 
 Complex numbers with Fraction real and imaginary parts form a field that
 is closed under every operation the zero-energy pipeline needs: products,
-inverses, reduced row echelon form, null spaces.  Matrices are plain
-nested lists of :class:`QC` scalars; sizes here are tiny (n <= 8), so no
-attempt is made to be fast.
+inverses, reduced row echelon form, null spaces.  A matrix is a 2-D numpy
+object array of :class:`QC` scalars, built by :func:`mat`; numpy's
+operators (``@``, ``+``, ``-``, ``*`` with the array on the left,
+``np.array_equal``, ``.astype(complex)``) act on it entry by entry, and
+this module adds only what numpy lacks for object arrays.  Sizes here are
+tiny (n <= 8), so no attempt is made to be fast.
 
 Floats are admitted only through :func:`snap`, which proposes a nearby
 small-denominator rational; callers must verify exactness downstream
@@ -17,24 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-__all__ = [
-    "QC",
-    "qc",
-    "snap",
-    "mat",
-    "identity",
-    "zeros",
-    "matmul",
-    "madd",
-    "msub",
-    "scalar_mul",
-    "rref",
-    "rank",
-    "nullspace",
-    "inverse",
-    "mat_to_complex",
-    "mat_equal",
-]
+import numpy as np
+
+__all__ = ["QC", "qc", "snap", "mat", "matmul", "rref", "rank", "nullspace", "inverse"]
 
 
 class QC:
@@ -130,71 +118,36 @@ def snap(x: complex, max_denominator: int = 10**6) -> QC:
     )
 
 
-Matrix = List[List[QC]]
-
-
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    return [[qc(x) for x in row] for row in rows]
-
-
-def identity(n: int) -> Matrix:
-    return [[QC(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def zeros(r: int, c: int) -> Matrix:
-    return [[QC(0) for _ in range(c)] for _ in range(r)]
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = len(a), len(a[0]) if a else 0
-    rb, cb = len(b), len(b[0]) if b else 0
-    if ca != rb:
-        raise ValueError(f"shape mismatch: {ra}x{ca} times {rb}x{cb}")
-    out = zeros(ra, cb)
-    for i in range(ra):
-        for j in range(cb):
-            s = QC(0)
-            for t in range(ca):
-                s = s + a[i][t] * b[t][j]
-            out[i][j] = s
+def mat(rows: Sequence[Sequence]) -> np.ndarray:
+    """Object array of :class:`QC` with the coerced entries of ``rows``;
+    always 2-D, so ``mat([])`` has shape (0, 0)."""
+    rows = [[qc(x) for x in row] for row in rows]
+    out = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
+    for i, row in enumerate(rows):
+        out[i] = row
     return out
 
 
-def madd(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exact product ``a @ b``."""
+    return a @ b
 
 
-def msub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def scalar_mul(c, a: Matrix) -> Matrix:
-    c = qc(c)
-    return [[c * x for x in row] for row in a]
-
-
-def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
+def rref(a) -> Tuple[np.ndarray, List[int]]:
     """Reduced row echelon form and pivot column indices."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    m = mat(a)
+    rows, cols = m.shape
     pivots: List[int] = []
     r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, rows) if m[i, c]), None)
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = QC(1) / m[r][c]
-        m[r] = [inv * x for x in m[r]]
+        m[[r, pivot_row]] = m[[pivot_row, r]]
+        m[r] = m[r] * (QC(1) / m[r, c])
         for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            if i != r and m[i, c]:
+                m[i] = m[i] - m[r] * m[i, c]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -202,56 +155,32 @@ def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
     return m, pivots
 
 
-def rank(a: Matrix) -> int:
+def rank(a) -> int:
     return len(rref(a)[1])
 
 
-def nullspace(a: Matrix) -> List[List[QC]]:
-    """Basis of the kernel, one vector per free column, in column order.
+def nullspace(a) -> np.ndarray:
+    """Kernel basis as the columns of an (n, d) array, one per free column
+    of ``a``, in column order.
 
     The basis vector for free column j has a 1 in slot j and the negated
     reduced-row entries in the pivot slots, so the output is deterministic
     and pivot-ordered.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
     red, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [QC(0) for _ in range(cols)]
-        v[fc] = QC(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
+    free = [c for c in range(red.shape[1]) if c not in pivots]
+    basis = mat(np.eye(red.shape[1], dtype=object)[:, free])
+    for r, pc in enumerate(pivots):
+        basis[pc] = -red[r, free]
     return basis
 
 
-def inverse(a: Matrix) -> Matrix:
+def inverse(a) -> np.ndarray:
+    a = mat(a)
     n = len(a)
-    if any(len(row) != n for row in a):
+    if a.shape != (n, n):
         raise ValueError("inverse needs a square matrix")
-    aug = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
-    red, pivots = rref(aug)
+    red, pivots = rref(np.hstack([a, np.eye(n, dtype=object)]))
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular over the Gaussian rationals")
-    return [row[n:] for row in red]
-
-
-def mat_to_complex(a: Matrix):
-    import numpy as np
-
-    rows = [[complex(x) for x in row] for row in a]
-    return np.array(rows, dtype=complex).reshape(len(rows), len(rows[0]) if rows else 0)
-
-
-def mat_equal(a: Matrix, b: Matrix) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if x != qc(y):
-                return False
-    return True
+    return red[:, n:]

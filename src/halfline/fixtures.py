@@ -21,10 +21,11 @@ matrices serve as regression targets for the whole pipeline:
   block (mu = 2, nu = 3), exercising the nonidentity row permutation;
   S(0) = diag(1, -1, 1).
 
-All matrices are stored as exact Gaussian rationals; float views are
-provided for the numeric path.  Parameters default to a = 2 for ``7.1``
-and a = b = c = 1 for ``7.3`` / ``7.4`` and can be overridden with exact
-rational values.
+All matrices, and the values of the J(k) and S(k) displays, are exact
+Gaussian rationals in numpy object arrays of :class:`halfline.exactalg.QC`;
+complex views are provided for the numeric path.  Parameters default to
+a = 2 for ``7.1`` and a = b = c = 1 for ``7.3`` / ``7.4`` and can be
+overridden with exact rational values.
 """
 
 from __future__ import annotations
@@ -54,26 +55,26 @@ class ExampleFixture:
     name: str
     n: int
     params: Dict[str, Fraction]
-    A_exact: list
-    B_exact: list
-    s0_exact: list
+    A_exact: np.ndarray
+    B_exact: np.ndarray
+    s0_exact: np.ndarray
     mu: int
     nu: int
     P1: Optional[np.ndarray]
     P2: Optional[np.ndarray]
-    jost_display: Callable[[QC], list]
-    smatrix_display: Optional[Callable[[QC], list]]
-    blocks_exact: Dict[str, list] = field(default_factory=dict)
-    printed_s0: Optional[list] = None
+    jost_display: Callable[[QC], np.ndarray]
+    smatrix_display: Optional[Callable[[QC], np.ndarray]]
+    blocks_exact: Dict[str, np.ndarray] = field(default_factory=dict)
+    printed_s0: Optional[np.ndarray] = None
     notes: Tuple[str, ...] = ()
 
     @property
     def A(self) -> np.ndarray:
-        return xa.mat_to_complex(self.A_exact)
+        return self.A_exact.astype(complex)
 
     @property
     def B(self) -> np.ndarray:
-        return xa.mat_to_complex(self.B_exact)
+        return self.B_exact.astype(complex)
 
     def bc(self) -> BCPair:
         return BCPair(n=self.n, A=self.A, B=self.B)
@@ -83,7 +84,7 @@ class ExampleFixture:
 
     @property
     def s0(self) -> np.ndarray:
-        return xa.mat_to_complex(self.s0_exact)
+        return self.s0_exact.astype(complex)
 
 
 def _f(x) -> Fraction:
@@ -96,31 +97,31 @@ def _delta_prime(a=Fraction(2)) -> ExampleFixture:
     B = xa.mat([[0, 0, -1], [0, 0, -1], [0, 0, -1]])
     third = QC(Fraction(1, 3))
     two_thirds = QC(Fraction(2, 3))
-    s0 = [
+    s0 = xa.mat([
         [third, -two_thirds, -two_thirds],
         [-two_thirds, third, -two_thirds],
         [-two_thirds, -two_thirds, third],
-    ]
+    ])
 
-    def jost(k: QC) -> list:
+    def jost(k: QC) -> np.ndarray:
         ik = _I * k
-        return [
-            [-ik, QC(0), QC(-1) + _I * QC(a) * k],
-            [ik, -ik, QC(-1)],
-            [QC(0), ik, QC(-1)],
-        ]
+        return xa.mat([
+            [-ik, 0, QC(-1) + _I * QC(a) * k],
+            [ik, -ik, -1],
+            [0, ik, -1],
+        ])
 
-    def smat(k: QC) -> list:
+    def smat(k: QC) -> np.ndarray:
         num_d = _I + QC(a) * k
         num_o = QC(-2) * _I
         den = QC(3) * _I + QC(a) * k
         d = num_d / den
         o = num_o / den
-        return [[d, o, o], [o, d, o], [o, o, d]]
+        return xa.mat([[d, o, o], [o, d, o], [o, o, d]])
 
     blocks = {
         "A1": xa.mat([[(0, -1), (0, -1)], [(0, 1), (0, -2)]]),
-        "B1": [[QC(0, a - 2)], [QC(0, -1)]],
+        "B1": xa.mat([[(0, a - 2)], [(0, -1)]]),
         "C1": xa.mat([[0, (0, 1)]]),
         "D0": xa.mat([[-1]]),
     }
@@ -138,26 +139,22 @@ def _kirchhoff() -> ExampleFixture:
     third = QC(Fraction(1, 3))
     two_thirds = QC(Fraction(2, 3))
     # Limit of -J(-k) J(k)^(-1): constant in k, symmetric, an involution.
-    s0 = [
+    s0 = xa.mat([
         [-third, two_thirds, two_thirds],
         [two_thirds, -third, two_thirds],
         [two_thirds, two_thirds, -third],
-    ]
-    printed = [
+    ])
+    printed = xa.mat([
         [-third, two_thirds, two_thirds],
         [two_thirds, -third, two_thirds],
         [two_thirds, -two_thirds, third],
-    ]
+    ])
 
-    def jost(k: QC) -> list:
+    def jost(k: QC) -> np.ndarray:
         ik = _I * k
-        return [
-            [QC(-1), QC(0), -ik],
-            [QC(1), QC(-1), -ik],
-            [QC(0), QC(1), -ik],
-        ]
+        return xa.mat([[-1, 0, -ik], [1, -1, -ik], [0, 1, -ik]])
 
-    def smat(k: QC) -> list:
+    def smat(k: QC) -> np.ndarray:
         return s0
 
     blocks = {
@@ -185,12 +182,12 @@ def _xor_gate(a=Fraction(1)) -> ExampleFixture:
     inv_a = QC(0, 1 / a)       # i/a
     inv_2a = QC(0, 1 / (2 * a))  # i/(2a)
     half = Fraction(1, 2)
-    A = [
-        [inv_a, QC(0), QC(0), QC(0)],
-        [QC(0), inv_a, QC(0), inv_2a],
-        [QC(0), QC(0), inv_2a, inv_2a],
-        [QC(0), QC(0), inv_2a, inv_2a],
-    ]
+    A = xa.mat([
+        [inv_a, 0, 0, 0],
+        [0, inv_a, 0, inv_2a],
+        [0, 0, inv_2a, inv_2a],
+        [0, 0, inv_2a, inv_2a],
+    ])
     B = xa.mat([
         [0, 0, 0, 0],
         [0, 0, 0, 0],
@@ -204,31 +201,31 @@ def _xor_gate(a=Fraction(1)) -> ExampleFixture:
         [0, 0, 1, 0],
     ])
 
-    def jost(k: QC) -> list:
+    def jost(k: QC) -> np.ndarray:
         # Consistent closed form; the as-documented (3,3) entry (k+a)/(2a)
         # contradicts J(0) and is corrected to (k-a)/(2a) here.
         ka = k / QC(a)
         k2a = k / QC(2 * a)
         p = (k + QC(a)) / QC(2 * a)
         m = (k - QC(a)) / QC(2 * a)
-        return [
-            [ka, QC(0), QC(0), QC(0)],
-            [QC(0), ka, QC(0), k2a],
-            [QC(0), QC(0), m, p],
-            [QC(0), QC(0), p, m],
-        ]
+        return xa.mat([
+            [ka, 0, 0, 0],
+            [0, ka, 0, k2a],
+            [0, 0, m, p],
+            [0, 0, p, m],
+        ])
 
-    def smat(k: QC) -> list:
+    def smat(k: QC) -> np.ndarray:
         return s0
 
     blocks = {
-        "A1": [
-            [QC(1 / a), QC(0), QC(0)],
-            [QC(0), QC(1 / a), QC(1 / (2 * a))],
-            [QC(0), QC(0), QC(1 / a)],
-        ],
-        "B1": [[QC(0)], [QC(1 / (2 * a))], [QC(0)]],
-        "C1": [[QC(0), QC(0), QC(0)]],
+        "A1": xa.mat([
+            [1 / a, 0, 0],
+            [0, 1 / a, 1 / (2 * a)],
+            [0, 0, 1 / a],
+        ]),
+        "B1": xa.mat([[0], [1 / (2 * a)], [0]]),
+        "C1": xa.mat([[0, 0, 0]]),
         "D0": xa.mat([[-1]]),
     }
     return ExampleFixture(
@@ -251,25 +248,21 @@ def _defective_kernel(a=Fraction(1), b=Fraction(1), c=Fraction(1)) -> ExampleFix
     s0 = xa.mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
     P2 = np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]])
 
-    def jost(k: QC) -> list:
+    def jost(k: QC) -> np.ndarray:
         ik = _I * k
-        return [
+        return xa.mat([
             [QC(-2) * ik, -ik, -QC(0, a) * k],
-            [QC(0), QC(0), QC(1) - QC(0, b) * k],
+            [0, 0, QC(1) - QC(0, b) * k],
             [-ik, -ik, -QC(0, c) * k],
-        ]
+        ])
 
-    def smat(k: QC) -> list:
+    def smat(k: QC) -> np.ndarray:
         mid = (QC(0, -1) + QC(b) * k) / (QC(0, 1) + QC(b) * k)
-        return [
-            [QC(1), QC(0), QC(0)],
-            [QC(0), mid, QC(0)],
-            [QC(0), QC(0), QC(1)],
-        ]
+        return xa.mat([[1, 0, 0], [0, mid, 0], [0, 0, 1]])
 
     blocks = {
         "A1": xa.mat([[(0, -2), (0, -1)], [(0, -1), (0, -1)]]),
-        "B1": [[QC(0, -a)], [QC(0, -c)]],
+        "B1": xa.mat([[(0, -a)], [(0, -c)]]),
         "C1": xa.mat([[0, 0]]),
         "D0": xa.mat([[1]]),
     }

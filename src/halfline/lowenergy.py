@@ -100,9 +100,9 @@ DEFAULT_PROBES = (1e-1, 1e-2, 1e-3)
 class ExactJordan:
     """Exact (Gaussian-rational) Jordan decomposition payload."""
 
-    M: list
-    Smat: list
-    Sinv: list
+    M: np.ndarray
+    Smat: np.ndarray
+    Sinv: np.ndarray
     chains: Tuple[Tuple[xa.QC, int], ...]
 
 
@@ -349,55 +349,43 @@ def _numeric_jordan(M: np.ndarray, eps_eig: float, eps_rank: float) -> JordanDat
 
 
 def _chain_sort_key(chain):
+    """Zero chains first, then by (Re, Im) of the eigenvalue, pivot position
+    of the eigenvector, and longest chain first; ``lam`` is complex or QC."""
     lam, vecs, piv = chain
-    is_zero = 0 if lam == 0 else 1
-    lam_key = (float(np.real(lam)), float(np.imag(lam)))
-    return (is_zero, lam_key, piv, -len(vecs))
+    z = complex(lam)
+    return (0 if lam == 0 else 1, (z.real, z.imag), piv, -len(vecs))
 
 
 # ---------------------------------------------------------------------------
 # Exact Jordan backend.
 # ---------------------------------------------------------------------------
 
-def _exact_rows(vectors: List[List[xa.QC]]) -> list:
-    return [list(v) for v in vectors]
-
-
-def _exact_independent(stack_rows: list, candidate: List[xa.QC]) -> bool:
-    if not stack_rows:
-        return any(candidate)
-    base = xa.rank(stack_rows)
-    return xa.rank(stack_rows + [list(candidate)]) > base
-
-
-def _exact_jordan(Mq: list) -> ExactJordan:
+def _exact_jordan(Mq: np.ndarray) -> ExactJordan:
     n = len(Mq)
-    Mc = xa.mat_to_complex(Mq)
-    raw = np.linalg.eigvals(Mc)
+    raw = np.linalg.eigvals(Mq.astype(complex))
     candidates: List[xa.QC] = []
     for v in raw:
         cand = xa.snap(complex(v))
         if all(cand != c for c in candidates):
             candidates.append(cand)
 
+    eye = np.eye(n, dtype=object)
     verified = []
     total = 0
     for lam in candidates:
-        N = xa.msub(Mq, xa.scalar_mul(lam, xa.identity(n)))
-        if xa.rank(N) == n:
-            continue
-        dims = [0]
-        powers = [xa.identity(n)]
+        N = Mq - eye * lam
+        # kernels[j] holds a basis of ker N^j; they grow until the chains end.
+        powers, kernels = [eye], [eye[:, :0]]
         while True:
-            powers.append(xa.matmul(powers[-1], N))
-            d = n - xa.rank(powers[-1])
-            if d == dims[-1]:
+            power = xa.matmul(powers[-1], N)
+            kernel = xa.nullspace(power)
+            if kernel.shape[1] == kernels[-1].shape[1]:
                 break
-            dims.append(d)
-            if len(dims) > n + 1:
-                break
-        verified.append((lam, N, dims, powers))
-        total += dims[-1]
+            powers.append(power)
+            kernels.append(kernel)
+        if len(kernels) > 1:  # else N is invertible: lam is no eigenvalue
+            verified.append((lam, N, powers, kernels))
+            total += kernels[-1].shape[1]
     if total != n:
         raise NumericalError(
             "exact mode failed: eigenvalues are not Gaussian rationals "
@@ -405,28 +393,23 @@ def _exact_jordan(Mq: list) -> ExactJordan:
         )
 
     chains = []
-    for lam, N, dims, powers in verified:
-        p = len(dims) - 1
-        gens: List[Tuple[List[xa.QC], int]] = []
-        for j in range(p, 0, -1):
-            want = dims[j] - dims[j - 1]
-            carried = []
-            for w, L in gens:
-                if L > j:
-                    img = [[x] for x in w]
-                    img = xa.matmul(powers[L - j], img)
-                    carried.append([row[0] for row in img])
+    for lam, N, powers, kernels in verified:
+        gens: List[Tuple[np.ndarray, int]] = []
+        for j in range(len(kernels) - 1, 0, -1):
+            want = kernels[j].shape[1] - kernels[j - 1].shape[1]
+            carried = [xa.matmul(powers[L - j], w) for w, L in gens if L > j]
             need = want - len(carried)
             if need <= 0:
                 continue
-            lower = xa.nullspace(powers[j - 1]) if j > 1 else []
-            obstruction = _exact_rows(lower + carried)
+            obstruction = np.column_stack([kernels[j - 1]] + carried)
+            span = xa.rank(obstruction)
             picked = 0
-            for cand in xa.nullspace(powers[j]):
+            for cand in kernels[j].T:
                 if picked == need:
                     break
-                if _exact_independent(obstruction, cand):
-                    obstruction.append(list(cand))
+                grown = np.column_stack([obstruction, cand])
+                if xa.rank(grown) > span:  # cand is independent of the obstruction
+                    obstruction, span = grown, span + 1
                     gens.append((cand, j))
                     picked += 1
             if picked != need:
@@ -436,20 +419,13 @@ def _exact_jordan(Mq: list) -> ExactJordan:
         for w, L in gens:
             vecs = [w]
             for _ in range(L - 1):
-                img = xa.matmul(N, [[x] for x in vecs[-1]])
-                vecs.append([row[0] for row in img])
+                vecs.append(xa.matmul(N, vecs[-1]))
             vecs.reverse()
             piv = next(i for i, x in enumerate(vecs[0]) if x)
             chains.append((lam, vecs, piv))
 
-    chains.sort(key=lambda c: (
-        0 if not c[0] else 1,
-        (float(c[0].re), float(c[0].im)),
-        c[2],
-        -len(c[1]),
-    ))
-    cols = [v for _, vecs, _ in chains for v in vecs]
-    Smat = [[cols[j][i] for j in range(n)] for i in range(n)]
+    chains.sort(key=_chain_sort_key)
+    Smat = np.column_stack([v for _, vecs, _ in chains for v in vecs])
     Sinv = xa.inverse(Smat)
     chain_info = tuple((lam, len(vecs)) for lam, vecs, _ in chains)
     return ExactJordan(M=Mq, Smat=Smat, Sinv=Sinv, chains=chain_info)
@@ -473,16 +449,14 @@ def jordan_form(
             raise ValidationError("jordan_form needs a square matrix")
         return _numeric_jordan(Mc, eps_eig, eps_rank)
     if mode == "exact":
-        if isinstance(M, np.ndarray):
-            Mq = xa.mat([[xa.qc(complex(x)) for x in row] for row in M])
-        else:
-            Mq = xa.mat(M)
-        payload = _exact_jordan(Mq)
+        if isinstance(M, np.ndarray) and M.dtype != object:
+            M = M.astype(complex)
+        payload = _exact_jordan(xa.mat(M))
         zero = [length for lam, length in payload.chains if not lam]
         return JordanData(
-            M=xa.mat_to_complex(Mq),
-            Smat=xa.mat_to_complex(payload.Smat),
-            Sinv=xa.mat_to_complex(payload.Sinv),
+            M=payload.M.astype(complex),
+            Smat=payload.Smat.astype(complex),
+            Sinv=payload.Sinv.astype(complex),
             chains=tuple((complex(lam), length) for lam, length in payload.chains),
             mu=len(zero), nu=sum(zero), kappa=len(payload.chains), mode="exact",
             exact=payload,
@@ -656,26 +630,24 @@ def schur_inverse(A, B, C, D) -> np.ndarray:
     return out
 
 
-def _snap_matrix(M: np.ndarray, name: str) -> list:
-    """Float matrix to Gaussian rationals, absorbing roundoff below 1e-12.
+def _snap_exact(x, name: str) -> xa.QC:
+    """Float to a Gaussian rational, absorbing roundoff only.
 
-    Entries must sit within 1e-12 of a denominator-<=10^6 rational in both
-    components (so e.g. sin(pi) collapses to 0); anything else cannot be
-    treated exactly.
+    ``x`` must sit within 1e-14 max(1, |x|) of a denominator-<=10^6
+    rational (so e.g. sin(pi) collapses to 0); anything else cannot be
+    treated exactly.  The bound sits well below the distance of about
+    1e-12 between an irrational and its best such rational (pi is 1.1e-12
+    from 3126535/995207), so those are refused instead of rounded.
     """
-    out = []
-    for row in M:
-        exact_row = []
-        for x in row:
-            x = complex(x)
-            q = xa.snap(x)
-            if abs(complex(q) - x) > 1e-12 * max(1.0, abs(x)):
-                raise ValidationError(
-                    f"{name} entry {x} is not a small rational; use numeric mode"
-                )
-            exact_row.append(q)
-        out.append(exact_row)
-    return out
+    x = complex(x)
+    q = xa.snap(x)
+    if abs(complex(q) - x) > 1e-14 * max(1.0, abs(x)):
+        raise ValidationError(f"{name} {x} is not a small rational; use numeric mode")
+    return q
+
+
+def _snap_matrix(M: np.ndarray, name: str) -> np.ndarray:
+    return xa.mat([[_snap_exact(x, f"{name} entry") for x in row] for row in M])
 
 
 def zero_energy_pipeline(
@@ -704,8 +676,7 @@ def zero_energy_pipeline(
             raise ValidationError("exact mode supports only the zero potential")
         Aq = _snap_matrix(bc.A, "A")
         Bq = _snap_matrix(bc.B, "B")
-        a_exact = xa.qc(int(a)) if float(a).is_integer() else xa.snap(complex(a))
-        exact_blocks = exact_free_pipeline(Aq, Bq, a=a_exact)
+        exact_blocks = exact_free_pipeline(Aq, Bq, a=_snap_exact(a, "matching point a"))
         jd = exact_blocks["jordan_data"]
         P1, P2, R, A1, B1, C1, D0, S0 = (
             exact_blocks[name].astype(complex)
@@ -753,36 +724,30 @@ def s_zero(
 # Exact free-potential pipeline.
 # ---------------------------------------------------------------------------
 
-def exact_free_pipeline(Aq: list, Bq: list, a=xa.QC(0)) -> dict:
+def exact_free_pipeline(Aq, Bq, a=xa.QC(0)) -> dict:
     """Exact zero-energy pipeline for the zero potential.
 
     There J(k) = B - ikA exactly, J(0) = B, and the slope matrix is
     R = A + aB.  Everything downstream (Jordan data, permutations, blocks,
     S(0)) is carried out over Gaussian rationals: the matrices in the
     returned dict are numpy object arrays of :class:`exactalg.QC`.  The dict
-    also exposes closed forms for J(k) and S(k) at exact rational k.
+    also exposes closed forms for J(k) and S(k) at exact rational k, which
+    return such arrays too.
     """
     Aq = xa.mat(Aq)
     Bq = xa.mat(Bq)
     jd = jordan_form(Bq, "exact")
     ex = jd.exact
-    R = np.array(xa.madd(Aq, xa.scalar_mul(xa.qc(a), Bq)), dtype=object)
-    P1, P2 = _permutations(ex.chains, np.array(xa.identity(jd.n), dtype=object))
-    A1, B1, C1, D0, S0 = _assemble(
-        np.array(ex.Smat, dtype=object), np.array(ex.Sinv, dtype=object),
-        ex.chains, R, P1, P2,
-        lambda M: np.array(xa.inverse(M.tolist()), dtype=object),
-    )
+    R = Aq + Bq * xa.qc(a)
+    P1, P2 = _permutations(ex.chains, xa.mat(np.eye(jd.n, dtype=object)))
+    A1, B1, C1, D0, S0 = _assemble(ex.Smat, ex.Sinv, ex.chains, R, P1, P2, xa.inverse)
 
-    def jost_at(kq) -> list:
-        kq = xa.qc(kq)
-        return xa.msub(Bq, xa.scalar_mul(xa.QC(0, 1) * kq, Aq))
+    def jost_at(kq) -> np.ndarray:
+        return Bq - Aq * (xa.QC(0, 1) * xa.qc(kq))
 
-    def smatrix_at(kq) -> list:
+    def smatrix_at(kq) -> np.ndarray:
         kq = xa.qc(kq)
-        Jp = jost_at(kq)
-        Jm = jost_at(-kq)
-        return xa.scalar_mul(xa.QC(-1), xa.matmul(Jm, xa.inverse(Jp)))
+        return -(jost_at(-kq) @ xa.inverse(jost_at(kq)))
 
     return {
         "jordan_data": jd,

@@ -85,8 +85,10 @@ class Potential:
             V = np.asarray(V, dtype=complex)
             if V.shape != (self.n, self.n):
                 raise ValidationError(f"piece {i}: V must be {self.n} x {self.n}")
-            if lo < 0 or hi <= lo:
-                raise ValidationError(f"piece {i}: need 0 <= x_lo < x_hi")
+            if not 0 <= lo < hi < np.inf:
+                raise ValidationError(f"piece {i}: need 0 <= x_lo < x_hi < inf")
+            if not np.isfinite(V).all():
+                raise ValidationError(f"piece {i}: V has non-finite entries")
             herm = np.linalg.norm(V - V.conj().T, 2)
             if herm > HERMITICITY_EPS * max(1.0, np.linalg.norm(V, 2)):
                 raise ValidationError(
@@ -171,7 +173,7 @@ class SolverConfig:
     method: str = "analytic"
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0 or self.max_step <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.max_step > 0):
             raise ValidationError("solver tolerances must be positive")
         if self.method not in ("analytic", "rk45"):
             raise ValidationError(f"unknown method {self.method!r}")

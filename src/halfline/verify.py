@@ -49,11 +49,14 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
     ks = np.array(K_GRID)
     checks: List[dict] = []
 
-    def guarded(name, fn, *args, **kwargs):
+    def guarded(name, fn):
+        """Run a check that returns one record or a list of them; a
+        HalflineError becomes one failure record named ``name``."""
         try:
-            checks.append(fn(*args, **kwargs))
+            out = fn()
         except HalflineError as exc:
-            checks.append(_failure(name, exc))
+            out = _failure(name, exc)
+        checks.extend(out if isinstance(out, list) else [out])
 
     def wronskian_constancy():
         k = 1.3
@@ -142,31 +145,21 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
         res = zero_energy_pipeline(pot, bc, a, "numeric", solver)
         dists = [d for _, d in res.continuity_probes]
         monotone = all(x > y for x, y in zip(dists, dists[1:])) or dists[-1] < 1e-9
-        out = [
+        return [
             _record("s0_involution", res.involution_residual, 1e-9),
             _record("s0_unitarity", res.unitarity_residual, 1e-7),
             _record("s0_continuity", dists[-1], 1e-2, ok=(dists[-1] < 1e-2 and monotone)),
         ]
-        return out
 
     guarded("wronskian_constancy", wronskian_constancy)
     guarded("outgoing_self_pairing", outgoing_self_pairing)
     guarded("outgoing_cross_pairing", outgoing_cross_pairing)
     guarded("jl_pairing_constancy", jl_constancy)
-    try:
-        checks.extend(tail_moments())
-    except HalflineError as exc:
-        checks.append(_failure("tail_moments", exc))
+    guarded("tail_moments", tail_moments)
     guarded("p_ratio_decay", p_ratio_decay)
     guarded("logderiv_slope", logderiv_slope)
     guarded("jost_split_consistency", jost_split)
     guarded("zero_energy_jost_crosscheck", zero_jost_crosscheck)
-    try:
-        checks.extend(smatrix_properties())
-    except HalflineError as exc:
-        checks.append(_failure("smatrix_properties", exc))
-    try:
-        checks.extend(zero_energy_behavior())
-    except HalflineError as exc:
-        checks.append(_failure("zero_energy_behavior", exc))
+    guarded("smatrix_properties", smatrix_properties)
+    guarded("zero_energy_behavior", zero_energy_behavior)
     return checks

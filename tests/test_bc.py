@@ -36,6 +36,16 @@ def test_validate_ab_rejects_degenerate_gram():
     assert "gram_posdef" in rules
 
 
+@pytest.mark.parametrize("field", ["A", "B", "E"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_bc_pair_rejects_non_finite_matrices(field, bad):
+    mats = {"A": np.zeros((2, 2), dtype=complex), "B": np.eye(2, dtype=complex),
+            "E": np.eye(2, dtype=complex)}
+    mats[field][1, 0] = bad
+    with pytest.raises(ValidationError, match=f"{field} has non-finite entries"):
+        hl.BCPair(n=2, **mats)
+
+
 def test_validate_kostrykin_dirichlet_and_zero():
     n = 3
     assert hl.validate_kostrykin(np.eye(n), np.zeros((n, n))).ok

@@ -81,6 +81,54 @@ def test_parse_rejects_malformed_json():
         parse_config(b"{nope")
 
 
+def _with(path, value):
+    """WELL_CFG with the entry at ``path`` (a tuple of keys) replaced."""
+    cfg = json.loads(json.dumps(WELL_CFG))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+# JSON texts with a non-finite number where input enters: the non-standard
+# tokens json.dumps writes for nan/inf, and a literal that overflows.
+NON_FINITE_CONFIGS = {
+    "piece_x_lo_nan": json.dumps(_with(("potential", "pieces", 0, "x_lo"), np.nan)),
+    "piece_V_nan": json.dumps(_with(("potential", "pieces", 0, "V"), [[[np.nan, 0.0]]])),
+    "bc_A_nan": json.dumps(_with(("bc", "A"), [[[np.nan, 0.0]]])),
+    "bc_B_minus_inf": json.dumps(_with(("bc", "B"), [[[-np.inf, 0.0]]])),
+    "kgrid_nan": json.dumps(_with(("kgrid",), [np.nan, 1.0, 3])),
+    "kgrid_inf": json.dumps(_with(("kgrid",), [0.5, np.inf, 3])),
+    "x_hi_overflow": json.dumps(WELL_CFG).replace('"x_hi": 1.0', '"x_hi": 1e999'),
+    "bc_A_int_overflow": json.dumps(_with(("bc", "A"), [[[10**400, 0]]])),
+}
+
+
+@pytest.mark.parametrize("command", ["sweep", "s0", "verify"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CONFIGS))
+def test_non_finite_numbers_are_validation_errors(tmp_path, capsys, name, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(NON_FINITE_CONFIGS[name])
+    assert cli.main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error: config: ")
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("path,value,match", [
+    (("kgrid",), ["nan", 1.0, 3], "kgrid"),
+    (("kgrid",), [0.5, "inf", 3], "kgrid"),
+    (("a_choice",), "nan", "a_choice"),
+    (("a_choice",), "inf", "a_choice"),
+    (("tolerances",), {"abs_tol": "nan"}, "tolerances"),
+])
+def test_parse_rejects_non_finite_number_strings(path, value, match):
+    with pytest.raises(ValidationError, match=match):
+        parse_config(json.dumps(_with(path, value)))
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -261,6 +309,27 @@ def test_verify_failure_record_is_strict_json(tmp_path, monkeypatch, capsys):
     assert failed[0]["error"] == "NumericalError: injected"
 
 
+@pytest.mark.parametrize("target,name", [
+    ("halfline.verify.moment_identities_residual", "tail_moments"),
+    ("halfline.verify._smatrix_stack", "smatrix_properties"),
+    ("halfline.verify.zero_energy_pipeline", "zero_energy_behavior"),
+])
+def test_verify_multi_record_check_fails_as_one_record(
+    tmp_path, monkeypatch, capsys, target, name
+):
+    def broken(*args, **kwargs):
+        raise NumericalError("injected")
+
+    monkeypatch.setattr(target, broken)
+    path = write_cfg(tmp_path, WELL_CFG)
+    assert cli.main(["verify", "--config", path]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert [c for c in report["checks"] if not c["pass"]] == [{
+        "name": name, "residual": None, "tol": 0.0, "pass": False,
+        "error": "NumericalError: injected",
+    }]
+
+
 def test_example_exact_all_fixtures(tmp_path, capsys):
     for fid in ("7.1", "7.2", "7.3", "7.4"):
         assert cli.main(["example", fid]) == 0
@@ -288,8 +357,8 @@ def test_exit_code_fixture_mismatch(monkeypatch, capsys):
     from halfline import fixtures as fximod
 
     real = fximod.get_fixture("7.1")
-    tampered_s0 = [row[:] for row in real.s0_exact]
-    tampered_s0[0][0] = tampered_s0[0][0] + fximod.QC(1)
+    tampered_s0 = real.s0_exact.copy()
+    tampered_s0[0, 0] = tampered_s0[0, 0] + fximod.QC(1)
     import dataclasses
     fake = dataclasses.replace(real, s0_exact=tampered_s0)
     monkeypatch.setattr(cli, "get_fixture", lambda fid, **kw: fake)

@@ -233,20 +233,20 @@ def test_z_blocks_fixture(fid):
 def test_z_blocks_fixture_73_and_74():
     fx = get_fixture("7.3")
     pipe = exact_free_pipeline(fx.A_exact, fx.B_exact)
-    assert xa.mat_equal(pipe["A1"], fx.blocks_exact["A1"])
-    assert xa.mat_equal(pipe["C1"], fx.blocks_exact["C1"])
+    assert np.array_equal(pipe["A1"], fx.blocks_exact["A1"])
+    assert np.array_equal(pipe["C1"], fx.blocks_exact["C1"])
     fx4 = get_fixture("7.4")
     pipe4 = exact_free_pipeline(fx4.A_exact, fx4.B_exact)
-    assert xa.mat_equal(pipe4["A1"], fx4.blocks_exact["A1"])
-    assert xa.mat_equal(pipe4["D0"], fx4.blocks_exact["D0"])
+    assert np.array_equal(pipe4["A1"], fx4.blocks_exact["A1"])
+    assert np.array_equal(pipe4["D0"], fx4.blocks_exact["D0"])
 
 
 def test_z_blocks_invariant_blocks_kirchhoff():
     # A1 diagonal entries and D0 do not depend on the chain scaling.
     fx = get_fixture("7.2")
     pipe = exact_free_pipeline(fx.A_exact, fx.B_exact)
-    assert xa.mat_equal(pipe["A1"], fx.blocks_exact["A1"])  # [-3i]
-    assert xa.mat_equal(pipe["D0"], fx.blocks_exact["D0"])
+    assert np.array_equal(pipe["A1"], fx.blocks_exact["A1"])  # [-3i]
+    assert np.array_equal(pipe["D0"], fx.blocks_exact["D0"])
 
 
 def test_z_blocks_generic_case_empty(rng):
@@ -376,14 +376,43 @@ def test_s_zero_fixtures_all_modes():
             assert np.linalg.norm(ev.S - fx.s0, 2) < 1e-10, (fid, mode)
 
 
-def test_s_zero_generic_is_minus_identity():
-    ev = hl.s_zero(hl.free_potential(2), hl.dirichlet(2))
-    assert np.allclose(ev.S, -np.eye(2), atol=1e-12)
+def check_s_zero(bc, mode, signs):
+    """S(0) = diag(signs) with mu = nu = number of +1 channels; in exact
+    mode also the exact S(0) and the shapes of the mu-split blocks, which
+    are empty at mu = 0 or mu = n."""
+    n, mu = bc.n, signs.count(1)
+    res = hl.zero_energy_pipeline(hl.free_potential(n), bc, mode=mode)
+    assert np.allclose(res.s0.S, np.diag(signs), atol=1e-12)
+    assert (res.jordan.mu, res.jordan.nu) == (mu, mu)
+    if mode == "exact":
+        blocks = res.exact_blocks
+        assert np.array_equal(blocks["S0"], np.diag(signs).astype(object))
+        assert (blocks["mu"], blocks["nu"]) == (mu, mu)
+        assert blocks["A1"].shape == (mu, mu)
+        assert blocks["C1"].shape == (n - mu, mu)
+        assert blocks["D0"].shape == (n - mu, n - mu)
 
 
-def test_s_zero_fully_exceptional_is_identity():
-    ev = hl.s_zero(hl.free_potential(2), hl.neumann(2))
-    assert np.allclose(ev.S, np.eye(2), atol=1e-12)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["numeric", "exact"])
+def test_s_zero_generic_is_minus_identity(mode, n):
+    check_s_zero(hl.dirichlet(n), mode, [-1] * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["numeric", "exact"])
+def test_s_zero_fully_exceptional_is_identity(mode, n):
+    check_s_zero(hl.neumann(n), mode, [1] * n)
+
+
+@pytest.mark.parametrize("angles,signs", [
+    ([np.pi / 2, np.pi], [1, -1]),
+    ([np.pi, np.pi / 2, np.pi / 2], [-1, 1, 1]),
+])
+@pytest.mark.parametrize("mode", ["numeric", "exact"])
+def test_s_zero_mixed_neumann_dirichlet_channels(mode, angles, signs):
+    # A pi/2 channel is Neumann (S = +1), a pi channel Dirichlet (S = -1).
+    check_s_zero(hl.from_angles(angles), mode, signs)
 
 
 def test_s_zero_involution_and_continuity(rng):
@@ -442,11 +471,33 @@ def test_s_zero_exact_mode_requires_free_potential():
         hl.s_zero(scalar_well(1.0), hl.dirichlet(1), mode="exact")
 
 
+@pytest.mark.parametrize("a", [np.pi, np.e, np.sqrt(2)])
+def test_exact_mode_refuses_an_irrational_matching_point(a):
+    fx = get_fixture("7.1")
+    with pytest.raises(ValidationError, match="matching point a"):
+        hl.zero_energy_pipeline(fx.potential(), fx.bc(), a=a, mode="exact")
+
+
+def test_exact_mode_refuses_irrational_boundary_entries():
+    # cos(pi/3) rounds to 1/2, but sin(pi/3) is irrational.
+    with pytest.raises(ValidationError, match="entry .* is not a small rational"):
+        hl.s_zero(hl.free_potential(1), hl.from_angles([np.pi / 3]), mode="exact")
+
+
+@pytest.mark.parametrize("a", [0.0, 0.1, 2.0])
+def test_exact_mode_slope_matrix_equals_numeric(a):
+    fx = get_fixture("7.1")
+    exact = hl.zero_energy_pipeline(fx.potential(), fx.bc(), a=a, mode="exact")
+    numeric = hl.zero_energy_pipeline(fx.potential(), fx.bc(), a=a)
+    assert np.array_equal(exact.expansion.R, numeric.expansion.R)
+    assert np.array_equal(exact.exact_blocks["R"], fx.A_exact + fx.B_exact * xa.snap(a))
+
+
 def test_exact_free_pipeline_s0_equality():
     for fid in ("7.1", "7.2", "7.3", "7.4"):
         fx = get_fixture(fid)
         pipe = exact_free_pipeline(fx.A_exact, fx.B_exact)
-        assert xa.mat_equal(pipe["S0"], fx.s0_exact), fid
+        assert np.array_equal(pipe["S0"], fx.s0_exact), fid
         assert (pipe["mu"], pipe["nu"]) == (fx.mu, fx.nu)
 
 

@@ -27,6 +27,15 @@ def test_potential_validation():
     assert pot.pieces[0][0] == 0.0  # sorted
 
 
+@pytest.mark.parametrize("lo,hi,v", [
+    (np.nan, 1.0, 1.0), (0.0, np.nan, 1.0), (0.0, np.inf, 1.0),
+    (0.0, 1.0, np.nan), (0.0, 1.0, np.inf),
+])
+def test_potential_rejects_non_finite_pieces(lo, hi, v):
+    with pytest.raises(ValidationError, match="x_lo|non-finite"):
+        hl.Potential(n=1, pieces=((lo, hi, np.array([[v]])),))
+
+
 def test_potential_json_round_trip(rng):
     pot = rand_potential(rng, 2)
     back = potential_from_json(potential_to_json(pot))
