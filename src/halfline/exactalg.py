@@ -4,7 +4,7 @@ Complex numbers with Fraction real and imaginary parts form a field that
 is closed under every operation the zero-energy pipeline needs: products,
 inverses, reduced row echelon form, null spaces.  A matrix is a 2-D numpy
 object array of :class:`QC` scalars, built by :func:`mat`; numpy's
-operators (``@``, ``+``, ``-``, ``*`` with the array on the left,
+operators (``@``, ``+``, ``-``, ``*`` with a QC on either side,
 ``np.array_equal``, ``.astype(complex)``) act on it entry by entry, and
 this module adds only what numpy lacks for object arrays.  Sizes here are
 tiny (n <= 8), so no attempt is made to be fast.
@@ -17,6 +17,7 @@ matrix is exactly singular).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -25,8 +26,31 @@ import numpy as np
 __all__ = ["QC", "qc", "snap", "mat", "matmul", "rref", "rank", "nullspace", "inverse"]
 
 
+def _coerced(op):
+    """Binary operator on QC whose other operand goes through :func:`qc`;
+    an operand qc cannot coerce gives NotImplemented, so Python offers the
+    operation to that operand (an object array then acts entry by entry)."""
+
+    @functools.wraps(op)
+    def method(self, other):
+        try:
+            other = qc(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        return op(self, other)
+
+    return method
+
+
 class QC:
-    """A Gaussian rational re + im*i with exact Fraction components."""
+    """A Gaussian rational re + im*i with exact Fraction components.
+
+    ``+``, ``-``, ``*``, ``/`` and ``==`` coerce the other operand with
+    :func:`qc` and return NotImplemented when it cannot be coerced, so
+    ``QC(2) * arr`` on an object array works like ``arr * QC(2)``.  Floats
+    are not coerced (they enter only through :func:`snap`): ``QC(1) == 1.0``
+    is False and ``QC(1) + 1.0`` raises TypeError.
+    """
 
     __slots__ = ("re", "im")
 
@@ -34,8 +58,8 @@ class QC:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
+    @_coerced
     def __add__(self, other):
-        other = qc(other)
         return QC(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -43,15 +67,16 @@ class QC:
     def __neg__(self):
         return QC(-self.re, -self.im)
 
+    @_coerced
     def __sub__(self, other):
-        other = qc(other)
         return QC(self.re - other.re, self.im - other.im)
 
+    @_coerced
     def __rsub__(self, other):
-        return qc(other) - self
+        return other - self
 
+    @_coerced
     def __mul__(self, other):
-        other = qc(other)
         return QC(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -59,8 +84,8 @@ class QC:
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other):
-        other = qc(other)
         den = other.re * other.re + other.im * other.im
         if den == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -69,17 +94,15 @@ class QC:
             (self.im * other.re - self.re * other.im) / den,
         )
 
+    @_coerced
     def __rtruediv__(self, other):
-        return qc(other) / self
+        return other / self
 
     def conjugate(self):
         return QC(self.re, -self.im)
 
+    @_coerced
     def __eq__(self, other):
-        try:
-            other = qc(other)
-        except (TypeError, ValueError):
-            return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):

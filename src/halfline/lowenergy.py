@@ -56,6 +56,7 @@ from .scattering import (
     COND_CAP,
     SMatrixEvaluation,
     _first_error,
+    _phi_zero_walk,
     _smatrix_stack,
     jost_matrix,
     jost_matrix_zero,
@@ -64,6 +65,7 @@ from .solver import (
     DEFAULT_CONFIG,
     Potential,
     SolverConfig,
+    StateMatrix,
     jost_solution,
     regular_solution,
 )
@@ -497,14 +499,22 @@ def _perm_indices(lengths: Sequence[int]) -> Tuple[List[int], List[int]]:
     return q, sigma
 
 
+def _perm_gathers(chains, n: int) -> Tuple[List[int], List[int]]:
+    """0-based gathers (cols, rows) with M @ P1 = M[:, cols] and
+    P2 @ M = M[rows] for the zero chains among the (eigenvalue, length)
+    ``chains`` of an n x n matrix."""
+    lengths = [length for lam, length in chains if not lam]
+    q, sigma = _perm_indices(lengths)
+    tail = list(range(sum(lengths), n))
+    return [j - 1 for j in q] + tail, [i - 1 for i in sigma] + tail
+
+
 def _permutations(chains, eye) -> Tuple[np.ndarray, np.ndarray]:
     """P1 (columns of ``eye``) and P2 (rows of ``eye``) for the zero chains
     among the (eigenvalue, length) ``chains``; ``eye`` is the n x n
     identity in the backend's scalar type."""
-    lengths = [length for lam, length in chains if not lam]
-    q, sigma = _perm_indices(lengths)
-    tail = list(range(sum(lengths), len(eye)))
-    return eye[:, [j - 1 for j in q] + tail], eye[[i - 1 for i in sigma] + tail, :]
+    cols, rows = _perm_gathers(chains, len(eye))
+    return eye[:, cols], eye[rows, :]
 
 
 def build_permutations(jd: JordanData) -> Tuple[np.ndarray, np.ndarray]:
@@ -531,10 +541,13 @@ def r_matrix(
     """
     if a is None:
         a = cfg.resolve_a(pot)
-    f0 = jost_solution(pot, 0.0, a, cfg)
+    return _r_matrix(jost_solution(pot, 0.0, a, cfg), regular_solution(pot, bc, 0.0, a, cfg))
+
+
+def _r_matrix(f0: StateMatrix, phi: StateMatrix) -> np.ndarray:
+    """R from the states f(0, a) and phi(0, a)."""
     if np.linalg.cond(f0.value) > COND_CAP:
-        raise NumericalError(f"f(0, {a:g}) is numerically singular; enlarge a")
-    phi = regular_solution(pot, bc, 0.0, a, cfg)
+        raise NumericalError(f"f(0, {f0.x:g}) is numerically singular; enlarge a")
     return np.linalg.solve(f0.value, phi.value)
 
 
@@ -547,17 +560,19 @@ def _checked_inverse(A1: np.ndarray) -> np.ndarray:
     return np.linalg.inv(A1)
 
 
-def _assemble(Smat, Sinv, chains, R, P1, P2, inv):
+def _assemble(Smat, Sinv, chains, R, gathers, eye, inv):
     """Steps 3 and 4 of the construction: A1, B1, C1, D0 and S(0).
 
     Shared by both arithmetic backends: complex arrays with a checked
     ``np.linalg.inv``, or object arrays of Gaussian rationals with an exact
-    inverse.  ``chains`` lists (eigenvalue, length) in the order of the
-    columns of ``Smat``.
+    inverse; ``eye`` is the identity in the backend's scalar type.
+    ``chains`` lists (eigenvalue, length) in the order of the columns of
+    ``Smat``.  P1, P2 and P2' act as the index ``gathers`` (cols, rows) of
+    :func:`_perm_gathers`, in the order the products would take them.
     """
     mu = sum(1 for lam, _ in chains if not lam)
-    eye = P1 @ P1.T  # the identity in the backend's scalar type
-    Mt = P2 @ Sinv @ R @ Smat @ P1
+    cols, rows = gathers
+    Mt = (Sinv[rows] @ R @ Smat)[:, cols]  # P2 Sinv R Smat P1
     A1 = -1j * Mt[:mu, :mu]
     B1 = -1j * Mt[:mu, mu:]
     C1 = -1j * Mt[mu:, :mu]
@@ -566,7 +581,7 @@ def _assemble(Smat, Sinv, chains, R, P1, P2, inv):
     )
     lower = 2 * C1 @ inv(A1) if mu else eye[mu:, :mu]
     mid = np.block([[eye[:mu, :mu], eye[:mu, mu:]], [lower, -eye[mu:, mu:]]])
-    S0 = Smat @ P2.T @ mid @ P2 @ Sinv
+    S0 = (Smat[:, rows] @ mid)[:, np.argsort(rows)] @ Sinv  # Smat P2' mid P2 Sinv
     return A1, B1, C1, D0, S0
 
 
@@ -581,7 +596,8 @@ def z_blocks(
     A1 signals an inconsistent Jordan/R pairing upstream.
     """
     R = np.asarray(R, dtype=complex)
-    return _assemble(jd.Smat, jd.Sinv, jd.chains, R, P1, P2, _checked_inverse)[:4]
+    gathers = np.argmax(np.abs(P1), axis=0), np.argmax(np.abs(P2), axis=1)
+    return _assemble(jd.Smat, jd.Sinv, jd.chains, R, gathers, np.eye(jd.n), _checked_inverse)[:4]
 
 
 def z_of_k(
@@ -670,6 +686,7 @@ def zero_energy_pipeline(
     if a is None:
         a = cfg.resolve_a(pot)
 
+    n = bc.n
     exact_blocks = None
     if mode == "exact":
         if pot.pieces:
@@ -683,15 +700,14 @@ def zero_energy_pipeline(
             for name in ("P1", "P2", "R", "A1", "B1", "C1", "D0", "S0")
         )
     else:
-        J0 = jost_matrix_zero(pot, bc, cfg)
+        phi = _phi_zero_walk(pot, bc, max(a, pot.x_max), cfg, a)
+        J0 = jost_matrix_zero(pot, bc, cfg, phi=phi)
         jd = jordan_override if jordan_override is not None else jordan_form(J0, "numeric")
         P1, P2 = build_permutations(jd)
-        R = r_matrix(pot, bc, a, cfg)
-        A1, B1, C1, D0, S0 = _assemble(
-            jd.Smat, jd.Sinv, jd.chains, R, P1, P2, _checked_inverse
-        )
+        R = _r_matrix(jost_solution(pot, 0.0, a, cfg), phi[a])
+        A1, B1, C1, D0, S0 = _assemble(jd.Smat, jd.Sinv, jd.chains, R,
+                                       _perm_gathers(jd.chains, n), np.eye(n), _checked_inverse)
 
-    n = bc.n
     inv_resid = float(np.linalg.norm(S0 @ S0 - np.eye(n), 2))
     uni_resid = float(np.linalg.norm(S0.conj().T @ S0 - np.eye(n), 2))
     rows = _first_error(_smatrix_stack(pot, bc, [float(kp) for kp in probes], a, cfg))
@@ -739,8 +755,10 @@ def exact_free_pipeline(Aq, Bq, a=xa.QC(0)) -> dict:
     jd = jordan_form(Bq, "exact")
     ex = jd.exact
     R = Aq + Bq * xa.qc(a)
-    P1, P2 = _permutations(ex.chains, xa.mat(np.eye(jd.n, dtype=object)))
-    A1, B1, C1, D0, S0 = _assemble(ex.Smat, ex.Sinv, ex.chains, R, P1, P2, xa.inverse)
+    eye = xa.mat(np.eye(jd.n, dtype=object))
+    P1, P2 = _permutations(ex.chains, eye)
+    A1, B1, C1, D0, S0 = _assemble(ex.Smat, ex.Sinv, ex.chains, R,
+                                   _perm_gathers(ex.chains, jd.n), eye, xa.inverse)
 
     def jost_at(kq) -> np.ndarray:
         return Bq - Aq * (xa.QC(0, 1) * xa.qc(kq))
@@ -805,11 +823,14 @@ def kernel_bijection(
     u = np.asarray(u, dtype=complex).reshape(-1)
     if u.shape[0] != bc.n:
         raise ValidationError("kernel vector has wrong length")
-    J0 = jost_matrix_zero(pot, bc, cfg)
+    if a is None:
+        a = cfg.resolve_a(pot)
+    phi = _phi_zero_walk(pot, bc, max(a, pot.x_max), cfg, a)
+    J0 = jost_matrix_zero(pot, bc, cfg, phi=phi)
     nu = float(np.linalg.norm(u))
     if nu > 0 and np.linalg.norm(J0 @ u) > tol * max(1.0, np.linalg.norm(J0, 2)) * nu:
         raise ValidationError("u is not in the kernel of the zero-energy Jost matrix")
-    R = r_matrix(pot, bc, a, cfg)
+    R = _r_matrix(jost_solution(pot, 0.0, a, cfg), phi[a])
     return R @ u
 
 

@@ -36,7 +36,7 @@ S = -(B + ikA)(B - ikA)^(-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -46,11 +46,12 @@ from .solver import (
     DEFAULT_CONFIG,
     Potential,
     SolverConfig,
+    StateMatrix,
     _integrate_weighted,
     jost_solution,
     regular_solution,
+    walk,
     wronskian,
-    zero_energy_decomposition,
 )
 
 __all__ = [
@@ -118,14 +119,21 @@ def jost_matrix(
         raise ValidationError("Jost matrix requires Im k >= 0")
     if a is None:
         a = cfg.resolve_a(pot)
-    (J,), errors = _jost_stack(pot, bc, [k], a, cfg)
+    (J,), errors, *_ = _jost_stack(pot, bc, [k], a, cfg)
     _first_error(errors)
     return JostEvaluation(k=k, J=J, cond=float(np.linalg.cond(J)))
 
 
-def _jost_stack(pot, bc, ks, a, cfg) -> Tuple[np.ndarray, List[Optional[NumericalError]]]:
-    """J(k) for a 1-D sequence of k with Im k >= 0, and per k the error of
-    its x = 0 cross-check (None when it passes).
+class _JostStack(NamedTuple):
+    J: np.ndarray                           # J(k), read off at x = a
+    errors: List[Optional[NumericalError]]  # per k, the x = 0 cross-check's error or None
+    J0: np.ndarray                          # the same pairing read off at x = 0
+    F0: StateMatrix                         # f(-k*, 0)
+
+
+def _jost_stack(pot, bc, ks, a, cfg) -> _JostStack:
+    """J(k) for a 1-D sequence of k with Im k >= 0, with its x = 0 reading
+    and the state f(-k*, 0) that reading comes from.
 
     f(-k*, .) is walked from the support edge to a and to 0, phi(k, .) from
     0 to a, each as one stack; a walk that fails raises for the whole stack.
@@ -137,7 +145,7 @@ def _jost_stack(pot, bc, ks, a, cfg) -> Tuple[np.ndarray, List[Optional[Numerica
     J0 = F0.value.conj().swapaxes(-1, -2) @ bc.B - F0.deriv.conj().swapaxes(-1, -2) @ bc.A
     diff = _norm2(J - J0)
     bad = diff > CROSSCHECK_TOL * np.maximum(_norm2(J), 1.0)
-    return J, [_pairing_error(a, d) if b else None for d, b in zip(diff, bad)]
+    return _JostStack(J, [_pairing_error(a, d) if b else None for d, b in zip(diff, bad)], J0, F0)
 
 
 def _norm2(M):  # spectral norm of a matrix, or of each matrix of a stack
@@ -157,21 +165,28 @@ def jost_matrix_zero(
     bc: BCPair,
     cfg: SolverConfig = DEFAULT_CONFIG,
     tol: float = CROSSCHECK_TOL,
+    phi: Optional[Dict[float, StateMatrix]] = None,
 ) -> np.ndarray:
     """J(0) computed three redundant ways, required to agree.
 
     (i) the k = 0 pairing at the origin, (ii) B plus the V-weighted moment
     of the regular solution, (iii) the growing-direction coefficient of
-    phi(0, .) in the zero-energy fundamental system.
+    phi(0, .) in the zero-energy fundamental system.  Routes (ii) and (iii)
+    read phi(0, .) from one walk across the support: ``phi``, a
+    :func:`halfline.solver.walk` of it from 0 to x_max or beyond that the
+    caller also reads, or else a walk made here.  Route (i) walks f(0, .)
+    on its own, so a wrong leg in either walk shows.
     """
     _check_sizes(pot, bc)
+    if phi is None:
+        phi = _phi_zero_walk(pot, bc, pot.x_max, cfg)
     F0 = jost_solution(pot, 0.0, 0.0, cfg)
     J_pairing = F0.value.conj().T @ bc.B - F0.deriv.conj().T @ bc.A
 
-    J_moment = bc.B + _integrate_weighted(
-        pot, 0.0, lambda y: 1.0, lambda lo, hi: regular_solution(pot, bc, 0.0, lo, cfg), cfg)
+    (moment,) = _integrate_weighted(pot, 0.0, (lambda y: 1.0,), lambda lo, hi: phi[lo], cfg)
+    J_moment = bc.B + moment
 
-    _, beta = zero_energy_decomposition(pot, bc, cfg)
+    beta = phi[pot.x_max].deriv  # route (iii): zero_energy_decomposition's beta
 
     scale = max(np.linalg.norm(J_pairing, 2), 1.0)
     d1 = np.linalg.norm(J_pairing - J_moment, 2)
@@ -184,6 +199,12 @@ def jost_matrix_zero(
     return J_pairing
 
 
+def _phi_zero_walk(pot, bc, x_end, cfg, a=None) -> Dict[float, StateMatrix]:
+    """phi(0, .) at every interface from 0 to x_end >= x_max, and at a."""
+    _check_sizes(pot, bc)
+    return walk(pot, 0.0, StateMatrix(0.0, bc.A, bc.B), x_end, cfg, a)
+
+
 def l_matrix(
     pot: Potential,
     bc: BCPair,
@@ -192,11 +213,14 @@ def l_matrix(
 ) -> np.ndarray:
     """L(k) = f'(-k, 0)' B E^(-2) + f(-k, 0)' A E^(-2) for real k."""
     _check_sizes(pot, bc)
-    k = float(k)
+    return _l_matrix(bc, jost_solution(pot, -float(k), 0.0, cfg))
+
+
+def _l_matrix(bc: BCPair, F: StateMatrix) -> np.ndarray:
+    """L from F = f(-k, 0), or a stack of L from a stack of such states."""
     gram = bc.A.conj().T @ bc.A + bc.B.conj().T @ bc.B
-    F = jost_solution(pot, -k, 0.0, cfg)
-    num = F.deriv.conj().T @ bc.B + F.value.conj().T @ bc.A
-    return np.linalg.solve(gram.conj().T, num.conj().T).conj().T
+    num = F.deriv.conj().swapaxes(-1, -2) @ bc.B + F.value.conj().swapaxes(-1, -2) @ bc.A
+    return np.linalg.solve(gram.conj().T, num.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
 
 
 def smatrix(
@@ -232,7 +256,7 @@ def _smatrix_stack(pot, bc, ks: List[float], a, cfg) -> list:
     """
     m = len(ks)
     try:
-        J, pairing = _jost_stack(pot, bc, np.concatenate([ks, np.negative(ks)]), a, cfg)
+        J, pairing, *_ = _jost_stack(pot, bc, np.concatenate([ks, np.negative(ks)]), a, cfg)
     except NumericalError as exc:
         if m > 1:
             return [_smatrix_stack(pot, bc, [k], a, cfg)[0] for k in ks]
@@ -301,13 +325,26 @@ def p_matrix(
     cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
     """P(k) = f(0, a)' f'(k, a) - f'(0, a)' f(k, a); P(0) = 0 and
-    P(k)/(ik) tends to the identity."""
-    k = complex(k)
+    P(k)/(ik) tends to the identity.
+
+    ``k`` may be a 1-D array: f(0, .) and every f(k, .) are then walked to
+    a as one stack, and the result is a (K, n, n) stack.
+    """
+    k = np.asarray(k, dtype=complex)
     if a is None:
         a = cfg.resolve_a(pot)
-    f0 = jost_solution(pot, 0.0, a, cfg)
-    fk = jost_solution(pot, k, a, cfg)
-    return wronskian(f0, fk, conjugate_first=True)
+    f0, fk = _split(jost_solution(pot, np.append(0.0, k), a, cfg))
+    P = wronskian(f0, fk, conjugate_first=True)
+    return P if k.ndim else P[0]
+
+
+def _split(F: StateMatrix, m: Optional[int] = None) -> Tuple[StateMatrix, StateMatrix]:
+    """A stack of states cut after its first m; m = None takes the first
+    state alone, as one (n, n) state."""
+    head = 0 if m is None else slice(m)
+    tail = slice(1 if m is None else m, None)
+    return (StateMatrix(F.x, F.value[head], F.deriv[head]),
+            StateMatrix(F.x, F.value[tail], F.deriv[tail]))
 
 
 def log_derivative(
@@ -385,23 +422,23 @@ def jost_decomposition(
 
     T1 = -P(-k*)' f(0, a)^(-1) phi(k, a) carries the linear-in-k
     contribution; T2, built from the pairing of the zero-energy-anchored
-    solution with phi, equals J(0) up to quadratic corrections.
+    solution with phi, equals J(0) up to quadratic corrections.  ``k`` may
+    be a 1-D array; T1 and T2 are then (K, n, n) stacks from one walk of
+    phi(k, .) and one of f(0, .) together with f(-k*, .).
     """
     _check_sizes(pot, bc)
-    k = complex(k)
+    k = np.asarray(k, dtype=complex)
     if a is None:
         a = cfg.resolve_a(pot)
-    km = -k.conjugate()
-    f0 = jost_solution(pot, 0.0, a, cfg)
+    f0, fm = _split(jost_solution(pot, np.append(0.0, -k.conj()), a, cfg))
     if np.linalg.cond(f0.value) > COND_CAP:
         raise NumericalError(f"f(0, {a:g}) is numerically singular; enlarge a")
     phi = regular_solution(pot, bc, k, a, cfg)
-    fm = jost_solution(pot, km, a, cfg)
 
-    P = p_matrix(pot, km, a, cfg)
-    T1 = -P.conj().T @ np.linalg.solve(f0.value, phi.value)
+    P = wronskian(f0, fm)  # P(-k*), as p_matrix gives it
+    T1 = -P.conj().swapaxes(-1, -2) @ np.linalg.solve(f0.value, phi.value)
     # At x = a the omega solution carries the data (f(0,a), f'(0,a)), so the
     # pairing with phi needs no extra propagation.
     W = f0.value.conj().T @ phi.deriv - f0.deriv.conj().T @ phi.value
-    T2 = fm.value.conj().T @ np.linalg.solve(f0.value.conj().T, W)
-    return T1, T2
+    T2 = fm.value.conj().swapaxes(-1, -2) @ np.linalg.solve(f0.value.conj().T, W)
+    return (T1, T2) if k.ndim else (T1[0], T2[0])

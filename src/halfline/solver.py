@@ -29,13 +29,23 @@ methods step piece by piece so interfaces are always hit exactly.
 
 All functions are pure and single-threaded.  One propagation may carry a
 whole stack of k values: every step then advances all of them at once.
+
+Because V is piecewise constant with compact support, the regular solution
+phi is fixed by its data at 0 and the outgoing solution f by its exact data
+at x_max.  :func:`walk` crosses the support once, leg by leg from one piece
+interface to the next through :func:`propagate`, and keeps the state at
+every interface: forward from 0 for phi, backward from x_max for f.  Each
+state equals the one a direct propagation to that point gives, bit for bit,
+so every consumer that needs a solution at many interfaces (the moment
+quadrature, the zero-energy Jost routes, R) reads them from one walk
+instead of walking from the origin or the support edge once per piece.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +57,7 @@ __all__ = [
     "StateMatrix",
     "SolverConfig",
     "propagate",
+    "walk",
     "jost_solution",
     "zero_energy_pair",
     "regular_solution",
@@ -337,6 +348,34 @@ def propagate(
     return StateMatrix(x=x_target, value=value, deriv=deriv)
 
 
+def walk(
+    pot: Potential,
+    k,
+    start: StateMatrix,
+    x_end: float,
+    cfg: SolverConfig = DEFAULT_CONFIG,
+    a: Optional[float] = None,
+) -> Dict[float, StateMatrix]:
+    """States of one solution at every stop of a single walk, keyed by x.
+
+    The stops are start.x, every piece interface strictly between start.x
+    and x_end, and x_end.  Each leg between neighbouring stops is one
+    :func:`propagate` call, so the state at a stop is bit for bit the one
+    ``propagate(pot, k, start, stop, cfg)`` returns.  A point ``a`` strictly
+    inside a leg is reached by a side leg from the stop before it; the main
+    walk is not split there, so the stops beyond ``a`` keep their bits.
+    ``k`` may be a 1-D array, as in :func:`propagate`.
+    """
+    stops = _breakpoints(pot, start.x, x_end)
+    state = propagate(pot, k, start, start.x, cfg)
+    states = {start.x: state}
+    for x0, x1 in zip(stops, stops[1:]):
+        if a is not None and min(x0, x1) < a < max(x0, x1):
+            states[a] = propagate(pot, k, state, a, cfg)
+        state = states[x1] = propagate(pot, k, state, x1, cfg)
+    return states
+
+
 def jost_solution(
     pot: Potential, k, x: float, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> StateMatrix:
@@ -439,11 +478,13 @@ def _gauss_rule(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _integrate_weighted(pot: Potential, a: float, weight, edge_state, cfg: SolverConfig,
+def _integrate_weighted(pot: Potential, a: float, weights, edge_state, cfg: SolverConfig,
                         order: int = 12, tol: float = 1e-11, max_levels: int = 6):
     """Refined Gauss-Legendre quadrature of weight(y) V(y) psi(y) over the
-    support beyond a, psi a zero-energy solution; panels double until the
-    value settles.
+    support beyond a, psi a zero-energy solution, for each weight of
+    ``weights``; one total per weight, in order.  Panels double until the
+    value settles: each weight stops at its own level, and the node states
+    of a level are computed once for all weights still refining.
 
     ``edge_state(lo, hi)`` gives psi at the edge of the piece [lo, hi] that
     a walk to a point inside it enters through.  Every node of a level is
@@ -451,31 +492,37 @@ def _integrate_weighted(pot: Potential, a: float, weight, edge_state, cfg: Solve
     """
     xs, ws = _gauss_rule(order)
     n = pot.n
-    total = np.zeros((n, n), dtype=complex)
+    totals = [np.zeros((n, n), dtype=complex) for _ in weights]
     for (lo, hi, V), eig in zip(pot.pieces, pot._eigs):
         lo = max(lo, a)
         if hi <= lo:
             continue
         edge = edge_state(lo, hi)
-        prev = None
+        prev = [None] * len(weights)
+        settled = [False] * len(weights)
         panels = 1
         for _ in range(max_levels):
             edges = np.linspace(lo, hi, panels + 1)
             mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
             ys = (mid[:, None] + half[:, None] * xs).ravel()
-            coef = (half[:, None] * ws).ravel() * weight(ys)
             if cfg.method == "analytic":
                 psi = _step(eig, np.zeros(1, complex), ys - edge.x, edge.value, edge.deriv)[0]
             else:
                 psi = np.array([propagate(pot, 0.0, edge, y, cfg).value for y in ys])
-            acc = (coef[:, None, None] * (V @ psi)).sum(axis=0)
-            if prev is not None and np.linalg.norm(acc - prev, 2) <= tol:
-                prev = acc
+            Vpsi = V @ psi
+            for i, weight in enumerate(weights):
+                if settled[i]:
+                    continue
+                coef = (half[:, None] * ws).ravel() * weight(ys)
+                acc = (coef[:, None, None] * Vpsi).sum(axis=0)
+                settled[i] = prev[i] is not None and np.linalg.norm(acc - prev[i], 2) <= tol
+                prev[i] = acc
+            if all(settled):
                 break
-            prev = acc
             panels *= 2
-        total += prev
-    return total
+        for total, acc in zip(totals, prev):
+            total += acc
+    return totals
 
 
 def moment_identities_residual(
@@ -485,15 +532,14 @@ def moment_identities_residual(
 
     The zeroth moment of V f(0, .) over (a, infinity) must cancel f'(0, a);
     the first moment must equal f(0, a) - a f'(0, a) - I.  Both are checked
-    by independent quadrature and returned as norms.
+    by independent quadrature, over the same nodes, and returned as norms.
+    f(0, .) at a and at every piece edge comes from one walk down from the
+    support edge.
     """
-    f0a = jost_solution(pot, 0.0, a, cfg)
-
-    def edge(lo, hi):
-        return jost_solution(pot, 0.0, hi, cfg)
-
-    m0 = _integrate_weighted(pot, a, lambda y: 1.0, edge, cfg)
-    m1 = _integrate_weighted(pot, a, lambda y: y, edge, cfg)
+    f = walk(pot, 0.0, jost_solution(pot, 0.0, max(a, pot.x_max), cfg), a, cfg)
+    f0a = f[a]
+    m0, m1 = _integrate_weighted(pot, a, (lambda y: 1.0, lambda y: y),
+                                 lambda lo, hi: f[hi], cfg)
     n = pot.n
     r1 = float(np.linalg.norm(m0 + f0a.deriv, 2))
     r2 = float(np.linalg.norm(m1 - f0a.value + a * f0a.deriv + np.eye(n), 2))

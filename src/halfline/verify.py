@@ -8,6 +8,7 @@ failing identity cannot hide the others.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional
 
 import numpy as np
@@ -15,15 +16,9 @@ import numpy as np
 from .config import JobConfig
 from .errors import HalflineError
 from .lowenergy import zero_energy_pipeline
-from .scattering import _first_error, _jost_stack, _norm2, _smatrix_stack, jost_matrix_zero, \
-    l_matrix, p_matrix, log_derivative, jost_decomposition
-from .solver import (
-    jost_solution,
-    moment_identities_residual,
-    regular_solution,
-    wronskian,
-    zero_energy_decomposition,
-)
+from .scattering import _first_error, _jost_stack, _l_matrix, _norm2, _phi_zero_walk, \
+    _smatrix_stack, _split, jost_matrix_zero, p_matrix, log_derivative, jost_decomposition
+from .solver import jost_solution, moment_identities_residual, wronskian
 
 __all__ = ["run_property_checks"]
 
@@ -59,30 +54,29 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
         checks.extend(out if isinstance(out, list) else [out])
 
     def wronskian_constancy():
-        k = 1.3
-        x1 = max(pot.x_max, 1.0)
-        w0 = wronskian(jost_solution(pot, -k, 0.0, solver),
-                       regular_solution(pot, bc, k, 0.0, solver))
-        w1 = wronskian(jost_solution(pot, -k, x1, solver),
-                       regular_solution(pot, bc, k, x1, solver))
-        return _record("wronskian_constancy", np.linalg.norm(w0 - w1, 2), 1e-8)
+        # [f(-k, .); phi(k, .)] at 0 and at x1: the two readings of J(k)
+        st = _jost_stack(pot, bc, [1.3], max(pot.x_max, 1.0), solver)
+        return _record("wronskian_constancy", np.linalg.norm(st.J0[0] - st.J[0], 2), 1e-8)
+
+    @functools.cache  # a failed walk is redone, so each check records its own failure
+    def outgoing():
+        """f(k, 0) and f(-k, 0) for k in K_GRID, one walk for both pairing checks."""
+        return _split(jost_solution(pot, np.concatenate([ks, -ks]), 0.0, solver), len(ks))
 
     def outgoing_self_pairing():
-        f = jost_solution(pot, ks, 0.0, solver)
+        f, _ = outgoing()
         worst = _norm2(wronskian(f, f) - 2j * ks[:, None, None] * eye).max()
         return _record("outgoing_self_pairing", worst, 1e-8)
 
     def outgoing_cross_pairing():
-        fp = jost_solution(pot, ks, 0.0, solver)
-        fm = jost_solution(pot, -ks, 0.0, solver)
+        fp, fm = outgoing()
         return _record("outgoing_cross_pairing", _norm2(wronskian(fm, fp)).max(), 1e-8)
 
     def jl_constancy():
         worst = 0.0
-        Js, errors = _jost_stack(pot, bc, K_GRID, a, solver)
-        _first_error(errors)  # l_matrix(k) only redoes this stack's walk of f(-k, .) to 0
-        for k, J in zip(K_GRID, Js):
-            L = l_matrix(pot, bc, k, solver)
+        Js, errors, _, F0 = _jost_stack(pot, bc, K_GRID, a, solver)
+        _first_error(errors)
+        for k, J, L in zip(K_GRID, Js, _l_matrix(bc, F0)):  # F0 = f(-k, 0)
             worst = max(
                 worst,
                 np.linalg.norm(J @ L.conj().T - L @ J.conj().T + 2j * k * eye, 2),
@@ -97,8 +91,9 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
 
     def p_ratio_decay():
         a_p = 0.0 if pot.x_max > 0 else a
-        r_hi = np.linalg.norm(p_matrix(pot, 1e-1, a_p, solver) / 1e-1j - eye, 2)
-        r_lo = np.linalg.norm(p_matrix(pot, 1e-3, a_p, solver) / 1e-3j - eye, 2)
+        P_hi, P_lo = p_matrix(pot, [1e-1, 1e-3], a_p, solver)
+        r_hi = np.linalg.norm(P_hi / 1e-1j - eye, 2)
+        r_lo = np.linalg.norm(P_lo / 1e-3j - eye, 2)
         if r_hi < 1e-12:
             return _record("p_ratio_decay", 0.0, 0.2)
         return _record("p_ratio_decay", r_lo / r_hi, 0.2)
@@ -116,16 +111,17 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
     def jost_split():
         worst = 0.0
         split_ks = (0.7, 2.3)
-        for k, J, err in zip(split_ks, *_jost_stack(pot, bc, split_ks, a, solver)):
-            T1, T2 = jost_decomposition(pot, bc, k, a, solver)
+        Js, errors, *_ = _jost_stack(pot, bc, split_ks, a, solver)
+        for J, err, T1, T2 in zip(Js, errors, *jost_decomposition(pot, bc, split_ks, a, solver)):
             if err is not None:
                 raise err
             worst = max(worst, np.linalg.norm(T1 + T2 - J, 2))
         return _record("jost_split_consistency", worst, 1e-8)
 
     def zero_jost_crosscheck():
-        J0 = jost_matrix_zero(pot, bc, solver)
-        _, beta = zero_energy_decomposition(pot, bc, solver)
+        phi = _phi_zero_walk(pot, bc, pot.x_max, solver)
+        J0 = jost_matrix_zero(pot, bc, solver, phi=phi)
+        beta = phi[pot.x_max].deriv  # zero_energy_decomposition's beta
         return _record(
             "zero_energy_jost_crosscheck", np.linalg.norm(J0 - beta, 2), 1e-8
         )

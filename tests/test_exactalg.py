@@ -71,3 +71,21 @@ def test_mat_to_complex_is_always_two_dimensional(rows, shape):
     M = xa.mat(rows)
     assert M.shape == shape and M.dtype == object
     assert M.astype(complex).shape == shape
+
+
+def test_scalar_operators_defer_to_object_arrays():
+    arr = xa.mat([[1, (0, 1)], [Fraction(1, 2), -3]])
+    two = xa.QC(2)
+    assert np.array_equal(two * arr, arr * two)
+    assert np.array_equal(two + arr, arr + two)
+    assert np.array_equal(two - arr, -(arr - two))
+    assert np.array_equal(two / arr, xa.mat([[2, (0, -2)], [4, Fraction(-2, 3)]]))
+
+
+def test_floats_are_not_coerced():
+    assert not xa.QC(1) == 1.0
+    assert xa.QC(1) != 1.0
+    assert xa.QC(1) == 1 and xa.QC(0, 1) == 1j
+    for op in (lambda q: q + 1.0, lambda q: 1.0 * q, lambda q: q / 2.0, lambda q: 2.0 - q):
+        with pytest.raises(TypeError):
+            op(xa.QC(1))

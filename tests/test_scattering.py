@@ -578,3 +578,73 @@ def test_smatrix_grid_overflowing_row_fails_alone():
     assert low["error"].startswith("NumericalError: solution overflows")
     _assert_same_row(low, _ref_row(pot, bc, 1.0, None))
     _assert_same_row(high, _ref_row(pot, bc, 50.0, None))
+
+
+def _step_calls(monkeypatch, fn):
+    """solver._step calls made by fn(): [walk steps (one h), quadrature
+    steps (one h per Gauss node of a level)]."""
+    from halfline import solver
+
+    counts = [0, 0]
+    step = solver._step
+
+    def counted(eig, k, h, value, deriv):
+        counts[np.ndim(h)] += 1
+        return step(eig, k, h, value, deriv)
+
+    monkeypatch.setattr(solver, "_step", counted)
+    fn()
+    monkeypatch.setattr(solver, "_step", step)
+    return counts
+
+
+def test_step_counts_grow_linearly_with_pieces(rng, monkeypatch):
+    # Each k-stack crosses the support once, so walk steps double with the
+    # pieces.  Quadrature steps are one per level per piece; the levels a
+    # piece needs grow with the size of phi(0, .) out there, so their total
+    # is bounded by the level cap instead of a ratio.
+    from halfline.config import JobConfig
+    from halfline.verify import run_property_checks
+
+    counts = {}
+    for pieces in (20, 40):
+        pot = rand_potential(rng, 2, pieces)
+        bc = rand_bc(rng, 2)
+        counts[pieces] = (
+            _step_calls(monkeypatch, lambda: run_property_checks(JobConfig(bc=bc, potential=pot))),
+            _step_calls(monkeypatch, lambda: hl.zero_energy_pipeline(pot, bc)),
+        )
+    (verify20, pipe20), (verify40, pipe40) = counts[20], counts[40]
+    assert sum(verify20) <= 1000 and sum(pipe20) <= 240
+    assert verify40[0] <= 2.05 * verify20[0] and pipe40[0] <= 2.05 * pipe20[0]
+    # quadratures: route (ii) of J(0) in verify and in the pipeline, tail moments
+    for pieces, (verify, pipe) in counts.items():
+        assert verify[1] <= 3 * 6 * pieces and pipe[1] <= 6 * pieces
+
+
+def test_jost_matrix_zero_catches_one_perturbed_leg(rng, monkeypatch):
+    # Routes (ii) and (iii) read phi(0, .) from one walk, but route (i) walks
+    # f(0, .) on its own: a wrong leg in either walk is caught.
+    from halfline import solver
+
+    pot = rand_potential(rng, 2, 20)
+    bc = rand_bc(rng, 2)
+    propagate = solver.propagate
+    calls, target = [], [None]
+
+    def mutated(pot_, k, state, x, cfg=solver.DEFAULT_CONFIG):
+        out = propagate(pot_, k, state, x, cfg)
+        calls.append((state.x, x))
+        if len(calls) == target[0]:
+            out = solver.StateMatrix(out.x, out.value, out.deriv * (1 + 1e-6))
+        return out
+
+    monkeypatch.setattr(solver, "propagate", mutated)
+    hl.jost_matrix_zero(pot, bc)
+    legs = [i for i, (x0, x1) in enumerate(calls) if x0 != x1]
+    assert sum(x1 < x0 for x0, x1 in calls) == 1  # route (i)
+    for i in legs[::4] + legs[-1:]:
+        calls.clear()
+        target[0] = i + 1
+        with pytest.raises(NumericalError, match="zero-energy Jost cross-check"):
+            hl.jost_matrix_zero(pot, bc)

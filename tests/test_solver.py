@@ -399,7 +399,7 @@ def test_quadrature_nodes_equal_walked_solutions(rng, monkeypatch, n, pieces):
         nodes.clear()
         values.clear()
         monkeypatch.setattr(solver, "_step", spy)
-        solver._integrate_weighted(pot, a, weight, edge, hl.SolverConfig())
+        solver._integrate_weighted(pot, a, (weight,), edge, hl.SolverConfig())
         monkeypatch.setattr(solver, "_step", step)
         assert len(nodes) == len(values) >= len(pot.pieces)
         ys = np.concatenate(nodes)
@@ -407,3 +407,38 @@ def test_quadrature_nodes_equal_walked_solutions(rng, monkeypatch, n, pieces):
         assert ys.min() >= a
         for y, v in list(zip(ys, psi))[::7]:
             assert np.array_equal(walk(float(y)).value, v)
+
+
+@pytest.mark.parametrize("method", ["analytic", "rk45"])
+@pytest.mark.parametrize("k", [0.0, 0.7, np.array([0.0, 0.7, 2.0 + 0.5j])],
+                         ids=["k0", "k", "stack"])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_walk_states_equal_direct_propagation(rng, method, k, direction):
+    # Every state of one walk, at each interface and at a point a inside a
+    # piece, is the state a direct propagation from the start gives.
+    pot = rand_potential(rng, 2, 2 if method == "rk45" else 20, scale=0.3)
+    bc = rand_bc(rng, 2)
+    cfg = hl.SolverConfig(method=method)
+    lo, hi, _ = pot.pieces[len(pot.pieces) // 2]
+    a = lo + 0.3 * (hi - lo)
+    if direction == "forward":
+        start, x_end = hl.StateMatrix(0.0, bc.A, bc.B), pot.x_max
+    else:
+        start, x_end = hl.jost_solution(pot, k, pot.x_max, cfg), 0.0
+    states = solver.walk(pot, k, start, x_end, cfg, a)
+    interfaces = {b for p in pot.pieces for b in p[:2]}
+    assert set(states) == interfaces | {0.0, a}
+    for x, state in states.items():
+        ref = hl.propagate(pot, k, start, x, cfg)
+        assert state.x == x
+        assert np.array_equal(state.value, ref.value)
+        assert np.array_equal(state.deriv, ref.deriv)
+
+
+def test_walk_keeps_a_outside_the_walk_out(rng):
+    pot = rand_potential(rng, 1, 3)
+    start = hl.StateMatrix(0.0, np.eye(1), np.zeros((1, 1)))
+    lo, hi, _ = pot.pieces[1]
+    states = solver.walk(pot, 0.3, start, lo, a=0.5 * (lo + hi))
+    assert max(states) == lo
+    assert set(states) == {0.0, lo, pot.pieces[0][0], pot.pieces[0][1]}
