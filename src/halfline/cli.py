@@ -16,13 +16,18 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 (:func:`halfline.scattering.smatrix_grid`) and emits rows in k order; the
 HALFLINE_NUM_THREADS environment variable of earlier versions is ignored.
 CSV floats use fixed 17-digit scientific notation so runs are
-byte-reproducible.
+byte-reproducible.  ``sweep --format json`` writes byte for byte what
+``json.dumps({"rows": [...]}, indent=2)`` writes for its rows, except that a
+``det_J_abs`` that overflows a float (|det J| beyond 1.8e308, where S(k) is
+still fine) is written as null rather than the non-standard Infinity; CSV
+writes it as inf.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -51,10 +56,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_MISMATCH = 4
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17e}"
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -137,40 +138,80 @@ def cmd_bc(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
+def _row_values(row) -> list:
+    """k, then Re/Im of S in row-major order, then the two diagnostics."""
+    S = np.ascontiguousarray(row["S"], dtype=complex)
+    return [row["k"], *S.view(float).ravel().tolist(),
+            row["unitarity_residual"], row["det_J_abs"]]
+
+
 def _sweep_csv(rows, n: int) -> str:
     header = ["k"]
     for i in range(n):
         for j in range(n):
             header += [f"ReS_{i}{j}", f"ImS_{i}{j}"]
     header += ["unitarity_residual", "det_J_abs"]
+    line = ",".join(["%.17e"] * len(header))
+    error_line = "%.17e" + ",nan" * (len(header) - 1)
     lines = [",".join(header)]
     for row in rows:
         if "error" in row:
-            vals = [_fmt(row["k"])] + ["nan"] * (2 * n * n + 2)
+            lines.append(error_line % row["k"])
         else:
-            vals = [_fmt(row["k"])]
-            for i in range(n):
-                for j in range(n):
-                    z = row["S"][i, j]
-                    vals += [_fmt(z.real), _fmt(z.imag)]
-            vals += [_fmt(row["unitarity_residual"]), _fmt(row["det_J_abs"])]
-        lines.append(",".join(vals))
+            lines.append(line % tuple(_row_values(row)))
     return "\n".join(lines) + "\n"
 
 
+_ROWS_HEAD, _ROWS_SEP, _ROWS_TAIL = '{\n  "rows": [\n    ', ",\n    ", "\n  ]\n}"
+
+
+def _row_template(row: dict) -> str:
+    """The indent=2 text of ``row`` as an entry of the rows list, with a
+    ``%s`` in place of each value; every value of ``row`` is 0.0 or ""."""
+    text = json.dumps({"rows": [row]}, indent=2)
+    return text[len(_ROWS_HEAD):-len(_ROWS_TAIL)].replace("0.0", "%s").replace('""', "%s")
+
+
+_ERROR_ROW = _row_template({"k": 0.0, "error": ""})
+
+
 def _sweep_json(rows) -> str:
-    out = []
+    """``json.dumps({"rows": [...]}, indent=2)`` of the rows, byte for byte,
+    with null for a det_J_abs that is not finite.
+
+    ``indent`` needs the pure-Python encoder, which at n = 8 costs as much
+    as evaluating S(k).  So the floats are spelled by one call of the C
+    encoder (``float.__repr__``, NaN, Infinity, as with ``indent``) and set
+    into one template per matrix size; strings still go through json.dumps.
+    """
+    if not rows:
+        return json.dumps({"rows": []}, indent=2)
+    flat = []
     for row in rows:
         if "error" in row:
-            out.append({"k": row["k"], "error": row["error"]})
+            flat.append(row["k"])
         else:
-            out.append({
-                "k": row["k"],
-                "S": complex_matrix_to_json(row["S"]),
-                "unitarity_residual": row["unitarity_residual"],
-                "det_J_abs": row["det_J_abs"],
-            })
-    return json.dumps({"rows": out}, indent=2)
+            vals = _row_values(row)
+            if not math.isfinite(vals[-1]):
+                vals[-1] = None
+            flat += vals
+    spelled = json.dumps(flat)[1:-1].split(", ")
+    templates = {}
+    out, i = [], 0
+    for row in rows:
+        if "error" in row:
+            out.append(_ERROR_ROW % (spelled[i], json.dumps(row["error"])))
+            i += 1
+            continue
+        n = len(row["S"])
+        if n not in templates:
+            zero = [[[0.0, 0.0]] * n] * n
+            templates[n] = _row_template(
+                {"k": 0.0, "S": zero, "unitarity_residual": 0.0, "det_J_abs": 0.0})
+        m = 2 * n * n + 3
+        out.append(templates[n] % tuple(spelled[i:i + m]))
+        i += m
+    return _ROWS_HEAD + _ROWS_SEP.join(out) + _ROWS_TAIL
 
 
 def cmd_sweep(args) -> int:

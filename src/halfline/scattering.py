@@ -269,7 +269,9 @@ def _smatrix_stack(pot, bc, ks: List[float], a, cfg) -> list:
     ok = [i for i, e in enumerate(out) if e is None]
     S = np.linalg.solve(Jp[ok].swapaxes(-1, -2), -Jm[ok].swapaxes(-1, -2)).swapaxes(-1, -2)
     resid = _norm2(S.conj().swapaxes(-1, -2) @ S - np.eye(bc.n))
-    for i, Sk, r, d in zip(ok, S, resid, np.linalg.det(Jp[ok])):
+    with np.errstate(over="ignore"):  # |det J| may overflow where S(k) is fine
+        det = np.linalg.det(Jp[ok])
+    for i, Sk, r, d in zip(ok, S, resid, det):
         out[i] = {"k": ks[i], "S": Sk, "unitarity_residual": float(r), "det_J_abs": float(abs(d))}
     return out
 
@@ -291,9 +293,10 @@ def smatrix_grid(
 ) -> List[dict]:
     """S(k) on a grid of real k != 0: one row per k, in grid order.
 
-    A row is ``{"k", "S", "unitarity_residual", "det_J_abs"}`` (|det J(k)|),
-    or ``{"k", "error"}`` with the "<ExcName>: <message>" that
-    :func:`smatrix` raises at that k.  The evaluator behind both walks +k
+    A row is ``{"k", "S", "unitarity_residual", "det_J_abs"}`` (|det J(k)|,
+    ``inf`` where it overflows a float although S(k) is fine), or
+    ``{"k", "error"}`` with the "<ExcName>: <message>" that :func:`smatrix`
+    raises at that k.  The evaluator behind both walks +k
     and -k of the whole grid as one stack, or each k alone when that walk
     overflows, so only the overflowing rows fail.
     """

@@ -44,6 +44,8 @@ instead of walking from the origin or the support edge once per piece.
 from __future__ import annotations
 
 import functools
+import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -120,12 +122,23 @@ class Potential:
             w, Q = np.linalg.eigh(V)
             eigs.append((w, Q, Q.conj().T))
         object.__setattr__(self, "_eigs", tuple(eigs))
+        # Piece lookup by bisection: the sorted distinct piece edges, and the
+        # running maximum of the piece ends (nondecreasing even where pieces
+        # overlap by less than the 1e-15 the check above lets through).
+        edges = sorted({b for lo, hi, _ in cleaned for b in (lo, hi)})
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_reach", list(itertools.accumulate(
+            (hi for _, hi, _ in cleaned), max)))
 
     def piece_at(self, x: float) -> Optional[int]:
-        """Index of the piece containing x, or None on free territory."""
-        for i, (lo, hi, _) in enumerate(self.pieces):
-            if lo <= x < hi:
-                return i
+        """Index of the piece containing x, or None on free territory.
+
+        Where pieces overlap, the first one in ``pieces`` that contains x.
+        """
+        # The first piece ending beyond x; later pieces start no earlier.
+        i = bisect_right(self._reach, x)
+        if i < len(self.pieces) and self.pieces[i][0] <= x:
+            return i
         return None
 
     def value_at(self, x: float) -> np.ndarray:
@@ -304,12 +317,12 @@ def _rk45_segment(V, k, x0, x1, value, deriv, cfg: SolverConfig):
 def _breakpoints(pot: Potential, x0: float, x1: float):
     """Segment boundaries between x0 and x1 (either direction), including
     every piece interface strictly inside."""
-    cuts = {x0, x1}
-    for lo, hi, _ in pot.pieces:
-        for b in (lo, hi):
-            if min(x0, x1) < b < max(x0, x1):
-                cuts.add(b)
-    return sorted(cuts, reverse=bool(x1 < x0))
+    lo, hi = min(x0, x1), max(x0, x1)
+    if lo == hi:
+        return [x0]
+    edges = pot._edges
+    cuts = [lo, *edges[bisect_right(edges, lo):bisect_left(edges, hi)], hi]
+    return cuts[::-1] if x1 < x0 else cuts
 
 
 def propagate(

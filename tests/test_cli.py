@@ -2,11 +2,13 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 import halfline.cli as cli
+from halfline.bc import complex_matrix_to_json
 from halfline.config import parse_config
 from halfline.errors import NumericalError, ValidationError
 
@@ -226,6 +228,136 @@ def test_sweep_writes_config_sinks(tmp_path):
     assert sink_csv.exists()
     rows = json.loads(sink_json.read_text())["rows"]
     assert len(rows) == 4 and rows[0]["unitarity_residual"] < 1e-7
+
+
+# The writers the template writers replaced: dicts encoded by the
+# pure-Python indent=2 encoder, and one f-string per CSV cell.
+
+def _reference_sweep_json(rows):
+    out = []
+    for row in rows:
+        if "error" in row:
+            out.append({"k": row["k"], "error": row["error"]})
+        else:
+            out.append({
+                "k": row["k"],
+                "S": complex_matrix_to_json(row["S"]),
+                "unitarity_residual": row["unitarity_residual"],
+                "det_J_abs": row["det_J_abs"],
+            })
+    return json.dumps({"rows": out}, indent=2)
+
+
+def _reference_sweep_csv(rows, n):
+    def fmt(x):
+        return f"{x:.17e}"
+
+    header = ["k"]
+    for i in range(n):
+        for j in range(n):
+            header += [f"ReS_{i}{j}", f"ImS_{i}{j}"]
+    header += ["unitarity_residual", "det_J_abs"]
+    lines = [",".join(header)]
+    for row in rows:
+        if "error" in row:
+            vals = [fmt(row["k"])] + ["nan"] * (2 * n * n + 2)
+        else:
+            vals = [fmt(row["k"])]
+            for i in range(n):
+                for j in range(n):
+                    z = row["S"][i, j]
+                    vals += [fmt(z.real), fmt(z.imag)]
+            vals += [fmt(row["unitarity_residual"]), fmt(row["det_J_abs"])]
+        lines.append(",".join(vals))
+    return "\n".join(lines) + "\n"
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def _rows(rng, n, count=5):
+    rows = []
+    for i in range(count):
+        S = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rows.append({"k": 0.05 + 1.3 * i, "S": S.T,  # a non-contiguous S
+                     "unitarity_residual": abs(rng.normal()) * 1e-15,
+                     "det_J_abs": abs(rng.normal()) * 10.0 ** rng.integers(-300, 300)})
+    return rows
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1]
+ERRORS = ['NumericalError: cond(J) = 1e+17 > "cap"', "ValidationError: k = 0 → ∞ é \\ %s\n",
+          "NumericalError: 100% of the steps"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_sweep_writers_equal_reference_writers(rng, n):
+    rows = _rows(rng, n)
+    special = rows[1]["S"].copy()
+    special.real.flat[:len(SPECIAL)] = SPECIAL[:n * n]
+    special.imag.flat[:len(SPECIAL)] = SPECIAL[::-1][:n * n]
+    rows[1] = dict(rows[1], k=-0.0, S=special, unitarity_residual=np.nan)
+    rows[2] = dict(rows[2], k=np.inf, unitarity_residual=-np.inf)
+    rows[3] = {"k": 7.25, "error": ERRORS[n % 3]}
+    rows.append({"k": 9.0, "error": ERRORS[(n + 1) % 3]})
+    cases = [rows, rows[3:4], rows[:1], [], [rows[3], rows[0], rows[4]]]
+    for case in cases:
+        assert cli._sweep_json(case) == _reference_sweep_json(case)
+        assert cli._sweep_csv(case, n) == _reference_sweep_csv(case, n)
+
+
+def test_sweep_json_writes_null_for_non_finite_det(rng):
+    rows = _rows(rng, 2, 4)
+    rows[0]["det_J_abs"] = np.inf
+    rows[2]["det_J_abs"] = np.nan
+    expect = _reference_sweep_json([dict(r, det_J_abs=None) if i in (0, 2) else r
+                                    for i, r in enumerate(rows)])
+    text = cli._sweep_json(rows)
+    assert text == expect
+    json.loads(text, parse_constant=_reject_constant)
+    assert cli._sweep_csv(rows, 2) == _reference_sweep_csv(rows, 2)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_output_equals_reference_writers(tmp_path, capsys, fmt):
+    import halfline as hl
+
+    path = write_cfg(tmp_path, WELL_CFG)
+    assert cli.main(["sweep", "--config", path, "--format", fmt]) == 0
+    cfg = parse_config(json.dumps(WELL_CFG).encode())
+    rows = hl.smatrix_grid(cfg.potential, cfg.bc, cfg.kvalues(),
+                           cfg.solver.resolve_a(cfg.potential), cfg.solver)
+    expect = (_reference_sweep_json(rows) + "\n" if fmt == "json"
+              else _reference_sweep_csv(rows, 1))
+    assert capsys.readouterr().out == expect
+
+
+def test_sweep_with_overflowing_det_is_strict_json(tmp_path, capsys):
+    # |det J| of eight channels through V = 400 on [0, 5] is about e^800:
+    # it overflows a float while S(k) itself is fine.
+    import halfline as hl
+
+    n = 8
+    eye = [[[float(i == j), 0.0] for j in range(n)] for i in range(n)]
+    zero = [[[0.0, 0.0]] * n for _ in range(n)]
+    well = [[[400.0 * (i == j), 0.0] for j in range(n)] for i in range(n)]
+    data = {"bc": {"n": n, "A": eye, "B": zero},
+            "potential": {"n": n, "pieces": [{"x_lo": 0.0, "x_hi": 5.0, "V": well}]},
+            "kgrid": [1.0, 2.0, 2]}
+    path = write_cfg(tmp_path, data)
+    assert cli.main(["sweep", "--config", path, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["rows"]
+    assert [r["det_J_abs"] for r in rows] == [None, None]
+    assert all(r["unitarity_residual"] < 1e-10 for r in rows)
+    assert cli.main(["sweep", "--config", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["inf", "inf"]
+    cfg = parse_config(json.dumps(data).encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = hl.smatrix(cfg.potential, cfg.bc, 1.0)
+    assert np.isfinite(ev.S).all()
 
 
 def test_s0_report_schema(tmp_path, capsys):

@@ -442,3 +442,52 @@ def test_walk_keeps_a_outside_the_walk_out(rng):
     states = solver.walk(pot, 0.3, start, lo, a=0.5 * (lo + hi))
     assert max(states) == lo
     assert set(states) == {0.0, lo, pot.pieces[0][0], pot.pieces[0][1]}
+
+
+def _piece_at_scan(pot, x):
+    """The linear scan that ``Potential.piece_at`` replaced: first match."""
+    for i, (lo, hi, _) in enumerate(pot.pieces):
+        if lo <= x < hi:
+            return i
+    return None
+
+
+def _breakpoints_scan(pot, x0, x1):
+    """The linear scan that ``solver._breakpoints`` replaced."""
+    cuts = {x0, x1}
+    for lo, hi, _ in pot.pieces:
+        for b in (lo, hi):
+            if min(x0, x1) < b < max(x0, x1):
+                cuts.add(b)
+    return sorted(cuts, reverse=bool(x1 < x0))
+
+
+def _overlapping_potential():
+    # Overlaps shorter than 1e-15 pass the constructor; the first piece of
+    # an overlap wins, also over a later one nested in it.
+    u = 2.0 ** -53
+    return hl.Potential(n=1, pieces=(
+        (0.0, 1.0, np.eye(1)), (1.0 - 4 * u, 1.0 - 2 * u, 2 * np.eye(1)),
+        (1.0 - u, 2.0, 3 * np.eye(1)), (3.0, 3.5, np.eye(1)), (3.5, 4.0, np.eye(1)),
+    ))
+
+
+@pytest.mark.parametrize("case", ["touching", "gaps", "overlaps"])
+def test_piece_lookup_equals_linear_scan(rng, case):
+    if case == "overlaps":
+        pot = _overlapping_potential()
+        assert pot.piece_at(1.0 - 3 * 2.0 ** -53) == 0
+    else:
+        pot = rand_potential(rng, 2, 20, gap=0.0 if case == "touching" else 0.2)
+    edges = sorted({b for lo, hi, _ in pot.pieces for b in (lo, hi)})
+    mids = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
+    xs = [0.0, *edges, *mids, pot.x_max + 1.0, *rng.uniform(0.0, pot.x_max, 20)]
+    for x in xs:
+        assert pot.piece_at(x) == _piece_at_scan(pot, x)
+    for x0 in xs:
+        for x1 in xs:
+            assert solver._breakpoints(pot, x0, x1) == _breakpoints_scan(pot, x0, x1)
+    free = hl.free_potential(2)
+    assert free.piece_at(0.0) is None
+    assert solver._breakpoints(free, 0.0, 1.0) == [0.0, 1.0]
+    assert solver._breakpoints(free, 1.0, 1.0) == [1.0]
