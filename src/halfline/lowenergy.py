@@ -56,8 +56,8 @@ from .scattering import (
     COND_CAP,
     SMatrixEvaluation,
     _first_error,
-    _phi_zero_walk,
     _smatrix_stack,
+    _Walks,
     jost_matrix,
     jost_matrix_zero,
 )
@@ -674,17 +674,30 @@ def zero_energy_pipeline(
     cfg: SolverConfig = DEFAULT_CONFIG,
     probes: Sequence[float] = DEFAULT_PROBES,
     jordan_override: Optional[JordanData] = None,
+    walks: Optional[_Walks] = None,
+    J0: Optional[np.ndarray] = None,
 ) -> LowEnergyResult:
     """Run the full zero-energy construction and collect diagnostics.
 
     ``jordan_override`` substitutes a caller-provided Jordan decomposition
     of J(0) (used to exercise basis independence).  Exact mode requires the
     zero potential and exactly-representable boundary matrices.
+
+    In numeric mode every solution is read from ``walks``
+    (``scattering._Walks``).  By default f(kappa, .) for kappa in
+    {0, probes, -probes} is walked once down from the support edge (route
+    (i) of J(0), f(0, a) of R and the probes' f(-k, .)), and phi(k, .) for
+    the same k once from 0 to max(a, x_max) (routes (ii) and (iii),
+    phi(0, a) of R and the probes' phi(k, a)).  A caller that holds such
+    walks, and J(0) computed from them, passes both (``verify`` does).
     """
     if pot.n != bc.n:
         raise ValidationError("potential and boundary pair sizes differ")
     if a is None:
         a = cfg.resolve_a(pot)
+    if walks is None and mode != "exact":
+        ks = [0.0, *(float(kp) for kp in probes), *(-float(kp) for kp in probes)]
+        walks = _Walks(pot, bc, cfg, ks, ks, max(a, pot.x_max), (a,))
 
     n = bc.n
     exact_blocks = None
@@ -700,17 +713,18 @@ def zero_energy_pipeline(
             for name in ("P1", "P2", "R", "A1", "B1", "C1", "D0", "S0")
         )
     else:
-        phi = _phi_zero_walk(pot, bc, max(a, pot.x_max), cfg, a)
-        J0 = jost_matrix_zero(pot, bc, cfg, phi=phi)
+        phi = walks.phi_zero_walk(max(a, pot.x_max), a)
+        if J0 is None:
+            J0 = jost_matrix_zero(pot, bc, cfg, phi=phi, f0=walks.f(0.0, 0.0))
         jd = jordan_override if jordan_override is not None else jordan_form(J0, "numeric")
         P1, P2 = build_permutations(jd)
-        R = _r_matrix(jost_solution(pot, 0.0, a, cfg), phi[a])
+        R = _r_matrix(walks.f(0.0, a), phi[a])
         A1, B1, C1, D0, S0 = _assemble(jd.Smat, jd.Sinv, jd.chains, R,
                                        _perm_gathers(jd.chains, n), np.eye(n), _checked_inverse)
 
     inv_resid = float(np.linalg.norm(S0 @ S0 - np.eye(n), 2))
     uni_resid = float(np.linalg.norm(S0.conj().T @ S0 - np.eye(n), 2))
-    rows = _first_error(_smatrix_stack(pot, bc, [float(kp) for kp in probes], a, cfg))
+    rows = _first_error(_smatrix_stack(pot, bc, [float(kp) for kp in probes], a, cfg, walks))
     probe_list = [(row["k"], float(np.linalg.norm(row["S"] - S0, 2))) for row in rows]
     expansion = LowEnergyExpansion(P1=P1, P2=P2, R=R, A1=A1, B1=B1, C1=C1, D0=D0, S0=S0)
     s0_eval = SMatrixEvaluation(k=0.0, S=S0, unitarity_residual=uni_resid)
@@ -825,12 +839,13 @@ def kernel_bijection(
         raise ValidationError("kernel vector has wrong length")
     if a is None:
         a = cfg.resolve_a(pot)
-    phi = _phi_zero_walk(pot, bc, max(a, pot.x_max), cfg, a)
-    J0 = jost_matrix_zero(pot, bc, cfg, phi=phi)
+    walks = _Walks(pot, bc, cfg, [0.0], [0.0], max(a, pot.x_max), (a,))
+    phi = walks.phi_zero_walk(max(a, pot.x_max), a)
+    J0 = jost_matrix_zero(pot, bc, cfg, phi=phi, f0=walks.f(0.0, 0.0))
     nu = float(np.linalg.norm(u))
     if nu > 0 and np.linalg.norm(J0 @ u) > tol * max(1.0, np.linalg.norm(J0, 2)) * nu:
         raise ValidationError("u is not in the kernel of the zero-energy Jost matrix")
-    R = _r_matrix(jost_solution(pot, 0.0, a, cfg), phi[a])
+    R = _r_matrix(walks.f(0.0, a), phi[a])
     return R @ u
 
 

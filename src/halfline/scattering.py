@@ -17,6 +17,13 @@ the regime handled by :mod:`halfline.lowenergy`.
 Both are evaluated once, over a stack of k, for :func:`jost_matrix`,
 :func:`smatrix`, :func:`smatrix_grid`, the S(0) continuity probes of
 :mod:`halfline.lowenergy` and the fixed-k checks of :mod:`halfline.verify`.
+The grid propagates f(-k, .) and phi(k, .) directly.  The zero-energy
+pipeline and ``verify`` instead read every solution they need, at any k
+and any interface, from ``_Walks``: one backward walk of f(kappa, .) from
+the support edge and one forward walk of phi(k, .) from 0, each over the
+union of their k as one stack.  A walk that overflows is dropped, and each
+reader then propagates on its own, so it fails exactly where it fails
+alone.
 
 Supporting quantities computed here:
 
@@ -131,17 +138,101 @@ class _JostStack(NamedTuple):
     F0: StateMatrix                         # f(-k*, 0)
 
 
-def _jost_stack(pot, bc, ks, a, cfg) -> _JostStack:
+class _Walks:
+    """f(kappa, .) and phi(k, .) read from one backward and one forward walk.
+
+    The backward walk carries f(kappa, .) for a stack of kappa from the
+    support edge down to 0, the forward walk phi(k, .) for a stack of k from
+    0 to x_end; each keeps the state at every interface and at the side
+    points inside it (:func:`halfline.solver.walk`).  A read gives what
+    :func:`jost_solution`, :func:`regular_solution` or a walk from the same
+    start gives, bit for bit: a slice of a walk that holds its k (matched
+    bit for bit, so -0.0 is not 0.0) and its point, or else a propagation of
+    its own.  A walk that overflows is not kept, so the reads it would have
+    served propagate on their own and fail where they fail alone.
+    ``_Walks(pot, bc, cfg)`` holds no walk: every read propagates.
+    """
+
+    def __init__(self, pot, bc, cfg, kappas=(), ks=(), x_end=0.0, sides=()):
+        self.pot, self.bc, self.cfg = pot, bc, cfg
+        self._f = self._walk(kappas, lambda k: jost_solution(pot, k, pot.x_max, cfg), 0.0, sides)
+        if bc is not None and bc.n == pot.n:  # else phi reads raise as they do alone
+            self._phi = self._walk(ks, lambda k: StateMatrix(0.0, bc.A, bc.B), x_end, sides)
+        else:
+            self._phi = None
+
+    def _walk(self, ks, start, x_end, sides):
+        ks = list({k.tobytes(): k for k in np.asarray(ks, dtype=complex).reshape(-1)}.values())
+        if not ks:
+            return None
+        ks = np.array(ks)
+        try:
+            states = walk(self.pot, ks, start(ks), x_end, self.cfg, sides)
+        except NumericalError:
+            return None
+        return {k.tobytes(): i for i, k in enumerate(ks)}, states
+
+    @staticmethod
+    def _rows(held, k, points):
+        """Stack rows of k (a scalar or 1-D) in a held walk that reaches
+        every point, else None."""
+        if held is None:
+            return None
+        index, states = held
+        k = np.asarray(k, dtype=complex)
+        rows = [index.get(v.tobytes()) for v in k.reshape(-1)]
+        if None in rows or any(x not in states for x in points):
+            return None
+        return rows if k.ndim else rows[0]
+
+    @classmethod
+    def _read(cls, held, k, x):
+        rows = cls._rows(held, k, [x])
+        if rows is None:
+            return None
+        s = held[1][x]
+        return StateMatrix(s.x, s.value[rows], s.deriv[rows])
+
+    @classmethod
+    def _read_walk(cls, held, k, points):
+        """All states of one k of a held walk that reaches every point, else None."""
+        row = cls._rows(held, k, points)
+        if row is None:
+            return None
+        return {x: StateMatrix(x, s.value[row], s.deriv[row]) for x, s in held[1].items()}
+
+    def f(self, kappa, x) -> StateMatrix:
+        """f(kappa, x), as :func:`jost_solution` gives it."""
+        return self._read(self._f, kappa, x) or jost_solution(self.pot, kappa, x, self.cfg)
+
+    def phi(self, k, x) -> StateMatrix:
+        """phi(k, x), as :func:`regular_solution` gives it."""
+        return (self._read(self._phi, k, x)
+                or regular_solution(self.pot, self.bc, k, x, self.cfg))
+
+    def f_walk(self, kappa, x_end) -> Optional[Dict[float, StateMatrix]]:
+        """The held walk of f(kappa, .) if it reaches x_end, else None."""
+        return self._read_walk(self._f, kappa, [x_end])
+
+    def phi_zero_walk(self, x_end, a=None) -> Dict[float, StateMatrix]:
+        """phi(0, .) at every interface from 0 to x_end >= x_max, and at a:
+        the held walk if it reaches both, else a walk of its own."""
+        return (self._read_walk(self._phi, 0.0, [x_end] if a is None else [x_end, a])
+                or _phi_zero_walk(self.pot, self.bc, x_end, self.cfg, a))
+
+
+def _jost_stack(pot, bc, ks, a, cfg, walks: Optional[_Walks] = None) -> _JostStack:
     """J(k) for a 1-D sequence of k with Im k >= 0, with its x = 0 reading
     and the state f(-k*, 0) that reading comes from.
 
-    f(-k*, .) is walked from the support edge to a and to 0, phi(k, .) from
-    0 to a, each as one stack; a walk that fails raises for the whole stack.
+    f(-k*, .) at a and at 0 and phi(k, .) at a are read from ``walks``, or
+    each walked as one stack; a walk that fails raises for the whole stack.
     """
+    walks = walks or _Walks(pot, bc, cfg)
     ks = np.asarray(ks, dtype=complex)
     km = -ks.conj()
-    F, F0 = jost_solution(pot, km, a, cfg), jost_solution(pot, km, 0.0, cfg)
-    J = wronskian(F, regular_solution(pot, bc, ks, a, cfg))
+    F, F0 = walks.f(km, a), walks.f(km, 0.0)
+    J = wronskian(F, walks.phi(ks, a))
     J0 = F0.value.conj().swapaxes(-1, -2) @ bc.B - F0.deriv.conj().swapaxes(-1, -2) @ bc.A
     diff = _norm2(J - J0)
     bad = diff > CROSSCHECK_TOL * np.maximum(_norm2(J), 1.0)
@@ -166,6 +257,7 @@ def jost_matrix_zero(
     cfg: SolverConfig = DEFAULT_CONFIG,
     tol: float = CROSSCHECK_TOL,
     phi: Optional[Dict[float, StateMatrix]] = None,
+    f0: Optional[StateMatrix] = None,
 ) -> np.ndarray:
     """J(0) computed three redundant ways, required to agree.
 
@@ -174,13 +266,15 @@ def jost_matrix_zero(
     phi(0, .) in the zero-energy fundamental system.  Routes (ii) and (iii)
     read phi(0, .) from one walk across the support: ``phi``, a
     :func:`halfline.solver.walk` of it from 0 to x_max or beyond that the
-    caller also reads, or else a walk made here.  Route (i) walks f(0, .)
-    on its own, so a wrong leg in either walk shows.
+    caller also reads, or else a walk made here.  Route (i) reads f(0, 0)
+    from a walk of f(0, .) down from the support edge: ``f0``, read by the
+    caller from its own walk, or else propagated here.  A wrong leg in
+    either walk shows.
     """
     _check_sizes(pot, bc)
     if phi is None:
         phi = _phi_zero_walk(pot, bc, pot.x_max, cfg)
-    F0 = jost_solution(pot, 0.0, 0.0, cfg)
+    F0 = jost_solution(pot, 0.0, 0.0, cfg) if f0 is None else f0
     J_pairing = F0.value.conj().T @ bc.B - F0.deriv.conj().T @ bc.A
 
     (moment,) = _integrate_weighted(pot, 0.0, (lambda y: 1.0,), lambda lo, hi: phi[lo], cfg)
@@ -246,20 +340,22 @@ def smatrix(
     return SMatrixEvaluation(k=k, S=row["S"], unitarity_residual=row["unitarity_residual"])
 
 
-def _smatrix_stack(pot, bc, ks: List[float], a, cfg) -> list:
+def _smatrix_stack(pot, bc, ks: List[float], a, cfg, walks: Optional[_Walks] = None) -> list:
     """S(k) for a list of real k, with J(k) and J(-k) from one stack.
 
     Per k: the row ``{"k", "S", "unitarity_residual", "det_J_abs"}`` or the
     HalflineError :func:`smatrix` raises there (k = 0, the x = 0 cross-check
-    of J(k), then of J(-k), the condition cap).  A stacked walk that
-    overflows is redone one k at a time, so only the k that overflow fail.
+    of J(k), then of J(-k), the condition cap).  The solutions are read
+    from ``walks`` where they hold them.  A stacked walk that overflows is
+    redone one k at a time, so only the k that overflow fail.
     """
     m = len(ks)
     try:
-        J, pairing, *_ = _jost_stack(pot, bc, np.concatenate([ks, np.negative(ks)]), a, cfg)
+        J, pairing, *_ = _jost_stack(pot, bc, np.concatenate([ks, np.negative(ks)]), a, cfg,
+                                     walks)
     except NumericalError as exc:
         if m > 1:
-            return [_smatrix_stack(pot, bc, [k], a, cfg)[0] for k in ks]
+            return [_smatrix_stack(pot, bc, [k], a, cfg, walks)[0] for k in ks]
         return [ValidationError(_ZERO_K) if ks[0] == 0.0 else exc]
     Jp, Jm = J[:m], J[m:]
     cond = np.linalg.cond(Jp)
@@ -326,17 +422,20 @@ def p_matrix(
     k: complex,
     a: Optional[float] = None,
     cfg: SolverConfig = DEFAULT_CONFIG,
+    walks: Optional[_Walks] = None,
 ) -> np.ndarray:
     """P(k) = f(0, a)' f'(k, a) - f'(0, a)' f(k, a); P(0) = 0 and
     P(k)/(ik) tends to the identity.
 
     ``k`` may be a 1-D array: f(0, .) and every f(k, .) are then walked to
-    a as one stack, and the result is a (K, n, n) stack.
+    a as one stack, and the result is a (K, n, n) stack.  ``walks`` holds
+    solutions a caller already walked (``verify`` passes its own).
     """
     k = np.asarray(k, dtype=complex)
     if a is None:
         a = cfg.resolve_a(pot)
-    f0, fk = _split(jost_solution(pot, np.append(0.0, k), a, cfg))
+    walks = walks or _Walks(pot, None, cfg)
+    f0, fk = _split(walks.f(np.append(0.0, k), a))
     P = wronskian(f0, fk, conjugate_first=True)
     return P if k.ndim else P[0]
 
@@ -356,22 +455,29 @@ def log_derivative(
     a: Optional[float] = None,
     mode: str = "value",
     cfg: SolverConfig = DEFAULT_CONFIG,
+    walks: Optional[_Walks] = None,
 ) -> np.ndarray:
     """f'(k, a) f(k, a)^(-1) (mode "value") or f(k, a) f'(k, a)^(-1)
-    (mode "derivative"), guarded by the condition cap."""
+    (mode "derivative"), guarded by the condition cap.
+
+    ``k`` may be a 1-D array: every f(k, .) is then walked to a as one
+    stack, the result is a (K, n, n) stack, and the first k in order whose
+    denominator is singular raises.  ``walks`` as in :func:`p_matrix`.
+    """
     if mode not in ("value", "derivative"):
         raise ValidationError(f"unknown mode {mode!r}")
-    k = complex(k)
+    k = np.asarray(k, dtype=complex)
     if a is None:
         a = cfg.resolve_a(pot)
-    f = jost_solution(pot, k, a, cfg)
+    f = (walks or _Walks(pot, None, cfg)).f(k, a)
     denom = f.value if mode == "value" else f.deriv
     numer = f.deriv if mode == "value" else f.value
-    if np.linalg.cond(denom) > COND_CAP:
-        raise NumericalError(
-            f"log-derivative denominator at k = {k:g}, a = {a:g} is singular"
-        )
-    return np.linalg.solve(denom.T, numer.T).T
+    for kj, c in zip(k.reshape(-1), np.atleast_1d(np.linalg.cond(denom))):
+        if c > COND_CAP:
+            raise NumericalError(
+                f"log-derivative denominator at k = {complex(kj):g}, a = {a:g} is singular"
+            )
+    return np.linalg.solve(denom.swapaxes(-1, -2), numer.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def scalar_jost_function(
@@ -420,6 +526,7 @@ def jost_decomposition(
     k: complex,
     a: Optional[float] = None,
     cfg: SolverConfig = DEFAULT_CONFIG,
+    walks: Optional[_Walks] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Two-term split J(k) = T1 + T2.
 
@@ -427,16 +534,18 @@ def jost_decomposition(
     contribution; T2, built from the pairing of the zero-energy-anchored
     solution with phi, equals J(0) up to quadratic corrections.  ``k`` may
     be a 1-D array; T1 and T2 are then (K, n, n) stacks from one walk of
-    phi(k, .) and one of f(0, .) together with f(-k*, .).
+    phi(k, .) and one of f(0, .) together with f(-k*, .).  ``walks`` as in
+    :func:`p_matrix`.
     """
     _check_sizes(pot, bc)
     k = np.asarray(k, dtype=complex)
     if a is None:
         a = cfg.resolve_a(pot)
-    f0, fm = _split(jost_solution(pot, np.append(0.0, -k.conj()), a, cfg))
+    walks = walks or _Walks(pot, bc, cfg)
+    f0, fm = _split(walks.f(np.append(0.0, -k.conj()), a))
     if np.linalg.cond(f0.value) > COND_CAP:
         raise NumericalError(f"f(0, {a:g}) is numerically singular; enlarge a")
-    phi = regular_solution(pot, bc, k, a, cfg)
+    phi = walks.phi(k, a)
 
     P = wronskian(f0, fm)  # P(-k*), as p_matrix gives it
     T1 = -P.conj().swapaxes(-1, -2) @ np.linalg.solve(f0.value, phi.value)

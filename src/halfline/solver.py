@@ -47,7 +47,7 @@ import functools
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -343,7 +343,7 @@ def propagate(
         raise ValidationError("x_target must be >= 0")
     k = np.asarray(k, dtype=complex)
     value, deriv = state.value, state.deriv
-    if k.ndim:  # one solution per k, also on a walk without steps
+    if k.ndim and value.shape[:-2] != k.shape:  # one solution per k, also without steps
         value, deriv = (np.broadcast_to(a, k.shape + a.shape[-2:]) for a in (value, deriv))
     pts = _breakpoints(pot, state.x, x_target)
     for lo, hi in zip(pts, pts[1:]):
@@ -367,24 +367,27 @@ def walk(
     start: StateMatrix,
     x_end: float,
     cfg: SolverConfig = DEFAULT_CONFIG,
-    a: Optional[float] = None,
+    a: Union[float, Sequence[float], None] = None,
 ) -> Dict[float, StateMatrix]:
     """States of one solution at every stop of a single walk, keyed by x.
 
     The stops are start.x, every piece interface strictly between start.x
     and x_end, and x_end.  Each leg between neighbouring stops is one
     :func:`propagate` call, so the state at a stop is bit for bit the one
-    ``propagate(pot, k, start, stop, cfg)`` returns.  A point ``a`` strictly
-    inside a leg is reached by a side leg from the stop before it; the main
-    walk is not split there, so the stops beyond ``a`` keep their bits.
+    ``propagate(pot, k, start, stop, cfg)`` returns.  A side point ``a`` (one
+    point, or a sequence of them) strictly inside a leg is reached by a side
+    leg from the stop before it; the main walk is not split there, so the
+    stops beyond it keep their bits.  Side points off the walk are ignored.
     ``k`` may be a 1-D array, as in :func:`propagate`.
     """
+    sides = () if a is None else set(np.atleast_1d(a).tolist())
     stops = _breakpoints(pot, start.x, x_end)
     state = propagate(pot, k, start, start.x, cfg)
     states = {start.x: state}
     for x0, x1 in zip(stops, stops[1:]):
-        if a is not None and min(x0, x1) < a < max(x0, x1):
-            states[a] = propagate(pot, k, state, a, cfg)
+        for side in sides:
+            if min(x0, x1) < side < max(x0, x1):
+                states[side] = propagate(pot, k, state, side, cfg)
         state = states[x1] = propagate(pot, k, state, x1, cfg)
     return states
 
@@ -539,7 +542,10 @@ def _integrate_weighted(pot: Potential, a: float, weights, edge_state, cfg: Solv
 
 
 def moment_identities_residual(
-    pot: Potential, a: float, cfg: SolverConfig = DEFAULT_CONFIG
+    pot: Potential,
+    a: float,
+    cfg: SolverConfig = DEFAULT_CONFIG,
+    f: Optional[Dict[float, StateMatrix]] = None,
 ) -> Tuple[float, float]:
     """Residuals of the two tail moments of V against the bounded solution.
 
@@ -547,9 +553,11 @@ def moment_identities_residual(
     the first moment must equal f(0, a) - a f'(0, a) - I.  Both are checked
     by independent quadrature, over the same nodes, and returned as norms.
     f(0, .) at a and at every piece edge comes from one walk down from the
-    support edge.
+    support edge: ``f``, such a walk that the caller also reads, or else a
+    walk made here.
     """
-    f = walk(pot, 0.0, jost_solution(pot, 0.0, max(a, pot.x_max), cfg), a, cfg)
+    if f is None:
+        f = walk(pot, 0.0, jost_solution(pot, 0.0, max(a, pot.x_max), cfg), a, cfg)
     f0a = f[a]
     m0, m1 = _integrate_weighted(pot, a, (lambda y: 1.0, lambda y: y),
                                  lambda lo, hi: f[hi], cfg)

@@ -4,6 +4,16 @@ Each check condenses a structural identity of the solutions into a single
 residual with a pinned tolerance.  ``run_property_checks`` executes all of
 them and returns machine-readable records; a record never raises, so one
 failing identity cannot hide the others.
+
+Every solution the checks read comes from two stacked walks across the
+support: one backward walk of f(kappa, .) from the support edge to 0 and
+one forward walk of phi(k, .) from 0 to max(x_max, 1, a), each over the
+union of the k the checks need and each keeping its state at every
+interface and at a (``scattering._Walks``).  A slice is bit for bit the
+state a check's own propagation gives, so the records do not depend on the
+sharing.  A walk that overflows is dropped, and each check then propagates
+on its own and fails or passes as it does alone.  J(0) is computed once,
+for the zero-energy cross-check and the pipeline.
 """
 
 from __future__ import annotations
@@ -15,10 +25,10 @@ import numpy as np
 
 from .config import JobConfig
 from .errors import HalflineError
-from .lowenergy import zero_energy_pipeline
-from .scattering import _first_error, _jost_stack, _l_matrix, _norm2, _phi_zero_walk, \
-    _smatrix_stack, _split, jost_matrix_zero, p_matrix, log_derivative, jost_decomposition
-from .solver import jost_solution, moment_identities_residual, wronskian
+from .lowenergy import DEFAULT_PROBES, zero_energy_pipeline
+from .scattering import _first_error, _jost_stack, _l_matrix, _norm2, _smatrix_stack, \
+    _split, _Walks, jost_decomposition, jost_matrix_zero, log_derivative, p_matrix
+from .solver import moment_identities_residual, wronskian
 
 __all__ = ["run_property_checks"]
 
@@ -40,8 +50,19 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
     pot, bc, solver = cfg.potential, cfg.bc, cfg.solver
     n = bc.n
     a = solver.resolve_a(pot)
+    x1 = max(pot.x_max, 1.0)  # the second reading point of the Wronskian check
     eye = np.eye(n)
     ks = np.array(K_GRID)
+    split_ks, wronskian_k, p_ks, h = (0.7, 2.3), 1.3, (1e-1, 1e-3), 1e-5
+    probes = [*DEFAULT_PROBES, *(-kp for kp in DEFAULT_PROBES)]
+    # Every k a check reads: J(k) pairs f(-k, .) with phi(k, .); P, the
+    # log-derivative, the outgoing pairings and J(0) read f(k, .) alone.
+    walks = _Walks(
+        pot, bc, solver,
+        kappas=[0.0, *ks, *-ks, *(-k for k in split_ks), -wronskian_k, *p_ks, h, -h, *probes],
+        ks=[0.0, *ks, *-ks, *split_ks, wronskian_k, *probes],
+        x_end=max(x1, a), sides=(x1, a),
+    )
     checks: List[dict] = []
 
     def guarded(name, fn):
@@ -55,13 +76,13 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
 
     def wronskian_constancy():
         # [f(-k, .); phi(k, .)] at 0 and at x1: the two readings of J(k)
-        st = _jost_stack(pot, bc, [1.3], max(pot.x_max, 1.0), solver)
+        st = _jost_stack(pot, bc, [wronskian_k], x1, solver, walks)
         return _record("wronskian_constancy", np.linalg.norm(st.J0[0] - st.J[0], 2), 1e-8)
 
-    @functools.cache  # a failed walk is redone, so each check records its own failure
+    @functools.cache  # a failed read is redone, so each check records its own failure
     def outgoing():
-        """f(k, 0) and f(-k, 0) for k in K_GRID, one walk for both pairing checks."""
-        return _split(jost_solution(pot, np.concatenate([ks, -ks]), 0.0, solver), len(ks))
+        """f(k, 0) and f(-k, 0) for k in K_GRID, one read for both pairing checks."""
+        return _split(walks.f(np.concatenate([ks, -ks]), 0.0), len(ks))
 
     def outgoing_self_pairing():
         f, _ = outgoing()
@@ -74,7 +95,7 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
 
     def jl_constancy():
         worst = 0.0
-        Js, errors, _, F0 = _jost_stack(pot, bc, K_GRID, a, solver)
+        Js, errors, _, F0 = _jost_stack(pot, bc, K_GRID, a, solver, walks)
         _first_error(errors)
         for k, J, L in zip(K_GRID, Js, _l_matrix(bc, F0)):  # F0 = f(-k, 0)
             worst = max(
@@ -85,13 +106,13 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
 
     def tail_moments():
         # anchor below the support so the quadrature actually exercises V
-        r1, r2 = moment_identities_residual(pot, 0.0, solver)
+        r1, r2 = moment_identities_residual(pot, 0.0, solver, walks.f_walk(0.0, 0.0))
         return [_record("tail_moment_zeroth", r1, 1e-6),
                 _record("tail_moment_first", r2, 1e-6)]
 
     def p_ratio_decay():
         a_p = 0.0 if pot.x_max > 0 else a
-        P_hi, P_lo = p_matrix(pot, [1e-1, 1e-3], a_p, solver)
+        P_hi, P_lo = p_matrix(pot, p_ks, a_p, solver, walks)
         r_hi = np.linalg.norm(P_hi / 1e-1j - eye, 2)
         r_lo = np.linalg.norm(P_lo / 1e-3j - eye, 2)
         if r_hi < 1e-12:
@@ -99,29 +120,32 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
         return _record("p_ratio_decay", r_lo / r_hi, 0.2)
 
     def logderiv_slope():
-        h = 1e-5
-        slope = (log_derivative(pot, h, a, "value", solver)
-                 - log_derivative(pot, -h, a, "value", solver)) / (2 * h)
-        f0 = jost_solution(pot, 0.0, a, solver)
-        f0inv = np.linalg.inv(f0.value)
+        ld_plus, ld_minus = log_derivative(pot, [h, -h], a, "value", solver, walks)
+        slope = (ld_plus - ld_minus) / (2 * h)
+        f0inv = np.linalg.inv(walks.f(0.0, a).value)
         expect = 1j * f0inv.conj().T @ f0inv
         rel = np.linalg.norm(slope - expect, 2) / max(np.linalg.norm(expect, 2), 1e-300)
         return _record("logderiv_slope", rel, 1e-4)
 
     def jost_split():
         worst = 0.0
-        split_ks = (0.7, 2.3)
-        Js, errors, *_ = _jost_stack(pot, bc, split_ks, a, solver)
-        for J, err, T1, T2 in zip(Js, errors, *jost_decomposition(pot, bc, split_ks, a, solver)):
+        Js, errors, *_ = _jost_stack(pot, bc, split_ks, a, solver, walks)
+        for J, err, T1, T2 in zip(Js, errors,
+                                  *jost_decomposition(pot, bc, split_ks, a, solver, walks)):
             if err is not None:
                 raise err
             worst = max(worst, np.linalg.norm(T1 + T2 - J, 2))
         return _record("jost_split_consistency", worst, 1e-8)
 
+    @functools.cache  # a failure is redone, so each check records its own
+    def zero_jost():
+        """J(0) and beta, zero_energy_decomposition's phi'(0, x_max)."""
+        phi = walks.phi_zero_walk(pot.x_max)
+        J0 = jost_matrix_zero(pot, bc, solver, phi=phi, f0=walks.f(0.0, 0.0))
+        return J0, phi[pot.x_max].deriv
+
     def zero_jost_crosscheck():
-        phi = _phi_zero_walk(pot, bc, pot.x_max, solver)
-        J0 = jost_matrix_zero(pot, bc, solver, phi=phi)
-        beta = phi[pot.x_max].deriv  # zero_energy_decomposition's beta
+        J0, beta = zero_jost()
         return _record(
             "zero_energy_jost_crosscheck", np.linalg.norm(J0 - beta, 2), 1e-8
         )
@@ -130,7 +154,7 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
         worst_u = 0.0
         worst_inv = 0.0
         pm = [s * k for k in K_GRID for s in (1.0, -1.0)]  # S(k), then S(-k)
-        rows = _first_error(_smatrix_stack(pot, bc, pm, a, solver))
+        rows = _first_error(_smatrix_stack(pot, bc, pm, a, solver, walks))
         for Sp, Sm in zip(rows[::2], rows[1::2]):
             worst_u = max(worst_u, Sp["unitarity_residual"])
             worst_inv = max(worst_inv, np.linalg.norm(Sm["S"] @ Sp["S"] - eye, 2))
@@ -138,7 +162,8 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
                 _record("smatrix_inverse_symmetry", worst_inv, 1e-8)]
 
     def zero_energy_behavior():
-        res = zero_energy_pipeline(pot, bc, a, "numeric", solver)
+        res = zero_energy_pipeline(pot, bc, a, "numeric", solver, DEFAULT_PROBES,
+                                   walks=walks, J0=zero_jost()[0])
         dists = [d for _, d in res.continuity_probes]
         monotone = all(x > y for x, y in zip(dists, dists[1:])) or dists[-1] < 1e-9
         return [

@@ -435,6 +435,24 @@ def test_walk_states_equal_direct_propagation(rng, method, k, direction):
         assert np.array_equal(state.deriv, ref.deriv)
 
 
+def test_walk_reaches_several_side_points(rng):
+    # Two points inside pieces and one beyond the support are side legs of
+    # one walk; a point beyond the walk's end is left out.
+    pot = rand_potential(rng, 2, 6, scale=0.3)
+    bc = rand_bc(rng, 2)
+    start = hl.StateMatrix(0.0, bc.A, bc.B)
+    (lo1, hi1, _), (lo4, hi4, _) = pot.pieces[1], pot.pieces[4]
+    sides = (0.5 * (lo1 + hi1), 0.3 * lo4 + 0.7 * hi4, pot.x_max + 0.5, pot.x_max + 2.0)
+    k = np.array([0.0, 0.7])
+    states = solver.walk(pot, k, start, pot.x_max + 1.0, a=sides)
+    interfaces = {b for p in pot.pieces for b in p[:2]}
+    assert set(states) == interfaces | {0.0, pot.x_max + 1.0} | set(sides[:3])
+    for x, state in states.items():
+        ref = hl.propagate(pot, k, start, x)
+        assert np.array_equal(state.value, ref.value)
+        assert np.array_equal(state.deriv, ref.deriv)
+
+
 def test_walk_keeps_a_outside_the_walk_out(rng):
     pot = rand_potential(rng, 1, 3)
     start = hl.StateMatrix(0.0, np.eye(1), np.zeros((1, 1)))
