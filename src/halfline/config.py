@@ -14,9 +14,10 @@ A job config is a UTF-8 JSON object:
 
 Unknown keys are rejected with the offending field path, and so is any
 number that is not finite (the non-standard JSON tokens NaN, Infinity and
--Infinity, or a literal such as 1e999 that overflows a float).  Sweep grids must
-start at k_min > 0: the zero-energy point is served by the dedicated
-zero-energy command, not by grid evaluation.
+-Infinity, or a literal such as 1e999 that overflows a float) and any true
+or false: no field is boolean, and Python would read them as 1 and 0.
+Sweep grids must start at k_min > 0: the zero-energy point is served by the
+dedicated zero-energy command, not by grid evaluation.
 """
 
 from __future__ import annotations
@@ -70,6 +71,17 @@ def _finite(parse):
     return hook
 
 
+def _reject_booleans(node, path: str) -> None:
+    if isinstance(node, bool):
+        raise ValidationError(f"{path}: {str(node).lower()} is not allowed (no field is boolean)")
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _reject_booleans(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _reject_booleans(value, f"{path}[{i}]")
+
+
 def parse_config(text) -> JobConfig:
     """Parse and validate a job config from bytes or str."""
     if isinstance(text, bytes):
@@ -86,6 +98,9 @@ def parse_config(text) -> JobConfig:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("config: expected a JSON object")
+    # A literal true or false shows in the text; most configs skip the slower walk.
+    if "true" in text or "false" in text:
+        _reject_booleans(data, "config")
     extra = set(data) - _TOP_KEYS
     if extra:
         raise ValidationError(f"config: unknown keys {sorted(extra)}")

@@ -57,7 +57,6 @@ from .scattering import (
     SMatrixEvaluation,
     _first_error,
     _smatrix_stack,
-    _Walks,
     jost_matrix,
     jost_matrix_zero,
 )
@@ -66,6 +65,7 @@ from .solver import (
     Potential,
     SolverConfig,
     StateMatrix,
+    _Walks,
     jost_solution,
     regular_solution,
 )
@@ -684,10 +684,10 @@ def zero_energy_pipeline(
     zero potential and exactly-representable boundary matrices.
 
     In numeric mode every solution is read from ``walks``
-    (``scattering._Walks``).  By default f(kappa, .) for kappa in
-    {0, probes, -probes} is walked once down from the support edge (route
-    (i) of J(0), f(0, a) of R and the probes' f(-k, .)), and phi(k, .) for
-    the same k once from 0 to max(a, x_max) (routes (ii) and (iii),
+    (``solver._Walks``).  By default f(kappa, .) for kappa in
+    {0, probes, -probes} is walked once down from the support edge to 0
+    (route (i) of J(0), f(0, a) of R and the probes' f(-k, .)), and phi(k, .)
+    for the same k once from 0 to max(a, x_max) (routes (ii) and (iii),
     phi(0, a) of R and the probes' phi(k, a)).  A caller that holds such
     walks, and J(0) computed from them, passes both (``verify`` does).
     """
@@ -697,7 +697,7 @@ def zero_energy_pipeline(
         a = cfg.resolve_a(pot)
     if walks is None and mode != "exact":
         ks = [0.0, *(float(kp) for kp in probes), *(-float(kp) for kp in probes)]
-        walks = _Walks(pot, bc, cfg, ks, ks, max(a, pot.x_max), (a,))
+        walks = _Walks(pot, bc, cfg, ks, ks, points=(0.0, a))
 
     n = bc.n
     exact_blocks = None
@@ -713,12 +713,11 @@ def zero_energy_pipeline(
             for name in ("P1", "P2", "R", "A1", "B1", "C1", "D0", "S0")
         )
     else:
-        phi = walks.phi_zero_walk(max(a, pot.x_max), a)
         if J0 is None:
-            J0 = jost_matrix_zero(pot, bc, cfg, phi=phi, f0=walks.f(0.0, 0.0))
+            J0 = jost_matrix_zero(pot, bc, cfg, walks=walks)
         jd = jordan_override if jordan_override is not None else jordan_form(J0, "numeric")
         P1, P2 = build_permutations(jd)
-        R = _r_matrix(walks.f(0.0, a), phi[a])
+        R = _r_matrix(walks.f(0.0, a), walks.phi(0.0, a))
         A1, B1, C1, D0, S0 = _assemble(jd.Smat, jd.Sinv, jd.chains, R,
                                        _perm_gathers(jd.chains, n), np.eye(n), _checked_inverse)
 
@@ -839,13 +838,12 @@ def kernel_bijection(
         raise ValidationError("kernel vector has wrong length")
     if a is None:
         a = cfg.resolve_a(pot)
-    walks = _Walks(pot, bc, cfg, [0.0], [0.0], max(a, pot.x_max), (a,))
-    phi = walks.phi_zero_walk(max(a, pot.x_max), a)
-    J0 = jost_matrix_zero(pot, bc, cfg, phi=phi, f0=walks.f(0.0, 0.0))
+    walks = _Walks(pot, bc, cfg, [0.0], [0.0], points=(0.0, a))
+    J0 = jost_matrix_zero(pot, bc, cfg, walks=walks)
     nu = float(np.linalg.norm(u))
     if nu > 0 and np.linalg.norm(J0 @ u) > tol * max(1.0, np.linalg.norm(J0, 2)) * nu:
         raise ValidationError("u is not in the kernel of the zero-energy Jost matrix")
-    R = _r_matrix(walks.f(0.0, a), phi[a])
+    R = _r_matrix(walks.f(0.0, a), walks.phi(0.0, a))
     return R @ u
 
 

@@ -18,10 +18,12 @@ Both are evaluated once, over a stack of k, for :func:`jost_matrix`,
 :func:`smatrix`, :func:`smatrix_grid`, the S(0) continuity probes of
 :mod:`halfline.lowenergy` and the fixed-k checks of :mod:`halfline.verify`.
 The grid propagates f(-k, .) and phi(k, .) directly.  The zero-energy
-pipeline and ``verify`` instead read every solution they need, at any k
-and any interface, from ``_Walks``: one backward walk of f(kappa, .) from
-the support edge and one forward walk of phi(k, .) from 0, each over the
-union of their k as one stack.  A walk that overflows is dropped, and each
+pipeline and ``verify`` instead read every solution they need, one state
+at a time at any k and any interface, from ``solver._Walks``: one backward
+walk of f(kappa, .) from the support edge and one forward walk of
+phi(k, .) from 0, each over the union of their k as one stack.  Every
+function here that reads walked solutions takes such a ``walks`` and makes
+its own when given none.  A walk that overflows is dropped, and each
 reader then propagates on its own, so it fails exactly where it fails
 alone.
 
@@ -43,7 +45,7 @@ S = -(B + ikA)(B - ikA)^(-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -55,9 +57,8 @@ from .solver import (
     SolverConfig,
     StateMatrix,
     _integrate_weighted,
+    _Walks,
     jost_solution,
-    regular_solution,
-    walk,
     wronskian,
 )
 
@@ -138,89 +139,6 @@ class _JostStack(NamedTuple):
     F0: StateMatrix                         # f(-k*, 0)
 
 
-class _Walks:
-    """f(kappa, .) and phi(k, .) read from one backward and one forward walk.
-
-    The backward walk carries f(kappa, .) for a stack of kappa from the
-    support edge down to 0, the forward walk phi(k, .) for a stack of k from
-    0 to x_end; each keeps the state at every interface and at the side
-    points inside it (:func:`halfline.solver.walk`).  A read gives what
-    :func:`jost_solution`, :func:`regular_solution` or a walk from the same
-    start gives, bit for bit: a slice of a walk that holds its k (matched
-    bit for bit, so -0.0 is not 0.0) and its point, or else a propagation of
-    its own.  A walk that overflows is not kept, so the reads it would have
-    served propagate on their own and fail where they fail alone.
-    ``_Walks(pot, bc, cfg)`` holds no walk: every read propagates.
-    """
-
-    def __init__(self, pot, bc, cfg, kappas=(), ks=(), x_end=0.0, sides=()):
-        self.pot, self.bc, self.cfg = pot, bc, cfg
-        self._f = self._walk(kappas, lambda k: jost_solution(pot, k, pot.x_max, cfg), 0.0, sides)
-        if bc is not None and bc.n == pot.n:  # else phi reads raise as they do alone
-            self._phi = self._walk(ks, lambda k: StateMatrix(0.0, bc.A, bc.B), x_end, sides)
-        else:
-            self._phi = None
-
-    def _walk(self, ks, start, x_end, sides):
-        ks = list({k.tobytes(): k for k in np.asarray(ks, dtype=complex).reshape(-1)}.values())
-        if not ks:
-            return None
-        ks = np.array(ks)
-        try:
-            states = walk(self.pot, ks, start(ks), x_end, self.cfg, sides)
-        except NumericalError:
-            return None
-        return {k.tobytes(): i for i, k in enumerate(ks)}, states
-
-    @staticmethod
-    def _rows(held, k, points):
-        """Stack rows of k (a scalar or 1-D) in a held walk that reaches
-        every point, else None."""
-        if held is None:
-            return None
-        index, states = held
-        k = np.asarray(k, dtype=complex)
-        rows = [index.get(v.tobytes()) for v in k.reshape(-1)]
-        if None in rows or any(x not in states for x in points):
-            return None
-        return rows if k.ndim else rows[0]
-
-    @classmethod
-    def _read(cls, held, k, x):
-        rows = cls._rows(held, k, [x])
-        if rows is None:
-            return None
-        s = held[1][x]
-        return StateMatrix(s.x, s.value[rows], s.deriv[rows])
-
-    @classmethod
-    def _read_walk(cls, held, k, points):
-        """All states of one k of a held walk that reaches every point, else None."""
-        row = cls._rows(held, k, points)
-        if row is None:
-            return None
-        return {x: StateMatrix(x, s.value[row], s.deriv[row]) for x, s in held[1].items()}
-
-    def f(self, kappa, x) -> StateMatrix:
-        """f(kappa, x), as :func:`jost_solution` gives it."""
-        return self._read(self._f, kappa, x) or jost_solution(self.pot, kappa, x, self.cfg)
-
-    def phi(self, k, x) -> StateMatrix:
-        """phi(k, x), as :func:`regular_solution` gives it."""
-        return (self._read(self._phi, k, x)
-                or regular_solution(self.pot, self.bc, k, x, self.cfg))
-
-    def f_walk(self, kappa, x_end) -> Optional[Dict[float, StateMatrix]]:
-        """The held walk of f(kappa, .) if it reaches x_end, else None."""
-        return self._read_walk(self._f, kappa, [x_end])
-
-    def phi_zero_walk(self, x_end, a=None) -> Dict[float, StateMatrix]:
-        """phi(0, .) at every interface from 0 to x_end >= x_max, and at a:
-        the held walk if it reaches both, else a walk of its own."""
-        return (self._read_walk(self._phi, 0.0, [x_end] if a is None else [x_end, a])
-                or _phi_zero_walk(self.pot, self.bc, x_end, self.cfg, a))
-
-
 def _jost_stack(pot, bc, ks, a, cfg, walks: Optional[_Walks] = None) -> _JostStack:
     """J(k) for a 1-D sequence of k with Im k >= 0, with its x = 0 reading
     and the state f(-k*, 0) that reading comes from.
@@ -233,7 +151,7 @@ def _jost_stack(pot, bc, ks, a, cfg, walks: Optional[_Walks] = None) -> _JostSta
     km = -ks.conj()
     F, F0 = walks.f(km, a), walks.f(km, 0.0)
     J = wronskian(F, walks.phi(ks, a))
-    J0 = F0.value.conj().swapaxes(-1, -2) @ bc.B - F0.deriv.conj().swapaxes(-1, -2) @ bc.A
+    J0 = wronskian(F0, StateMatrix(0.0, bc.A, bc.B))  # phi(k, 0) = (A, B)
     diff = _norm2(J - J0)
     bad = diff > CROSSCHECK_TOL * np.maximum(_norm2(J), 1.0)
     return _JostStack(J, [_pairing_error(a, d) if b else None for d, b in zip(diff, bad)], J0, F0)
@@ -256,31 +174,26 @@ def jost_matrix_zero(
     bc: BCPair,
     cfg: SolverConfig = DEFAULT_CONFIG,
     tol: float = CROSSCHECK_TOL,
-    phi: Optional[Dict[float, StateMatrix]] = None,
-    f0: Optional[StateMatrix] = None,
+    walks: Optional[_Walks] = None,
 ) -> np.ndarray:
     """J(0) computed three redundant ways, required to agree.
 
     (i) the k = 0 pairing at the origin, (ii) B plus the V-weighted moment
     of the regular solution, (iii) the growing-direction coefficient of
-    phi(0, .) in the zero-energy fundamental system.  Routes (ii) and (iii)
-    read phi(0, .) from one walk across the support: ``phi``, a
-    :func:`halfline.solver.walk` of it from 0 to x_max or beyond that the
-    caller also reads, or else a walk made here.  Route (i) reads f(0, 0)
-    from a walk of f(0, .) down from the support edge: ``f0``, read by the
-    caller from its own walk, or else propagated here.  A wrong leg in
-    either walk shows.
+    phi(0, .) in the zero-energy fundamental system.  Route (i) reads
+    f(0, 0), routes (ii) and (iii) phi(0, .) at every interface, from
+    ``walks``: a caller's, or else one walk of phi(0, .) to x_max made here,
+    with f(0, 0) propagated on its own.  A wrong leg in either walk shows.
     """
     _check_sizes(pot, bc)
-    if phi is None:
-        phi = _phi_zero_walk(pot, bc, pot.x_max, cfg)
-    F0 = jost_solution(pot, 0.0, 0.0, cfg) if f0 is None else f0
-    J_pairing = F0.value.conj().T @ bc.B - F0.deriv.conj().T @ bc.A
+    walks = walks or _Walks(pot, bc, cfg, ks=[0.0])
+    J_pairing = wronskian(walks.f(0.0, 0.0), StateMatrix(0.0, bc.A, bc.B))
 
-    (moment,) = _integrate_weighted(pot, 0.0, (lambda y: 1.0,), lambda lo, hi: phi[lo], cfg)
+    (moment,) = _integrate_weighted(pot, 0.0, (lambda y: 1.0,),
+                                    lambda lo, hi: walks.phi(0.0, lo), cfg)
     J_moment = bc.B + moment
 
-    beta = phi[pot.x_max].deriv  # route (iii): zero_energy_decomposition's beta
+    beta = walks.phi(0.0, pot.x_max).deriv  # route (iii): zero_energy_decomposition's beta
 
     scale = max(np.linalg.norm(J_pairing, 2), 1.0)
     d1 = np.linalg.norm(J_pairing - J_moment, 2)
@@ -291,12 +204,6 @@ def jost_matrix_zero(
             f"fundamental-system diff {d2:.3e}"
         )
     return J_pairing
-
-
-def _phi_zero_walk(pot, bc, x_end, cfg, a=None) -> Dict[float, StateMatrix]:
-    """phi(0, .) at every interface from 0 to x_end >= x_max, and at a."""
-    _check_sizes(pot, bc)
-    return walk(pot, 0.0, StateMatrix(0.0, bc.A, bc.B), x_end, cfg, a)
 
 
 def l_matrix(
@@ -551,6 +458,6 @@ def jost_decomposition(
     T1 = -P.conj().swapaxes(-1, -2) @ np.linalg.solve(f0.value, phi.value)
     # At x = a the omega solution carries the data (f(0,a), f'(0,a)), so the
     # pairing with phi needs no extra propagation.
-    W = f0.value.conj().T @ phi.deriv - f0.deriv.conj().T @ phi.value
+    W = wronskian(f0, phi)
     T2 = fm.value.conj().swapaxes(-1, -2) @ np.linalg.solve(f0.value.conj().T, W)
     return (T1, T2) if k.ndim else (T1[0], T2[0])

@@ -35,8 +35,11 @@ phi is fixed by its data at 0 and the outgoing solution f by its exact data
 at x_max.  :func:`walk` crosses the support once, leg by leg from one piece
 interface to the next through :func:`propagate`, and keeps the state at
 every interface: forward from 0 for phi, backward from x_max for f.  Each
-state equals the one a direct propagation to that point gives, bit for bit,
-so every consumer that needs a solution at many interfaces (the moment
+state equals the one a direct propagation to that point gives, bit for bit.
+``_Walks`` holds one such walk of f(kappa, .) and one of phi(k, .), each over
+a stack of k, and is the one way a consumer receives walked solutions: it
+reads single states, ``walks.f(kappa, x)`` and ``walks.phi(k, x)``, so
+every consumer that needs a solution at many interfaces (the moment
 quadrature, the zero-energy Jost routes, R) reads them from one walk
 instead of walking from the origin or the support edge once per piece.
 """
@@ -392,6 +395,67 @@ def walk(
     return states
 
 
+class _Walks:
+    """f(kappa, .) and phi(k, .) read from one backward and one forward walk.
+
+    The backward walk carries f(kappa, .) for a stack of kappa from the
+    support edge down to min(x_max, points), the forward walk phi(k, .) for
+    a stack of k from 0 up to max(x_max, points); each keeps the state at
+    every interface and at every point inside it (:func:`walk`).  A read
+    gives what :func:`jost_solution` or :func:`regular_solution` gives, bit
+    for bit: a slice of a walk that holds its k (matched bit for bit, so
+    -0.0 is not 0.0) and its point, or else a propagation of its own.  A
+    walk that overflows is not kept, so the reads it would have served
+    propagate on their own and fail where they fail alone.
+    ``_Walks(pot, bc, cfg)`` holds no walk: every read propagates.
+    """
+
+    def __init__(self, pot, bc, cfg, kappas=(), ks=(), points=()):
+        self.pot, self.bc, self.cfg = pot, bc, cfg
+        self._f = self._walk(kappas, lambda k: jost_solution(pot, k, pot.x_max, cfg),
+                             min([pot.x_max, *points]), points)
+        if bc is not None and bc.n == pot.n:  # else phi reads raise as they do alone
+            self._phi = self._walk(ks, lambda k: StateMatrix(0.0, bc.A, bc.B),
+                                   max([pot.x_max, *points]), points)
+        else:
+            self._phi = None
+
+    def _walk(self, ks, start, x_end, points):
+        ks = list({k.tobytes(): k for k in np.asarray(ks, dtype=complex).reshape(-1)}.values())
+        if not ks:
+            return None
+        ks = np.array(ks)
+        try:
+            states = walk(self.pot, ks, start(ks), x_end, self.cfg, points)
+        except NumericalError:
+            return None
+        return {k.tobytes(): i for i, k in enumerate(ks)}, states
+
+    @staticmethod
+    def _read(held, k, x) -> Optional[StateMatrix]:
+        """k (a scalar or 1-D) at x, sliced from a held walk that holds
+        every k and x, else None."""
+        if held is None or x not in held[1]:
+            return None
+        index, states = held
+        k = np.asarray(k, dtype=complex)
+        rows = [index.get(v.tobytes()) for v in k.reshape(-1)]
+        if None in rows:
+            return None
+        s = states[x]
+        rows = rows if k.ndim else rows[0]
+        return StateMatrix(s.x, s.value[rows], s.deriv[rows])
+
+    def f(self, kappa, x) -> StateMatrix:
+        """f(kappa, x), as :func:`jost_solution` gives it."""
+        return self._read(self._f, kappa, x) or jost_solution(self.pot, kappa, x, self.cfg)
+
+    def phi(self, k, x) -> StateMatrix:
+        """phi(k, x), as :func:`regular_solution` gives it."""
+        return (self._read(self._phi, k, x)
+                or regular_solution(self.pot, self.bc, k, x, self.cfg))
+
+
 def jost_solution(
     pot: Potential, k, x: float, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> StateMatrix:
@@ -545,22 +609,20 @@ def moment_identities_residual(
     pot: Potential,
     a: float,
     cfg: SolverConfig = DEFAULT_CONFIG,
-    f: Optional[Dict[float, StateMatrix]] = None,
+    walks: Optional[_Walks] = None,
 ) -> Tuple[float, float]:
     """Residuals of the two tail moments of V against the bounded solution.
 
     The zeroth moment of V f(0, .) over (a, infinity) must cancel f'(0, a);
     the first moment must equal f(0, a) - a f'(0, a) - I.  Both are checked
     by independent quadrature, over the same nodes, and returned as norms.
-    f(0, .) at a and at every piece edge comes from one walk down from the
-    support edge: ``f``, such a walk that the caller also reads, or else a
-    walk made here.
+    f(0, .) at a and at every piece edge beyond it is read from ``walks``
+    (a caller's, or one walk of f(0, .) down from the support edge to a).
     """
-    if f is None:
-        f = walk(pot, 0.0, jost_solution(pot, 0.0, max(a, pot.x_max), cfg), a, cfg)
-    f0a = f[a]
+    walks = walks or _Walks(pot, None, cfg, kappas=[0.0], points=[a])
+    f0a = walks.f(0.0, a)
     m0, m1 = _integrate_weighted(pot, a, (lambda y: 1.0, lambda y: y),
-                                 lambda lo, hi: f[hi], cfg)
+                                 lambda lo, hi: walks.f(0.0, hi), cfg)
     n = pot.n
     r1 = float(np.linalg.norm(m0 + f0a.deriv, 2))
     r2 = float(np.linalg.norm(m1 - f0a.value + a * f0a.deriv + np.eye(n), 2))

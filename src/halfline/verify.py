@@ -9,11 +9,13 @@ Every solution the checks read comes from two stacked walks across the
 support: one backward walk of f(kappa, .) from the support edge to 0 and
 one forward walk of phi(k, .) from 0 to max(x_max, 1, a), each over the
 union of the k the checks need and each keeping its state at every
-interface and at a (``scattering._Walks``).  A slice is bit for bit the
-state a check's own propagation gives, so the records do not depend on the
-sharing.  A walk that overflows is dropped, and each check then propagates
-on its own and fails or passes as it does alone.  J(0) is computed once,
-for the zero-energy cross-check and the pipeline.
+interface and at x1 = max(x_max, 1) and a (``solver._Walks``).  Each
+check reads single states from them, or passes them on to the function it
+calls.  A read is bit for bit the state a check's own propagation gives, so the
+records do not depend on the sharing.  A walk that overflows is dropped,
+and each check then propagates on its own and fails or passes as it does
+alone.  J(0) is computed once, for the zero-energy cross-check and the
+pipeline.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .config import JobConfig
 from .errors import HalflineError
 from .lowenergy import DEFAULT_PROBES, zero_energy_pipeline
 from .scattering import _first_error, _jost_stack, _l_matrix, _norm2, _smatrix_stack, \
-    _split, _Walks, jost_decomposition, jost_matrix_zero, log_derivative, p_matrix
-from .solver import moment_identities_residual, wronskian
+    _split, jost_decomposition, jost_matrix_zero, log_derivative, p_matrix
+from .solver import _Walks, moment_identities_residual, wronskian
 
 __all__ = ["run_property_checks"]
 
@@ -61,7 +63,7 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
         pot, bc, solver,
         kappas=[0.0, *ks, *-ks, *(-k for k in split_ks), -wronskian_k, *p_ks, h, -h, *probes],
         ks=[0.0, *ks, *-ks, *split_ks, wronskian_k, *probes],
-        x_end=max(x1, a), sides=(x1, a),
+        points=(0.0, x1, a),
     )
     checks: List[dict] = []
 
@@ -106,7 +108,7 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
 
     def tail_moments():
         # anchor below the support so the quadrature actually exercises V
-        r1, r2 = moment_identities_residual(pot, 0.0, solver, walks.f_walk(0.0, 0.0))
+        r1, r2 = moment_identities_residual(pot, 0.0, solver, walks)
         return [_record("tail_moment_zeroth", r1, 1e-6),
                 _record("tail_moment_first", r2, 1e-6)]
 
@@ -140,9 +142,7 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
     @functools.cache  # a failure is redone, so each check records its own
     def zero_jost():
         """J(0) and beta, zero_energy_decomposition's phi'(0, x_max)."""
-        phi = walks.phi_zero_walk(pot.x_max)
-        J0 = jost_matrix_zero(pot, bc, solver, phi=phi, f0=walks.f(0.0, 0.0))
-        return J0, phi[pot.x_max].deriv
+        return jost_matrix_zero(pot, bc, solver, walks=walks), walks.phi(0.0, pot.x_max).deriv
 
     def zero_jost_crosscheck():
         J0, beta = zero_jost()

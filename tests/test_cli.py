@@ -119,6 +119,40 @@ def test_non_finite_numbers_are_validation_errors(tmp_path, capsys, name, comman
     assert "finite" in captured.err
 
 
+# true/false where a number enters: no field is boolean, yet Python reads
+# them as 1 and 0, so each of these configs would otherwise run.
+BOOLEAN_CONFIGS = {
+    "kgrid_steps": (("kgrid",), [0.5, 2.0, True], "config.kgrid[2]"),
+    "potential_n": (("potential", "n"), True, "config.potential.n"),
+    "piece_V": (("potential", "pieces", 0, "V"), [[[-1.0, False]]],
+                "config.potential.pieces[0].V[0][0][1]"),
+    "bc_n": (("bc", "n"), True, "config.bc.n"),
+    "bc_A": (("bc", "A"), [[[False, 0.0]]], "config.bc.A[0][0][0]"),
+    "bc_B": (("bc", "B"), [[[-1.0, False]]], "config.bc.B[0][0][1]"),
+    "bc_angles": (("bc",), {"angles": [True]}, "config.bc.angles[0]"),
+    "bc_U": (("bc",), {"U": [[[True, 0.0]]]}, "config.bc.U[0][0][0]"),
+    "a_choice": (("a_choice",), True, "config.a_choice"),
+    "tolerances": (("tolerances",), {"max_step": True}, "config.tolerances.max_step"),
+}
+
+
+@pytest.mark.parametrize("command", ["sweep", "s0", "verify"])
+@pytest.mark.parametrize("name", sorted(BOOLEAN_CONFIGS))
+def test_booleans_are_validation_errors(tmp_path, capsys, name, command):
+    path, value, shown = BOOLEAN_CONFIGS[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_with(path, value)))
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"validation error: {shown}: ")
+
+
+def test_parse_accepts_true_and_false_inside_strings():
+    cfg = parse_config(json.dumps(dict(ANGLES_CFG, outputs=[{"csv": "true-false.csv"}])))
+    assert cfg.outputs == ({"csv": "true-false.csv"},)
+
+
 @pytest.mark.parametrize("path,value,match", [
     (("kgrid",), ["nan", 1.0, 3], "kgrid"),
     (("kgrid",), [0.5, "inf", 3], "kgrid"),

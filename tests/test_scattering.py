@@ -265,17 +265,18 @@ def test_log_derivative_stack_raises_for_the_first_singular_k(rng, monkeypatch):
     assert str(stacked.value) == str(scalar.value)
 
 
-def test_walks_read_what_direct_calls_give(rng):
+def test_walks_read_what_direct_calls_give(rng, monkeypatch):
     # Held k and points are sliced from the two walks; a k or a point the
     # walks do not hold, such as -0.0 beside 0.0, is propagated on its own.
-    from halfline.scattering import _Walks
+    from halfline import solver
+    from halfline.solver import _Walks
 
     pot = rand_potential(rng, 2, 20, scale=0.3)
     bc = rand_bc(rng, 2)
     lo, hi, _ = pot.pieces[5]
     a, x1 = lo + 0.3 * (hi - lo), pot.x_max + 1.0
     walks = _Walks(pot, bc, hl.SolverConfig(), [0.0, -0.7, 0.3], [0.0, 0.7, 2.0 + 0.5j],
-                   x1, (a, x1))
+                   points=(0.0, a, x1))
     direct = {walks.f: hl.jost_solution,
               walks.phi: lambda pot, k, x: hl.regular_solution(pot, bc, k, x)}
     for read, call in direct.items():
@@ -285,20 +286,29 @@ def test_walks_read_what_direct_calls_give(rng):
                 assert got.x == ref.x
                 assert got.value.tobytes() == ref.value.tobytes()  # signed zeros too
                 assert got.deriv.tobytes() == ref.deriv.tobytes()
-    phi = walks.phi_zero_walk(pot.x_max, a)
-    assert set(phi) >= {a, pot.x_max} | {b for p in pot.pieces for b in p[:2]}
-    assert all(np.array_equal(st.value, hl.regular_solution(pot, bc, 0.0, x).value)
-               for x, st in phi.items())
+    # phi(0, .) at every interface and at a: slices of the forward walk,
+    # read without a propagation of their own.
+    held = sorted({a} | {b for p in pot.pieces for b in p[:2]})
+    calls = []
+    monkeypatch.setattr(solver, "propagate", lambda *args: calls.append(args))
+    got = [walks.phi(0.0, x) for x in held]
+    monkeypatch.undo()
+    assert calls == []
+    for x, st in zip(held, got):
+        ref = hl.regular_solution(pot, bc, 0.0, x)
+        assert st.x == x
+        assert st.value.tobytes() == ref.value.tobytes()
+        assert st.deriv.tobytes() == ref.deriv.tobytes()
 
 
 def test_walks_drop_an_overflowing_walk():
     # Below the barrier top the width-20 barrier overflows one exact step:
     # a read at k = 1 raises as the direct call does, a read at k = 50 works.
-    from halfline.scattering import _Walks
+    from halfline.solver import _Walks
 
     pot = hl.Potential(n=1, pieces=((0.0, 20.0, np.array([[2000.0]])),))
     bc = hl.neumann(1)
-    walks = _Walks(pot, bc, hl.SolverConfig(), [1.0, 50.0], [1.0, 50.0], 20.0)
+    walks = _Walks(pot, bc, hl.SolverConfig(), [1.0, 50.0], [1.0, 50.0], points=(0.0,))
     for read in (walks.f, walks.phi):
         with pytest.raises(NumericalError, match="overflows"):
             read(1.0, 0.0 if read == walks.f else 20.0)

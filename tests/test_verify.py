@@ -12,6 +12,7 @@ probes must be equal, failures and their texts included.
 
 import functools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from halfline.errors import HalflineError
 from halfline.lowenergy import DEFAULT_PROBES, _assemble, _checked_inverse, _perm_gathers, \
     _r_matrix, jordan_form
 from halfline.scattering import _first_error, _jost_stack, _l_matrix, _norm2, \
-    _phi_zero_walk, _smatrix_stack, _split
+    _smatrix_stack, _split
 from halfline.verify import K_GRID, _failure, _record, run_property_checks
 from conftest import rand_bc, rand_potential
 
@@ -31,10 +32,9 @@ def _reference_pipeline(pot, bc, a, cfg, probes=DEFAULT_PROBES):
     """(S0, involution and unitarity residuals, probes), each solution
     propagated on its own."""
     n = bc.n
-    phi = _phi_zero_walk(pot, bc, max(a, pot.x_max), cfg, a)
     J0 = hl.jost_matrix_zero(pot, bc, cfg)
     jd = jordan_form(J0, "numeric")
-    R = _r_matrix(hl.jost_solution(pot, 0.0, a, cfg), phi[a])
+    R = _r_matrix(hl.jost_solution(pot, 0.0, a, cfg), hl.regular_solution(pot, bc, 0.0, a, cfg))
     S0 = _assemble(jd.Smat, jd.Sinv, jd.chains, R, _perm_gathers(jd.chains, n), np.eye(n),
                    _checked_inverse)[-1]
     inv_resid = float(np.linalg.norm(S0 @ S0 - np.eye(n), 2))
@@ -221,6 +221,29 @@ def test_verify_overflowing_walk_fails_as_the_reference(a):
     a_val = cfg.solver.resolve_a(pot)
     _assert_same_pipeline(_s0_and_probes(pot, bc, a_val, cfg.solver),
                           _reference_s0_and_probes(pot, bc, a_val, cfg.solver))
+
+
+@pytest.mark.parametrize("where", ["auto", "inside", "short", "far"])
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_every_propagation_is_a_walk_leg(rng, monkeypatch, n, where):
+    # verify and the pipeline read every k and point from their two walks:
+    # a k or a point missing from the walks' lists would propagate on its own.
+    from halfline import solver
+
+    cfg = _config(rng, n, 20, where)
+    propagate, outside = solver.propagate, []
+
+    def traced(pot, k, state, x, *args):
+        caller = sys._getframe(1).f_code
+        if caller is not solver.walk.__code__:
+            outside.append((caller.co_name, np.asarray(k).tolist(), state.x, x))
+        return propagate(pot, k, state, x, *args)
+
+    monkeypatch.setattr(solver, "propagate", traced)
+    run_property_checks(cfg)
+    pot, bc, solver_cfg = cfg.potential, cfg.bc, cfg.solver
+    hl.zero_energy_pipeline(pot, bc, solver_cfg.resolve_a(pot), "numeric", solver_cfg)
+    assert outside == []
 
 
 def test_verify_computes_j0_once(rng, monkeypatch):
