@@ -60,15 +60,34 @@ def _reject_constant(token: str):
     raise ValidationError(f"config: non-finite number {token} is not allowed")
 
 
-def _finite(parse):
-    """json.loads hook: ``parse(text)``, refused where a float of the
-    number is not finite (1e999, or an integer literal beyond 1.8e308)."""
-    def hook(text: str):
-        if not math.isfinite(float(text)):
-            shown = text if len(text) <= 24 else text[:20] + "..."
-            raise ValidationError(f"config: number {shown} is not finite")
-        return parse(text)
-    return hook
+def _not_finite(text: str) -> ValidationError:
+    shown = text if len(text) <= 24 else text[:20] + "..."
+    return ValidationError(f"config: number {shown} is not finite")
+
+
+def _finite_float(text: str) -> float:
+    """json.loads hook: the float of a number literal, refused where it
+    overflows (1e999)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise _not_finite(text)
+    return value
+
+
+#: The least integer whose float rounds to infinity.
+_INT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
+def _finite_int(text: str) -> int:
+    """json.loads hook: the int of an integer literal, refused where its
+    float would be infinite (beyond 1.8e308).  JSON integers carry no
+    leading zeros, so a literal of more than 310 characters is such a one;
+    ``int`` is not asked to read it."""
+    if len(text) <= 310:
+        value = int(text)
+        if abs(value) < _INT_OVERFLOW:
+            return value
+    raise _not_finite(text)
 
 
 def _reject_booleans(node, path: str) -> None:
@@ -92,7 +111,7 @@ def parse_config(text) -> JobConfig:
     try:
         data = json.loads(
             text, parse_constant=_reject_constant,
-            parse_float=_finite(float), parse_int=_finite(int),
+            parse_float=_finite_float, parse_int=_finite_int,
         )
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc

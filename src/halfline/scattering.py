@@ -17,7 +17,12 @@ the regime handled by :mod:`halfline.lowenergy`.
 Both are evaluated once, over a stack of k, for :func:`jost_matrix`,
 :func:`smatrix`, :func:`smatrix_grid`, the S(0) continuity probes of
 :mod:`halfline.lowenergy` and the fixed-k checks of :mod:`halfline.verify`.
-The grid propagates f(-k, .) and phi(k, .) directly.  The zero-energy
+J is evaluated once per distinct value among the +k and -k of a stack, so
+S(k) and S(-k) asked for together share one pair, and its x = 0
+cross-check takes spectral norms only where the Frobenius bounds leave the
+decision open.  The grid propagates f(-k, .) directly for every +k and -k,
+and phi(k, .), which is even in k, once per k^2: a 200-point grid
+propagates 400 of the one and 200 of the other.  The zero-energy
 pipeline and ``verify`` instead read every solution they need, one state
 at a time at any k and any interface, from ``solver._Walks``: one backward
 walk of f(kappa, .) from the support edge and one forward walk of
@@ -57,6 +62,7 @@ from .solver import (
     SolverConfig,
     StateMatrix,
     _integrate_weighted,
+    _norm2_le,
     _Walks,
     jost_solution,
     wronskian,
@@ -152,9 +158,15 @@ def _jost_stack(pot, bc, ks, a, cfg, walks: Optional[_Walks] = None) -> _JostSta
     F, F0 = walks.f(km, a), walks.f(km, 0.0)
     J = wronskian(F, walks.phi(ks, a))
     J0 = wronskian(F0, StateMatrix(0.0, bc.A, bc.B))  # phi(k, 0) = (A, B)
-    diff = _norm2(J - J0)
-    bad = diff > CROSSCHECK_TOL * np.maximum(_norm2(J), 1.0)
-    return _JostStack(J, [_pairing_error(a, d) if b else None for d, b in zip(diff, bad)], J0, F0)
+    # The bound CROSSCHECK_TOL * max(||J||, 1) is at least CROSSCHECK_TOL, so
+    # only the rows that do not clear that need both norms.
+    errors: List[Optional[NumericalError]] = [None] * len(ks)
+    (rows,) = np.nonzero(~_norm2_le(J - J0, CROSSCHECK_TOL))
+    diff = _norm2(J[rows] - J0[rows])
+    for i, d, bound in zip(rows, diff, CROSSCHECK_TOL * np.maximum(_norm2(J[rows]), 1.0)):
+        if d > bound:
+            errors[i] = _pairing_error(a, d)
+    return _JostStack(J, errors, J0, F0)
 
 
 def _norm2(M):  # spectral norm of a matrix, or of each matrix of a stack
@@ -248,7 +260,8 @@ def smatrix(
 
 
 def _smatrix_stack(pot, bc, ks: List[float], a, cfg, walks: Optional[_Walks] = None) -> list:
-    """S(k) for a list of real k, with J(k) and J(-k) from one stack.
+    """S(k) for a list of real k, with J(k) and J(-k) from one stack that
+    holds each distinct value among +k and -k once.
 
     Per k: the row ``{"k", "S", "unitarity_residual", "det_J_abs"}`` or the
     HalflineError :func:`smatrix` raises there (k = 0, the x = 0 cross-check
@@ -256,19 +269,21 @@ def _smatrix_stack(pot, bc, ks: List[float], a, cfg, walks: Optional[_Walks] = N
     from ``walks`` where they hold them.  A stacked walk that overflows is
     redone one k at a time, so only the k that overflow fail.
     """
-    m = len(ks)
+    index = {}
+    for k in [*ks, *(-k for k in ks)]:
+        index.setdefault(k, len(index))
     try:
-        J, pairing, *_ = _jost_stack(pot, bc, np.concatenate([ks, np.negative(ks)]), a, cfg,
-                                     walks)
+        J, pairing, *_ = _jost_stack(pot, bc, list(index), a, cfg, walks)
     except NumericalError as exc:
-        if m > 1:
+        if len(ks) > 1:
             return [_smatrix_stack(pot, bc, [k], a, cfg, walks)[0] for k in ks]
         return [ValidationError(_ZERO_K) if ks[0] == 0.0 else exc]
-    Jp, Jm = J[:m], J[m:]
+    plus, minus = [index[k] for k in ks], [index[-k] for k in ks]
+    Jp, Jm = J[plus], J[minus]
     cond = np.linalg.cond(Jp)
-    out = [ValidationError(_ZERO_K) if k == 0.0 else ep or em
+    out = [ValidationError(_ZERO_K) if k == 0.0 else pairing[i] or pairing[j]
            or (_cond_error(k, c) if c > COND_CAP else None)
-           for k, ep, em, c in zip(ks, pairing[:m], pairing[m:], cond)]
+           for k, i, j, c in zip(ks, plus, minus, cond)]
     ok = [i for i, e in enumerate(out) if e is None]
     S = np.linalg.solve(Jp[ok].swapaxes(-1, -2), -Jm[ok].swapaxes(-1, -2)).swapaxes(-1, -2)
     resid = _norm2(S.conj().swapaxes(-1, -2) @ S - np.eye(bc.n))
@@ -299,9 +314,10 @@ def smatrix_grid(
     A row is ``{"k", "S", "unitarity_residual", "det_J_abs"}`` (|det J(k)|,
     ``inf`` where it overflows a float although S(k) is fine), or
     ``{"k", "error"}`` with the "<ExcName>: <message>" that :func:`smatrix`
-    raises at that k.  The evaluator behind both walks +k
-    and -k of the whole grid as one stack, or each k alone when that walk
-    overflows, so only the overflowing rows fail.
+    raises at that k.  The evaluator behind both propagates f(-k, .) for
+    +k and -k of the whole grid as one stack and phi(k, .) once per k^2,
+    or each k alone when that stack overflows, so only the overflowing
+    rows fail.
     """
     _check_sizes(pot, bc)
     ks = [float(k) for k in ks]

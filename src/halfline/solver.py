@@ -42,12 +42,19 @@ reads single states, ``walks.f(kappa, x)`` and ``walks.phi(k, x)``, so
 every consumer that needs a solution at many interfaces (the moment
 quadrature, the zero-energy Jost routes, R) reads them from one walk
 instead of walking from the origin or the support edge once per piece.
+
+phi starts from k-independent data and the step sees k only as k^2, so phi
+is even in k, bit for bit: a stacked :func:`regular_solution`, and the phi
+walk of ``_Walks``, propagate each distinct k^2 once and hand phi(k, .) to
+-k too.  f(kappa, .) starts from kappa-dependent data and is propagated
+per kappa.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -77,6 +84,38 @@ __all__ = [
 ]
 
 HERMITICITY_EPS = 1e-10
+#: Relative margin by which a Frobenius bound must clear a threshold to
+#: decide a spectral-norm test without an SVD.
+_FRO_MARGIN = 1e-9
+
+
+def _norm2_le(M, t):
+    """Whether the spectral norm of M, or of each matrix of a stack, is at
+    most t, decided as ``np.linalg.norm(M, 2, axis=(-2, -1)) <= t`` decides it.
+
+    ||M||_F / sqrt(r) <= ||M||_2 <= ||M||_F with r = min(rows, cols), so the
+    Frobenius norm decides every matrix it places beyond t by the relative
+    margin; only the matrices in the band between, or with a Frobenius norm
+    that is not finite, take an SVD (which raises on NaN and inf entries, as
+    ``np.linalg.norm`` does).  ``t`` (a scalar, or one per matrix of the
+    stack) must lie well inside the float range.  One matrix gives a bool, a
+    stack an array of them.
+    """
+    M = np.asarray(M)
+    lo, hi = t * (1 - _FRO_MARGIN), t * (1 + _FRO_MARGIN) * math.sqrt(min(M.shape[-2:]))
+    if M.ndim == 2:
+        fro = math.sqrt(np.vdot(M, M).real)
+        if fro <= lo or hi < fro < math.inf:
+            return bool(fro <= lo)
+        return bool(np.linalg.norm(M, 2) <= t)
+    stack = M.reshape(-1, *M.shape[-2:])
+    lo, hi, t = (np.broadcast_to(b, M.shape[:-2]).reshape(-1) for b in (lo, hi, t))
+    fro = np.sqrt(np.einsum("kij,kij->k", stack.conj(), stack).real)
+    le = fro <= lo
+    band = ~(le | ((hi < fro) & (fro < np.inf)))
+    if band.any():
+        le[band] = np.linalg.norm(stack[band], 2, axis=(-2, -1)) <= t[band]
+    return le.reshape(M.shape[:-2])
 
 
 @dataclass(frozen=True)
@@ -105,11 +144,14 @@ class Potential:
                 raise ValidationError(f"piece {i}: need 0 <= x_lo < x_hi < inf")
             if not np.isfinite(V).all():
                 raise ValidationError(f"piece {i}: V has non-finite entries")
-            herm = np.linalg.norm(V - V.conj().T, 2)
-            if herm > HERMITICITY_EPS * max(1.0, np.linalg.norm(V, 2)):
-                raise ValidationError(
-                    f"piece {i}: V is not selfadjoint (residual {herm:.3e})"
-                )
+            skew = V - V.conj().T
+            # ||skew|| <= EPS passes whatever ||V||, so only larger ones need both norms
+            if not _norm2_le(skew, HERMITICITY_EPS):
+                herm = np.linalg.norm(skew, 2)
+                if herm > HERMITICITY_EPS * max(1.0, np.linalg.norm(V, 2)):
+                    raise ValidationError(
+                        f"piece {i}: V is not selfadjoint (residual {herm:.3e})"
+                    )
             V = 0.5 * (V + V.conj().T)
             V.setflags(write=False)
             cleaned.append((lo, hi, V))
@@ -177,6 +219,17 @@ class StateMatrix:
             a = np.array(a)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    @classmethod
+    def _trusted(cls, x: float, value: np.ndarray, deriv: np.ndarray) -> "StateMatrix":
+        """A state cut from an already checked one (its rows, say), made
+        read-only but neither checked nor copied again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "x", x)
+        for name, a in (("value", value), ("deriv", deriv)):
+            a.setflags(write=False)
+            object.__setattr__(state, name, a)
+        return state
 
     @property
     def n(self) -> int:
@@ -395,6 +448,26 @@ def walk(
     return states
 
 
+def _k_keys(k) -> list:
+    """One key per k of a scalar or 1-D k: its bits, so -0.0 is not 0.0."""
+    return [v.tobytes() for v in np.asarray(k, dtype=complex).reshape(-1)]
+
+
+def _square_keys(k) -> list:
+    """One key per k: the bits of k^2, under which phi(k, .) is one solution.
+    -x+0j squares to x^2-0j; adding 0 maps that -0.0 to the +0.0 of x^2."""
+    k = np.asarray(k, dtype=complex)
+    return _k_keys(k * k + 0)
+
+
+def _distinct(k, keys) -> Tuple[np.ndarray, Dict[bytes, int]]:
+    """The first k of each distinct key, in order, and each key's row among them."""
+    first: Dict[bytes, int] = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    return k[list(first.values())], {key: row for row, key in enumerate(first)}
+
+
 class _Walks:
     """f(kappa, .) and phi(k, .) read from one backward and one forward walk.
 
@@ -403,8 +476,9 @@ class _Walks:
     a stack of k from 0 up to max(x_max, points); each keeps the state at
     every interface and at every point inside it (:func:`walk`).  A read
     gives what :func:`jost_solution` or :func:`regular_solution` gives, bit
-    for bit: a slice of a walk that holds its k (matched bit for bit, so
-    -0.0 is not 0.0) and its point, or else a propagation of its own.  A
+    for bit: a slice of a walk that holds its k and its point, or else a
+    propagation of its own.  f is held per k matched bit for bit (so -0.0 is
+    not 0.0), phi once per k^2 (so phi(-k, .) is the row of phi(k, .)).  A
     walk that overflows is not kept, so the reads it would have served
     propagate on their own and fail where they fail alone.
     ``_Walks(pot, bc, cfg)`` holds no walk: every read propagates.
@@ -412,39 +486,38 @@ class _Walks:
 
     def __init__(self, pot, bc, cfg, kappas=(), ks=(), points=()):
         self.pot, self.bc, self.cfg = pot, bc, cfg
-        self._f = self._walk(kappas, lambda k: jost_solution(pot, k, pot.x_max, cfg),
+        self._f = self._walk(kappas, _k_keys, lambda k: jost_solution(pot, k, pot.x_max, cfg),
                              min([pot.x_max, *points]), points)
         if bc is not None and bc.n == pot.n:  # else phi reads raise as they do alone
-            self._phi = self._walk(ks, lambda k: StateMatrix(0.0, bc.A, bc.B),
+            self._phi = self._walk(ks, _square_keys, lambda k: StateMatrix(0.0, bc.A, bc.B),
                                    max([pot.x_max, *points]), points)
         else:
             self._phi = None
 
-    def _walk(self, ks, start, x_end, points):
-        ks = list({k.tobytes(): k for k in np.asarray(ks, dtype=complex).reshape(-1)}.values())
-        if not ks:
+    def _walk(self, ks, keys, start, x_end, points):
+        ks = np.asarray(ks, dtype=complex).reshape(-1)
+        if not ks.size:
             return None
-        ks = np.array(ks)
+        ks, index = _distinct(ks, keys(ks))
         try:
             states = walk(self.pot, ks, start(ks), x_end, self.cfg, points)
         except NumericalError:
             return None
-        return {k.tobytes(): i for i, k in enumerate(ks)}, states
+        return keys, index, states
 
     @staticmethod
     def _read(held, k, x) -> Optional[StateMatrix]:
         """k (a scalar or 1-D) at x, sliced from a held walk that holds
         every k and x, else None."""
-        if held is None or x not in held[1]:
+        if held is None or x not in held[2]:
             return None
-        index, states = held
-        k = np.asarray(k, dtype=complex)
-        rows = [index.get(v.tobytes()) for v in k.reshape(-1)]
+        keys, index, states = held
+        rows = [index.get(key) for key in keys(k)]
         if None in rows:
             return None
         s = states[x]
-        rows = rows if k.ndim else rows[0]
-        return StateMatrix(s.x, s.value[rows], s.deriv[rows])
+        rows = rows if np.ndim(k) else rows[0]
+        return StateMatrix._trusted(s.x, s.value[rows], s.deriv[rows])
 
     def f(self, kappa, x) -> StateMatrix:
         """f(kappa, x), as :func:`jost_solution` gives it."""
@@ -493,11 +566,24 @@ def zero_energy_pair(
 def regular_solution(
     pot: Potential, bc: BCPair, k, x: float, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> StateMatrix:
-    """Solution with data (A, B) at the origin; entire in k (a scalar or 1-D array)."""
+    """Solution with data (A, B) at the origin; entire in k (a scalar or 1-D array).
+
+    k enters only as k^2, so phi is even in k: a stack propagates each
+    distinct k^2 once, and every k of it receives its row.
+    """
     if bc.n != pot.n:
         raise ValidationError("boundary pair and potential sizes differ")
     start = StateMatrix(x=0.0, value=bc.A, deriv=bc.B)
-    return propagate(pot, k, start, x, cfg)
+    if np.ndim(k) == 0:
+        return propagate(pot, k, start, x, cfg)
+    k = np.asarray(k, dtype=complex)
+    keys = _square_keys(k)
+    reps, index = _distinct(k, keys)
+    state = propagate(pot, reps, start, x, cfg)
+    if len(reps) == len(k):
+        return state
+    rows = [index[key] for key in keys]
+    return StateMatrix._trusted(state.x, state.value[rows], state.deriv[rows])
 
 
 def cs_solutions(
@@ -595,7 +681,7 @@ def _integrate_weighted(pot: Potential, a: float, weights, edge_state, cfg: Solv
                     continue
                 coef = (half[:, None] * ws).ravel() * weight(ys)
                 acc = (coef[:, None, None] * Vpsi).sum(axis=0)
-                settled[i] = prev[i] is not None and np.linalg.norm(acc - prev[i], 2) <= tol
+                settled[i] = prev[i] is not None and _norm2_le(acc - prev[i], tol)
                 prev[i] = acc
             if all(settled):
                 break

@@ -153,7 +153,8 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
     def smatrix_properties():
         worst_u = 0.0
         worst_inv = 0.0
-        pm = [s * k for k in K_GRID for s in (1.0, -1.0)]  # S(k), then S(-k)
+        # S(k), then S(-k); the stack evaluates J once at each of the 10 values
+        pm = [s * k for k in K_GRID for s in (1.0, -1.0)]
         rows = _first_error(_smatrix_stack(pot, bc, pm, a, solver, walks))
         for Sp, Sm in zip(rows[::2], rows[1::2]):
             worst_u = max(worst_u, Sp["unitarity_residual"])

@@ -165,6 +165,39 @@ def test_parse_rejects_non_finite_number_strings(path, value, match):
         parse_config(json.dumps(_with(path, value)))
 
 
+# The least integer whose float is infinite: 2**1024 rounded down by half an ulp.
+INT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
+@pytest.mark.parametrize("literal,ok", [
+    (str(INT_OVERFLOW - 1), True),
+    (str(-(INT_OVERFLOW - 1)), True),
+    (str(INT_OVERFLOW), False),
+    (str(-INT_OVERFLOW), False),
+    ("9" * 309, False),
+    ("-" + "9" * 310, False),
+    ("9" * 5000, False),  # beyond what int() reads from a string by default
+    ("1e3", True),
+    ("1.7976931348623157e308", True),
+    ("1.7976931348623159e308", False),
+    ("-1e999", False),
+])
+def test_number_literals_are_finite_exactly_where_their_float_is(literal, ok):
+    # As kgrid steps, a finite literal gets past the JSON reader; only the
+    # field's own check may then refuse it (a float, or a negative steps).
+    text = json.dumps(_with(("kgrid",), [0.5, 2.0, 3])).replace("3]", literal + "]")
+    shown = literal if len(literal) <= 24 else literal[:20] + "..."
+    try:
+        parse_config(text)
+        message = None
+    except ValidationError as exc:
+        message = str(exc)
+    if ok:
+        assert message in (None, "config.kgrid: steps must be an integer >= 1")
+    else:
+        assert message == f"config: number {shown} is not finite"
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------

@@ -301,6 +301,80 @@ def test_walks_read_what_direct_calls_give(rng, monkeypatch):
         assert st.deriv.tobytes() == ref.deriv.tobytes()
 
 
+def test_walks_read_slices_without_a_second_check(rng, monkeypatch):
+    # A read of a held walk neither re-validates nor copies through
+    # StateMatrix.__post_init__, yet comes out read-only; phi(-k, .) and
+    # phi(-0.0, .) are rows of the phi(k, .) and phi(0.0, .) walk.
+    from halfline import solver
+    from halfline.solver import _Walks
+
+    pot = rand_potential(rng, 2, 4, scale=0.3)
+    bc = rand_bc(rng, 2)
+    walks = _Walks(pot, bc, hl.SolverConfig(), [0.0, 0.7], [0.0, 0.7, 1.1 + 0.2j],
+                   points=(0.0,))
+    checks = []
+    post_init = solver.StateMatrix.__post_init__
+    monkeypatch.setattr(solver.StateMatrix, "__post_init__",
+                        lambda self: checks.append(self) or post_init(self))
+    monkeypatch.setattr(solver, "propagate", None)  # any propagation fails
+    reads = [walks.f(0.7, pot.x_max), walks.f([0.7, 0.0, 0.7], 0.0),
+             walks.phi(-0.7, pot.x_max), walks.phi([-1.1 - 0.2j, -0.0, 0.7], 0.0)]
+    monkeypatch.undo()
+    assert checks == []
+    for st in reads:
+        assert not st.value.flags.writeable and not st.deriv.flags.writeable
+    assert reads[1].value.shape == reads[3].value.shape == (3, 2, 2)
+    for got, ref in ((reads[2], hl.regular_solution(pot, bc, -0.7, pot.x_max)),
+                     (reads[3], hl.regular_solution(pot, bc, [-1.1 - 0.2j, -0.0, 0.7], 0.0))):
+        assert got.value.tobytes() == ref.value.tobytes()
+        assert got.deriv.tobytes() == ref.deriv.tobytes()
+
+
+def test_smatrix_grid_propagates_phi_once_per_k_squared(rng, monkeypatch):
+    # A 200-point grid pairs f(-k, .) for all 400 values of +-k with
+    # phi(k, .), which is even in k: phi is propagated for 200 of them.
+    from halfline import solver
+
+    pot = rand_potential(rng, 2, 20, scale=0.3)
+    bc = rand_bc(rng, 2)
+    grid = np.linspace(0.05, 10.0, 200)
+    propagate = solver.propagate
+    stacks = []
+
+    def spy(pot_, k, state, x, *args):
+        stacks.append((state.x, x, np.size(k)))
+        return propagate(pot_, k, state, x, *args)
+
+    monkeypatch.setattr(solver, "propagate", spy)
+    rows = hl.smatrix_grid(pot, bc, grid)
+    monkeypatch.undo()
+    assert stacks == [(pot.x_max, 0.0, 400), (0.0, pot.x_max, 200)]
+    _assert_same_row(rows[77], _ref_row(pot, bc, grid[77], None))
+
+
+def test_smatrix_stack_evaluates_j_once_per_distinct_k(rng, monkeypatch):
+    # verify asks for S(k) and S(-k) on one list; each of the 10 values of
+    # +-k gets one J, and every row equals its k evaluated alone.
+    from halfline.verify import K_GRID
+
+    pot = rand_potential(rng, 2, 20, scale=0.3)
+    bc = rand_bc(rng, 2)
+    pm = [s * k for k in K_GRID for s in (1.0, -1.0)]
+    jost_stack = hl.scattering._jost_stack
+    sizes = []
+
+    def spy(pot_, bc_, ks, *args):
+        sizes.append(len(ks))
+        return jost_stack(pot_, bc_, ks, *args)
+
+    monkeypatch.setattr(hl.scattering, "_jost_stack", spy)
+    rows = hl.scattering._smatrix_stack(pot, bc, pm, pot.x_max, hl.SolverConfig())
+    monkeypatch.undo()
+    assert sizes == [10]
+    for k, row in zip(pm, rows):
+        _assert_same_row(row, _ref_row(pot, bc, k, None))
+
+
 def test_walks_drop_an_overflowing_walk():
     # Below the barrier top the width-20 barrier overflows one exact step:
     # a read at k = 1 raises as the direct call does, a read at k = 50 works.

@@ -186,14 +186,26 @@ def test_jost_solution_satisfies_integral_relation(rng):
 
 
 def test_even_k_symmetry(rng):
-    # Regular-type solutions are even in k (k enters only as k^2).
+    # Regular-type solutions are even in k (k enters only as k^2); phi is
+    # even bit for bit, in both methods, so a stack of k propagates phi once
+    # per k^2 and hands phi(k, .) to -k.
     bc = rand_bc(rng, 2)
     pot = rand_potential(rng, 2)
     k = 0.9 + 0.2j
     x = 1.1
     a = 0.4
+    # k^2 just below and just above each eigenvalue of V on the first piece,
+    # where the square root in the exact step changes branch.
+    edge = [np.sqrt(complex(e)) * (1 + s) for e in pot._eigs[0][0] for s in (-1e-3, 1e-3)]
+    for method in ("analytic", "rk45"):
+        cfg = hl.SolverConfig(method=method)
+        for kp in [k, 0.7, 1e-3, 3.3, *edge]:
+            kp = complex(kp)  # -kp of x+0j is -x+0j, whose square is x^2-0j
+            plus = hl.regular_solution(pot, bc, kp, x, cfg)
+            minus = hl.regular_solution(pot, bc, -kp, x, cfg)
+            assert np.array_equal(plus.value, minus.value)
+            assert np.array_equal(plus.deriv, minus.deriv)
     for plus, minus in [
-        (hl.regular_solution(pot, bc, k, x), hl.regular_solution(pot, bc, -k, x)),
         (hl.omega_solution(pot, k, a, x), hl.omega_solution(pot, -k, a, x)),
     ]:
         assert np.linalg.norm(plus.value - minus.value) < 1e-10
@@ -202,6 +214,31 @@ def test_even_k_symmetry(rng):
     C2, S2 = hl.cs_solutions(pot, -k, a, x)
     assert np.linalg.norm(C1.value - C2.value) < 1e-10
     assert np.linalg.norm(S1.value - S2.value) < 1e-10
+
+
+@pytest.mark.parametrize("method", ["analytic", "rk45"])
+def test_regular_solution_stack_propagates_once_per_k_squared(rng, monkeypatch, method):
+    # A stack with -k beside k (real, complex, -0.0 beside 0.0) propagates
+    # each distinct k^2 once; every k reads what its own scalar call gives.
+    cfg = hl.SolverConfig(method=method)
+    bc = rand_bc(rng, 2)
+    pot = rand_potential(rng, 2)
+    ks = [0.7, -0.7, 0.0, -0.0, 0.9 + 0.2j, -0.9 - 0.2j, 0.9 - 0.2j, 2.5, 0.7]
+    sizes = []
+    propagate = solver.propagate
+
+    def spy(pot, k, *args):
+        sizes.append(np.size(k))
+        return propagate(pot, k, *args)
+
+    monkeypatch.setattr(solver, "propagate", spy)
+    got = hl.regular_solution(pot, bc, ks, 1.1, cfg)
+    monkeypatch.undo()
+    assert sizes == [5]  # 0.49, 0, 0.77+0.36j, 0.77-0.36j, 6.25
+    assert not got.value.flags.writeable and not got.deriv.flags.writeable
+    for k, value, deriv in zip(ks, got.value, got.deriv):
+        ref = hl.regular_solution(pot, bc, k, 1.1, cfg)
+        assert np.array_equal(value, ref.value) and np.array_equal(deriv, ref.deriv)
 
 
 def test_cs_solutions_free_and_anchor():
@@ -509,3 +546,51 @@ def test_piece_lookup_equals_linear_scan(rng, case):
     assert free.piece_at(0.0) is None
     assert solver._breakpoints(free, 0.0, 1.0) == [0.0, 1.0]
     assert solver._breakpoints(free, 1.0, 1.0) == [1.0]
+
+
+def _norm2_le_cases(rng, n):
+    """Rank-1, random, and scaled unitary matrices: ||M||_2 equals ||M||_F
+    for the first, and ||M||_F / sqrt(n) for the last.  Rounding puts the
+    computed ||M||_F below the computed ||M||_2 for about a third of the
+    rank-1 draws, so eight of them meet that case."""
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rank1 = [cnormal(n, 1) @ cnormal(1, n) for _ in range(8)]
+    Q = np.linalg.qr(cnormal(n, n))[0]
+    return [*rank1, cnormal(n, n), 3e-9 * cnormal(n, n), 0.7 * Q, np.zeros((n, n))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_norm2_le_decides_as_the_spectral_norm(rng, n):
+    # At and around every threshold where the Frobenius bounds stop deciding,
+    # the helper agrees with np.linalg.norm(M, 2) <= t, one matrix or a stack.
+    for M in _norm2_le_cases(rng, n):
+        norm2 = np.linalg.norm(M, 2)
+        fro = np.linalg.norm(M)
+        ts = [t * f for t in (norm2, fro, fro / np.sqrt(n), 1e-11, 1.0)
+              for f in (1 - 1e-12, 1.0, 1 + 1e-12, 1 - 1e-9, 1 + 1e-9, 0.5, 2.0)]
+        for t in ts:
+            assert solver._norm2_le(M, t) is bool(norm2 <= t)
+        got = solver._norm2_le(np.broadcast_to(M, (len(ts), n, n)), np.array(ts))
+        assert got.tolist() == [bool(norm2 <= t) for t in ts]
+    stack = np.array(_norm2_le_cases(rng, n)).reshape(12, 1, n, n)
+    assert solver._norm2_le(stack, 1.0).shape == (12, 1)
+
+
+def test_norm2_le_handles_non_finite_entries_as_the_svd_does():
+    # NaN makes the SVD raise and inf makes it give NaN; entries whose
+    # squares overflow still have a finite spectral norm.
+    def outcome(fn, M, t):
+        try:
+            return np.asarray(fn(M, t)).tolist()
+        except np.linalg.LinAlgError:
+            return "raises"
+
+    def reference(M, t):
+        return np.linalg.norm(M, 2, axis=(-2, -1)) <= t
+
+    for entry in (np.nan, np.inf, -np.inf, 1e200):
+        M = np.array([[entry, 1.0], [0.0, 1.0]], dtype=complex)
+        for arg in (M, M[None]):
+            for t in (1e-8, 1e300):
+                assert outcome(solver._norm2_le, arg, t) == outcome(reference, arg, t)
