@@ -207,6 +207,9 @@ def jost_matrix_zero(
 
     beta = walks.phi(0.0, pot.x_max).deriv  # route (iii): zero_energy_decomposition's beta
 
+    # tol * max(||J||, 1) >= tol, so differences within tol pass without SVDs
+    if _norm2_le(J_pairing - J_moment, tol) and _norm2_le(J_pairing - beta, tol):
+        return J_pairing
     scale = max(np.linalg.norm(J_pairing, 2), 1.0)
     d1 = np.linalg.norm(J_pairing - J_moment, 2)
     d2 = np.linalg.norm(J_pairing - beta, 2)

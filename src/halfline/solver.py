@@ -27,8 +27,15 @@ An embedded Dormand-Prince 5(4) integrator over the first-order 2n-row
 system is provided as an independent cross-check backend ("rk45"); both
 methods step piece by piece so interfaces are always hit exactly.
 
-All functions are pure and single-threaded.  One propagation may carry a
-whole stack of k values: every step then advances all of them at once.
+All functions are pure and start no threads of their own (BLAS may split a
+large product over threads).  One propagation may carry a whole stack of k
+values: every step then advances all of them at once.  A step holds the
+stack transposed, as rows psi^T, so each rotation into or out of V's
+eigenbasis is one 2-D product of all K n rows with a fixed n x n factor,
+not K products of n x n matrices.  With that factor fixed, BLAS computes a
+row of the product the same way however many rows the product has (and
+however it splits them over threads), so a stacked row keeps the bits of
+its scalar call; tests/test_solver.py checks this for the BLAS at hand.
 
 Because V is piecewise constant with compact support, the regular solution
 phi is fixed by its data at 0 and the outgoing solution f by its exact data
@@ -161,11 +168,12 @@ class Potential:
                 raise ValidationError("potential pieces overlap")
         object.__setattr__(self, "pieces", tuple(cleaned))
         object.__setattr__(self, "x_max", cleaned[-1][1] if cleaned else 0.0)
-        # Eigendecompositions reused by the analytic propagator.
+        # Eigendecompositions reused by the analytic propagator, as the
+        # transposed factors (w, Q^T, conj Q) that rotate rows (see _step).
         eigs = []
         for _, _, V in cleaned:
             w, Q = np.linalg.eigh(V)
-            eigs.append((w, Q, Q.conj().T))
+            eigs.append((w, np.ascontiguousarray(Q.T), Q.conj()))
         object.__setattr__(self, "_eigs", tuple(eigs))
         # Piece lookup by bisection: the sorted distinct piece edges, and the
         # running maximum of the piece ends (nondecreasing even where pieces
@@ -279,11 +287,20 @@ def _step(eig, k, h, value, deriv):
 
     ``k`` (a complex array) and ``h`` are 0-d or 1-D and broadcast to the
     stack shape S, () or (m,); ``value`` and ``deriv`` are (n, n) or
-    S + (n, n), and so is the result.  ``eig`` is the piece's (w, Q, Q'), or
-    None on free territory (no rotation).  Raises NumericalError when a step
-    overflows.
+    S + (n, n), and so is the result.  ``eig`` is the piece's (w, Q^T, conj Q),
+    or None on free territory (no rotation).  Raises NumericalError when a
+    step overflows.
+
+    The state is held transposed for the length of the step, as rows: psi^T
+    is (..., n, n) with one row per column of psi, and Q' psi is
+    (psi^T conj Q)^T.  So each rotation is one 2-D product of every row of
+    the stack with a fixed n x n factor (``_rotate``), and c, s and g scale
+    the last axis.  With the factor fixed, BLAS computes a row of that
+    product the same way whatever the number of rows, so a stacked row
+    keeps the bits of its scalar call.  The result is a transposed view of
+    those rows, which the next step reshapes without a copy.
     """
-    w, Q, Qh = (0.0, None, None) if eig is None else eig
+    w, QT, QhT = (0.0, None, None) if eig is None else eig
     h = np.asarray(h)[..., None]
     with np.errstate(all="ignore"):
         om2 = (k * k)[..., None] - w
@@ -295,17 +312,33 @@ def _step(eig, k, h, value, deriv):
             c = np.where(small, 1.0 - z2 / 2.0 + z2 * z2 / 24.0 - z2 * z2 * z2 / 720.0, c)
             s = np.where(small, 1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2 * z2 * z2 / 5040.0, s)
         s = s * h
-        c, s, g = c[..., None], s[..., None], (-om2 * s)[..., None]
-        if Q is not None:
-            value, deriv = Qh @ value, Qh @ deriv
-        new_v = c * value + s * deriv
-        new_d = g * value + c * deriv
-        if Q is not None:
-            new_v, new_d = Q @ new_v, Q @ new_d
+        c, s, g = c[..., None, :], s[..., None, :], (-om2 * s)[..., None, :]
+        rows_v, rows_d = value.swapaxes(-1, -2), deriv.swapaxes(-1, -2)
+        if QT is not None:
+            rows_v, rows_d = _rotate(rows_v, QhT), _rotate(rows_d, QhT)
+        # in place, and out into the spent rotated rows: fresh arrays of a
+        # large stack cost more in page faults than their arithmetic
+        new_v = c * rows_v
+        new_v += s * rows_d
+        new_d = g * rows_v
+        new_d += c * rows_d
+        if QT is not None:
+            new_v, new_d = _rotate(new_v, QT, rows_v), _rotate(new_d, QT, rows_d)
     if not (np.isfinite(new_v).all() and np.isfinite(new_d).all()):
         raise NumericalError("solution overflows within one exact step: the piece "
                              "is too wide or too deep at this k")
-    return new_v, new_d
+    return new_v.swapaxes(-1, -2), new_d.swapaxes(-1, -2)
+
+
+def _rotate(rows, RT, spare=None):
+    """rows @ RT for a (..., m, n) stack of rows, as one (M, n) @ (n, n)
+    product.  It is written into ``spare``, a contiguous array no longer
+    needed, when that has the shape of the result."""
+    n = rows.shape[-1]
+    if spare is None or spare.shape != rows.shape:
+        return (rows.reshape(-1, n) @ RT).reshape(rows.shape)
+    np.matmul(rows.reshape(-1, n), RT, out=spare.reshape(-1, n))
+    return spare
 
 
 # ---------------------------------------------------------------------------

@@ -796,3 +796,42 @@ def test_jost_matrix_zero_catches_one_perturbed_leg(rng, monkeypatch):
         target[0] = i + 1
         with pytest.raises(NumericalError, match="zero-energy Jost cross-check"):
             hl.jost_matrix_zero(pot, bc)
+
+
+def test_jost_matrix_zero_takes_spectral_norms_only_when_frobenius_cannot_pass(rng, monkeypatch):
+    # Route differences within tol pass on Frobenius norms alone; a larger
+    # one takes the spectral norms and is decided against tol * max(||J||, 1)
+    # as before, with the same error text.
+    from halfline import scattering
+
+    pot = rand_potential(rng, 2, 20)
+    bc = rand_bc(rng, 2)
+    J = hl.wronskian(hl.jost_solution(pot, 0.0, 0.0), hl.StateMatrix(0.0, bc.A, bc.B))
+    beta = hl.regular_solution(pot, bc, 0.0, pot.x_max).deriv
+    scale = max(np.linalg.norm(J, 2), 1.0)
+    tol = scattering.CROSSCHECK_TOL
+    assert scale > 2  # so that a difference can lie between tol and tol * scale
+    norm, integrate = np.linalg.norm, scattering._integrate_weighted
+    spectral, shift = [], [0.0]
+
+    def counted(x, ord=None, *args, **kwargs):
+        spectral.append(ord == 2)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    monkeypatch.setattr(scattering, "_integrate_weighted",
+                        lambda *a, **kw: [m + shift[0] * np.eye(2) for m in integrate(*a, **kw)])
+    for shift[0], svds in ((0.0, 0), (tol * np.sqrt(scale), 3)):
+        spectral.clear()
+        assert np.array_equal(hl.jost_matrix_zero(pot, bc), J)
+        assert sum(spectral) == svds
+    shift[0] = 2 * tol * scale
+    J_moment = bc.B + integrate(pot, 0.0, (lambda y: 1.0,),
+                                lambda lo, hi: hl.regular_solution(pot, bc, 0.0, lo),
+                                hl.SolverConfig())[0] + shift[0] * np.eye(2)
+    d1, d2 = norm(J - J_moment, 2), norm(J - beta, 2)
+    text = (f"zero-energy Jost cross-check failed: moment diff {d1:.3e}, "
+            f"fundamental-system diff {d2:.3e}")
+    with pytest.raises(NumericalError) as info:
+        hl.jost_matrix_zero(pot, bc)
+    assert str(info.value) == text

@@ -10,7 +10,7 @@ import pytest
 
 import halfline as hl
 from halfline import solver
-from halfline.errors import ValidationError
+from halfline.errors import NumericalError, ValidationError
 from halfline.solver import potential_from_json, potential_to_json
 from conftest import rand_bc, rand_potential, scalar_well
 
@@ -405,6 +405,132 @@ def test_propagate_rejects_negative_target():
     state = hl.StateMatrix(0.0, np.eye(1), np.zeros((1, 1)))
     with pytest.raises(ValidationError):
         hl.propagate(pot, 1.0, state, -0.5)
+
+
+def _random_states(rng, K, n):
+    return [rng.normal(size=(K, n, n)) + 1j * rng.normal(size=(K, n, n)) for _ in range(2)]
+
+
+def _assert_same_bits(got, want):
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_step_rows_do_not_depend_on_the_stack(rng, n):
+    # A row of a stacked step has the bits it has when stepped alone or in
+    # any other stack, on a piece and on free territory, for real k and for
+    # Im k > 0.  Each rotation is one product over every row of the stack,
+    # so this holds only while BLAS computes a row of a product with an
+    # n x n factor the same way whatever the number of rows.
+    pot = rand_potential(rng, n, 1)
+    k = np.linspace(0.05, 10.0, 400) + 0j
+    h = 0.37
+    for eig in (pot._eigs[0], None):
+        for ks in (k, k + 0.3j):
+            v, d = _random_states(rng, 400, n)
+            full = solver._step(eig, ks, h, v, d)
+            # a second step starts from the transposed rows a step hands on
+            again = solver._step(eig, ks, h, *full)
+            for K in (1, 2, 3, 7, 200, 400):
+                for off in sorted({0, 1, 5, 400 - K} if K < 400 else {0}):
+                    rows = slice(off, off + K)
+                    part = solver._step(eig, ks[rows], h, v[rows], d[rows])
+                    _assert_same_bits(part, (a[rows] for a in full))
+                    _assert_same_bits(solver._step(eig, ks[rows], h, *part),
+                                      (a[rows] for a in again))
+            for i in (0, 1, 199, 399):
+                _assert_same_bits(solver._step(eig, ks[i], h, v[i], d[i]),
+                                  (a[i] for a in full))
+        # the quadrature form: one (n, n) state, a stack of step lengths
+        v, d = (a[0] for a in _random_states(rng, 1, n))
+        hs = rng.uniform(0.0, 0.8, 384)
+        zero = np.zeros(1, complex)
+        full = solver._step(eig, zero, hs, v, d)
+        for K in (1, 2, 3, 7, 200, 384):
+            for off in sorted({0, 1, 384 - K}):
+                rows = slice(off, off + K)
+                _assert_same_bits(solver._step(eig, zero, hs[rows], v, d),
+                                  (a[rows] for a in full))
+        for i in (0, 1, 383):
+            _assert_same_bits(solver._step(eig, zero, hs[i], v, d),
+                              (a[i:i + 1] for a in full))
+
+
+def _reference_step(V, k, h, value, deriv):
+    """The exact step through a piece V (None on free territory) with one
+    stacked Q @ X rotation per k, on untransposed states, from its own
+    eigendecomposition: the reference the one-product step must track."""
+    w, Q = (0.0, None) if V is None else np.linalg.eigh(V)
+    h = np.asarray(h)[..., None]
+    with np.errstate(all="ignore"):
+        om2 = (k * k)[..., None] - w
+        z = np.sqrt(om2) * h
+        c, s = np.cos(z), np.sin(z) / z
+        small = np.abs(z) < 1e-4
+        if small.any():
+            z2 = z * z
+            c = np.where(small, 1.0 - z2 / 2.0 + z2 * z2 / 24.0 - z2 * z2 * z2 / 720.0, c)
+            s = np.where(small, 1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2 * z2 * z2 / 5040.0, s)
+        s = s * h
+        c, s, g = c[..., None], s[..., None], (-om2 * s)[..., None]
+        if Q is not None:
+            value, deriv = Q.conj().T @ value, Q.conj().T @ deriv
+        new_v = c * value + s * deriv
+        new_d = g * value + c * deriv
+        if Q is not None:
+            new_v, new_d = Q @ new_v, Q @ new_d
+    if not (np.isfinite(new_v).all() and np.isfinite(new_d).all()):
+        raise NumericalError("solution overflows within one exact step: the piece "
+                             "is too wide or too deep at this k")
+    return new_v, new_d
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_step_tracks_the_per_k_reference(rng, n):
+    # Each row is within a few ulps of the per-k reference, relative to the
+    # norm of the stepped state: on a piece and on free territory, for real k
+    # and Im k > 0, for stacks of 1, 7 and 400, and on the small-|z| series
+    # branch (a short step, and k^2 at and near each eigenvalue of V, beside
+    # rows off the branch).
+    pot = rand_potential(rng, n, 1)
+    V, eig = pot.pieces[0][2], pot._eigs[0]
+    k = np.linspace(0.05, 10.0, 400) + 0j
+    near = np.sqrt(np.add.outer(eig[0], [-1e-9, 1e-9, 1e-3]).ravel() + 0j)
+    for ks, h in ((k, 0.37), (k + 0.3j, 0.37), (k[:7], 0.37), (k[:1], 0.37),
+                  (k[:50], 1e-6), (near, 0.37)):
+        v, d = _random_states(rng, len(ks), n)
+        for piece, piece_eig in ((V, eig), (None, None)):
+            got = solver._step(piece_eig, ks, h, v, d)
+            want = _reference_step(piece, ks, h, v, d)
+            err = sum(np.linalg.norm(g - w, axis=(-2, -1)) ** 2 for g, w in zip(got, want))
+            size = sum(np.linalg.norm(w, axis=(-2, -1)) ** 2 for w in want)
+            assert (np.sqrt(err / size) <= 8 * np.finfo(float).eps).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_step_overflows_where_the_reference_does(rng, n):
+    # A barrier deep enough that the step overflows for small k and not for
+    # large k: each k alone raises exactly where the reference raises, with
+    # the same text, and a stack raises when any of its rows does.
+    barrier = 1e6 * np.eye(n) + rand_potential(rng, n, 1).pieces[0][2]
+    pot = hl.Potential(n=n, pieces=((0.0, 1.0, barrier),))
+    V, eig = pot.pieces[0][2], pot._eigs[0]
+    h = 709.8 / np.sqrt(1e6 - 150.0 ** 2)
+    v, d = _random_states(rng, 1, n)
+    raised = []
+    for kj in np.linspace(0.0, 300.0, 61) + 0j:
+        outcomes = []
+        for step, piece in ((solver._step, eig), (_reference_step, V)):
+            try:
+                step(piece, kj, h, v[0], d[0])
+                outcomes.append(None)
+            except NumericalError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        raised.append(outcomes[0] is not None)
+    assert any(raised) and not all(raised)
+    with pytest.raises(NumericalError, match="overflows within one exact step"):
+        solver._step(eig, np.array([300.0, 0.0]) + 0j, h, *_random_states(rng, 2, n))
 
 
 @pytest.mark.parametrize("n,pieces", [(n, p) for n in (1, 2, 8) for p in (2, 20)])
