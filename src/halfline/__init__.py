@@ -48,10 +48,8 @@ from .lowenergy import (
     jost_inverse_asymptotics,
     kernel_bijection,
     kernel_characterization,
-    r_matrix,
     s_zero,
     schur_inverse,
-    z_blocks,
     z_of_k,
     zero_energy_pipeline,
 )

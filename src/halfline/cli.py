@@ -50,7 +50,7 @@ from .errors import NumericalError, ValidationError, JordanAmbiguityError
 from .fixtures import get_fixture
 from .lowenergy import exact_free_pipeline, zero_energy_pipeline
 from .scattering import jost_matrix, smatrix, smatrix_grid
-from .verify import run_property_checks
+from .verify import _record, run_property_checks
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -297,40 +297,20 @@ def _exact_residual(got: np.ndarray, expect: np.ndarray) -> float:
 
 def _example_checks_exact(fx) -> List[dict]:
     pipe = exact_free_pipeline(fx.A_exact, fx.B_exact)
-    checks = []
-    for kq, label in ((xa.QC(1), "1"), (xa.QC(0, Fraction(1, 2)), "i/2")):
-        checks.append({
-            "name": f"jost_at_k={label}",
-            "residual": _exact_residual(pipe["jost_at"](kq), fx.jost_display(kq)),
-            "tol": 0.0,
-        })
+
+    def check(name, got, expect):
+        return _record(name, _exact_residual(got, expect), 0.0)
+
+    checks = [check(f"jost_at_k={label}", pipe["jost_at"](kq), fx.jost_display(kq))
+              for kq, label in ((xa.QC(1), "1"), (xa.QC(0, Fraction(1, 2)), "i/2"))]
     if fx.smatrix_display is not None:
-        checks.append({
-            "name": "smatrix_at_k=1",
-            "residual": _exact_residual(
-                pipe["smatrix_at"](xa.QC(1)), fx.smatrix_display(xa.QC(1))
-            ),
-            "tol": 0.0,
-        })
-    checks.append({
-        "name": "s_zero",
-        "residual": _exact_residual(pipe["S0"], fx.s0_exact),
-        "tol": 0.0,
-    })
-    checks.append({
-        "name": "multiplicities",
-        "residual": 0.0 if (pipe["mu"], pipe["nu"]) == (fx.mu, fx.nu) else 1.0,
-        "tol": 0.0,
-    })
-    for name in ("A1", "B1", "C1", "D0"):
-        if name in fx.blocks_exact:
-            checks.append({
-                "name": f"block_{name}",
-                "residual": _exact_residual(pipe[name], fx.blocks_exact[name]),
-                "tol": 0.0,
-            })
-    for c in checks:
-        c["pass"] = c["residual"] <= c["tol"]
+        checks.append(check("smatrix_at_k=1", pipe["smatrix_at"](xa.QC(1)),
+                            fx.smatrix_display(xa.QC(1))))
+    checks.append(check("s_zero", pipe["S0"], fx.s0_exact))
+    checks.append(_record("multiplicities",
+                          0.0 if (pipe["mu"], pipe["nu"]) == (fx.mu, fx.nu) else 1.0, 0.0))
+    checks.extend(check(f"block_{name}", pipe[name], fx.blocks_exact[name])
+                  for name in ("A1", "B1", "C1", "D0") if name in fx.blocks_exact)
     return checks
 
 
@@ -339,42 +319,19 @@ def _example_checks_numeric(fx) -> List[dict]:
     res = zero_energy_pipeline(pot, bc)
     checks = []
     for k, label in ((1.0, "1"), (0.5j, "i/2")):
-        J = jost_matrix(pot, bc, k).J
         expect = fx.jost_display(xa.snap(complex(k))).astype(complex)
-        checks.append({
-            "name": f"jost_at_k={label}",
-            "residual": float(np.linalg.norm(J - expect, 2)),
-            "tol": 1e-10,
-        })
-    Sk = smatrix(pot, bc, 1.0).S
+        checks.append(_record(f"jost_at_k={label}",
+                              np.linalg.norm(jost_matrix(pot, bc, k).J - expect, 2), 1e-10))
     expect = fx.smatrix_display(xa.QC(1)).astype(complex)
-    checks.append({
-        "name": "smatrix_at_k=1",
-        "residual": float(np.linalg.norm(Sk - expect, 2)),
-        "tol": 1e-10,
-    })
+    checks.append(_record("smatrix_at_k=1", np.linalg.norm(smatrix(pot, bc, 1.0).S - expect, 2),
+                          1e-10))
     s0_tol = 1e-8 if fx.printed_s0 is not None else 1e-10
-    checks.append({
-        "name": "s_zero",
-        "residual": float(np.linalg.norm(res.s0.S - fx.s0, 2)),
-        "tol": s0_tol,
-    })
-    checks.append({
-        "name": "multiplicities",
-        "residual": 0.0 if (res.jordan.mu, res.jordan.nu) == (fx.mu, fx.nu) else 1.0,
-        "tol": 0.0,
-    })
+    checks.append(_record("s_zero", np.linalg.norm(res.s0.S - fx.s0, 2), s0_tol))
+    checks.append(_record("multiplicities",
+                          0.0 if (res.jordan.mu, res.jordan.nu) == (fx.mu, fx.nu) else 1.0, 0.0))
     if fx.P1 is not None:
-        checks.append({
-            "name": "permutations",
-            "residual": float(
-                np.linalg.norm(res.expansion.P1 - fx.P1)
-                + np.linalg.norm(res.expansion.P2 - fx.P2)
-            ),
-            "tol": 0.0,
-        })
-    for c in checks:
-        c["pass"] = c["residual"] <= c["tol"]
+        checks.append(_record("permutations", np.linalg.norm(res.expansion.P1 - fx.P1)
+                              + np.linalg.norm(res.expansion.P2 - fx.P2), 0.0))
     return checks
 
 

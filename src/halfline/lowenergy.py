@@ -77,8 +77,6 @@ __all__ = [
     "LowEnergyResult",
     "jordan_form",
     "build_permutations",
-    "r_matrix",
-    "z_blocks",
     "z_of_k",
     "schur_inverse",
     "s_zero",
@@ -528,24 +526,9 @@ def build_permutations(jd: JordanData) -> Tuple[np.ndarray, np.ndarray]:
 # Pipeline pieces.
 # ---------------------------------------------------------------------------
 
-def r_matrix(
-    pot: Potential,
-    bc: BCPair,
-    a: Optional[float] = None,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
-    """R = f(0, a)^(-1) phi(0, a), the slope of the rescaled Jost matrix.
-
-    With the default a = x_max the outgoing factor is exactly the identity,
-    so R = phi(0, x_max).
-    """
-    if a is None:
-        a = cfg.resolve_a(pot)
-    return _r_matrix(jost_solution(pot, 0.0, a, cfg), regular_solution(pot, bc, 0.0, a, cfg))
-
-
 def _r_matrix(f0: StateMatrix, phi: StateMatrix) -> np.ndarray:
-    """R from the states f(0, a) and phi(0, a)."""
+    """R = f(0, a)^(-1) phi(0, a), the slope of the rescaled Jost matrix,
+    from the states f(0, a) and phi(0, a).  At a = x_max, f(0, a) = I."""
     if np.linalg.cond(f0.value) > COND_CAP:
         raise NumericalError(f"f(0, {f0.x:g}) is numerically singular; enlarge a")
     return np.linalg.solve(f0.value, phi.value)
@@ -583,21 +566,6 @@ def _assemble(Smat, Sinv, chains, R, gathers, eye, inv):
     mid = np.block([[eye[:mu, :mu], eye[:mu, mu:]], [lower, -eye[mu:, mu:]]])
     S0 = (Smat[:, rows] @ mid)[:, np.argsort(rows)] @ Sinv  # Smat P2' mid P2 Sinv
     return A1, B1, C1, D0, S0
-
-
-def z_blocks(
-    jd: JordanData, R: np.ndarray, P1: np.ndarray, P2: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Linear-coefficient blocks A1, B1, C1 and constant block D0.
-
-    The first three are minus i times the mu-split blocks of
-    P2 (Sinv R Smat) P1; D0 is assembled from the chain structure.  A1 must
-    be invertible (it represents the kernel bijection u -> R u); a singular
-    A1 signals an inconsistent Jordan/R pairing upstream.
-    """
-    R = np.asarray(R, dtype=complex)
-    gathers = np.argmax(np.abs(P1), axis=0), np.argmax(np.abs(P2), axis=1)
-    return _assemble(jd.Smat, jd.Sinv, jd.chains, R, gathers, np.eye(jd.n), _checked_inverse)[:4]
 
 
 def z_of_k(

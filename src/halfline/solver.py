@@ -39,13 +39,13 @@ its scalar call; tests/test_solver.py checks this for the BLAS at hand.
 
 Because V is piecewise constant with compact support, the regular solution
 phi is fixed by its data at 0 and the outgoing solution f by its exact data
-at x_max.  :func:`walk` crosses the support once, leg by leg from one piece
-interface to the next through :func:`propagate`, and keeps the state at
-every interface: forward from 0 for phi, backward from x_max for f.  Each
-state equals the one a direct propagation to that point gives, bit for bit.
-``_Walks`` holds one such walk of f(kappa, .) and one of phi(k, .), each over
-a stack of k, and is the one way a consumer receives walked solutions: it
-reads single states, ``walks.f(kappa, x)`` and ``walks.phi(k, x)``, so
+at x_max.  ``_Walks`` crosses the support once for each, over a stack of
+k: backward from x_max for f(kappa, .), forward from 0 for phi(k, .).  It
+goes leg by leg from one piece interface to the next through
+:func:`propagate` and keeps the state at every interface, and each state
+equals the one a direct propagation to that point gives, bit for bit.
+``_Walks`` is the one way a consumer receives walked solutions: it reads
+single states, ``walks.f(kappa, x)`` and ``walks.phi(k, x)``, so
 every consumer that needs a solution at many interfaces (the moment
 quadrature, the zero-energy Jost routes, R) reads them from one walk
 instead of walking from the origin or the support edge once per piece.
@@ -64,7 +64,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -76,7 +76,6 @@ __all__ = [
     "StateMatrix",
     "SolverConfig",
     "propagate",
-    "walk",
     "jost_solution",
     "zero_energy_pair",
     "regular_solution",
@@ -450,37 +449,6 @@ def propagate(
     return StateMatrix(x=x_target, value=value, deriv=deriv)
 
 
-def walk(
-    pot: Potential,
-    k,
-    start: StateMatrix,
-    x_end: float,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-    a: Union[float, Sequence[float], None] = None,
-) -> Dict[float, StateMatrix]:
-    """States of one solution at every stop of a single walk, keyed by x.
-
-    The stops are start.x, every piece interface strictly between start.x
-    and x_end, and x_end.  Each leg between neighbouring stops is one
-    :func:`propagate` call, so the state at a stop is bit for bit the one
-    ``propagate(pot, k, start, stop, cfg)`` returns.  A side point ``a`` (one
-    point, or a sequence of them) strictly inside a leg is reached by a side
-    leg from the stop before it; the main walk is not split there, so the
-    stops beyond it keep their bits.  Side points off the walk are ignored.
-    ``k`` may be a 1-D array, as in :func:`propagate`.
-    """
-    sides = () if a is None else set(np.atleast_1d(a).tolist())
-    stops = _breakpoints(pot, start.x, x_end)
-    state = propagate(pot, k, start, start.x, cfg)
-    states = {start.x: state}
-    for x0, x1 in zip(stops, stops[1:]):
-        for side in sides:
-            if min(x0, x1) < side < max(x0, x1):
-                states[side] = propagate(pot, k, state, side, cfg)
-        state = states[x1] = propagate(pot, k, state, x1, cfg)
-    return states
-
-
 def _k_keys(k) -> list:
     """One key per k of a scalar or 1-D k: its bits, so -0.0 is not 0.0."""
     return [v.tobytes() for v in np.asarray(k, dtype=complex).reshape(-1)]
@@ -506,14 +474,21 @@ class _Walks:
 
     The backward walk carries f(kappa, .) for a stack of kappa from the
     support edge down to min(x_max, points), the forward walk phi(k, .) for
-    a stack of k from 0 up to max(x_max, points); each keeps the state at
-    every interface and at every point inside it (:func:`walk`).  A read
-    gives what :func:`jost_solution` or :func:`regular_solution` gives, bit
-    for bit: a slice of a walk that holds its k and its point, or else a
-    propagation of its own.  f is held per k matched bit for bit (so -0.0 is
-    not 0.0), phi once per k^2 (so phi(-k, .) is the row of phi(k, .)).  A
-    walk that overflows is not kept, so the reads it would have served
-    propagate on their own and fail where they fail alone.
+    a stack of k from 0 up to max(x_max, points).  A walk stops at its
+    start, at every piece interface strictly inside it and at its end; each
+    leg from one stop to the next is one :func:`propagate` call, so the
+    state at a stop is bit for bit the one a direct propagation from the
+    start gives.  A point strictly inside a leg is reached by a side leg
+    from the stop before it, once however often it is listed; the main walk
+    is not split there, so the stops beyond it keep their bits.  Points off
+    a walk (above x_max, for the f walk) are ignored.
+
+    A read gives what :func:`jost_solution` or :func:`regular_solution`
+    gives, bit for bit: a slice of a walk that holds its k and its point, or
+    else a propagation of its own.  f is held per k matched bit for bit (so
+    -0.0 is not 0.0), phi once per k^2 (so phi(-k, .) is the row of
+    phi(k, .)).  A walk that overflows is not kept, so the reads it would
+    have served propagate on their own and fail where they fail alone.
     ``_Walks(pot, bc, cfg)`` holds no walk: every read propagates.
     """
 
@@ -528,12 +503,24 @@ class _Walks:
             self._phi = None
 
     def _walk(self, ks, keys, start, x_end, points):
+        """(keys, row index, states by stop) of one walk of the distinct ks
+        from ``start(ks)`` to x_end, or None if there is no k or it overflows."""
         ks = np.asarray(ks, dtype=complex).reshape(-1)
         if not ks.size:
             return None
         ks, index = _distinct(ks, keys(ks))
+        pot, cfg = self.pot, self.cfg
+        sides = {float(x) for x in points}
         try:
-            states = walk(self.pot, ks, start(ks), x_end, self.cfg, points)
+            start = start(ks)
+            state = propagate(pot, ks, start, start.x, cfg)  # one checked start per k
+            states = {start.x: state}
+            stops = _breakpoints(pot, start.x, x_end)
+            for x0, x1 in zip(stops, stops[1:]):
+                for side in sides:
+                    if min(x0, x1) < side < max(x0, x1):
+                        states[side] = propagate(pot, ks, state, side, cfg)
+                state = states[x1] = propagate(pot, ks, state, x1, cfg)
         except NumericalError:
             return None
         return keys, index, states

@@ -197,14 +197,20 @@ def test_build_permutations_block_structure(rng):
 
 
 # ---------------------------------------------------------------------------
-# r_matrix / z_blocks / z_of_k
+# R, the blocks and z_of_k
 # ---------------------------------------------------------------------------
+
+def _expansion(pot, bc, a, jd=None):
+    """The pipeline's R and blocks, on ``jd`` or on the Jordan data of its J(0)."""
+    jd = jd if jd is not None else hl.jordan_form(hl.jost_matrix_zero(pot, bc))
+    return hl.zero_energy_pipeline(pot, bc, a=a, jordan_override=jd).expansion
+
 
 def test_r_matrix_free_values(rng):
     bc = rand_bc(rng, 2)
     pot = hl.free_potential(2)
-    assert np.allclose(hl.r_matrix(pot, bc, a=0.0), bc.A, atol=1e-13)
-    assert np.allclose(hl.r_matrix(pot, bc, a=1.5), bc.A + 1.5 * bc.B, atol=1e-12)
+    assert np.allclose(_expansion(pot, bc, 0.0).R, bc.A, atol=1e-13)
+    assert np.allclose(_expansion(pot, bc, 1.5).R, bc.A + 1.5 * bc.B, atol=1e-12)
 
 
 @pytest.mark.parametrize("fid", ["7.1", "7.2", "7.3", "7.4"])
@@ -214,10 +220,8 @@ def test_z_blocks_fixture(fid):
     fx = get_fixture(fid)
     pot, bc = fx.potential(), fx.bc()
     jd = hl.jordan_form(hl.jost_matrix_zero(pot, bc), mode="exact")
-    P1, P2 = hl.build_permutations(jd)
-    R = hl.r_matrix(pot, bc, a=0.0)
-    A1, B1, C1, D0 = hl.z_blocks(jd, R, P1, P2)
-    S0 = hl.zero_energy_pipeline(pot, bc, a=0.0, jordan_override=jd).s0.S
+    ex = _expansion(pot, bc, 0.0, jd)
+    A1, B1, C1, D0, S0 = ex.A1, ex.B1, ex.C1, ex.D0, ex.S0
     pipe = exact_free_pipeline(fx.A_exact, fx.B_exact)
     for name, got in (("A1", A1), ("C1", C1), ("D0", D0), ("S0", S0)):
         expect = pipe[name].astype(complex)
@@ -252,9 +256,8 @@ def test_z_blocks_invariant_blocks_kirchhoff():
 def test_z_blocks_generic_case_empty(rng):
     pot = hl.free_potential(2)
     bc = hl.dirichlet(2)
-    jd = hl.jordan_form(hl.jost_matrix_zero(pot, bc))
-    P1, P2 = hl.build_permutations(jd)
-    A1, B1, C1, D0 = hl.z_blocks(jd, hl.r_matrix(pot, bc), P1, P2)
+    ex = _expansion(pot, bc, None)
+    A1, B1, C1, D0 = ex.A1, ex.B1, ex.C1, ex.D0
     assert A1.shape == (0, 0) and B1.shape == (0, 2)
     assert C1.shape == (2, 0) and D0.shape == (2, 2)
 

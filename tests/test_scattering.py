@@ -429,7 +429,8 @@ def test_rescaled_jost_small_k_law(rng):
     bc = rand_bc(rng, 2)
     a = 0.4
     J0 = hl.jost_matrix_zero(pot, bc)
-    R = hl.r_matrix(pot, bc, a)
+    jd = hl.jordan_form(J0)
+    R = hl.zero_energy_pipeline(pot, bc, a, jordan_override=jd).expansion.R
     f0 = hl.jost_solution(pot, 0.0, a)
     resid = {}
     for k in (1e-1, 1e-2, 1e-3):

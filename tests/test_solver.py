@@ -572,11 +572,38 @@ def test_quadrature_nodes_equal_walked_solutions(rng, monkeypatch, n, pieces):
             assert np.array_equal(walk(float(y)).value, v)
 
 
+def _held(read):
+    """The states by stop of the walk behind ``walks.f`` or ``walks.phi``."""
+    return getattr(read.__self__, "_" + read.__name__)[2]
+
+
+def _forbid_propagation(monkeypatch):
+    """Make every read that is not a slice of a walk fail."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a walked read propagated on its own")
+
+    for name in ("propagate", "jost_solution", "regular_solution"):
+        monkeypatch.setattr(solver, name, forbidden)
+
+
+def _assert_reads_equal_propagation(monkeypatch, read, k, start, cfg=hl.SolverConfig()):
+    """Each state the walk behind ``read`` holds is read without a propagation
+    and equals, bit for bit, a direct propagation of ``start`` to its stop."""
+    refs = {x: hl.propagate(read.__self__.pot, k, start, x, cfg) for x in _held(read)}
+    with monkeypatch.context() as patch:
+        _forbid_propagation(patch)
+        for x, ref in refs.items():
+            state = read(k, x)
+            assert state.x == x
+            assert np.array_equal(state.value, ref.value)
+            assert np.array_equal(state.deriv, ref.deriv)
+
+
 @pytest.mark.parametrize("method", ["analytic", "rk45"])
 @pytest.mark.parametrize("k", [0.0, 0.7, np.array([0.0, 0.7, 2.0 + 0.5j])],
                          ids=["k0", "k", "stack"])
 @pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_walk_states_equal_direct_propagation(rng, method, k, direction):
+def test_walk_states_equal_direct_propagation(rng, monkeypatch, method, k, direction):
     # Every state of one walk, at each interface and at a point a inside a
     # piece, is the state a direct propagation from the start gives.
     pot = rand_potential(rng, 2, 2 if method == "rk45" else 20, scale=0.3)
@@ -585,44 +612,68 @@ def test_walk_states_equal_direct_propagation(rng, method, k, direction):
     lo, hi, _ = pot.pieces[len(pot.pieces) // 2]
     a = lo + 0.3 * (hi - lo)
     if direction == "forward":
-        start, x_end = hl.StateMatrix(0.0, bc.A, bc.B), pot.x_max
+        read = solver._Walks(pot, bc, cfg, ks=k, points=(0.0, a)).phi
+        start = hl.StateMatrix(0.0, bc.A, bc.B)
     else:
-        start, x_end = hl.jost_solution(pot, k, pot.x_max, cfg), 0.0
-    states = solver.walk(pot, k, start, x_end, cfg, a)
+        read = solver._Walks(pot, bc, cfg, kappas=k, points=(0.0, a)).f
+        start = hl.jost_solution(pot, k, pot.x_max, cfg)
     interfaces = {b for p in pot.pieces for b in p[:2]}
-    assert set(states) == interfaces | {0.0, a}
-    for x, state in states.items():
-        ref = hl.propagate(pot, k, start, x, cfg)
-        assert state.x == x
-        assert np.array_equal(state.value, ref.value)
-        assert np.array_equal(state.deriv, ref.deriv)
+    assert set(_held(read)) == interfaces | {0.0, a}
+    _assert_reads_equal_propagation(monkeypatch, read, k, start, cfg)
 
 
-def test_walk_reaches_several_side_points(rng):
+def test_walk_reaches_several_side_points(rng, monkeypatch):
     # Two points inside pieces and one beyond the support are side legs of
-    # one walk; a point beyond the walk's end is left out.
+    # the phi walk, which ends at the farthest point; the f walk starts at
+    # the support edge, so it leaves the points beyond it out.
     pot = rand_potential(rng, 2, 6, scale=0.3)
     bc = rand_bc(rng, 2)
-    start = hl.StateMatrix(0.0, bc.A, bc.B)
     (lo1, hi1, _), (lo4, hi4, _) = pot.pieces[1], pot.pieces[4]
-    sides = (0.5 * (lo1 + hi1), 0.3 * lo4 + 0.7 * hi4, pot.x_max + 0.5, pot.x_max + 2.0)
+    inside = (0.5 * (lo1 + hi1), 0.3 * lo4 + 0.7 * hi4)
+    beyond = (pot.x_max + 0.5, pot.x_max + 2.0)
     k = np.array([0.0, 0.7])
-    states = solver.walk(pot, k, start, pot.x_max + 1.0, a=sides)
+    walks = solver._Walks(pot, bc, hl.SolverConfig(), k, k, points=(0.0, *inside, *beyond))
     interfaces = {b for p in pot.pieces for b in p[:2]}
-    assert set(states) == interfaces | {0.0, pot.x_max + 1.0} | set(sides[:3])
-    for x, state in states.items():
-        ref = hl.propagate(pot, k, start, x)
-        assert np.array_equal(state.value, ref.value)
-        assert np.array_equal(state.deriv, ref.deriv)
+    assert set(_held(walks.phi)) == interfaces | {0.0, *inside, *beyond}
+    assert set(_held(walks.f)) == interfaces | {0.0, *inside}
+    _assert_reads_equal_propagation(monkeypatch, walks.phi, k, hl.StateMatrix(0.0, bc.A, bc.B))
+    _assert_reads_equal_propagation(monkeypatch, walks.f, k, hl.jost_solution(pot, k, pot.x_max))
 
 
 def test_walk_keeps_a_outside_the_walk_out(rng):
+    # The f walk runs from the support edge down to the lowest point; a
+    # point above the edge is off it and read from the closed form.
     pot = rand_potential(rng, 1, 3)
-    start = hl.StateMatrix(0.0, np.eye(1), np.zeros((1, 1)))
-    lo, hi, _ = pot.pieces[1]
-    states = solver.walk(pot, 0.3, start, lo, a=0.5 * (lo + hi))
-    assert max(states) == lo
-    assert set(states) == {0.0, lo, pot.pieces[0][0], pot.pieces[0][1]}
+    hi1 = pot.pieces[1][1]
+    walks = solver._Walks(pot, None, hl.SolverConfig(), kappas=[0.3],
+                          points=(hi1, pot.x_max + 1.0))
+    assert min(_held(walks.f)) == hi1
+    assert set(_held(walks.f)) == {hi1, *pot.pieces[2][:2]}
+    off = walks.f(0.3, pot.x_max + 1.0)
+    assert np.array_equal(off.value, hl.jost_solution(pot, 0.3, pot.x_max + 1.0).value)
+
+
+def test_walk_takes_a_point_listed_twice_once(rng, monkeypatch):
+    # verify lists x1 and a, which coincide when a = x1: a point strictly
+    # inside a leg gets one side leg per walk, however often it is listed.
+    pot = rand_potential(rng, 2, 4, scale=0.3)
+    bc = rand_bc(rng, 2)
+    lo, hi, _ = pot.pieces[2]
+    a = 0.5 * (lo + hi)
+    propagate, targets = solver.propagate, []
+
+    def spy(pot_, k, state, x, *args):
+        targets.append(x)
+        return propagate(pot_, k, state, x, *args)
+
+    monkeypatch.setattr(solver, "propagate", spy)
+    walks = solver._Walks(pot, bc, hl.SolverConfig(), [0.0, 0.7], [0.0, 0.7], points=(0.0, a, a))
+    monkeypatch.undo()
+    assert targets.count(a) == 2  # one side leg of f, one of phi
+    assert a in _held(walks.f) and a in _held(walks.phi)
+    k = np.array([0.0, 0.7])
+    _assert_reads_equal_propagation(monkeypatch, walks.phi, k, hl.StateMatrix(0.0, bc.A, bc.B))
+    _assert_reads_equal_propagation(monkeypatch, walks.f, k, hl.jost_solution(pot, k, pot.x_max))
 
 
 def _piece_at_scan(pot, x):
