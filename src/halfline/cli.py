@@ -26,6 +26,7 @@ writes it as inf.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -369,6 +370,14 @@ def cmd_example(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _late(handler):
+    """``args.func`` for ``handler``: looks the handler up in this module
+    at call time, so rebinding ``cmd_*`` (a tracer wrapping it, a test
+    patching it) reaches a parser built before the rebinding."""
+    name = handler.__name__
+    return lambda args: globals()[name](args)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halfline",
@@ -389,37 +398,43 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=["normalized", "kostrykin", "unitary-harmer",
                          "unitary-cosine-sine", "general-ab"],
             )
-        p.set_defaults(func=cmd_bc)
+        p.set_defaults(func=_late(cmd_bc))
 
     p_sweep = sub.add_parser("sweep", help="evaluate S(k) on a k grid")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=_late(cmd_sweep))
 
     p_s0 = sub.add_parser("s0", help="zero-energy scattering matrix report")
     p_s0.add_argument("--config", required=True)
     p_s0.add_argument("--out")
     p_s0.add_argument("--mode", choices=["exact", "numeric"], default="numeric")
-    p_s0.set_defaults(func=cmd_s0)
+    p_s0.set_defaults(func=_late(cmd_s0))
 
     p_ver = sub.add_parser("verify", help="run the structural property suite")
     p_ver.add_argument("--config", required=True)
     p_ver.add_argument("--out")
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.set_defaults(func=_late(cmd_verify))
 
     p_ex = sub.add_parser("example", help="reproduce a bundled fixture")
     p_ex.add_argument("id", help="fixture id (7.1 .. 7.4) or alias")
     p_ex.add_argument("--out")
     p_ex.add_argument("--mode", choices=["exact", "numeric"], default="exact")
-    p_ex.set_defaults(func=cmd_example)
+    p_ex.set_defaults(func=_late(cmd_example))
 
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built once per process; parsing
+    leaves it unchanged, so every command reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

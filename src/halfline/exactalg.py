@@ -1,13 +1,16 @@
 """Exact linear algebra over Gaussian rationals.
 
-Complex numbers with Fraction real and imaginary parts form a field that
-is closed under every operation the zero-energy pipeline needs: products,
-inverses, reduced row echelon form, null spaces.  A matrix is a 2-D numpy
-object array of :class:`QC` scalars, built by :func:`mat`; numpy's
-operators (``@``, ``+``, ``-``, ``*`` with a QC on either side,
-``np.array_equal``, ``.astype(complex)``) act on it entry by entry, and
-this module adds only what numpy lacks for object arrays.  Sizes here are
-tiny (n <= 8), so no attempt is made to be fast.
+A Gaussian rational is held as three Python ints ``(a, b, d)`` meaning
+(a + b*i)/d, always in lowest terms: d > 0 and gcd(a, b, d) = 1, so zero is
+(0, 0, 1) and every value has exactly one triple.  Each of ``+``, ``-``,
+``*`` and ``/`` costs a few integer products and one three-argument
+:func:`math.gcd`; ``==`` compares the triples.  The field is closed under
+every operation the zero-energy pipeline needs: products, inverses, reduced
+row echelon form, null spaces.  A matrix is a 2-D numpy object array of
+:class:`QC` scalars, built by :func:`mat`; numpy's operators (``@``, ``+``,
+``-``, ``*`` with a QC on either side, ``np.array_equal``,
+``.astype(complex)``) act on it entry by entry, and this module adds only
+what numpy lacks for object arrays.
 
 Floats are admitted only through :func:`snap`, which proposes a nearby
 small-denominator rational; callers must verify exactness downstream
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -27,49 +31,94 @@ __all__ = ["QC", "qc", "snap", "mat", "matmul", "rref", "rank", "nullspace", "in
 
 
 def _coerced(op):
-    """Binary operator on QC whose other operand goes through :func:`qc`;
-    an operand qc cannot coerce gives NotImplemented, so Python offers the
-    operation to that operand (an object array then acts entry by entry)."""
+    """Binary operator on QC whose other operand goes through :func:`qc`
+    unless it is a QC already; an operand qc cannot coerce gives
+    NotImplemented, so Python offers the operation to that operand (an
+    object array then acts entry by entry)."""
 
     @functools.wraps(op)
     def method(self, other):
-        try:
-            other = qc(other)
-        except (TypeError, ValueError):
-            return NotImplemented
+        if type(other) is not QC:
+            try:
+                other = qc(other)
+            except (TypeError, ValueError):
+                return NotImplemented
         return op(self, other)
 
     return method
 
 
-class QC:
-    """A Gaussian rational re + im*i with exact Fraction components.
+def _reduced(a: int, b: int, d: int) -> QC:
+    """The QC (a + b*i)/d for d > 0, brought to lowest terms."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _triple(a, b, d)
 
-    ``+``, ``-``, ``*``, ``/`` and ``==`` coerce the other operand with
-    :func:`qc` and return NotImplemented when it cannot be coerced, so
-    ``QC(2) * arr`` on an object array works like ``arr * QC(2)``.  Floats
-    are not coerced (they enter only through :func:`snap`): ``QC(1) == 1.0``
-    is False and ``QC(1) + 1.0`` raises TypeError.
+
+def _triple(a: int, b: int, d: int) -> QC:
+    """The QC (a + b*i)/d for a triple already in lowest terms."""
+    q = object.__new__(QC)
+    q._a = a
+    q._b = b
+    q._d = d
+    return q
+
+
+class QC:
+    """A Gaussian rational (a + b*i)/d on plain ints, in lowest terms.
+
+    ``QC(re, im)`` takes anything :class:`~fractions.Fraction` takes for
+    each part; ``re`` and ``im`` read the parts back as Fractions.  ``+``,
+    ``-``, ``*``, ``/`` and ``==`` coerce the other operand with :func:`qc`
+    and return NotImplemented when it cannot be coerced, so ``QC(2) * arr``
+    on an object array works like ``arr * QC(2)``.  Floats are not coerced
+    (they enter only through :func:`snap`): ``QC(1) == 1.0`` is False and
+    ``QC(1) + 1.0`` raises TypeError.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        # Both parts are in lowest terms, so over their least common
+        # denominator the triple is too.
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @_coerced
     def __add__(self, other):
-        return QC(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QC(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     @_coerced
     def __sub__(self, other):
-        return QC(self.re - other.re, self.im - other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     @_coerced
     def __rsub__(self, other):
@@ -77,42 +126,45 @@ class QC:
 
     @_coerced
     def __mul__(self, other):
-        return QC(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     @_coerced
     def __truediv__(self, other):
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
+        # x / y = x * conj(y) * d_y / (d_x * |d_y y|^2)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        norm = c * c + e * e
+        if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return QC(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
+        f = other._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
     @_coerced
     def __rtruediv__(self, other):
         return other / self
 
     def conjugate(self):
-        return QC(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     @_coerced
     def __eq__(self, other):
-        return self.re == other.re and self.im == other.im
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # A real value equals the int or Fraction of the same value, so it
+        # hashes as that Fraction does.
+        if self._b == 0:
+            return hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int true division is correctly rounded, as Fraction.__float__ is.
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"QC({self.re}, {self.im})"
@@ -122,14 +174,16 @@ def qc(x) -> QC:
     """Coerce ints, Fractions, 2-tuples, or exact complex values to QC."""
     if isinstance(x, QC):
         return x
+    if type(x) is int:
+        return _triple(x, 0, 1)
     if isinstance(x, (int, Fraction)):
-        return QC(x, 0)
+        return QC(x)
     if isinstance(x, tuple) and len(x) == 2:
-        return QC(Fraction(x[0]), Fraction(x[1]))
+        return QC(x[0], x[1])
     if isinstance(x, complex):
         # Exact binary-float conversion; meant for values that are already
         # exact (integers, dyadic rationals).
-        return QC(Fraction(x.real), Fraction(x.imag))
+        return QC(x.real, x.imag)
     raise TypeError(f"cannot coerce {type(x).__name__} to a Gaussian rational")
 
 

@@ -1,7 +1,11 @@
 """Configuration parsing and command line behavior."""
 
+import contextlib
+import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -577,3 +581,57 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     path = write_cfg(tmp_path, cfg)
     code = cli.main(["s0", "--config", path])
     assert code == 3
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+_FRESH_MAIN = "import sys; from halfline.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _in_fresh_process(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    done = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv], env=env,
+                          capture_output=True, timeout=120)
+    return done.stdout.decode(), done.stderr.decode(), done.returncode
+
+
+def _in_this_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def test_commands_in_one_process_equal_first_commands(tmp_path, monkeypatch):
+    # main builds its parser once per process; every later command must
+    # print and exit exactly as it would as the first command of a process.
+    monkeypatch.setenv("COLUMNS", "80")
+    well = write_cfg(tmp_path, WELL_CFG)
+    commands = [
+        ["sweep", "--config", well, "--format", "json"],
+        ["s0", "--config", well],
+        ["s0", "--config", well, "--mode", "exactly"],  # usage error: exit 2
+        ["verify", "--config", well],
+        ["example", "7.1"],
+        ["sweep", "--config", well],
+    ]
+    cli._parser.cache_clear()
+    got = [_in_this_process(argv) for argv in commands]
+    assert cli._parser.cache_info().misses == 1
+    assert [code for _, _, code in got] == [0, 0, 2, 0, 0, 0]
+    assert got[2][1].startswith("usage: halfline s0 ") and "invalid choice" in got[2][1]
+    assert got == [_in_fresh_process(argv) for argv in commands]
+
+
+def test_cached_parser_calls_rebound_handlers(monkeypatch):
+    # The handlers are looked up when a command runs, so wrapping cmd_*
+    # after the parser was built (as a tracer does) still takes effect.
+    cli._parser()
+    monkeypatch.setattr(cli, "cmd_example", lambda args: 17)
+    assert cli.main(["example", "7.1"]) == 17
