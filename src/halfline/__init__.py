@@ -43,12 +43,10 @@ from .lowenergy import (
     JordanData,
     LowEnergyExpansion,
     LowEnergyResult,
-    build_permutations,
     jordan_form,
     jost_inverse_asymptotics,
     kernel_bijection,
     kernel_characterization,
-    s_zero,
     schur_inverse,
     z_of_k,
     zero_energy_pipeline,

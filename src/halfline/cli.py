@@ -297,20 +297,24 @@ def _exact_residual(got: np.ndarray, expect: np.ndarray) -> float:
 
 
 def _example_checks_exact(fx) -> List[dict]:
-    pipe = exact_free_pipeline(fx.A_exact, fx.B_exact)
+    jd, ex = exact_free_pipeline(fx.A_exact, fx.B_exact)
 
     def check(name, got, expect):
         return _record(name, _exact_residual(got, expect), 0.0)
 
-    checks = [check(f"jost_at_k={label}", pipe["jost_at"](kq), fx.jost_display(kq))
+    def jost(kq):  # J(k) = B - ikA for the zero potential
+        return fx.B_exact - fx.A_exact * (xa.QC(0, 1) * kq)
+
+    checks = [check(f"jost_at_k={label}", jost(kq), fx.jost_display(kq))
               for kq, label in ((xa.QC(1), "1"), (xa.QC(0, Fraction(1, 2)), "i/2"))]
     if fx.smatrix_display is not None:
-        checks.append(check("smatrix_at_k=1", pipe["smatrix_at"](xa.QC(1)),
-                            fx.smatrix_display(xa.QC(1))))
-    checks.append(check("s_zero", pipe["S0"], fx.s0_exact))
+        one = xa.QC(1)  # S(k) = -J(-k) J(k)^(-1)
+        checks.append(check("smatrix_at_k=1", -(jost(-one) @ xa.inverse(jost(one))),
+                            fx.smatrix_display(one)))
+    checks.append(check("s_zero", ex.S0, fx.s0_exact))
     checks.append(_record("multiplicities",
-                          0.0 if (pipe["mu"], pipe["nu"]) == (fx.mu, fx.nu) else 1.0, 0.0))
-    checks.extend(check(f"block_{name}", pipe[name], fx.blocks_exact[name])
+                          0.0 if (jd.mu, jd.nu) == (fx.mu, fx.nu) else 1.0, 0.0))
+    checks.extend(check(f"block_{name}", getattr(ex, name), fx.blocks_exact[name])
                   for name in ("A1", "B1", "C1", "D0") if name in fx.blocks_exact)
     return checks
 

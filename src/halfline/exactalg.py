@@ -72,11 +72,13 @@ class QC:
 
     ``QC(re, im)`` takes anything :class:`~fractions.Fraction` takes for
     each part; ``re`` and ``im`` read the parts back as Fractions.  ``+``,
-    ``-``, ``*``, ``/`` and ``==`` coerce the other operand with :func:`qc`
-    and return NotImplemented when it cannot be coerced, so ``QC(2) * arr``
-    on an object array works like ``arr * QC(2)``.  Floats are not coerced
-    (they enter only through :func:`snap`): ``QC(1) == 1.0`` is False and
-    ``QC(1) + 1.0`` raises TypeError.
+    ``-``, ``*`` and ``/`` coerce the other operand with :func:`qc` and
+    return NotImplemented when it cannot be coerced, so ``QC(2) * arr`` on
+    an object array works like ``arr * QC(2)``.  ``==`` compares with QC,
+    int and Fraction only, so it is transitive and agrees with the hash:
+    ``QC(0, 1) == 1j`` and ``QC(1, 2) == (1, 2)`` are False.  Floats are not
+    coerced (they enter only through :func:`snap`): ``QC(1) == 1.0`` is
+    False and ``QC(1) + 1.0`` raises TypeError.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -148,8 +150,13 @@ class QC:
     def conjugate(self):
         return _triple(self._a, -self._b, self._d)
 
-    @_coerced
     def __eq__(self, other):
+        # Only QC, int and Fraction compare, so == is transitive and agrees
+        # with __hash__; 2-tuples and complex values are unequal to every QC.
+        if type(other) is not QC:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = qc(other)
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
@@ -187,11 +194,12 @@ def qc(x) -> QC:
     raise TypeError(f"cannot coerce {type(x).__name__} to a Gaussian rational")
 
 
-def snap(x: complex, max_denominator: int = 10**6) -> QC:
-    """Nearest small-denominator Gaussian rational to a float candidate."""
+def snap(x: complex) -> QC:
+    """Nearest Gaussian rational with denominators up to 10^6 to a float
+    candidate."""
     return QC(
-        Fraction(float(x.real)).limit_denominator(max_denominator),
-        Fraction(float(x.imag)).limit_denominator(max_denominator),
+        Fraction(float(x.real)).limit_denominator(10**6),
+        Fraction(float(x.imag)).limit_denominator(10**6),
     )
 
 

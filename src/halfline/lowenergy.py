@@ -27,24 +27,25 @@ the Jordan decomposition of J(0):
 Generic case mu = 0 gives S(0) = -I; the fully exceptional case mu = n
 gives S(0) = I.
 
-Only step 1 differs between the two arithmetic backends, so there are two
-Jordan backends and one assembly of steps 2-4.  The numeric Jordan backend
-clusters eigenvalues at a relative radius and runs an SVD rank staircase;
-it reports failure when the defective structure is ambiguous at the
+The numeric and the exact arithmetic backend differ only in their inputs:
+J(0), R, the identity in their scalar type and the inverse they use for
+A1.  Each has its own Jordan decomposition (step 1); steps 2-4 are one
+``_assemble``, written with numpy operators, which runs on complex arrays
+or on object arrays of Gaussian rationals and returns a whole
+:class:`LowEnergyExpansion`.  The numeric Jordan backend clusters
+eigenvalues at a relative radius and runs an SVD rank staircase; it
+reports failure when the defective structure is ambiguous at the
 thresholds.  The exact backend works over Gaussian rationals (entries must
 be exactly representable); eigenvalue candidates are proposed numerically,
 snapped to small-denominator rationals, and accepted only if the shifted
 matrix is exactly singular.  Chain ordering is deterministic in both
 backends: zero chains first, remaining eigenvalues by (Re, Im), and inside
-a cluster by the pivot position of the chain eigenvector.  The assembly
-(permutations, blocks, S(0)) is written once with numpy operators and runs
-on complex arrays or on object arrays of Gaussian rationals; the backends
-differ only in the inverse they supply for A1.
+a cluster by the pivot position of the chain eigenvector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,10 +77,8 @@ __all__ = [
     "LowEnergyExpansion",
     "LowEnergyResult",
     "jordan_form",
-    "build_permutations",
     "z_of_k",
     "schur_inverse",
-    "s_zero",
     "zero_energy_pipeline",
     "exact_free_pipeline",
     "jost_inverse_asymptotics",
@@ -156,7 +155,9 @@ def _jordan_matrix(chains, eye):
 
 @dataclass(frozen=True)
 class LowEnergyExpansion:
-    """Permutations, slope matrix R, extracted blocks, and S(0)."""
+    """Permutations, slope matrix R, extracted blocks, and S(0), as complex
+    arrays or, from :func:`exact_free_pipeline`, object arrays of
+    :class:`exactalg.QC`."""
 
     P1: np.ndarray
     P2: np.ndarray
@@ -178,7 +179,7 @@ class LowEnergyResult:
     involution_residual: float
     unitarity_residual: float
     continuity_probes: Tuple[Tuple[float, float], ...]
-    exact_blocks: Optional[dict] = field(default=None, repr=False, compare=False)
+    exact: Optional[LowEnergyExpansion] = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -507,21 +508,6 @@ def _perm_gathers(chains, n: int) -> Tuple[List[int], List[int]]:
     return [j - 1 for j in q] + tail, [i - 1 for i in sigma] + tail
 
 
-def _permutations(chains, eye) -> Tuple[np.ndarray, np.ndarray]:
-    """P1 (columns of ``eye``) and P2 (rows of ``eye``) for the zero chains
-    among the (eigenvalue, length) ``chains``; ``eye`` is the n x n
-    identity in the backend's scalar type."""
-    cols, rows = _perm_gathers(chains, len(eye))
-    return eye[:, cols], eye[rows, :]
-
-
-def build_permutations(jd: JordanData) -> Tuple[np.ndarray, np.ndarray]:
-    """P1 (column permutation) and P2 (row permutation) gathering the
-    nilpotent ones into an identity block; both act only on the first nu
-    coordinates and restrict to diag(Pi, I) block form."""
-    return _permutations(jd.chains, np.eye(jd.n))
-
-
 # ---------------------------------------------------------------------------
 # Pipeline pieces.
 # ---------------------------------------------------------------------------
@@ -543,18 +529,18 @@ def _checked_inverse(A1: np.ndarray) -> np.ndarray:
     return np.linalg.inv(A1)
 
 
-def _assemble(Smat, Sinv, chains, R, gathers, eye, inv):
-    """Steps 3 and 4 of the construction: A1, B1, C1, D0 and S(0).
+def _assemble(Smat, Sinv, chains, R, eye, inv) -> LowEnergyExpansion:
+    """Steps 2-4 of the construction: P1, P2, A1, B1, C1, D0 and S(0).
 
     Shared by both arithmetic backends: complex arrays with a checked
     ``np.linalg.inv``, or object arrays of Gaussian rationals with an exact
     inverse; ``eye`` is the identity in the backend's scalar type.
     ``chains`` lists (eigenvalue, length) in the order of the columns of
-    ``Smat``.  P1, P2 and P2' act as the index ``gathers`` (cols, rows) of
+    ``Smat``.  The products apply P1, P2 and P2' as the index gathers of
     :func:`_perm_gathers`, in the order the products would take them.
     """
     mu = sum(1 for lam, _ in chains if not lam)
-    cols, rows = gathers
+    cols, rows = _perm_gathers(chains, len(eye))
     Mt = (Sinv[rows] @ R @ Smat)[:, cols]  # P2 Sinv R Smat P1
     A1 = -1j * Mt[:mu, :mu]
     B1 = -1j * Mt[:mu, mu:]
@@ -565,7 +551,8 @@ def _assemble(Smat, Sinv, chains, R, gathers, eye, inv):
     lower = 2 * C1 @ inv(A1) if mu else eye[mu:, :mu]
     mid = np.block([[eye[:mu, :mu], eye[:mu, mu:]], [lower, -eye[mu:, mu:]]])
     S0 = (Smat[:, rows] @ mid)[:, np.argsort(rows)] @ Sinv  # Smat P2' mid P2 Sinv
-    return A1, B1, C1, D0, S0
+    return LowEnergyExpansion(P1=eye[:, cols], P2=eye[rows], R=R,
+                              A1=A1, B1=B1, C1=C1, D0=D0, S0=S0)
 
 
 def z_of_k(
@@ -648,8 +635,11 @@ def zero_energy_pipeline(
     """Run the full zero-energy construction and collect diagnostics.
 
     ``jordan_override`` substitutes a caller-provided Jordan decomposition
-    of J(0) (used to exercise basis independence).  Exact mode requires the
-    zero potential and exactly-representable boundary matrices.
+    of J(0) (used to exercise basis independence); J(0) is then not
+    computed.  Exact mode runs :func:`exact_free_pipeline` and returns its
+    expansion in ``exact``, and a complex copy of it in ``expansion``; it
+    requires the zero potential and exactly-representable boundary
+    matrices.
 
     In numeric mode every solution is read from ``walks``
     (``solver._Walks``).  By default f(kappa, .) for kappa in
@@ -668,32 +658,30 @@ def zero_energy_pipeline(
         walks = _Walks(pot, bc, cfg, ks, ks, points=(0.0, a))
 
     n = bc.n
-    exact_blocks = None
+    exact = None
     if mode == "exact":
         if pot.pieces:
             raise ValidationError("exact mode supports only the zero potential")
         Aq = _snap_matrix(bc.A, "A")
         Bq = _snap_matrix(bc.B, "B")
-        exact_blocks = exact_free_pipeline(Aq, Bq, a=_snap_exact(a, "matching point a"))
-        jd = exact_blocks["jordan_data"]
-        P1, P2, R, A1, B1, C1, D0, S0 = (
-            exact_blocks[name].astype(complex)
-            for name in ("P1", "P2", "R", "A1", "B1", "C1", "D0", "S0")
-        )
+        jd, exact = exact_free_pipeline(Aq, Bq, a=_snap_exact(a, "matching point a"))
+        expansion = LowEnergyExpansion(
+            *(getattr(exact, f.name).astype(complex) for f in fields(exact)))
     else:
-        if J0 is None:
-            J0 = jost_matrix_zero(pot, bc, cfg, walks=walks)
-        jd = jordan_override if jordan_override is not None else jordan_form(J0, "numeric")
-        P1, P2 = build_permutations(jd)
+        if jordan_override is not None:
+            jd = jordan_override
+        else:
+            if J0 is None:
+                J0 = jost_matrix_zero(pot, bc, cfg, walks=walks)
+            jd = jordan_form(J0, "numeric")
         R = _r_matrix(walks.f(0.0, a), walks.phi(0.0, a))
-        A1, B1, C1, D0, S0 = _assemble(jd.Smat, jd.Sinv, jd.chains, R,
-                                       _perm_gathers(jd.chains, n), np.eye(n), _checked_inverse)
+        expansion = _assemble(jd.Smat, jd.Sinv, jd.chains, R, np.eye(n), _checked_inverse)
 
+    S0 = expansion.S0
     inv_resid = float(np.linalg.norm(S0 @ S0 - np.eye(n), 2))
     uni_resid = float(np.linalg.norm(S0.conj().T @ S0 - np.eye(n), 2))
     rows = _first_error(_smatrix_stack(pot, bc, [float(kp) for kp in probes], a, cfg, walks))
     probe_list = [(row["k"], float(np.linalg.norm(row["S"] - S0, 2))) for row in rows]
-    expansion = LowEnergyExpansion(P1=P1, P2=P2, R=R, A1=A1, B1=B1, C1=C1, D0=D0, S0=S0)
     s0_eval = SMatrixEvaluation(k=0.0, S=S0, unitarity_residual=uni_resid)
     return LowEnergyResult(
         jordan=jd,
@@ -702,68 +690,29 @@ def zero_energy_pipeline(
         involution_residual=inv_resid,
         unitarity_residual=uni_resid,
         continuity_probes=tuple(probe_list),
-        exact_blocks=exact_blocks,
+        exact=exact,
     )
-
-
-def s_zero(
-    pot: Potential,
-    bc: BCPair,
-    a: Optional[float] = None,
-    mode: str = "numeric",
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> SMatrixEvaluation:
-    """The zero-energy scattering matrix S(0) (an involution)."""
-    return zero_energy_pipeline(pot, bc, a=a, mode=mode, cfg=cfg).s0
 
 
 # ---------------------------------------------------------------------------
 # Exact free-potential pipeline.
 # ---------------------------------------------------------------------------
 
-def exact_free_pipeline(Aq, Bq, a=xa.QC(0)) -> dict:
+def exact_free_pipeline(Aq, Bq, a=xa.QC(0)) -> Tuple[JordanData, LowEnergyExpansion]:
     """Exact zero-energy pipeline for the zero potential.
 
     There J(k) = B - ikA exactly, J(0) = B, and the slope matrix is
-    R = A + aB.  Everything downstream (Jordan data, permutations, blocks,
-    S(0)) is carried out over Gaussian rationals: the matrices in the
-    returned dict are numpy object arrays of :class:`exactalg.QC`.  The dict
-    also exposes closed forms for J(k) and S(k) at exact rational k, which
-    return such arrays too.
+    R = A + aB.  Returns the Jordan data of B and the expansion, whose
+    matrices (permutations, R, blocks, S(0)) are numpy object arrays of
+    :class:`exactalg.QC`: everything is carried out over Gaussian
+    rationals.
     """
     Aq = xa.mat(Aq)
     Bq = xa.mat(Bq)
     jd = jordan_form(Bq, "exact")
     ex = jd.exact
-    R = Aq + Bq * xa.qc(a)
     eye = xa.mat(np.eye(jd.n, dtype=object))
-    P1, P2 = _permutations(ex.chains, eye)
-    A1, B1, C1, D0, S0 = _assemble(ex.Smat, ex.Sinv, ex.chains, R,
-                                   _perm_gathers(ex.chains, jd.n), eye, xa.inverse)
-
-    def jost_at(kq) -> np.ndarray:
-        return Bq - Aq * (xa.QC(0, 1) * xa.qc(kq))
-
-    def smatrix_at(kq) -> np.ndarray:
-        kq = xa.qc(kq)
-        return -(jost_at(-kq) @ xa.inverse(jost_at(kq)))
-
-    return {
-        "jordan_data": jd,
-        "R": R,
-        "P1": P1,
-        "P2": P2,
-        "A1": A1,
-        "B1": B1,
-        "C1": C1,
-        "D0": D0,
-        "S0": S0,
-        "jost_at": jost_at,
-        "smatrix_at": smatrix_at,
-        "mu": jd.mu,
-        "nu": jd.nu,
-        "kappa": jd.kappa,
-    }
+    return jd, _assemble(ex.Smat, ex.Sinv, ex.chains, Aq + Bq * xa.qc(a), eye, xa.inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +743,6 @@ def kernel_bijection(
     u,
     a: Optional[float] = None,
     cfg: SolverConfig = DEFAULT_CONFIG,
-    tol: float = 1e-8,
 ) -> np.ndarray:
     """Image xi = R u of a kernel vector of J(0); xi lies in ker J(0)'.
 
@@ -809,7 +757,7 @@ def kernel_bijection(
     walks = _Walks(pot, bc, cfg, [0.0], [0.0], points=(0.0, a))
     J0 = jost_matrix_zero(pot, bc, cfg, walks=walks)
     nu = float(np.linalg.norm(u))
-    if nu > 0 and np.linalg.norm(J0 @ u) > tol * max(1.0, np.linalg.norm(J0, 2)) * nu:
+    if nu > 0 and np.linalg.norm(J0 @ u) > 1e-8 * max(1.0, np.linalg.norm(J0, 2)) * nu:
         raise ValidationError("u is not in the kernel of the zero-energy Jost matrix")
     R = _r_matrix(walks.f(0.0, a), walks.phi(0.0, a))
     return R @ u
@@ -820,7 +768,6 @@ def kernel_characterization(
     bc: BCPair,
     u,
     cfg: SolverConfig = DEFAULT_CONFIG,
-    tol: float = 1e-8,
 ) -> Tuple[bool, np.ndarray]:
     """Membership test for ker J(0) via the regular solution.
 
@@ -835,4 +782,4 @@ def kernel_characterization(
     phi = regular_solution(pot, bc, 0.0, pot.x_max, cfg)
     limit = phi.deriv @ u
     scale = max(np.linalg.norm(phi.deriv, 2) * max(np.linalg.norm(u), 1.0), 1.0)
-    return bool(np.linalg.norm(limit) <= tol * scale), limit
+    return bool(np.linalg.norm(limit) <= 1e-8 * scale), limit

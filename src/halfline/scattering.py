@@ -88,6 +88,8 @@ __all__ = [
 COND_CAP = 1e10
 #: Internal agreement tolerance for redundant evaluations.
 CROSSCHECK_TOL = 1e-8
+#: The same bound for the three routes of J(0) in :func:`jost_matrix_zero`.
+_ZERO_CROSSCHECK_TOL = CROSSCHECK_TOL
 
 _ZERO_K = "k = 0 is handled by the zero-energy pipeline"
 
@@ -185,7 +187,6 @@ def jost_matrix_zero(
     pot: Potential,
     bc: BCPair,
     cfg: SolverConfig = DEFAULT_CONFIG,
-    tol: float = CROSSCHECK_TOL,
     walks: Optional[_Walks] = None,
 ) -> np.ndarray:
     """J(0) computed three redundant ways, required to agree.
@@ -208,6 +209,7 @@ def jost_matrix_zero(
     beta = walks.phi(0.0, pot.x_max).deriv  # route (iii): zero_energy_decomposition's beta
 
     # tol * max(||J||, 1) >= tol, so differences within tol pass without SVDs
+    tol = _ZERO_CROSSCHECK_TOL
     if _norm2_le(J_pairing - J_moment, tol) and _norm2_le(J_pairing - beta, tol):
         return J_pairing
     scale = max(np.linalg.norm(J_pairing, 2), 1.0)
@@ -362,7 +364,7 @@ def p_matrix(
         a = cfg.resolve_a(pot)
     walks = walks or _Walks(pot, None, cfg)
     f0, fk = _split(walks.f(np.append(0.0, k), a))
-    P = wronskian(f0, fk, conjugate_first=True)
+    P = wronskian(f0, fk)
     return P if k.ndim else P[0]
 
 

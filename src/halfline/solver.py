@@ -193,12 +193,6 @@ class Potential:
             return i
         return None
 
-    def value_at(self, x: float) -> np.ndarray:
-        i = self.piece_at(x)
-        if i is None:
-            return np.zeros((self.n, self.n), dtype=complex)
-        return self.pieces[i][2]
-
 
 def free_potential(n: int) -> Potential:
     """The identically zero potential (x_max = 0)."""
@@ -344,7 +338,6 @@ def _rotate(rows, RT, spare=None):
 # Dormand-Prince 5(4) cross-check backend.
 # ---------------------------------------------------------------------------
 
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -627,17 +620,14 @@ def omega_solution(
     return propagate(pot, complex(k), start, x, cfg)
 
 
-def wronskian(Fstate: StateMatrix, Gstate: StateMatrix, conjugate_first: bool = True) -> np.ndarray:
-    """[F; G] = F G' - F' G, with F replaced by its conjugate transpose
-    when ``conjugate_first`` is set; stacked states pair slice by slice."""
+def wronskian(Fstate: StateMatrix, Gstate: StateMatrix) -> np.ndarray:
+    """[F; G] = F^dagger G' - F'^dagger G; stacked states pair slice by slice."""
     if abs(Fstate.x - Gstate.x) > 1e-12 * max(1.0, abs(Fstate.x)):
         raise ValidationError(
             f"states evaluated at different points: {Fstate.x} vs {Gstate.x}"
         )
-    if conjugate_first:
-        return (Fstate.value.conj().swapaxes(-1, -2) @ Gstate.deriv
-                - Fstate.deriv.conj().swapaxes(-1, -2) @ Gstate.value)
-    return Fstate.value @ Gstate.deriv - Fstate.deriv @ Gstate.value
+    return (Fstate.value.conj().swapaxes(-1, -2) @ Gstate.deriv
+            - Fstate.deriv.conj().swapaxes(-1, -2) @ Gstate.value)
 
 
 def zero_energy_decomposition(

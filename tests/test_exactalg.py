@@ -1,6 +1,7 @@
 """Gaussian-rational scalar and matrix arithmetic."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -207,8 +208,14 @@ def test_scalars_match_fraction_pair_reference(seed):
             if name == "div" and not rx:
                 continue
             assert_matches_reference(op(plain, x), op(ref_qc(plain), rx))
-        assert (x == y) == (rx == ry) == (x == plain) == (plain == x)
-        assert y == plain and plain == y and ry == plain
+        assert (x == y) == (rx == ry) == (x == xa.qc(plain))
+        assert y == xa.qc(plain) and ry == plain
+        if isinstance(plain, (int, Fraction)):
+            assert (x == y) == (x == plain) == (plain == x)
+            assert y == plain and plain == y
+        else:  # == does not coerce 2-tuples and complex values
+            assert not (x == plain or plain == x or y == plain or plain == y)
+            assert x != plain and y != plain
 
 
 def test_reference_refusals_still_hold():
@@ -234,6 +241,29 @@ def test_hash_agrees_with_equality():
         assert hash(q) == hash(xa.QC(Fraction(re), Fraction(im)) * 1)
         if im == 0:
             assert q == re and hash(q) == hash(re)
+
+
+def test_equality_is_transitive_and_agrees_with_hash():
+    # Only QC, int and Fraction compare equal to a QC, so values that are
+    # equal hash alike and == is transitive.
+    assert xa.QC(1, 2) != (1, 2) and xa.QC(1, 2) != complex(1, 2)
+    assert (1, 2) not in {xa.QC(1, 2)} and complex(1, 2) not in {xa.QC(1, 2)}
+    assert 1j not in {xa.QC(0, 1)} and xa.QC(0, 1) not in {1j}
+    assert xa.QC(0, 1) in {xa.qc(1j)} and xa.QC(1, 2) == xa.qc((1, 2))
+    _, draws = _scalar_draws(4, count=60)
+    r = random.Random(5)
+    values = []
+    for re, im in draws:
+        q = xa.QC(re, im)
+        values += [q, xa.QC(re, im) * 1, _draw_operand(r, re, im), (re, im)]
+    for x, y in itertools.product(values + [complex(v) for v in values[::4]], repeat=2):
+        if x == y:
+            assert y == x and hash(x) == hash(y), (x, y)
+    # Complex values stay out of the chains: Python's own Fraction(1) == 1 + 0j
+    # would link a real QC to a complex that no QC equals.
+    for x, y, z in itertools.product(values[:60], repeat=3):
+        if x == y and y == z:
+            assert x == z, (x, y, z)
 
 
 def _rand_matrix(r: random.Random, n: int, rank: int):
@@ -363,7 +393,7 @@ def test_scalar_operators_defer_to_object_arrays():
 def test_floats_are_not_coerced():
     assert not xa.QC(1) == 1.0
     assert xa.QC(1) != 1.0
-    assert xa.QC(1) == 1 and xa.QC(0, 1) == 1j
+    assert xa.QC(1) == 1 and xa.QC(0, 1) != 1j
     for op in (lambda q: q + 1.0, lambda q: 1.0 * q, lambda q: q / 2.0, lambda q: 2.0 - q):
         with pytest.raises(TypeError):
             op(xa.QC(1))

@@ -1,6 +1,8 @@
 """Jordan pipeline, zero-energy scattering matrix, and kernel maps."""
 
 import itertools
+from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,18 +166,23 @@ def test_perm_indices_gather_identity_block(lengths):
     assert np.array_equal(out, expect)
 
 
+def _expansion(pot, bc, a, jd=None):
+    """The pipeline's permutations, R and blocks, on ``jd`` or on the Jordan
+    data of its J(0)."""
+    jd = jd if jd is not None else hl.jordan_form(hl.jost_matrix_zero(pot, bc))
+    return hl.zero_energy_pipeline(pot, bc, a=a, jordan_override=jd).expansion
+
+
 def test_build_permutations_fixture_values():
     for fid in ("7.1", "7.2", "7.3"):
         fx = get_fixture(fid)
-        jd = hl.jordan_form(hl.jost_matrix_zero(fx.potential(), fx.bc()))
-        P1, P2 = hl.build_permutations(jd)
-        assert np.array_equal(P1, np.eye(fx.n))
-        assert np.array_equal(P2, np.eye(fx.n))
+        ex = _expansion(fx.potential(), fx.bc(), None)
+        assert np.array_equal(ex.P1, np.eye(fx.n))
+        assert np.array_equal(ex.P2, np.eye(fx.n))
     fx = get_fixture("7.4")
-    jd = hl.jordan_form(hl.jost_matrix_zero(fx.potential(), fx.bc()))
-    P1, P2 = hl.build_permutations(jd)
-    assert np.array_equal(P1, np.eye(3))
-    assert np.array_equal(P2, fx.P2)
+    ex = _expansion(fx.potential(), fx.bc(), None)
+    assert np.array_equal(ex.P1, np.eye(3))
+    assert np.array_equal(ex.P2, fx.P2)
 
 
 def test_build_permutations_block_structure(rng):
@@ -188,8 +195,10 @@ def test_build_permutations_block_structure(rng):
     T = rng.normal(size=(5, 5)) + 2.5 * np.eye(5)
     M = T @ J @ np.linalg.inv(T)
     jd = hl.jordan_form(M)
-    P1, P2 = hl.build_permutations(jd)
-    out = P2 @ jd.Sinv @ M @ jd.Smat @ P1
+    # The permutations depend on the chains alone; any 5 x 5 configuration
+    # with an invertible A1 carries them through the pipeline.
+    ex = _expansion(hl.free_potential(5), rand_bc(rng, 5), None, jd)
+    out = ex.P2 @ jd.Sinv @ M @ jd.Smat @ ex.P1
     expect = np.zeros((5, 5), dtype=complex)
     expect[2, 2] = 1.0
     expect[3:, 3:] = [[-1, 1], [0, -1]]
@@ -199,12 +208,6 @@ def test_build_permutations_block_structure(rng):
 # ---------------------------------------------------------------------------
 # R, the blocks and z_of_k
 # ---------------------------------------------------------------------------
-
-def _expansion(pot, bc, a, jd=None):
-    """The pipeline's R and blocks, on ``jd`` or on the Jordan data of its J(0)."""
-    jd = jd if jd is not None else hl.jordan_form(hl.jost_matrix_zero(pot, bc))
-    return hl.zero_energy_pipeline(pot, bc, a=a, jordan_override=jd).expansion
-
 
 def test_r_matrix_free_values(rng):
     bc = rand_bc(rng, 2)
@@ -222,9 +225,9 @@ def test_z_blocks_fixture(fid):
     jd = hl.jordan_form(hl.jost_matrix_zero(pot, bc), mode="exact")
     ex = _expansion(pot, bc, 0.0, jd)
     A1, B1, C1, D0, S0 = ex.A1, ex.B1, ex.C1, ex.D0, ex.S0
-    pipe = exact_free_pipeline(fx.A_exact, fx.B_exact)
+    _, exact = exact_free_pipeline(fx.A_exact, fx.B_exact)
     for name, got in (("A1", A1), ("C1", C1), ("D0", D0), ("S0", S0)):
-        expect = pipe[name].astype(complex)
+        expect = getattr(exact, name).astype(complex)
         assert got.shape == expect.shape, name
         assert np.linalg.norm(got - expect) < 1e-12, name
     if fid == "7.1":
@@ -236,21 +239,21 @@ def test_z_blocks_fixture(fid):
 
 def test_z_blocks_fixture_73_and_74():
     fx = get_fixture("7.3")
-    pipe = exact_free_pipeline(fx.A_exact, fx.B_exact)
-    assert np.array_equal(pipe["A1"], fx.blocks_exact["A1"])
-    assert np.array_equal(pipe["C1"], fx.blocks_exact["C1"])
+    _, ex = exact_free_pipeline(fx.A_exact, fx.B_exact)
+    assert np.array_equal(ex.A1, fx.blocks_exact["A1"])
+    assert np.array_equal(ex.C1, fx.blocks_exact["C1"])
     fx4 = get_fixture("7.4")
-    pipe4 = exact_free_pipeline(fx4.A_exact, fx4.B_exact)
-    assert np.array_equal(pipe4["A1"], fx4.blocks_exact["A1"])
-    assert np.array_equal(pipe4["D0"], fx4.blocks_exact["D0"])
+    _, ex4 = exact_free_pipeline(fx4.A_exact, fx4.B_exact)
+    assert np.array_equal(ex4.A1, fx4.blocks_exact["A1"])
+    assert np.array_equal(ex4.D0, fx4.blocks_exact["D0"])
 
 
 def test_z_blocks_invariant_blocks_kirchhoff():
     # A1 diagonal entries and D0 do not depend on the chain scaling.
     fx = get_fixture("7.2")
-    pipe = exact_free_pipeline(fx.A_exact, fx.B_exact)
-    assert np.array_equal(pipe["A1"], fx.blocks_exact["A1"])  # [-3i]
-    assert np.array_equal(pipe["D0"], fx.blocks_exact["D0"])
+    _, ex = exact_free_pipeline(fx.A_exact, fx.B_exact)
+    assert np.array_equal(ex.A1, fx.blocks_exact["A1"])  # [-3i]
+    assert np.array_equal(ex.D0, fx.blocks_exact["D0"])
 
 
 def test_z_blocks_generic_case_empty(rng):
@@ -266,9 +269,9 @@ def test_z_of_k_matches_fixture_display():
     fx = get_fixture("7.1")
     pot, bc = fx.potential(), fx.bc()
     jd = hl.jordan_form(hl.jost_matrix_zero(pot, bc), mode="exact")
-    P1, P2 = hl.build_permutations(jd)
+    ex = _expansion(pot, bc, None, jd)
     k = 0.3
-    Z = hl.z_of_k(pot, bc, k, 0.0, jd, P1, P2)
+    Z = hl.z_of_k(pot, bc, k, 0.0, jd, ex.P1, ex.P2)
     a = 2.0
     expect = np.array([
         [-1j * k, -1j * k, (a - 2) * 1j * k],
@@ -285,9 +288,9 @@ def test_z_of_k_matches_kirchhoff_display_up_to_chain_scaling():
     fx = get_fixture("7.2")
     pot, bc = fx.potential(), fx.bc()
     jd = hl.jordan_form(hl.jost_matrix_zero(pot, bc), mode="exact")
-    P1, P2 = hl.build_permutations(jd)
+    ex = _expansion(pot, bc, None, jd)
     k = 0.37
-    Z = hl.z_of_k(pot, bc, k, 0.0, jd, P1, P2)
+    Z = hl.z_of_k(pot, bc, k, 0.0, jd, ex.P1, ex.P2)
     gamma = np.diag([1.0, 1 / np.sqrt(2), 1 / np.sqrt(2)])
     displayed = np.array([
         [-3j * k, -3j * k / np.sqrt(2), 0],
@@ -301,9 +304,9 @@ def test_z_of_k_zero_is_permuted_jordan_form(rng):
     pot = rand_potential(rng, 2)
     bc = rand_bc(rng, 2)
     jd = hl.jordan_form(hl.jost_matrix_zero(pot, bc))
-    P1, P2 = hl.build_permutations(jd)
-    Z0 = hl.z_of_k(pot, bc, 0.0, None, jd, P1, P2)
-    expect = P2 @ jd.jordan_matrix() @ P1
+    ex = _expansion(pot, bc, None, jd)
+    Z0 = hl.z_of_k(pot, bc, 0.0, None, jd, ex.P1, ex.P2)
+    expect = ex.P2 @ jd.jordan_matrix() @ ex.P1
     assert np.linalg.norm(Z0 - expect, 2) < 1e-8
 
 
@@ -368,14 +371,14 @@ def test_schur_inverse_rejects_singular_d():
 
 
 # ---------------------------------------------------------------------------
-# s_zero and the full pipeline
+# S(0) and the full pipeline
 # ---------------------------------------------------------------------------
 
 def test_s_zero_fixtures_all_modes():
     for fid in ("7.1", "7.2", "7.3", "7.4"):
         fx = get_fixture(fid)
         for mode in ("numeric", "exact"):
-            ev = hl.s_zero(fx.potential(), fx.bc(), mode=mode)
+            ev = hl.zero_energy_pipeline(fx.potential(), fx.bc(), mode=mode).s0
             assert np.linalg.norm(ev.S - fx.s0, 2) < 1e-10, (fid, mode)
 
 
@@ -388,12 +391,11 @@ def check_s_zero(bc, mode, signs):
     assert np.allclose(res.s0.S, np.diag(signs), atol=1e-12)
     assert (res.jordan.mu, res.jordan.nu) == (mu, mu)
     if mode == "exact":
-        blocks = res.exact_blocks
-        assert np.array_equal(blocks["S0"], np.diag(signs).astype(object))
-        assert (blocks["mu"], blocks["nu"]) == (mu, mu)
-        assert blocks["A1"].shape == (mu, mu)
-        assert blocks["C1"].shape == (n - mu, mu)
-        assert blocks["D0"].shape == (n - mu, n - mu)
+        ex = res.exact
+        assert np.array_equal(ex.S0, np.diag(signs).astype(object))
+        assert ex.A1.shape == (mu, mu)
+        assert ex.C1.shape == (n - mu, mu)
+        assert ex.D0.shape == (n - mu, n - mu)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -440,7 +442,7 @@ def test_s_zero_gauge_invariance(rng):
         pot, bc = fx.potential(), fx.bc()
         D = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 3 * np.eye(3)
         bc_g = hl.gauge_transform(bc, D)
-        ev = hl.s_zero(pot, bc_g)
+        ev = hl.zero_energy_pipeline(pot, bc_g).s0
         assert np.linalg.norm(ev.S - fx.s0, 2) < 1e-8, fid
 
 
@@ -471,7 +473,7 @@ def test_s_zero_basis_independence(rng):
 
 def test_s_zero_exact_mode_requires_free_potential():
     with pytest.raises(ValidationError):
-        hl.s_zero(scalar_well(1.0), hl.dirichlet(1), mode="exact")
+        hl.zero_energy_pipeline(scalar_well(1.0), hl.dirichlet(1), mode="exact")
 
 
 @pytest.mark.parametrize("a", [np.pi, np.e, np.sqrt(2)])
@@ -484,7 +486,7 @@ def test_exact_mode_refuses_an_irrational_matching_point(a):
 def test_exact_mode_refuses_irrational_boundary_entries():
     # cos(pi/3) rounds to 1/2, but sin(pi/3) is irrational.
     with pytest.raises(ValidationError, match="entry .* is not a small rational"):
-        hl.s_zero(hl.free_potential(1), hl.from_angles([np.pi / 3]), mode="exact")
+        hl.zero_energy_pipeline(hl.free_potential(1), hl.from_angles([np.pi / 3]), mode="exact")
 
 
 @pytest.mark.parametrize("a", [0.0, 0.1, 2.0])
@@ -493,15 +495,64 @@ def test_exact_mode_slope_matrix_equals_numeric(a):
     exact = hl.zero_energy_pipeline(fx.potential(), fx.bc(), a=a, mode="exact")
     numeric = hl.zero_energy_pipeline(fx.potential(), fx.bc(), a=a)
     assert np.array_equal(exact.expansion.R, numeric.expansion.R)
-    assert np.array_equal(exact.exact_blocks["R"], fx.A_exact + fx.B_exact * xa.snap(a))
+    assert np.array_equal(exact.exact.R, fx.A_exact + fx.B_exact * xa.snap(a))
 
 
 def test_exact_free_pipeline_s0_equality():
     for fid in ("7.1", "7.2", "7.3", "7.4"):
         fx = get_fixture(fid)
-        pipe = exact_free_pipeline(fx.A_exact, fx.B_exact)
-        assert np.array_equal(pipe["S0"], fx.s0_exact), fid
-        assert (pipe["mu"], pipe["nu"]) == (fx.mu, fx.nu)
+        jd, ex = exact_free_pipeline(fx.A_exact, fx.B_exact)
+        assert np.array_equal(ex.S0, fx.s0_exact), fid
+        assert (jd.mu, jd.nu) == (fx.mu, fx.nu)
+
+
+def _bits(M):
+    return M.dtype, M.shape, M.tobytes()
+
+
+@pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 2)])
+@pytest.mark.parametrize("fid", ["7.1", "7.2", "7.3", "7.4"])
+def test_exact_expansion_is_gaussian_rational_and_the_pipeline_casts_it(fid, a):
+    # P1 and P2 of the exact expansion are permutation matrices of QC, and
+    # exact mode's expansion is the exact one cast to complex, bit for bit.
+    fx = get_fixture(fid)
+    _, ex = exact_free_pipeline(fx.A_exact, fx.B_exact, a=a)
+    for P in (ex.P1, ex.P2):
+        assert P.dtype == object and all(type(x) is xa.QC for x in P.flat)
+        assert all(x == 0 or x == 1 for x in P.flat)
+        assert np.array_equal(P.T @ P, np.eye(fx.n, dtype=object))
+    res = hl.zero_energy_pipeline(fx.potential(), fx.bc(), a=float(a), mode="exact")
+    for f in fields(ex):
+        assert np.array_equal(getattr(res.exact, f.name), getattr(ex, f.name)), f.name
+        assert _bits(getattr(res.expansion, f.name)) == _bits(
+            getattr(ex, f.name).astype(complex)), f.name
+
+
+@pytest.mark.parametrize("case", ["7.1", "resonance", "random"])
+def test_jordan_override_does_not_compute_j0(monkeypatch, rng, case):
+    # With Jordan data given, J(0) is not needed; the expansion, S(0) and
+    # the probes are those of the run that computed J(0) for that data.
+    if case == "7.1":
+        fx = get_fixture("7.1")
+        pot, bc = fx.potential(), fx.bc()
+    elif case == "resonance":
+        pot, bc = tuned_resonance_well(), hl.dirichlet(1)
+    else:
+        pot, bc = rand_potential(rng, 2), rand_bc(rng, 2)
+    base = hl.zero_energy_pipeline(pot, bc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("J(0) computed although Jordan data were given")
+
+    monkeypatch.setattr(hl.lowenergy, "jost_matrix_zero", refuse)
+    res = hl.zero_energy_pipeline(pot, bc, jordan_override=base.jordan)
+    assert res.jordan is base.jordan
+    for f in fields(base.expansion):
+        assert _bits(getattr(res.expansion, f.name)) == _bits(getattr(base.expansion, f.name))
+    assert (res.involution_residual, res.unitarity_residual, res.continuity_probes) == (
+        base.involution_residual, base.unitarity_residual, base.continuity_probes)
+    with pytest.raises(AssertionError, match="J\\(0\\) computed"):
+        hl.zero_energy_pipeline(pot, bc)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import pytest
 import halfline as hl
 from halfline.config import JobConfig
 from halfline.errors import HalflineError
-from halfline.lowenergy import DEFAULT_PROBES, _assemble, _checked_inverse, _perm_gathers, \
-    _r_matrix, jordan_form
+from halfline.lowenergy import DEFAULT_PROBES, _assemble, _checked_inverse, _r_matrix, \
+    jordan_form
 from halfline.scattering import _first_error, _jost_stack, _l_matrix, _norm2, \
     _smatrix_stack, _split
 from halfline.verify import K_GRID, _failure, _record, run_property_checks
@@ -35,8 +35,7 @@ def _reference_pipeline(pot, bc, a, cfg, probes=DEFAULT_PROBES):
     J0 = hl.jost_matrix_zero(pot, bc, cfg)
     jd = jordan_form(J0, "numeric")
     R = _r_matrix(hl.jost_solution(pot, 0.0, a, cfg), hl.regular_solution(pot, bc, 0.0, a, cfg))
-    S0 = _assemble(jd.Smat, jd.Sinv, jd.chains, R, _perm_gathers(jd.chains, n), np.eye(n),
-                   _checked_inverse)[-1]
+    S0 = _assemble(jd.Smat, jd.Sinv, jd.chains, R, np.eye(n), _checked_inverse).S0
     inv_resid = float(np.linalg.norm(S0 @ S0 - np.eye(n), 2))
     uni_resid = float(np.linalg.norm(S0.conj().T @ S0 - np.eye(n), 2))
     rows = _first_error(_smatrix_stack(pot, bc, [float(kp) for kp in probes], a, cfg))
