@@ -678,7 +678,9 @@ def zero_energy_pipeline(
         expansion = _assemble(jd.Smat, jd.Sinv, jd.chains, R, np.eye(n), _checked_inverse)
 
     S0 = expansion.S0
-    inv_resid = float(np.linalg.norm(S0 @ S0 - np.eye(n), 2))
+    # exact S(0)^2 = I reads 0.0, though the complex copy may miss I by roundoff
+    exactly = exact is not None and (exact.S0 @ exact.S0 == np.eye(n, dtype=object)).all()
+    inv_resid = 0.0 if exactly else float(np.linalg.norm(S0 @ S0 - np.eye(n), 2))
     uni_resid = float(np.linalg.norm(S0.conj().T @ S0 - np.eye(n), 2))
     rows = _first_error(_smatrix_stack(pot, bc, [float(kp) for kp in probes], a, cfg, walks))
     probe_list = [(row["k"], float(np.linalg.norm(row["S"] - S0, 2))) for row in rows]

@@ -28,33 +28,15 @@ system is provided as an independent cross-check backend ("rk45"); both
 methods step piece by piece so interfaces are always hit exactly.
 
 All functions are pure and start no threads of their own (BLAS may split a
-large product over threads).  One propagation may carry a whole stack of k
-values: every step then advances all of them at once.  A step holds the
-stack transposed, as rows psi^T, so each rotation into or out of V's
-eigenbasis is one 2-D product of all K n rows with a fixed n x n factor,
-not K products of n x n matrices.  With that factor fixed, BLAS computes a
-row of the product the same way however many rows the product has (and
-however it splits them over threads), so a stacked row keeps the bits of
-its scalar call; tests/test_solver.py checks this for the BLAS at hand.
+large product over threads).  One propagation may carry a stack of k: a
+step holds it transposed, as rows psi^T, so each rotation into or out of
+V's eigenbasis is one 2-D product of all K n rows with a fixed n x n
+factor, and a stacked row keeps the bits of its scalar call (see _step).
 
-Because V is piecewise constant with compact support, the regular solution
-phi is fixed by its data at 0 and the outgoing solution f by its exact data
-at x_max.  ``_Walks`` crosses the support once for each, over a stack of
-k: backward from x_max for f(kappa, .), forward from 0 for phi(k, .).  It
-goes leg by leg from one piece interface to the next through
-:func:`propagate` and keeps the state at every interface, and each state
-equals the one a direct propagation to that point gives, bit for bit.
-``_Walks`` is the one way a consumer receives walked solutions: it reads
-single states, ``walks.f(kappa, x)`` and ``walks.phi(k, x)``, so
-every consumer that needs a solution at many interfaces (the moment
-quadrature, the zero-energy Jost routes, R) reads them from one walk
-instead of walking from the origin or the support edge once per piece.
-
-phi starts from k-independent data and the step sees k only as k^2, so phi
-is even in k, bit for bit: a stacked :func:`regular_solution`, and the phi
-walk of ``_Walks``, propagate each distinct k^2 once and hand phi(k, .) to
--k too.  f(kappa, .) starts from kappa-dependent data and is propagated
-per kappa.
+``_Walks`` crosses the support once per solution family over a stack of k
+(see there); the zero-energy Jost routes, R and the moment quadrature read
+their states from it.  The quadrature (``_integrate_weighted``) sums step
+coefficients over its nodes in V's eigenbasis and forms no node state.
 """
 
 from __future__ import annotations
@@ -90,6 +72,8 @@ __all__ = [
 ]
 
 HERMITICITY_EPS = 1e-10
+_OVERFLOW = ("solution overflows within one exact step: the piece is too wide or too deep "
+             "at this k")
 #: Relative margin by which a Frobenius bound must clear a threshold to
 #: decide a spectral-norm test without an SVD.
 _FRO_MARGIN = 1e-9
@@ -158,22 +142,22 @@ class Potential:
                     raise ValidationError(
                         f"piece {i}: V is not selfadjoint (residual {herm:.3e})"
                     )
-            V = 0.5 * (V + V.conj().T)
-            V.setflags(write=False)
-            cleaned.append((lo, hi, V))
+            cleaned.append((lo, hi, 0.5 * (V + V.conj().T)))
         cleaned.sort(key=lambda p: p[0])
         for (lo1, hi1, _), (lo2, _, _) in zip(cleaned, cleaned[1:]):
             if lo2 < hi1 - 1e-15:
                 raise ValidationError("potential pieces overlap")
-        object.__setattr__(self, "pieces", tuple(cleaned))
+        # The pieces' V and, from one eigh call, the factors (w, Q^T, conj Q)
+        # that rotate rows (see _step), as (P, ...) stacks; V and _eigs[i] view them.
+        Vs = np.array([V for _, _, V in cleaned], dtype=complex).reshape(-1, self.n, self.n)
+        w, Q = np.linalg.eigh(Vs)
+        stacks = (Vs, w, np.ascontiguousarray(Q.swapaxes(-1, -2)), Q.conj())
+        for s in stacks:
+            s.setflags(write=False)
+        object.__setattr__(self, "_stacks", stacks)
+        object.__setattr__(self, "_eigs", tuple(zip(*stacks[1:])))
+        object.__setattr__(self, "pieces", tuple((p[0], p[1], V) for p, V in zip(cleaned, Vs)))
         object.__setattr__(self, "x_max", cleaned[-1][1] if cleaned else 0.0)
-        # Eigendecompositions reused by the analytic propagator, as the
-        # transposed factors (w, Q^T, conj Q) that rotate rows (see _step).
-        eigs = []
-        for _, _, V in cleaned:
-            w, Q = np.linalg.eigh(V)
-            eigs.append((w, np.ascontiguousarray(Q.T), Q.conj()))
-        object.__setattr__(self, "_eigs", tuple(eigs))
         # Piece lookup by bisection: the sorted distinct piece edges, and the
         # running maximum of the piece ends (nondecreasing even where pieces
         # overlap by less than the 1e-15 the check above lets through).
@@ -223,8 +207,8 @@ class StateMatrix:
 
     @classmethod
     def _trusted(cls, x: float, value: np.ndarray, deriv: np.ndarray) -> "StateMatrix":
-        """A state cut from an already checked one (its rows, say), made
-        read-only but neither checked nor copied again."""
+        """A state of arrays known to be sound (rows of a checked state, a
+        step's fresh output), made read-only but neither checked nor copied."""
         state = object.__new__(cls)
         object.__setattr__(state, "x", x)
         for name, a in (("value", value), ("deriv", deriv)):
@@ -294,17 +278,8 @@ def _step(eig, k, h, value, deriv):
     those rows, which the next step reshapes without a copy.
     """
     w, QT, QhT = (0.0, None, None) if eig is None else eig
-    h = np.asarray(h)[..., None]
     with np.errstate(all="ignore"):
-        om2 = (k * k)[..., None] - w
-        z = np.sqrt(om2) * h
-        c, s = np.cos(z), np.sin(z) / z
-        small = np.abs(z) < 1e-4
-        if small.any():
-            z2 = z * z
-            c = np.where(small, 1.0 - z2 / 2.0 + z2 * z2 / 24.0 - z2 * z2 * z2 / 720.0, c)
-            s = np.where(small, 1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2 * z2 * z2 / 5040.0, s)
-        s = s * h
+        c, s, om2 = _coefficients(w, k, np.asarray(h))
         c, s, g = c[..., None, :], s[..., None, :], (-om2 * s)[..., None, :]
         rows_v, rows_d = value.swapaxes(-1, -2), deriv.swapaxes(-1, -2)
         if QT is not None:
@@ -318,9 +293,23 @@ def _step(eig, k, h, value, deriv):
         if QT is not None:
             new_v, new_d = _rotate(new_v, QT, rows_v), _rotate(new_d, QT, rows_d)
     if not (np.isfinite(new_v).all() and np.isfinite(new_d).all()):
-        raise NumericalError("solution overflows within one exact step: the piece "
-                             "is too wide or too deep at this k")
+        raise NumericalError(_OVERFLOW)
     return new_v.swapaxes(-1, -2), new_d.swapaxes(-1, -2)
+
+
+def _coefficients(w, k, h):
+    """(cos(omega h), sin(omega h)/omega, omega^2) with omega^2 = k^2 - w,
+    per eigenvalue w_j of V along a last axis that k^2 and h gain; series
+    stand in where |omega h| < 1e-4."""
+    om2, h = (k * k)[..., None] - w, h[..., None]
+    z = np.sqrt(om2) * h
+    c, s = np.cos(z), np.sin(z) / z
+    small = np.abs(z) < 1e-4
+    if small.any():
+        z2 = z * z
+        c = np.where(small, 1.0 - z2 / 2.0 + z2 * z2 / 24.0 - z2 * z2 * z2 / 720.0, c)
+        s = np.where(small, 1.0 - z2 / 6.0 + z2 * z2 / 120.0 - z2 * z2 * z2 / 5040.0, s)
+    return c, s * h, om2
 
 
 def _rotate(rows, RT, spare=None):
@@ -439,6 +428,8 @@ def propagate(
             value, deriv = np.array([v for v, _ in steps]), np.array([d for _, d in steps])
         else:
             value, deriv = _rk45_segment(V, k, lo, hi, value, deriv, cfg)
+    if cfg.method == "analytic" and len(pts) > 1:  # fresh arrays _step found finite
+        return StateMatrix._trusted(x_target, value, deriv)
     return StateMatrix(x=x_target, value=value, deriv=deriv)
 
 
@@ -654,51 +645,62 @@ def _gauss_rule(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def _integrate_weighted(pot: Potential, a: float, weights, edge_state, cfg: SolverConfig,
-                        order: int = 12, tol: float = 1e-11, max_levels: int = 6):
+#: Gauss-Legendre nodes per panel, settling tolerance, cap on levels (1, 2, 4, ... panels)
+_GAUSS_ORDER, _QUAD_TOL, _QUAD_LEVELS = 12, 1e-11, 6
+
+
+def _integrate_weighted(pot: Potential, a: float, weights, edge_state, cfg: SolverConfig):
     """Refined Gauss-Legendre quadrature of weight(y) V(y) psi(y) over the
     support beyond a, psi a zero-energy solution, for each weight of
     ``weights``; one total per weight, in order.  Panels double until the
-    value settles: each weight stops at its own level, and the node states
-    of a level are computed once for all weights still refining.
+    value settles, per piece and weight; a weight is called on the (pieces,
+    nodes) array of the pieces where it still refines.
 
-    ``edge_state(lo, hi)`` gives psi at the edge of the piece [lo, hi] that
-    a walk to a point inside it enters through.  Every node of a level is
-    reached from there by one stacked step, the last step of such a walk.
+    ``edge_state(lo, hi)`` gives psi at the edge x_e of the piece [lo, hi]
+    that a walk into it enters through.  With V = Q diag(w) Q' and (c, s)
+    the step coefficients of y - x_e, V psi(y) = Q w o (c o Q' psi(x_e) +
+    s o Q' psi'(x_e)), o scaling rows by eigen-index, so the analytic method
+    sums c and s over the nodes of all pieces still refining, in one pass a
+    level.  rk45 reaches each node by :func:`propagate` from the edge.
     """
-    xs, ws = _gauss_rule(order)
-    n = pot.n
-    totals = [np.zeros((n, n), dtype=complex) for _ in weights]
-    for (lo, hi, V), eig in zip(pot.pieces, pot._eigs):
-        lo = max(lo, a)
-        if hi <= lo:
-            continue
-        edge = edge_state(lo, hi)
-        prev = [None] * len(weights)
-        settled = [False] * len(weights)
-        panels = 1
-        for _ in range(max_levels):
-            edges = np.linspace(lo, hi, panels + 1)
-            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-            ys = (mid[:, None] + half[:, None] * xs).ravel()
-            if cfg.method == "analytic":
-                psi = _step(eig, np.zeros(1, complex), ys - edge.x, edge.value, edge.deriv)[0]
-            else:
-                psi = np.array([propagate(pot, 0.0, edge, y, cfg).value for y in ys])
-            Vpsi = V @ psi
-            for i, weight in enumerate(weights):
-                if settled[i]:
-                    continue
-                coef = (half[:, None] * ws).ravel() * weight(ys)
-                acc = (coef[:, None, None] * Vpsi).sum(axis=0)
-                settled[i] = prev[i] is not None and _norm2_le(acc - prev[i], tol)
-                prev[i] = acc
-            if all(settled):
-                break
-            panels *= 2
-        for total, acc in zip(totals, prev):
-            total += acc
-    return totals
+    live = [(i, max(lo, a), hi) for i, (lo, hi, _) in enumerate(pot.pieces) if hi > max(lo, a)]
+    sums = np.zeros((len(weights), len(live), pot.n, pot.n), dtype=complex)
+    settled = np.zeros(sums.shape[:2], dtype=bool)
+    edges = [edge_state(lo, hi) for _, lo, hi in live]
+    if live:
+        idx, lo, hi = (np.array(col) for col in zip(*live))
+        V, w, QT, QhT = (s[idx] for s in pot._stacks)
+        rot = QhT.swapaxes(-1, -2)[:, None] @ np.array([(e.value, e.deriv) for e in edges])
+        xe = np.array([e.x for e in edges])[:, None]
+    xs, ws = _gauss_rule(_GAUSS_ORDER)
+    for level in range(_QUAD_LEVELS):
+        on = np.flatnonzero(~settled.all(axis=0))  # pieces still refining
+        if not on.size:
+            break
+        cuts = np.linspace(lo[on], hi[on], 2 ** level + 1, axis=-1)
+        mid, half = 0.5 * (cuts[:, :-1] + cuts[:, 1:]), 0.5 * (cuts[:, 1:] - cuts[:, :-1])
+        ys = (mid[..., None] + half[..., None] * xs).reshape(len(on), -1)
+        gw = (half[..., None] * ws).reshape(len(on), -1)
+        todo = ~settled[:, on]
+        coefs = np.zeros((len(weights),) + ys.shape)
+        for i, weight in enumerate(weights):
+            coefs[i, todo[i]] = gw[todo[i]] * weight(ys[todo[i]])
+        if cfg.method == "analytic":
+            with np.errstate(all="ignore"):
+                c, s, _ = _coefficients(w[on, None], np.zeros(1, complex), ys - xe[on])
+                cs = np.einsum("wlj,ljtn->wltn", coefs, np.stack((c, s), axis=-2)) * w[on, None]
+                acc = QT[on].swapaxes(-1, -2) @ (cs[..., None] * rot[on]).sum(axis=-3)
+        else:
+            psi = np.array([[propagate(pot, 0.0, edges[p], y, cfg).value for y in row]
+                            for p, row in zip(on, ys)])
+            acc = np.einsum("wlj,ljab->wlab", coefs, V[on, None] @ psi)
+        if not np.isfinite(acc[todo]).all():
+            raise NumericalError(_OVERFLOW)
+        for i in range(len(weights)):
+            p, new = on[todo[i]], acc[i, todo[i]]
+            settled[i, p] = level > 0 and _norm2_le(new - sums[i, p], _QUAD_TOL)
+            sums[i, p] = new
+    return list(sums.sum(axis=1))
 
 
 def moment_identities_residual(

@@ -1,5 +1,6 @@
 """Jordan pipeline, zero-energy scattering matrix, and kernel maps."""
 
+import dataclasses
 import itertools
 from dataclasses import fields
 from fractions import Fraction
@@ -474,6 +475,28 @@ def test_s_zero_basis_independence(rng):
 def test_s_zero_exact_mode_requires_free_potential():
     with pytest.raises(ValidationError):
         hl.zero_energy_pipeline(scalar_well(1.0), hl.dirichlet(1), mode="exact")
+
+
+@pytest.mark.parametrize("fid", ["7.1", "7.2", "7.3", "7.4"])
+def test_exact_mode_involution_residual_is_exact(fid, monkeypatch):
+    # S(0)^2 = I over the rationals reads 0.0, though the complex copy of an
+    # S(0) with entries 1/3 and -2/3 need not square to I in floats.  An
+    # exact S(0) that is no involution reports its complex residual.
+    from halfline import lowenergy
+
+    fx = get_fixture(fid)
+    res = hl.zero_energy_pipeline(fx.potential(), fx.bc(), a=0.5, mode="exact")
+    assert res.involution_residual == 0.0
+    pipeline = lowenergy.exact_free_pipeline
+
+    def doubled(*args, **kwargs):
+        jd, ex = pipeline(*args, **kwargs)
+        return jd, dataclasses.replace(ex, S0=ex.S0 * 2)
+
+    monkeypatch.setattr(lowenergy, "exact_free_pipeline", doubled)
+    res = hl.zero_energy_pipeline(fx.potential(), fx.bc(), a=0.5, mode="exact")
+    S0 = res.expansion.S0
+    assert res.involution_residual == float(np.linalg.norm(S0 @ S0 - np.eye(fx.n), 2)) > 1
 
 
 @pytest.mark.parametrize("a", [np.pi, np.e, np.sqrt(2)])

@@ -729,8 +729,8 @@ def test_smatrix_grid_overflowing_row_fails_alone():
 
 
 def _step_calls(monkeypatch, fn):
-    """solver._step calls made by fn(): [walk steps (one h), quadrature
-    steps (one h per Gauss node of a level)]."""
+    """solver._step calls made by fn(): [steps of one length h (walk
+    legs), steps of a 1-D array of lengths (one per node, say)]."""
     from halfline import solver
 
     counts = [0, 0]
@@ -748,10 +748,9 @@ def _step_calls(monkeypatch, fn):
 
 def test_step_counts_grow_linearly_with_pieces(rng, monkeypatch):
     # verify and the pipeline each walk f down and phi up once, each walk
-    # over one stack of k, so walk steps double with the pieces.  Quadrature
-    # steps are one per level per piece; the levels a piece needs grow with
-    # the size of phi(0, .) out there, so their total is bounded by the
-    # level cap instead of a ratio.
+    # over one stack of k, so walk steps double with the pieces.  The
+    # quadratures (route (ii) of J(0) and the tail moments) sum in V's
+    # eigenbasis from the walked edge states and take no step of their own.
     from halfline.config import JobConfig
     from halfline.verify import run_property_checks
 
@@ -766,9 +765,8 @@ def test_step_counts_grow_linearly_with_pieces(rng, monkeypatch):
     (verify20, pipe20), (verify40, pipe40) = counts[20], counts[40]
     assert sum(verify20) <= 250 and sum(pipe20) <= 150
     assert verify40[0] <= 2.05 * verify20[0] and pipe40[0] <= 2.05 * pipe20[0]
-    # quadratures: route (ii) of J(0), computed once, and the tail moments
-    for pieces, (verify, pipe) in counts.items():
-        assert verify[1] <= 2 * 6 * pieces and pipe[1] <= 6 * pieces
+    for verify, pipe in counts.values():
+        assert verify[1] == pipe[1] == 0
 
 
 def test_jost_matrix_zero_catches_one_perturbed_leg(rng, monkeypatch):

@@ -407,6 +407,29 @@ def test_propagate_rejects_negative_target():
         hl.propagate(pot, 1.0, state, -0.5)
 
 
+def test_analytic_propagation_returns_its_steps_read_only(rng):
+    # An analytic propagation hands back its last step's fresh arrays without
+    # the check and copy of StateMatrix (each step already refuses non-finite
+    # values): read-only, with the bits and strides that checked copy has.
+    # A propagation without steps still checks and copies its start.
+    pot = rand_potential(rng, 2, 3)
+    value, deriv = _random_states(rng, 4, 2)
+    start = hl.StateMatrix(0.0, value, deriv)
+    k = np.linspace(0.5, 2.0, 4) + 0j
+    out = hl.propagate(pot, k, start, pot.x_max)
+    v, d = start.value, start.deriv
+    pts = solver._breakpoints(pot, 0.0, pot.x_max)
+    for lo, hi in zip(pts, pts[1:]):
+        i = pot.piece_at(0.5 * (lo + hi))
+        v, d = solver._step(None if i is None else pot._eigs[i], k, hi - lo, v, d)
+    checked = hl.StateMatrix(pot.x_max, v, d)
+    for got, want in ((out.value, checked.value), (out.deriv, checked.deriv)):
+        assert not got.flags.writeable and got.strides == want.strides
+        assert np.array_equal(got, want)
+    again = hl.propagate(pot, k, start, 0.0)
+    assert again.value is not start.value and np.array_equal(again.value, value)
+
+
 def _random_states(rng, K, n):
     return [rng.normal(size=(K, n, n)) + 1j * rng.normal(size=(K, n, n)) for _ in range(2)]
 
@@ -533,43 +556,101 @@ def test_step_overflows_where_the_reference_does(rng, n):
         solver._step(eig, np.array([300.0, 0.0]) + 0j, h, *_random_states(rng, 2, n))
 
 
+def _per_node_quadrature(pot, a, weights, edge_state):
+    """The moment quadrature as a loop over pieces that forms every node
+    state, by one stacked exact step from the piece edge; the nodes, the
+    levels and the settling rule are those of solver._integrate_weighted.
+    Returns the totals and the (nodes, states) of every level."""
+    xs, ws = solver._gauss_rule(solver._GAUSS_ORDER)
+    tol = solver._QUAD_TOL
+    totals = [np.zeros((pot.n, pot.n), dtype=complex) for _ in weights]
+    visited = []
+    for (lo, hi, V), eig in zip(pot.pieces, pot._eigs):
+        lo = max(lo, a)
+        if hi <= lo:
+            continue
+        edge = edge_state(lo, hi)
+        prev, settled = [None] * len(weights), [False] * len(weights)
+        panels = 1
+        for _ in range(solver._QUAD_LEVELS):
+            edges = np.linspace(lo, hi, panels + 1)
+            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+            ys = (mid[:, None] + half[:, None] * xs).ravel()
+            psi = solver._step(eig, np.zeros(1, complex), ys - edge.x, edge.value, edge.deriv)[0]
+            visited.append((ys, psi))
+            Vpsi = V @ psi
+            for i, weight in enumerate(weights):
+                if settled[i]:
+                    continue
+                coef = (half[:, None] * ws).ravel() * weight(ys)
+                acc = (coef[:, None, None] * Vpsi).sum(axis=0)
+                settled[i] = prev[i] is not None and solver._norm2_le(acc - prev[i], tol)
+                prev[i] = acc
+            if all(settled):
+                break
+            panels *= 2
+        for total, acc in zip(totals, prev):
+            total += acc
+    return totals, visited
+
+
 @pytest.mark.parametrize("n,pieces", [(n, p) for n in (1, 2, 8) for p in (2, 20)])
-def test_quadrature_nodes_equal_walked_solutions(rng, monkeypatch, n, pieces):
-    # Every Gauss node is reached by one stacked step from a piece edge; the
-    # value must be the one a full walk to the node gives.
+def test_quadrature_nodes_equal_walked_solutions(rng, n, pieces):
+    # The quadrature sums V psi over its Gauss nodes in V's eigenbasis and
+    # forms no node state.  Its oracle forms them: the weights see the
+    # oracle's nodes bit for bit, the totals agree to 1e-12 relative, from 0
+    # and from inside a piece, and each node state equals a full walk to the
+    # node wherever the edge is a walk stop (phi's edge at a inside a piece
+    # is not).
     pot = rand_potential(rng, n, pieces, scale=0.3)
     bc = rand_bc(rng, n)
-    nodes, values = [], []
-    step = solver._step
+    lo, hi, _ = pot.pieces[pieces // 2]
+    inside = 0.5 * (lo + hi)
+    phi = (lambda lo, hi: hl.regular_solution(pot, bc, 0.0, lo),
+           lambda y: hl.regular_solution(pot, bc, 0.0, y))
+    f = (lambda lo, hi: hl.jost_solution(pot, 0.0, hi), lambda y: hl.jost_solution(pot, 0.0, y))
+    for a, (edge, walk) in ((0.0, phi), (0.0, f), (inside, f), (inside, (phi[0], None))):
+        seen = {"stacked": ([], []), "oracle": ([], [])}
 
-    def spy(eig, k, h, value, deriv):
-        out = step(eig, k, h, value, deriv)
-        if np.ndim(h) == 1:
-            values.append(out[0])
-        return out
+        def weights(key):
+            one, first = seen[key]
+            return (lambda ys: one.extend(np.reshape(ys, (-1, ys.shape[-1]))) or 1.0,
+                    lambda ys: first.extend(np.reshape(ys, (-1, ys.shape[-1]))) or ys)
 
-    def weight(ys):
-        nodes.append(ys)
-        return 1.0
+        got = solver._integrate_weighted(pot, a, weights("stacked"), edge, hl.SolverConfig())
+        want, visited = _per_node_quadrature(pot, a, weights("oracle"), edge)
+        for g, w in zip(got, want):
+            assert np.linalg.norm(g - w, 2) <= 1e-12 * max(1.0, np.linalg.norm(w, 2))
+        for stacked, oracle in zip(*seen.values()):
+            assert sorted(y.tobytes() for y in stacked) == sorted(y.tobytes() for y in oracle)
+        ys = np.concatenate([y for y, _ in visited])
+        assert len(visited) >= len(pot.pieces) - pieces // 2 and ys.min() >= a
+        if walk is not None:
+            psi = np.concatenate([v for _, v in visited])
+            for y, v in list(zip(ys, psi))[::7]:
+                assert np.array_equal(walk(float(y)).value, v)
 
-    families = (
-        (0.0, lambda lo, hi: hl.regular_solution(pot, bc, 0.0, lo),
-         lambda y: hl.regular_solution(pot, bc, 0.0, y)),
-        (0.5 * pot.x_max, lambda lo, hi: hl.jost_solution(pot, 0.0, hi),
-         lambda y: hl.jost_solution(pot, 0.0, y)),
-    )
-    for a, edge, walk in families:
-        nodes.clear()
-        values.clear()
-        monkeypatch.setattr(solver, "_step", spy)
-        solver._integrate_weighted(pot, a, (weight,), edge, hl.SolverConfig())
-        monkeypatch.setattr(solver, "_step", step)
-        assert len(nodes) == len(values) >= len(pot.pieces)
-        ys = np.concatenate(nodes)
-        psi = np.concatenate(values)
-        assert ys.min() >= a
-        for y, v in list(zip(ys, psi))[::7]:
-            assert np.array_equal(walk(float(y)).value, v)
+
+def test_quadrature_refines_each_piece_to_its_own_level():
+    # A deep piece needs more panels than a shallow one: each piece and
+    # weight settles at its own level, as in the per-node oracle.
+    deep = np.diag([-800.0, -600.0]) + 0j
+    pot = hl.Potential(n=2, pieces=((0.0, 1.0, deep), (1.1, 1.6, 0.3 * np.eye(2))))
+    edge = lambda lo, hi: hl.jost_solution(pot, 0.0, hi)
+    seen = {"stacked": [], "oracle": []}
+
+    def weights(key):
+        return (lambda ys: seen[key].extend(np.reshape(ys, (-1, ys.shape[-1]))) or 1.0,
+                lambda ys: ys)
+
+    got = solver._integrate_weighted(pot, 0.0, weights("stacked"), edge, hl.SolverConfig())
+    want, _ = _per_node_quadrature(pot, 0.0, weights("oracle"), edge)
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w, 2) <= 1e-12 * max(1.0, np.linalg.norm(w, 2))
+    sizes = sorted(len(y) for y in seen["oracle"])
+    assert sizes[-1] >= 8 * solver._GAUSS_ORDER and sizes.count(sizes[-1]) == 1
+    assert sorted(y.tobytes() for y in seen["stacked"]) == sorted(
+        y.tobytes() for y in seen["oracle"])
 
 
 def _held(read):

@@ -262,3 +262,22 @@ def test_verify_computes_j0_once(rng, monkeypatch):
     records = run_property_checks(_config(rng, 2, 20, "auto"))
     assert {r["name"] for r in records} >= {"zero_energy_jost_crosscheck", "s0_involution"}
     assert len(calls) == 1
+
+
+def test_rk45_quadratures_agree_with_analytic(rng):
+    # rk45 reaches every quadrature node by propagate from the piece edge:
+    # its J(0) (route (ii) is the quadrature), its tail-moment residuals and
+    # its property records agree with the analytic method's.
+    pot = rand_potential(rng, 2, 2)
+    bc = rand_bc(rng, 2)
+    analytic = hl.SolverConfig()
+    rk45 = hl.SolverConfig(method="rk45", abs_tol=1e-12, rel_tol=1e-12, max_step=0.05)
+    J0 = hl.jost_matrix_zero(pot, bc, analytic)
+    assert np.linalg.norm(hl.jost_matrix_zero(pot, bc, rk45) - J0, 2) < 1e-9
+    for a in (0.0, 0.5 * pot.x_max):
+        assert max(hl.moment_identities_residual(pot, a, rk45)) < 1e-10
+    want = run_property_checks(JobConfig(bc=bc, potential=pot, solver=analytic))
+    got = run_property_checks(JobConfig(bc=bc, potential=pot, solver=rk45))
+    assert [(c["name"], c["pass"]) for c in got] == [(c["name"], c["pass"]) for c in want]
+    tail = [c["residual"] for c in got if c["name"].startswith("tail_moment")]
+    assert len(tail) == 2 and max(tail) < 1e-10
