@@ -45,24 +45,18 @@ from .lowenergy import (
     LowEnergyResult,
     jordan_form,
     jost_inverse_asymptotics,
-    kernel_bijection,
-    kernel_characterization,
-    schur_inverse,
     z_of_k,
     zero_energy_pipeline,
 )
 from .scattering import (
     JostEvaluation,
     SMatrixEvaluation,
-    free_closed_forms,
     jost_decomposition,
     jost_matrix,
     jost_matrix_zero,
     l_matrix,
     log_derivative,
     p_matrix,
-    scalar_jost_function,
-    scalar_smatrix,
     smatrix,
     smatrix_grid,
 )
@@ -70,16 +64,12 @@ from .solver import (
     Potential,
     SolverConfig,
     StateMatrix,
-    cs_solutions,
     free_potential,
     jost_solution,
     moment_identities_residual,
-    omega_solution,
     propagate,
     regular_solution,
     wronskian,
-    zero_energy_decomposition,
-    zero_energy_pair,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["HalflineError", "ValidationError", "NumericalError", "JordanAmbiguityError"]
+
 
 class HalflineError(Exception):
     """Base class for all package-specific errors."""

@@ -56,6 +56,7 @@ from .errors import JordanAmbiguityError, NumericalError, ValidationError
 from .scattering import (
     COND_CAP,
     SMatrixEvaluation,
+    _cond_error,
     _first_error,
     _smatrix_stack,
     jost_matrix,
@@ -68,7 +69,6 @@ from .solver import (
     StateMatrix,
     _Walks,
     jost_solution,
-    regular_solution,
 )
 
 __all__ = [
@@ -78,12 +78,9 @@ __all__ = [
     "LowEnergyResult",
     "jordan_form",
     "z_of_k",
-    "schur_inverse",
     "zero_energy_pipeline",
     "exact_free_pipeline",
     "jost_inverse_asymptotics",
-    "kernel_bijection",
-    "kernel_characterization",
 ]
 
 EPS_EIG = 1e-8
@@ -577,30 +574,6 @@ def z_of_k(
     return P2 @ jd.Sinv @ F @ jd.Smat @ P1
 
 
-def schur_inverse(A, B, C, D) -> np.ndarray:
-    """Block inverse of [[A, B], [C, D]] through the Schur complement
-    A - B D^(-1) C; requires both D and the complement to be invertible."""
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    B = np.asarray(B, dtype=complex).reshape(A.shape[0], -1)
-    C = np.asarray(C, dtype=complex).reshape(-1, A.shape[1])
-    D = np.atleast_2d(np.asarray(D, dtype=complex))
-    p, q = A.shape[0], D.shape[0]
-    if q and np.linalg.cond(D) > COND_CAP:
-        raise NumericalError("block D is numerically singular")
-    Dinv_C = np.linalg.solve(D, C) if q else np.zeros((0, p))
-    schur = A - B @ Dinv_C
-    if p and np.linalg.cond(schur) > COND_CAP:
-        raise NumericalError("Schur complement is numerically singular")
-    S_inv = np.linalg.inv(schur) if p else np.zeros((0, 0), dtype=complex)
-    B_Dinv = np.linalg.solve(D.T, B.T).T if q else np.zeros((p, 0))
-    out = np.zeros((p + q, p + q), dtype=complex)
-    out[:p, :p] = S_inv
-    out[:p, p:] = -S_inv @ B_Dinv
-    out[p:, :p] = -Dinv_C @ S_inv
-    out[p:, p:] = (np.linalg.inv(D) if q else D) + Dinv_C @ S_inv @ B_Dinv
-    return out
-
-
 def _snap_exact(x, name: str) -> xa.QC:
     """Float to a Gaussian rational, absorbing roundoff only.
 
@@ -718,7 +691,7 @@ def exact_free_pipeline(Aq, Bq, a=xa.QC(0)) -> Tuple[JordanData, LowEnergyExpans
 
 
 # ---------------------------------------------------------------------------
-# Inverse asymptotics and kernel maps.
+# Inverse asymptotics.
 # ---------------------------------------------------------------------------
 
 def jost_inverse_asymptotics(
@@ -728,60 +701,16 @@ def jost_inverse_asymptotics(
 
     Exceptional case (mu >= 1): returns the 1/k residue
     Smat P1 diag(A1^(-1), 0) P2 Sinv with order 1, so k J(k)^(-1) tends to
-    it.  Generic case: order 0 with leading J(0)^(-1).
+    it.  Generic case: order 0 with leading J(0)^(-1), refused when J(0)
+    is beyond the condition cap.
     """
     n, mu = jd.n, jd.mu
     if mu == 0:
+        cond = np.linalg.cond(jd.M)
+        if cond > COND_CAP:
+            raise _cond_error(0.0, cond)
         return np.linalg.inv(jd.M), 0
     block = np.zeros((n, n), dtype=complex)
     block[:mu, :mu] = np.linalg.inv(expansion.A1)
     leading = jd.Smat @ expansion.P1 @ block @ expansion.P2 @ jd.Sinv
     return leading, 1
-
-
-def kernel_bijection(
-    pot: Potential,
-    bc: BCPair,
-    u,
-    a: Optional[float] = None,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
-    """Image xi = R u of a kernel vector of J(0); xi lies in ker J(0)'.
-
-    The map is injective, so nonzero u gives nonzero xi, and the bounded
-    zero-energy solutions match: phi(0, x) u = f(0, x) xi.
-    """
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    if u.shape[0] != bc.n:
-        raise ValidationError("kernel vector has wrong length")
-    if a is None:
-        a = cfg.resolve_a(pot)
-    walks = _Walks(pot, bc, cfg, [0.0], [0.0], points=(0.0, a))
-    J0 = jost_matrix_zero(pot, bc, cfg, walks=walks)
-    nu = float(np.linalg.norm(u))
-    if nu > 0 and np.linalg.norm(J0 @ u) > 1e-8 * max(1.0, np.linalg.norm(J0, 2)) * nu:
-        raise ValidationError("u is not in the kernel of the zero-energy Jost matrix")
-    R = _r_matrix(walks.f(0.0, a), walks.phi(0.0, a))
-    return R @ u
-
-
-def kernel_characterization(
-    pot: Potential,
-    bc: BCPair,
-    u,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> Tuple[bool, np.ndarray]:
-    """Membership test for ker J(0) via the regular solution.
-
-    u lies in the kernel exactly when the limit slope phi'(0, x_max) u
-    vanishes, equivalently when phi(0, x) u stays bounded.  For compact
-    support the limit is attained at x_max, so the returned slope vector is
-    exact there.
-    """
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    if u.shape[0] != bc.n:
-        raise ValidationError("vector has wrong length")
-    phi = regular_solution(pot, bc, 0.0, pot.x_max, cfg)
-    limit = phi.deriv @ u
-    scale = max(np.linalg.norm(phi.deriv, 2) * max(np.linalg.norm(u), 1.0), 1.0)
-    return bool(np.linalg.norm(limit) <= 1e-8 * scale), limit

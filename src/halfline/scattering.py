@@ -76,11 +76,8 @@ __all__ = [
     "l_matrix",
     "smatrix",
     "smatrix_grid",
-    "free_closed_forms",
     "p_matrix",
     "log_derivative",
-    "scalar_jost_function",
-    "scalar_smatrix",
     "jost_decomposition",
 ]
 
@@ -192,8 +189,9 @@ def jost_matrix_zero(
     """J(0) computed three redundant ways, required to agree.
 
     (i) the k = 0 pairing at the origin, (ii) B plus the V-weighted moment
-    of the regular solution, (iii) the growing-direction coefficient of
-    phi(0, .) in the zero-energy fundamental system.  Route (i) reads
+    of the regular solution, (iii) phi'(0, x_max), the coefficient of
+    phi(0, .) along the growing zero-energy solution with data (x_max I, I)
+    at x_max (the bounded one, f(0, .), has (I, 0) there).  Route (i) reads
     f(0, 0), routes (ii) and (iii) phi(0, .) at every interface, from
     ``walks``: a caller's, or else one walk of phi(0, .) to x_max made here,
     with f(0, 0) propagated on its own.  A wrong leg in either walk shows.
@@ -206,7 +204,7 @@ def jost_matrix_zero(
                                     lambda lo, hi: walks.phi(0.0, lo), cfg)
     J_moment = bc.B + moment
 
-    beta = walks.phi(0.0, pot.x_max).deriv  # route (iii): zero_energy_decomposition's beta
+    beta = walks.phi(0.0, pot.x_max).deriv  # route (iii)
 
     # tol * max(||J||, 1) >= tol, so differences within tol pass without SVDs
     tol = _ZERO_CROSSCHECK_TOL
@@ -334,17 +332,6 @@ def smatrix_grid(
             else r for k, r in zip(ks, _smatrix_stack(pot, bc, ks, a, cfg))]
 
 
-def free_closed_forms(bc: BCPair, k: complex) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Closed forms for the zero potential: J = B - ikA and, when B - ikA
-    is safely invertible, S = -(B + ikA)(B - ikA)^(-1)."""
-    k = complex(k)
-    J = bc.B - 1j * k * bc.A
-    S = None
-    if np.linalg.cond(J) <= COND_CAP:
-        S = np.linalg.solve(J.T, -(bc.B + 1j * k * bc.A).T).T
-    return J, S
-
-
 def p_matrix(
     pot: Potential,
     k: complex,
@@ -406,46 +393,6 @@ def log_derivative(
                 f"log-derivative denominator at k = {complex(kj):g}, a = {a:g} is singular"
             )
     return np.linalg.solve(denom.swapaxes(-1, -2), numer.swapaxes(-1, -2)).swapaxes(-1, -2)
-
-
-def scalar_jost_function(
-    pot: Potential, theta: float, k: complex, cfg: SolverConfig = DEFAULT_CONFIG
-) -> complex:
-    """Single-channel Jost function for the angle condition
-    cos(theta) psi(0) + sin(theta) psi'(0) = 0.
-
-    Classical normalization: -i [f'(k,0) + cot(theta) f(k,0)] for
-    theta in (0, pi), and f(k,0) at theta = pi (the Dirichlet endpoint).
-    Regression aid only; it relates to the 1x1 Jost matrix by
-    J = i sin(theta) F for interior angles and J = -F at theta = pi.
-    """
-    if pot.n != 1:
-        raise ValidationError("the scalar normalization is single-channel")
-    if not 0.0 < theta <= np.pi + 1e-15:
-        raise ValidationError("theta must lie in (0, pi]")
-    f = jost_solution(pot, k, 0.0, cfg)
-    if abs(theta - np.pi) < 1e-15:
-        return complex(f.value[0, 0])
-    return complex(-1j * (f.deriv[0, 0] + f.value[0, 0] / np.tan(theta)))
-
-
-def scalar_smatrix(
-    pot: Potential, theta: float, k: float, cfg: SolverConfig = DEFAULT_CONFIG
-) -> complex:
-    """Single-channel scattering coefficient in the classical convention.
-
-    -F(-k)/F(k) for theta in (0, pi) and +F(-k)/F(k) at theta = pi, so the
-    free Dirichlet value is +1 here.  The matrix convention (which
-    normalizes against a Neumann comparison operator) agrees for interior
-    angles and flips the sign at the Dirichlet endpoint.
-    """
-    k = float(k)
-    if k == 0.0:
-        raise ValidationError("the zero-energy point is handled separately")
-    num = scalar_jost_function(pot, theta, -k, cfg)
-    den = scalar_jost_function(pot, theta, k, cfg)
-    ratio = num / den
-    return complex(ratio if abs(theta - np.pi) < 1e-15 else -ratio)
 
 
 def jost_decomposition(

@@ -6,10 +6,8 @@ the support edge x_max:
 
 * outgoing solution  f(k, x) = exp(ikx) I  for x >= x_max, so f is obtained
   by propagating that data backward from x_max;
-* the zero-energy pair (f(0, .), g(0, .)) starts from (I, 0) and
-  (x_max I, I) at x_max;
-* regular solutions start from k-independent data at a finite point
-  (the boundary pair (A, B) at x = 0, or cosine/sine/outgoing data at a).
+* the regular solution phi(k, .) starts from the k-independent boundary
+  pair (A, B) at x = 0.
 
 Within one piece V is a constant Hermitian matrix, so the exact propagator
 over a step h is available from the eigendecomposition V = Q diag(w) Q':
@@ -59,12 +57,8 @@ __all__ = [
     "SolverConfig",
     "propagate",
     "jost_solution",
-    "zero_energy_pair",
     "regular_solution",
-    "omega_solution",
-    "cs_solutions",
     "wronskian",
-    "zero_energy_decomposition",
     "moment_identities_residual",
     "potential_to_json",
     "potential_from_json",
@@ -552,21 +546,6 @@ def jost_solution(
     return edge if x >= pot.x_max else propagate(pot, k, edge, x, cfg)
 
 
-def zero_energy_pair(
-    pot: Potential, x: float, cfg: SolverConfig = DEFAULT_CONFIG
-) -> Tuple[StateMatrix, StateMatrix]:
-    """The bounded/growing zero-energy pair (f(0, .), g(0, .)).
-
-    g carries the exact edge data (x_max I, I); together the 2n columns
-    form a fundamental system for the zero-energy equation.
-    """
-    f0 = jost_solution(pot, 0.0, x, cfg)
-    n = pot.n
-    edge = StateMatrix(x=pot.x_max, value=pot.x_max * np.eye(n), deriv=np.eye(n))
-    g0 = propagate(pot, 0.0, edge, x, cfg)
-    return f0, g0
-
-
 def regular_solution(
     pot: Potential, bc: BCPair, k, x: float, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> StateMatrix:
@@ -590,27 +569,6 @@ def regular_solution(
     return StateMatrix._trusted(state.x, state.value[rows], state.deriv[rows])
 
 
-def cs_solutions(
-    pot: Potential, k: complex, a: float, x: float, cfg: SolverConfig = DEFAULT_CONFIG
-) -> Tuple[StateMatrix, StateMatrix]:
-    """Cosine-like and sine-like solutions anchored at a:
-    C(a) = I, C'(a) = 0 and S(a) = 0, S'(a) = I."""
-    n = pot.n
-    C = propagate(pot, complex(k), StateMatrix(a, np.eye(n), np.zeros((n, n))), x, cfg)
-    S = propagate(pot, complex(k), StateMatrix(a, np.zeros((n, n)), np.eye(n)), x, cfg)
-    return C, S
-
-
-def omega_solution(
-    pot: Potential, k: complex, a: float, x: float, cfg: SolverConfig = DEFAULT_CONFIG
-) -> StateMatrix:
-    """Solution carrying the zero-energy outgoing data at a:
-    value f(0, a), derivative f'(0, a).  At k = 0 it reproduces f(0, .)."""
-    f0a = jost_solution(pot, 0.0, a, cfg)
-    start = StateMatrix(x=a, value=f0a.value, deriv=f0a.deriv)
-    return propagate(pot, complex(k), start, x, cfg)
-
-
 def wronskian(Fstate: StateMatrix, Gstate: StateMatrix) -> np.ndarray:
     """[F; G] = F^dagger G' - F'^dagger G; stacked states pair slice by slice."""
     if abs(Fstate.x - Gstate.x) > 1e-12 * max(1.0, abs(Fstate.x)):
@@ -619,21 +577,6 @@ def wronskian(Fstate: StateMatrix, Gstate: StateMatrix) -> np.ndarray:
         )
     return (Fstate.value.conj().swapaxes(-1, -2) @ Gstate.deriv
             - Fstate.deriv.conj().swapaxes(-1, -2) @ Gstate.value)
-
-
-def zero_energy_decomposition(
-    pot: Potential, bc: BCPair, cfg: SolverConfig = DEFAULT_CONFIG
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Coefficients (alpha, beta) of phi(0, .) = f(0, .) alpha + g(0, .) beta.
-
-    At x_max the fundamental pair carries exact data, so beta is read off
-    as phi'(0, x_max) and alpha as phi(0, x_max) - x_max beta.  beta equals
-    the zero-energy Jost matrix.
-    """
-    phi = regular_solution(pot, bc, 0.0, pot.x_max, cfg)
-    beta = np.array(phi.deriv)
-    alpha = phi.value - pot.x_max * beta
-    return alpha, beta
 
 
 # ---------------------------------------------------------------------------

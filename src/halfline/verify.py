@@ -141,7 +141,7 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
 
     @functools.cache  # a failure is redone, so each check records its own
     def zero_jost():
-        """J(0) and beta, zero_energy_decomposition's phi'(0, x_max)."""
+        """J(0) and beta = phi'(0, x_max), route (iii) of jost_matrix_zero."""
         return jost_matrix_zero(pot, bc, solver, walks=walks), walks.phi(0.0, pot.x_max).deriv
 
     def zero_jost_crosscheck():

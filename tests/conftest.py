@@ -1,9 +1,15 @@
 """Shared helpers for the test suite."""
 
+from typing import Optional, Tuple
+
 import numpy as np
 import pytest
 
 import halfline as hl
+from halfline.bc import BCPair
+from halfline.errors import ValidationError
+from halfline.scattering import COND_CAP
+from halfline.solver import DEFAULT_CONFIG, Potential, SolverConfig, jost_solution
 
 
 def rand_herm(rng, n, scale=1.0):
@@ -94,6 +100,57 @@ def exceptional_bc(pot, Xi):
         basis.append(v / np.linalg.norm(v))
     M = np.column_stack(basis)
     return hl.BCPair(n=n, A=M[:n, :], B=M[n:, :])
+
+
+def free_closed_forms(bc: BCPair, k: complex) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Closed forms for the zero potential: J = B - ikA and, when B - ikA
+    is safely invertible, S = -(B + ikA)(B - ikA)^(-1)."""
+    k = complex(k)
+    J = bc.B - 1j * k * bc.A
+    S = None
+    if np.linalg.cond(J) <= COND_CAP:
+        S = np.linalg.solve(J.T, -(bc.B + 1j * k * bc.A).T).T
+    return J, S
+
+
+def scalar_jost_function(
+    pot: Potential, theta: float, k: complex, cfg: SolverConfig = DEFAULT_CONFIG
+) -> complex:
+    """Single-channel Jost function for the angle condition
+    cos(theta) psi(0) + sin(theta) psi'(0) = 0.
+
+    Classical normalization: -i [f'(k,0) + cot(theta) f(k,0)] for
+    theta in (0, pi), and f(k,0) at theta = pi (the Dirichlet endpoint).
+    Regression aid only; it relates to the 1x1 Jost matrix by
+    J = i sin(theta) F for interior angles and J = -F at theta = pi.
+    """
+    if pot.n != 1:
+        raise ValidationError("the scalar normalization is single-channel")
+    if not 0.0 < theta <= np.pi + 1e-15:
+        raise ValidationError("theta must lie in (0, pi]")
+    f = jost_solution(pot, k, 0.0, cfg)
+    if abs(theta - np.pi) < 1e-15:
+        return complex(f.value[0, 0])
+    return complex(-1j * (f.deriv[0, 0] + f.value[0, 0] / np.tan(theta)))
+
+
+def scalar_smatrix(
+    pot: Potential, theta: float, k: float, cfg: SolverConfig = DEFAULT_CONFIG
+) -> complex:
+    """Single-channel scattering coefficient in the classical convention.
+
+    -F(-k)/F(k) for theta in (0, pi) and +F(-k)/F(k) at theta = pi, so the
+    free Dirichlet value is +1 here.  The matrix convention (which
+    normalizes against a Neumann comparison operator) agrees for interior
+    angles and flips the sign at the Dirichlet endpoint.
+    """
+    k = float(k)
+    if k == 0.0:
+        raise ValidationError("the zero-energy point is handled separately")
+    num = scalar_jost_function(pot, theta, -k, cfg)
+    den = scalar_jost_function(pot, theta, k, cfg)
+    ratio = num / den
+    return complex(ratio if abs(theta - np.pi) < 1e-15 else -ratio)
 
 
 @pytest.fixture

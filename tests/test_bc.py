@@ -6,7 +6,7 @@ import pytest
 import halfline as hl
 from halfline.bc import bc_from_json, bc_to_json, e_matrix
 from halfline.errors import ValidationError
-from conftest import rand_bc, rand_unitary
+from conftest import free_closed_forms, rand_bc, rand_unitary
 
 from halfline.fixtures import get_fixture
 
@@ -123,7 +123,7 @@ def test_from_angles_free_jost_matches_angle_formula():
     thetas = [np.pi / 3, np.pi / 2, np.pi]
     bc = hl.from_angles(thetas)
     k = 0.7
-    J, _ = hl.free_closed_forms(bc, k)
+    J, _ = free_closed_forms(bc, k)
     expect = np.diag([np.cos(t) + 1j * k * np.sin(t) for t in thetas])
     assert np.linalg.norm(J - expect) < 1e-14
 

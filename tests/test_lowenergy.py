@@ -344,34 +344,6 @@ def test_z_ratio_limit_structure():
 
 
 # ---------------------------------------------------------------------------
-# schur_inverse
-# ---------------------------------------------------------------------------
-
-def test_schur_inverse_block_diagonal():
-    A = np.diag([2.0, 4.0])
-    D = np.diag([5.0])
-    out = hl.schur_inverse(A, np.zeros((2, 1)), np.zeros((1, 2)), D)
-    assert np.allclose(out, np.diag([0.5, 0.25, 0.2]))
-
-
-def test_schur_inverse_scalar_blocks():
-    out = hl.schur_inverse([[1.0]], [[2.0]], [[3.0]], [[4.0]])
-    expect = np.linalg.inv(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.linalg.norm(out - expect, 2) < 1e-12
-
-
-def test_schur_inverse_random_matches_direct(rng):
-    M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 3 * np.eye(4)
-    out = hl.schur_inverse(M[:2, :2], M[:2, 2:], M[2:, :2], M[2:, 2:])
-    assert np.linalg.norm(out - np.linalg.inv(M), 2) < 1e-10
-
-
-def test_schur_inverse_rejects_singular_d():
-    with pytest.raises(NumericalError):
-        hl.schur_inverse([[1.0]], [[1.0]], [[1.0]], [[0.0]])
-
-
-# ---------------------------------------------------------------------------
 # S(0) and the full pipeline
 # ---------------------------------------------------------------------------
 
@@ -620,10 +592,28 @@ def test_jost_inverse_asymptotics_resonance_limit():
     assert np.linalg.norm(k * np.linalg.inv(Jk) - lead, 2) < 1e-3
 
 
+def test_jost_inverse_asymptotics_refuses_ill_conditioned_j0():
+    # generic (mu = 0) but cond J(0) = 5e11 is beyond the cap; the expansion is not read
+    jd = hl.jordan_form([[1.0, 1e6], [0.0, 2.0]])
+    assert jd.mu == 0
+    with pytest.raises(NumericalError, match=r"J\(0\) condition 5.000e\+11 exceeds cap"):
+        jost_inverse_asymptotics(None, jd)
+
+
+def _in_kernel(pot, bc, u):
+    """Whether u lies in ker J(0), i.e. phi(0, .) u stays bounded: the
+    slope phi'(0, x_max) u (route (iii) of J(0) applied to u) vanishes."""
+    beta = hl.regular_solution(pot, bc, 0.0, pot.x_max).deriv
+    limit = beta @ u
+    scale = max(np.linalg.norm(beta, 2) * max(np.linalg.norm(u), 1.0), 1.0)
+    return bool(np.linalg.norm(limit) <= 1e-8 * scale), limit
+
+
 def test_kernel_bijection_neumann_free():
+    # xi = R u maps ker J(0) into ker J(0)'
     pot, bc = hl.free_potential(2), hl.neumann(2)
     u = np.array([1.0, 0.0])
-    xi = hl.kernel_bijection(pot, bc, u)
+    xi = hl.zero_energy_pipeline(pot, bc).expansion.R @ u
     assert np.allclose(xi, bc.A @ u)  # = -e1
     J0 = hl.jost_matrix_zero(pot, bc)
     assert np.linalg.norm(J0.conj().T @ xi) < 1e-12
@@ -633,7 +623,7 @@ def test_kernel_bijection_fixture_and_solution_match():
     fx = get_fixture("7.1")
     pot, bc = fx.potential(), fx.bc()
     u = np.array([1.0, 0.0, 0.0])
-    xi = hl.kernel_bijection(pot, bc, u, a=0.0)
+    xi = hl.zero_energy_pipeline(pot, bc, a=0.0).expansion.R @ u
     J0 = hl.jost_matrix_zero(pot, bc)
     assert np.linalg.norm(J0.conj().T @ xi) < 1e-12
     assert np.linalg.norm(xi) > 1e-12  # injectivity on a nonzero vector
@@ -646,20 +636,14 @@ def test_kernel_bijection_fixture_and_solution_match():
 
 def test_kernel_bijection_zero_maps_to_zero():
     pot, bc = hl.free_potential(2), hl.neumann(2)
-    assert np.allclose(hl.kernel_bijection(pot, bc, np.zeros(2)), 0.0)
-
-
-def test_kernel_bijection_rejects_non_kernel_vector():
-    pot, bc = hl.free_potential(1), hl.dirichlet(1)
-    with pytest.raises(ValidationError):
-        hl.kernel_bijection(pot, bc, np.array([1.0]))
+    assert np.allclose(hl.zero_energy_pipeline(pot, bc).expansion.R @ np.zeros(2), 0.0)
 
 
 def test_kernel_characterization_free_cases():
     pot = hl.free_potential(2)
-    ok, _ = hl.kernel_characterization(pot, hl.dirichlet(2), np.array([1.0, 0.0]))
+    ok, _ = _in_kernel(pot, hl.dirichlet(2), np.array([1.0, 0.0]))
     assert not ok
-    ok2, limit = hl.kernel_characterization(pot, hl.neumann(2), np.array([0.3, -0.7]))
+    ok2, limit = _in_kernel(pot, hl.neumann(2), np.array([0.3, -0.7]))
     assert ok2 and np.linalg.norm(limit) < 1e-14
 
 
@@ -688,7 +672,7 @@ def test_coupled_exceptional_configuration_full_pipeline(rng):
     # vector (the basis completion fixes scale and phase) and carries the
     # boundary data of the bounded solution: f(0,0) xi = A u, f'(0,0) xi = B u
     f00 = hl.jost_solution(pot, 0.0, 0.0)
-    xi_hat = hl.kernel_bijection(pot, bc, u)
+    xi_hat = res.expansion.R @ u
     cos = abs(xi_hat.conj() @ xi) / (np.linalg.norm(xi_hat) * np.linalg.norm(xi))
     assert abs(cos - 1.0) < 1e-10
     assert np.linalg.norm(f00.value @ xi_hat - bc.A @ u) < 1e-10
@@ -726,7 +710,7 @@ def test_kernel_characterization_matches_boundedness(rng):
     fx = get_fixture("7.2")
     pot, bc = fx.potential(), fx.bc()
     u = np.array([0.0, 0.0, 1.0])  # kernel direction of J(0)
-    ok, _ = hl.kernel_characterization(pot, bc, u)
+    ok, _ = _in_kernel(pot, bc, u)
     assert ok
     # boundedness of phi(0, x) u over a long range
     sup = max(
@@ -736,7 +720,7 @@ def test_kernel_characterization_matches_boundedness(rng):
     assert sup < 10.0
     # a non-kernel vector grows linearly
     v = np.array([1.0, 0.0, 0.0])
-    okv, _ = hl.kernel_characterization(pot, bc, v)
+    okv, _ = _in_kernel(pot, bc, v)
     assert not okv
     far = np.linalg.norm(hl.regular_solution(pot, bc, 0.0, 50.0).value @ v)
     assert far > 10.0

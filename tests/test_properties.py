@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, reject, seed, settings, strategies as st  # noqa: E402
 
 import halfline as hl  # noqa: E402
+from halfline.errors import JordanAmbiguityError  # noqa: E402
+from conftest import exceptional_bc  # noqa: E402
 
 KS = (0.3, 1.7, 4.9)
 
@@ -53,3 +55,41 @@ def test_scattering_identities(config):
         assert np.linalg.norm(Sm["S"] @ Sp["S"] - eye, 2) <= 1e-8
         J, L = hl.jost_matrix(pot, bc, k).J, hl.l_matrix(pot, bc, k)
         assert np.linalg.norm(J @ L.conj().T - L @ J.conj().T + 2j * k * eye, 2) <= 1e-8
+
+
+@st.composite
+def exceptional_configurations(draw):
+    """A generated potential with a vertex condition that puts the bounded
+    zero-energy solutions f(0, .) Xi, for a full-rank n x m Xi, in ker J(0)."""
+    pot, _ = draw(configurations())
+    n, m = pot.n, draw(st.integers(1, pot.n))
+    re = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * m, max_size=n * m))
+    im = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * m, max_size=n * m))
+    Xi = np.reshape(re, (n, m)) + 1j * np.reshape(im, (n, m))
+    assume(np.linalg.matrix_rank(Xi) == m)
+    return pot, exceptional_bc(pot, Xi), m
+
+
+@seed(20240817)
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(exceptional_configurations())
+def test_kernel_theorem(config):
+    # xi = R u maps ker J(0) one to one into ker J(0)', and phi(0, .) u =
+    # f(0, .) xi: the bounded solution carries the boundary data (A u, B u).
+    pot, bc, m = config
+    try:
+        res = hl.zero_energy_pipeline(pot, bc)
+    except JordanAmbiguityError:
+        # A zero chain of length 2 that roundoff splits by about sqrt(eps)
+        # is refused, not guessed; such a draw checks nothing here.
+        reject()
+    assert res.jordan.mu >= m
+    assert res.involution_residual <= 1e-9 and res.unitarity_residual <= 1e-7
+    U = np.eye(pot.n)[:, :m]
+    xi = res.expansion.R @ U
+    J0 = res.jordan.M
+    assert np.linalg.matrix_rank(xi) == m
+    assert np.linalg.norm(J0.conj().T @ xi, 2) <= 1e-8 * max(1.0, np.linalg.norm(J0, 2))
+    f00 = hl.jost_solution(pot, 0.0, 0.0)
+    assert np.linalg.norm(f00.value @ xi - bc.A @ U, 2) <= 1e-8
+    assert np.linalg.norm(f00.deriv @ xi - bc.B @ U, 2) <= 1e-8

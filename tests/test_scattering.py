@@ -8,7 +8,8 @@ import pytest
 import halfline as hl
 from halfline.errors import HalflineError, NumericalError, ValidationError
 from halfline.fixtures import get_fixture
-from conftest import rand_bc, rand_potential, scalar_well
+from conftest import free_closed_forms, rand_bc, rand_potential, scalar_jost_function, \
+    scalar_smatrix, scalar_well
 
 
 def test_jost_free_closed_form(rng):
@@ -36,7 +37,7 @@ def test_jost_matrix_zero_routes_agree(rng):
     pot = rand_potential(rng, 3)
     bc = rand_bc(rng, 3)
     J0 = hl.jost_matrix_zero(pot, bc)
-    _, beta = hl.zero_energy_decomposition(pot, bc)
+    beta = hl.regular_solution(pot, bc, 0.0, pot.x_max).deriv  # route (iii)
     assert np.linalg.norm(J0 - beta, 2) < 1e-8
 
 
@@ -159,17 +160,17 @@ def test_free_closed_forms_match_solver_path(rng):
     bc = rand_bc(rng, 2)
     pot = hl.free_potential(2)
     for k in (0.6, 1.8):
-        Jc, Sc = hl.free_closed_forms(bc, k)
+        Jc, Sc = free_closed_forms(bc, k)
         assert np.linalg.norm(Jc - hl.jost_matrix(pot, bc, k).J, 2) < 1e-10
         assert np.linalg.norm(Sc - hl.smatrix(pot, bc, k).S, 2) < 1e-10
-    Jc, _ = hl.free_closed_forms(bc, 0.0)
+    Jc, _ = free_closed_forms(bc, 0.0)
     assert np.allclose(Jc, bc.B)
 
 
 def test_free_closed_forms_xor_display():
     fx = get_fixture("7.3")  # a = 1
     k = 0.7
-    J, _ = hl.free_closed_forms(fx.bc(), k)
+    J, _ = free_closed_forms(fx.bc(), k)
     a = 1.0
     expect = np.array([
         [k / a, 0, 0, 0],
@@ -448,12 +449,12 @@ def test_scalar_convention_free_values():
     # free Jost function: f = exp(ikx), so F = k - i cot(theta) for
     # interior angles and F = 1 at the Dirichlet endpoint
     theta = np.pi / 3
-    F = hl.scalar_jost_function(pot, theta, k)
+    F = scalar_jost_function(pot, theta, k)
     assert abs(F - (k - 1j / np.tan(theta))) < 1e-13
-    assert abs(hl.scalar_jost_function(pot, np.pi, k) - 1.0) < 1e-14
+    assert abs(scalar_jost_function(pot, np.pi, k) - 1.0) < 1e-14
     # classical Dirichlet convention gives +1; Neumann gives +1 as well
-    assert abs(hl.scalar_smatrix(pot, np.pi, k) - 1.0) < 1e-14
-    assert abs(hl.scalar_smatrix(pot, np.pi / 2, k) - 1.0) < 1e-14
+    assert abs(scalar_smatrix(pot, np.pi, k) - 1.0) < 1e-14
+    assert abs(scalar_smatrix(pot, np.pi / 2, k) - 1.0) < 1e-14
 
 
 @pytest.mark.parametrize("theta", [np.pi / 5, np.pi / 2, 2.2, np.pi])
@@ -464,14 +465,14 @@ def test_scalar_functions_reduce_from_matrix_forms(theta):
     bc = hl.from_angles([theta])
     for k in (0.6, 1.7):
         J = hl.jost_matrix(pot, bc, k).J[0, 0]
-        F = hl.scalar_jost_function(pot, theta, k)
+        F = scalar_jost_function(pot, theta, k)
         if abs(theta - np.pi) < 1e-15:
             assert abs(J + F) < 1e-12
-            assert abs(hl.scalar_smatrix(pot, theta, k)
+            assert abs(scalar_smatrix(pot, theta, k)
                        + hl.smatrix(pot, bc, k).S[0, 0]) < 1e-10
         else:
             assert abs(J - 1j * np.sin(theta) * F) < 1e-12
-            assert abs(hl.scalar_smatrix(pot, theta, k)
+            assert abs(scalar_smatrix(pot, theta, k)
                        - hl.smatrix(pot, bc, k).S[0, 0]) < 1e-10
 
 

@@ -97,14 +97,22 @@ def test_jost_rejects_lower_half_plane():
         hl.jost_solution(hl.free_potential(1), 1.0 - 0.5j, 0.0)
 
 
+def _zero_energy_pair(pot, x):
+    """f(0, x) and g(0, x), the bounded and the growing zero-energy
+    solutions: data (I, 0) and (x_max I, I) at x_max."""
+    eye = np.eye(pot.n)
+    edge = hl.StateMatrix(pot.x_max, pot.x_max * eye, eye)
+    return hl.jost_solution(pot, 0.0, x), hl.propagate(pot, 0.0, edge, x)
+
+
 def test_zero_energy_pair_free_and_edge_data():
     pot = hl.free_potential(2)
-    f0, g0 = hl.zero_energy_pair(pot, 1.5)
+    f0, g0 = _zero_energy_pair(pot, 1.5)
     assert np.allclose(f0.value, np.eye(2)) and np.allclose(f0.deriv, 0)
     assert np.allclose(g0.value, 1.5 * np.eye(2)) and np.allclose(g0.deriv, np.eye(2))
 
     well = scalar_well(1.0)
-    f0, g0 = hl.zero_energy_pair(well, well.x_max)
+    f0, g0 = _zero_energy_pair(well, well.x_max)
     assert np.allclose(f0.value, np.eye(1)) and np.allclose(g0.value, well.x_max * np.eye(1))
 
 
@@ -112,14 +120,14 @@ def test_zero_energy_pair_scalar_well_frozen():
     # V = -1 on [0, 1]: g solves psi'' = -psi with psi(1) = 1, psi'(1) = 1,
     # hence g(0) = cos 1 - sin 1 and g'(0) = cos 1 + sin 1.
     pot = scalar_well(1.0)
-    _, g0 = hl.zero_energy_pair(pot, 0.0)
+    _, g0 = _zero_energy_pair(pot, 0.0)
     assert abs(g0.value[0, 0] - (np.cos(1.0) - np.sin(1.0))) < 1e-14
     assert abs(g0.deriv[0, 0] - (np.cos(1.0) + np.sin(1.0))) < 1e-14
 
 
 def test_zero_energy_pair_is_fundamental(rng):
     pot = rand_potential(rng, 2)
-    f0, g0 = hl.zero_energy_pair(pot, 0.2)
+    f0, g0 = _zero_energy_pair(pot, 0.2)
     block = np.block([[f0.value, g0.value], [f0.deriv, g0.deriv]])
     assert abs(np.linalg.det(block)) > 1e-6
 
@@ -205,13 +213,11 @@ def test_even_k_symmetry(rng):
             minus = hl.regular_solution(pot, bc, -kp, x, cfg)
             assert np.array_equal(plus.value, minus.value)
             assert np.array_equal(plus.deriv, minus.deriv)
-    for plus, minus in [
-        (hl.omega_solution(pot, k, a, x), hl.omega_solution(pot, -k, a, x)),
-    ]:
-        assert np.linalg.norm(plus.value - minus.value) < 1e-10
-        assert np.linalg.norm(plus.deriv - minus.deriv) < 1e-10
-    C1, S1 = hl.cs_solutions(pot, k, a, x)
-    C2, S2 = hl.cs_solutions(pot, -k, a, x)
+    plus, minus = _omega_solution(pot, k, a, x), _omega_solution(pot, -k, a, x)
+    assert np.linalg.norm(plus.value - minus.value) < 1e-10
+    assert np.linalg.norm(plus.deriv - minus.deriv) < 1e-10
+    C1, S1 = _cs_solutions(pot, k, a, x)
+    C2, S2 = _cs_solutions(pot, -k, a, x)
     assert np.linalg.norm(C1.value - C2.value) < 1e-10
     assert np.linalg.norm(S1.value - S2.value) < 1e-10
 
@@ -241,13 +247,25 @@ def test_regular_solution_stack_propagates_once_per_k_squared(rng, monkeypatch, 
         assert np.array_equal(value, ref.value) and np.array_equal(deriv, ref.deriv)
 
 
+def _cs_solutions(pot, k, a, x):
+    """The cosine- and sine-like solutions at x: data (I, 0) and (0, I) at a."""
+    eye, zero = np.eye(pot.n), np.zeros((pot.n, pot.n))
+    return (hl.propagate(pot, k, hl.StateMatrix(a, eye, zero), x),
+            hl.propagate(pot, k, hl.StateMatrix(a, zero, eye), x))
+
+
+def _omega_solution(pot, k, a, x):
+    """The solution with data (f(0, a), f'(0, a)) at a, at x."""
+    return hl.propagate(pot, k, hl.jost_solution(pot, 0.0, a), x)
+
+
 def test_cs_solutions_free_and_anchor():
     pot = hl.free_potential(2)
     a, x, k = 0.5, 1.7, 0.9
-    C, S = hl.cs_solutions(pot, k, a, x)
+    C, S = _cs_solutions(pot, k, a, x)
     assert np.allclose(C.value, np.cos(k * (x - a)) * np.eye(2), atol=1e-13)
     assert np.allclose(S.value, np.sin(k * (x - a)) / k * np.eye(2), atol=1e-13)
-    Ca, Sa = hl.cs_solutions(pot, k, a, a)
+    Ca, Sa = _cs_solutions(pot, k, a, a)
     assert np.allclose(Ca.value, np.eye(2)) and np.allclose(Ca.deriv, 0)
     assert np.allclose(Sa.value, 0) and np.allclose(Sa.deriv, np.eye(2))
 
@@ -255,11 +273,11 @@ def test_cs_solutions_free_and_anchor():
 def test_omega_free_and_zero_energy(rng):
     pot = hl.free_potential(2)
     a, x, k = 0.7, 2.0, 1.1
-    om = hl.omega_solution(pot, k, a, x)
+    om = _omega_solution(pot, k, a, x)
     assert np.allclose(om.value, np.cos(k * (x - a)) * np.eye(2), atol=1e-13)
 
     potm = rand_potential(rng, 2)
-    om0 = hl.omega_solution(potm, 0.0, 0.3, 1.2)
+    om0 = _omega_solution(potm, 0.0, 0.3, 1.2)
     f0 = hl.jost_solution(potm, 0.0, 1.2)
     assert np.linalg.norm(om0.value - f0.value) < 1e-12
 
@@ -268,9 +286,9 @@ def test_omega_reconstruction_from_cs(rng):
     # omega(k, x) = C(k, x) f(0, a) + S(k, x) f'(0, a)
     pot = rand_potential(rng, 2)
     for k, a, x in [(0.9, 0.2, 1.4), (2.1, 0.6, 0.1), (0.3 + 0.5j, 0.0, 1.0)]:
-        C, S = hl.cs_solutions(pot, k, a, x)
+        C, S = _cs_solutions(pot, k, a, x)
         f0a = hl.jost_solution(pot, 0.0, a)
-        om = hl.omega_solution(pot, k, a, x)
+        om = _omega_solution(pot, k, a, x)
         recon = C.value @ f0a.value + S.value @ f0a.deriv
         assert np.linalg.norm(om.value - recon) < 1e-8
 
@@ -283,8 +301,8 @@ def test_omega_deviation_bound_with_fitted_constant(rng):
     a = 0.1
 
     def ratio(k, x):
-        om_k = hl.omega_solution(pot, k, a, x)
-        om_0 = hl.omega_solution(pot, 0.0, a, x)
+        om_k = _omega_solution(pot, k, a, x)
+        om_0 = _omega_solution(pot, 0.0, a, x)
         q = abs(k) * (x - a) / (1.0 + abs(k) * (x - a))
         bound = q * q * np.exp(np.imag(k) * (x - a))
         return np.linalg.norm(om_k.value - om_0.value, 2) / bound
@@ -332,18 +350,25 @@ def test_wronskian_constancy_across_support(rng):
     assert np.linalg.norm(w0 - w1, 2) < 1e-8
 
 
+def _zero_energy_decomposition(pot, bc):
+    """(alpha, beta) of phi(0, .) = f(0, .) alpha + g(0, .) beta, read off
+    at x_max where the pair carries exact data; beta is route (iii) of J(0)."""
+    phi = hl.regular_solution(pot, bc, 0.0, pot.x_max)
+    return phi.value - pot.x_max * phi.deriv, phi.deriv
+
+
 def test_zero_energy_decomposition_free(rng):
     bc = rand_bc(rng, 2)
-    alpha, beta = hl.zero_energy_decomposition(hl.free_potential(2), bc)
+    alpha, beta = _zero_energy_decomposition(hl.free_potential(2), bc)
     assert np.allclose(alpha, bc.A) and np.allclose(beta, bc.B)
 
 
 def test_zero_energy_decomposition_reconstructs(rng):
     pot = rand_potential(rng, 2)
     bc = rand_bc(rng, 2)
-    alpha, beta = hl.zero_energy_decomposition(pot, bc)
+    alpha, beta = _zero_energy_decomposition(pot, bc)
     for x in (0.0, 0.6, pot.x_max, pot.x_max + 1.0):
-        f0, g0 = hl.zero_energy_pair(pot, x)
+        f0, g0 = _zero_energy_pair(pot, x)
         phi = hl.regular_solution(pot, bc, 0.0, x)
         recon = f0.value @ alpha + g0.value @ beta
         assert np.linalg.norm(phi.value - recon, 2) < 1e-9

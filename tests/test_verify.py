@@ -119,7 +119,7 @@ def _reference_checks(cfg: JobConfig):
 
     def zero_jost_crosscheck():
         J0 = hl.jost_matrix_zero(pot, bc, solver)
-        _, beta = hl.zero_energy_decomposition(pot, bc, solver)
+        beta = hl.regular_solution(pot, bc, 0.0, pot.x_max, solver).deriv
         return _record("zero_energy_jost_crosscheck", np.linalg.norm(J0 - beta, 2), 1e-8)
 
     def smatrix_properties():
