@@ -34,8 +34,8 @@ All functions are pure; BCPair values are immutable and thread-safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -160,18 +160,14 @@ class ValidationReport:
     pair (rule id, measured residual).
     """
 
-    ok: bool
-    violations: tuple = field(default_factory=tuple)
+    violations: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "violations", tuple(self.violations))
-        if self.ok != (len(self.violations) == 0):
-            raise ValidationError("ok flag inconsistent with violation list")
 
-    @staticmethod
-    def from_violations(violations: Sequence) -> "ValidationReport":
-        v = tuple(violations)
-        return ValidationReport(ok=(len(v) == 0), violations=v)
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def validate_ab(A, B) -> ValidationReport:
@@ -195,7 +191,7 @@ def validate_ab(A, B) -> ValidationReport:
     lam_min = float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0])
     if lam_min <= EPS_POSDEF * scale:
         violations.append(("gram_posdef", lam_min))
-    return ValidationReport.from_violations(violations)
+    return ValidationReport(violations)
 
 
 def validate_kostrykin(A1, B1) -> ValidationReport:
@@ -218,7 +214,7 @@ def validate_kostrykin(A1, B1) -> ValidationReport:
     rank = int(np.sum(sv > EPS_RANK * max(sv[0], np.finfo(float).tiny)))
     if rank != n:
         violations.append(("rank_full", float(rank)))
-    return ValidationReport.from_violations(violations)
+    return ValidationReport(violations)
 
 
 def _require_valid(bc: BCPair) -> None:

@@ -27,24 +27,25 @@ the Jordan decomposition of J(0):
 Generic case mu = 0 gives S(0) = -I; the fully exceptional case mu = n
 gives S(0) = I.
 
-The numeric and the exact arithmetic backend differ only in their inputs:
-J(0), R, the identity in their scalar type and the inverse they use for
-A1.  Each has its own Jordan decomposition (step 1); steps 2-4 are one
-``_assemble``, written with numpy operators, which runs on complex arrays
-or on object arrays of Gaussian rationals and returns a whole
-:class:`LowEnergyExpansion`.  The numeric Jordan backend clusters
-eigenvalues at a relative radius and runs an SVD rank staircase; it
-reports failure when the defective structure is ambiguous at the
-thresholds.  The exact backend works over Gaussian rationals (entries must
-be exactly representable); eigenvalue candidates are proposed numerically,
-snapped to small-denominator rationals, and accepted only if the shifted
-matrix is exactly singular.  Chain ordering is deterministic in both
-backends: zero chains first, remaining eigenvalues by (Re, Im), and inside
-a cluster by the pivot position of the chain eigenvector.
+The numeric and the exact arithmetic backend run the same code, written
+with numpy operators, on complex arrays or on object arrays of Gaussian
+rationals: one rank staircase ``_jordan_chains`` builds the chains of each
+eigenvalue (step 1), and one ``_assemble`` does steps 2-4 and returns a
+whole :class:`LowEnergyExpansion`.  Each backend brings only its rules.
+The numeric one clusters eigenvalues at a relative radius, takes kernels
+from thresholded SVDs and picks chain generators by projection; it refuses
+when the defective structure is ambiguous at the thresholds.  The exact
+one (entries must be exactly representable) proposes eigenvalues
+numerically, snaps them to small-denominator rationals, keeps those whose
+shifted matrix is exactly singular, and picks generators by exact rank.
+Chain ordering is deterministic in both: zero chains first, remaining
+eigenvalues by (Re, Im), and inside a cluster by the pivot position of
+the chain eigenvector.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence, Tuple
 
@@ -73,7 +74,6 @@ from .solver import (
 
 __all__ = [
     "JordanData",
-    "ExactJordan",
     "LowEnergyExpansion",
     "LowEnergyResult",
     "jordan_form",
@@ -93,39 +93,36 @@ DEFAULT_PROBES = (1e-1, 1e-2, 1e-3)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExactJordan:
-    """Exact (Gaussian-rational) Jordan decomposition payload."""
-
-    M: np.ndarray
-    Smat: np.ndarray
-    Sinv: np.ndarray
-    chains: Tuple[Tuple[xa.QC, int], ...]
-
-
-@dataclass(frozen=True)
 class JordanData:
     """Jordan decomposition of a matrix M with zero chains ordered first.
 
     Columns of Smat are the chain vectors in chain order (eigenvector
     first within each chain); rows of Sinv form the adjoint basis.
-    ``chains`` lists (eigenvalue, length) per chain; mu/nu are the
-    geometric/algebraic multiplicities of the eigenvalue zero and kappa
-    the total number of chains.
+    ``chains`` lists (eigenvalue, length) per chain; mu/nu, the
+    geometric/algebraic multiplicities of the eigenvalue zero, and kappa,
+    the total number of chains, are read off it.
     """
 
     M: np.ndarray
     Smat: np.ndarray
     Sinv: np.ndarray
     chains: Tuple[Tuple[complex, int], ...]
-    mu: int
-    nu: int
-    kappa: int
-    mode: str
-    exact: Optional[ExactJordan] = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.M.shape[0]
+
+    @property
+    def mu(self) -> int:
+        return sum(1 for lam, _ in self.chains if lam == 0)
+
+    @property
+    def nu(self) -> int:
+        return sum(length for lam, length in self.chains if lam == 0)
+
+    @property
+    def kappa(self) -> int:
+        return len(self.chains)
 
     def jordan_matrix(self) -> np.ndarray:
         """The block-diagonal Jordan form implied by ``chains``."""
@@ -180,6 +177,60 @@ class LowEnergyResult:
 
 
 # ---------------------------------------------------------------------------
+# The Jordan staircase and basis, shared by both backends.
+# ---------------------------------------------------------------------------
+
+def _jordan_chains(N, kernel, pick, target=None):
+    """Jordan chains (vector lists, eigenvector first) of the eigenvalue
+    that N = M - lam I shifts to zero, and the kernels they come from.
+
+    N is a complex array or an object array of Gaussian rationals.
+    kernels[j] = ``kernel(N^j, j)`` (columns) grows until it spans
+    ``target`` directions or, without a target, stops growing; a missed
+    target gives no chains.  From the top level j down,
+    ``pick(lower, carried, candidates, need, j)`` chooses ``need``
+    generators of length-j chains among the columns of kernels[j], against
+    lower = kernels[j - 1] and the images N^(L-j) w carried down from the
+    generators w of longer chains.
+    """
+    kernels = [N[:, :0]]
+    for j in range(1, len(N) + 1):
+        power = N if j == 1 else power @ N
+        ker = kernel(power, j)
+        if ker.shape[1] == kernels[-1].shape[1]:
+            break
+        kernels.append(ker)
+        if ker.shape[1] == target:
+            break
+    if target is not None and kernels[-1].shape[1] != target:
+        return [], kernels
+    gens = []
+    for j in range(len(kernels) - 1, 0, -1):
+        carried = [np.linalg.matrix_power(N, L - j) @ w for w, L in gens if L > j]
+        need = kernels[j].shape[1] - kernels[j - 1].shape[1] - len(carried)
+        if need:
+            gens += [(w, j) for w in pick(kernels[j - 1], carried, kernels[j].T, need, j)]
+    chains = []
+    for w, L in gens:
+        vecs = [w]
+        for _ in range(L - 1):
+            vecs.append(N @ vecs[-1])
+        chains.append(vecs[::-1])
+    return chains, kernels
+
+
+def _basis(chains):
+    """Smat and the (eigenvalue, length) pairs of the (eigenvalue, vectors,
+    pivot) ``chains``, sorted in place: zero chains first, then by (Re, Im)
+    of the eigenvalue (complex or QC), pivot position of the eigenvector,
+    and longest chain first."""
+    chains.sort(key=lambda c: (c[0] != 0, complex(c[0]).real, complex(c[0]).imag,
+                               c[2], -len(c[1])))
+    Smat = np.column_stack([v for _, vecs, _ in chains for v in vecs])
+    return Smat, tuple((lam, len(vecs)) for lam, vecs, _ in chains)
+
+
+# ---------------------------------------------------------------------------
 # Numeric Jordan backend.
 # ---------------------------------------------------------------------------
 
@@ -187,34 +238,21 @@ def _null_basis(M: np.ndarray, rel_tol: float, floor: float = 0.0) -> np.ndarray
     """Orthonormal kernel basis (columns) from singular values below a
     threshold relative to max(largest singular value, floor)."""
     _, s, Vh = np.linalg.svd(M)
-    if s.size == 0:
-        return np.zeros((M.shape[1], 0))
     tol = rel_tol * max(float(s[0]), floor, np.finfo(float).tiny)
     r = int(np.sum(s > tol))
     return Vh[r:].conj().T
 
 
 def _cluster_eigenvalues(vals: np.ndarray, radius: float):
-    """Transitive-closure clustering of eigenvalues at a given radius."""
-    m = vals.size
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(vals[i] - vals[j]) <= radius:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(idx, dtype=int) for idx in groups.values()]
+    """Transitive-closure clustering of eigenvalues at a given radius:
+    index arrays, ordered by their first index."""
+    label = list(range(vals.size))
+    for i in range(vals.size):
+        for j in range(i + 1, vals.size):
+            if abs(vals[i] - vals[j]) <= radius and label[j] != label[i]:
+                merged = label[j]
+                label = [label[i] if x == merged else x for x in label]
+    return [np.flatnonzero(np.array(label) == x) for x in dict.fromkeys(label)]
 
 
 def _numeric_jordan(M: np.ndarray, eps_eig: float, eps_rank: float) -> JordanData:
@@ -225,208 +263,144 @@ def _numeric_jordan(M: np.ndarray, eps_eig: float, eps_rank: float) -> JordanDat
     scale = max(float(np.linalg.norm(M, 2)), 1.0)
     radius = eps_eig * scale
     vals = np.linalg.eigvals(M)
-    clusters = _cluster_eigenvalues(vals, radius)
     centers = []
-    for idx in clusters:
+    for idx in _cluster_eigenvalues(vals, radius):
         c = complex(np.mean(vals[idx]))
         if abs(c) <= max(radius, np.finfo(float).tiny):
             c = 0.0 + 0.0j
         diam = max((abs(vals[i] - vals[j]) for i in idx for j in idx), default=0.0)
         centers.append((c, len(idx), diam))
-    gaps = [
-        abs(centers[i][0] - centers[j][0])
-        for i in range(len(centers))
-        for j in range(i + 1, len(centers))
-    ]
-    if any(g < 10 * radius for g in gaps):
-        raise JordanAmbiguityError(
-            "eigenvalue clusters are closer than 10x the clustering radius",
-            gaps=sorted(gaps),
-        )
+    gaps = [abs(a[0] - b[0]) for a, b in itertools.combinations(centers, 2)]
 
-    chains = []  # (eigenvalue, [vectors eigvec..top])
+    def refuse(message):
+        return JordanAmbiguityError(message, gaps=sorted(gaps))
+
+    if any(g < 10 * radius for g in gaps):
+        raise refuse("eigenvalue clusters are closer than 10x the clustering radius")
+
+    def pick(lower, carried, candidates, need, j):
+        # Gram-Schmidt of the candidates, largest residual first, against
+        # ker N^(j-1) and the carried images.
+        if need < 0:
+            raise refuse(f"inconsistent staircase at level {j} for eigenvalue {center:.6g}")
+        Q = np.linalg.qr(np.hstack(
+            [lower] + [c.reshape(-1, 1) / np.linalg.norm(c) for c in carried]))[0]
+        accepted: List[np.ndarray] = []
+        residuals = [cand - Q @ (Q.conj().T @ cand) for cand in candidates]
+        residuals.sort(key=lambda r: -float(np.linalg.norm(r)))
+        for r in residuals:
+            for acc in accepted:
+                r = r - acc * (acc.conj() @ r)
+            nr = float(np.linalg.norm(r))
+            if nr > 1e-7:
+                accepted.append(r / nr)
+                if len(accepted) == need:
+                    break
+        if len(accepted) != need:
+            raise refuse(
+                f"could not extract {need} independent chain generators "
+                f"at level {j} for eigenvalue {center:.6g}"
+            )
+        return accepted
+
+    chains = []  # (eigenvalue, [vectors eigvec..top], pivot)
     for center, m_alg, diam in centers:
         if diam > 5 * radius:
-            raise JordanAmbiguityError(
+            raise refuse(
                 f"cluster at {center:.6g} has diameter {diam:.3e} "
-                f"above 5x the clustering radius", gaps=sorted(gaps),
+                f"above 5x the clustering radius"
             )
-        N = M - center * np.eye(n)
-        dims = [0]
-        bases = [np.zeros((n, 0))]
-        power = np.eye(n, dtype=complex)
-        for j in range(1, n + 1):
-            power = power @ N
-            basis = _null_basis(power, eps_rank, floor=scale**j)
-            dims.append(basis.shape[1])
-            bases.append(basis)
-            if dims[-1] == m_alg:
-                break
-            if dims[-1] == dims[-2]:
-                raise JordanAmbiguityError(
-                    f"rank staircase for eigenvalue {center:.6g} stalled at "
-                    f"{dims[-1]} of {m_alg} directions", gaps=sorted(gaps),
-                )
-        p = len(dims) - 1
-        if dims[p] != m_alg:
-            raise JordanAmbiguityError(
-                f"staircase for eigenvalue {center:.6g} reached {dims[p]} "
-                f"directions, expected {m_alg}", gaps=sorted(gaps),
+        found, kernels = _jordan_chains(
+            M - center * np.eye(n),
+            lambda power, j: _null_basis(power, eps_rank, floor=scale**j), pick, m_alg)
+        dim = kernels[-1].shape[1]
+        if dim != m_alg:  # the staircase stalled, or took n steps without m_alg
+            raise refuse(
+                f"rank staircase for eigenvalue {center:.6g} stalled at "
+                f"{dim} of {m_alg} directions" if len(kernels) <= n else
+                f"staircase for eigenvalue {center:.6g} reached {dim} "
+                f"directions, expected {m_alg}"
             )
-        gens: List[Tuple[np.ndarray, int]] = []
-        for j in range(p, 0, -1):
-            want = dims[j] - dims[j - 1]
-            carried = [
-                np.linalg.matrix_power(N, L - j) @ w for w, L in gens if L > j
-            ]
-            need = want - len(carried)
-            if need < 0:
-                raise JordanAmbiguityError(
-                    f"inconsistent staircase at level {j} for eigenvalue "
-                    f"{center:.6g}", gaps=sorted(gaps),
-                )
-            if need == 0:
-                continue
-            obstruction = [bases[j - 1]] if bases[j - 1].shape[1] else []
-            obstruction += [c.reshape(-1, 1) / np.linalg.norm(c) for c in carried]
-            Q = (
-                np.linalg.qr(np.hstack(obstruction))[0]
-                if obstruction
-                else np.zeros((n, 0))
-            )
-            accepted: List[np.ndarray] = []
-            candidates = [bases[j][:, t] for t in range(bases[j].shape[1])]
-            residuals = [
-                (float(np.linalg.norm(cand - Q @ (Q.conj().T @ cand))), cand)
-                for cand in candidates
-            ]
-            residuals.sort(key=lambda t: -t[0])
-            for _, cand in residuals:
-                r = cand - Q @ (Q.conj().T @ cand)
-                for acc in accepted:
-                    r = r - acc * (acc.conj() @ r)
-                nr = float(np.linalg.norm(r))
-                if nr > 1e-7:
-                    accepted.append(r / nr)
-                    if len(accepted) == need:
-                        break
-            if len(accepted) != need:
-                raise JordanAmbiguityError(
-                    f"could not extract {need} independent chain generators "
-                    f"at level {j} for eigenvalue {center:.6g}",
-                    gaps=sorted(gaps),
-                )
-            gens.extend((w, j) for w in accepted)
-        for w, L in gens:
-            vecs = [w]
-            for _ in range(L - 1):
-                vecs.append(N @ vecs[-1])
-            vecs.reverse()  # eigenvector first
+        for vecs in found:
             eig = vecs[0]
             nrm = np.linalg.norm(eig)
             if nrm == 0:
                 raise NumericalError("degenerate chain eigenvector")
             piv = int(np.argmax(np.abs(eig) > 1e-8 * np.max(np.abs(eig))))
             phase = eig[piv] / abs(eig[piv])
-            vecs = [v / (nrm * phase) for v in vecs]
-            chains.append((center, vecs, piv))
-
-    chains.sort(key=_chain_sort_key)
-    cols = [v for _, vecs, _ in chains for v in vecs]
-    Smat = np.column_stack(cols)
+            chains.append((center, [v / (nrm * phase) for v in vecs], piv))
+    Smat, chain_info = _basis(chains)
     if np.linalg.cond(Smat) > COND_CAP:
         raise JordanAmbiguityError("Jordan basis is numerically singular")
-    Sinv = np.linalg.inv(Smat)
-    chain_info = tuple((complex(lam), len(vecs)) for lam, vecs, _ in chains)
-    mu = sum(1 for lam, length in chain_info if lam == 0)
-    nu = sum(length for lam, length in chain_info if lam == 0)
-    return JordanData(
-        M=np.array(M), Smat=Smat, Sinv=Sinv, chains=chain_info,
-        mu=mu, nu=nu, kappa=len(chain_info), mode="numeric",
-    )
-
-
-def _chain_sort_key(chain):
-    """Zero chains first, then by (Re, Im) of the eigenvalue, pivot position
-    of the eigenvector, and longest chain first; ``lam`` is complex or QC."""
-    lam, vecs, piv = chain
-    z = complex(lam)
-    return (0 if lam == 0 else 1, (z.real, z.imag), piv, -len(vecs))
+    return JordanData(np.array(M), Smat, np.linalg.inv(Smat), chain_info)
 
 
 # ---------------------------------------------------------------------------
 # Exact Jordan backend.
 # ---------------------------------------------------------------------------
 
-def _exact_jordan(Mq: np.ndarray) -> ExactJordan:
-    n = len(Mq)
-    raw = np.linalg.eigvals(Mq.astype(complex))
-    candidates: List[xa.QC] = []
-    for v in raw:
-        cand = xa.snap(complex(v))
-        if all(cand != c for c in candidates):
-            candidates.append(cand)
+#: Radii, relative to max(||M||_F, 1), at which exact mode clusters the
+#: float eigenvalues and proposes the mean of each cluster as an eigenvalue.
+EXACT_CLUSTER_RADII = (1e-3, 1e-1)
 
+
+def _exact_pick(lower, carried, candidates, need, j):
+    """The first ``need`` candidates that each raise the rank of ker N^(j-1)
+    plus the carried images."""
+    obstruction = np.column_stack([lower] + carried)
+    span = xa.rank(obstruction)
+    picked = []
+    for cand in candidates:
+        if len(picked) == need:
+            break
+        grown = np.column_stack([obstruction, cand])
+        if xa.rank(grown) > span:  # cand is independent of the obstruction
+            obstruction, span = grown, span + 1
+            picked.append(cand)
+    if len(picked) != need:
+        raise NumericalError("exact Jordan staircase failed to find enough generators")
+    return picked
+
+
+def _exact_jordan(Mq: np.ndarray):
+    """(Smat, Sinv, chains) of a Gaussian-rational matrix, all over QC.
+
+    Candidates are the snapped float eigenvalues, zero, and the snapped
+    mean of each cluster of them at ``EXACT_CLUSTER_RADII``: roundoff splits
+    a length-L chain's eigenvalue by about eps^(1/L), too far to snap, but
+    not the mean.  A candidate whose staircase finds no direction (the
+    shifted matrix is exactly regular) is no eigenvalue.
+    """
+    n = len(Mq)
+    Mc = Mq.astype(complex)
+    raw = np.linalg.eigvals(Mc)
+    scale = max(float(np.linalg.norm(Mc)), 1.0)
+    means = [raw[idx].mean() for r in EXACT_CLUSTER_RADII
+             for idx in _cluster_eigenvalues(raw, r * scale) if len(idx) > 1]
+    floats = dict.fromkeys(complex(v) for v in [*raw, 0.0, *means])
+    candidates = dict.fromkeys(map(xa.snap, floats))  # QC hashes as it compares
     eye = np.eye(n, dtype=object)
-    verified = []
-    total = 0
+    chains, total = [], 0
     for lam in candidates:
-        N = Mq - eye * lam
-        # kernels[j] holds a basis of ker N^j; they grow until the chains end.
-        powers, kernels = [eye], [eye[:, :0]]
-        while True:
-            power = xa.matmul(powers[-1], N)
-            kernel = xa.nullspace(power)
-            if kernel.shape[1] == kernels[-1].shape[1]:
-                break
-            powers.append(power)
-            kernels.append(kernel)
-        if len(kernels) > 1:  # else N is invertible: lam is no eigenvalue
-            verified.append((lam, N, powers, kernels))
-            total += kernels[-1].shape[1]
+        found, kernels = _jordan_chains(
+            Mq - eye * lam, lambda power, j: xa.nullspace(power), _exact_pick)
+        total += kernels[-1].shape[1]
+        chains += [(lam, vecs, next(i for i, x in enumerate(vecs[0]) if x)) for vecs in found]
     if total != n:
         raise NumericalError(
             "exact mode failed: eigenvalues are not Gaussian rationals "
             "within the snapping denominator (use numeric mode)"
         )
+    Smat, chain_info = _basis(chains)
+    return Smat, xa.inverse(Smat), chain_info
 
-    chains = []
-    for lam, N, powers, kernels in verified:
-        gens: List[Tuple[np.ndarray, int]] = []
-        for j in range(len(kernels) - 1, 0, -1):
-            want = kernels[j].shape[1] - kernels[j - 1].shape[1]
-            carried = [xa.matmul(powers[L - j], w) for w, L in gens if L > j]
-            need = want - len(carried)
-            if need <= 0:
-                continue
-            obstruction = np.column_stack([kernels[j - 1]] + carried)
-            span = xa.rank(obstruction)
-            picked = 0
-            for cand in kernels[j].T:
-                if picked == need:
-                    break
-                grown = np.column_stack([obstruction, cand])
-                if xa.rank(grown) > span:  # cand is independent of the obstruction
-                    obstruction, span = grown, span + 1
-                    gens.append((cand, j))
-                    picked += 1
-            if picked != need:
-                raise NumericalError(
-                    "exact Jordan staircase failed to find enough generators"
-                )
-        for w, L in gens:
-            vecs = [w]
-            for _ in range(L - 1):
-                vecs.append(xa.matmul(N, vecs[-1]))
-            vecs.reverse()
-            piv = next(i for i, x in enumerate(vecs[0]) if x)
-            chains.append((lam, vecs, piv))
 
-    chains.sort(key=_chain_sort_key)
-    Smat = np.column_stack([v for _, vecs, _ in chains for v in vecs])
-    Sinv = xa.inverse(Smat)
-    chain_info = tuple((lam, len(vecs)) for lam, vecs, _ in chains)
-    return ExactJordan(M=Mq, Smat=Smat, Sinv=Sinv, chains=chain_info)
+def _complex_jordan(Mq, Smat, Sinv, chains) -> JordanData:
+    """The complex copy of exact Jordan data of ``Mq``."""
+    return JordanData(
+        Mq.astype(complex), Smat.astype(complex), Sinv.astype(complex),
+        tuple((complex(lam), length) for lam, length in chains),
+    )
 
 
 def jordan_form(
@@ -449,16 +423,8 @@ def jordan_form(
     if mode == "exact":
         if isinstance(M, np.ndarray) and M.dtype != object:
             M = M.astype(complex)
-        payload = _exact_jordan(xa.mat(M))
-        zero = [length for lam, length in payload.chains if not lam]
-        return JordanData(
-            M=payload.M.astype(complex),
-            Smat=payload.Smat.astype(complex),
-            Sinv=payload.Sinv.astype(complex),
-            chains=tuple((complex(lam), length) for lam, length in payload.chains),
-            mu=len(zero), nu=sum(zero), kappa=len(payload.chains), mode="exact",
-            exact=payload,
-        )
+        Mq = xa.mat(M)
+        return _complex_jordan(Mq, *_exact_jordan(Mq))
     raise ValidationError(f"unknown Jordan mode {mode!r}")
 
 
@@ -684,10 +650,10 @@ def exact_free_pipeline(Aq, Bq, a=xa.QC(0)) -> Tuple[JordanData, LowEnergyExpans
     """
     Aq = xa.mat(Aq)
     Bq = xa.mat(Bq)
-    jd = jordan_form(Bq, "exact")
-    ex = jd.exact
-    eye = xa.mat(np.eye(jd.n, dtype=object))
-    return jd, _assemble(ex.Smat, ex.Sinv, ex.chains, Aq + Bq * xa.qc(a), eye, xa.inverse)
+    Smat, Sinv, chains = _exact_jordan(Bq)
+    eye = xa.mat(np.eye(len(Bq), dtype=object))
+    return (_complex_jordan(Bq, Smat, Sinv, chains),
+            _assemble(Smat, Sinv, chains, Aq + Bq * xa.qc(a), eye, xa.inverse))
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,6 @@ __all__ = [
 COND_CAP = 1e10
 #: Internal agreement tolerance for redundant evaluations.
 CROSSCHECK_TOL = 1e-8
-#: The same bound for the three routes of J(0) in :func:`jost_matrix_zero`.
-_ZERO_CROSSCHECK_TOL = CROSSCHECK_TOL
 
 _ZERO_K = "k = 0 is handled by the zero-energy pipeline"
 
@@ -207,7 +205,7 @@ def jost_matrix_zero(
     beta = walks.phi(0.0, pot.x_max).deriv  # route (iii)
 
     # tol * max(||J||, 1) >= tol, so differences within tol pass without SVDs
-    tol = _ZERO_CROSSCHECK_TOL
+    tol = CROSSCHECK_TOL
     if _norm2_le(J_pairing - J_moment, tol) and _norm2_le(J_pairing - beta, tol):
         return J_pairing
     scale = max(np.linalg.norm(J_pairing, 2), 1.0)

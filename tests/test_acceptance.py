@@ -230,8 +230,7 @@ def test_criterion_8_gauge_and_basis_independence():
         cols[:, pos:pos + L] *= c
         rows[pos:pos + L, :] /= c
         pos += L
-    jd2 = JordanData(M=jd.M, Smat=cols, Sinv=rows, chains=jd.chains,
-                     mu=jd.mu, nu=jd.nu, kappa=jd.kappa, mode="numeric")
+    jd2 = JordanData(M=jd.M, Smat=cols, Sinv=rows, chains=jd.chains)
     res2 = hl.zero_energy_pipeline(pot, bc, jordan_override=jd2)
     ok &= np.linalg.norm(res2.s0.S - base.s0.S, 2) <= 1e-8
 

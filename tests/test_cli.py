@@ -452,6 +452,22 @@ def test_s0_exact_mode(tmp_path, capsys):
     assert report["mu"] == 1
 
 
+def test_s0_reports_a_jordan_refusal_with_its_gaps(tmp_path, capsys):
+    # V = 0, A = I, B = diag(0, 5e-8): J(0) = B has two eigenvalues closer
+    # than 10x the clustering radius, so s0 refuses, exits 3 and prints the
+    # refusal with the gap between the clusters.
+    cfg = {"bc": {"n": 2, "formulation": "general_ab",
+                  "A": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                  "B": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [5e-8, 0.0]]]}}
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main(["s0", "--config", path]) == 3
+    out = capsys.readouterr().out
+    expect = {"error": "eigenvalue clusters are closer than 10x the clustering radius",
+              "eigenvalue_gaps": [5e-08]}
+    assert json.loads(out) == expect
+    assert out == json.dumps(expect, indent=2) + "\n"
+
+
 def test_verify_command_passes_for_well(tmp_path, capsys):
     path = write_cfg(tmp_path, WELL_CFG)
     assert cli.main(["verify", "--config", path]) == 0

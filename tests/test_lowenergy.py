@@ -14,6 +14,8 @@ from halfline.errors import JordanAmbiguityError, NumericalError, ValidationErro
 from halfline.fixtures import get_fixture
 from halfline.lowenergy import (
     JordanData,
+    _assemble,
+    _checked_inverse,
     _perm_indices,
     exact_free_pipeline,
     jost_inverse_asymptotics,
@@ -116,10 +118,48 @@ def test_jordan_exact_requires_rational_spectrum():
         hl.jordan_form(M, mode="exact")
 
 
+def test_jordan_exact_finds_eigenvalues_that_roundoff_splits(rng):
+    # Roundoff splits the eigenvalue 2 of a length-3 chain by about
+    # eps^(1/3), too far for a snap to the nearest small rational; exact
+    # mode must still find J_3(2) + 0 + (-1+i) under integer similarities.
+    J = np.diag([2, 2, 2, 0, -1 + 1j])
+    J[0, 1] = J[1, 2] = 1
+    for _ in range(20):
+        P, Pinv = _unimodular(rng, 5)
+        jd = hl.jordan_form(P @ J @ Pinv, mode="exact")
+        assert jd.chains == ((0j, 1), (-1 + 1j, 1), (2 + 0j, 3))
+        check_jordan_invariants(jd, 1e-9)
+
+
+def test_jordan_exact_proposes_zero_without_clustering(monkeypatch):
+    # Zero is a candidate in its own right: a nilpotent chain of length 6,
+    # split by roundoff, is found with no cluster mean proposed.
+    monkeypatch.setattr(hl.lowenergy, "EXACT_CLUSTER_RADII", ())
+    P, Pinv = _unimodular(np.random.default_rng(6), 6)
+    jd = hl.jordan_form(P @ _nilpotent_jordan([6]) @ Pinv, mode="exact")
+    assert jd.chains == ((0j, 6),)
+
+
 def test_jordan_ambiguity_reported():
-    M = np.diag([1e-9, 2e-9]).astype(complex)  # clusters closer than 10x radius
+    # Both eigenvalues lie within the clustering radius of 0, so they form
+    # one cluster, and the staircase finds no kernel at the rank threshold.
+    M = np.diag([1e-9, 2e-9]).astype(complex)
     with pytest.raises(JordanAmbiguityError):
         hl.jordan_form(M)
+
+
+@pytest.mark.parametrize("diagonal,message", [
+    ([1e-9, 2e-9], "rank staircase for eigenvalue 0+0j stalled at 0 of 2 directions"),
+    ([0.9e-8 * i for i in range(7)],
+     "cluster at 2.7e-08+0j has diameter 5.400e-08 above 5x the clustering radius"),
+])
+def test_jordan_refusal_messages(diagonal, message):
+    # The messages are what `s0` prints; each refusal here has one cluster,
+    # so no gaps.
+    with pytest.raises(JordanAmbiguityError) as info:
+        hl.jordan_form(np.diag(diagonal))
+    assert str(info.value) == message
+    assert info.value.gaps == ()
 
 
 def test_jordan_exact_mode_matches_numeric_fixture():
@@ -146,10 +186,13 @@ def _nilpotent_jordan(lengths):
 
 
 # every ordered list of chain lengths with sum <= 6 (63 lists)
-@pytest.mark.parametrize("lengths", [
+CHAIN_LENGTHS = [
     list(c) for m in range(1, 7) for c in itertools.product(range(1, 7), repeat=m)
     if sum(c) <= 6
-])
+]
+
+
+@pytest.mark.parametrize("lengths", CHAIN_LENGTHS)
 def test_perm_indices_gather_identity_block(lengths):
     mu, nu = len(lengths), sum(lengths)
     q, sigma = _perm_indices(lengths)
@@ -438,8 +481,7 @@ def test_s_zero_basis_independence(rng):
         rows[pos:pos + L, :] /= c
         scales.append(c)
         pos += L
-    jd2 = JordanData(M=jd.M, Smat=cols, Sinv=rows, chains=jd.chains,
-                     mu=jd.mu, nu=jd.nu, kappa=jd.kappa, mode="numeric")
+    jd2 = JordanData(M=jd.M, Smat=cols, Sinv=rows, chains=jd.chains)
     res2 = hl.zero_energy_pipeline(pot, bc, jordan_override=jd2)
     assert np.linalg.norm(res2.s0.S - base.s0.S, 2) < 1e-9
 
@@ -499,6 +541,51 @@ def test_exact_free_pipeline_s0_equality():
         jd, ex = exact_free_pipeline(fx.A_exact, fx.B_exact)
         assert np.array_equal(ex.S0, fx.s0_exact), fid
         assert (jd.mu, jd.nu) == (fx.mu, fx.nu)
+
+
+def _unimodular(rng, n):
+    """A random integer matrix of determinant 1 and its integer inverse,
+    as a product of unit lower and unit upper triangular factors."""
+    L = np.tril(rng.integers(-1, 2, size=(n, n)), -1) + np.eye(n, dtype=int)
+    U = np.triu(rng.integers(-1, 2, size=(n, n)), 1) + np.eye(n, dtype=int)
+    P = L @ U
+    Pinv = np.rint(np.linalg.inv(P)).astype(int)
+    assert np.array_equal(P @ Pinv, np.eye(n, dtype=int))
+    return P, Pinv
+
+
+@pytest.mark.parametrize("lengths", CHAIN_LENGTHS)
+def test_numeric_jordan_and_assembly_agree_with_exact_or_refuse(lengths):
+    # J(0) = P J P^(-1) over the integers, where J has zero chains of the
+    # given lengths and a simple eigenvalue 2, and an integer slope matrix R
+    # (redrawn until A1 is invertible).  The exact pipeline must succeed
+    # with S(0)^2 = I exactly; numeric jordan_form plus _assemble on the
+    # complex copies must give the exact (mu, nu) and S(0) within 1e-8
+    # relative, or refuse.  It must never return a wrong S(0).
+    rng = np.random.default_rng([20261019, *lengths])
+    n = sum(lengths) + 1
+    J = _nilpotent_jordan(lengths + [1]).astype(int)
+    J[-1, -1] = 2
+    P, Pinv = _unimodular(rng, n)
+    M = P @ J @ Pinv
+    while True:
+        R = rng.integers(-3, 4, size=(n, n))
+        try:
+            jd, ex = exact_free_pipeline(R.tolist(), M.tolist())
+            break
+        except ZeroDivisionError:  # A1 is singular for this R
+            continue
+    assert (jd.mu, jd.nu) == (len(lengths), sum(lengths))
+    assert np.array_equal(ex.S0 @ ex.S0, np.eye(n, dtype=object))
+    S0 = ex.S0.astype(complex)
+    try:
+        jn = hl.jordan_form(M.astype(complex))
+        got = _assemble(jn.Smat, jn.Sinv, jn.chains, R.astype(complex), np.eye(n),
+                        _checked_inverse).S0
+    except NumericalError:  # JordanAmbiguityError included: a refusal
+        return
+    assert (jn.mu, jn.nu) == (jd.mu, jd.nu)
+    assert np.linalg.norm(got - S0, 2) <= 1e-8 * np.linalg.norm(S0, 2)
 
 
 def _bits(M):
