@@ -31,10 +31,12 @@ step holds it transposed, as rows psi^T, so each rotation into or out of
 V's eigenbasis is one 2-D product of all K n rows with a fixed n x n
 factor, and a stacked row keeps the bits of its scalar call (see _step).
 
-``_Walks`` crosses the support once per solution family over a stack of k
-(see there); the zero-energy Jost routes, R and the moment quadrature read
-their states from it.  The quadrature (``_integrate_weighted``) sums step
-coefficients over its nodes in V's eigenbasis and forms no node state.
+One kernel (``_legs``) steps a walk leg by leg from one table of step
+coefficients per block of legs: :func:`propagate` keeps its last state, and
+``_Walks``, which crosses the support once per solution family over a stack
+of k, keeps every stop; the zero-energy Jost routes, R and the moment
+quadrature read their states from it.  The quadrature (``_integrate_weighted``)
+sums step coefficients over its nodes in V's eigenbasis and forms no node state.
 """
 
 from __future__ import annotations
@@ -253,14 +255,14 @@ DEFAULT_CONFIG = SolverConfig()
 # Exact stepping within a constant piece.
 # ---------------------------------------------------------------------------
 
-def _step(eig, k, h, value, deriv):
-    """Exact steps through one constant piece, one per (k, h) pair.
+def _step(eig, c, s, g, value, deriv):
+    """One exact step through a constant piece, from its coefficients.
 
-    ``k`` (a complex array) and ``h`` are 0-d or 1-D and broadcast to the
-    stack shape S, () or (m,); ``value`` and ``deriv`` are (n, n) or
-    S + (n, n), and so is the result.  ``eig`` is the piece's (w, Q^T, conj Q),
-    or None on free territory (no rotation).  Raises NumericalError when a
-    step overflows.
+    ``c``, ``s`` and ``g`` are cos(omega h), sin(omega h)/omega and -omega^2
+    times s (see :func:`_coefficients`), of stack shape S, () or (m,), plus
+    an eigen axis; ``value``, ``deriv`` and the result are (n, n) or S + (n, n).
+    ``eig`` is the piece's (w, Q^T, conj Q), or None on free territory (no
+    rotation, an eigen axis of length 1).  Raises NumericalError on overflow.
 
     The state is held transposed for the length of the step, as rows: psi^T
     is (..., n, n) with one row per column of psi, and Q' psi is
@@ -271,10 +273,9 @@ def _step(eig, k, h, value, deriv):
     keeps the bits of its scalar call.  The result is a transposed view of
     those rows, which the next step reshapes without a copy.
     """
-    w, QT, QhT = (0.0, None, None) if eig is None else eig
+    QT, QhT = (None, None) if eig is None else eig[1:]
     with np.errstate(all="ignore"):
-        c, s, om2 = _coefficients(w, k, np.asarray(h))
-        c, s, g = c[..., None, :], s[..., None, :], (-om2 * s)[..., None, :]
+        c, s, g = c[..., None, :], s[..., None, :], g[..., None, :]
         rows_v, rows_d = value.swapaxes(-1, -2), deriv.swapaxes(-1, -2)
         if QT is not None:
             rows_v, rows_d = _rotate(rows_v, QhT), _rotate(rows_d, QhT)
@@ -389,6 +390,37 @@ def _breakpoints(pot: Potential, x0: float, x1: float):
     return cuts[::-1] if x1 < x0 else cuts
 
 
+_TABLE = 2 ** 14  # most step coefficients (legs x k x eigenvalues) in one block of _legs
+
+
+def _legs(pot: Potential, k, value, deriv, stops):
+    """The exact walk of (value, deriv) at stops[0] through ``stops``, with
+    no piece edge strictly between two stops: the StateMatrix at each later
+    stop, in order.  ``k`` is 0-d or 1-D complex.  A block of legs (at most
+    _TABLE coefficients) takes the coefficients of its piece legs from one
+    :func:`_coefficients` call and of its free legs (w = 0, one eigen entry)
+    from another, then steps each leg with :func:`_step`.  A coefficient
+    depends on its k, w and h alone, so every state has the bits of
+    stepping its legs one at a time."""
+    legs = [(pot.piece_at(0.5 * (x0 + x1)), x1 - x0, x1) for x0, x1 in zip(stops, stops[1:])]
+    axes = (1,) * k.ndim  # the k axis, if any, between the leg and eigen axes
+    size = max(1, _TABLE // (k.size * pot.n))
+    for block in (legs[i:i + size] for i in range(0, len(legs), size)):
+        table = {}
+        for free in (True, False):
+            rows = [j for j, leg in enumerate(block) if (leg[0] is None) == free]
+            if rows:
+                h = np.array([block[j][1] for j in rows]).reshape(-1, *axes)
+                w = 0.0 if free else pot._stacks[1][[block[j][0] for j in rows]].reshape(
+                    h.shape + (pot.n,))
+                with np.errstate(all="ignore"):
+                    c, s, om2 = _coefficients(w, k[None], h)
+                    table.update(zip(rows, zip(c, s, -om2 * s)))
+        for j, (idx, _, x) in enumerate(block):
+            value, deriv = _step(None if idx is None else pot._eigs[idx], *table[j], value, deriv)
+            yield StateMatrix._trusted(x, value, deriv)
+
+
 def propagate(
     pot: Potential,
     k,
@@ -410,20 +442,19 @@ def propagate(
     if k.ndim and value.shape[:-2] != k.shape:  # one solution per k, also without steps
         value, deriv = (np.broadcast_to(a, k.shape + a.shape[-2:]) for a in (value, deriv))
     pts = _breakpoints(pot, state.x, x_target)
-    for lo, hi in zip(pts, pts[1:]):
+    if cfg.method == "analytic" and len(pts) > 1:  # fresh arrays _step found finite
+        for state in _legs(pot, k, value, deriv, pts):
+            pass  # only the last state is kept
+        return state
+    for lo, hi in zip(pts, pts[1:]):  # rk45
         idx = pot.piece_at(0.5 * (lo + hi))
         V = None if idx is None else pot.pieces[idx][2]
-        if cfg.method == "analytic":
-            eig = None if V is None else pot._eigs[idx]
-            value, deriv = _step(eig, k, hi - lo, value, deriv)
-        elif k.ndim:
+        if k.ndim:
             steps = [_rk45_segment(V, kj, lo, hi, v, d, cfg)
                      for kj, v, d in zip(k, value, deriv)]
             value, deriv = np.array([v for v, _ in steps]), np.array([d for _, d in steps])
         else:
             value, deriv = _rk45_segment(V, k, lo, hi, value, deriv, cfg)
-    if cfg.method == "analytic" and len(pts) > 1:  # fresh arrays _step found finite
-        return StateMatrix._trusted(x_target, value, deriv)
     return StateMatrix(x=x_target, value=value, deriv=deriv)
 
 
@@ -453,13 +484,13 @@ class _Walks:
     The backward walk carries f(kappa, .) for a stack of kappa from the
     support edge down to min(x_max, points), the forward walk phi(k, .) for
     a stack of k from 0 up to max(x_max, points).  A walk stops at its
-    start, at every piece interface strictly inside it and at its end; each
-    leg from one stop to the next is one :func:`propagate` call, so the
-    state at a stop is bit for bit the one a direct propagation from the
-    start gives.  A point strictly inside a leg is reached by a side leg
-    from the stop before it, once however often it is listed; the main walk
-    is not split there, so the stops beyond it keep their bits.  Points off
-    a walk (above x_max, for the f walk) are ignored.
+    start, at every piece interface strictly inside it and at its end;
+    :func:`_legs` steps the legs between as a direct propagation from the
+    start does, so each stop has that propagation's bits.  A point strictly
+    inside a leg is reached by a side leg, one :func:`propagate` call from
+    the stop before it, however often it is listed; the main walk is not
+    split there, so the stops beyond it keep their bits.  Points off a walk
+    (above x_max, for the f walk) are ignored.
 
     A read gives what :func:`jost_solution` or :func:`regular_solution`
     gives, bit for bit: a slice of a walk that holds its k and its point, or
@@ -494,11 +525,15 @@ class _Walks:
             state = propagate(pot, ks, start, start.x, cfg)  # one checked start per k
             states = {start.x: state}
             stops = _breakpoints(pot, start.x, x_end)
+            if cfg.method == "analytic":
+                states.update((s.x, s) for s in _legs(pot, ks, state.value, state.deriv, stops))
+            else:  # one rk45 propagation per leg
+                for x in stops[1:]:
+                    state = states[x] = propagate(pot, ks, state, x, cfg)
             for x0, x1 in zip(stops, stops[1:]):
                 for side in sides:
                     if min(x0, x1) < side < max(x0, x1):
-                        states[side] = propagate(pot, ks, state, side, cfg)
-                state = states[x1] = propagate(pot, ks, state, x1, cfg)
+                        states[side] = propagate(pot, ks, states[x0], side, cfg)
         except NumericalError:
             return None
         return keys, index, states

@@ -26,7 +26,7 @@ from typing import List, Optional
 import numpy as np
 
 from .config import JobConfig
-from .errors import HalflineError
+from .errors import HalflineError, NumericalError
 from .lowenergy import DEFAULT_PROBES, zero_energy_pipeline
 from .scattering import _first_error, _jost_stack, _l_matrix, _norm2, _smatrix_stack, \
     _split, jost_decomposition, jost_matrix_zero, log_derivative, p_matrix
@@ -46,6 +46,16 @@ def _record(name: str, residual: float, tol: float, ok: Optional[bool] = None) -
 def _failure(name: str, exc: Exception) -> dict:
     return {"name": name, "residual": None, "tol": 0.0, "pass": False,
             "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _finite(what: str, fn, *args):
+    """fn(*args) without overflow warnings, or a NumericalError naming ``what``
+    if it holds inf or NaN, as pairings of huge solutions can (no SVD takes it)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = fn(*args)
+    if not np.isfinite(M).all():
+        raise NumericalError(f"{what} is not finite")
+    return M
 
 
 def run_property_checks(cfg: JobConfig) -> List[dict]:
@@ -88,22 +98,22 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
 
     def outgoing_self_pairing():
         f, _ = outgoing()
-        worst = _norm2(wronskian(f, f) - 2j * ks[:, None, None] * eye).max()
+        pairing = _finite("[f(k, .); f(k, .)] at x = 0", wronskian, f, f)
+        worst = _norm2(pairing - 2j * ks[:, None, None] * eye).max()
         return _record("outgoing_self_pairing", worst, 1e-8)
 
     def outgoing_cross_pairing():
         fp, fm = outgoing()
-        return _record("outgoing_cross_pairing", _norm2(wronskian(fm, fp)).max(), 1e-8)
+        pairing = _finite("[f(-k, .); f(k, .)] at x = 0", wronskian, fm, fp)
+        return _record("outgoing_cross_pairing", _norm2(pairing).max(), 1e-8)
 
     def jl_constancy():
         worst = 0.0
         Js, errors, _, F0 = _jost_stack(pot, bc, K_GRID, a, solver, walks)
         _first_error(errors)
         for k, J, L in zip(K_GRID, Js, _l_matrix(bc, F0)):  # F0 = f(-k, 0)
-            worst = max(
-                worst,
-                np.linalg.norm(J @ L.conj().T - L @ J.conj().T + 2j * k * eye, 2),
-            )
+            pairing = _finite("J(k) L(k)' - L(k) J(k)'", lambda: J @ L.conj().T - L @ J.conj().T)
+            worst = max(worst, np.linalg.norm(pairing + 2j * k * eye, 2))
         return _record("jl_pairing_constancy", worst, 1e-8)
 
     def tail_moments():
@@ -114,7 +124,7 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
 
     def p_ratio_decay():
         a_p = 0.0 if pot.x_max > 0 else a
-        P_hi, P_lo = p_matrix(pot, p_ks, a_p, solver, walks)
+        P_hi, P_lo = _finite("P(k)", p_matrix, pot, p_ks, a_p, solver, walks)
         r_hi = np.linalg.norm(P_hi / 1e-1j - eye, 2)
         r_lo = np.linalg.norm(P_lo / 1e-3j - eye, 2)
         if r_hi < 1e-12:

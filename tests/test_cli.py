@@ -528,6 +528,32 @@ def test_verify_failure_record_is_strict_json(tmp_path, monkeypatch, capsys):
     assert failed[0]["error"] == "NumericalError: injected"
 
 
+def test_verify_on_a_deep_barrier_fails_the_overflowing_pairings(tmp_path, capsys):
+    # V = 400 on [0, 20]: f(k, 0) is about e^400, finite, but its pairings
+    # overflow.  The four checks that take their norms fail as numerical
+    # errors naming the non-finite value, without warnings, where an SVD
+    # of inf and NaN used to crash verify; the other records keep their
+    # residuals, and s0 on the same input exits 0.
+    cfg = {"bc": {"angles": [0.3]}, "potential": {"n": 1, "pieces": [
+        {"x_lo": 0.0, "x_hi": 20.0, "V": [[[400.0, 0.0]]]}]}}
+    path = write_cfg(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", "--config", path]) == 3
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert cli.main(["s0", "--config", path]) == 0
+    errors = {c["name"]: c["error"] for c in report["checks"] if "error" in c}
+    assert errors == {
+        "outgoing_self_pairing": "NumericalError: [f(k, .); f(k, .)] at x = 0 is not finite",
+        "outgoing_cross_pairing": "NumericalError: [f(-k, .); f(k, .)] at x = 0 is not finite",
+        "jl_pairing_constancy": "NumericalError: J(k) L(k)' - L(k) J(k)' is not finite",
+        "p_ratio_decay": "NumericalError: P(k) is not finite",
+    }
+    assert len(report["checks"]) == 15
+    for check in report["checks"]:
+        assert (check["residual"] is None) == (check["name"] in errors)
+
+
 @pytest.mark.parametrize("target,name", [
     ("halfline.verify.moment_identities_residual", "tail_moments"),
     ("halfline.verify._smatrix_stack", "smatrix_properties"),

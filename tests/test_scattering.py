@@ -733,28 +733,39 @@ def test_smatrix_grid_overflowing_row_fails_alone():
 
 
 def _step_calls(monkeypatch, fn):
-    """solver._step calls made by fn(): [steps of one length h (walk
-    legs), steps of a 1-D array of lengths (one per node, say)]."""
-    from halfline import solver
+    """Legs the walk kernel steps (solver._step calls) while fn() runs:
+    [outside the moment quadratures, inside them]."""
+    from halfline import scattering, solver
 
-    counts = [0, 0]
-    step = solver._step
+    counts, inside = [0, 0], [0]
+    step, integrate = solver._step, solver._integrate_weighted
 
-    def counted(eig, k, h, value, deriv):
-        counts[np.ndim(h)] += 1
-        return step(eig, k, h, value, deriv)
+    def counted(*args):
+        counts[inside[0]] += 1
+        return step(*args)
 
-    monkeypatch.setattr(solver, "_step", counted)
-    fn()
-    monkeypatch.setattr(solver, "_step", step)
+    def quadrature(*args):
+        inside[0] = 1
+        try:
+            return integrate(*args)
+        finally:
+            inside[0] = 0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_step", counted)
+        for module in (solver, scattering):
+            patch.setattr(module, "_integrate_weighted", quadrature)
+        fn()
     return counts
 
 
 def test_step_counts_grow_linearly_with_pieces(rng, monkeypatch):
     # verify and the pipeline each walk f down and phi up once, each walk
-    # over one stack of k, so walk steps double with the pieces.  The
-    # quadratures (route (ii) of J(0) and the tail moments) sum in V's
-    # eigenbasis from the walked edge states and take no step of their own.
+    # over one stack of k, so the legs the kernel steps (80 each at 20
+    # pieces) double with the pieces; a kernel that stepped a leg twice would
+    # exceed the bounds.  The quadratures (route (ii) of J(0) and the tail
+    # moments) sum in V's eigenbasis from the walked edge states and take no
+    # step of their own.
     from halfline.config import JobConfig
     from halfline.verify import run_property_checks
 
@@ -774,29 +785,36 @@ def test_step_counts_grow_linearly_with_pieces(rng, monkeypatch):
 
 
 def test_jost_matrix_zero_catches_one_perturbed_leg(rng, monkeypatch):
-    # Routes (ii) and (iii) read phi(0, .) from one walk, but route (i) walks
-    # f(0, .) on its own: a wrong leg in either walk is caught.
+    # Routes (ii) and (iii) read phi(0, .) from one walk, but route (i)
+    # propagates f(0, .) on its own: a wrong leg in either is caught.  A leg
+    # is perturbed where the walk kernel steps it, so that every later stop
+    # of its run inherits the error.
     from halfline import solver
 
     pot = rand_potential(rng, 2, 20)
     bc = rand_bc(rng, 2)
-    propagate = solver.propagate
-    calls, target = [], [None]
+    legs, step = solver._legs, solver._step
+    runs, steps, target = [], [0], [None]
 
-    def mutated(pot_, k, state, x, cfg=solver.DEFAULT_CONFIG):
-        out = propagate(pot_, k, state, x, cfg)
-        calls.append((state.x, x))
-        if len(calls) == target[0]:
-            out = solver.StateMatrix(out.x, out.value, out.deriv * (1 + 1e-6))
-        return out
+    def recorded(pot_, k, value, deriv, stops):
+        runs.append(stops)
+        return legs(pot_, k, value, deriv, stops)
 
-    monkeypatch.setattr(solver, "propagate", mutated)
+    def mutated(*args):
+        value, deriv = step(*args)
+        steps[0] += 1
+        if steps[0] == target[0]:
+            deriv = deriv * (1 + 1e-6)
+        return value, deriv
+
+    monkeypatch.setattr(solver, "_legs", recorded)
+    monkeypatch.setattr(solver, "_step", mutated)
     hl.jost_matrix_zero(pot, bc)
-    legs = [i for i, (x0, x1) in enumerate(calls) if x0 != x1]
-    assert sum(x1 < x0 for x0, x1 in calls) == 1  # route (i)
-    for i in legs[::4] + legs[-1:]:
-        calls.clear()
-        target[0] = i + 1
+    assert sum(stops[-1] < stops[0] for stops in runs) == 1  # route (i)
+    total = steps[0]
+    assert total == sum(len(stops) - 1 for stops in runs) > 40
+    for i in [*range(0, total, 4), total - 1]:
+        steps[0], target[0] = 0, i + 1
         with pytest.raises(NumericalError, match="zero-energy Jost cross-check"):
             hl.jost_matrix_zero(pot, bc)
 

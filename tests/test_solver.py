@@ -5,6 +5,8 @@ constant-coefficient solutions (cos/cosh matching at interfaces) stated in
 each test, independently of the propagation code under test.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -442,17 +444,21 @@ def test_analytic_propagation_returns_its_steps_read_only(rng):
     start = hl.StateMatrix(0.0, value, deriv)
     k = np.linspace(0.5, 2.0, 4) + 0j
     out = hl.propagate(pot, k, start, pot.x_max)
-    v, d = start.value, start.deriv
-    pts = solver._breakpoints(pot, 0.0, pot.x_max)
-    for lo, hi in zip(pts, pts[1:]):
-        i = pot.piece_at(0.5 * (lo + hi))
-        v, d = solver._step(None if i is None else pot._eigs[i], k, hi - lo, v, d)
-    checked = hl.StateMatrix(pot.x_max, v, d)
+    checked = hl.StateMatrix(pot.x_max, *_leg_by_leg(pot, k, start, pot.x_max))
     for got, want in ((out.value, checked.value), (out.deriv, checked.deriv)):
         assert not got.flags.writeable and got.strides == want.strides
         assert np.array_equal(got, want)
     again = hl.propagate(pot, k, start, 0.0)
     assert again.value is not start.value and np.array_equal(again.value, value)
+
+
+def _step(eig, k, h, value, deriv):
+    """solver._step at each (k, h) pair (0-d or 1-D each), from coefficients
+    computed for this step alone rather than from a walk's table."""
+    with np.errstate(all="ignore"):
+        c, s, om2 = solver._coefficients(0.0 if eig is None else eig[0],
+                                         np.asarray(k), np.asarray(h))
+        return solver._step(eig, c, s, -om2 * s, value, deriv)
 
 
 def _random_states(rng, K, n):
@@ -476,31 +482,31 @@ def test_step_rows_do_not_depend_on_the_stack(rng, n):
     for eig in (pot._eigs[0], None):
         for ks in (k, k + 0.3j):
             v, d = _random_states(rng, 400, n)
-            full = solver._step(eig, ks, h, v, d)
+            full = _step(eig, ks, h, v, d)
             # a second step starts from the transposed rows a step hands on
-            again = solver._step(eig, ks, h, *full)
+            again = _step(eig, ks, h, *full)
             for K in (1, 2, 3, 7, 200, 400):
                 for off in sorted({0, 1, 5, 400 - K} if K < 400 else {0}):
                     rows = slice(off, off + K)
-                    part = solver._step(eig, ks[rows], h, v[rows], d[rows])
+                    part = _step(eig, ks[rows], h, v[rows], d[rows])
                     _assert_same_bits(part, (a[rows] for a in full))
-                    _assert_same_bits(solver._step(eig, ks[rows], h, *part),
+                    _assert_same_bits(_step(eig, ks[rows], h, *part),
                                       (a[rows] for a in again))
             for i in (0, 1, 199, 399):
-                _assert_same_bits(solver._step(eig, ks[i], h, v[i], d[i]),
+                _assert_same_bits(_step(eig, ks[i], h, v[i], d[i]),
                                   (a[i] for a in full))
         # the quadrature form: one (n, n) state, a stack of step lengths
         v, d = (a[0] for a in _random_states(rng, 1, n))
         hs = rng.uniform(0.0, 0.8, 384)
         zero = np.zeros(1, complex)
-        full = solver._step(eig, zero, hs, v, d)
+        full = _step(eig, zero, hs, v, d)
         for K in (1, 2, 3, 7, 200, 384):
             for off in sorted({0, 1, 384 - K}):
                 rows = slice(off, off + K)
-                _assert_same_bits(solver._step(eig, zero, hs[rows], v, d),
+                _assert_same_bits(_step(eig, zero, hs[rows], v, d),
                                   (a[rows] for a in full))
         for i in (0, 1, 383):
-            _assert_same_bits(solver._step(eig, zero, hs[i], v, d),
+            _assert_same_bits(_step(eig, zero, hs[i], v, d),
                               (a[i:i + 1] for a in full))
 
 
@@ -548,7 +554,7 @@ def test_step_tracks_the_per_k_reference(rng, n):
                   (k[:50], 1e-6), (near, 0.37)):
         v, d = _random_states(rng, len(ks), n)
         for piece, piece_eig in ((V, eig), (None, None)):
-            got = solver._step(piece_eig, ks, h, v, d)
+            got = _step(piece_eig, ks, h, v, d)
             want = _reference_step(piece, ks, h, v, d)
             err = sum(np.linalg.norm(g - w, axis=(-2, -1)) ** 2 for g, w in zip(got, want))
             size = sum(np.linalg.norm(w, axis=(-2, -1)) ** 2 for w in want)
@@ -568,7 +574,7 @@ def test_step_overflows_where_the_reference_does(rng, n):
     raised = []
     for kj in np.linspace(0.0, 300.0, 61) + 0j:
         outcomes = []
-        for step, piece in ((solver._step, eig), (_reference_step, V)):
+        for step, piece in ((_step, eig), (_reference_step, V)):
             try:
                 step(piece, kj, h, v[0], d[0])
                 outcomes.append(None)
@@ -578,7 +584,7 @@ def test_step_overflows_where_the_reference_does(rng, n):
         raised.append(outcomes[0] is not None)
     assert any(raised) and not all(raised)
     with pytest.raises(NumericalError, match="overflows within one exact step"):
-        solver._step(eig, np.array([300.0, 0.0]) + 0j, h, *_random_states(rng, 2, n))
+        _step(eig, np.array([300.0, 0.0]) + 0j, h, *_random_states(rng, 2, n))
 
 
 def _per_node_quadrature(pot, a, weights, edge_state):
@@ -601,7 +607,7 @@ def _per_node_quadrature(pot, a, weights, edge_state):
             edges = np.linspace(lo, hi, panels + 1)
             mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
             ys = (mid[:, None] + half[:, None] * xs).ravel()
-            psi = solver._step(eig, np.zeros(1, complex), ys - edge.x, edge.value, edge.deriv)[0]
+            psi = _step(eig, np.zeros(1, complex), ys - edge.x, edge.value, edge.deriv)[0]
             visited.append((ys, psi))
             Vpsi = V @ psi
             for i, weight in enumerate(weights):
@@ -780,6 +786,92 @@ def test_walk_takes_a_point_listed_twice_once(rng, monkeypatch):
     k = np.array([0.0, 0.7])
     _assert_reads_equal_propagation(monkeypatch, walks.phi, k, hl.StateMatrix(0.0, bc.A, bc.B))
     _assert_reads_equal_propagation(monkeypatch, walks.f, k, hl.jost_solution(pot, k, pot.x_max))
+
+
+def _leg_by_leg(pot, k, start, x):
+    """start carried to x one leg at a time, each leg's step coefficients
+    computed on their own rather than from a kernel's table."""
+    v, d = (np.broadcast_to(a, k.shape + a.shape[-2:]) for a in (start.value, start.deriv))
+    pts = solver._breakpoints(pot, start.x, x)
+    for lo, hi in zip(pts, pts[1:]):
+        i = pot.piece_at(0.5 * (lo + hi))
+        v, d = _step(None if i is None else pot._eigs[i], k, hi - lo, v, d)
+    return v, d
+
+
+@pytest.mark.parametrize("legs_per_block", [None, 3])
+@pytest.mark.parametrize("pieces", [2, 20])
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_walk_states_have_the_bits_of_stepping_leg_by_leg(rng, monkeypatch, n, pieces,
+                                                          legs_per_block):
+    # Every stop and side point of both walks is, bit for bit (the sign of
+    # a zero included), a direct propagation and the same legs stepped one
+    # at a time, each from its own coefficients: with the walk tabulated in
+    # one block, and in blocks of a few legs that split runs of piece and
+    # free legs.
+    pot = rand_potential(rng, n, pieces, scale=0.3)
+    bc = rand_bc(rng, n)
+    k = np.array([0.0, -0.0, 0.7, -0.7, 2.0 + 0.5j])
+    lo, hi, _ = pot.pieces[pieces // 2]
+    a = lo + 0.3 * (hi - lo)
+    if legs_per_block:
+        monkeypatch.setattr(solver, "_TABLE", legs_per_block * len(k) * n)
+    walks = solver._Walks(pot, bc, hl.SolverConfig(), kappas=k, ks=k, points=(0.0, a))
+    for held, start in ((walks._f, lambda ks: hl.jost_solution(pot, ks, pot.x_max)),
+                        (walks._phi, lambda ks: hl.StateMatrix(0.0, bc.A, bc.B))):
+        keys, _, states = held
+        reps = solver._distinct(k, keys(k))[0]
+        assert len(reps) == (5 if keys is solver._k_keys else 3)
+        assert set(states) == {b for p in pot.pieces for b in p[:2]} | {0.0, a}
+        for x, state in states.items():
+            ref = hl.propagate(pot, reps, start(reps), x)
+            got = [a.tobytes() for a in (state.value, state.deriv)]  # tells -0.0 from 0.0
+            assert got == [a.tobytes() for a in (ref.value, ref.deriv)]
+            assert got == [a.tobytes() for a in _leg_by_leg(pot, reps, start(reps), x)]
+
+
+def test_propagation_keeps_only_a_few_states(rng):
+    # A 400-k propagation across 20 pieces at n = 8 keeps the last state of
+    # its run, not one per leg: its peak of traced memory stays below a few
+    # states (41 legs would hold 41).
+    import tracemalloc
+
+    pot = rand_potential(rng, 8, 20)
+    k = np.linspace(0.05, 10.0, 400) + 0j
+    hl.jost_solution(pot, k[:2], 0.0)  # first-use allocations out of the count
+    tracemalloc.start()
+    try:
+        out = hl.jost_solution(pot, k, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(solver._breakpoints(pot, pot.x_max, 0.0)) == 41
+    assert peak < 8 * (out.value.nbytes + out.deriv.nbytes)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_overflow_mid_walk_raises_the_step_error(rng, n):
+    # A deep barrier between ordinary pieces overflows in the middle of a
+    # run, with legs still to go on either side: the propagation raises the
+    # overflow error of a step, without warnings, and a walk across it is
+    # dropped, so each read raises that error on its own.
+    barrier = 2000.0 * np.eye(n)
+    pieces = (rand_potential(rng, n, 1).pieces[0][:2], (2.0, 22.0), (22.5, 23.0))
+    pot = hl.Potential(n=n, pieces=tuple(
+        (lo, hi, barrier if i == 1 else rand_potential(rng, n, 1).pieces[0][2])
+        for i, (lo, hi) in enumerate(pieces)))
+    bc = rand_bc(rng, n)
+    k = np.array([0.5, 1.0]) + 0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        walks = solver._Walks(pot, bc, hl.SolverConfig(), k, k, points=(0.0,))
+        for run in (lambda: hl.jost_solution(pot, k, 0.0),
+                    lambda: hl.regular_solution(pot, bc, k, pot.x_max),
+                    lambda: walks.f(k, 0.0), lambda: walks.phi(k, pot.x_max)):
+            with pytest.raises(NumericalError) as caught:
+                run()
+            assert str(caught.value) == solver._OVERFLOW
+    assert walks._f is None and walks._phi is None
 
 
 def _piece_at_scan(pot, x):
