@@ -251,7 +251,7 @@ def _s0_report(cfg: JobConfig, mode: str) -> dict:
         "eigenvalues": eigenvalues,
         "S0": complex_matrix_to_json(res.s0.S),
         "involution_residual": res.involution_residual,
-        "unitarity_residual": res.unitarity_residual,
+        "unitarity_residual": res.s0.unitarity_residual,
         "continuity_probes": [
             {"k": k, "dist": d} for k, d in res.continuity_probes
         ],

@@ -32,12 +32,13 @@ with numpy operators, on complex arrays or on object arrays of Gaussian
 rationals: one rank staircase ``_jordan_chains`` builds the chains of each
 eigenvalue (step 1), and one ``_assemble`` does steps 2-4 and returns a
 whole :class:`LowEnergyExpansion`.  Each backend brings only its rules.
-The numeric one clusters eigenvalues at a relative radius, takes kernels
-from thresholded SVDs and picks chain generators by projection; it refuses
-when the defective structure is ambiguous at the thresholds.  The exact
-one (entries must be exactly representable) proposes eigenvalues
-numerically, snaps them to small-denominator rationals, keeps those whose
-shifted matrix is exactly singular, and picks generators by exact rank.
+The numeric one (:func:`jordan_form`) clusters eigenvalues at the radius
+EPS_EIG, takes kernels from SVDs thresholded at EPS_RANK and picks chain
+generators by projection; it refuses when the defective structure is
+ambiguous at the thresholds.  The exact one (:func:`exact_free_pipeline`;
+entries must be exactly representable) proposes eigenvalues numerically,
+snaps them to small-denominator rationals, keeps those whose shifted
+matrix is exactly singular, and picks generators by exact rank.
 Chain ordering is deterministic in both: zero chains first, remaining
 eigenvalues by (Re, Im), and inside a cluster by the pivot position of
 the chain eigenvector.
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -124,10 +125,6 @@ class JordanData:
     def kappa(self) -> int:
         return len(self.chains)
 
-    def jordan_matrix(self) -> np.ndarray:
-        """The block-diagonal Jordan form implied by ``chains``."""
-        return _jordan_matrix(self.chains, np.eye(self.n, dtype=complex))
-
 
 def _jordan_matrix(chains, eye):
     """``eye`` with its trailing diagonal block replaced by the Jordan blocks
@@ -171,7 +168,6 @@ class LowEnergyResult:
     expansion: LowEnergyExpansion
     s0: SMatrixEvaluation
     involution_residual: float
-    unitarity_residual: float
     continuity_probes: Tuple[Tuple[float, float], ...]
     exact: Optional[LowEnergyExpansion] = field(default=None, repr=False, compare=False)
 
@@ -255,13 +251,13 @@ def _cluster_eigenvalues(vals: np.ndarray, radius: float):
     return [np.flatnonzero(np.array(label) == x) for x in dict.fromkeys(label)]
 
 
-def _numeric_jordan(M: np.ndarray, eps_eig: float, eps_rank: float) -> JordanData:
+def _numeric_jordan(M: np.ndarray) -> JordanData:
     # Thresholds are taken relative to max(||M||, 1): the inputs here are
     # O(1)-scaled Jost matrices, and a purely relative radius could never
     # classify an all-but-zero matrix (a tuned resonance) as exceptional.
     n = M.shape[0]
     scale = max(float(np.linalg.norm(M, 2)), 1.0)
-    radius = eps_eig * scale
+    radius = EPS_EIG * scale
     vals = np.linalg.eigvals(M)
     centers = []
     for idx in _cluster_eigenvalues(vals, radius):
@@ -312,14 +308,12 @@ def _numeric_jordan(M: np.ndarray, eps_eig: float, eps_rank: float) -> JordanDat
             )
         found, kernels = _jordan_chains(
             M - center * np.eye(n),
-            lambda power, j: _null_basis(power, eps_rank, floor=scale**j), pick, m_alg)
+            lambda power, j: _null_basis(power, EPS_RANK, floor=scale**j), pick, m_alg)
         dim = kernels[-1].shape[1]
-        if dim != m_alg:  # the staircase stalled, or took n steps without m_alg
+        if dim != m_alg:
             raise refuse(
                 f"rank staircase for eigenvalue {center:.6g} stalled at "
-                f"{dim} of {m_alg} directions" if len(kernels) <= n else
-                f"staircase for eigenvalue {center:.6g} reached {dim} "
-                f"directions, expected {m_alg}"
+                f"{dim} of {m_alg} directions"
             )
         for vecs in found:
             eig = vecs[0]
@@ -403,72 +397,39 @@ def _complex_jordan(Mq, Smat, Sinv, chains) -> JordanData:
     )
 
 
-def jordan_form(
-    M,
-    mode: str = "numeric",
-    eps_eig: float = EPS_EIG,
-    eps_rank: float = EPS_RANK,
-) -> JordanData:
-    """Jordan decomposition with zero chains first.
-
-    ``mode`` selects the numeric backend (eigenvalue clustering at relative
-    radius ``eps_eig`` plus SVD staircase at ``eps_rank``) or the exact
-    Gaussian-rational backend (entries must be exactly representable).
+def jordan_form(M) -> JordanData:
+    """Numeric Jordan decomposition with zero chains first: eigenvalue
+    clustering at relative radius ``EPS_EIG`` plus an SVD staircase at
+    ``EPS_RANK``.  The exact backend runs in :func:`exact_free_pipeline`.
     """
-    if mode == "numeric":
-        Mc = np.asarray(M, dtype=complex)
-        if Mc.ndim != 2 or Mc.shape[0] != Mc.shape[1]:
-            raise ValidationError("jordan_form needs a square matrix")
-        return _numeric_jordan(Mc, eps_eig, eps_rank)
-    if mode == "exact":
-        if isinstance(M, np.ndarray) and M.dtype != object:
-            M = M.astype(complex)
-        Mq = xa.mat(M)
-        return _complex_jordan(Mq, *_exact_jordan(Mq))
-    raise ValidationError(f"unknown Jordan mode {mode!r}")
+    Mc = np.asarray(M, dtype=complex)
+    if Mc.ndim != 2 or Mc.shape[0] != Mc.shape[1]:
+        raise ValidationError("jordan_form needs a square matrix")
+    return _numeric_jordan(Mc)
 
 
 # ---------------------------------------------------------------------------
 # Permutations.
 # ---------------------------------------------------------------------------
 
-def _perm_indices(lengths: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """1-based column targets q and row sources sigma for the zero block.
-
-    q lists the basis positions of the chain eigenvectors, then of the
-    generalized vectors; sigma lists the positions of the chain tails, then
-    of the non-tail vectors.  For slot t of the identity block both follow
-    the chain alpha of the unique (chain, height) solution of the index
-    equation cum[alpha - 1] - alpha + j = t with 2 <= j <= lengths[alpha - 1].
-    """
-    mu = len(lengths)
-    nu = sum(lengths)
-    cum = [0]
-    for L in lengths:
-        cum.append(cum[-1] + L)
-    q = [cum[alpha] + 1 for alpha in range(mu)]
-    sigma = [cum[alpha + 1] for alpha in range(mu)]
-    for t in range(1, nu - mu + 1):
-        alpha = next(
-            (alpha for alpha in range(1, mu + 1)
-             if 2 <= t - cum[alpha - 1] + alpha <= lengths[alpha - 1]),
-            None,
-        )
-        if alpha is None:
-            raise NumericalError("permutation index equation has no solution")
-        q.append(t + alpha)
-        sigma.append(t + alpha - 1)
-    return q, sigma
-
-
 def _perm_gathers(chains, n: int) -> Tuple[List[int], List[int]]:
     """0-based gathers (cols, rows) with M @ P1 = M[:, cols] and
     P2 @ M = M[rows] for the zero chains among the (eigenvalue, length)
-    ``chains`` of an n x n matrix."""
+    ``chains`` of an n x n matrix.
+
+    cols lists the chain heads, rows the chain tails, each followed by the
+    rest of the zero block in order, then the nonzero block.  So slot t of
+    the identity block takes column cum[alpha - 1] + j and row one above it
+    (1-based), for the solution of the index equation
+    cum[alpha - 1] - alpha + j = t with 2 <= j <= L_alpha.
+    """
     lengths = [length for lam, length in chains if not lam]
-    q, sigma = _perm_indices(lengths)
-    tail = list(range(sum(lengths), n))
-    return [j - 1 for j in q] + tail, [i - 1 for i in sigma] + tail
+    nu = sum(lengths)
+    heads = list(itertools.accumulate(lengths, initial=0))[:-1]
+    tails = [h + L - 1 for h, L in zip(heads, lengths)]
+    rest = list(range(nu, n))
+    return ([*heads, *(i for i in range(nu) if i not in heads), *rest],
+            [*tails, *(i for i in range(nu) if i not in tails), *rest])
 
 
 # ---------------------------------------------------------------------------
@@ -566,20 +527,16 @@ def zero_energy_pipeline(
     a: Optional[float] = None,
     mode: str = "numeric",
     cfg: SolverConfig = DEFAULT_CONFIG,
-    probes: Sequence[float] = DEFAULT_PROBES,
-    jordan_override: Optional[JordanData] = None,
     walks: Optional[_Walks] = None,
     J0: Optional[np.ndarray] = None,
 ) -> LowEnergyResult:
     """Run the full zero-energy construction and collect diagnostics.
 
-    ``jordan_override`` substitutes a caller-provided Jordan decomposition
-    of J(0) (used to exercise basis independence); J(0) is then not
-    computed.  Exact mode runs :func:`exact_free_pipeline` and returns its
-    expansion in ``exact``, and a complex copy of it in ``expansion``; it
-    requires the zero potential and exactly-representable boundary
-    matrices.
+    Exact mode runs :func:`exact_free_pipeline` and returns its expansion
+    in ``exact``, and a complex copy of it in ``expansion``; it requires
+    the zero potential and exactly-representable boundary matrices.
 
+    The continuity probes compare S(0) with S(k) at k in ``DEFAULT_PROBES``.
     In numeric mode every solution is read from ``walks``
     (``solver._Walks``).  By default f(kappa, .) for kappa in
     {0, probes, -probes} is walked once down from the support edge to 0
@@ -592,8 +549,9 @@ def zero_energy_pipeline(
         raise ValidationError("potential and boundary pair sizes differ")
     if a is None:
         a = cfg.resolve_a(pot)
+    probes = list(DEFAULT_PROBES)
     if walks is None and mode != "exact":
-        ks = [0.0, *(float(kp) for kp in probes), *(-float(kp) for kp in probes)]
+        ks = [0.0, *probes, *(-kp for kp in probes)]
         walks = _Walks(pot, bc, cfg, ks, ks, points=(0.0, a))
 
     n = bc.n
@@ -607,12 +565,9 @@ def zero_energy_pipeline(
         expansion = LowEnergyExpansion(
             *(getattr(exact, f.name).astype(complex) for f in fields(exact)))
     else:
-        if jordan_override is not None:
-            jd = jordan_override
-        else:
-            if J0 is None:
-                J0 = jost_matrix_zero(pot, bc, cfg, walks=walks)
-            jd = jordan_form(J0, "numeric")
+        if J0 is None:
+            J0 = jost_matrix_zero(pot, bc, cfg, walks=walks)
+        jd = jordan_form(J0)
         R = _r_matrix(walks.f(0.0, a), walks.phi(0.0, a))
         expansion = _assemble(jd.Smat, jd.Sinv, jd.chains, R, np.eye(n), _checked_inverse)
 
@@ -621,7 +576,7 @@ def zero_energy_pipeline(
     exactly = exact is not None and (exact.S0 @ exact.S0 == np.eye(n, dtype=object)).all()
     inv_resid = 0.0 if exactly else float(np.linalg.norm(S0 @ S0 - np.eye(n), 2))
     uni_resid = float(np.linalg.norm(S0.conj().T @ S0 - np.eye(n), 2))
-    rows = _first_error(_smatrix_stack(pot, bc, [float(kp) for kp in probes], a, cfg, walks))
+    rows = _first_error(_smatrix_stack(pot, bc, probes, a, cfg, walks))
     probe_list = [(row["k"], float(np.linalg.norm(row["S"] - S0, 2))) for row in rows]
     s0_eval = SMatrixEvaluation(k=0.0, S=S0, unitarity_residual=uni_resid)
     return LowEnergyResult(
@@ -629,7 +584,6 @@ def zero_energy_pipeline(
         expansion=expansion,
         s0=s0_eval,
         involution_residual=inv_resid,
-        unitarity_residual=uni_resid,
         continuity_probes=tuple(probe_list),
         exact=exact,
     )

@@ -173,13 +173,13 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
                 _record("smatrix_inverse_symmetry", worst_inv, 1e-8)]
 
     def zero_energy_behavior():
-        res = zero_energy_pipeline(pot, bc, a, "numeric", solver, DEFAULT_PROBES,
-                                   walks=walks, J0=zero_jost()[0])
+        res = zero_energy_pipeline(pot, bc, a, "numeric", solver, walks=walks,
+                                   J0=zero_jost()[0])
         dists = [d for _, d in res.continuity_probes]
         monotone = all(x > y for x, y in zip(dists, dists[1:])) or dists[-1] < 1e-9
         return [
             _record("s0_involution", res.involution_residual, 1e-9),
-            _record("s0_unitarity", res.unitarity_residual, 1e-7),
+            _record("s0_unitarity", res.s0.unitarity_residual, 1e-7),
             _record("s0_continuity", dists[-1], 1e-2, ok=(dists[-1] < 1e-2 and monotone)),
         ]
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import halfline as hl
+from halfline import exactalg as xa
 from halfline.bc import BCPair
 from halfline.errors import ValidationError
+from halfline.lowenergy import JordanData, _complex_jordan, _exact_jordan
 from halfline.scattering import COND_CAP
 from halfline.solver import DEFAULT_CONFIG, Potential, SolverConfig, jost_solution
 
@@ -100,6 +102,15 @@ def exceptional_bc(pot, Xi):
         basis.append(v / np.linalg.norm(v))
     M = np.column_stack(basis)
     return hl.BCPair(n=n, A=M[:n, :], B=M[n:, :])
+
+
+def exact_jordan_form(M) -> JordanData:
+    """Jordan data of M from the exact Gaussian-rational backend (entries
+    must be exactly representable), as complex arrays."""
+    if isinstance(M, np.ndarray) and M.dtype != object:
+        M = M.astype(complex)
+    Mq = xa.mat(M)
+    return _complex_jordan(Mq, *_exact_jordan(Mq))
 
 
 def free_closed_forms(bc: BCPair, k: complex) -> Tuple[np.ndarray, Optional[np.ndarray]]:

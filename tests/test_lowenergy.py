@@ -16,11 +16,13 @@ from halfline.lowenergy import (
     JordanData,
     _assemble,
     _checked_inverse,
-    _perm_indices,
+    _jordan_matrix,
+    _perm_gathers,
     exact_free_pipeline,
     jost_inverse_asymptotics,
 )
-from conftest import rand_bc, rand_potential, scalar_well, tuned_resonance_well
+from conftest import exact_jordan_form, rand_bc, rand_potential, scalar_well, \
+    tuned_resonance_well
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +32,8 @@ from conftest import rand_bc, rand_potential, scalar_well, tuned_resonance_well
 def check_jordan_invariants(jd, tol):
     n = jd.n
     assert np.linalg.norm(jd.Sinv @ jd.Smat - np.eye(n), 2) < tol
-    assert np.linalg.norm(jd.Sinv @ jd.M @ jd.Smat - jd.jordan_matrix(), 2) < tol
+    assert np.linalg.norm(jd.Sinv @ jd.M @ jd.Smat - _jordan_matrix(
+        jd.chains, np.eye(n, dtype=complex)), 2) < tol
     zero_lengths = [L for lam, L in jd.chains if lam == 0]
     assert len(zero_lengths) == jd.mu
     assert sum(zero_lengths) == jd.nu
@@ -62,7 +65,7 @@ def check_jordan_invariants(jd, tol):
 def test_jordan_fixture_structures(fid, eigs, kappa, mode):
     fx = get_fixture(fid)
     J0 = hl.jost_matrix_zero(fx.potential(), fx.bc())
-    jd = hl.jordan_form(J0, mode=mode)
+    jd = hl.jordan_form(J0) if mode == "numeric" else exact_jordan_form(J0)
     assert (jd.mu, jd.nu, jd.kappa) == (fx.mu, fx.nu, kappa)
     got = {}
     for lam, L in jd.chains:
@@ -93,7 +96,7 @@ def test_jordan_generic_random(rng):
         check_jordan_invariants(jd, 1e-8)
 
 
-def test_jordan_similarity_of_defective_structure(rng):
+def test_jordan_similarity_of_defective_structure(rng, monkeypatch):
     # A hidden 3x3 nilpotent chain plus a distinct eigenvalue, conjugated by
     # a random well-conditioned similarity.  Roundoff scatters the defective
     # eigenvalues like eps^(1/3), so the default radius must refuse rather
@@ -106,7 +109,8 @@ def test_jordan_similarity_of_defective_structure(rng):
     M = T @ J @ np.linalg.inv(T)
     with pytest.raises(JordanAmbiguityError):
         hl.jordan_form(M)
-    jd = hl.jordan_form(M, eps_eig=1e-5)
+    monkeypatch.setattr(hl.lowenergy, "EPS_EIG", 1e-5)
+    jd = hl.jordan_form(M)
     assert (jd.mu, jd.nu) == (1, 3)
     assert sorted(L for lam, L in jd.chains if lam == 0) == [3]
     check_jordan_invariants(jd, 1e-6)
@@ -115,7 +119,7 @@ def test_jordan_similarity_of_defective_structure(rng):
 def test_jordan_exact_requires_rational_spectrum():
     M = np.array([[0.0, 1.0], [0.5, 0.0]])  # eigenvalues +-sqrt(1/2)
     with pytest.raises(NumericalError, match="Gaussian rationals"):
-        hl.jordan_form(M, mode="exact")
+        exact_jordan_form(M)
 
 
 def test_jordan_exact_finds_eigenvalues_that_roundoff_splits(rng):
@@ -126,7 +130,7 @@ def test_jordan_exact_finds_eigenvalues_that_roundoff_splits(rng):
     J[0, 1] = J[1, 2] = 1
     for _ in range(20):
         P, Pinv = _unimodular(rng, 5)
-        jd = hl.jordan_form(P @ J @ Pinv, mode="exact")
+        jd = exact_jordan_form(P @ J @ Pinv)
         assert jd.chains == ((0j, 1), (-1 + 1j, 1), (2 + 0j, 3))
         check_jordan_invariants(jd, 1e-9)
 
@@ -136,7 +140,7 @@ def test_jordan_exact_proposes_zero_without_clustering(monkeypatch):
     # split by roundoff, is found with no cluster mean proposed.
     monkeypatch.setattr(hl.lowenergy, "EXACT_CLUSTER_RADII", ())
     P, Pinv = _unimodular(np.random.default_rng(6), 6)
-    jd = hl.jordan_form(P @ _nilpotent_jordan([6]) @ Pinv, mode="exact")
+    jd = exact_jordan_form(P @ _nilpotent_jordan([6]) @ Pinv)
     assert jd.chains == ((0j, 6),)
 
 
@@ -165,7 +169,7 @@ def test_jordan_refusal_messages(diagonal, message):
 def test_jordan_exact_mode_matches_numeric_fixture():
     fx = get_fixture("7.4")
     J0 = hl.jost_matrix_zero(fx.potential(), fx.bc())
-    je = hl.jordan_form(J0, mode="exact")
+    je = exact_jordan_form(J0)
     assert np.allclose(je.Smat, np.eye(3))  # pivot-ordered exact basis
     check_jordan_invariants(je, 1e-14)
 
@@ -185,11 +189,58 @@ def _nilpotent_jordan(lengths):
     return Jz
 
 
+def _perm_indices(lengths):
+    """The paper's 1-based column targets q and row sources sigma for the
+    zero block, as a reference for ``_perm_gathers``.
+
+    q lists the basis positions of the chain eigenvectors, then of the
+    generalized vectors; sigma lists the positions of the chain tails, then
+    of the non-tail vectors.  For slot t of the identity block both follow
+    the chain alpha of the unique (chain, height) solution of the index
+    equation cum[alpha - 1] - alpha + j = t with 2 <= j <= lengths[alpha - 1].
+    """
+    mu = len(lengths)
+    nu = sum(lengths)
+    cum = [0]
+    for L in lengths:
+        cum.append(cum[-1] + L)
+    q = [cum[alpha] + 1 for alpha in range(mu)]
+    sigma = [cum[alpha + 1] for alpha in range(mu)]
+    for t in range(1, nu - mu + 1):
+        (alpha,) = [alpha for alpha in range(1, mu + 1)
+                    if 2 <= t - cum[alpha - 1] + alpha <= lengths[alpha - 1]]
+        q.append(t + alpha)
+        sigma.append(t + alpha - 1)
+    return q, sigma
+
+
+def _compositions(total):
+    """Every ordered list of positive integers with the given sum."""
+    if total == 0:
+        return [[]]
+    return [[first, *rest] for first in range(1, total + 1)
+            for rest in _compositions(total - first)]
+
+
 # every ordered list of chain lengths with sum <= 6 (63 lists)
 CHAIN_LENGTHS = [
     list(c) for m in range(1, 7) for c in itertools.product(range(1, 7), repeat=m)
     if sum(c) <= 6
 ]
+
+
+@pytest.mark.parametrize("nonzero", [(), ((2.0, 1), (-1 + 1j, 2))])
+def test_perm_gathers_follow_the_index_equation(nonzero):
+    # All 256 compositions of nu <= 8, alone and followed by two nonzero
+    # chains, which the gathers leave in place.
+    for nu in range(9):
+        for lengths in _compositions(nu):
+            n = nu + sum(L for _, L in nonzero)
+            q, sigma = _perm_indices(lengths)
+            rest = list(range(nu, n))
+            chains = [(0j, L) for L in lengths] + list(nonzero)
+            assert _perm_gathers(chains, n) == ([j - 1 for j in q] + rest,
+                                                [i - 1 for i in sigma] + rest), chains
 
 
 @pytest.mark.parametrize("lengths", CHAIN_LENGTHS)
@@ -211,10 +262,12 @@ def test_perm_indices_gather_identity_block(lengths):
 
 
 def _expansion(pot, bc, a, jd=None):
-    """The pipeline's permutations, R and blocks, on ``jd`` or on the Jordan
-    data of its J(0)."""
-    jd = jd if jd is not None else hl.jordan_form(hl.jost_matrix_zero(pot, bc))
-    return hl.zero_energy_pipeline(pot, bc, a=a, jordan_override=jd).expansion
+    """The pipeline's permutations, R and blocks, or with ``jd`` given, those
+    that its R gives on that Jordan data."""
+    ex = hl.zero_energy_pipeline(pot, bc, a=a).expansion
+    if jd is None:
+        return ex
+    return _assemble(jd.Smat, jd.Sinv, jd.chains, ex.R, np.eye(jd.n), _checked_inverse)
 
 
 def test_build_permutations_fixture_values():
@@ -266,7 +319,7 @@ def test_z_blocks_fixture(fid):
     # pipeline's blocks and S(0).
     fx = get_fixture(fid)
     pot, bc = fx.potential(), fx.bc()
-    jd = hl.jordan_form(hl.jost_matrix_zero(pot, bc), mode="exact")
+    jd = exact_jordan_form(hl.jost_matrix_zero(pot, bc))
     ex = _expansion(pot, bc, 0.0, jd)
     A1, B1, C1, D0, S0 = ex.A1, ex.B1, ex.C1, ex.D0, ex.S0
     _, exact = exact_free_pipeline(fx.A_exact, fx.B_exact)
@@ -312,7 +365,7 @@ def test_z_blocks_generic_case_empty(rng):
 def test_z_of_k_matches_fixture_display():
     fx = get_fixture("7.1")
     pot, bc = fx.potential(), fx.bc()
-    jd = hl.jordan_form(hl.jost_matrix_zero(pot, bc), mode="exact")
+    jd = exact_jordan_form(hl.jost_matrix_zero(pot, bc))
     ex = _expansion(pot, bc, None, jd)
     k = 0.3
     Z = hl.z_of_k(pot, bc, k, 0.0, jd, ex.P1, ex.P2)
@@ -331,7 +384,7 @@ def test_z_of_k_matches_kirchhoff_display_up_to_chain_scaling():
     # maps one basis to the other.
     fx = get_fixture("7.2")
     pot, bc = fx.potential(), fx.bc()
-    jd = hl.jordan_form(hl.jost_matrix_zero(pot, bc), mode="exact")
+    jd = exact_jordan_form(hl.jost_matrix_zero(pot, bc))
     ex = _expansion(pot, bc, None, jd)
     k = 0.37
     Z = hl.z_of_k(pot, bc, k, 0.0, jd, ex.P1, ex.P2)
@@ -350,7 +403,7 @@ def test_z_of_k_zero_is_permuted_jordan_form(rng):
     jd = hl.jordan_form(hl.jost_matrix_zero(pot, bc))
     ex = _expansion(pot, bc, None, jd)
     Z0 = hl.z_of_k(pot, bc, 0.0, None, jd, ex.P1, ex.P2)
-    expect = ex.P2 @ jd.jordan_matrix() @ ex.P1
+    expect = ex.P2 @ _jordan_matrix(jd.chains, np.eye(jd.n, dtype=complex)) @ ex.P1
     assert np.linalg.norm(Z0 - expect, 2) < 1e-8
 
 
@@ -446,7 +499,7 @@ def test_s_zero_involution_and_continuity(rng):
     for pot, bc in configs:
         res = hl.zero_energy_pipeline(pot, bc)
         assert res.involution_residual < 1e-9
-        assert res.unitarity_residual < 1e-7
+        assert res.s0.unitarity_residual < 1e-7
         dists = [d for _, d in res.continuity_probes]
         assert dists[0] > dists[1] > dists[2]
         assert dists[-1] < 1e-2
@@ -482,8 +535,9 @@ def test_s_zero_basis_independence(rng):
         scales.append(c)
         pos += L
     jd2 = JordanData(M=jd.M, Smat=cols, Sinv=rows, chains=jd.chains)
-    res2 = hl.zero_energy_pipeline(pot, bc, jordan_override=jd2)
-    assert np.linalg.norm(res2.s0.S - base.s0.S, 2) < 1e-9
+    ex2 = _assemble(jd2.Smat, jd2.Sinv, jd2.chains, base.expansion.R, np.eye(jd.n),
+                    _checked_inverse)
+    assert np.linalg.norm(ex2.S0 - base.s0.S, 2) < 1e-9
 
 
 def test_s_zero_exact_mode_requires_free_potential():
@@ -608,33 +662,6 @@ def test_exact_expansion_is_gaussian_rational_and_the_pipeline_casts_it(fid, a):
         assert np.array_equal(getattr(res.exact, f.name), getattr(ex, f.name)), f.name
         assert _bits(getattr(res.expansion, f.name)) == _bits(
             getattr(ex, f.name).astype(complex)), f.name
-
-
-@pytest.mark.parametrize("case", ["7.1", "resonance", "random"])
-def test_jordan_override_does_not_compute_j0(monkeypatch, rng, case):
-    # With Jordan data given, J(0) is not needed; the expansion, S(0) and
-    # the probes are those of the run that computed J(0) for that data.
-    if case == "7.1":
-        fx = get_fixture("7.1")
-        pot, bc = fx.potential(), fx.bc()
-    elif case == "resonance":
-        pot, bc = tuned_resonance_well(), hl.dirichlet(1)
-    else:
-        pot, bc = rand_potential(rng, 2), rand_bc(rng, 2)
-    base = hl.zero_energy_pipeline(pot, bc)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("J(0) computed although Jordan data were given")
-
-    monkeypatch.setattr(hl.lowenergy, "jost_matrix_zero", refuse)
-    res = hl.zero_energy_pipeline(pot, bc, jordan_override=base.jordan)
-    assert res.jordan is base.jordan
-    for f in fields(base.expansion):
-        assert _bits(getattr(res.expansion, f.name)) == _bits(getattr(base.expansion, f.name))
-    assert (res.involution_residual, res.unitarity_residual, res.continuity_probes) == (
-        base.involution_residual, base.unitarity_residual, base.continuity_probes)
-    with pytest.raises(AssertionError, match="J\\(0\\) computed"):
-        hl.zero_energy_pipeline(pot, bc)
 
 
 # ---------------------------------------------------------------------------

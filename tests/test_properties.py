@@ -84,7 +84,7 @@ def test_kernel_theorem(config):
         # is refused, not guessed; such a draw checks nothing here.
         reject()
     assert res.jordan.mu >= m
-    assert res.involution_residual <= 1e-9 and res.unitarity_residual <= 1e-7
+    assert res.involution_residual <= 1e-9 and res.s0.unitarity_residual <= 1e-7
     U = np.eye(pot.n)[:, :m]
     xi = res.expansion.R @ U
     J0 = res.jordan.M

@@ -2,6 +2,7 @@
 ``halfline.<name>`` is exported by some module."""
 
 import importlib
+import inspect
 import types
 
 import pytest
@@ -39,3 +40,12 @@ def test_removed_names_are_gone():
     modules = [hl, *map(_module, MODULES)]
     assert [n for n in REMOVED for m in modules
             if n in getattr(m, "__all__", ()) or hasattr(m, n)] == []
+
+
+def test_zero_energy_entry_points_take_no_test_only_parameters():
+    # The Jordan thresholds and the probes are module constants; the Jordan
+    # data are always those of the configuration's J(0).
+    assert list(inspect.signature(hl.jordan_form).parameters) == ["M"]
+    assert list(inspect.signature(hl.zero_energy_pipeline).parameters) == [
+        "pot", "bc", "a", "mode", "cfg", "walks", "J0"]
+    assert not hasattr(hl.JordanData, "jordan_matrix")

@@ -430,8 +430,7 @@ def test_rescaled_jost_small_k_law(rng):
     bc = rand_bc(rng, 2)
     a = 0.4
     J0 = hl.jost_matrix_zero(pot, bc)
-    jd = hl.jordan_form(J0)
-    R = hl.zero_energy_pipeline(pot, bc, a, jordan_override=jd).expansion.R
+    R = hl.zero_energy_pipeline(pot, bc, a).expansion.R
     f0 = hl.jost_solution(pot, 0.0, a)
     resid = {}
     for k in (1e-1, 1e-2, 1e-3):
@@ -594,9 +593,10 @@ def test_zero_energy_probes_equal_per_k_reference(rng):
 def test_zero_energy_probes_raise_first_error_in_order(rng, monkeypatch, probes, name, value):
     pot = rand_potential(rng, 2, 2, scale=0.3)
     bc = rand_bc(rng, 2)
+    monkeypatch.setattr(hl.lowenergy, "DEFAULT_PROBES", probes)
     if name is None:
         with pytest.raises(ValidationError, match="zero-energy pipeline"):
-            hl.zero_energy_pipeline(pot, bc, probes=probes)
+            hl.zero_energy_pipeline(pot, bc)
         return
     # J(0) is computed before the patch: its three routes share
     # CROSSCHECK_TOL, and the probes are what this test tightens.
@@ -604,7 +604,7 @@ def test_zero_energy_probes_raise_first_error_in_order(rng, monkeypatch, probes,
     monkeypatch.setattr(hl.scattering, name, value)
     ref = _ref_row(pot, bc, probes[0], None)["error"]
     with pytest.raises(NumericalError) as info:
-        hl.zero_energy_pipeline(pot, bc, probes=probes, J0=J0)
+        hl.zero_energy_pipeline(pot, bc, J0=J0)
     assert f"NumericalError: {info.value}" == ref
 
 

@@ -33,7 +33,7 @@ def _reference_pipeline(pot, bc, a, cfg, probes=DEFAULT_PROBES):
     propagated on its own."""
     n = bc.n
     J0 = hl.jost_matrix_zero(pot, bc, cfg)
-    jd = jordan_form(J0, "numeric")
+    jd = jordan_form(J0)
     R = _r_matrix(hl.jost_solution(pot, 0.0, a, cfg), hl.regular_solution(pot, bc, 0.0, a, cfg))
     S0 = _assemble(jd.Smat, jd.Sinv, jd.chains, R, np.eye(n), _checked_inverse).S0
     inv_resid = float(np.linalg.norm(S0 @ S0 - np.eye(n), 2))
@@ -176,7 +176,8 @@ def _s0_and_probes(pot, bc, a, cfg):
         res = hl.zero_energy_pipeline(pot, bc, a, "numeric", cfg)
     except HalflineError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return res.s0.S, res.involution_residual, res.unitarity_residual, list(res.continuity_probes)
+    return res.s0.S, res.involution_residual, res.s0.unitarity_residual, \
+        list(res.continuity_probes)
 
 
 def _reference_s0_and_probes(pot, bc, a, cfg):
