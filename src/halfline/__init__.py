@@ -62,7 +62,6 @@ from .scattering import (
 )
 from .solver import (
     Potential,
-    SolverConfig,
     StateMatrix,
     free_potential,
     jost_solution,

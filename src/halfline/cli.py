@@ -217,8 +217,7 @@ def _sweep_json(rows) -> str:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    a = cfg.solver.resolve_a(cfg.potential)
-    rows = smatrix_grid(cfg.potential, cfg.bc, cfg.kvalues(), a, cfg.solver)
+    rows = smatrix_grid(cfg.potential, cfg.bc, cfg.kvalues(), cfg.a)
     formats = {args.format} | {kind for sink in cfg.outputs for kind in sink}
     csv_text = _sweep_csv(rows, cfg.bc.n) if "csv" in formats else None
     json_text = _sweep_json(rows) if "json" in formats else None
@@ -237,9 +236,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _s0_report(cfg: JobConfig, mode: str) -> dict:
-    res = zero_energy_pipeline(
-        cfg.potential, cfg.bc, cfg.solver.resolve_a(cfg.potential), mode, cfg.solver
-    )
+    res = zero_energy_pipeline(cfg.potential, cfg.bc, cfg.a, mode)
     jd = res.jordan
     eigenvalues = []
     for lam, length in jd.chains:

@@ -7,10 +7,13 @@ A job config is a UTF-8 JSON object:
       "potential": {"n": ..., "pieces": [...]},   # optional; default V = 0
       "kgrid":     [k_min, k_max, steps],         # required for sweeps
       "a_choice":  "auto" | number,               # matching point
-      "outputs":   [{"csv": "path"} | {"json": "path"}, ...],
-      "tolerances": {"abs_tol": r, "rel_tol": r, "max_step": r,
-                     "method": "analytic" | "rk45"}
+      "outputs":   [{"csv": "path"} | {"json": "path"}, ...]
     }
+
+"a_choice" becomes :attr:`JobConfig.a`: the number, or None for "auto",
+which every command reads as the support edge x_max.  Propagation is exact
+per piece and takes no settings, so there is no tolerance block: a
+"tolerances" key is an unknown key like any other.
 
 Unknown keys are rejected with the offending field path, and so is any
 number that is not finite (the non-standard JSON tokens NaN, Infinity and
@@ -29,23 +32,23 @@ from typing import Optional, Tuple
 
 from .bc import BCPair, bc_from_json
 from .errors import ValidationError
-from .solver import Potential, SolverConfig, free_potential, potential_from_json
+from .solver import Potential, free_potential, potential_from_json
 
 __all__ = ["JobConfig", "parse_config"]
 
-_TOP_KEYS = {"bc", "potential", "kgrid", "a_choice", "outputs", "tolerances"}
-_TOL_KEYS = {"abs_tol", "rel_tol", "max_step", "method"}
+_TOP_KEYS = {"bc", "potential", "kgrid", "a_choice", "outputs"}
 
 
 @dataclass(frozen=True)
 class JobConfig:
-    """Validated job description shared by all commands."""
+    """Validated job description shared by all commands; ``a`` is the
+    matching point, None for "auto"."""
 
     bc: BCPair
     potential: Potential
     kgrid: Optional[Tuple[float, float, int]] = None
     outputs: Tuple[dict, ...] = field(default_factory=tuple)
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    a: Optional[float] = None
 
     def kvalues(self):
         if self.kgrid is None:
@@ -159,13 +162,15 @@ def parse_config(text) -> JobConfig:
             raise ValidationError("config.kgrid: k_max must be >= k_min")
         kgrid = (k_min, k_max, steps)
 
-    a_choice = data.get("a_choice", "auto")
-    if a_choice != "auto":
+    a = data.get("a_choice", "auto")
+    if a == "auto":
+        a = None
+    else:
         try:
-            a_choice = float(a_choice)
+            a = float(a)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("config.a_choice: 'auto' or a number") from exc
-        if not 0 <= a_choice < math.inf:
+        if not 0 <= a < math.inf:
             raise ValidationError("config.a_choice: must be finite and >= 0")
 
     outputs = []
@@ -178,23 +183,4 @@ def parse_config(text) -> JobConfig:
             )
         outputs.append(dict(sink))
 
-    tol = data.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ValidationError("config.tolerances: expected an object")
-    extra = set(tol) - _TOL_KEYS
-    if extra:
-        raise ValidationError(f"config.tolerances: unknown keys {sorted(extra)}")
-    try:
-        solver = SolverConfig(
-            abs_tol=float(tol.get("abs_tol", 1e-12)),
-            rel_tol=float(tol.get("rel_tol", 1e-10)),
-            max_step=float(tol.get("max_step", 0.1)),
-            a_choice=a_choice,
-            method=tol.get("method", "analytic"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config.tolerances: {exc}") from exc
-
-    return JobConfig(
-        bc=bc, potential=pot, kgrid=kgrid, outputs=tuple(outputs), solver=solver,
-    )
+    return JobConfig(bc=bc, potential=pot, kgrid=kgrid, outputs=tuple(outputs), a=a)

@@ -64,14 +64,7 @@ from .scattering import (
     jost_matrix,
     jost_matrix_zero,
 )
-from .solver import (
-    DEFAULT_CONFIG,
-    Potential,
-    SolverConfig,
-    StateMatrix,
-    _Walks,
-    jost_solution,
-)
+from .solver import Potential, StateMatrix, _Walks, jost_solution
 
 __all__ = [
     "JordanData",
@@ -487,16 +480,14 @@ def z_of_k(
     jd: JordanData,
     P1: np.ndarray,
     P2: np.ndarray,
-    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
     """Z(k) = P2 Sinv F(k) Smat P1 with F(k) the rescaled Jost matrix
     f(0,a)' [f(-k*,a)']^(-1) J(k)."""
     k = complex(k)
-    if a is None:
-        a = cfg.resolve_a(pot)
-    J = jost_matrix(pot, bc, k, a, cfg).J
-    f0 = jost_solution(pot, 0.0, a, cfg)
-    fm = jost_solution(pot, -k.conjugate(), a, cfg)
+    a = pot.x_max if a is None else a
+    J = jost_matrix(pot, bc, k, a).J
+    f0 = jost_solution(pot, 0.0, a)
+    fm = jost_solution(pot, -k.conjugate(), a)
     F = f0.value.conj().T @ np.linalg.solve(fm.value.conj().T, J)
     return P2 @ jd.Sinv @ F @ jd.Smat @ P1
 
@@ -526,7 +517,6 @@ def zero_energy_pipeline(
     bc: BCPair,
     a: Optional[float] = None,
     mode: str = "numeric",
-    cfg: SolverConfig = DEFAULT_CONFIG,
     walks: Optional[_Walks] = None,
     J0: Optional[np.ndarray] = None,
 ) -> LowEnergyResult:
@@ -547,12 +537,11 @@ def zero_energy_pipeline(
     """
     if pot.n != bc.n:
         raise ValidationError("potential and boundary pair sizes differ")
-    if a is None:
-        a = cfg.resolve_a(pot)
+    a = pot.x_max if a is None else a
     probes = list(DEFAULT_PROBES)
     if walks is None and mode != "exact":
         ks = [0.0, *probes, *(-kp for kp in probes)]
-        walks = _Walks(pot, bc, cfg, ks, ks, points=(0.0, a))
+        walks = _Walks(pot, bc, ks, ks, points=(0.0, a))
 
     n = bc.n
     exact = None
@@ -566,7 +555,7 @@ def zero_energy_pipeline(
             *(getattr(exact, f.name).astype(complex) for f in fields(exact)))
     else:
         if J0 is None:
-            J0 = jost_matrix_zero(pot, bc, cfg, walks=walks)
+            J0 = jost_matrix_zero(pot, bc, walks=walks)
         jd = jordan_form(J0)
         R = _r_matrix(walks.f(0.0, a), walks.phi(0.0, a))
         expansion = _assemble(jd.Smat, jd.Sinv, jd.chains, R, np.eye(n), _checked_inverse)
@@ -576,7 +565,7 @@ def zero_energy_pipeline(
     exactly = exact is not None and (exact.S0 @ exact.S0 == np.eye(n, dtype=object)).all()
     inv_resid = 0.0 if exactly else float(np.linalg.norm(S0 @ S0 - np.eye(n), 2))
     uni_resid = float(np.linalg.norm(S0.conj().T @ S0 - np.eye(n), 2))
-    rows = _first_error(_smatrix_stack(pot, bc, probes, a, cfg, walks))
+    rows = _first_error(_smatrix_stack(pot, bc, probes, a, walks))
     probe_list = [(row["k"], float(np.linalg.norm(row["S"] - S0, 2))) for row in rows]
     s0_eval = SMatrixEvaluation(k=0.0, S=S0, unitarity_residual=uni_resid)
     return LowEnergyResult(

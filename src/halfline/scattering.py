@@ -32,6 +32,11 @@ its own when given none.  A walk that overflows is dropped, and each
 reader then propagates on its own, so it fails exactly where it fails
 alone.
 
+Every solution comes from the one exact propagator of :mod:`halfline.solver`;
+nothing here takes a solver setting.  A function that reads solutions at a
+matching point takes it as ``a``, and ``a = None`` means the support edge
+x_max, where f(0, a) = I exactly.
+
 Supporting quantities computed here:
 
 * L(k) = f'(-k, 0)' B E^(-2) + f(-k, 0)' A E^(-2), which pairs with J in
@@ -57,9 +62,7 @@ import numpy as np
 from .bc import BCPair
 from .errors import HalflineError, NumericalError, ValidationError
 from .solver import (
-    DEFAULT_CONFIG,
     Potential,
-    SolverConfig,
     StateMatrix,
     _integrate_weighted,
     _norm2_le,
@@ -117,20 +120,18 @@ def jost_matrix(
     bc: BCPair,
     k: complex,
     a: Optional[float] = None,
-    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> JostEvaluation:
     """Evaluate J(k) as the outgoing/regular pairing at x = a.
 
     The same pairing is read off at x = 0 and the two values must agree;
-    disagreement signals a solver misconfiguration.
+    disagreement signals a propagation swamped by roundoff.
     """
     _check_sizes(pot, bc)
     k = complex(k)
     if k.imag < -1e-14:
         raise ValidationError("Jost matrix requires Im k >= 0")
-    if a is None:
-        a = cfg.resolve_a(pot)
-    (J,), errors, *_ = _jost_stack(pot, bc, [k], a, cfg)
+    a = pot.x_max if a is None else a
+    (J,), errors, *_ = _jost_stack(pot, bc, [k], a)
     _first_error(errors)
     return JostEvaluation(k=k, J=J, cond=float(np.linalg.cond(J)))
 
@@ -142,14 +143,14 @@ class _JostStack(NamedTuple):
     F0: StateMatrix                         # f(-k*, 0)
 
 
-def _jost_stack(pot, bc, ks, a, cfg, walks: Optional[_Walks] = None) -> _JostStack:
+def _jost_stack(pot, bc, ks, a, walks: Optional[_Walks] = None) -> _JostStack:
     """J(k) for a 1-D sequence of k with Im k >= 0, with its x = 0 reading
     and the state f(-k*, 0) that reading comes from.
 
     f(-k*, .) at a and at 0 and phi(k, .) at a are read from ``walks``, or
     each walked as one stack; a walk that fails raises for the whole stack.
     """
-    walks = walks or _Walks(pot, bc, cfg)
+    walks = walks or _Walks(pot, bc)
     ks = np.asarray(ks, dtype=complex)
     km = -ks.conj()
     F, F0 = walks.f(km, a), walks.f(km, 0.0)
@@ -178,12 +179,7 @@ def _cond_error(k, cond) -> NumericalError:
     return NumericalError(f"J({k:g}) condition {cond:.3e} exceeds cap {COND_CAP:.1e}")
 
 
-def jost_matrix_zero(
-    pot: Potential,
-    bc: BCPair,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-    walks: Optional[_Walks] = None,
-) -> np.ndarray:
+def jost_matrix_zero(pot: Potential, bc: BCPair, walks: Optional[_Walks] = None) -> np.ndarray:
     """J(0) computed three redundant ways, required to agree.
 
     (i) the k = 0 pairing at the origin, (ii) B plus the V-weighted moment
@@ -195,11 +191,11 @@ def jost_matrix_zero(
     with f(0, 0) propagated on its own.  A wrong leg in either walk shows.
     """
     _check_sizes(pot, bc)
-    walks = walks or _Walks(pot, bc, cfg, ks=[0.0])
+    walks = walks or _Walks(pot, bc, ks=[0.0])
     J_pairing = wronskian(walks.f(0.0, 0.0), StateMatrix(0.0, bc.A, bc.B))
 
     (moment,) = _integrate_weighted(pot, 0.0, (lambda y: 1.0,),
-                                    lambda lo, hi: walks.phi(0.0, lo), cfg)
+                                    lambda lo, hi: walks.phi(0.0, lo))
     J_moment = bc.B + moment
 
     beta = walks.phi(0.0, pot.x_max).deriv  # route (iii)
@@ -219,15 +215,10 @@ def jost_matrix_zero(
     return J_pairing
 
 
-def l_matrix(
-    pot: Potential,
-    bc: BCPair,
-    k: float,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
+def l_matrix(pot: Potential, bc: BCPair, k: float) -> np.ndarray:
     """L(k) = f'(-k, 0)' B E^(-2) + f(-k, 0)' A E^(-2) for real k."""
     _check_sizes(pot, bc)
-    return _l_matrix(bc, jost_solution(pot, -float(k), 0.0, cfg))
+    return _l_matrix(bc, jost_solution(pot, -float(k), 0.0))
 
 
 def _l_matrix(bc: BCPair, F: StateMatrix) -> np.ndarray:
@@ -242,25 +233,23 @@ def smatrix(
     bc: BCPair,
     k: float,
     a: Optional[float] = None,
-    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> SMatrixEvaluation:
     """S(k) = -J(-k) J(k)^(-1) for real k != 0, via linear solve.
 
     Refuses k = 0 (use the zero-energy pipeline) and refuses to invert a
-    J(k) whose condition number exceeds the cap, which indicates the
-    tolerance budget is exhausted rather than a mathematical obstruction.
+    J(k) whose condition number exceeds the cap, which indicates lost
+    precision rather than a mathematical obstruction.
     """
     k = float(k)
     if k == 0.0:
         raise ValidationError(_ZERO_K)
     _check_sizes(pot, bc)
-    if a is None:
-        a = cfg.resolve_a(pot)
-    (row,) = _first_error(_smatrix_stack(pot, bc, [k], a, cfg))
+    a = pot.x_max if a is None else a
+    (row,) = _first_error(_smatrix_stack(pot, bc, [k], a))
     return SMatrixEvaluation(k=k, S=row["S"], unitarity_residual=row["unitarity_residual"])
 
 
-def _smatrix_stack(pot, bc, ks: List[float], a, cfg, walks: Optional[_Walks] = None) -> list:
+def _smatrix_stack(pot, bc, ks: List[float], a, walks: Optional[_Walks] = None) -> list:
     """S(k) for a list of real k, with J(k) and J(-k) from one stack that
     holds each distinct value among +k and -k once.
 
@@ -274,10 +263,10 @@ def _smatrix_stack(pot, bc, ks: List[float], a, cfg, walks: Optional[_Walks] = N
     for k in [*ks, *(-k for k in ks)]:
         index.setdefault(k, len(index))
     try:
-        J, pairing, *_ = _jost_stack(pot, bc, list(index), a, cfg, walks)
+        J, pairing, *_ = _jost_stack(pot, bc, list(index), a, walks)
     except NumericalError as exc:
         if len(ks) > 1:
-            return [_smatrix_stack(pot, bc, [k], a, cfg, walks)[0] for k in ks]
+            return [_smatrix_stack(pot, bc, [k], a, walks)[0] for k in ks]
         return [ValidationError(_ZERO_K) if ks[0] == 0.0 else exc]
     plus, minus = [index[k] for k in ks], [index[-k] for k in ks]
     Jp, Jm = J[plus], J[minus]
@@ -308,7 +297,6 @@ def smatrix_grid(
     bc: BCPair,
     ks,
     a: Optional[float] = None,
-    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> List[dict]:
     """S(k) on a grid of real k != 0: one row per k, in grid order.
 
@@ -324,17 +312,15 @@ def smatrix_grid(
     ks = [float(k) for k in ks]
     if 0.0 in ks:
         raise ValidationError(_ZERO_K)
-    if a is None:
-        a = cfg.resolve_a(pot)
+    a = pot.x_max if a is None else a
     return [{"k": k, "error": f"{type(r).__name__}: {r}"} if isinstance(r, HalflineError)
-            else r for k, r in zip(ks, _smatrix_stack(pot, bc, ks, a, cfg))]
+            else r for k, r in zip(ks, _smatrix_stack(pot, bc, ks, a))]
 
 
 def p_matrix(
     pot: Potential,
     k: complex,
     a: Optional[float] = None,
-    cfg: SolverConfig = DEFAULT_CONFIG,
     walks: Optional[_Walks] = None,
 ) -> np.ndarray:
     """P(k) = f(0, a)' f'(k, a) - f'(0, a)' f(k, a); P(0) = 0 and
@@ -345,9 +331,8 @@ def p_matrix(
     solutions a caller already walked (``verify`` passes its own).
     """
     k = np.asarray(k, dtype=complex)
-    if a is None:
-        a = cfg.resolve_a(pot)
-    walks = walks or _Walks(pot, None, cfg)
+    a = pot.x_max if a is None else a
+    walks = walks or _Walks(pot, None)
     f0, fk = _split(walks.f(np.append(0.0, k), a))
     P = wronskian(f0, fk)
     return P if k.ndim else P[0]
@@ -367,7 +352,6 @@ def log_derivative(
     k: complex,
     a: Optional[float] = None,
     mode: str = "value",
-    cfg: SolverConfig = DEFAULT_CONFIG,
     walks: Optional[_Walks] = None,
 ) -> np.ndarray:
     """f'(k, a) f(k, a)^(-1) (mode "value") or f(k, a) f'(k, a)^(-1)
@@ -380,9 +364,8 @@ def log_derivative(
     if mode not in ("value", "derivative"):
         raise ValidationError(f"unknown mode {mode!r}")
     k = np.asarray(k, dtype=complex)
-    if a is None:
-        a = cfg.resolve_a(pot)
-    f = (walks or _Walks(pot, None, cfg)).f(k, a)
+    a = pot.x_max if a is None else a
+    f = (walks or _Walks(pot, None)).f(k, a)
     denom = f.value if mode == "value" else f.deriv
     numer = f.deriv if mode == "value" else f.value
     for kj, c in zip(k.reshape(-1), np.atleast_1d(np.linalg.cond(denom))):
@@ -398,7 +381,6 @@ def jost_decomposition(
     bc: BCPair,
     k: complex,
     a: Optional[float] = None,
-    cfg: SolverConfig = DEFAULT_CONFIG,
     walks: Optional[_Walks] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Two-term split J(k) = T1 + T2.
@@ -412,9 +394,8 @@ def jost_decomposition(
     """
     _check_sizes(pot, bc)
     k = np.asarray(k, dtype=complex)
-    if a is None:
-        a = cfg.resolve_a(pot)
-    walks = walks or _Walks(pot, bc, cfg)
+    a = pot.x_max if a is None else a
+    walks = walks or _Walks(pot, bc)
     f0, fm = _split(walks.f(np.append(0.0, -k.conj()), a))
     if np.linalg.cond(f0.value) > COND_CAP:
         raise NumericalError(f"f(0, {a:g}) is numerically singular; enlarge a")

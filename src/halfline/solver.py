@@ -20,10 +20,9 @@ with omega_j = sqrt(k^2 - w_j),
 
 Both entries are even entire functions of omega, so the branch of the
 square root is irrelevant; sin(z)/z is evaluated by series for small |z|.
-This "analytic" stepping is the default method and is exact up to roundoff.
-An embedded Dormand-Prince 5(4) integrator over the first-order 2n-row
-system is provided as an independent cross-check backend ("rk45"); both
-methods step piece by piece so interfaces are always hit exactly.
+This stepping is exact up to roundoff, and it goes piece by piece, so
+interfaces are always hit exactly.  It is the only propagator: no function
+here takes a method, a tolerance or a step size.
 
 All functions are pure and start no threads of their own (BLAS may split a
 large product over threads).  One propagation may carry a stack of k: a
@@ -56,7 +55,6 @@ from .errors import NumericalError, ValidationError
 __all__ = [
     "Potential",
     "StateMatrix",
-    "SolverConfig",
     "propagate",
     "jost_solution",
     "regular_solution",
@@ -217,40 +215,6 @@ class StateMatrix:
         return self.value.shape[-1]
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Propagation controls.
-
-    ``method`` selects the stepping backend: "analytic" (exact per-piece
-    propagator, default) or "rk45" (adaptive Dormand-Prince cross-check).
-    ``a_choice`` picks the matching point a for solutions anchored away
-    from the origin; "auto" means x_max, where f(0, a) = I exactly.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_step: float = 0.1
-    a_choice: object = "auto"
-    method: str = "analytic"
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.max_step > 0):
-            raise ValidationError("solver tolerances must be positive")
-        if self.method not in ("analytic", "rk45"):
-            raise ValidationError(f"unknown method {self.method!r}")
-
-    def resolve_a(self, pot: Potential) -> float:
-        if self.a_choice == "auto":
-            return pot.x_max
-        a = float(self.a_choice)
-        if a < 0:
-            raise ValidationError("matching point a must be >= 0")
-        return a
-
-
-DEFAULT_CONFIG = SolverConfig()
-
-
 # ---------------------------------------------------------------------------
 # Exact stepping within a constant piece.
 # ---------------------------------------------------------------------------
@@ -319,63 +283,6 @@ def _rotate(rows, RT, spare=None):
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) cross-check backend.
-# ---------------------------------------------------------------------------
-
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-
-
-def _rk45_segment(V, k, x0, x1, value, deriv, cfg: SolverConfig):
-    """Adaptive Dormand-Prince over one smooth segment [x0, x1] (V constant)."""
-    n = value.shape[0]
-    M = (V if V is not None else np.zeros((n, n))) - (k * k) * np.eye(n)
-
-    def rhs(y):
-        return np.vstack([y[n:], M @ y[:n]])
-
-    y = np.vstack([value, deriv]).astype(complex)
-    span = x1 - x0
-    direction = 1.0 if span >= 0 else -1.0
-    remaining = abs(span)
-    if remaining == 0:
-        return value, deriv
-    h = min(cfg.max_step, remaining)
-    x = 0.0
-    f0 = rhs(y)
-    while remaining - x > 1e-15 * max(1.0, remaining):
-        h = min(h, remaining - x)
-        ks = [f0]
-        for i in range(1, 7):
-            yi = y + direction * h * sum(a * kk for a, kk in zip(_DP_A[i], ks))
-            ks.append(rhs(yi))
-        y5 = y + direction * h * sum(b * kk for b, kk in zip(_DP_B5, ks))
-        y4 = y + direction * h * sum(b * kk for b, kk in zip(_DP_B4, ks))
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean((np.abs(y5 - y4) / scale) ** 2)))
-        if err <= 1.0:
-            x += h
-            y = y5
-            f0 = ks[6]  # FSAL
-        factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        if h < 1e-14 * max(1.0, remaining):
-            raise NumericalError(
-                f"step-size underflow at x = {x0 + direction * x:.6g}"
-            )
-    return y[:n], y[n:]
-
-
-# ---------------------------------------------------------------------------
 # Piecewise walk.
 # ---------------------------------------------------------------------------
 
@@ -421,13 +328,7 @@ def _legs(pot: Potential, k, value, deriv, stops):
             yield StateMatrix._trusted(x, value, deriv)
 
 
-def propagate(
-    pot: Potential,
-    k,
-    state: StateMatrix,
-    x_target: float,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> StateMatrix:
+def propagate(pot: Potential, k, state: StateMatrix, x_target: float) -> StateMatrix:
     """Move a solution snapshot to x_target through the piece structure.
 
     The first-order system (psi, psi')' = (psi', (V - k^2) psi) is advanced
@@ -442,20 +343,11 @@ def propagate(
     if k.ndim and value.shape[:-2] != k.shape:  # one solution per k, also without steps
         value, deriv = (np.broadcast_to(a, k.shape + a.shape[-2:]) for a in (value, deriv))
     pts = _breakpoints(pot, state.x, x_target)
-    if cfg.method == "analytic" and len(pts) > 1:  # fresh arrays _step found finite
-        for state in _legs(pot, k, value, deriv, pts):
-            pass  # only the last state is kept
-        return state
-    for lo, hi in zip(pts, pts[1:]):  # rk45
-        idx = pot.piece_at(0.5 * (lo + hi))
-        V = None if idx is None else pot.pieces[idx][2]
-        if k.ndim:
-            steps = [_rk45_segment(V, kj, lo, hi, v, d, cfg)
-                     for kj, v, d in zip(k, value, deriv)]
-            value, deriv = np.array([v for v, _ in steps]), np.array([d for _, d in steps])
-        else:
-            value, deriv = _rk45_segment(V, k, lo, hi, value, deriv, cfg)
-    return StateMatrix(x=x_target, value=value, deriv=deriv)
+    if len(pts) == 1:  # no step: a checked copy
+        return StateMatrix(x=x_target, value=value, deriv=deriv)
+    for state in _legs(pot, k, value, deriv, pts):  # fresh arrays _step found finite
+        pass  # only the last state is kept
+    return state
 
 
 def _k_keys(k) -> list:
@@ -498,12 +390,12 @@ class _Walks:
     -0.0 is not 0.0), phi once per k^2 (so phi(-k, .) is the row of
     phi(k, .)).  A walk that overflows is not kept, so the reads it would
     have served propagate on their own and fail where they fail alone.
-    ``_Walks(pot, bc, cfg)`` holds no walk: every read propagates.
+    ``_Walks(pot, bc)`` holds no walk: every read propagates.
     """
 
-    def __init__(self, pot, bc, cfg, kappas=(), ks=(), points=()):
-        self.pot, self.bc, self.cfg = pot, bc, cfg
-        self._f = self._walk(kappas, _k_keys, lambda k: jost_solution(pot, k, pot.x_max, cfg),
+    def __init__(self, pot, bc, kappas=(), ks=(), points=()):
+        self.pot, self.bc = pot, bc
+        self._f = self._walk(kappas, _k_keys, lambda k: jost_solution(pot, k, pot.x_max),
                              min([pot.x_max, *points]), points)
         if bc is not None and bc.n == pot.n:  # else phi reads raise as they do alone
             self._phi = self._walk(ks, _square_keys, lambda k: StateMatrix(0.0, bc.A, bc.B),
@@ -518,22 +410,18 @@ class _Walks:
         if not ks.size:
             return None
         ks, index = _distinct(ks, keys(ks))
-        pot, cfg = self.pot, self.cfg
+        pot = self.pot
         sides = {float(x) for x in points}
         try:
             start = start(ks)
-            state = propagate(pot, ks, start, start.x, cfg)  # one checked start per k
+            state = propagate(pot, ks, start, start.x)  # one checked start per k
             states = {start.x: state}
             stops = _breakpoints(pot, start.x, x_end)
-            if cfg.method == "analytic":
-                states.update((s.x, s) for s in _legs(pot, ks, state.value, state.deriv, stops))
-            else:  # one rk45 propagation per leg
-                for x in stops[1:]:
-                    state = states[x] = propagate(pot, ks, state, x, cfg)
+            states.update((s.x, s) for s in _legs(pot, ks, state.value, state.deriv, stops))
             for x0, x1 in zip(stops, stops[1:]):
                 for side in sides:
                     if min(x0, x1) < side < max(x0, x1):
-                        states[side] = propagate(pot, ks, states[x0], side, cfg)
+                        states[side] = propagate(pot, ks, states[x0], side)
         except NumericalError:
             return None
         return keys, index, states
@@ -554,17 +442,15 @@ class _Walks:
 
     def f(self, kappa, x) -> StateMatrix:
         """f(kappa, x), as :func:`jost_solution` gives it."""
-        return self._read(self._f, kappa, x) or jost_solution(self.pot, kappa, x, self.cfg)
+        return self._read(self._f, kappa, x) or jost_solution(self.pot, kappa, x)
 
     def phi(self, k, x) -> StateMatrix:
         """phi(k, x), as :func:`regular_solution` gives it."""
         return (self._read(self._phi, k, x)
-                or regular_solution(self.pot, self.bc, k, x, self.cfg))
+                or regular_solution(self.pot, self.bc, k, x))
 
 
-def jost_solution(
-    pot: Potential, k, x: float, cfg: SolverConfig = DEFAULT_CONFIG
-) -> StateMatrix:
+def jost_solution(pot: Potential, k, x: float) -> StateMatrix:
     """Outgoing solution equal to exp(ikx) I beyond the support.
 
     Defined for Im k >= 0; ``k`` may be a 1-D array (see :func:`propagate`).
@@ -578,12 +464,10 @@ def jost_solution(
     ph = np.exp(1j * k * x_edge)[..., None, None]
     eye = np.eye(pot.n)
     edge = StateMatrix(x=x_edge, value=ph * eye, deriv=(1j * k)[..., None, None] * ph * eye)
-    return edge if x >= pot.x_max else propagate(pot, k, edge, x, cfg)
+    return edge if x >= pot.x_max else propagate(pot, k, edge, x)
 
 
-def regular_solution(
-    pot: Potential, bc: BCPair, k, x: float, cfg: SolverConfig = DEFAULT_CONFIG
-) -> StateMatrix:
+def regular_solution(pot: Potential, bc: BCPair, k, x: float) -> StateMatrix:
     """Solution with data (A, B) at the origin; entire in k (a scalar or 1-D array).
 
     k enters only as k^2, so phi is even in k: a stack propagates each
@@ -593,11 +477,11 @@ def regular_solution(
         raise ValidationError("boundary pair and potential sizes differ")
     start = StateMatrix(x=0.0, value=bc.A, deriv=bc.B)
     if np.ndim(k) == 0:
-        return propagate(pot, k, start, x, cfg)
+        return propagate(pot, k, start, x)
     k = np.asarray(k, dtype=complex)
     keys = _square_keys(k)
     reps, index = _distinct(k, keys)
-    state = propagate(pot, reps, start, x, cfg)
+    state = propagate(pot, reps, start, x)
     if len(reps) == len(k):
         return state
     rows = [index[key] for key in keys]
@@ -627,7 +511,7 @@ def _gauss_rule(order: int):
 _GAUSS_ORDER, _QUAD_TOL, _QUAD_LEVELS = 12, 1e-11, 6
 
 
-def _integrate_weighted(pot: Potential, a: float, weights, edge_state, cfg: SolverConfig):
+def _integrate_weighted(pot: Potential, a: float, weights, edge_state):
     """Refined Gauss-Legendre quadrature of weight(y) V(y) psi(y) over the
     support beyond a, psi a zero-energy solution, for each weight of
     ``weights``; one total per weight, in order.  Panels double until the
@@ -637,9 +521,8 @@ def _integrate_weighted(pot: Potential, a: float, weights, edge_state, cfg: Solv
     ``edge_state(lo, hi)`` gives psi at the edge x_e of the piece [lo, hi]
     that a walk into it enters through.  With V = Q diag(w) Q' and (c, s)
     the step coefficients of y - x_e, V psi(y) = Q w o (c o Q' psi(x_e) +
-    s o Q' psi'(x_e)), o scaling rows by eigen-index, so the analytic method
-    sums c and s over the nodes of all pieces still refining, in one pass a
-    level.  rk45 reaches each node by :func:`propagate` from the edge.
+    s o Q' psi'(x_e)), o scaling rows by eigen-index, so the sum over the
+    nodes of all pieces still refining is one pass over c and s a level.
     """
     live = [(i, max(lo, a), hi) for i, (lo, hi, _) in enumerate(pot.pieces) if hi > max(lo, a)]
     sums = np.zeros((len(weights), len(live), pot.n, pot.n), dtype=complex)
@@ -647,7 +530,7 @@ def _integrate_weighted(pot: Potential, a: float, weights, edge_state, cfg: Solv
     edges = [edge_state(lo, hi) for _, lo, hi in live]
     if live:
         idx, lo, hi = (np.array(col) for col in zip(*live))
-        V, w, QT, QhT = (s[idx] for s in pot._stacks)
+        w, QT, QhT = (s[idx] for s in pot._stacks[1:])
         rot = QhT.swapaxes(-1, -2)[:, None] @ np.array([(e.value, e.deriv) for e in edges])
         xe = np.array([e.x for e in edges])[:, None]
     xs, ws = _gauss_rule(_GAUSS_ORDER)
@@ -663,15 +546,10 @@ def _integrate_weighted(pot: Potential, a: float, weights, edge_state, cfg: Solv
         coefs = np.zeros((len(weights),) + ys.shape)
         for i, weight in enumerate(weights):
             coefs[i, todo[i]] = gw[todo[i]] * weight(ys[todo[i]])
-        if cfg.method == "analytic":
-            with np.errstate(all="ignore"):
-                c, s, _ = _coefficients(w[on, None], np.zeros(1, complex), ys - xe[on])
-                cs = np.einsum("wlj,ljtn->wltn", coefs, np.stack((c, s), axis=-2)) * w[on, None]
-                acc = QT[on].swapaxes(-1, -2) @ (cs[..., None] * rot[on]).sum(axis=-3)
-        else:
-            psi = np.array([[propagate(pot, 0.0, edges[p], y, cfg).value for y in row]
-                            for p, row in zip(on, ys)])
-            acc = np.einsum("wlj,ljab->wlab", coefs, V[on, None] @ psi)
+        with np.errstate(all="ignore"):
+            c, s, _ = _coefficients(w[on, None], np.zeros(1, complex), ys - xe[on])
+            cs = np.einsum("wlj,ljtn->wltn", coefs, np.stack((c, s), axis=-2)) * w[on, None]
+            acc = QT[on].swapaxes(-1, -2) @ (cs[..., None] * rot[on]).sum(axis=-3)
         if not np.isfinite(acc[todo]).all():
             raise NumericalError(_OVERFLOW)
         for i in range(len(weights)):
@@ -684,7 +562,6 @@ def _integrate_weighted(pot: Potential, a: float, weights, edge_state, cfg: Solv
 def moment_identities_residual(
     pot: Potential,
     a: float,
-    cfg: SolverConfig = DEFAULT_CONFIG,
     walks: Optional[_Walks] = None,
 ) -> Tuple[float, float]:
     """Residuals of the two tail moments of V against the bounded solution.
@@ -695,10 +572,10 @@ def moment_identities_residual(
     f(0, .) at a and at every piece edge beyond it is read from ``walks``
     (a caller's, or one walk of f(0, .) down from the support edge to a).
     """
-    walks = walks or _Walks(pot, None, cfg, kappas=[0.0], points=[a])
+    walks = walks or _Walks(pot, None, kappas=[0.0], points=[a])
     f0a = walks.f(0.0, a)
     m0, m1 = _integrate_weighted(pot, a, (lambda y: 1.0, lambda y: y),
-                                 lambda lo, hi: walks.f(0.0, hi), cfg)
+                                 lambda lo, hi: walks.f(0.0, hi))
     n = pot.n
     r1 = float(np.linalg.norm(m0 + f0a.deriv, 2))
     r2 = float(np.linalg.norm(m1 - f0a.value + a * f0a.deriv + np.eye(n), 2))

@@ -58,10 +58,10 @@ def _finite(what: str, fn, *args):
     return M
 
 
-def run_property_checks(cfg: JobConfig) -> List[dict]:
-    pot, bc, solver = cfg.potential, cfg.bc, cfg.solver
+def run_property_checks(job: JobConfig) -> List[dict]:
+    pot, bc = job.potential, job.bc
     n = bc.n
-    a = solver.resolve_a(pot)
+    a = pot.x_max if job.a is None else job.a
     x1 = max(pot.x_max, 1.0)  # the second reading point of the Wronskian check
     eye = np.eye(n)
     ks = np.array(K_GRID)
@@ -70,7 +70,7 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
     # Every k a check reads: J(k) pairs f(-k, .) with phi(k, .); P, the
     # log-derivative, the outgoing pairings and J(0) read f(k, .) alone.
     walks = _Walks(
-        pot, bc, solver,
+        pot, bc,
         kappas=[0.0, *ks, *-ks, *(-k for k in split_ks), -wronskian_k, *p_ks, h, -h, *probes],
         ks=[0.0, *ks, *-ks, *split_ks, wronskian_k, *probes],
         points=(0.0, x1, a),
@@ -88,7 +88,7 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
 
     def wronskian_constancy():
         # [f(-k, .); phi(k, .)] at 0 and at x1: the two readings of J(k)
-        st = _jost_stack(pot, bc, [wronskian_k], x1, solver, walks)
+        st = _jost_stack(pot, bc, [wronskian_k], x1, walks)
         return _record("wronskian_constancy", np.linalg.norm(st.J0[0] - st.J[0], 2), 1e-8)
 
     @functools.cache  # a failed read is redone, so each check records its own failure
@@ -109,7 +109,7 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
 
     def jl_constancy():
         worst = 0.0
-        Js, errors, _, F0 = _jost_stack(pot, bc, K_GRID, a, solver, walks)
+        Js, errors, _, F0 = _jost_stack(pot, bc, K_GRID, a, walks)
         _first_error(errors)
         for k, J, L in zip(K_GRID, Js, _l_matrix(bc, F0)):  # F0 = f(-k, 0)
             pairing = _finite("J(k) L(k)' - L(k) J(k)'", lambda: J @ L.conj().T - L @ J.conj().T)
@@ -118,13 +118,13 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
 
     def tail_moments():
         # anchor below the support so the quadrature actually exercises V
-        r1, r2 = moment_identities_residual(pot, 0.0, solver, walks)
+        r1, r2 = moment_identities_residual(pot, 0.0, walks)
         return [_record("tail_moment_zeroth", r1, 1e-6),
                 _record("tail_moment_first", r2, 1e-6)]
 
     def p_ratio_decay():
         a_p = 0.0 if pot.x_max > 0 else a
-        P_hi, P_lo = _finite("P(k)", p_matrix, pot, p_ks, a_p, solver, walks)
+        P_hi, P_lo = _finite("P(k)", p_matrix, pot, p_ks, a_p, walks)
         r_hi = np.linalg.norm(P_hi / 1e-1j - eye, 2)
         r_lo = np.linalg.norm(P_lo / 1e-3j - eye, 2)
         if r_hi < 1e-12:
@@ -132,7 +132,7 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
         return _record("p_ratio_decay", r_lo / r_hi, 0.2)
 
     def logderiv_slope():
-        ld_plus, ld_minus = log_derivative(pot, [h, -h], a, "value", solver, walks)
+        ld_plus, ld_minus = log_derivative(pot, [h, -h], a, "value", walks)
         slope = (ld_plus - ld_minus) / (2 * h)
         f0inv = np.linalg.inv(walks.f(0.0, a).value)
         expect = 1j * f0inv.conj().T @ f0inv
@@ -141,9 +141,9 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
 
     def jost_split():
         worst = 0.0
-        Js, errors, *_ = _jost_stack(pot, bc, split_ks, a, solver, walks)
+        Js, errors, *_ = _jost_stack(pot, bc, split_ks, a, walks)
         for J, err, T1, T2 in zip(Js, errors,
-                                  *jost_decomposition(pot, bc, split_ks, a, solver, walks)):
+                                  *jost_decomposition(pot, bc, split_ks, a, walks)):
             if err is not None:
                 raise err
             worst = max(worst, np.linalg.norm(T1 + T2 - J, 2))
@@ -152,7 +152,7 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
     @functools.cache  # a failure is redone, so each check records its own
     def zero_jost():
         """J(0) and beta = phi'(0, x_max), route (iii) of jost_matrix_zero."""
-        return jost_matrix_zero(pot, bc, solver, walks=walks), walks.phi(0.0, pot.x_max).deriv
+        return jost_matrix_zero(pot, bc, walks=walks), walks.phi(0.0, pot.x_max).deriv
 
     def zero_jost_crosscheck():
         J0, beta = zero_jost()
@@ -165,7 +165,7 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
         worst_inv = 0.0
         # S(k), then S(-k); the stack evaluates J once at each of the 10 values
         pm = [s * k for k in K_GRID for s in (1.0, -1.0)]
-        rows = _first_error(_smatrix_stack(pot, bc, pm, a, solver, walks))
+        rows = _first_error(_smatrix_stack(pot, bc, pm, a, walks))
         for Sp, Sm in zip(rows[::2], rows[1::2]):
             worst_u = max(worst_u, Sp["unitarity_residual"])
             worst_inv = max(worst_inv, np.linalg.norm(Sm["S"] @ Sp["S"] - eye, 2))
@@ -173,7 +173,7 @@ def run_property_checks(cfg: JobConfig) -> List[dict]:
                 _record("smatrix_inverse_symmetry", worst_inv, 1e-8)]
 
     def zero_energy_behavior():
-        res = zero_energy_pipeline(pot, bc, a, "numeric", solver, walks=walks,
+        res = zero_energy_pipeline(pot, bc, a, "numeric", walks=walks,
                                    J0=zero_jost()[0])
         dists = [d for _, d in res.continuity_probes]
         monotone = all(x > y for x, y in zip(dists, dists[1:])) or dists[-1] < 1e-9

@@ -1,4 +1,6 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, among them the reference propagator
+(``rk45_propagate``): an adaptive Dormand-Prince integrator that shares no
+code with the exact per-piece step of :mod:`halfline.solver`."""
 
 from typing import Optional, Tuple
 
@@ -8,10 +10,10 @@ import pytest
 import halfline as hl
 from halfline import exactalg as xa
 from halfline.bc import BCPair
-from halfline.errors import ValidationError
+from halfline.errors import NumericalError, ValidationError
 from halfline.lowenergy import JordanData, _complex_jordan, _exact_jordan
 from halfline.scattering import COND_CAP
-from halfline.solver import DEFAULT_CONFIG, Potential, SolverConfig, jost_solution
+from halfline.solver import Potential, StateMatrix, jost_solution
 
 
 def rand_herm(rng, n, scale=1.0):
@@ -124,9 +126,7 @@ def free_closed_forms(bc: BCPair, k: complex) -> Tuple[np.ndarray, Optional[np.n
     return J, S
 
 
-def scalar_jost_function(
-    pot: Potential, theta: float, k: complex, cfg: SolverConfig = DEFAULT_CONFIG
-) -> complex:
+def scalar_jost_function(pot: Potential, theta: float, k: complex) -> complex:
     """Single-channel Jost function for the angle condition
     cos(theta) psi(0) + sin(theta) psi'(0) = 0.
 
@@ -139,15 +139,13 @@ def scalar_jost_function(
         raise ValidationError("the scalar normalization is single-channel")
     if not 0.0 < theta <= np.pi + 1e-15:
         raise ValidationError("theta must lie in (0, pi]")
-    f = jost_solution(pot, k, 0.0, cfg)
+    f = jost_solution(pot, k, 0.0)
     if abs(theta - np.pi) < 1e-15:
         return complex(f.value[0, 0])
     return complex(-1j * (f.deriv[0, 0] + f.value[0, 0] / np.tan(theta)))
 
 
-def scalar_smatrix(
-    pot: Potential, theta: float, k: float, cfg: SolverConfig = DEFAULT_CONFIG
-) -> complex:
+def scalar_smatrix(pot: Potential, theta: float, k: float) -> complex:
     """Single-channel scattering coefficient in the classical convention.
 
     -F(-k)/F(k) for theta in (0, pi) and +F(-k)/F(k) at theta = pi, so the
@@ -158,10 +156,110 @@ def scalar_smatrix(
     k = float(k)
     if k == 0.0:
         raise ValidationError("the zero-energy point is handled separately")
-    num = scalar_jost_function(pot, theta, -k, cfg)
-    den = scalar_jost_function(pot, theta, k, cfg)
+    num = scalar_jost_function(pot, theta, -k)
+    den = scalar_jost_function(pot, theta, k)
     ratio = num / den
     return complex(ratio if abs(theta - np.pi) < 1e-15 else -ratio)
+
+
+# ---------------------------------------------------------------------------
+# Reference propagator: adaptive Dormand-Prince 5(4) over the first-order
+# 2n-row system, one k at a time, segment by segment.
+# ---------------------------------------------------------------------------
+
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _rk45_segment(V, k, x0, x1, value, deriv, abs_tol=1e-12, rel_tol=1e-10, max_step=0.1):
+    """Adaptive Dormand-Prince over one smooth segment [x0, x1] (V constant).
+
+    Raises NumericalError once the error estimate is not finite (the
+    solution overflowed), where a NaN would neither accept nor shrink a step.
+    """
+    n = value.shape[0]
+    M = (V if V is not None else np.zeros((n, n))) - (k * k) * np.eye(n)
+
+    def rhs(y):
+        return np.vstack([y[n:], M @ y[:n]])
+
+    y = np.vstack([value, deriv]).astype(complex)
+    span = x1 - x0
+    direction = 1.0 if span >= 0 else -1.0
+    remaining = abs(span)
+    if remaining == 0:
+        return value, deriv
+    h = min(max_step, remaining)
+    x = 0.0
+    f0 = rhs(y)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows in err
+        while remaining - x > 1e-15 * max(1.0, remaining):
+            h = min(h, remaining - x)
+            ks = [f0]
+            for i in range(1, 7):
+                yi = y + direction * h * sum(a * kk for a, kk in zip(_DP_A[i], ks))
+                ks.append(rhs(yi))
+            y5 = y + direction * h * sum(b * kk for b, kk in zip(_DP_B5, ks))
+            y4 = y + direction * h * sum(b * kk for b, kk in zip(_DP_B4, ks))
+            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
+            err = float(np.sqrt(np.mean((np.abs(y5 - y4) / scale) ** 2)))
+            if not np.isfinite(err):
+                raise NumericalError(f"error estimate {err} is not finite at x = {x0 + direction * x:.6g}")
+            if err <= 1.0:
+                x += h
+                y = y5
+                f0 = ks[6]  # FSAL
+            factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
+            h *= min(5.0, max(0.2, factor))
+            if h < 1e-14 * max(1.0, remaining):
+                raise NumericalError(
+                    f"step-size underflow at x = {x0 + direction * x:.6g}"
+                )
+    return y[:n], y[n:]
+
+
+#: Reference tolerances where a test compares values with it.
+RK45_TIGHT = dict(abs_tol=1e-12, rel_tol=1e-12, max_step=0.05)
+
+
+def rk45_propagate(pot: Potential, k, state: StateMatrix, x_target: float, **tol) -> StateMatrix:
+    """``hl.propagate`` by the reference: every segment between piece edges
+    integrated by :func:`_rk45_segment` (``tol``: abs_tol, rel_tol,
+    max_step), each k of a 1-D ``k`` on its own."""
+    lo, hi = sorted((state.x, x_target))
+    cuts = sorted({lo, hi, *(b for p in pot.pieces for b in p[:2] if lo < b < hi)})
+    if x_target < state.x:
+        cuts.reverse()
+    k = np.asarray(k, dtype=complex)
+    ks = k.reshape(-1)
+    value = np.broadcast_to(state.value, ks.shape + (pot.n, pot.n)).copy()
+    deriv = np.broadcast_to(state.deriv, value.shape).copy()
+    for x0, x1 in zip(cuts, cuts[1:]):
+        idx = pot.piece_at(0.5 * (x0 + x1))
+        V = None if idx is None else pot.pieces[idx][2]
+        for j, kj in enumerate(ks):
+            value[j], deriv[j] = _rk45_segment(V, kj, x0, x1, value[j], deriv[j], **tol)
+    shape = k.shape + (pot.n, pot.n)
+    return StateMatrix(x_target, value.reshape(shape), deriv.reshape(shape))
+
+
+def rk45_jost_solution(pot: Potential, k, x: float, **tol) -> StateMatrix:
+    """f(k, x) by the reference, from the closed form at the support edge."""
+    return rk45_propagate(pot, k, jost_solution(pot, k, max(x, pot.x_max)), x, **tol)
+
+
+def rk45_regular_solution(pot: Potential, bc: BCPair, k, x: float, **tol) -> StateMatrix:
+    """phi(k, x) by the reference, from (A, B) at 0."""
+    return rk45_propagate(pot, k, StateMatrix(0.0, bc.A, bc.B), x, **tol)
 
 
 @pytest.fixture

@@ -71,7 +71,7 @@ def test_parse_rejects_zero_kmin():
 def test_parse_rejects_bad_outputs_and_tolerances():
     with pytest.raises(ValidationError, match="outputs"):
         parse_config(json.dumps(dict(ANGLES_CFG, outputs=[{"vcs": "x"}])))
-    with pytest.raises(ValidationError, match="tolerances"):
+    with pytest.raises(ValidationError, match=r"^config: unknown keys \['tolerances'\]$"):
         parse_config(json.dumps(dict(ANGLES_CFG, tolerances={"nope": 1})))
 
 
@@ -136,6 +136,7 @@ BOOLEAN_CONFIGS = {
     "bc_angles": (("bc",), {"angles": [True]}, "config.bc.angles[0]"),
     "bc_U": (("bc",), {"U": [[[True, 0.0]]]}, "config.bc.U[0][0][0]"),
     "a_choice": (("a_choice",), True, "config.a_choice"),
+    # not a config key: a boolean is refused before the unknown key
     "tolerances": (("tolerances",), {"max_step": True}, "config.tolerances.max_step"),
 }
 
@@ -397,8 +398,7 @@ def test_sweep_output_equals_reference_writers(tmp_path, capsys, fmt):
     path = write_cfg(tmp_path, WELL_CFG)
     assert cli.main(["sweep", "--config", path, "--format", fmt]) == 0
     cfg = parse_config(json.dumps(WELL_CFG).encode())
-    rows = hl.smatrix_grid(cfg.potential, cfg.bc, cfg.kvalues(),
-                           cfg.solver.resolve_a(cfg.potential), cfg.solver)
+    rows = hl.smatrix_grid(cfg.potential, cfg.bc, cfg.kvalues(), cfg.a)
     expect = (_reference_sweep_json(rows) + "\n" if fmt == "json"
               else _reference_sweep_csv(rows, 1))
     assert capsys.readouterr().out == expect
@@ -486,7 +486,6 @@ def test_verify_readme_configuration_is_clean(tmp_path, capsys):
              "V": [[[-1.0, 0.0], [0.3, 0.0]], [[0.3, 0.0], [0.2, 0.0]]]}]},
         "kgrid": [0.25, 4.0, 16],
         "a_choice": "auto",
-        "tolerances": {"abs_tol": 1e-12, "rel_tol": 1e-10, "method": "analytic"},
     }
     path = write_cfg(tmp_path, cfg)
     assert cli.main(["verify", "--config", path]) == 0

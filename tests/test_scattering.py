@@ -1,5 +1,6 @@
 """Jost matrix, scattering matrix, and the supporting identities."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 import halfline as hl
 from halfline.errors import HalflineError, NumericalError, ValidationError
 from halfline.fixtures import get_fixture
-from conftest import free_closed_forms, rand_bc, rand_potential, scalar_jost_function, \
-    scalar_smatrix, scalar_well
+from conftest import RK45_TIGHT, free_closed_forms, rand_bc, rand_potential, \
+    rk45_jost_solution, rk45_regular_solution, scalar_jost_function, scalar_smatrix, scalar_well
 
 
 def test_jost_free_closed_form(rng):
@@ -276,7 +277,7 @@ def test_walks_read_what_direct_calls_give(rng, monkeypatch):
     bc = rand_bc(rng, 2)
     lo, hi, _ = pot.pieces[5]
     a, x1 = lo + 0.3 * (hi - lo), pot.x_max + 1.0
-    walks = _Walks(pot, bc, hl.SolverConfig(), [0.0, -0.7, 0.3], [0.0, 0.7, 2.0 + 0.5j],
+    walks = _Walks(pot, bc, [0.0, -0.7, 0.3], [0.0, 0.7, 2.0 + 0.5j],
                    points=(0.0, a, x1))
     direct = {walks.f: hl.jost_solution,
               walks.phi: lambda pot, k, x: hl.regular_solution(pot, bc, k, x)}
@@ -311,7 +312,7 @@ def test_walks_read_slices_without_a_second_check(rng, monkeypatch):
 
     pot = rand_potential(rng, 2, 4, scale=0.3)
     bc = rand_bc(rng, 2)
-    walks = _Walks(pot, bc, hl.SolverConfig(), [0.0, 0.7], [0.0, 0.7, 1.1 + 0.2j],
+    walks = _Walks(pot, bc, [0.0, 0.7], [0.0, 0.7, 1.1 + 0.2j],
                    points=(0.0,))
     checks = []
     post_init = solver.StateMatrix.__post_init__
@@ -369,7 +370,7 @@ def test_smatrix_stack_evaluates_j_once_per_distinct_k(rng, monkeypatch):
         return jost_stack(pot_, bc_, ks, *args)
 
     monkeypatch.setattr(hl.scattering, "_jost_stack", spy)
-    rows = hl.scattering._smatrix_stack(pot, bc, pm, pot.x_max, hl.SolverConfig())
+    rows = hl.scattering._smatrix_stack(pot, bc, pm, pot.x_max)
     monkeypatch.undo()
     assert sizes == [10]
     for k, row in zip(pm, rows):
@@ -383,7 +384,7 @@ def test_walks_drop_an_overflowing_walk():
 
     pot = hl.Potential(n=1, pieces=((0.0, 20.0, np.array([[2000.0]])),))
     bc = hl.neumann(1)
-    walks = _Walks(pot, bc, hl.SolverConfig(), [1.0, 50.0], [1.0, 50.0], points=(0.0,))
+    walks = _Walks(pot, bc, [1.0, 50.0], [1.0, 50.0], points=(0.0,))
     for read in (walks.f, walks.phi):
         with pytest.raises(NumericalError, match="overflows"):
             read(1.0, 0.0 if read == walks.f else 20.0)
@@ -490,25 +491,32 @@ SHAPES = [(n, pieces) for n in (1, 2, 8) for pieces in (2, 20)]
 GRID = np.linspace(0.05, 10.0, 9)
 
 
-def _jost_ref(pot, bc, k, a, cfg=hl.SolverConfig()):
+def _jost_ref(pot, bc, k, a, jost=hl.jost_solution, regular=hl.regular_solution):
     """J(k) from 2-D states, one k at a time, with the x = 0 cross-check:
-    the reference for the stacked evaluator behind jost_matrix."""
+    the reference for the stacked evaluator behind jost_matrix.  ``jost``
+    and ``regular`` give f and phi; the default is the exact propagator."""
     k = complex(k)
     km = -k.conjugate()
-    J = hl.wronskian(hl.jost_solution(pot, km, a, cfg), hl.regular_solution(pot, bc, k, a, cfg))
-    F0 = hl.jost_solution(pot, km, 0.0, cfg)
+    J = hl.wronskian(jost(pot, km, a), regular(pot, bc, k, a))
+    F0 = jost(pot, km, 0.0)
     diff = np.linalg.norm(J - (F0.value.conj().T @ bc.B - F0.deriv.conj().T @ bc.A), 2)
     if diff > hl.scattering.CROSSCHECK_TOL * max(np.linalg.norm(J, 2), 1.0):
         raise hl.scattering._pairing_error(a, diff)
     return J
 
 
-def _ref_row(pot, bc, k, a, cfg=hl.SolverConfig()):
+def _rk45_jost_ref(pot, bc, k, a):
+    """_jost_ref with f and phi from the reference propagator (tests/conftest.py)."""
+    return _jost_ref(pot, bc, k, a, functools.partial(rk45_jost_solution, **RK45_TIGHT),
+                     functools.partial(rk45_regular_solution, **RK45_TIGHT))
+
+
+def _ref_row(pot, bc, k, a):
     """One smatrix_grid row from _jost_ref: J(k), J(-k), cond cap, solve."""
     k = float(k)
     a = pot.x_max if a is None else a
     try:
-        Jp, Jm = _jost_ref(pot, bc, k, a, cfg), _jost_ref(pot, bc, -k, a, cfg)
+        Jp, Jm = _jost_ref(pot, bc, k, a), _jost_ref(pot, bc, -k, a)
         cond = np.linalg.cond(Jp)
         if cond > hl.scattering.COND_CAP:
             raise hl.scattering._cond_error(k, cond)
@@ -567,12 +575,12 @@ def test_jost_matrix_and_smatrix_equal_per_k_reference(rng, n, pieces, inside):
 
 
 def test_jost_matrix_rk45_equals_per_k_reference(rng):
+    # J(k) agrees with J from the reference propagator, one k at a time.
     pot = rand_potential(rng, 2, 2, scale=0.3)
     bc = rand_bc(rng, 2)
-    cfg = hl.SolverConfig(method="rk45")
     for k in (0.7, 1.0 + 0.5j):
-        assert np.array_equal(hl.jost_matrix(pot, bc, k, cfg=cfg).J,
-                              _jost_ref(pot, bc, k, pot.x_max, cfg))
+        J = hl.jost_matrix(pot, bc, k).J
+        assert np.linalg.norm(J - _rk45_jost_ref(pot, bc, k, pot.x_max), 2) < 1e-9
 
 
 def test_zero_energy_probes_equal_per_k_reference(rng):
@@ -701,12 +709,12 @@ def test_smatrix_grid_mixed_rows_match_per_k_loop(rng, monkeypatch, n, pieces, t
 
 
 def test_smatrix_grid_rk45_and_zero_k(rng):
+    # Grid rows agree with S(k) = -J(-k) J(k)^(-1) built from reference J.
     pot = rand_potential(rng, 2)
     bc = rand_bc(rng, 2)
-    cfg = hl.SolverConfig(method="rk45", abs_tol=1e-12, rel_tol=1e-12, max_step=0.05)
-    for row, k in zip(hl.smatrix_grid(pot, bc, [0.7, 2.1], cfg=cfg), (0.7, 2.1)):
-        assert np.linalg.norm(row["S"] - hl.smatrix(pot, bc, k).S, 2) < 1e-8
-        _assert_same_row(row, _ref_row(pot, bc, k, None, cfg))
+    for row, k in zip(hl.smatrix_grid(pot, bc, [0.7, 2.1]), (0.7, 2.1)):
+        Jp, Jm = (_rk45_jost_ref(pot, bc, s * k, pot.x_max) for s in (1, -1))
+        assert np.linalg.norm(row["S"] + Jm @ np.linalg.inv(Jp), 2) < 1e-8
     with pytest.raises(ValidationError):
         hl.smatrix_grid(pot, bc, [0.5, 0.0])
 
@@ -848,8 +856,8 @@ def test_jost_matrix_zero_takes_spectral_norms_only_when_frobenius_cannot_pass(r
         assert sum(spectral) == svds
     shift[0] = 2 * tol * scale
     J_moment = bc.B + integrate(pot, 0.0, (lambda y: 1.0,),
-                                lambda lo, hi: hl.regular_solution(pot, bc, 0.0, lo),
-                                hl.SolverConfig())[0] + shift[0] * np.eye(2)
+                                lambda lo, hi: hl.regular_solution(pot, bc, 0.0, lo))[0] \
+        + shift[0] * np.eye(2)
     d1, d2 = norm(J - J_moment, 2), norm(J - beta, 2)
     text = (f"zero-energy Jost cross-check failed: moment diff {d1:.3e}, "
             f"fundamental-system diff {d2:.3e}")

@@ -14,7 +14,8 @@ import halfline as hl
 from halfline import solver
 from halfline.errors import NumericalError, ValidationError
 from halfline.solver import potential_from_json, potential_to_json
-from conftest import rand_bc, rand_potential, scalar_well
+from conftest import RK45_TIGHT, rand_bc, rand_potential, rk45_jost_solution, rk45_propagate, \
+    rk45_regular_solution, scalar_well
 
 
 def test_potential_validation():
@@ -197,8 +198,8 @@ def test_jost_solution_satisfies_integral_relation(rng):
 
 def test_even_k_symmetry(rng):
     # Regular-type solutions are even in k (k enters only as k^2); phi is
-    # even bit for bit, in both methods, so a stack of k propagates phi once
-    # per k^2 and hands phi(k, .) to -k.
+    # even bit for bit, so a stack of k propagates phi once per k^2 and
+    # hands phi(k, .) to -k.
     bc = rand_bc(rng, 2)
     pot = rand_potential(rng, 2)
     k = 0.9 + 0.2j
@@ -207,14 +208,12 @@ def test_even_k_symmetry(rng):
     # k^2 just below and just above each eigenvalue of V on the first piece,
     # where the square root in the exact step changes branch.
     edge = [np.sqrt(complex(e)) * (1 + s) for e in pot._eigs[0][0] for s in (-1e-3, 1e-3)]
-    for method in ("analytic", "rk45"):
-        cfg = hl.SolverConfig(method=method)
-        for kp in [k, 0.7, 1e-3, 3.3, *edge]:
-            kp = complex(kp)  # -kp of x+0j is -x+0j, whose square is x^2-0j
-            plus = hl.regular_solution(pot, bc, kp, x, cfg)
-            minus = hl.regular_solution(pot, bc, -kp, x, cfg)
-            assert np.array_equal(plus.value, minus.value)
-            assert np.array_equal(plus.deriv, minus.deriv)
+    for kp in [k, 0.7, 1e-3, 3.3, *edge]:
+        kp = complex(kp)  # -kp of x+0j is -x+0j, whose square is x^2-0j
+        plus = hl.regular_solution(pot, bc, kp, x)
+        minus = hl.regular_solution(pot, bc, -kp, x)
+        assert np.array_equal(plus.value, minus.value)
+        assert np.array_equal(plus.deriv, minus.deriv)
     plus, minus = _omega_solution(pot, k, a, x), _omega_solution(pot, -k, a, x)
     assert np.linalg.norm(plus.value - minus.value) < 1e-10
     assert np.linalg.norm(plus.deriv - minus.deriv) < 1e-10
@@ -224,11 +223,10 @@ def test_even_k_symmetry(rng):
     assert np.linalg.norm(S1.value - S2.value) < 1e-10
 
 
-@pytest.mark.parametrize("method", ["analytic", "rk45"])
+@pytest.mark.parametrize("method", ["analytic"])  # the one propagator
 def test_regular_solution_stack_propagates_once_per_k_squared(rng, monkeypatch, method):
     # A stack with -k beside k (real, complex, -0.0 beside 0.0) propagates
     # each distinct k^2 once; every k reads what its own scalar call gives.
-    cfg = hl.SolverConfig(method=method)
     bc = rand_bc(rng, 2)
     pot = rand_potential(rng, 2)
     ks = [0.7, -0.7, 0.0, -0.0, 0.9 + 0.2j, -0.9 - 0.2j, 0.9 - 0.2j, 2.5, 0.7]
@@ -240,12 +238,12 @@ def test_regular_solution_stack_propagates_once_per_k_squared(rng, monkeypatch, 
         return propagate(pot, k, *args)
 
     monkeypatch.setattr(solver, "propagate", spy)
-    got = hl.regular_solution(pot, bc, ks, 1.1, cfg)
+    got = hl.regular_solution(pot, bc, ks, 1.1)
     monkeypatch.undo()
     assert sizes == [5]  # 0.49, 0, 0.77+0.36j, 0.77-0.36j, 6.25
     assert not got.value.flags.writeable and not got.deriv.flags.writeable
     for k, value, deriv in zip(ks, got.value, got.deriv):
-        ref = hl.regular_solution(pot, bc, k, 1.1, cfg)
+        ref = hl.regular_solution(pot, bc, k, 1.1)
         assert np.array_equal(value, ref.value) and np.array_equal(deriv, ref.deriv)
 
 
@@ -393,10 +391,9 @@ def test_moment_identities_matrix_step(rng):
 
 def test_rk45_agrees_with_analytic(rng):
     pot = rand_potential(rng, 2)
-    cfg = hl.SolverConfig(method="rk45", abs_tol=1e-12, rel_tol=1e-12, max_step=0.05)
     for k in (0.7, 1.9, 0.4 + 0.6j):
         ref = hl.jost_solution(pot, k, 0.0)
-        alt = hl.jost_solution(pot, k, 0.0, cfg)
+        alt = rk45_jost_solution(pot, k, 0.0, **RK45_TIGHT)
         assert np.linalg.norm(ref.value - alt.value, 2) < 1e-9
         assert np.linalg.norm(ref.deriv - alt.deriv, 2) < 1e-9
 
@@ -406,11 +403,19 @@ def test_rk45_refinement_convergence(rng):
     pot = rand_potential(rng, 2)
     k = 1.3
     tol = 1e-10
-    loose = hl.SolverConfig(method="rk45", abs_tol=tol, rel_tol=tol, max_step=0.05)
-    tight = hl.SolverConfig(method="rk45", abs_tol=tol / 2, rel_tol=tol / 2, max_step=0.05)
-    f1 = hl.jost_solution(pot, k, 0.0, loose)
-    f2 = hl.jost_solution(pot, k, 0.0, tight)
+    f1 = rk45_jost_solution(pot, k, 0.0, abs_tol=tol, rel_tol=tol, max_step=0.05)
+    f2 = rk45_jost_solution(pot, k, 0.0, abs_tol=tol / 2, rel_tol=tol / 2, max_step=0.05)
     assert np.linalg.norm(f1.value - f2.value, 2) < 10 * tol
+
+
+def test_rk45_raises_where_the_solution_overflows():
+    # V = 2500 on [0, 20]: f(0.5, .) grows like exp(50 (20 - x)) and
+    # overflows near x = 6.  The error estimate turns NaN there, which
+    # neither accepts nor shrinks a step; the reference raises at once.
+    # It does so at any tolerance; loose ones get there in fewer steps.
+    pot = hl.Potential(n=1, pieces=((0.0, 20.0, np.array([[2500.0]])),))
+    with pytest.raises(NumericalError, match="is not finite"):
+        rk45_jost_solution(pot, 0.5, 0.0, abs_tol=1e-6, rel_tol=1e-6)
 
 
 def test_propagated_states_satisfy_the_equation(rng):
@@ -587,11 +592,21 @@ def test_step_overflows_where_the_reference_does(rng, n):
         _step(eig, np.array([300.0, 0.0]) + 0j, h, *_random_states(rng, 2, n))
 
 
-def _per_node_quadrature(pot, a, weights, edge_state):
+def _exact_nodes(pot, eig, edge, ys):
+    """psi at the nodes ys, by one stacked exact step from the piece edge."""
+    return _step(eig, np.zeros(1, complex), ys - edge.x, edge.value, edge.deriv)[0]
+
+
+def _reference_nodes(pot, eig, edge, ys):
+    """psi at the nodes ys, each integrated from the piece edge by the reference."""
+    return np.array([rk45_propagate(pot, 0.0, edge, y, **RK45_TIGHT).value for y in ys])
+
+
+def _per_node_quadrature(pot, a, weights, edge_state, nodes=_exact_nodes):
     """The moment quadrature as a loop over pieces that forms every node
-    state, by one stacked exact step from the piece edge; the nodes, the
-    levels and the settling rule are those of solver._integrate_weighted.
-    Returns the totals and the (nodes, states) of every level."""
+    state (``nodes``); the nodes, the levels and the settling rule are those
+    of solver._integrate_weighted.  Returns the totals and the (nodes,
+    states) of every level."""
     xs, ws = solver._gauss_rule(solver._GAUSS_ORDER)
     tol = solver._QUAD_TOL
     totals = [np.zeros((pot.n, pot.n), dtype=complex) for _ in weights]
@@ -607,7 +622,7 @@ def _per_node_quadrature(pot, a, weights, edge_state):
             edges = np.linspace(lo, hi, panels + 1)
             mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
             ys = (mid[:, None] + half[:, None] * xs).ravel()
-            psi = _step(eig, np.zeros(1, complex), ys - edge.x, edge.value, edge.deriv)[0]
+            psi = nodes(pot, eig, edge, ys)
             visited.append((ys, psi))
             Vpsi = V @ psi
             for i, weight in enumerate(weights):
@@ -648,7 +663,7 @@ def test_quadrature_nodes_equal_walked_solutions(rng, n, pieces):
             return (lambda ys: one.extend(np.reshape(ys, (-1, ys.shape[-1]))) or 1.0,
                     lambda ys: first.extend(np.reshape(ys, (-1, ys.shape[-1]))) or ys)
 
-        got = solver._integrate_weighted(pot, a, weights("stacked"), edge, hl.SolverConfig())
+        got = solver._integrate_weighted(pot, a, weights("stacked"), edge)
         want, visited = _per_node_quadrature(pot, a, weights("oracle"), edge)
         for g, w in zip(got, want):
             assert np.linalg.norm(g - w, 2) <= 1e-12 * max(1.0, np.linalg.norm(w, 2))
@@ -674,7 +689,7 @@ def test_quadrature_refines_each_piece_to_its_own_level():
         return (lambda ys: seen[key].extend(np.reshape(ys, (-1, ys.shape[-1]))) or 1.0,
                 lambda ys: ys)
 
-    got = solver._integrate_weighted(pot, 0.0, weights("stacked"), edge, hl.SolverConfig())
+    got = solver._integrate_weighted(pot, 0.0, weights("stacked"), edge)
     want, _ = _per_node_quadrature(pot, 0.0, weights("oracle"), edge)
     for g, w in zip(got, want):
         assert np.linalg.norm(g - w, 2) <= 1e-12 * max(1.0, np.linalg.norm(w, 2))
@@ -682,6 +697,26 @@ def test_quadrature_refines_each_piece_to_its_own_level():
     assert sizes[-1] >= 8 * solver._GAUSS_ORDER and sizes.count(sizes[-1]) == 1
     assert sorted(y.tobytes() for y in seen["stacked"]) == sorted(
         y.tobytes() for y in seen["oracle"])
+
+
+def test_rk45_quadratures_agree_with_analytic(rng):
+    # The per-node quadrature with every edge and node state from the
+    # reference: J(0) by route (ii), B plus the moment of V phi(0, .), agrees
+    # with the analytic J(0), and the tail moments of f(0, .) satisfy their
+    # identities, from 0 and from inside the support.
+    pot = rand_potential(rng, 2, 2)
+    bc = rand_bc(rng, 2)
+    (moment,), _ = _per_node_quadrature(
+        pot, 0.0, (lambda y: 1.0,),
+        lambda lo, hi: rk45_regular_solution(pot, bc, 0.0, lo, **RK45_TIGHT), _reference_nodes)
+    assert np.linalg.norm(bc.B + moment - hl.jost_matrix_zero(pot, bc), 2) < 1e-9
+    for a in (0.0, 0.5 * pot.x_max):
+        (m0, m1), _ = _per_node_quadrature(
+            pot, a, (lambda y: 1.0, lambda y: y),
+            lambda lo, hi: rk45_jost_solution(pot, 0.0, hi, **RK45_TIGHT), _reference_nodes)
+        f0a = rk45_jost_solution(pot, 0.0, a, **RK45_TIGHT)
+        assert np.linalg.norm(m0 + f0a.deriv, 2) < 1e-10
+        assert np.linalg.norm(m1 - f0a.value + a * f0a.deriv + np.eye(2), 2) < 1e-10
 
 
 def _held(read):
@@ -698,10 +733,10 @@ def _forbid_propagation(monkeypatch):
         monkeypatch.setattr(solver, name, forbidden)
 
 
-def _assert_reads_equal_propagation(monkeypatch, read, k, start, cfg=hl.SolverConfig()):
+def _assert_reads_equal_propagation(monkeypatch, read, k, start):
     """Each state the walk behind ``read`` holds is read without a propagation
     and equals, bit for bit, a direct propagation of ``start`` to its stop."""
-    refs = {x: hl.propagate(read.__self__.pot, k, start, x, cfg) for x in _held(read)}
+    refs = {x: hl.propagate(read.__self__.pot, k, start, x) for x in _held(read)}
     with monkeypatch.context() as patch:
         _forbid_propagation(patch)
         for x, ref in refs.items():
@@ -711,27 +746,26 @@ def _assert_reads_equal_propagation(monkeypatch, read, k, start, cfg=hl.SolverCo
             assert np.array_equal(state.deriv, ref.deriv)
 
 
-@pytest.mark.parametrize("method", ["analytic", "rk45"])
+@pytest.mark.parametrize("method", ["analytic"])  # the one propagator
 @pytest.mark.parametrize("k", [0.0, 0.7, np.array([0.0, 0.7, 2.0 + 0.5j])],
                          ids=["k0", "k", "stack"])
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_walk_states_equal_direct_propagation(rng, monkeypatch, method, k, direction):
     # Every state of one walk, at each interface and at a point a inside a
     # piece, is the state a direct propagation from the start gives.
-    pot = rand_potential(rng, 2, 2 if method == "rk45" else 20, scale=0.3)
+    pot = rand_potential(rng, 2, 20, scale=0.3)
     bc = rand_bc(rng, 2)
-    cfg = hl.SolverConfig(method=method)
     lo, hi, _ = pot.pieces[len(pot.pieces) // 2]
     a = lo + 0.3 * (hi - lo)
     if direction == "forward":
-        read = solver._Walks(pot, bc, cfg, ks=k, points=(0.0, a)).phi
+        read = solver._Walks(pot, bc, ks=k, points=(0.0, a)).phi
         start = hl.StateMatrix(0.0, bc.A, bc.B)
     else:
-        read = solver._Walks(pot, bc, cfg, kappas=k, points=(0.0, a)).f
-        start = hl.jost_solution(pot, k, pot.x_max, cfg)
+        read = solver._Walks(pot, bc, kappas=k, points=(0.0, a)).f
+        start = hl.jost_solution(pot, k, pot.x_max)
     interfaces = {b for p in pot.pieces for b in p[:2]}
     assert set(_held(read)) == interfaces | {0.0, a}
-    _assert_reads_equal_propagation(monkeypatch, read, k, start, cfg)
+    _assert_reads_equal_propagation(monkeypatch, read, k, start)
 
 
 def test_walk_reaches_several_side_points(rng, monkeypatch):
@@ -744,7 +778,7 @@ def test_walk_reaches_several_side_points(rng, monkeypatch):
     inside = (0.5 * (lo1 + hi1), 0.3 * lo4 + 0.7 * hi4)
     beyond = (pot.x_max + 0.5, pot.x_max + 2.0)
     k = np.array([0.0, 0.7])
-    walks = solver._Walks(pot, bc, hl.SolverConfig(), k, k, points=(0.0, *inside, *beyond))
+    walks = solver._Walks(pot, bc, k, k, points=(0.0, *inside, *beyond))
     interfaces = {b for p in pot.pieces for b in p[:2]}
     assert set(_held(walks.phi)) == interfaces | {0.0, *inside, *beyond}
     assert set(_held(walks.f)) == interfaces | {0.0, *inside}
@@ -757,7 +791,7 @@ def test_walk_keeps_a_outside_the_walk_out(rng):
     # point above the edge is off it and read from the closed form.
     pot = rand_potential(rng, 1, 3)
     hi1 = pot.pieces[1][1]
-    walks = solver._Walks(pot, None, hl.SolverConfig(), kappas=[0.3],
+    walks = solver._Walks(pot, None, kappas=[0.3],
                           points=(hi1, pot.x_max + 1.0))
     assert min(_held(walks.f)) == hi1
     assert set(_held(walks.f)) == {hi1, *pot.pieces[2][:2]}
@@ -779,7 +813,7 @@ def test_walk_takes_a_point_listed_twice_once(rng, monkeypatch):
         return propagate(pot_, k, state, x, *args)
 
     monkeypatch.setattr(solver, "propagate", spy)
-    walks = solver._Walks(pot, bc, hl.SolverConfig(), [0.0, 0.7], [0.0, 0.7], points=(0.0, a, a))
+    walks = solver._Walks(pot, bc, [0.0, 0.7], [0.0, 0.7], points=(0.0, a, a))
     monkeypatch.undo()
     assert targets.count(a) == 2  # one side leg of f, one of phi
     assert a in _held(walks.f) and a in _held(walks.phi)
@@ -816,7 +850,7 @@ def test_walk_states_have_the_bits_of_stepping_leg_by_leg(rng, monkeypatch, n, p
     a = lo + 0.3 * (hi - lo)
     if legs_per_block:
         monkeypatch.setattr(solver, "_TABLE", legs_per_block * len(k) * n)
-    walks = solver._Walks(pot, bc, hl.SolverConfig(), kappas=k, ks=k, points=(0.0, a))
+    walks = solver._Walks(pot, bc, kappas=k, ks=k, points=(0.0, a))
     for held, start in ((walks._f, lambda ks: hl.jost_solution(pot, ks, pot.x_max)),
                         (walks._phi, lambda ks: hl.StateMatrix(0.0, bc.A, bc.B))):
         keys, _, states = held
@@ -864,7 +898,7 @@ def test_overflow_mid_walk_raises_the_step_error(rng, n):
     k = np.array([0.5, 1.0]) + 0j
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        walks = solver._Walks(pot, bc, hl.SolverConfig(), k, k, points=(0.0,))
+        walks = solver._Walks(pot, bc, k, k, points=(0.0,))
         for run in (lambda: hl.jost_solution(pot, k, 0.0),
                     lambda: hl.regular_solution(pot, bc, k, pot.x_max),
                     lambda: walks.f(k, 0.0), lambda: walks.phi(k, pot.x_max)):

@@ -28,25 +28,26 @@ from halfline.verify import K_GRID, _failure, _record, run_property_checks
 from conftest import rand_bc, rand_potential
 
 
-def _reference_pipeline(pot, bc, a, cfg, probes=DEFAULT_PROBES):
+def _reference_pipeline(pot, bc, a, probes=DEFAULT_PROBES):
     """(S0, involution and unitarity residuals, probes), each solution
-    propagated on its own."""
+    propagated on its own; ``a = None`` is x_max."""
+    a = pot.x_max if a is None else a
     n = bc.n
-    J0 = hl.jost_matrix_zero(pot, bc, cfg)
+    J0 = hl.jost_matrix_zero(pot, bc)
     jd = jordan_form(J0)
-    R = _r_matrix(hl.jost_solution(pot, 0.0, a, cfg), hl.regular_solution(pot, bc, 0.0, a, cfg))
+    R = _r_matrix(hl.jost_solution(pot, 0.0, a), hl.regular_solution(pot, bc, 0.0, a))
     S0 = _assemble(jd.Smat, jd.Sinv, jd.chains, R, np.eye(n), _checked_inverse).S0
     inv_resid = float(np.linalg.norm(S0 @ S0 - np.eye(n), 2))
     uni_resid = float(np.linalg.norm(S0.conj().T @ S0 - np.eye(n), 2))
-    rows = _first_error(_smatrix_stack(pot, bc, [float(kp) for kp in probes], a, cfg))
+    rows = _first_error(_smatrix_stack(pot, bc, [float(kp) for kp in probes], a))
     return S0, inv_resid, uni_resid, [(r["k"], float(np.linalg.norm(r["S"] - S0, 2)))
                                       for r in rows]
 
 
-def _reference_checks(cfg: JobConfig):
-    pot, bc, solver = cfg.potential, cfg.bc, cfg.solver
+def _reference_checks(job: JobConfig):
+    pot, bc = job.potential, job.bc
     n = bc.n
-    a = solver.resolve_a(pot)
+    a = pot.x_max if job.a is None else job.a
     eye = np.eye(n)
     ks = np.array(K_GRID)
     checks = []
@@ -59,12 +60,12 @@ def _reference_checks(cfg: JobConfig):
         checks.extend(out if isinstance(out, list) else [out])
 
     def wronskian_constancy():
-        st = _jost_stack(pot, bc, [1.3], max(pot.x_max, 1.0), solver)
+        st = _jost_stack(pot, bc, [1.3], max(pot.x_max, 1.0))
         return _record("wronskian_constancy", np.linalg.norm(st.J0[0] - st.J[0], 2), 1e-8)
 
     @functools.cache
     def outgoing():
-        return _split(hl.jost_solution(pot, np.concatenate([ks, -ks]), 0.0, solver), len(ks))
+        return _split(hl.jost_solution(pot, np.concatenate([ks, -ks]), 0.0), len(ks))
 
     def outgoing_self_pairing():
         f, _ = outgoing()
@@ -77,20 +78,20 @@ def _reference_checks(cfg: JobConfig):
 
     def jl_constancy():
         worst = 0.0
-        Js, errors, _, F0 = _jost_stack(pot, bc, K_GRID, a, solver)
+        Js, errors, _, F0 = _jost_stack(pot, bc, K_GRID, a)
         _first_error(errors)
         for k, J, L in zip(K_GRID, Js, _l_matrix(bc, F0)):
             worst = max(worst, np.linalg.norm(J @ L.conj().T - L @ J.conj().T + 2j * k * eye, 2))
         return _record("jl_pairing_constancy", worst, 1e-8)
 
     def tail_moments():
-        r1, r2 = hl.moment_identities_residual(pot, 0.0, solver)
+        r1, r2 = hl.moment_identities_residual(pot, 0.0)
         return [_record("tail_moment_zeroth", r1, 1e-6),
                 _record("tail_moment_first", r2, 1e-6)]
 
     def p_ratio_decay():
         a_p = 0.0 if pot.x_max > 0 else a
-        P_hi, P_lo = hl.p_matrix(pot, [1e-1, 1e-3], a_p, solver)
+        P_hi, P_lo = hl.p_matrix(pot, [1e-1, 1e-3], a_p)
         r_hi = np.linalg.norm(P_hi / 1e-1j - eye, 2)
         r_lo = np.linalg.norm(P_lo / 1e-3j - eye, 2)
         if r_hi < 1e-12:
@@ -99,9 +100,9 @@ def _reference_checks(cfg: JobConfig):
 
     def logderiv_slope():
         h = 1e-5
-        slope = (hl.log_derivative(pot, h, a, "value", solver)
-                 - hl.log_derivative(pot, -h, a, "value", solver)) / (2 * h)
-        f0inv = np.linalg.inv(hl.jost_solution(pot, 0.0, a, solver).value)
+        slope = (hl.log_derivative(pot, h, a, "value")
+                 - hl.log_derivative(pot, -h, a, "value")) / (2 * h)
+        f0inv = np.linalg.inv(hl.jost_solution(pot, 0.0, a).value)
         expect = 1j * f0inv.conj().T @ f0inv
         rel = np.linalg.norm(slope - expect, 2) / max(np.linalg.norm(expect, 2), 1e-300)
         return _record("logderiv_slope", rel, 1e-4)
@@ -109,23 +110,23 @@ def _reference_checks(cfg: JobConfig):
     def jost_split():
         worst = 0.0
         split_ks = (0.7, 2.3)
-        Js, errors, *_ = _jost_stack(pot, bc, split_ks, a, solver)
+        Js, errors, *_ = _jost_stack(pot, bc, split_ks, a)
         for J, err, T1, T2 in zip(Js, errors,
-                                  *hl.jost_decomposition(pot, bc, split_ks, a, solver)):
+                                  *hl.jost_decomposition(pot, bc, split_ks, a)):
             if err is not None:
                 raise err
             worst = max(worst, np.linalg.norm(T1 + T2 - J, 2))
         return _record("jost_split_consistency", worst, 1e-8)
 
     def zero_jost_crosscheck():
-        J0 = hl.jost_matrix_zero(pot, bc, solver)
-        beta = hl.regular_solution(pot, bc, 0.0, pot.x_max, solver).deriv
+        J0 = hl.jost_matrix_zero(pot, bc)
+        beta = hl.regular_solution(pot, bc, 0.0, pot.x_max).deriv
         return _record("zero_energy_jost_crosscheck", np.linalg.norm(J0 - beta, 2), 1e-8)
 
     def smatrix_properties():
         worst_u = worst_inv = 0.0
         pm = [s * k for k in K_GRID for s in (1.0, -1.0)]
-        rows = _first_error(_smatrix_stack(pot, bc, pm, a, solver))
+        rows = _first_error(_smatrix_stack(pot, bc, pm, a))
         for Sp, Sm in zip(rows[::2], rows[1::2]):
             worst_u = max(worst_u, Sp["unitarity_residual"])
             worst_inv = max(worst_inv, np.linalg.norm(Sm["S"] @ Sp["S"] - eye, 2))
@@ -133,7 +134,7 @@ def _reference_checks(cfg: JobConfig):
                 _record("smatrix_inverse_symmetry", worst_inv, 1e-8)]
 
     def zero_energy_behavior():
-        _, inv_resid, uni_resid, probes = _reference_pipeline(pot, bc, a, solver)
+        _, inv_resid, uni_resid, probes = _reference_pipeline(pot, bc, a)
         dists = [d for _, d in probes]
         monotone = all(x > y for x, y in zip(dists, dists[1:])) or dists[-1] < 1e-9
         return [
@@ -166,23 +167,23 @@ def _config(rng, n, pieces, where):
         pot = hl.Potential(n=n, pieces=tuple((lo * squeeze, hi * squeeze, V)
                                              for lo, hi, V in pot.pieces))
     lo, hi, _ = pot.pieces[len(pot.pieces) // 2]
-    a = {"inside": lo + 0.37 * (hi - lo), "far": pot.x_max + 3.0}.get(where, "auto")
-    return JobConfig(bc=rand_bc(rng, n), potential=pot, solver=hl.SolverConfig(a_choice=a))
+    a = {"inside": lo + 0.37 * (hi - lo), "far": pot.x_max + 3.0}.get(where)
+    return JobConfig(bc=rand_bc(rng, n), potential=pot, a=a)
 
 
-def _s0_and_probes(pot, bc, a, cfg):
+def _s0_and_probes(pot, bc, a):
     """zero_energy_pipeline's S0, residuals and probes, or its error text."""
     try:
-        res = hl.zero_energy_pipeline(pot, bc, a, "numeric", cfg)
+        res = hl.zero_energy_pipeline(pot, bc, a, "numeric")
     except HalflineError as exc:
         return f"{type(exc).__name__}: {exc}"
     return res.s0.S, res.involution_residual, res.s0.unitarity_residual, \
         list(res.continuity_probes)
 
 
-def _reference_s0_and_probes(pot, bc, a, cfg):
+def _reference_s0_and_probes(pot, bc, a):
     try:
-        return _reference_pipeline(pot, bc, a, cfg)
+        return _reference_pipeline(pot, bc, a)
     except HalflineError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -198,29 +199,26 @@ def _assert_same_pipeline(got, ref):
 @pytest.mark.parametrize("where", ["auto", "inside", "short", "far"])
 @pytest.mark.parametrize("n,pieces", [(1, 2), (1, 20), (2, 2), (2, 20), (8, 2), (8, 20)])
 def test_verify_records_equal_reference(rng, n, pieces, where):
-    cfg = _config(rng, n, pieces, where)
-    assert json.dumps(run_property_checks(cfg)) == json.dumps(_reference_checks(cfg))
-    pot, bc, solver = cfg.potential, cfg.bc, cfg.solver
-    a = solver.resolve_a(pot)
-    _assert_same_pipeline(_s0_and_probes(pot, bc, a, solver),
-                          _reference_s0_and_probes(pot, bc, a, solver))
+    job = _config(rng, n, pieces, where)
+    assert json.dumps(run_property_checks(job)) == json.dumps(_reference_checks(job))
+    pot, bc, a = job.potential, job.bc, job.a
+    _assert_same_pipeline(_s0_and_probes(pot, bc, a), _reference_s0_and_probes(pot, bc, a))
 
 
 @pytest.mark.parametrize("a", ["auto", 40.0])
 def test_verify_overflowing_walk_fails_as_the_reference(a):
+    a = None if a == "auto" else a
     # V = 25 on [0, 150]: the k = 0 walk grows like exp(750) and overflows,
     # so do k = 0.3 and 0.9; k = 3.1 and 4.9 do not.  The shared walks are
     # dropped and every check fails or passes as on its own walks.
     pot = hl.Potential(n=1, pieces=((0.0, 150.0, np.array([[25.0]])),))
     bc = hl.from_angles([2.0])
-    cfg = JobConfig(bc=bc, potential=pot, solver=hl.SolverConfig(a_choice=a))
-    records = run_property_checks(cfg)
-    assert json.dumps(records) == json.dumps(_reference_checks(cfg))
+    job = JobConfig(bc=bc, potential=pot, a=a)
+    records = run_property_checks(job)
+    assert json.dumps(records) == json.dumps(_reference_checks(job))
     errors = [r["error"] for r in records if "error" in r]
     assert errors and all(e.startswith("NumericalError: solution overflows") for e in errors)
-    a_val = cfg.solver.resolve_a(pot)
-    _assert_same_pipeline(_s0_and_probes(pot, bc, a_val, cfg.solver),
-                          _reference_s0_and_probes(pot, bc, a_val, cfg.solver))
+    _assert_same_pipeline(_s0_and_probes(pot, bc, a), _reference_s0_and_probes(pot, bc, a))
 
 
 @pytest.mark.parametrize("where", ["auto", "inside", "short", "far"])
@@ -230,7 +228,7 @@ def test_every_propagation_is_a_walk_leg(rng, monkeypatch, n, where):
     # a k or a point missing from the walks' lists would propagate on its own.
     from halfline import solver
 
-    cfg = _config(rng, n, 20, where)
+    job = _config(rng, n, 20, where)
     propagate, outside = solver.propagate, []
 
     def traced(pot, k, state, x, *args):
@@ -240,9 +238,8 @@ def test_every_propagation_is_a_walk_leg(rng, monkeypatch, n, where):
         return propagate(pot, k, state, x, *args)
 
     monkeypatch.setattr(solver, "propagate", traced)
-    run_property_checks(cfg)
-    pot, bc, solver_cfg = cfg.potential, cfg.bc, cfg.solver
-    hl.zero_energy_pipeline(pot, bc, solver_cfg.resolve_a(pot), "numeric", solver_cfg)
+    run_property_checks(job)
+    hl.zero_energy_pipeline(job.potential, job.bc, job.a, "numeric")
     assert outside == []
 
 
@@ -263,22 +260,3 @@ def test_verify_computes_j0_once(rng, monkeypatch):
     records = run_property_checks(_config(rng, 2, 20, "auto"))
     assert {r["name"] for r in records} >= {"zero_energy_jost_crosscheck", "s0_involution"}
     assert len(calls) == 1
-
-
-def test_rk45_quadratures_agree_with_analytic(rng):
-    # rk45 reaches every quadrature node by propagate from the piece edge:
-    # its J(0) (route (ii) is the quadrature), its tail-moment residuals and
-    # its property records agree with the analytic method's.
-    pot = rand_potential(rng, 2, 2)
-    bc = rand_bc(rng, 2)
-    analytic = hl.SolverConfig()
-    rk45 = hl.SolverConfig(method="rk45", abs_tol=1e-12, rel_tol=1e-12, max_step=0.05)
-    J0 = hl.jost_matrix_zero(pot, bc, analytic)
-    assert np.linalg.norm(hl.jost_matrix_zero(pot, bc, rk45) - J0, 2) < 1e-9
-    for a in (0.0, 0.5 * pot.x_max):
-        assert max(hl.moment_identities_residual(pot, a, rk45)) < 1e-10
-    want = run_property_checks(JobConfig(bc=bc, potential=pot, solver=analytic))
-    got = run_property_checks(JobConfig(bc=bc, potential=pot, solver=rk45))
-    assert [(c["name"], c["pass"]) for c in got] == [(c["name"], c["pass"]) for c in want]
-    tail = [c["residual"] for c in got if c["name"].startswith("tail_moment")]
-    assert len(tail) == 2 and max(tail) < 1e-10
