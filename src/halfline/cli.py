@@ -176,43 +176,38 @@ def _row_template(row: dict) -> str:
 _ERROR_ROW = _row_template({"k": 0.0, "error": ""})
 
 
+def _spelled(x: float):  # as json.dumps spells it: str(x) of a finite x is float.__repr__
+    return x if math.isfinite(x) else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
 def _sweep_json(rows) -> str:
     """``json.dumps({"rows": [...]}, indent=2)`` of the rows, byte for byte,
     with null for a det_J_abs that is not finite.
 
     ``indent`` needs the pure-Python encoder, which at n = 8 costs as much
-    as evaluating S(k).  So the floats are spelled by one call of the C
-    encoder (``float.__repr__``, NaN, Infinity, as with ``indent``) and set
-    into one template per matrix size; strings still go through json.dumps.
+    as evaluating S(k).  So one ``%s`` template (a row template per matrix
+    size) is filled in one pass; error messages go in as json.dumps values.
     """
     if not rows:
         return json.dumps({"rows": []}, indent=2)
-    flat = []
+    templates, parts, values = {}, [], []
     for row in rows:
         if "error" in row:
-            flat.append(row["k"])
-        else:
-            vals = _row_values(row)
-            if not math.isfinite(vals[-1]):
-                vals[-1] = None
-            flat += vals
-    spelled = json.dumps(flat)[1:-1].split(", ")
-    templates = {}
-    out, i = [], 0
-    for row in rows:
-        if "error" in row:
-            out.append(_ERROR_ROW % (spelled[i], json.dumps(row["error"])))
-            i += 1
+            parts.append(_ERROR_ROW)
+            values += [_spelled(row["k"]), json.dumps(row["error"])]
             continue
         n = len(row["S"])
         if n not in templates:
             zero = [[[0.0, 0.0]] * n] * n
             templates[n] = _row_template(
                 {"k": 0.0, "S": zero, "unitarity_residual": 0.0, "det_J_abs": 0.0})
-        m = 2 * n * n + 3
-        out.append(templates[n] % tuple(spelled[i:i + m]))
-        i += m
-    return _ROWS_HEAD + _ROWS_SEP.join(out) + _ROWS_TAIL
+        parts.append(templates[n])
+        vals = _row_values(row)
+        if not math.isfinite(sum(vals)):  # one test per row; sums of huge values only look twice
+            det = vals[-1] if math.isfinite(vals[-1]) else "null"
+            vals = [*map(_spelled, vals[:-1]), det]
+        values += vals
+    return (_ROWS_HEAD + _ROWS_SEP.join(parts) + _ROWS_TAIL) % tuple(values)
 
 
 def cmd_sweep(args) -> int:

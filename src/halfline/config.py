@@ -120,12 +120,12 @@ def parse_config(text) -> JobConfig:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("config: expected a JSON object")
-    # A literal true or false shows in the text; most configs skip the slower walk.
-    if "true" in text or "false" in text:
-        _reject_booleans(data, "config")
     extra = set(data) - _TOP_KEYS
     if extra:
         raise ValidationError(f"config: unknown keys {sorted(extra)}")
+    # A literal true or false shows in the text; most configs skip the slower walk.
+    if "true" in text or "false" in text:
+        _reject_booleans(data, "config")
     if "bc" not in data:
         raise ValidationError("config.bc: required")
     bc = bc_from_json(data["bc"], "config.bc")

@@ -18,16 +18,16 @@ Both are evaluated once, over a stack of k, for :func:`jost_matrix`,
 :func:`smatrix`, :func:`smatrix_grid`, the S(0) continuity probes of
 :mod:`halfline.lowenergy` and the fixed-k checks of :mod:`halfline.verify`.
 J is evaluated once per distinct value among the +k and -k of a stack, so
-S(k) and S(-k) asked for together share one pair, and its x = 0
-cross-check takes spectral norms only where the Frobenius bounds leave the
-decision open.  The grid propagates f(-k, .) directly for every +k and -k,
-and phi(k, .), which is even in k, once per k^2: a 200-point grid
-propagates 400 of the one and 200 of the other.  The zero-energy
-pipeline and ``verify`` instead read every solution they need, one state
-at a time at any k and any interface, from ``solver._Walks``: one backward
-walk of f(kappa, .) from the support edge and one forward walk of
-phi(k, .) from 0, each over the union of their k as one stack.  Every
-function here that reads walked solutions takes such a ``walks`` and makes
+S(k) and S(-k) asked for together share one pair; its x = 0 cross-check
+and its condition cap take SVDs only where Frobenius bounds leave them
+open.  Solutions are read from ``solver._Walks``: one backward walk of
+f(kappa, .) from the support edge and one forward walk of phi(k, .) from 0,
+each over the union of their k as one stack.  The grid walks f(-k, .) for
+every +k and -k, and phi(k, .), which is even in k, once per k^2: a
+200-point grid propagates 400 of the one and 200 of the other, both stacks
+read one table of step coefficients per k^2, and only the states at 0 and
+a are kept.  Every function here that reads walked solutions takes such a
+``walks`` (the zero-energy pipeline and ``verify`` pass theirs) and makes
 its own when given none.  A walk that overflows is dropped, and each
 reader then propagates on its own, so it fails exactly where it fails
 alone.
@@ -88,6 +88,7 @@ __all__ = [
 COND_CAP = 1e10
 #: Internal agreement tolerance for redundant evaluations.
 CROSSCHECK_TOL = 1e-8
+_COND_MARGIN = 1e-3  # by which a Frobenius bound clears COND_CAP to skip the SVD
 
 _ZERO_K = "k = 0 is handled by the zero-energy pipeline"
 
@@ -148,11 +149,11 @@ def _jost_stack(pot, bc, ks, a, walks: Optional[_Walks] = None) -> _JostStack:
     and the state f(-k*, 0) that reading comes from.
 
     f(-k*, .) at a and at 0 and phi(k, .) at a are read from ``walks``, or
-    each walked as one stack; a walk that fails raises for the whole stack.
+    from walks kept at those points alone; a walk that fails raises for all.
     """
-    walks = walks or _Walks(pot, bc)
     ks = np.asarray(ks, dtype=complex)
     km = -ks.conj()
+    walks = walks or _Walks(pot, bc, km, ks, (0.0, a), every_stop=False)
     F, F0 = walks.f(km, a), walks.f(km, 0.0)
     J = wronskian(F, walks.phi(ks, a))
     J0 = wronskian(F0, StateMatrix(0.0, bc.A, bc.B))  # phi(k, 0) = (A, B)
@@ -270,7 +271,7 @@ def _smatrix_stack(pot, bc, ks: List[float], a, walks: Optional[_Walks] = None) 
         return [ValidationError(_ZERO_K) if ks[0] == 0.0 else exc]
     plus, minus = [index[k] for k in ks], [index[-k] for k in ks]
     Jp, Jm = J[plus], J[minus]
-    cond = np.linalg.cond(Jp)
+    cond = _capped_cond(Jp)
     out = [ValidationError(_ZERO_K) if k == 0.0 else pairing[i] or pairing[j]
            or (_cond_error(k, c) if c > COND_CAP else None)
            for k, i, j, c in zip(ks, plus, minus, cond)]
@@ -282,6 +283,22 @@ def _smatrix_stack(pot, bc, ks: List[float], a, walks: Optional[_Walks] = None) 
     for i, Sk, r, d in zip(ok, S, resid, det):
         out[i] = {"k": ks[i], "S": Sk, "unitarity_residual": float(r), "det_J_abs": float(abs(d))}
     return out
+
+
+def _capped_cond(J) -> np.ndarray:
+    """cond(J) per matrix as ``np.linalg.cond`` gives it where it may exceed
+    COND_CAP, elsewhere ||J||_F ||J^-1||_F (in [cond, n cond], below the cap)."""
+    try:
+        inv = np.linalg.inv(J)
+    except np.linalg.LinAlgError:
+        return np.linalg.cond(J)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound takes the SVD
+        cond = np.sqrt(np.einsum("kij,kij->k", J.conj(), J).real
+                       * np.einsum("kij,kij->k", inv.conj(), inv).real)
+    open_ = ~(cond <= COND_CAP * (1 - _COND_MARGIN))
+    if open_.any():
+        cond[open_] = np.linalg.cond(J[open_])
+    return cond
 
 
 def _first_error(results: list) -> list:
@@ -303,10 +320,10 @@ def smatrix_grid(
     A row is ``{"k", "S", "unitarity_residual", "det_J_abs"}`` (|det J(k)|,
     ``inf`` where it overflows a float although S(k) is fine), or
     ``{"k", "error"}`` with the "<ExcName>: <message>" that :func:`smatrix`
-    raises at that k.  The evaluator behind both propagates f(-k, .) for
-    +k and -k of the whole grid as one stack and phi(k, .) once per k^2,
-    or each k alone when that stack overflows, so only the overflowing
-    rows fail.
+    raises at that k.  The evaluator behind both walks f(-k, .) for +k and
+    -k of the whole grid as one stack and phi(k, .) once per k^2, from one
+    table of step coefficients per k^2, or each k alone when a stack
+    overflows, so only the overflowing rows fail.
     """
     _check_sizes(pot, bc)
     ks = [float(k) for k in ks]

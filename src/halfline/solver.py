@@ -30,11 +30,11 @@ step holds it transposed, as rows psi^T, so each rotation into or out of
 V's eigenbasis is one 2-D product of all K n rows with a fixed n x n
 factor, and a stacked row keeps the bits of its scalar call (see _step).
 
-One kernel (``_legs``) steps a walk leg by leg from one table of step
-coefficients per block of legs: :func:`propagate` keeps its last state, and
-``_Walks``, which crosses the support once per solution family over a stack
-of k, keeps every stop; the zero-energy Jost routes, R and the moment
-quadrature read their states from it.  The quadrature (``_integrate_weighted``)
+One kernel (``_legs``) steps a walk leg by leg: :func:`propagate` keeps its
+last state, and ``_Walks``, which crosses the support once per solution
+family over a stack of k, keeps every stop (the zero-energy Jost routes, R
+and the moment quadrature read them) or only its points; its two walks read
+one ``_Table`` of step coefficients per k^2.  The quadrature (``_integrate_weighted``)
 sums step coefficients over its nodes in V's eigenbasis and forms no node state.
 """
 
@@ -297,19 +297,13 @@ def _breakpoints(pot: Potential, x0: float, x1: float):
     return cuts[::-1] if x1 < x0 else cuts
 
 
-_TABLE = 2 ** 14  # most step coefficients (legs x k x eigenvalues) in one block of _legs
+_TABLE = 2 ** 14  # most step coefficients (legs x k x eigenvalues) in one block
 
 
-def _legs(pot: Potential, k, value, deriv, stops):
-    """The exact walk of (value, deriv) at stops[0] through ``stops``, with
-    no piece edge strictly between two stops: the StateMatrix at each later
-    stop, in order.  ``k`` is 0-d or 1-D complex.  A block of legs (at most
-    _TABLE coefficients) takes the coefficients of its piece legs from one
-    :func:`_coefficients` call and of its free legs (w = 0, one eigen entry)
-    from another, then steps each leg with :func:`_step`.  A coefficient
-    depends on its k, w and h alone, so every state has the bits of
-    stepping its legs one at a time."""
-    legs = [(pot.piece_at(0.5 * (x0 + x1)), x1 - x0, x1) for x0, x1 in zip(stops, stops[1:])]
+def _leg_coefficients(pot: Potential, k, legs):
+    """(c, s, g) of each leg (piece index or None, h, ...) at each k, in order,
+    per block of at most _TABLE coefficients as it is reached: one
+    :func:`_coefficients` call for its piece legs, one for its free legs (w = 0)."""
     axes = (1,) * k.ndim  # the k axis, if any, between the leg and eigen axes
     size = max(1, _TABLE // (k.size * pot.n))
     for block in (legs[i:i + size] for i in range(0, len(legs), size)):
@@ -323,9 +317,42 @@ def _legs(pot: Potential, k, value, deriv, stops):
                 with np.errstate(all="ignore"):
                     c, s, om2 = _coefficients(w, k[None], h)
                     table.update(zip(rows, zip(c, s, -om2 * s)))
-        for j, (idx, _, x) in enumerate(block):
-            value, deriv = _step(None if idx is None else pot._eigs[idx], *table[j], value, deriv)
-            yield StateMatrix._trusted(x, value, deriv)
+        yield from (table[j] for j in range(len(block)))
+
+
+class _Table:
+    """(c, s, g) of the step h = hi - lo > 0 of each leg [lo, hi] of ``runs``
+    (lists of stops) per distinct k^2 of ``ks``, row ``rows[i]`` for ks[i].
+    f(k, .), f(-k, .) and phi(k, .) read one row, a backward leg negates s
+    and g; only zero signs can differ from computing them for each k and h."""
+
+    def __init__(self, pot: Potential, ks, runs):
+        keys = _square_keys(ks)
+        reps, index = _distinct(ks, keys)
+        self.rows = np.array(list(map(index.__getitem__, keys)), dtype=int)
+        legs = sorted({(min(leg), max(leg)) for stops in runs for leg in zip(stops, stops[1:])})
+        self._coefs = dict(zip(legs, _leg_coefficients(
+            pot, reps, [(pot.piece_at(0.5 * (lo + hi)), hi - lo) for lo, hi in legs])))
+
+    def read(self, rows, stops):
+        """(c, s, g) of each leg of ``stops`` in order, at ``rows`` (indices or a slice)."""
+        for x0, x1 in zip(stops, stops[1:]):
+            c, s, g = (a[rows] for a in self._coefs[min(x0, x1), max(x0, x1)])
+            yield (c, s, g) if x0 < x1 else (c, -s, -g)
+
+
+def _legs(pot: Potential, k, value, deriv, stops, coefs=None):
+    """The exact walk of (value, deriv) at stops[0] through ``stops``, with
+    no piece edge strictly between two stops: the StateMatrix at each later
+    stop, in order.  ``k`` is 0-d or 1-D complex.  Each leg is stepped with
+    :func:`_step` from its coefficients in ``coefs`` (a :meth:`_Table.read`)
+    or else from :func:`_leg_coefficients`.  A coefficient depends on its
+    k^2, w and h alone, so every state has the value of stepping its legs
+    one at a time, and without ``coefs`` its bits."""
+    legs = [(pot.piece_at(0.5 * (x0 + x1)), x1 - x0, x1) for x0, x1 in zip(stops, stops[1:])]
+    for (idx, _, x), (c, s, g) in zip(legs, coefs or _leg_coefficients(pot, k, legs)):
+        value, deriv = _step(None if idx is None else pot._eigs[idx], c, s, g, value, deriv)
+        yield StateMatrix._trusted(x, value, deriv)
 
 
 def propagate(pot: Potential, k, state: StateMatrix, x_target: float) -> StateMatrix:
@@ -352,7 +379,7 @@ def propagate(pot: Potential, k, state: StateMatrix, x_target: float) -> StateMa
 
 def _k_keys(k) -> list:
     """One key per k of a scalar or 1-D k: its bits, so -0.0 is not 0.0."""
-    return [v.tobytes() for v in np.asarray(k, dtype=complex).reshape(-1)]
+    return np.ascontiguousarray(k, dtype=complex).reshape(-1).view("V16").tolist()
 
 
 def _square_keys(k) -> list:
@@ -364,10 +391,11 @@ def _square_keys(k) -> list:
 
 def _distinct(k, keys) -> Tuple[np.ndarray, Dict[bytes, int]]:
     """The first k of each distinct key, in order, and each key's row among them."""
-    first: Dict[bytes, int] = {}
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
-    return k[list(first.values())], {key: row for row, key in enumerate(first)}
+    index = dict(zip(dict.fromkeys(keys), itertools.count()))
+    if len(index) == len(keys):
+        return k, index
+    first = dict(zip(keys[::-1], range(len(keys) - 1, -1, -1)))  # the last write is the first
+    return k[[first[key] for key in index]], index
 
 
 class _Walks:
@@ -376,52 +404,58 @@ class _Walks:
     The backward walk carries f(kappa, .) for a stack of kappa from the
     support edge down to min(x_max, points), the forward walk phi(k, .) for
     a stack of k from 0 up to max(x_max, points).  A walk stops at its
-    start, at every piece interface strictly inside it and at its end;
-    :func:`_legs` steps the legs between as a direct propagation from the
-    start does, so each stop has that propagation's bits.  A point strictly
+    start, at every piece interface strictly inside it and at its end, and
+    keeps its state there; with ``every_stop=False`` only at its points,
+    and phi goes no further than max(points).  :func:`_legs` steps the legs
+    between from one :class:`_Table` for both walks.  A point strictly
     inside a leg is reached by a side leg, one :func:`propagate` call from
     the stop before it, however often it is listed; the main walk is not
-    split there, so the stops beyond it keep their bits.  Points off a walk
-    (above x_max, for the f walk) are ignored.
+    split there.  Points off a walk (above x_max, for the f walk) are
+    ignored, and a walk without a leg is not made.
 
-    A read gives what :func:`jost_solution` or :func:`regular_solution`
-    gives, bit for bit: a slice of a walk that holds its k and its point, or
-    else a propagation of its own.  f is held per k matched bit for bit (so
-    -0.0 is not 0.0), phi once per k^2 (so phi(-k, .) is the row of
-    phi(k, .)).  A walk that overflows is not kept, so the reads it would
-    have served propagate on their own and fail where they fail alone.
+    A read equals what :func:`jost_solution` or :func:`regular_solution`
+    gives: a slice of a walk that holds its k and its point, or else a
+    propagation of its own.  f is held per k matched bit for bit (so -0.0 is
+    not 0.0), phi once per k^2 (so phi(-k, .) is the row of phi(k, .)).  A
+    walk that overflows is not kept, so the reads it would have served
+    propagate on their own and fail where they fail alone.
     ``_Walks(pot, bc)`` holds no walk: every read propagates.
     """
 
-    def __init__(self, pot, bc, kappas=(), ks=(), points=()):
+    def __init__(self, pot, bc, kappas=(), ks=(), points=(), every_stop=True):
         self.pot, self.bc = pot, bc
-        self._f = self._walk(kappas, _k_keys, lambda k: jost_solution(pot, k, pot.x_max),
-                             min([pot.x_max, *points]), points)
-        if bc is not None and bc.n == pot.n:  # else phi reads raise as they do alone
-            self._phi = self._walk(ks, _square_keys, lambda k: StateMatrix(0.0, bc.A, bc.B),
-                                   max([pot.x_max, *points]), points)
-        else:
-            self._phi = None
+        if bc is None or bc.n != pot.n:  # phi reads raise as they do alone
+            ks = ()
+        runs = [_breakpoints(pot, pot.x_max, min([pot.x_max, *points])),
+                _breakpoints(pot, 0.0, max([pot.x_max] * every_stop + [*points], default=0.0))]
+        f, phi = ((keys, *_distinct(k, keys(k))) for keys, k in (  # the distinct k of each walk
+            (_k_keys, np.asarray(kappas if len(runs[0]) > 1 else (), dtype=complex).reshape(-1)),
+            (_square_keys, np.asarray(ks if len(runs[1]) > 1 else (), dtype=complex).reshape(-1))))
+        walked, m = [run for run, walk in zip(runs, (f, phi)) if walk[1].size], len(phi[1])
+        table = walked and _Table(pot, np.concatenate([phi[1], f[1]]), walked)
+        self._f = self._walk(*f, lambda k: jost_solution(pot, k, pot.x_max), runs[0], points,
+                             table and table.read(table.rows[m:], runs[0]), every_stop)
+        self._phi = self._walk(*phi, lambda k: StateMatrix(0.0, bc.A, bc.B), runs[1], points,
+                               table and table.read(slice(m), runs[1]), every_stop)
 
-    def _walk(self, ks, keys, start, x_end, points):
-        """(keys, row index, states by stop) of one walk of the distinct ks
-        from ``start(ks)`` to x_end, or None if there is no k or it overflows."""
-        ks = np.asarray(ks, dtype=complex).reshape(-1)
+    def _walk(self, keys, ks, index, start, walk, points, coefs, every_stop):
+        """(keys, row index, states by stop and point) of one walk of the
+        distinct ks from ``start(ks)`` through the stops ``walk``, with the
+        step coefficients ``coefs``, or None if there is no k or it overflows."""
         if not ks.size:
             return None
-        ks, index = _distinct(ks, keys(ks))
         pot = self.pot
-        sides = {float(x) for x in points}
+        sides, states = {float(x) for x in points}, {}
         try:
-            start = start(ks)
-            state = propagate(pot, ks, start, start.x)  # one checked start per k
-            states = {start.x: state}
-            stops = _breakpoints(pot, start.x, x_end)
-            states.update((s.x, s) for s in _legs(pot, ks, state.value, state.deriv, stops))
-            for x0, x1 in zip(stops, stops[1:]):
+            prev = propagate(pot, ks, start(ks), walk[0])  # one checked start per k
+            legs = _legs(pot, ks, prev.value, prev.deriv, walk, coefs)
+            for state in itertools.chain([prev], legs):
                 for side in sides:
-                    if min(x0, x1) < side < max(x0, x1):
-                        states[side] = propagate(pot, ks, states[x0], side)
+                    if min(prev.x, state.x) < side < max(prev.x, state.x):
+                        states[side] = propagate(pot, ks, prev, side)
+                if every_stop or state.x in sides:
+                    states[state.x] = state
+                prev = state
         except NumericalError:
             return None
         return keys, index, states
@@ -433,10 +467,12 @@ class _Walks:
         if held is None or x not in held[2]:
             return None
         keys, index, states = held
-        rows = [index.get(key) for key in keys(k)]
+        rows = list(map(index.get, keys(k)))
         if None in rows:
             return None
         s = states[x]
+        if rows == list(range(len(index))) and np.ndim(k):
+            return s  # the whole walk, in order
         rows = rows if np.ndim(k) else rows[0]
         return StateMatrix._trusted(s.x, s.value[rows], s.deriv[rows])
 

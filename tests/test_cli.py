@@ -71,8 +71,9 @@ def test_parse_rejects_zero_kmin():
 def test_parse_rejects_bad_outputs_and_tolerances():
     with pytest.raises(ValidationError, match="outputs"):
         parse_config(json.dumps(dict(ANGLES_CFG, outputs=[{"vcs": "x"}])))
-    with pytest.raises(ValidationError, match=r"^config: unknown keys \['tolerances'\]$"):
-        parse_config(json.dumps(dict(ANGLES_CFG, tolerances={"nope": 1})))
+    for block in ({"nope": 1}, {"max_step": True}):  # the key is refused before its boolean
+        with pytest.raises(ValidationError, match=r"^config: unknown keys \['tolerances'\]$"):
+            parse_config(json.dumps(dict(ANGLES_CFG, tolerances=block)))
 
 
 def test_parse_rejects_size_mismatch():
@@ -136,8 +137,8 @@ BOOLEAN_CONFIGS = {
     "bc_angles": (("bc",), {"angles": [True]}, "config.bc.angles[0]"),
     "bc_U": (("bc",), {"U": [[[True, 0.0]]]}, "config.bc.U[0][0][0]"),
     "a_choice": (("a_choice",), True, "config.a_choice"),
-    # not a config key: a boolean is refused before the unknown key
-    "tolerances": (("tolerances",), {"max_step": True}, "config.tolerances.max_step"),
+    # not a config key: the unknown key is refused before its boolean
+    "tolerances": (("tolerances",), {"max_step": True}, "config"),
 }
 
 

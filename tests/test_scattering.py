@@ -334,24 +334,91 @@ def test_walks_read_slices_without_a_second_check(rng, monkeypatch):
 
 def test_smatrix_grid_propagates_phi_once_per_k_squared(rng, monkeypatch):
     # A 200-point grid pairs f(-k, .) for all 400 values of +-k with
-    # phi(k, .), which is even in k: phi is propagated for 200 of them.
+    # phi(k, .), which is even in k: phi is walked for 200 of them.
     from halfline import solver
 
     pot = rand_potential(rng, 2, 20, scale=0.3)
     bc = rand_bc(rng, 2)
     grid = np.linspace(0.05, 10.0, 200)
-    propagate = solver.propagate
+    legs = solver._legs
     stacks = []
 
-    def spy(pot_, k, state, x, *args):
-        stacks.append((state.x, x, np.size(k)))
-        return propagate(pot_, k, state, x, *args)
+    def spy(pot_, k, value, deriv, stops, *args):
+        stacks.append((stops[0], stops[-1], np.size(k)))
+        return legs(pot_, k, value, deriv, stops, *args)
 
-    monkeypatch.setattr(solver, "propagate", spy)
+    monkeypatch.setattr(solver, "_legs", spy)
     rows = hl.smatrix_grid(pot, bc, grid)
     monkeypatch.undo()
     assert stacks == [(pot.x_max, 0.0, 400), (0.0, pot.x_max, 200)]
     _assert_same_row(rows[77], _ref_row(pot, bc, grid[77], None))
+
+
+def test_smatrix_grid_computes_one_coefficient_per_k_squared_leg_and_eigenvalue(rng,
+                                                                               monkeypatch):
+    # f(k, .), f(-k, .) and phi(k, .) read one table: a 200-point grid on 20
+    # pieces at n = 8 computes each (k^2, leg, eigenvalue) entry once,
+    # 200 * (20 * 8 + 20 * 1) = 36,000 on 40 legs (one per leg and walk
+    # row, as the f and phi walks did on their own, would be 108,000).
+    from halfline import solver
+
+    pot = rand_potential(rng, 8, 20, scale=0.3)
+    bc = rand_bc(rng, 8)
+    stops = solver._breakpoints(pot, 0.0, pot.x_max)
+    free = sum(pot.piece_at(0.5 * (x0 + x1)) is None for x0, x1 in zip(stops, stops[1:]))
+    assert (len(stops) - 1, free) == (40, 20)
+    coefficients, entries = solver._coefficients, []
+
+    def spy(w, k, h):
+        out = coefficients(w, k, h)
+        entries.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(solver, "_coefficients", spy)
+    rows = hl.smatrix_grid(pot, bc, np.linspace(0.05, 10.0, 200))
+    monkeypatch.undo()
+    assert sum(entries) == 36_000
+    assert all("S" in row for row in rows)
+
+
+def _near_cap(rng, n, cond):
+    """A random complex n x n matrix with singular values 1, ..., 1, 1/cond."""
+    def unitary():
+        q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    s = np.ones(n)
+    s[-1] = 1.0 / cond
+    return unitary() @ np.diag(s) @ unitary()
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_condition_cap_refuses_as_np_linalg_cond(rng, n):
+    # _smatrix_stack decides cond(J) > COND_CAP from ||J||_F ||J^-1||_F, which
+    # lies in [cond, n cond], and takes np.linalg.cond only where that bound
+    # does not clear the cap.  Refusals and their messages are those of
+    # np.linalg.cond: on random matrices, on matrices within a part in 1e12
+    # of the cap (and below it by less than the factor sqrt(n - 1) by which
+    # their bound exceeds it), and with a singular one, for which inv raises.
+    from halfline.scattering import _capped_cond, _cond_error
+
+    cap = hl.scattering.COND_CAP
+    stacks = [rng.normal(size=(30, n, n)) + 1j * rng.normal(size=(30, n, n))]
+    if n > 1:
+        near = [f * cap for f in (1 - 1e-12, 1.0, 1 + 1e-12, 0.999, 1.001, 0.5, 2.0, 1e-3)]
+        stacks.append(np.array([_near_cap(rng, n, c) for c in near]))
+        singular = np.ones((n, n)) + 0j
+        stacks.append(np.concatenate([stacks[1], singular[None]]))
+    stacks.append(np.zeros((2, n, n), dtype=complex))  # singular for every n
+    refused = []
+    for J in stacks:
+        ks = np.linspace(0.5, 3.0, len(J))
+        want = [str(_cond_error(k, c)) for k, c in zip(ks, np.linalg.cond(J)) if c > cap]
+        got = [str(_cond_error(k, c)) for k, c in zip(ks, _capped_cond(J)) if c > cap]
+        assert got == want
+        refused.append(len(want))
+    assert refused[0] == 0 and refused[-1] == 2
+    if n > 1:  # 1.001 and 2 times the cap, and those within 1e-12 as roundoff has it
+        assert refused[1] >= 2 and refused[2] == refused[1] + 1
 
 
 def test_smatrix_stack_evaluates_j_once_per_distinct_k(rng, monkeypatch):
@@ -804,9 +871,9 @@ def test_jost_matrix_zero_catches_one_perturbed_leg(rng, monkeypatch):
     legs, step = solver._legs, solver._step
     runs, steps, target = [], [0], [None]
 
-    def recorded(pot_, k, value, deriv, stops):
+    def recorded(pot_, k, value, deriv, stops, *args):
         runs.append(stops)
-        return legs(pot_, k, value, deriv, stops)
+        return legs(pot_, k, value, deriv, stops, *args)
 
     def mutated(*args):
         value, deriv = step(*args)

@@ -864,6 +864,33 @@ def test_walk_states_have_the_bits_of_stepping_leg_by_leg(rng, monkeypatch, n, p
             assert got == [a.tobytes() for a in _leg_by_leg(pot, reps, start(reps), x)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_coefficients_are_even_in_k_and_odd_in_h(rng, n):
+    # A walk's table holds each leg's coefficients once per k^2, for h > 0:
+    # f(k, .), f(-k, .) and phi(k, .) all read them, and a backward leg
+    # negates s and g.  So on the 200-point grid, at every piece's
+    # eigenvalues and at w = 0, (c, s, omega^2) at -k* (as the f walk
+    # carries it) and at -h equal (c, s, omega^2) and (c, -s, omega^2) at k
+    # and h, bit for bit apart from the sign of a zero.
+    pot = rand_potential(rng, n, 20, scale=0.3)
+    k = np.linspace(0.05, 10.0, 200) + 0j
+    stops = solver._breakpoints(pot, 0.0, pot.x_max)
+
+    def bits(a):  # adding 0 maps -0.0 to 0.0 and keeps every other bit
+        return (a + 0).tobytes()
+
+    with np.errstate(all="ignore"):
+        for x0, x1 in zip(stops, stops[1:]):
+            i = pot.piece_at(0.5 * (x0 + x1))
+            h = np.asarray(x1 - x0)
+            for w in [np.zeros(1)] + ([] if i is None else [pot._eigs[i][0]]):
+                c, s, om2 = solver._coefficients(w, k, h)
+                for kk, hh, sign in ((-k.conj(), h, 1), (-k, h, 1), (k, -h, -1),
+                                     (-k.conj(), -h, -1)):
+                    got = solver._coefficients(w, kk, hh)
+                    assert [bits(a) for a in got] == [bits(c), bits(sign * s), bits(om2)]
+
+
 def test_propagation_keeps_only_a_few_states(rng):
     # A 400-k propagation across 20 pieces at n = 8 keeps the last state of
     # its run, not one per leg: its peak of traced memory stays below a few
