@@ -58,13 +58,14 @@ from .errors import JordanAmbiguityError, NumericalError, ValidationError
 from .scattering import (
     COND_CAP,
     SMatrixEvaluation,
+    _check_sizes,
     _cond_error,
     _first_error,
+    _jost_stack,
     _smatrix_stack,
-    jost_matrix,
     jost_matrix_zero,
 )
-from .solver import Potential, StateMatrix, _Walks, jost_solution
+from .solver import Potential, StateMatrix, _Walks
 
 __all__ = [
     "JordanData",
@@ -482,12 +483,14 @@ def z_of_k(
     P2: np.ndarray,
 ) -> np.ndarray:
     """Z(k) = P2 Sinv F(k) Smat P1 with F(k) the rescaled Jost matrix
-    f(0,a)' [f(-k*,a)']^(-1) J(k)."""
-    k = complex(k)
+    f(0,a)' [f(-k*,a)']^(-1) J(k), all read from one pair of walks."""
+    _check_sizes(pot, bc)
     a = pot.x_max if a is None else a
-    J = jost_matrix(pot, bc, k, a).J
-    f0 = jost_solution(pot, 0.0, a)
-    fm = jost_solution(pot, -k.conjugate(), a)
+    km = -complex(k).conjugate()
+    walks = _Walks(pot, bc, [0.0, km], [k], points=(0.0, a), every_stop=False)
+    (J,), errors, *_ = _jost_stack(pot, bc, [k], a, walks)
+    _first_error(errors)
+    f0, fm = walks.f(0.0, a), walks.f(km, a)
     F = f0.value.conj().T @ np.linalg.solve(fm.value.conj().T, J)
     return P2 @ jd.Sinv @ F @ jd.Smat @ P1
 

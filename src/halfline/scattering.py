@@ -20,17 +20,14 @@ Both are evaluated once, over a stack of k, for :func:`jost_matrix`,
 J is evaluated once per distinct value among the +k and -k of a stack, so
 S(k) and S(-k) asked for together share one pair; its x = 0 cross-check
 and its condition cap take SVDs only where Frobenius bounds leave them
-open.  Solutions are read from ``solver._Walks``: one backward walk of
-f(kappa, .) from the support edge and one forward walk of phi(k, .) from 0,
-each over the union of their k as one stack.  The grid walks f(-k, .) for
-every +k and -k, and phi(k, .), which is even in k, once per k^2: a
-200-point grid propagates 400 of the one and 200 of the other, both stacks
-read one table of step coefficients per k^2, and only the states at 0 and
-a are kept.  Every function here that reads walked solutions takes such a
-``walks`` (the zero-energy pipeline and ``verify`` pass theirs) and makes
-its own when given none.  A walk that overflows is dropped, and each
-reader then propagates on its own, so it fails exactly where it fails
-alone.
+open.  Solutions are read from ``solver._Walks``, the only read path: one
+backward walk of f(kappa, .) from the support edge and one forward walk of
+phi(k, .) from 0, each over the union of their k as one stack.  The grid
+walks f(-k, .) for every +k and -k, and phi(k, .), which is even in k,
+once per k^2, from one table of step coefficients per k^2, keeping the
+states at 0 and a.  A function here that reads walked solutions takes
+such a ``walks`` or makes walks of what it reads.  A solution that
+overflows fails where it is read; in a stack of S(k), its row alone.
 
 Every solution comes from the one exact propagator of :mod:`halfline.solver`;
 nothing here takes a solver setting.  A function that reads solutions at a
@@ -62,8 +59,10 @@ import numpy as np
 from .bc import BCPair
 from .errors import HalflineError, NumericalError, ValidationError
 from .solver import (
+    _OVERFLOW,
     Potential,
     StateMatrix,
+    _finite_rows,
     _integrate_weighted,
     _norm2_le,
     _Walks,
@@ -139,28 +138,31 @@ def jost_matrix(
 
 class _JostStack(NamedTuple):
     J: np.ndarray                           # J(k), read off at x = a
-    errors: List[Optional[NumericalError]]  # per k, the x = 0 cross-check's error or None
+    errors: List[Optional[NumericalError]]  # per k, its overflow or cross-check error, or None
     J0: np.ndarray                          # the same pairing read off at x = 0
     F0: StateMatrix                         # f(-k*, 0)
 
 
-def _jost_stack(pot, bc, ks, a, walks: Optional[_Walks] = None) -> _JostStack:
+def _jost_stack(pot, bc, ks, a, walks: Optional[_Walks] = None, check=True) -> _JostStack:
     """J(k) for a 1-D sequence of k with Im k >= 0, with its x = 0 reading
     and the state f(-k*, 0) that reading comes from.
 
     f(-k*, .) at a and at 0 and phi(k, .) at a are read from ``walks``, or
-    from walks kept at those points alone; a walk that fails raises for all.
+    from walks kept at those points alone.  A read that overflowed raises,
+    or with ``check=False`` gives its k the overflow error (J inf or NaN).
     """
     ks = np.asarray(ks, dtype=complex)
     km = -ks.conj()
     walks = walks or _Walks(pot, bc, km, ks, (0.0, a), every_stop=False)
-    F, F0 = walks.f(km, a), walks.f(km, 0.0)
-    J = wronskian(F, walks.phi(ks, a))
-    J0 = wronskian(F0, StateMatrix(0.0, bc.A, bc.B))  # phi(k, 0) = (A, B)
+    F, F0, phi = walks.f(km, a, check), walks.f(km, 0.0, check), walks.phi(ks, a, check)
+    with np.errstate(all="ignore"):  # an overflowed row pairs to inf or NaN
+        J = wronskian(F, phi)
+        J0 = wronskian(F0, StateMatrix._trusted(0.0, bc.A, bc.B))  # phi(k, 0) = (A, B)
+    finite = _finite_rows(F) & _finite_rows(F0) & _finite_rows(phi)
+    errors = [None if ok else NumericalError(_OVERFLOW) for ok in finite.tolist()]
     # The bound CROSSCHECK_TOL * max(||J||, 1) is at least CROSSCHECK_TOL, so
     # only the rows that do not clear that need both norms.
-    errors: List[Optional[NumericalError]] = [None] * len(ks)
-    (rows,) = np.nonzero(~_norm2_le(J - J0, CROSSCHECK_TOL))
+    rows = np.flatnonzero(finite)[~_norm2_le(J[finite] - J0[finite], CROSSCHECK_TOL)]
     diff = _norm2(J[rows] - J0[rows])
     for i, d, bound in zip(rows, diff, CROSSCHECK_TOL * np.maximum(_norm2(J[rows]), 1.0)):
         if d > bound:
@@ -188,12 +190,12 @@ def jost_matrix_zero(pot: Potential, bc: BCPair, walks: Optional[_Walks] = None)
     phi(0, .) along the growing zero-energy solution with data (x_max I, I)
     at x_max (the bounded one, f(0, .), has (I, 0) there).  Route (i) reads
     f(0, 0), routes (ii) and (iii) phi(0, .) at every interface, from
-    ``walks``: a caller's, or else one walk of phi(0, .) to x_max made here,
-    with f(0, 0) propagated on its own.  A wrong leg in either walk shows.
+    ``walks``: a caller's, or else a walk of f(0, .) down to 0 and one of
+    phi(0, .) up to x_max made here.  A wrong leg in either walk shows.
     """
     _check_sizes(pot, bc)
-    walks = walks or _Walks(pot, bc, ks=[0.0])
-    J_pairing = wronskian(walks.f(0.0, 0.0), StateMatrix(0.0, bc.A, bc.B))
+    walks = walks or _Walks(pot, bc, [0.0], [0.0], points=(0.0,))
+    J_pairing = wronskian(walks.f(0.0, 0.0), walks.phi(0.0, 0.0))
 
     (moment,) = _integrate_weighted(pot, 0.0, (lambda y: 1.0,),
                                     lambda lo, hi: walks.phi(0.0, lo))
@@ -255,26 +257,22 @@ def _smatrix_stack(pot, bc, ks: List[float], a, walks: Optional[_Walks] = None) 
     holds each distinct value among +k and -k once.
 
     Per k: the row ``{"k", "S", "unitarity_residual", "det_J_abs"}`` or the
-    HalflineError :func:`smatrix` raises there (k = 0, the x = 0 cross-check
-    of J(k), then of J(-k), the condition cap).  The solutions are read
-    from ``walks`` where they hold them.  A stacked walk that overflows is
-    redone one k at a time, so only the k that overflow fail.
+    HalflineError :func:`smatrix` raises there (k = 0, an overflow or the
+    x = 0 cross-check of J(k), then of J(-k), the condition cap), never one
+    for the whole stack.  Solutions are read from ``walks``, else walked here.
     """
     index = {}
     for k in [*ks, *(-k for k in ks)]:
         index.setdefault(k, len(index))
-    try:
-        J, pairing, *_ = _jost_stack(pot, bc, list(index), a, walks)
-    except NumericalError as exc:
-        if len(ks) > 1:
-            return [_smatrix_stack(pot, bc, [k], a, walks)[0] for k in ks]
-        return [ValidationError(_ZERO_K) if ks[0] == 0.0 else exc]
+    J, errors, *_ = _jost_stack(pot, bc, list(index), a, walks, check=False)
     plus, minus = [index[k] for k in ks], [index[-k] for k in ks]
     Jp, Jm = J[plus], J[minus]
-    cond = _capped_cond(Jp)
-    out = [ValidationError(_ZERO_K) if k == 0.0 else pairing[i] or pairing[j]
-           or (_cond_error(k, c) if c > COND_CAP else None)
-           for k, i, j, c in zip(ks, plus, minus, cond)]
+    out = [ValidationError(_ZERO_K) if k == 0.0 else errors[i] or errors[j]
+           for k, i, j in zip(ks, plus, minus)]
+    paired = [i for i, e in enumerate(out) if e is None]
+    for i, c in zip(paired, _capped_cond(Jp[paired])):
+        if c > COND_CAP:
+            out[i] = _cond_error(ks[i], c)
     ok = [i for i, e in enumerate(out) if e is None]
     S = np.linalg.solve(Jp[ok].swapaxes(-1, -2), -Jm[ok].swapaxes(-1, -2)).swapaxes(-1, -2)
     resid = _norm2(S.conj().swapaxes(-1, -2) @ S - np.eye(bc.n))
@@ -322,8 +320,8 @@ def smatrix_grid(
     ``{"k", "error"}`` with the "<ExcName>: <message>" that :func:`smatrix`
     raises at that k.  The evaluator behind both walks f(-k, .) for +k and
     -k of the whole grid as one stack and phi(k, .) once per k^2, from one
-    table of step coefficients per k^2, or each k alone when a stack
-    overflows, so only the overflowing rows fail.
+    table of step coefficients per k^2; a k whose solutions overflow fails
+    its row alone, and nothing is redone.
     """
     _check_sizes(pot, bc)
     ks = [float(k) for k in ks]
@@ -349,8 +347,9 @@ def p_matrix(
     """
     k = np.asarray(k, dtype=complex)
     a = pot.x_max if a is None else a
-    walks = walks or _Walks(pot, None)
-    f0, fk = _split(walks.f(np.append(0.0, k), a))
+    kappas = np.append(0.0, k)
+    walks = walks or _Walks(pot, None, kappas, points=(a,), every_stop=False)
+    f0, fk = _split(walks.f(kappas, a))
     P = wronskian(f0, fk)
     return P if k.ndim else P[0]
 
@@ -382,7 +381,7 @@ def log_derivative(
         raise ValidationError(f"unknown mode {mode!r}")
     k = np.asarray(k, dtype=complex)
     a = pot.x_max if a is None else a
-    f = (walks or _Walks(pot, None)).f(k, a)
+    f = (walks or _Walks(pot, None, k, points=(a,), every_stop=False)).f(k, a)
     denom = f.value if mode == "value" else f.deriv
     numer = f.deriv if mode == "value" else f.value
     for kj, c in zip(k.reshape(-1), np.atleast_1d(np.linalg.cond(denom))):
@@ -412,8 +411,9 @@ def jost_decomposition(
     _check_sizes(pot, bc)
     k = np.asarray(k, dtype=complex)
     a = pot.x_max if a is None else a
-    walks = walks or _Walks(pot, bc)
-    f0, fm = _split(walks.f(np.append(0.0, -k.conj()), a))
+    kappas = np.append(0.0, -k.conj())
+    walks = walks or _Walks(pot, bc, kappas, k, points=(a,), every_stop=False)
+    f0, fm = _split(walks.f(kappas, a))
     if np.linalg.cond(f0.value) > COND_CAP:
         raise NumericalError(f"f(0, {a:g}) is numerically singular; enlarge a")
     phi = walks.phi(k, a)

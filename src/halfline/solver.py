@@ -30,12 +30,14 @@ step holds it transposed, as rows psi^T, so each rotation into or out of
 V's eigenbasis is one 2-D product of all K n rows with a fixed n x n
 factor, and a stacked row keeps the bits of its scalar call (see _step).
 
-One kernel (``_legs``) steps a walk leg by leg: :func:`propagate` keeps its
-last state, and ``_Walks``, which crosses the support once per solution
+One kernel (``_legs``) steps a walk leg by leg, checking nothing: an
+overflowed solution stays inf or NaN.  :func:`propagate` keeps and checks
+its last state; ``_Walks``, which crosses the support once per solution
 family over a stack of k, keeps every stop (the zero-energy Jost routes, R
-and the moment quadrature read them) or only its points; its two walks read
-one ``_Table`` of step coefficients per k^2.  The quadrature (``_integrate_weighted``)
-sums step coefficients over its nodes in V's eigenbasis and forms no node state.
+and the moment quadrature read them) or only its points, reads one
+``_Table`` of step coefficients per k^2 and checks what it hands out.  The
+quadrature (``_integrate_weighted``) sums step coefficients over its nodes
+in V's eigenbasis and forms no node state.
 """
 
 from __future__ import annotations
@@ -226,7 +228,8 @@ def _step(eig, c, s, g, value, deriv):
     times s (see :func:`_coefficients`), of stack shape S, () or (m,), plus
     an eigen axis; ``value``, ``deriv`` and the result are (n, n) or S + (n, n).
     ``eig`` is the piece's (w, Q^T, conj Q), or None on free territory (no
-    rotation, an eigen axis of length 1).  Raises NumericalError on overflow.
+    rotation, an eigen axis of length 1).  Nothing is checked: a row that
+    overflows comes out inf or NaN, and any later step keeps it so.
 
     The state is held transposed for the length of the step, as rows: psi^T
     is (..., n, n) with one row per column of psi, and Q' psi is
@@ -251,8 +254,6 @@ def _step(eig, c, s, g, value, deriv):
         new_d += c * rows_d
         if QT is not None:
             new_v, new_d = _rotate(new_v, QT, rows_v), _rotate(new_d, QT, rows_d)
-    if not (np.isfinite(new_v).all() and np.isfinite(new_d).all()):
-        raise NumericalError(_OVERFLOW)
     return new_v.swapaxes(-1, -2), new_d.swapaxes(-1, -2)
 
 
@@ -348,7 +349,8 @@ def _legs(pot: Potential, k, value, deriv, stops, coefs=None):
     :func:`_step` from its coefficients in ``coefs`` (a :meth:`_Table.read`)
     or else from :func:`_leg_coefficients`.  A coefficient depends on its
     k^2, w and h alone, so every state has the value of stepping its legs
-    one at a time, and without ``coefs`` its bits."""
+    one at a time, and without ``coefs`` its bits; a row that overflows
+    does not stop the others."""
     legs = [(pot.piece_at(0.5 * (x0 + x1)), x1 - x0, x1) for x0, x1 in zip(stops, stops[1:])]
     for (idx, _, x), (c, s, g) in zip(legs, coefs or _leg_coefficients(pot, k, legs)):
         value, deriv = _step(None if idx is None else pot._eigs[idx], c, s, g, value, deriv)
@@ -362,6 +364,7 @@ def propagate(pot: Potential, k, state: StateMatrix, x_target: float) -> StateMa
     segment by segment; segments never straddle a piece interface.  ``k``
     may be a 1-D array of K values: the result then holds (K, n, n) stacks,
     one solution per k, and ``state`` may be one start or such a stack.
+    Raises NumericalError if a solution overflowed: it ends inf or NaN.
     """
     if x_target < 0:
         raise ValidationError("x_target must be >= 0")
@@ -372,9 +375,15 @@ def propagate(pot: Potential, k, state: StateMatrix, x_target: float) -> StateMa
     pts = _breakpoints(pot, state.x, x_target)
     if len(pts) == 1:  # no step: a checked copy
         return StateMatrix(x=x_target, value=value, deriv=deriv)
-    for state in _legs(pot, k, value, deriv, pts):  # fresh arrays _step found finite
+    for state in _legs(pot, k, value, deriv, pts):  # fresh arrays of the steps
         pass  # only the last state is kept
+    if not _finite_rows(state).all():
+        raise NumericalError(_OVERFLOW)
     return state
+
+
+def _finite_rows(state: StateMatrix) -> np.ndarray:  # per solution of a state, or for the one
+    return np.isfinite(state.value).all(axis=(-2, -1)) & np.isfinite(state.deriv).all(axis=(-2, -1))
 
 
 def _k_keys(k) -> list:
@@ -403,87 +412,75 @@ class _Walks:
 
     The backward walk carries f(kappa, .) for a stack of kappa from the
     support edge down to min(x_max, points), the forward walk phi(k, .) for
-    a stack of k from 0 up to max(x_max, points).  A walk stops at its
-    start, at every piece interface strictly inside it and at its end, and
-    keeps its state there; with ``every_stop=False`` only at its points,
-    and phi goes no further than max(points).  :func:`_legs` steps the legs
-    between from one :class:`_Table` for both walks.  A point strictly
-    inside a leg is reached by a side leg, one :func:`propagate` call from
-    the stop before it, however often it is listed; the main walk is not
-    split there.  Points off a walk (above x_max, for the f walk) are
-    ignored, and a walk without a leg is not made.
+    a stack of k from 0 up to max(x_max, points) (max(points) if not
+    ``every_stop``).  :func:`_legs` steps both from one :class:`_Table`;
+    each keeps its start, every interface and its end (only its points if
+    not ``every_stop``); a point inside a leg is one side leg off the walk.
 
-    A read equals what :func:`jost_solution` or :func:`regular_solution`
-    gives: a slice of a walk that holds its k and its point, or else a
-    propagation of its own.  f is held per k matched bit for bit (so -0.0 is
-    not 0.0), phi once per k^2 (so phi(-k, .) is the row of phi(k, .)).  A
-    walk that overflows is not kept, so the reads it would have served
-    propagate on their own and fail where they fail alone.
-    ``_Walks(pot, bc)`` holds no walk: every read propagates.
+    They are the only read path: a read is a slice of a walk, bit for bit
+    what :func:`jost_solution` or :func:`regular_solution` gives (f beyond
+    the support is its closed form); a k or point not held raises KeyError.
+    f is held per k bit for bit (-0.0 is not 0.0), phi once per k^2.  A row
+    that overflowed raises the overflow error where its own propagation
+    would, unless read with ``check=False``.
     """
 
     def __init__(self, pot, bc, kappas=(), ks=(), points=(), every_stop=True):
-        self.pot, self.bc = pot, bc
-        if bc is None or bc.n != pot.n:  # phi reads raise as they do alone
-            ks = ()
+        self.pot = pot
         runs = [_breakpoints(pot, pot.x_max, min([pot.x_max, *points])),
                 _breakpoints(pot, 0.0, max([pot.x_max] * every_stop + [*points], default=0.0))]
         f, phi = ((keys, *_distinct(k, keys(k))) for keys, k in (  # the distinct k of each walk
-            (_k_keys, np.asarray(kappas if len(runs[0]) > 1 else (), dtype=complex).reshape(-1)),
-            (_square_keys, np.asarray(ks if len(runs[1]) > 1 else (), dtype=complex).reshape(-1))))
+            (_k_keys, np.asarray(kappas, dtype=complex).reshape(-1)),
+            (_square_keys, np.asarray(ks, dtype=complex).reshape(-1))))
         walked, m = [run for run, walk in zip(runs, (f, phi)) if walk[1].size], len(phi[1])
         table = walked and _Table(pot, np.concatenate([phi[1], f[1]]), walked)
         self._f = self._walk(*f, lambda k: jost_solution(pot, k, pot.x_max), runs[0], points,
                              table and table.read(table.rows[m:], runs[0]), every_stop)
-        self._phi = self._walk(*phi, lambda k: StateMatrix(0.0, bc.A, bc.B), runs[1], points,
-                               table and table.read(slice(m), runs[1]), every_stop)
+        self._phi = self._walk(*phi, lambda k: StateMatrix._trusted(  # BCPair checked (A, B)
+            0.0, *(np.broadcast_to(M, k.shape + M.shape) for M in (bc.A, bc.B))),
+            runs[1], points, table and table.read(slice(m), runs[1]), every_stop)
 
     def _walk(self, keys, ks, index, start, walk, points, coefs, every_stop):
         """(keys, row index, states by stop and point) of one walk of the
-        distinct ks from ``start(ks)`` through the stops ``walk``, with the
-        step coefficients ``coefs``, or None if there is no k or it overflows."""
+        distinct ks from ``start(ks)`` through the stops ``walk``, by ``coefs``."""
+        states, sides = {}, {float(x) for x in points}
         if not ks.size:
-            return None
-        pot = self.pot
-        sides, states = {float(x) for x in points}, {}
-        try:
-            prev = propagate(pot, ks, start(ks), walk[0])  # one checked start per k
-            legs = _legs(pot, ks, prev.value, prev.deriv, walk, coefs)
-            for state in itertools.chain([prev], legs):
-                for side in sides:
-                    if min(prev.x, state.x) < side < max(prev.x, state.x):
-                        states[side] = propagate(pot, ks, prev, side)
-                if every_stop or state.x in sides:
-                    states[state.x] = state
-                prev = state
-        except NumericalError:
-            return None
+            return keys, index, states
+        prev = start(ks)
+        legs = _legs(self.pot, ks, prev.value, prev.deriv, walk, coefs)
+        for state in itertools.chain([prev], legs):
+            for side in sides:
+                if min(prev.x, state.x) < side < max(prev.x, state.x):
+                    (states[side],) = _legs(self.pot, ks, prev.value, prev.deriv, [prev.x, side])
+            if every_stop or state.x in sides:
+                states[state.x] = state
+            prev = state
         return keys, index, states
 
     @staticmethod
-    def _read(held, k, x) -> Optional[StateMatrix]:
-        """k (a scalar or 1-D) at x, sliced from a held walk that holds
-        every k and x, else None."""
-        if held is None or x not in held[2]:
-            return None
+    def _read(held, k, x, check) -> StateMatrix:
+        """k (a scalar or 1-D) at x, sliced from a held walk."""
         keys, index, states = held
-        rows = list(map(index.get, keys(k)))
-        if None in rows:
-            return None
+        rows = [index.get(key) for key in keys(k)]
+        if x not in states or None in rows:
+            raise KeyError(f"no walk holds k = {k} at x = {x}")
         s = states[x]
-        if rows == list(range(len(index))) and np.ndim(k):
-            return s  # the whole walk, in order
-        rows = rows if np.ndim(k) else rows[0]
-        return StateMatrix._trusted(s.x, s.value[rows], s.deriv[rows])
+        if not (np.ndim(k) and rows == list(range(len(index)))):  # else the whole walk
+            rows = rows if np.ndim(k) else rows[0]
+            s = StateMatrix._trusted(s.x, s.value[rows], s.deriv[rows])
+        if check and not _finite_rows(s).all():
+            raise NumericalError(_OVERFLOW)
+        return s
 
-    def f(self, kappa, x) -> StateMatrix:
+    def f(self, kappa, x, check=True) -> StateMatrix:
         """f(kappa, x), as :func:`jost_solution` gives it."""
-        return self._read(self._f, kappa, x) or jost_solution(self.pot, kappa, x)
+        if x > self.pot.x_max:  # the closed form
+            return jost_solution(self.pot, kappa, x)
+        return self._read(self._f, kappa, x, check)
 
-    def phi(self, k, x) -> StateMatrix:
+    def phi(self, k, x, check=True) -> StateMatrix:
         """phi(k, x), as :func:`regular_solution` gives it."""
-        return (self._read(self._phi, k, x)
-                or regular_solution(self.pot, self.bc, k, x))
+        return self._read(self._phi, k, x, check)
 
 
 def jost_solution(pot: Potential, k, x: float) -> StateMatrix:

@@ -11,11 +11,10 @@ one forward walk of phi(k, .) from 0 to max(x_max, 1, a), each over the
 union of the k the checks need and each keeping its state at every
 interface and at x1 = max(x_max, 1) and a (``solver._Walks``).  Each
 check reads single states from them, or passes them on to the function it
-calls.  A read is bit for bit the state a check's own propagation gives, so the
-records do not depend on the sharing.  A walk that overflows is dropped,
-and each check then propagates on its own and fails or passes as it does
-alone.  J(0) is computed once, for the zero-energy cross-check and the
-pipeline.
+calls.  A read is bit for bit the state a check's own propagation gives, or
+raises the overflow error it raises, so each check fails or passes as it
+does alone.  J(0) is computed once, for the zero-energy cross-check and
+the pipeline.
 """
 
 from __future__ import annotations

@@ -267,23 +267,32 @@ def test_log_derivative_stack_raises_for_the_first_singular_k(rng, monkeypatch):
     assert str(stacked.value) == str(scalar.value)
 
 
-def test_walks_read_what_direct_calls_give(rng, monkeypatch):
-    # Held k and points are sliced from the two walks; a k or a point the
-    # walks do not hold, such as -0.0 beside 0.0, is propagated on its own.
-    from halfline import solver
+def _walks_of_three_k(rng):
+    """Walks of f(k, .) for k in {0, -0.7, 0.3} and of phi(k, .) for k in
+    {0, 0.7, 2 + 0.5i} across 20 pieces, held at 0, at a point a inside a
+    piece and at x1 beyond the support, with (pot, bc, a, x1)."""
     from halfline.solver import _Walks
 
     pot = rand_potential(rng, 2, 20, scale=0.3)
     bc = rand_bc(rng, 2)
     lo, hi, _ = pot.pieces[5]
     a, x1 = lo + 0.3 * (hi - lo), pot.x_max + 1.0
-    walks = _Walks(pot, bc, [0.0, -0.7, 0.3], [0.0, 0.7, 2.0 + 0.5j],
-                   points=(0.0, a, x1))
-    direct = {walks.f: hl.jost_solution,
-              walks.phi: lambda pot, k, x: hl.regular_solution(pot, bc, k, x)}
-    for read, call in direct.items():
-        for k in (0.0, -0.0, 0.7, [0.0, -0.7], [0.3, 1.1]):
-            for x in (0.0, a, pot.pieces[3][1], pot.x_max, x1, a + 0.01):
+    walks = _Walks(pot, bc, [0.0, -0.7, 0.3], [0.0, 0.7, 2.0 + 0.5j], points=(0.0, a, x1))
+    return walks, pot, bc, a, x1
+
+
+def test_walks_read_what_direct_calls_give(rng, monkeypatch):
+    # Held k and points are sliced from the two walks, bit for bit what the
+    # direct calls give, and f beyond the support is its closed form.
+    from halfline import solver
+
+    walks, pot, bc, a, x1 = _walks_of_three_k(rng)
+    direct = {walks.f: (hl.jost_solution, (0.0, -0.7, [0.0, -0.7], [0.3, -0.7, 0.3])),
+              walks.phi: (lambda pot, k, x: hl.regular_solution(pot, bc, k, x),
+                          (0.0, -0.0, 0.7, -0.7, [0.0, -0.7], [-2.0 - 0.5j, 0.7]))}
+    for read, (call, ks) in direct.items():
+        for k in ks:
+            for x in (0.0, a, pot.pieces[3][1], pot.x_max, x1):
                 got, ref = read(k, x), call(pot, k, x)
                 assert got.x == ref.x
                 assert got.value.tobytes() == ref.value.tobytes()  # signed zeros too
@@ -301,6 +310,27 @@ def test_walks_read_what_direct_calls_give(rng, monkeypatch):
         assert st.x == x
         assert st.value.tobytes() == ref.value.tobytes()
         assert st.deriv.tobytes() == ref.deriv.tobytes()
+
+
+def test_walks_refuse_a_k_or_point_they_do_not_hold(rng, monkeypatch):
+    # A read the walks do not hold is a bug of its caller: it raises
+    # KeyError and propagates nothing.  f(-0.0, .) is not f(0.0, .), 1.1 was
+    # never walked, a + 0.01 is no stop, and phi ends at x1.
+    from halfline import solver
+
+    walks, pot, bc, a, x1 = _walks_of_three_k(rng)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a read propagated on its own")
+
+    for name in ("propagate", "regular_solution"):
+        monkeypatch.setattr(solver, name, forbidden)
+    for read, k, x in ((walks.f, -0.0, 0.0), (walks.f, [0.3, 1.1], a), (walks.f, 0.0, a + 0.01),
+                       (walks.phi, 1.1, 0.0), (walks.phi, [0.0, 1.1], a),
+                       (walks.phi, 0.7, a + 0.01), (walks.phi, 0.7, x1 + 1.0)):
+        with pytest.raises(KeyError, match="no walk holds"):
+            read(k, x)
+    assert walks.f(0.0, x1 + 1.0).x == x1 + 1.0  # f beyond the support: its closed form
 
 
 def test_walks_read_slices_without_a_second_check(rng, monkeypatch):
@@ -432,9 +462,9 @@ def test_smatrix_stack_evaluates_j_once_per_distinct_k(rng, monkeypatch):
     jost_stack = hl.scattering._jost_stack
     sizes = []
 
-    def spy(pot_, bc_, ks, *args):
+    def spy(pot_, bc_, ks, *args, **kwargs):
         sizes.append(len(ks))
-        return jost_stack(pot_, bc_, ks, *args)
+        return jost_stack(pot_, bc_, ks, *args, **kwargs)
 
     monkeypatch.setattr(hl.scattering, "_jost_stack", spy)
     rows = hl.scattering._smatrix_stack(pot, bc, pm, pot.x_max)
@@ -444,18 +474,44 @@ def test_smatrix_stack_evaluates_j_once_per_distinct_k(rng, monkeypatch):
         _assert_same_row(row, _ref_row(pot, bc, k, None))
 
 
-def test_walks_drop_an_overflowing_walk():
+def test_walks_keep_an_overflowing_walk():
     # Below the barrier top the width-20 barrier overflows one exact step:
-    # a read at k = 1 raises as the direct call does, a read at k = 50 works.
+    # the walks keep the k = 1 row, inf or NaN, a read at k = 1 raises as
+    # the direct call does, and a read at k = 50 works, also at a side point.
     from halfline.solver import _Walks
 
     pot = hl.Potential(n=1, pieces=((0.0, 20.0, np.array([[2000.0]])),))
     bc = hl.neumann(1)
-    walks = _Walks(pot, bc, [1.0, 50.0], [1.0, 50.0], points=(0.0,))
-    for read in (walks.f, walks.phi):
-        with pytest.raises(NumericalError, match="overflows"):
-            read(1.0, 0.0 if read == walks.f else 20.0)
+    walks = _Walks(pot, bc, [1.0, 50.0], [1.0, 50.0], points=(0.0, 10.0))
+    for read, direct, x in ((walks.f, hl.jost_solution, 0.0),
+                            (walks.phi, lambda pot, k, x: hl.regular_solution(pot, bc, k, x), 20.0)):
+        for call in (lambda k, x: read(k, x), lambda k, x: direct(pot, k, x)):
+            with pytest.raises(NumericalError, match="overflows"):
+                call(1.0, x)
         assert read(50.0, 10.0).x == 10.0
+        held = read([1.0, 50.0], x, check=False)
+        assert not np.isfinite(held.value[0]).all() and np.isfinite(held.value[1]).all()
+
+
+def test_overflowing_grid_builds_one_pair_of_walks(monkeypatch):
+    # A 200-point grid across the top of the width-20 barrier: the k where
+    # one exact step overflows fail their rows alone, the others carry S,
+    # every row equals its k evaluated on its own, and the grid builds one
+    # pair of walks; nothing is redone one k at a time.
+    from halfline import scattering
+
+    pot = hl.Potential(n=1, pieces=((0.0, 20.0, np.array([[2000.0]])),))
+    bc = hl.neumann(1)
+    grid = np.linspace(1.0, 60.0, 200)
+    walks, built = scattering._Walks, []
+    monkeypatch.setattr(scattering, "_Walks", lambda *args, **kw: built.append(args) or walks(*args, **kw))
+    rows = hl.smatrix_grid(pot, bc, grid)
+    monkeypatch.undo()
+    assert len(built) == 1
+    failed = [row["k"] for row in rows if "error" in row]
+    assert failed and failed == list(grid[:len(failed)]) and "S" in rows[-1]
+    for k, row in zip(grid, rows):
+        _assert_same_row(row, _ref_row(pot, bc, k, None))
 
 
 def test_jost_decomposition_sums_to_jost(rng):
@@ -860,8 +916,8 @@ def test_step_counts_grow_linearly_with_pieces(rng, monkeypatch):
 
 
 def test_jost_matrix_zero_catches_one_perturbed_leg(rng, monkeypatch):
-    # Routes (ii) and (iii) read phi(0, .) from one walk, but route (i)
-    # propagates f(0, .) on its own: a wrong leg in either is caught.  A leg
+    # Routes (ii) and (iii) read phi(0, .) from one walk, route (i) f(0, 0)
+    # from a walk of its own: a wrong leg in either is caught.  A leg
     # is perturbed where the walk kernel steps it, so that every later stop
     # of its run inherits the error.
     from halfline import solver

@@ -441,8 +441,8 @@ def test_propagate_rejects_negative_target():
 
 def test_analytic_propagation_returns_its_steps_read_only(rng):
     # An analytic propagation hands back its last step's fresh arrays without
-    # the check and copy of StateMatrix (each step already refuses non-finite
-    # values): read-only, with the bits and strides that checked copy has.
+    # the check and copy of StateMatrix (it checks only that its end state
+    # is finite): read-only, with the bits and strides that checked copy has.
     # A propagation without steps still checks and copies its start.
     pot = rand_potential(rng, 2, 3)
     value, deriv = _random_states(rng, 4, 2)
@@ -569,8 +569,10 @@ def test_step_tracks_the_per_k_reference(rng, n):
 @pytest.mark.parametrize("n", [1, 2, 8])
 def test_step_overflows_where_the_reference_does(rng, n):
     # A barrier deep enough that the step overflows for small k and not for
-    # large k: each k alone raises exactly where the reference raises, with
-    # the same text, and a stack raises when any of its rows does.
+    # large k.  The step checks nothing: each k alone comes out inf or NaN
+    # exactly where the reference raises, and a propagation over that one
+    # step, which checks its end state, raises there with the same text; a
+    # stack raises when any of its rows does.
     barrier = 1e6 * np.eye(n) + rand_potential(rng, n, 1).pieces[0][2]
     pot = hl.Potential(n=n, pieces=((0.0, 1.0, barrier),))
     V, eig = pot.pieces[0][2], pot._eigs[0]
@@ -579,17 +581,55 @@ def test_step_overflows_where_the_reference_does(rng, n):
     raised = []
     for kj in np.linspace(0.0, 300.0, 61) + 0j:
         outcomes = []
-        for step, piece in ((_step, eig), (_reference_step, V)):
+        for run in (lambda: _reference_step(V, kj, h, v[0], d[0]),
+                    lambda: hl.propagate(pot, kj, hl.StateMatrix(0.0, v[0], d[0]), h)):
             try:
-                step(piece, kj, h, v[0], d[0])
+                run()
                 outcomes.append(None)
             except NumericalError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
+        finite = all(np.isfinite(a).all() for a in _step(eig, kj, h, v[0], d[0]))
+        assert finite == (outcomes[0] is None)
         raised.append(outcomes[0] is not None)
     assert any(raised) and not all(raised)
     with pytest.raises(NumericalError, match="overflows within one exact step"):
-        _step(eig, np.array([300.0, 0.0]) + 0j, h, *_random_states(rng, 2, n))
+        hl.propagate(pot, np.array([300.0, 0.0]) + 0j,
+                     hl.StateMatrix(0.0, *_random_states(rng, 2, n)), h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_an_overflowed_row_stays_non_finite_on_every_later_leg(rng, n):
+    # Two barriers among ordinary pieces overflow for the smaller k of a
+    # 41-k stack, with legs still to go on either side.  In both walks a row
+    # that is inf or NaN at a stop stays so at every later stop, and at every
+    # stop each row is bit for bit what a propagation of its own gives, or
+    # is not finite where that propagation raises the step's overflow error.
+    eye = np.eye(n)
+    small = [rand_potential(rng, n, 1, scale=0.3).pieces[0][2] for _ in range(3)]
+    pot = hl.Potential(n=n, pieces=(
+        (0.0, 1.0, small[0]), (1.5, 9.5, 8000.0 * eye), (10.0, 11.0, small[1]),
+        (11.5, 31.5, 2000.0 * eye + small[2]), (32.0, 33.0, small[0])))
+    bc = rand_bc(rng, n)
+    k = np.linspace(0.0, 60.0, 41) + 0j
+    walks = solver._Walks(pot, bc, k, k, points=(0.0,))
+    for read, alone, x0, x1 in ((walks.f, lambda kj, x: hl.jost_solution(pot, kj, x), 33.0, 0.0),
+                                (walks.phi, lambda kj, x: hl.regular_solution(pot, bc, kj, x),
+                                 0.0, 33.0)):
+        stops = solver._breakpoints(pot, x0, x1)
+        finite = np.array([solver._finite_rows(read(k, x, check=False)) for x in stops])
+        assert not (finite[1:] & ~finite[:-1]).any()
+        assert finite[-1].any() and not finite[-1].all()
+        for x, row_ok in zip(stops, finite):
+            for kj, ok in zip(k, row_ok):
+                got = read(kj, x, check=False)
+                try:
+                    ref = alone(kj, x)
+                except NumericalError as exc:
+                    assert str(exc) == solver._OVERFLOW and not ok
+                    continue
+                assert ok and got.value.tobytes() == ref.value.tobytes()
+                assert got.deriv.tobytes() == ref.deriv.tobytes()
 
 
 def _exact_nodes(pot, eig, edge, ys):
@@ -806,13 +846,13 @@ def test_walk_takes_a_point_listed_twice_once(rng, monkeypatch):
     bc = rand_bc(rng, 2)
     lo, hi, _ = pot.pieces[2]
     a = 0.5 * (lo + hi)
-    propagate, targets = solver.propagate, []
+    legs, targets = solver._legs, []
 
-    def spy(pot_, k, state, x, *args):
-        targets.append(x)
-        return propagate(pot_, k, state, x, *args)
+    def spy(pot_, k, value, deriv, stops, *args):
+        targets.append(stops[-1])
+        return legs(pot_, k, value, deriv, stops, *args)
 
-    monkeypatch.setattr(solver, "propagate", spy)
+    monkeypatch.setattr(solver, "_legs", spy)
     walks = solver._Walks(pot, bc, [0.0, 0.7], [0.0, 0.7], points=(0.0, a, a))
     monkeypatch.undo()
     assert targets.count(a) == 2  # one side leg of f, one of phi
@@ -915,7 +955,8 @@ def test_overflow_mid_walk_raises_the_step_error(rng, n):
     # A deep barrier between ordinary pieces overflows in the middle of a
     # run, with legs still to go on either side: the propagation raises the
     # overflow error of a step, without warnings, and a walk across it is
-    # dropped, so each read raises that error on its own.
+    # kept, its rows inf or NaN from the barrier on, so each read of them
+    # raises that error.
     barrier = 2000.0 * np.eye(n)
     pieces = (rand_potential(rng, n, 1).pieces[0][:2], (2.0, 22.0), (22.5, 23.0))
     pot = hl.Potential(n=n, pieces=tuple(
@@ -932,7 +973,8 @@ def test_overflow_mid_walk_raises_the_step_error(rng, n):
             with pytest.raises(NumericalError) as caught:
                 run()
             assert str(caught.value) == solver._OVERFLOW
-    assert walks._f is None and walks._phi is None
+    for read, x in ((walks.f, 0.0), (walks.phi, pot.x_max)):
+        assert not solver._finite_rows(read(k, x, check=False)).any()
 
 
 def _piece_at_scan(pot, x):

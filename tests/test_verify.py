@@ -5,14 +5,13 @@ give every check its own propagations.
 checks read their solutions from two shared walks: each check walks what it
 needs itself.  ``_reference_pipeline`` is the numeric branch of
 ``zero_energy_pipeline`` as it stood then.  A slice of a shared walk is bit
-for bit the state a check's own propagation gives, and a shared walk that
-overflows leaves each check to its own walks, so records, S(0) and the
-probes must be equal, failures and their texts included.
+for bit the state a check's own propagation gives, and a read of a row that
+overflowed raises the error that propagation raises, so records, S(0) and
+the probes must be equal, failures and their texts included.
 """
 
 import functools
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -209,8 +208,9 @@ def test_verify_records_equal_reference(rng, n, pieces, where):
 def test_verify_overflowing_walk_fails_as_the_reference(a):
     a = None if a == "auto" else a
     # V = 25 on [0, 150]: the k = 0 walk grows like exp(750) and overflows,
-    # so do k = 0.3 and 0.9; k = 3.1 and 4.9 do not.  The shared walks are
-    # dropped and every check fails or passes as on its own walks.
+    # so do k = 0.3 and 0.9; k = 3.1 and 4.9 do not.  The shared walks keep
+    # those rows inf or NaN, and every check fails or passes as on its own
+    # walks.
     pot = hl.Potential(n=1, pieces=((0.0, 150.0, np.array([[25.0]])),))
     bc = hl.from_angles([2.0])
     job = JobConfig(bc=bc, potential=pot, a=a)
@@ -224,23 +224,22 @@ def test_verify_overflowing_walk_fails_as_the_reference(a):
 @pytest.mark.parametrize("where", ["auto", "inside", "short", "far"])
 @pytest.mark.parametrize("n", [1, 2, 8])
 def test_every_propagation_is_a_walk_leg(rng, monkeypatch, n, where):
-    # verify and the pipeline read every k and point from their two walks:
-    # a k or a point missing from the walks' lists would propagate on its own.
+    # verify and the pipeline read every k and point from their two walks,
+    # which step with the walk kernel alone: nothing calls propagate, and a
+    # k or a point missing from the walks' lists would raise KeyError.
     from halfline import solver
 
     job = _config(rng, n, 20, where)
-    propagate, outside = solver.propagate, []
+    propagate, calls = solver.propagate, []
 
     def traced(pot, k, state, x, *args):
-        caller = sys._getframe(1).f_code
-        if caller is not solver._Walks._walk.__code__:
-            outside.append((caller.co_name, np.asarray(k).tolist(), state.x, x))
+        calls.append((np.asarray(k).tolist(), state.x, x))
         return propagate(pot, k, state, x, *args)
 
     monkeypatch.setattr(solver, "propagate", traced)
     run_property_checks(job)
     hl.zero_energy_pipeline(job.potential, job.bc, job.a, "numeric")
-    assert outside == []
+    assert calls == []
 
 
 def test_verify_computes_j0_once(rng, monkeypatch):
