@@ -106,7 +106,8 @@ class BCPair:
         ``normalized``; records how the pair was produced.
     E : ndarray, optional
         The positive square root of A'A + B'B, cached when known
-        (I for normalized pairs).
+        (I for normalized pairs); an E that is not Hermitian with
+        E^2 = A'A + B'B (relative to EPS_CHECK) is refused.
     """
 
     n: int
@@ -127,7 +128,13 @@ class BCPair:
         object.__setattr__(self, "A", _frozen(A))
         object.__setattr__(self, "B", _frozen(B))
         if self.E is not None:
-            object.__setattr__(self, "E", _frozen(_as_matrix(self.E, "E")))
+            E = _as_matrix(self.E, "E")
+            gram = A.conj().T @ A + B.conj().T @ B
+            tol = EPS_CHECK * max(1.0, np.linalg.norm(gram, 2))
+            if (E.shape != A.shape or np.linalg.norm(E - E.conj().T, 2) > tol
+                    or np.linalg.norm(E @ E - gram, 2) > tol):
+                raise ValidationError("E is not a Hermitian square root of A'A + B'B")
+            object.__setattr__(self, "E", _frozen(E))
 
 
 @dataclass(frozen=True)
@@ -368,11 +375,19 @@ def complex_matrix_to_json(m) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
 
 
+def number_from_json(x) -> float:
+    """float(x) for a JSON number; a string raises TypeError, where float()
+    would read "0.5" as a number."""
+    if isinstance(x, str):
+        raise TypeError(f"expected a number, got the string {x!r}")
+    return float(x)
+
+
 def complex_matrix_from_json(data, name: str = "matrix") -> np.ndarray:
     try:
         rows = []
-        for row in data:
-            rows.append([complex(float(z[0]), float(z[1])) for z in row])
+        for row in data:  # complex(re, im) refuses strings, which float() would read
+            rows.append([complex(z[0], z[1]) for z in row])
         a = np.array(rows, dtype=complex)
     except (TypeError, ValueError, IndexError) as exc:
         raise ValidationError(f"{name}: expected [[[re, im], ...], ...]") from exc
@@ -402,7 +417,10 @@ def bc_from_json(data: dict, path: str = "bc") -> BCPair:
         extra = set(data) - {"angles"}
         if extra:
             raise ValidationError(f"{path}: unknown keys {sorted(extra)}")
-        return from_angles(data["angles"])
+        angles = data["angles"]
+        if isinstance(angles, list) and any(isinstance(t, str) for t in angles):
+            raise ValidationError(f"{path}.angles: each angle must be a number")
+        return from_angles(angles)
     if "U" in data:
         extra = set(data) - {"U", "convention"}
         if extra:

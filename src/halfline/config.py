@@ -17,8 +17,9 @@ per piece and takes no settings, so there is no tolerance block: a
 
 Unknown keys are rejected with the offending field path, and so is any
 number that is not finite (the non-standard JSON tokens NaN, Infinity and
--Infinity, or a literal such as 1e999 that overflows a float) and any true
-or false: no field is boolean, and Python would read them as 1 and 0.
+-Infinity, or a literal such as 1e999 that overflows a float), any true
+or false (no field is boolean, and Python would read them as 1 and 0) and
+any string where a number belongs ("0.5", which float() would read).
 Sweep grids must start at k_min > 0: the zero-energy point is served by the
 dedicated zero-energy command, not by grid evaluation.
 """
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from .bc import BCPair, bc_from_json
+from .bc import BCPair, bc_from_json, number_from_json
 from .errors import ValidationError
 from .solver import Potential, free_potential, potential_from_json
 
@@ -145,7 +146,7 @@ def parse_config(text) -> JobConfig:
         if (not isinstance(raw, (list, tuple))) or len(raw) != 3:
             raise ValidationError("config.kgrid: expected [k_min, k_max, steps]")
         try:
-            k_min, k_max = float(raw[0]), float(raw[1])
+            k_min, k_max = number_from_json(raw[0]), number_from_json(raw[1])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("config.kgrid: k_min/k_max must be numbers") from exc
         if not (math.isfinite(k_min) and math.isfinite(k_max)):
@@ -167,7 +168,7 @@ def parse_config(text) -> JobConfig:
         a = None
     else:
         try:
-            a = float(a)
+            a = number_from_json(a)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("config.a_choice: 'auto' or a number") from exc
         if not 0 <= a < math.inf:

@@ -62,10 +62,11 @@ from .scattering import (
     _cond_error,
     _first_error,
     _jost_stack,
+    _r_matrix,
     _smatrix_stack,
     jost_matrix_zero,
 )
-from .solver import Potential, StateMatrix, _Walks
+from .solver import Potential, _Walks
 
 __all__ = [
     "JordanData",
@@ -430,14 +431,6 @@ def _perm_gathers(chains, n: int) -> Tuple[List[int], List[int]]:
 # Pipeline pieces.
 # ---------------------------------------------------------------------------
 
-def _r_matrix(f0: StateMatrix, phi: StateMatrix) -> np.ndarray:
-    """R = f(0, a)^(-1) phi(0, a), the slope of the rescaled Jost matrix,
-    from the states f(0, a) and phi(0, a).  At a = x_max, f(0, a) = I."""
-    if np.linalg.cond(f0.value) > COND_CAP:
-        raise NumericalError(f"f(0, {f0.x:g}) is numerically singular; enlarge a")
-    return np.linalg.solve(f0.value, phi.value)
-
-
 def _checked_inverse(A1: np.ndarray) -> np.ndarray:
     if np.linalg.cond(A1) > COND_CAP:
         raise NumericalError(
@@ -487,7 +480,7 @@ def z_of_k(
     _check_sizes(pot, bc)
     a = pot.x_max if a is None else a
     km = -complex(k).conjugate()
-    walks = _Walks(pot, bc, [0.0, km], [k], points=(0.0, a), every_stop=False)
+    walks = _Walks(pot, bc, [0.0, km], [k], points=(0.0, a))
     (J,), errors, *_ = _jost_stack(pot, bc, [k], a, walks)
     _first_error(errors)
     f0, fm = walks.f(0.0, a), walks.f(km, a)
@@ -535,8 +528,9 @@ def zero_energy_pipeline(
     {0, probes, -probes} is walked once down from the support edge to 0
     (route (i) of J(0), f(0, a) of R and the probes' f(-k, .)), and phi(k, .)
     for the same k once from 0 to max(a, x_max) (routes (ii) and (iii),
-    phi(0, a) of R and the probes' phi(k, a)).  A caller that holds such
-    walks, and J(0) computed from them, passes both (``verify`` does).
+    phi(0, a) of R and the probes' phi(k, a)); both keep their states at 0,
+    a and every piece edge.  A caller that holds such walks, and J(0)
+    computed from them, passes both (``verify`` does).
     """
     if pot.n != bc.n:
         raise ValidationError("potential and boundary pair sizes differ")
@@ -544,7 +538,7 @@ def zero_energy_pipeline(
     probes = list(DEFAULT_PROBES)
     if walks is None and mode != "exact":
         ks = [0.0, *probes, *(-kp for kp in probes)]
-        walks = _Walks(pot, bc, ks, ks, points=(0.0, a))
+        walks = _Walks(pot, bc, ks, ks, points=(0.0, a, *pot._edges))
 
     n = bc.n
     exact = None

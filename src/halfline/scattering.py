@@ -17,10 +17,11 @@ the regime handled by :mod:`halfline.lowenergy`.
 Both are evaluated once, over a stack of k, for :func:`jost_matrix`,
 :func:`smatrix`, :func:`smatrix_grid`, the S(0) continuity probes of
 :mod:`halfline.lowenergy` and the fixed-k checks of :mod:`halfline.verify`.
-J is evaluated once per distinct value among the +k and -k of a stack, so
-S(k) and S(-k) asked for together share one pair; its x = 0 cross-check
-and its condition cap take SVDs only where Frobenius bounds leave them
-open.  Solutions are read from ``solver._Walks``, the only read path: one
+A stack of S(k) pairs J at each of its k and then at each -k; the walks
+carry each distinct kappa and k^2 once, so S(k) and S(-k) asked for
+together share their solutions.  The x = 0 cross-check of J and its
+condition cap take SVDs only where Frobenius bounds leave them open.
+Solutions are read from ``solver._Walks``, the only read path: one
 backward walk of f(kappa, .) from the support edge and one forward walk of
 phi(k, .) from 0, each over the union of their k as one stack.  The grid
 walks f(-k, .) for every +k and -k, and phi(k, .), which is even in k,
@@ -143,18 +144,20 @@ class _JostStack(NamedTuple):
     F0: StateMatrix                         # f(-k*, 0)
 
 
-def _jost_stack(pot, bc, ks, a, walks: Optional[_Walks] = None, check=True) -> _JostStack:
+def _jost_stack(pot, bc, ks, a, walks: Optional[_Walks] = None) -> _JostStack:
     """J(k) for a 1-D sequence of k with Im k >= 0, with its x = 0 reading
     and the state f(-k*, 0) that reading comes from.
 
     f(-k*, .) at a and at 0 and phi(k, .) at a are read from ``walks``, or
-    from walks kept at those points alone.  A read that overflowed raises,
-    or with ``check=False`` gives its k the overflow error (J inf or NaN).
+    from walks kept at those points alone.  Nothing raises: a k whose read
+    overflowed gets the overflow error in ``errors`` (its J inf or NaN), a
+    k whose two readings differ the cross-check error.
     """
     ks = np.asarray(ks, dtype=complex)
     km = -ks.conj()
-    walks = walks or _Walks(pot, bc, km, ks, (0.0, a), every_stop=False)
-    F, F0, phi = walks.f(km, a, check), walks.f(km, 0.0, check), walks.phi(ks, a, check)
+    walks = walks or _Walks(pot, bc, km, ks, (0.0, a))
+    F, F0 = walks.f(km, a, check=False), walks.f(km, 0.0, check=False)
+    phi = walks.phi(ks, a, check=False)
     with np.errstate(all="ignore"):  # an overflowed row pairs to inf or NaN
         J = wronskian(F, phi)
         J0 = wronskian(F0, StateMatrix._trusted(0.0, bc.A, bc.B))  # phi(k, 0) = (A, B)
@@ -194,7 +197,7 @@ def jost_matrix_zero(pot: Potential, bc: BCPair, walks: Optional[_Walks] = None)
     phi(0, .) up to x_max made here.  A wrong leg in either walk shows.
     """
     _check_sizes(pot, bc)
-    walks = walks or _Walks(pot, bc, [0.0], [0.0], points=(0.0,))
+    walks = walks or _Walks(pot, bc, [0.0], [0.0], points=(0.0, *pot._edges))
     J_pairing = wronskian(walks.f(0.0, 0.0), walks.phi(0.0, 0.0))
 
     (moment,) = _integrate_weighted(pot, 0.0, (lambda y: 1.0,),
@@ -253,22 +256,18 @@ def smatrix(
 
 
 def _smatrix_stack(pot, bc, ks: List[float], a, walks: Optional[_Walks] = None) -> list:
-    """S(k) for a list of real k, with J(k) and J(-k) from one stack that
-    holds each distinct value among +k and -k once.
+    """S(k) for a list of real k != 0, with J(k) and J(-k) from one stack.
 
     Per k: the row ``{"k", "S", "unitarity_residual", "det_J_abs"}`` or the
-    HalflineError :func:`smatrix` raises there (k = 0, an overflow or the
-    x = 0 cross-check of J(k), then of J(-k), the condition cap), never one
-    for the whole stack.  Solutions are read from ``walks``, else walked here.
+    NumericalError :func:`smatrix` raises there (an overflow or the x = 0
+    cross-check of J(k), then of J(-k), the condition cap), never one for
+    the whole stack.  Solutions are read from ``walks``, else walked here;
+    either way each distinct kappa and k^2 is walked once.
     """
-    index = {}
-    for k in [*ks, *(-k for k in ks)]:
-        index.setdefault(k, len(index))
-    J, errors, *_ = _jost_stack(pot, bc, list(index), a, walks, check=False)
-    plus, minus = [index[k] for k in ks], [index[-k] for k in ks]
-    Jp, Jm = J[plus], J[minus]
-    out = [ValidationError(_ZERO_K) if k == 0.0 else errors[i] or errors[j]
-           for k, i, j in zip(ks, plus, minus)]
+    m = len(ks)
+    J, errors, *_ = _jost_stack(pot, bc, [*ks, *(-k for k in ks)], a, walks)
+    Jp, Jm = J[:m], J[m:]
+    out = [errors[i] or errors[m + i] for i in range(m)]
     paired = [i for i, e in enumerate(out) if e is None]
     for i, c in zip(paired, _capped_cond(Jp[paired])):
         if c > COND_CAP:
@@ -347,20 +346,8 @@ def p_matrix(
     """
     k = np.asarray(k, dtype=complex)
     a = pot.x_max if a is None else a
-    kappas = np.append(0.0, k)
-    walks = walks or _Walks(pot, None, kappas, points=(a,), every_stop=False)
-    f0, fk = _split(walks.f(kappas, a))
-    P = wronskian(f0, fk)
-    return P if k.ndim else P[0]
-
-
-def _split(F: StateMatrix, m: Optional[int] = None) -> Tuple[StateMatrix, StateMatrix]:
-    """A stack of states cut after its first m; m = None takes the first
-    state alone, as one (n, n) state."""
-    head = 0 if m is None else slice(m)
-    tail = slice(1 if m is None else m, None)
-    return (StateMatrix(F.x, F.value[head], F.deriv[head]),
-            StateMatrix(F.x, F.value[tail], F.deriv[tail]))
+    walks = walks or _Walks(pot, None, np.append(0.0, k), points=(a,))
+    return wronskian(walks.f(0.0, a), walks.f(k, a))
 
 
 def log_derivative(
@@ -381,7 +368,7 @@ def log_derivative(
         raise ValidationError(f"unknown mode {mode!r}")
     k = np.asarray(k, dtype=complex)
     a = pot.x_max if a is None else a
-    f = (walks or _Walks(pot, None, k, points=(a,), every_stop=False)).f(k, a)
+    f = (walks or _Walks(pot, None, k, points=(a,))).f(k, a)
     denom = f.value if mode == "value" else f.deriv
     numer = f.deriv if mode == "value" else f.value
     for kj, c in zip(k.reshape(-1), np.atleast_1d(np.linalg.cond(denom))):
@@ -411,17 +398,23 @@ def jost_decomposition(
     _check_sizes(pot, bc)
     k = np.asarray(k, dtype=complex)
     a = pot.x_max if a is None else a
-    kappas = np.append(0.0, -k.conj())
-    walks = walks or _Walks(pot, bc, kappas, k, points=(a,), every_stop=False)
-    f0, fm = _split(walks.f(kappas, a))
-    if np.linalg.cond(f0.value) > COND_CAP:
-        raise NumericalError(f"f(0, {a:g}) is numerically singular; enlarge a")
-    phi = walks.phi(k, a)
+    km = -k.conj()
+    walks = walks or _Walks(pot, bc, np.append(0.0, km), k, points=(a,))
+    f0, fm, phi = walks.f(0.0, a), walks.f(km, a), walks.phi(k, a)
 
     P = wronskian(f0, fm)  # P(-k*), as p_matrix gives it
-    T1 = -P.conj().swapaxes(-1, -2) @ np.linalg.solve(f0.value, phi.value)
+    T1 = -P.conj().swapaxes(-1, -2) @ _r_matrix(f0, phi)
     # At x = a the omega solution carries the data (f(0,a), f'(0,a)), so the
     # pairing with phi needs no extra propagation.
     W = wronskian(f0, phi)
     T2 = fm.value.conj().swapaxes(-1, -2) @ np.linalg.solve(f0.value.conj().T, W)
-    return (T1, T2) if k.ndim else (T1[0], T2[0])
+    return T1, T2
+
+
+def _r_matrix(f0: StateMatrix, phi: StateMatrix) -> np.ndarray:
+    """f(0, a)^(-1) phi(k, a) from the states f(0, a) and phi(k, a) (one, or
+    a stack); at k = 0 the slope R of the rescaled Jost matrix.  At
+    a = x_max, f(0, a) = I."""
+    if np.linalg.cond(f0.value) > COND_CAP:
+        raise NumericalError(f"f(0, {f0.x:g}) is numerically singular; enlarge a")
+    return np.linalg.solve(f0.value, phi.value)

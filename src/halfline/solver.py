@@ -33,8 +33,9 @@ factor, and a stacked row keeps the bits of its scalar call (see _step).
 One kernel (``_legs``) steps a walk leg by leg, checking nothing: an
 overflowed solution stays inf or NaN.  :func:`propagate` keeps and checks
 its last state; ``_Walks``, which crosses the support once per solution
-family over a stack of k, keeps every stop (the zero-energy Jost routes, R
-and the moment quadrature read them) or only its points, reads one
+family over a stack of k, keeps the states at the points it is given and
+no others (a reader of interface states, such as the zero-energy Jost
+routes and the moment quadrature, lists the piece edges), reads one
 ``_Table`` of step coefficients per k^2 and checks what it hands out.  The
 quadrature (``_integrate_weighted``) sums step coefficients over its nodes
 in V's eigenbasis and forms no node state.
@@ -51,7 +52,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .bc import BCPair, complex_matrix_from_json, complex_matrix_to_json
+from .bc import BCPair, complex_matrix_from_json, complex_matrix_to_json, number_from_json
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -412,10 +413,10 @@ class _Walks:
 
     The backward walk carries f(kappa, .) for a stack of kappa from the
     support edge down to min(x_max, points), the forward walk phi(k, .) for
-    a stack of k from 0 up to max(x_max, points) (max(points) if not
-    ``every_stop``).  :func:`_legs` steps both from one :class:`_Table`;
-    each keeps its start, every interface and its end (only its points if
-    not ``every_stop``); a point inside a leg is one side leg off the walk.
+    a stack of k from 0 up to max(points).  :func:`_legs` steps both from
+    one :class:`_Table` through every interface; each keeps exactly its
+    states at ``points`` (a reader of interface states lists the piece
+    edges), and a point inside a leg is one side leg off the walk.
 
     They are the only read path: a read is a slice of a walk, bit for bit
     what :func:`jost_solution` or :func:`regular_solution` gives (f beyond
@@ -425,34 +426,35 @@ class _Walks:
     would, unless read with ``check=False``.
     """
 
-    def __init__(self, pot, bc, kappas=(), ks=(), points=(), every_stop=True):
+    def __init__(self, pot, bc, kappas=(), ks=(), points=()):
         self.pot = pot
         runs = [_breakpoints(pot, pot.x_max, min([pot.x_max, *points])),
-                _breakpoints(pot, 0.0, max([pot.x_max] * every_stop + [*points], default=0.0))]
+                _breakpoints(pot, 0.0, max(points, default=0.0))]
         f, phi = ((keys, *_distinct(k, keys(k))) for keys, k in (  # the distinct k of each walk
             (_k_keys, np.asarray(kappas, dtype=complex).reshape(-1)),
             (_square_keys, np.asarray(ks, dtype=complex).reshape(-1))))
         walked, m = [run for run, walk in zip(runs, (f, phi)) if walk[1].size], len(phi[1])
         table = walked and _Table(pot, np.concatenate([phi[1], f[1]]), walked)
         self._f = self._walk(*f, lambda k: jost_solution(pot, k, pot.x_max), runs[0], points,
-                             table and table.read(table.rows[m:], runs[0]), every_stop)
+                             table and table.read(table.rows[m:], runs[0]))
         self._phi = self._walk(*phi, lambda k: StateMatrix._trusted(  # BCPair checked (A, B)
             0.0, *(np.broadcast_to(M, k.shape + M.shape) for M in (bc.A, bc.B))),
-            runs[1], points, table and table.read(slice(m), runs[1]), every_stop)
+            runs[1], points, table and table.read(slice(m), runs[1]))
 
-    def _walk(self, keys, ks, index, start, walk, points, coefs, every_stop):
-        """(keys, row index, states by stop and point) of one walk of the
-        distinct ks from ``start(ks)`` through the stops ``walk``, by ``coefs``."""
-        states, sides = {}, {float(x) for x in points}
+    def _walk(self, keys, ks, index, start, walk, points, coefs):
+        """(keys, row index, states by point) of one walk of the distinct ks
+        from ``start(ks)`` through the stops ``walk``, by ``coefs``."""
+        states, kept = {}, {float(x) for x in points}
         if not ks.size:
             return keys, index, states
+        sides = kept.difference(walk)  # the points inside a leg
         prev = start(ks)
         legs = _legs(self.pot, ks, prev.value, prev.deriv, walk, coefs)
         for state in itertools.chain([prev], legs):
             for side in sides:
                 if min(prev.x, state.x) < side < max(prev.x, state.x):
                     (states[side],) = _legs(self.pot, ks, prev.value, prev.deriv, [prev.x, side])
-            if every_stop or state.x in sides:
+            if state.x in kept:
                 states[state.x] = state
             prev = state
         return keys, index, states
@@ -605,7 +607,7 @@ def moment_identities_residual(
     f(0, .) at a and at every piece edge beyond it is read from ``walks``
     (a caller's, or one walk of f(0, .) down from the support edge to a).
     """
-    walks = walks or _Walks(pot, None, kappas=[0.0], points=[a])
+    walks = walks or _Walks(pot, None, [0.0], points=[a, *(x for x in pot._edges if x > a)])
     f0a = walks.f(0.0, a)
     m0, m1 = _integrate_weighted(pot, a, (lambda y: 1.0, lambda y: y),
                                  lambda lo, hi: walks.f(0.0, hi))
@@ -646,8 +648,8 @@ def potential_from_json(data: dict, path: str = "potential") -> Potential:
         if extra:
             raise ValidationError(f"{path}.pieces[{i}]: unknown keys {sorted(extra)}")
         try:
-            lo = float(piece["x_lo"])
-            hi = float(piece["x_hi"])
+            lo = number_from_json(piece["x_lo"])
+            hi = number_from_json(piece["x_hi"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}.pieces[{i}]: x_lo/x_hi must be numbers") from exc
         V = complex_matrix_from_json(piece.get("V"), f"{path}.pieces[{i}].V")

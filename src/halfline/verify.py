@@ -28,7 +28,7 @@ from .config import JobConfig
 from .errors import HalflineError, NumericalError
 from .lowenergy import DEFAULT_PROBES, zero_energy_pipeline
 from .scattering import _first_error, _jost_stack, _l_matrix, _norm2, _smatrix_stack, \
-    _split, jost_decomposition, jost_matrix_zero, log_derivative, p_matrix
+    jost_decomposition, jost_matrix_zero, log_derivative, p_matrix
 from .solver import _Walks, moment_identities_residual, wronskian
 
 __all__ = ["run_property_checks"]
@@ -72,7 +72,7 @@ def run_property_checks(job: JobConfig) -> List[dict]:
         pot, bc,
         kappas=[0.0, *ks, *-ks, *(-k for k in split_ks), -wronskian_k, *p_ks, h, -h, *probes],
         ks=[0.0, *ks, *-ks, *split_ks, wronskian_k, *probes],
-        points=(0.0, x1, a),
+        points=(0.0, x1, a, *pot._edges),
     )
     checks: List[dict] = []
 
@@ -88,12 +88,13 @@ def run_property_checks(job: JobConfig) -> List[dict]:
     def wronskian_constancy():
         # [f(-k, .); phi(k, .)] at 0 and at x1: the two readings of J(k)
         st = _jost_stack(pot, bc, [wronskian_k], x1, walks)
+        _first_error(st.errors)
         return _record("wronskian_constancy", np.linalg.norm(st.J0[0] - st.J[0], 2), 1e-8)
 
     @functools.cache  # a failed read is redone, so each check records its own failure
     def outgoing():
-        """f(k, 0) and f(-k, 0) for k in K_GRID, one read for both pairing checks."""
-        return _split(walks.f(np.concatenate([ks, -ks]), 0.0), len(ks))
+        """f(k, 0) and f(-k, 0) for k in K_GRID, read once for both pairing checks."""
+        return walks.f(ks, 0.0), walks.f(-ks, 0.0)
 
     def outgoing_self_pairing():
         f, _ = outgoing()
@@ -139,14 +140,11 @@ def run_property_checks(job: JobConfig) -> List[dict]:
         return _record("logderiv_slope", rel, 1e-4)
 
     def jost_split():
-        worst = 0.0
         Js, errors, *_ = _jost_stack(pot, bc, split_ks, a, walks)
-        for J, err, T1, T2 in zip(Js, errors,
-                                  *jost_decomposition(pot, bc, split_ks, a, walks)):
-            if err is not None:
-                raise err
-            worst = max(worst, np.linalg.norm(T1 + T2 - J, 2))
-        return _record("jost_split_consistency", worst, 1e-8)
+        _first_error(errors)
+        diff = _finite("T1(k) + T2(k) - J(k)",
+                       lambda: np.add(*jost_decomposition(pot, bc, split_ks, a, walks)) - Js)
+        return _record("jost_split_consistency", _norm2(diff).max(), 1e-8)
 
     @functools.cache  # a failure is redone, so each check records its own
     def zero_jost():

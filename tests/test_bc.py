@@ -46,6 +46,34 @@ def test_bc_pair_rejects_non_finite_matrices(field, bad):
         hl.BCPair(n=2, **mats)
 
 
+@pytest.mark.parametrize("A,B,E", [
+    ([[2.0]], [[0.0]], [[1.0]]),                          # E^2 = 1, A'A + B'B = 4
+    (np.eye(2), np.zeros((2, 2)), [[1.0, 0.5], [0.0, -1.0]]),  # E^2 = I, E not Hermitian
+    (np.eye(2), np.zeros((2, 2)), [[1.0, 1e-9], [1e-9, 1.0]]),  # off by 2e-9
+    (np.eye(2), np.zeros((2, 2)), [[1.0]]),               # wrong size
+])
+def test_bc_pair_refuses_an_e_that_is_not_the_root_of_the_gram(A, B, E):
+    # normalize trusts E: given E = 1 for A = 2 it returned A = 2 labelled
+    # normalized, with AA' + BB' = 4.
+    with pytest.raises(ValidationError, match="E is not a Hermitian square root"):
+        hl.BCPair(n=len(A), A=A, B=B, E=E)
+
+
+def test_bc_pair_accepts_the_e_of_every_constructor(rng):
+    # Each constructor that caches E passes the check as it stands, and an
+    # E within EPS_CHECK of the root is accepted.
+    n = 3
+    pairs = [hl.from_unitary(hl.UnitaryBC(U=rand_unitary(rng, n), convention=c))
+             for c in ("harmer", "cosine_sine") for _ in range(20)]
+    pairs += [hl.from_angles(rng.uniform(0.1, np.pi, size=n)), hl.dirichlet(n), hl.neumann(n)]
+    pairs += [hl.normalize(hl.gauge_transform(bc, rng.normal(size=(n, n)) + 2 * np.eye(n)))
+              for bc in pairs[:10]]
+    for bc in pairs:
+        assert np.array_equal(bc.E, np.eye(n))
+    near = hl.BCPair(n=1, A=[[2.0]], B=[[0.0]], E=[[2.0 + 1e-11]])
+    assert hl.normalize(near).E[0, 0] == 1.0
+
+
 def test_validate_kostrykin_dirichlet_and_zero():
     n = 3
     assert hl.validate_kostrykin(np.eye(n), np.zeros((n, n))).ok

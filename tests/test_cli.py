@@ -154,6 +154,35 @@ def test_booleans_are_validation_errors(tmp_path, capsys, name, command):
     assert captured.err.startswith(f"validation error: {shown}: ")
 
 
+# A JSON string where a number enters: float() reads "0.5" as 0.5, so each
+# of these configs ran before; the field path is named.
+STRING_CONFIGS = {
+    "bc_angles": (("bc",), {"angles": ["0.3"]}, "config.bc.angles: each angle must be a number"),
+    "kgrid_k_min": (("kgrid",), ["0.5", 2.0, 3], "config.kgrid: k_min/k_max must be numbers"),
+    "kgrid_k_max": (("kgrid",), [0.5, "2", 3], "config.kgrid: k_min/k_max must be numbers"),
+    "a_choice": (("a_choice",), "0.5", "config.a_choice: 'auto' or a number"),
+    "piece_x_lo": (("potential", "pieces", 0, "x_lo"), "0.0",
+                   "config.potential.pieces[0]: x_lo/x_hi must be numbers"),
+    "piece_x_hi": (("potential", "pieces", 0, "x_hi"), "1",
+                   "config.potential.pieces[0]: x_lo/x_hi must be numbers"),
+    "piece_V": (("potential", "pieces", 0, "V"), [[["-1.0", 0.0]]],
+                "config.potential.pieces[0].V: expected [[[re, im], ...], ...]"),
+    "bc_A": (("bc", "A"), [[[0.0, "0"]]], "config.bc.A: expected [[[re, im], ...], ...]"),
+    "bc_B": (("bc", "B"), [[["-1", "0"]]], "config.bc.B: expected [[[re, im], ...], ...]"),
+    "bc_U": (("bc",), {"U": [[["1", 0.0]]]}, "config.bc.U: expected [[[re, im], ...], ...]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRING_CONFIGS))
+def test_strings_for_numbers_are_validation_errors(tmp_path, capsys, name):
+    path, value, message = STRING_CONFIGS[name]
+    cfg = write_cfg(tmp_path, _with(path, value))
+    for command in ("sweep", "s0", "verify"):
+        assert cli.main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"validation error: {message}\n")
+
+
 def test_parse_accepts_true_and_false_inside_strings():
     cfg = parse_config(json.dumps(dict(ANGLES_CFG, outputs=[{"csv": "true-false.csv"}])))
     assert cfg.outputs == ({"csv": "true-false.csv"},)
@@ -554,6 +583,25 @@ def test_verify_on_a_deep_barrier_fails_the_overflowing_pairings(tmp_path, capsy
         assert (check["residual"] is None) == (check["name"] in errors)
 
 
+def test_verify_on_a_deep_barrier_with_a_inside_fails_the_split(tmp_path, capsys):
+    # With a = 0.5 the two-term split of J pairs solutions of about e^390:
+    # T1 + T2 - J is not finite, and its check fails as a numerical error
+    # without warnings, where the SVD of its norm crashed verify.
+    cfg = {"bc": {"angles": [0.3]}, "a_choice": 0.5, "potential": {"n": 1, "pieces": [
+        {"x_lo": 0.0, "x_hi": 20.0, "V": [[[400.0, 0.0]]]}]}}
+    path = write_cfg(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", "--config", path]) == 3
+    captured = capsys.readouterr()
+    report = json.loads(captured.out, parse_constant=_reject_constant)
+    errors = {c["name"]: c["error"] for c in report["checks"] if "error" in c}
+    assert errors["jost_split_consistency"] == \
+        "NumericalError: T1(k) + T2(k) - J(k) is not finite"
+    assert all(e.endswith(" is not finite") for e in errors.values()), errors
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("target,name", [
     ("halfline.verify.moment_identities_residual", "tail_moments"),
     ("halfline.verify._smatrix_stack", "smatrix_properties"),
@@ -608,6 +656,35 @@ def test_exit_code_fixture_mismatch(monkeypatch, capsys):
     fake = dataclasses.replace(real, s0_exact=tampered_s0)
     monkeypatch.setattr(cli, "get_fixture", lambda fid, **kw: fake)
     assert cli.main(["example", "7.1"]) == 4
+
+
+def _barrier(V, width):
+    return {"bc": {"angles": [2.0]}, "potential": {"n": 1, "pieces": [
+        {"x_lo": 0.0, "x_hi": width, "V": [[[V, 0.0]]]}]}}
+
+
+def test_sweep_on_an_overflowing_barrier_fails_its_rows(tmp_path, capsys):
+    # V = 2000 on [0, 20]: one exact step overflows where
+    # sqrt(2000 - k^2) * 20 passes 709.8, for the 5 smallest k of the grid.
+    # Those rows carry the error, one stderr line each; the others carry S.
+    path = write_cfg(tmp_path, dict(_barrier(2000.0, 20.0), kgrid=[5.0, 60.0, 12]))
+    assert cli.main(["sweep", "--config", path, "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out, parse_constant=_reject_constant)["rows"]
+    assert [row["k"] for row in rows] == [5.0 * i for i in range(1, 13)]
+    failed = [row for row in rows if "error" in row]
+    assert failed == rows[:5]
+    assert all(row["error"].startswith("NumericalError: solution overflows") for row in failed)
+    assert all(len(row["S"]) == 1 for row in rows[5:])
+    assert captured.err.splitlines() == [f"k = {row['k']:g}: {row['error']}" for row in failed]
+
+
+def test_s0_on_an_overflowing_barrier_exits_3(tmp_path, capsys):
+    # V = 25 on [0, 150]: the k = 0 walk grows like e^750 and overflows.
+    assert cli.main(["s0", "--config", write_cfg(tmp_path, _barrier(25.0, 150.0))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical error: solution overflows")
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):

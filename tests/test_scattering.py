@@ -269,15 +269,16 @@ def test_log_derivative_stack_raises_for_the_first_singular_k(rng, monkeypatch):
 
 def _walks_of_three_k(rng):
     """Walks of f(k, .) for k in {0, -0.7, 0.3} and of phi(k, .) for k in
-    {0, 0.7, 2 + 0.5i} across 20 pieces, held at 0, at a point a inside a
-    piece and at x1 beyond the support, with (pot, bc, a, x1)."""
+    {0, 0.7, 2 + 0.5i} across 20 pieces, held at 0, at every interface, at a
+    point a inside a piece and at x1 beyond the support, with (pot, bc, a, x1)."""
     from halfline.solver import _Walks
 
     pot = rand_potential(rng, 2, 20, scale=0.3)
     bc = rand_bc(rng, 2)
     lo, hi, _ = pot.pieces[5]
     a, x1 = lo + 0.3 * (hi - lo), pot.x_max + 1.0
-    walks = _Walks(pot, bc, [0.0, -0.7, 0.3], [0.0, 0.7, 2.0 + 0.5j], points=(0.0, a, x1))
+    walks = _Walks(pot, bc, [0.0, -0.7, 0.3], [0.0, 0.7, 2.0 + 0.5j],
+                   points=(0.0, a, x1, *pot._edges))
     return walks, pot, bc, a, x1
 
 
@@ -343,7 +344,7 @@ def test_walks_read_slices_without_a_second_check(rng, monkeypatch):
     pot = rand_potential(rng, 2, 4, scale=0.3)
     bc = rand_bc(rng, 2)
     walks = _Walks(pot, bc, [0.0, 0.7], [0.0, 0.7, 1.1 + 0.2j],
-                   points=(0.0,))
+                   points=(0.0, pot.x_max))
     checks = []
     post_init = solver.StateMatrix.__post_init__
     monkeypatch.setattr(solver.StateMatrix, "__post_init__",
@@ -451,25 +452,32 @@ def test_condition_cap_refuses_as_np_linalg_cond(rng, n):
         assert refused[1] >= 2 and refused[2] == refused[1] + 1
 
 
-def test_smatrix_stack_evaluates_j_once_per_distinct_k(rng, monkeypatch):
-    # verify asks for S(k) and S(-k) on one list; each of the 10 values of
-    # +-k gets one J, and every row equals its k evaluated alone.
+def test_smatrix_stack_walks_each_distinct_k_once(rng, monkeypatch):
+    # verify asks for S(k) and S(-k) on one list: J is paired at its 10 k
+    # and their 10 negatives, but one pair of walks carries f(-k, .) once
+    # for each of the 10 values of +-k and phi(k, .) once per k^2, and every
+    # row equals its k evaluated alone.
     from halfline.verify import K_GRID
 
     pot = rand_potential(rng, 2, 20, scale=0.3)
     bc = rand_bc(rng, 2)
     pm = [s * k for k in K_GRID for s in (1.0, -1.0)]
-    jost_stack = hl.scattering._jost_stack
-    sizes = []
+    jost_stack, sizes, made = hl.scattering._jost_stack, [], []
 
     def spy(pot_, bc_, ks, *args, **kwargs):
         sizes.append(len(ks))
         return jost_stack(pot_, bc_, ks, *args, **kwargs)
 
+    def walks(*args, **kwargs):
+        made.append(hl.solver._Walks(*args, **kwargs))
+        return made[-1]
+
     monkeypatch.setattr(hl.scattering, "_jost_stack", spy)
+    monkeypatch.setattr(hl.scattering, "_Walks", walks)
     rows = hl.scattering._smatrix_stack(pot, bc, pm, pot.x_max)
     monkeypatch.undo()
-    assert sizes == [10]
+    assert sizes == [20] and len(made) == 1
+    assert [len(held[1]) for held in (made[0]._f, made[0]._phi)] == [10, 5]
     for k, row in zip(pm, rows):
         _assert_same_row(row, _ref_row(pot, bc, k, None))
 
@@ -482,7 +490,7 @@ def test_walks_keep_an_overflowing_walk():
 
     pot = hl.Potential(n=1, pieces=((0.0, 20.0, np.array([[2000.0]])),))
     bc = hl.neumann(1)
-    walks = _Walks(pot, bc, [1.0, 50.0], [1.0, 50.0], points=(0.0, 10.0))
+    walks = _Walks(pot, bc, [1.0, 50.0], [1.0, 50.0], points=(0.0, 10.0, 20.0))
     for read, direct, x in ((walks.f, hl.jost_solution, 0.0),
                             (walks.phi, lambda pot, k, x: hl.regular_solution(pot, bc, k, x), 20.0)):
         for call in (lambda k, x: read(k, x), lambda k, x: direct(pot, k, x)):
@@ -717,7 +725,6 @@ def test_zero_energy_probes_equal_per_k_reference(rng):
 
 
 @pytest.mark.parametrize("probes,name,value", [
-    ((0.1, 0.0, 0.2), None, None),             # k = 0 fails in its own slot
     ((0.1, 0.01), "CROSSCHECK_TOL", 1e-300),   # every probe fails: the first is raised
     ((0.1, 0.01), "COND_CAP", 0.5),
 ])
@@ -725,13 +732,12 @@ def test_zero_energy_probes_raise_first_error_in_order(rng, monkeypatch, probes,
     pot = rand_potential(rng, 2, 2, scale=0.3)
     bc = rand_bc(rng, 2)
     monkeypatch.setattr(hl.lowenergy, "DEFAULT_PROBES", probes)
-    if name is None:
-        with pytest.raises(ValidationError, match="zero-energy pipeline"):
-            hl.zero_energy_pipeline(pot, bc)
-        return
     # J(0) is computed before the patch: its three routes share
-    # CROSSCHECK_TOL, and the probes are what this test tightens.
+    # CROSSCHECK_TOL, and the probes are what this test tightens.  So is R,
+    # whose check of f(0, a) reads COND_CAP: at a = x_max, f(0, a) = I.
     J0 = hl.jost_matrix_zero(pot, bc)
+    monkeypatch.setattr(hl.lowenergy, "_r_matrix",
+                        lambda f0, phi: np.linalg.solve(f0.value, phi.value))
     monkeypatch.setattr(hl.scattering, name, value)
     ref = _ref_row(pot, bc, probes[0], None)["error"]
     with pytest.raises(NumericalError) as info:

@@ -612,7 +612,7 @@ def test_an_overflowed_row_stays_non_finite_on_every_later_leg(rng, n):
         (11.5, 31.5, 2000.0 * eye + small[2]), (32.0, 33.0, small[0])))
     bc = rand_bc(rng, n)
     k = np.linspace(0.0, 60.0, 41) + 0j
-    walks = solver._Walks(pot, bc, k, k, points=(0.0,))
+    walks = solver._Walks(pot, bc, k, k, points=(0.0, *pot._edges))
     for read, alone, x0, x1 in ((walks.f, lambda kj, x: hl.jost_solution(pot, kj, x), 33.0, 0.0),
                                 (walks.phi, lambda kj, x: hl.regular_solution(pot, bc, kj, x),
                                  0.0, 33.0)):
@@ -797,11 +797,12 @@ def test_walk_states_equal_direct_propagation(rng, monkeypatch, method, k, direc
     bc = rand_bc(rng, 2)
     lo, hi, _ = pot.pieces[len(pot.pieces) // 2]
     a = lo + 0.3 * (hi - lo)
+    points = (0.0, a, *pot._edges)
     if direction == "forward":
-        read = solver._Walks(pot, bc, ks=k, points=(0.0, a)).phi
+        read = solver._Walks(pot, bc, ks=k, points=points).phi
         start = hl.StateMatrix(0.0, bc.A, bc.B)
     else:
-        read = solver._Walks(pot, bc, kappas=k, points=(0.0, a)).f
+        read = solver._Walks(pot, bc, kappas=k, points=points).f
         start = hl.jost_solution(pot, k, pot.x_max)
     interfaces = {b for p in pot.pieces for b in p[:2]}
     assert set(_held(read)) == interfaces | {0.0, a}
@@ -818,7 +819,7 @@ def test_walk_reaches_several_side_points(rng, monkeypatch):
     inside = (0.5 * (lo1 + hi1), 0.3 * lo4 + 0.7 * hi4)
     beyond = (pot.x_max + 0.5, pot.x_max + 2.0)
     k = np.array([0.0, 0.7])
-    walks = solver._Walks(pot, bc, k, k, points=(0.0, *inside, *beyond))
+    walks = solver._Walks(pot, bc, k, k, points=(0.0, *inside, *beyond, *pot._edges))
     interfaces = {b for p in pot.pieces for b in p[:2]}
     assert set(_held(walks.phi)) == interfaces | {0.0, *inside, *beyond}
     assert set(_held(walks.f)) == interfaces | {0.0, *inside}
@@ -827,16 +828,43 @@ def test_walk_reaches_several_side_points(rng, monkeypatch):
 
 
 def test_walk_keeps_a_outside_the_walk_out(rng):
-    # The f walk runs from the support edge down to the lowest point; a
-    # point above the edge is off it and read from the closed form.
+    # The f walk runs from the support edge down to the lowest point and
+    # keeps only that point; a point above the edge is off it and read from
+    # the closed form.
     pot = rand_potential(rng, 1, 3)
     hi1 = pot.pieces[1][1]
     walks = solver._Walks(pot, None, kappas=[0.3],
                           points=(hi1, pot.x_max + 1.0))
-    assert min(_held(walks.f)) == hi1
-    assert set(_held(walks.f)) == {hi1, *pot.pieces[2][:2]}
+    assert set(_held(walks.f)) == {hi1}
     off = walks.f(0.3, pot.x_max + 1.0)
     assert np.array_equal(off.value, hl.jost_solution(pot, 0.3, pot.x_max + 1.0).value)
+
+
+def test_walks_keep_exactly_their_points(rng, monkeypatch):
+    # A walk holds its states at the points it is given and nowhere else: an
+    # interface it crossed but was not given is not held.  Piece edges given
+    # as points are stops to keep, not side legs: each walk is one _legs run.
+    pot = rand_potential(rng, 2, 6, scale=0.3)
+    bc = rand_bc(rng, 2)
+    lo, hi, _ = pot.pieces[2]
+    a = 0.5 * (lo + hi)
+    k = np.array([0.0, 0.7])
+    walks = solver._Walks(pot, bc, k, k, points=(0.0, a))
+    assert set(_held(walks.f)) == set(_held(walks.phi)) == {0.0, a}
+    for read, x in ((walks.f, hi), (walks.f, pot.x_max), (walks.phi, lo)):
+        with pytest.raises(KeyError, match="no walk holds"):
+            read(k, x)
+    legs, runs = solver._legs, []
+
+    def spy(pot_, k_, value, deriv, stops, *args):
+        runs.append(stops)
+        return legs(pot_, k_, value, deriv, stops, *args)
+
+    monkeypatch.setattr(solver, "_legs", spy)
+    walks = solver._Walks(pot, bc, k, k, points=(0.0, *pot._edges))
+    monkeypatch.undo()
+    assert [(run[0], run[-1]) for run in runs] == [(pot.x_max, 0.0), (0.0, pot.x_max)]
+    assert set(_held(walks.f)) == set(_held(walks.phi)) == {0.0, *pot._edges}
 
 
 def test_walk_takes_a_point_listed_twice_once(rng, monkeypatch):
@@ -890,7 +918,7 @@ def test_walk_states_have_the_bits_of_stepping_leg_by_leg(rng, monkeypatch, n, p
     a = lo + 0.3 * (hi - lo)
     if legs_per_block:
         monkeypatch.setattr(solver, "_TABLE", legs_per_block * len(k) * n)
-    walks = solver._Walks(pot, bc, kappas=k, ks=k, points=(0.0, a))
+    walks = solver._Walks(pot, bc, kappas=k, ks=k, points=(0.0, a, *pot._edges))
     for held, start in ((walks._f, lambda ks: hl.jost_solution(pot, ks, pot.x_max)),
                         (walks._phi, lambda ks: hl.StateMatrix(0.0, bc.A, bc.B))):
         keys, _, states = held
@@ -966,7 +994,7 @@ def test_overflow_mid_walk_raises_the_step_error(rng, n):
     k = np.array([0.5, 1.0]) + 0j
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        walks = solver._Walks(pot, bc, k, k, points=(0.0,))
+        walks = solver._Walks(pot, bc, k, k, points=(0.0, pot.x_max))
         for run in (lambda: hl.jost_solution(pot, k, 0.0),
                     lambda: hl.regular_solution(pot, bc, k, pot.x_max),
                     lambda: walks.f(k, 0.0), lambda: walks.phi(k, pot.x_max)):

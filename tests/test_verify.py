@@ -19,10 +19,9 @@ import pytest
 import halfline as hl
 from halfline.config import JobConfig
 from halfline.errors import HalflineError
-from halfline.lowenergy import DEFAULT_PROBES, _assemble, _checked_inverse, _r_matrix, \
-    jordan_form
-from halfline.scattering import _first_error, _jost_stack, _l_matrix, _norm2, \
-    _smatrix_stack, _split
+from halfline.lowenergy import DEFAULT_PROBES, _assemble, _checked_inverse, jordan_form
+from halfline.scattering import _first_error, _jost_stack, _l_matrix, _norm2, _r_matrix, \
+    _smatrix_stack
 from halfline.verify import K_GRID, _failure, _record, run_property_checks
 from conftest import rand_bc, rand_potential
 
@@ -60,11 +59,12 @@ def _reference_checks(job: JobConfig):
 
     def wronskian_constancy():
         st = _jost_stack(pot, bc, [1.3], max(pot.x_max, 1.0))
+        _first_error(st.errors)
         return _record("wronskian_constancy", np.linalg.norm(st.J0[0] - st.J[0], 2), 1e-8)
 
     @functools.cache
     def outgoing():
-        return _split(hl.jost_solution(pot, np.concatenate([ks, -ks]), 0.0), len(ks))
+        return hl.jost_solution(pot, ks, 0.0), hl.jost_solution(pot, -ks, 0.0)
 
     def outgoing_self_pairing():
         f, _ = outgoing()
@@ -110,10 +110,8 @@ def _reference_checks(job: JobConfig):
         worst = 0.0
         split_ks = (0.7, 2.3)
         Js, errors, *_ = _jost_stack(pot, bc, split_ks, a)
-        for J, err, T1, T2 in zip(Js, errors,
-                                  *hl.jost_decomposition(pot, bc, split_ks, a)):
-            if err is not None:
-                raise err
+        _first_error(errors)
+        for J, T1, T2 in zip(Js, *hl.jost_decomposition(pot, bc, split_ks, a)):
             worst = max(worst, np.linalg.norm(T1 + T2 - J, 2))
         return _record("jost_split_consistency", worst, 1e-8)
 
