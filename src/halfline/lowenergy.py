@@ -62,6 +62,7 @@ from .scattering import (
     _cond_error,
     _first_error,
     _jost_stack,
+    _norm2,
     _r_matrix,
     _smatrix_stack,
     jost_matrix_zero,
@@ -225,13 +226,12 @@ def _basis(chains):
 # Numeric Jordan backend.
 # ---------------------------------------------------------------------------
 
-def _null_basis(M: np.ndarray, rel_tol: float, floor: float = 0.0) -> np.ndarray:
-    """Orthonormal kernel basis (columns) from singular values below a
-    threshold relative to max(largest singular value, floor)."""
+def _null_bases(M: np.ndarray, rel_tol: float, floor: float = 0.0) -> List[np.ndarray]:
+    """Orthonormal kernel bases (columns), one per matrix of the stack M, from
+    singular values below rel_tol times max(largest singular value, floor)."""
     _, s, Vh = np.linalg.svd(M)
-    tol = rel_tol * max(float(s[0]), floor, np.finfo(float).tiny)
-    r = int(np.sum(s > tol))
-    return Vh[r:].conj().T
+    tol = rel_tol * np.maximum(np.maximum(s[:, 0], floor), np.finfo(float).tiny)
+    return [v[r:].conj().T for v, r in zip(Vh, (s > tol[:, None]).sum(axis=1).tolist())]
 
 
 def _cluster_eigenvalues(vals: np.ndarray, radius: float):
@@ -247,9 +247,10 @@ def _cluster_eigenvalues(vals: np.ndarray, radius: float):
 
 
 def _numeric_jordan(M: np.ndarray) -> JordanData:
-    # Thresholds are taken relative to max(||M||, 1): the inputs here are
-    # O(1)-scaled Jost matrices, and a purely relative radius could never
-    # classify an all-but-zero matrix (a tuned resonance) as exceptional.
+    """Jordan data of M from a rank staircase per eigenvalue cluster centre
+    lam, the first rungs ker(M - lam I) from one SVD stack.  Thresholds are
+    relative to max(||M||, 1): the inputs are O(1)-scaled Jost matrices, and
+    a purely relative radius could not call a near-zero M exceptional."""
     n = M.shape[0]
     scale = max(float(np.linalg.norm(M, 2)), 1.0)
     radius = EPS_EIG * scale
@@ -271,13 +272,15 @@ def _numeric_jordan(M: np.ndarray) -> JordanData:
 
     def pick(lower, carried, candidates, need, j):
         # Gram-Schmidt of the candidates, largest residual first, against
-        # ker N^(j-1) and the carried images.
+        # ker N^(j-1) and the carried images, if any (else it subtracts zeros).
         if need < 0:
             raise refuse(f"inconsistent staircase at level {j} for eigenvalue {center:.6g}")
-        Q = np.linalg.qr(np.hstack(
-            [lower] + [c.reshape(-1, 1) / np.linalg.norm(c) for c in carried]))[0]
+        residuals = list(candidates)
+        if lower.shape[1] or carried:
+            Q = np.linalg.qr(np.hstack(
+                [lower] + [c.reshape(-1, 1) / np.linalg.norm(c) for c in carried]))[0]
+            residuals = [cand - Q @ (Q.conj().T @ cand) for cand in candidates]
         accepted: List[np.ndarray] = []
-        residuals = [cand - Q @ (Q.conj().T @ cand) for cand in candidates]
         residuals.sort(key=lambda r: -float(np.linalg.norm(r)))
         for r in residuals:
             for acc in accepted:
@@ -294,16 +297,17 @@ def _numeric_jordan(M: np.ndarray) -> JordanData:
             )
         return accepted
 
+    shifted = M - np.array([c for c, _, _ in centers])[:, None, None] * np.eye(n)
     chains = []  # (eigenvalue, [vectors eigvec..top], pivot)
-    for center, m_alg, diam in centers:
+    for (center, m_alg, diam), N, first in zip(centers, shifted, _null_bases(
+            shifted, EPS_RANK, floor=scale)):
         if diam > 5 * radius:
             raise refuse(
                 f"cluster at {center:.6g} has diameter {diam:.3e} "
                 f"above 5x the clustering radius"
             )
-        found, kernels = _jordan_chains(
-            M - center * np.eye(n),
-            lambda power, j: _null_basis(power, EPS_RANK, floor=scale**j), pick, m_alg)
+        found, kernels = _jordan_chains(N, lambda power, j: first if j == 1 else _null_bases(
+            power[None], EPS_RANK, floor=scale**j)[0], pick, m_alg)
         dim = kernels[-1].shape[1]
         if dim != m_alg:
             raise refuse(
@@ -557,13 +561,16 @@ def zero_energy_pipeline(
         R = _r_matrix(walks.f(0.0, a), walks.phi(0.0, a))
         expansion = _assemble(jd.Smat, jd.Sinv, jd.chains, R, np.eye(n), _checked_inverse)
 
-    S0 = expansion.S0
+    S0, eye = expansion.S0, np.eye(n)
+    rows = _first_error(_smatrix_stack(pot, bc, probes, a, walks))
+    # S(0)^2 - I, S(0)' S(0) - I and S(k) - S(0) per probe: one stack of norms
+    norms = _norm2(np.array([S0 @ S0 - eye, S0.conj().T @ S0 - eye,
+                             *(row["S"] - S0 for row in rows)])).tolist()
     # exact S(0)^2 = I reads 0.0, though the complex copy may miss I by roundoff
     exactly = exact is not None and (exact.S0 @ exact.S0 == np.eye(n, dtype=object)).all()
-    inv_resid = 0.0 if exactly else float(np.linalg.norm(S0 @ S0 - np.eye(n), 2))
-    uni_resid = float(np.linalg.norm(S0.conj().T @ S0 - np.eye(n), 2))
-    rows = _first_error(_smatrix_stack(pot, bc, probes, a, walks))
-    probe_list = [(row["k"], float(np.linalg.norm(row["S"] - S0, 2))) for row in rows]
+    inv_resid = 0.0 if exactly else norms[0]
+    uni_resid = norms[1]
+    probe_list = [(row["k"], d) for row, d in zip(rows, norms[2:])]
     s0_eval = SMatrixEvaluation(k=0.0, S=S0, unitarity_residual=uni_resid)
     return LowEnergyResult(
         jordan=jd,

@@ -166,10 +166,11 @@ def _jost_stack(pot, bc, ks, a, walks: Optional[_Walks] = None) -> _JostStack:
     # The bound CROSSCHECK_TOL * max(||J||, 1) is at least CROSSCHECK_TOL, so
     # only the rows that do not clear that need both norms.
     rows = np.flatnonzero(finite)[~_norm2_le(J[finite] - J0[finite], CROSSCHECK_TOL)]
-    diff = _norm2(J[rows] - J0[rows])
-    for i, d, bound in zip(rows, diff, CROSSCHECK_TOL * np.maximum(_norm2(J[rows]), 1.0)):
-        if d > bound:
-            errors[i] = _pairing_error(a, d)
+    if rows.size:
+        diff = _norm2(J[rows] - J0[rows])
+        for i, d, bound in zip(rows, diff, CROSSCHECK_TOL * np.maximum(_norm2(J[rows]), 1.0)):
+            if d > bound:
+                errors[i] = _pairing_error(a, d)
     return _JostStack(J, errors, J0, F0)
 
 
@@ -194,14 +195,15 @@ def jost_matrix_zero(pot: Potential, bc: BCPair, walks: Optional[_Walks] = None)
     at x_max (the bounded one, f(0, .), has (I, 0) there).  Route (i) reads
     f(0, 0), routes (ii) and (iii) phi(0, .) at every interface, from
     ``walks``: a caller's, or else a walk of f(0, .) down to 0 and one of
-    phi(0, .) up to x_max made here.  A wrong leg in either walk shows.
+    phi(0, .) up to x_max made here.  Route (ii) steps its nodes off one
+    stack of edge states, not the walk, so a wrong leg in either walk shows.
     """
     _check_sizes(pot, bc)
     walks = walks or _Walks(pot, bc, [0.0], [0.0], points=(0.0, *pot._edges))
     J_pairing = wronskian(walks.f(0.0, 0.0), walks.phi(0.0, 0.0))
 
     (moment,) = _integrate_weighted(pot, 0.0, (lambda y: 1.0,),
-                                    lambda lo, hi: walks.phi(0.0, lo))
+                                    lambda lo, hi: (lo, walks.edges("phi", 0.0, lo)))
     J_moment = bc.B + moment
 
     beta = walks.phi(0.0, pot.x_max).deriv  # route (iii)

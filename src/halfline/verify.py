@@ -89,7 +89,8 @@ def run_property_checks(job: JobConfig) -> List[dict]:
         # [f(-k, .); phi(k, .)] at 0 and at x1: the two readings of J(k)
         st = _jost_stack(pot, bc, [wronskian_k], x1, walks)
         _first_error(st.errors)
-        return _record("wronskian_constancy", np.linalg.norm(st.J0[0] - st.J[0], 2), 1e-8)
+        diff = _finite("J(k) at 0 minus J(k) at x1", lambda: st.J0[0] - st.J[0])
+        return _record("wronskian_constancy", _norm2(diff), 1e-8)
 
     @functools.cache  # a failed read is redone, so each check records its own failure
     def outgoing():
@@ -108,12 +109,12 @@ def run_property_checks(job: JobConfig) -> List[dict]:
         return _record("outgoing_cross_pairing", _norm2(pairing).max(), 1e-8)
 
     def jl_constancy():
-        worst = 0.0
         Js, errors, _, F0 = _jost_stack(pot, bc, K_GRID, a, walks)
         _first_error(errors)
-        for k, J, L in zip(K_GRID, Js, _l_matrix(bc, F0)):  # F0 = f(-k, 0)
-            pairing = _finite("J(k) L(k)' - L(k) J(k)'", lambda: J @ L.conj().T - L @ J.conj().T)
-            worst = max(worst, np.linalg.norm(pairing + 2j * k * eye, 2))
+        Ls = _l_matrix(bc, F0)  # F0 = f(-k, 0)
+        pairing = _finite("J(k) L(k)' - L(k) J(k)'", lambda: (
+            Js @ Ls.conj().swapaxes(-1, -2) - Ls @ Js.conj().swapaxes(-1, -2)))
+        worst = _norm2(pairing + 2j * ks[:, None, None] * eye).max()
         return _record("jl_pairing_constancy", worst, 1e-8)
 
     def tail_moments():
@@ -133,11 +134,12 @@ def run_property_checks(job: JobConfig) -> List[dict]:
 
     def logderiv_slope():
         ld_plus, ld_minus = log_derivative(pot, [h, -h], a, "value", walks)
-        slope = (ld_plus - ld_minus) / (2 * h)
         f0inv = np.linalg.inv(walks.f(0.0, a).value)
         expect = 1j * f0inv.conj().T @ f0inv
-        rel = np.linalg.norm(slope - expect, 2) / max(np.linalg.norm(expect, 2), 1e-300)
-        return _record("logderiv_slope", rel, 1e-4)
+        # the slope's distance from its limit, and the limit
+        gap, scale = _norm2(_finite("the log-derivative slope", lambda: np.array(
+            [(ld_plus - ld_minus) / (2 * h) - expect, expect])))
+        return _record("logderiv_slope", gap / max(scale, 1e-300), 1e-4)
 
     def jost_split():
         Js, errors, *_ = _jost_stack(pot, bc, split_ks, a, walks)
@@ -158,14 +160,12 @@ def run_property_checks(job: JobConfig) -> List[dict]:
         )
 
     def smatrix_properties():
-        worst_u = 0.0
-        worst_inv = 0.0
         # S(k), then S(-k); the stack evaluates J once at each of the 10 values
         pm = [s * k for k in K_GRID for s in (1.0, -1.0)]
         rows = _first_error(_smatrix_stack(pot, bc, pm, a, walks))
-        for Sp, Sm in zip(rows[::2], rows[1::2]):
-            worst_u = max(worst_u, Sp["unitarity_residual"])
-            worst_inv = max(worst_inv, np.linalg.norm(Sm["S"] @ Sp["S"] - eye, 2))
+        worst_u = max(Sp["unitarity_residual"] for Sp in rows[::2])
+        worst_inv = _norm2(np.array([Sm["S"] @ Sp["S"] - eye
+                                     for Sp, Sm in zip(rows[::2], rows[1::2])])).max()
         return [_record("smatrix_unitarity", worst_u, 1e-7),
                 _record("smatrix_inverse_symmetry", worst_inv, 1e-8)]
 

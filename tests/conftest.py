@@ -2,7 +2,8 @@
 (``rk45_propagate``): an adaptive Dormand-Prince integrator that shares no
 code with the exact per-piece step of :mod:`halfline.solver`."""
 
-from typing import Optional, Tuple
+import itertools
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import pytest
 import halfline as hl
 from halfline import exactalg as xa
 from halfline.bc import BCPair
-from halfline.errors import NumericalError, ValidationError
-from halfline.lowenergy import JordanData, _complex_jordan, _exact_jordan
+from halfline.errors import JordanAmbiguityError, NumericalError, ValidationError
+from halfline.lowenergy import (EPS_EIG, EPS_RANK, JordanData, _basis, _cluster_eigenvalues,
+                                _complex_jordan, _exact_jordan, _jordan_chains)
 from halfline.scattering import COND_CAP
 from halfline.solver import Potential, StateMatrix, jost_solution
 
@@ -113,6 +115,81 @@ def exact_jordan_form(M) -> JordanData:
         M = M.astype(complex)
     Mq = xa.mat(M)
     return _complex_jordan(Mq, *_exact_jordan(Mq))
+
+
+def per_centre_jordan(M: np.ndarray) -> JordanData:
+    """The numeric Jordan backend as one loop over the cluster centres, each
+    taking the SVD of its own M - lam I and projecting every pick by QR:
+    the reference that ``lowenergy.jordan_form``, which takes the first
+    rung's SVDs as one stack, must match bit for bit, refusals included."""
+    n = M.shape[0]
+    scale = max(float(np.linalg.norm(M, 2)), 1.0)
+    radius = EPS_EIG * scale
+    vals = np.linalg.eigvals(M)
+    centers = []
+    for idx in _cluster_eigenvalues(vals, radius):
+        c = complex(np.mean(vals[idx]))
+        if abs(c) <= max(radius, np.finfo(float).tiny):
+            c = 0.0 + 0.0j
+        diam = max((abs(vals[i] - vals[j]) for i in idx for j in idx), default=0.0)
+        centers.append((c, len(idx), diam))
+    gaps = [abs(a[0] - b[0]) for a, b in itertools.combinations(centers, 2)]
+
+    def refuse(message):
+        return JordanAmbiguityError(message, gaps=sorted(gaps))
+
+    if any(g < 10 * radius for g in gaps):
+        raise refuse("eigenvalue clusters are closer than 10x the clustering radius")
+
+    def null_basis(N, floor):
+        _, s, Vh = np.linalg.svd(N)
+        tol = EPS_RANK * max(float(s[0]), floor, np.finfo(float).tiny)
+        return Vh[int(np.sum(s > tol)):].conj().T
+
+    def pick(lower, carried, candidates, need, j):
+        if need < 0:
+            raise refuse(f"inconsistent staircase at level {j} for eigenvalue {center:.6g}")
+        Q = np.linalg.qr(np.hstack(
+            [lower] + [c.reshape(-1, 1) / np.linalg.norm(c) for c in carried]))[0]
+        accepted: List[np.ndarray] = []
+        residuals = [cand - Q @ (Q.conj().T @ cand) for cand in candidates]
+        residuals.sort(key=lambda r: -float(np.linalg.norm(r)))
+        for r in residuals:
+            for acc in accepted:
+                r = r - acc * (acc.conj() @ r)
+            nr = float(np.linalg.norm(r))
+            if nr > 1e-7:
+                accepted.append(r / nr)
+                if len(accepted) == need:
+                    break
+        if len(accepted) != need:
+            raise refuse(f"could not extract {need} independent chain generators "
+                         f"at level {j} for eigenvalue {center:.6g}")
+        return accepted
+
+    chains = []
+    for center, m_alg, diam in centers:
+        if diam > 5 * radius:
+            raise refuse(f"cluster at {center:.6g} has diameter {diam:.3e} "
+                         f"above 5x the clustering radius")
+        found, kernels = _jordan_chains(
+            M - center * np.eye(n), lambda power, j: null_basis(power, scale**j), pick, m_alg)
+        dim = kernels[-1].shape[1]
+        if dim != m_alg:
+            raise refuse(f"rank staircase for eigenvalue {center:.6g} stalled at "
+                         f"{dim} of {m_alg} directions")
+        for vecs in found:
+            eig = vecs[0]
+            nrm = np.linalg.norm(eig)
+            if nrm == 0:
+                raise NumericalError("degenerate chain eigenvector")
+            piv = int(np.argmax(np.abs(eig) > 1e-8 * np.max(np.abs(eig))))
+            phase = eig[piv] / abs(eig[piv])
+            chains.append((center, [v / (nrm * phase) for v in vecs], piv))
+    Smat, chain_info = _basis(chains)
+    if np.linalg.cond(Smat) > COND_CAP:
+        raise JordanAmbiguityError("Jordan basis is numerically singular")
+    return JordanData(np.array(M), Smat, np.linalg.inv(Smat), chain_info)
 
 
 def free_closed_forms(bc: BCPair, k: complex) -> Tuple[np.ndarray, Optional[np.ndarray]]:

@@ -602,6 +602,36 @@ def test_verify_on_a_deep_barrier_with_a_inside_fails_the_split(tmp_path, capsys
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("target,name,value", [
+    ("_jost_stack", "wronskian_constancy", "J(k) at 0 minus J(k) at x1"),
+    ("log_derivative", "logderiv_slope", "the log-derivative slope"),
+])
+def test_verify_infinite_pairing_fails_its_record(tmp_path, monkeypatch, capsys, target, name,
+                                                  value):
+    # An infinite pairing (J(k) of the single-k stack, or the log-derivatives)
+    # reaches the norm of its check: the record fails as a numerical error
+    # naming the value, where the SVD of an inf crashed verify, and the
+    # report is strict JSON with exit 3.
+    import halfline.verify
+
+    real = getattr(halfline.verify, target)
+
+    def infinite(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if target == "log_derivative":
+            return np.full_like(out, np.inf)
+        return out._replace(J=np.full_like(out.J, np.inf)) if len(out.J) == 1 else out
+
+    monkeypatch.setattr(halfline.verify, target, infinite)
+    path = write_cfg(tmp_path, WELL_CFG)
+    assert cli.main(["verify", "--config", path]) == 3
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert [c for c in report["checks"] if not c["pass"]] == [{
+        "name": name, "residual": None, "tol": 0.0, "pass": False,
+        "error": f"NumericalError: {value} is not finite",
+    }]
+
+
 @pytest.mark.parametrize("target,name", [
     ("halfline.verify.moment_identities_residual", "tail_moments"),
     ("halfline.verify._smatrix_stack", "smatrix_properties"),

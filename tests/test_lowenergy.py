@@ -21,8 +21,8 @@ from halfline.lowenergy import (
     exact_free_pipeline,
     jost_inverse_asymptotics,
 )
-from conftest import exact_jordan_form, rand_bc, rand_potential, scalar_well, \
-    tuned_resonance_well
+from conftest import exact_jordan_form, per_centre_jordan, rand_bc, rand_potential, \
+    rand_unitary, scalar_well, tuned_resonance_well
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +644,66 @@ def test_numeric_jordan_and_assembly_agree_with_exact_or_refuse(lengths):
 
 def _bits(M):
     return M.dtype, M.shape, M.tobytes()
+
+
+def _jordan_outcome(jordan, M):
+    """The bits of the Jordan data of M, or the refusal's type, text and gaps."""
+    try:
+        jd = jordan(M)
+    except NumericalError as exc:
+        return type(exc), str(exc), getattr(exc, "gaps", None)
+    return _bits(jd.M), _bits(jd.Smat), _bits(jd.Sinv), jd.chains
+
+
+def _jordan_draws(rng, n):
+    """A random M of size n with simple eigenvalues, then one with zero
+    chains (up to length 2) and simple nonzero eigenvalues under a unitary
+    and under an integer similarity."""
+    yield rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    lengths = {1: [1], 2: [2], 3: [2, 1], 8: [2, 2, 1]}[n]
+    J = _nilpotent_jordan(lengths + [1] * (n - sum(lengths))).astype(complex)
+    J[sum(lengths):, sum(lengths):] += np.diag(rng.integers(1, 4, size=n - sum(lengths)))
+    U = rand_unitary(rng, n)
+    P, Pinv = _unimodular(rng, n)
+    yield U @ J @ U.conj().T
+    yield (P @ J @ Pinv).astype(complex)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_jordan_form_matches_the_per_centre_staircase(n):
+    # jordan_form takes the first rung's SVDs of every cluster centre as one
+    # stack and skips empty projections; the per-centre loop it replaced
+    # gives the same Smat, Sinv and chains bit for bit, or the same refusal.
+    rng = np.random.default_rng([20261020, n])
+    outcomes = []
+    for _ in range(6):
+        for M in _jordan_draws(rng, n):
+            want = _jordan_outcome(per_centre_jordan, M)
+            assert _jordan_outcome(hl.jordan_form, M) == want
+            outcomes.append(isinstance(want[0], type))
+    assert not all(outcomes)  # some draws decompose
+
+
+def test_jordan_form_matches_the_per_centre_refusals():
+    # The clustered condition of the CI (J(0) = diag(0, 5e-8)) and the
+    # J_3(0) + (2) draws under integer L U similarities (entries -4..4),
+    # most of which the backend refuses and some of which it misreads.
+    close = np.diag([0.0, 5e-8]).astype(complex)
+    assert _jordan_outcome(hl.jordan_form, close) == _jordan_outcome(per_centre_jordan, close)
+    assert _jordan_outcome(hl.jordan_form, close)[0] is JordanAmbiguityError
+    rng = np.random.default_rng(1)
+    J = _nilpotent_jordan([3, 1]).astype(complex)
+    J[3, 3] = 2
+    refused = 0
+    for _ in range(300):
+        L = np.tril(rng.integers(-4, 5, size=(4, 4)), -1) + np.eye(4, dtype=int)
+        U = np.triu(rng.integers(-4, 5, size=(4, 4)), 1) + np.eye(4, dtype=int)
+        P = L @ U
+        M = (P @ J @ np.rint(np.linalg.inv(P))).astype(complex)
+        want = _jordan_outcome(per_centre_jordan, M)
+        assert _jordan_outcome(hl.jordan_form, M) == want
+        refused += want[0] is JordanAmbiguityError
+    assert 0 < refused < 300
 
 
 @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 2)])

@@ -960,7 +960,7 @@ def test_jost_matrix_zero_takes_spectral_norms_only_when_frobenius_cannot_pass(r
     # Route differences within tol pass on Frobenius norms alone; a larger
     # one takes the spectral norms and is decided against tol * max(||J||, 1)
     # as before, with the same error text.
-    from halfline import scattering
+    from halfline import scattering, solver
 
     pot = rand_potential(rng, 2, 20)
     bc = rand_bc(rng, 2)
@@ -984,8 +984,9 @@ def test_jost_matrix_zero_takes_spectral_norms_only_when_frobenius_cannot_pass(r
         assert np.array_equal(hl.jost_matrix_zero(pot, bc), J)
         assert sum(spectral) == svds
     shift[0] = 2 * tol * scale
+    walks = solver._Walks(pot, bc, [], [0.0], points=pot._edges)
     J_moment = bc.B + integrate(pot, 0.0, (lambda y: 1.0,),
-                                lambda lo, hi: hl.regular_solution(pot, bc, 0.0, lo))[0] \
+                                lambda lo, hi: (lo, walks.edges("phi", 0.0, lo)))[0] \
         + shift[0] * np.eye(2)
     d1, d2 = norm(J - J_moment, 2), norm(J - beta, 2)
     text = (f"zero-energy Jost cross-check failed: moment diff {d1:.3e}, "

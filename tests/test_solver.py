@@ -642,42 +642,52 @@ def _reference_nodes(pot, eig, edge, ys):
     return np.array([rk45_propagate(pot, 0.0, edge, y, **RK45_TIGHT).value for y in ys])
 
 
-def _per_node_quadrature(pot, a, weights, edge_state, nodes=_exact_nodes):
+def _stacked(read, xs):
+    """The quadrature's edge pair (xs, psi) from the states read(x)."""
+    return xs, np.array([(s.value, s.deriv) for s in map(read, map(float, xs))])
+
+
+def _panels(reach):
+    """The least power of two p with reach <= 4 p, at most 32: the panels of
+    a piece of reach sqrt(max|w|) h."""
+    p = 1
+    while p < 32 and 4 * p < reach:
+        p *= 2
+    return p
+
+
+def _per_node_quadrature(pot, a, weights, edges, nodes=_exact_nodes):
     """The moment quadrature as a loop over pieces that forms every node
-    state (``nodes``); the nodes, the levels and the settling rule are those
-    of solver._integrate_weighted.  Returns the totals and the (nodes,
-    states) of every level."""
+    state (``nodes``) from its piece's edge state, on the panels of
+    solver._integrate_weighted (``_panels``, cut by np.linspace).  ``edges``
+    as there.  Returns the totals and the (nodes, states) of every piece."""
     xs, ws = solver._gauss_rule(solver._GAUSS_ORDER)
-    tol = solver._QUAD_TOL
+    live = [(max(lo, a), hi, V, eig) for (lo, hi, V), eig in zip(pot.pieces, pot._eigs)
+            if hi > max(lo, a)]
+    xe, psi_e = edges(np.array([p[0] for p in live]), np.array([p[1] for p in live]))
     totals = [np.zeros((pot.n, pot.n), dtype=complex) for _ in weights]
     visited = []
-    for (lo, hi, V), eig in zip(pot.pieces, pot._eigs):
-        lo = max(lo, a)
-        if hi <= lo:
-            continue
-        edge = edge_state(lo, hi)
-        prev, settled = [None] * len(weights), [False] * len(weights)
-        panels = 1
-        for _ in range(solver._QUAD_LEVELS):
-            edges = np.linspace(lo, hi, panels + 1)
-            mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-            ys = (mid[:, None] + half[:, None] * xs).ravel()
-            psi = nodes(pot, eig, edge, ys)
-            visited.append((ys, psi))
-            Vpsi = V @ psi
-            for i, weight in enumerate(weights):
-                if settled[i]:
-                    continue
-                coef = (half[:, None] * ws).ravel() * weight(ys)
-                acc = (coef[:, None, None] * Vpsi).sum(axis=0)
-                settled[i] = prev[i] is not None and solver._norm2_le(acc - prev[i], tol)
-                prev[i] = acc
-            if all(settled):
-                break
-            panels *= 2
-        for total, acc in zip(totals, prev):
-            total += acc
+    for (lo, hi, V, eig), x, (v, d) in zip(live, xe, psi_e):
+        cuts = np.linspace(lo, hi, _panels(np.sqrt(np.abs(eig[0]).max()) * (hi - lo)) + 1)
+        mid, half = 0.5 * (cuts[:-1] + cuts[1:]), 0.5 * (cuts[1:] - cuts[:-1])
+        ys = (mid[:, None] + half[:, None] * xs).ravel()
+        psi = nodes(pot, eig, hl.StateMatrix(float(x), v, d), ys)
+        visited.append((ys, psi))
+        Vpsi = V @ psi
+        for total, weight in zip(totals, weights):
+            total += (((half[:, None] * ws).ravel() * weight(ys))[:, None, None] * Vpsi).sum(axis=0)
     return totals, visited
+
+
+def _node_log(key, seen):
+    """Weights 1 and y that log every node they are called on under ``key``."""
+    return (lambda ys: seen[key].extend(np.ravel(ys)) or 1.0,
+            lambda ys: seen[key].extend(np.ravel(ys)) or ys)
+
+
+def _same_nodes(seen):
+    stacked, oracle = seen.values()
+    return sorted(y.tobytes() for y in stacked) == sorted(y.tobytes() for y in oracle)
 
 
 @pytest.mark.parametrize("n,pieces", [(n, p) for n in (1, 2, 8) for p in (2, 20)])
@@ -692,23 +702,17 @@ def test_quadrature_nodes_equal_walked_solutions(rng, n, pieces):
     bc = rand_bc(rng, n)
     lo, hi, _ = pot.pieces[pieces // 2]
     inside = 0.5 * (lo + hi)
-    phi = (lambda lo, hi: hl.regular_solution(pot, bc, 0.0, lo),
+    phi = (lambda lo, hi: _stacked(lambda x: hl.regular_solution(pot, bc, 0.0, x), lo),
            lambda y: hl.regular_solution(pot, bc, 0.0, y))
-    f = (lambda lo, hi: hl.jost_solution(pot, 0.0, hi), lambda y: hl.jost_solution(pot, 0.0, y))
+    f = (lambda lo, hi: _stacked(lambda x: hl.jost_solution(pot, 0.0, x), hi),
+         lambda y: hl.jost_solution(pot, 0.0, y))
     for a, (edge, walk) in ((0.0, phi), (0.0, f), (inside, f), (inside, (phi[0], None))):
-        seen = {"stacked": ([], []), "oracle": ([], [])}
-
-        def weights(key):
-            one, first = seen[key]
-            return (lambda ys: one.extend(np.reshape(ys, (-1, ys.shape[-1]))) or 1.0,
-                    lambda ys: first.extend(np.reshape(ys, (-1, ys.shape[-1]))) or ys)
-
-        got = solver._integrate_weighted(pot, a, weights("stacked"), edge)
-        want, visited = _per_node_quadrature(pot, a, weights("oracle"), edge)
+        seen = {"stacked": [], "oracle": []}
+        got = solver._integrate_weighted(pot, a, _node_log("stacked", seen), edge)
+        want, visited = _per_node_quadrature(pot, a, _node_log("oracle", seen), edge)
         for g, w in zip(got, want):
             assert np.linalg.norm(g - w, 2) <= 1e-12 * max(1.0, np.linalg.norm(w, 2))
-        for stacked, oracle in zip(*seen.values()):
-            assert sorted(y.tobytes() for y in stacked) == sorted(y.tobytes() for y in oracle)
+        assert _same_nodes(seen)
         ys = np.concatenate([y for y, _ in visited])
         assert len(visited) >= len(pot.pieces) - pieces // 2 and ys.min() >= a
         if walk is not None:
@@ -717,26 +721,77 @@ def test_quadrature_nodes_equal_walked_solutions(rng, n, pieces):
                 assert np.array_equal(walk(float(y)).value, v)
 
 
-def test_quadrature_refines_each_piece_to_its_own_level():
-    # A deep piece needs more panels than a shallow one: each piece and
-    # weight settles at its own level, as in the per-node oracle.
-    deep = np.diag([-800.0, -600.0]) + 0j
-    pot = hl.Potential(n=2, pieces=((0.0, 1.0, deep), (1.1, 1.6, 0.3 * np.eye(2))))
-    edge = lambda lo, hi: hl.jost_solution(pot, 0.0, hi)
-    seen = {"stacked": [], "oracle": []}
+def test_quadrature_panels_follow_the_a_priori_rule():
+    # A piece of width h whose V has eigenvalues w gets the least power of
+    # two p with sqrt(max|w|) h <= 4 p panels, at most 32, fixed before any
+    # node is evaluated: the deep piece its bound's 8 (reach 28.3), the
+    # shallow one 1, a well of reach 60 rounds up to 16, and a piece beyond
+    # the bound (reach 200) gets 32.  The weights are called once each, on
+    # the oracle's nodes, and the totals agree with it.
+    cases = (
+        ((0.0, 1.0, np.diag([-800.0, -600.0])), (1.1, 1.6, 0.3 * np.eye(2))),
+        ((0.0, 3.0, -400.0 * np.eye(2)),),
+        ((0.0, 1.0, -40000.0 * np.eye(2)),),
+    )
+    for pieces, panels in zip(cases, ([8, 1], [16], [32])):
+        pot = hl.Potential(n=2, pieces=pieces)
+        edges = lambda lo, hi: _stacked(lambda x: hl.jost_solution(pot, 0.0, x), hi)
+        seen, calls = {"stacked": [], "oracle": []}, []
+        log = _node_log("stacked", seen)
+        weights = [lambda ys, w=w: calls.append(len(ys)) or w(ys) for w in log]
+        got = solver._integrate_weighted(pot, 0.0, weights, edges)
+        want, _ = _per_node_quadrature(pot, 0.0, _node_log("oracle", seen), edges)
+        for g, w in zip(got, want):
+            assert np.linalg.norm(g - w, 2) <= 1e-12 * max(1.0, np.linalg.norm(w, 2))
+        assert _same_nodes(seen)
+        ys = np.array(seen["stacked"][:calls[0]])
+        assert calls == [12 * sum(panels)] * 2
+        assert [int(((lo <= ys) & (ys <= hi)).sum()) for lo, hi, _ in pieces] == [
+            12 * p for p in panels]
 
-    def weights(key):
-        return (lambda ys: seen[key].extend(np.reshape(ys, (-1, ys.shape[-1]))) or 1.0,
-                lambda ys: ys)
 
-    got = solver._integrate_weighted(pot, 0.0, weights("stacked"), edge)
-    want, _ = _per_node_quadrature(pot, 0.0, weights("oracle"), edge)
-    for g, w in zip(got, want):
-        assert np.linalg.norm(g - w, 2) <= 1e-12 * max(1.0, np.linalg.norm(w, 2))
-    sizes = sorted(len(y) for y in seen["oracle"])
-    assert sizes[-1] >= 8 * solver._GAUSS_ORDER and sizes.count(sizes[-1]) == 1
-    assert sorted(y.tobytes() for y in seen["stacked"]) == sorted(
-        y.tobytes() for y in seen["oracle"])
+@pytest.mark.parametrize("depth,width", [(-400.0, 3.0), (25.0, 10.0)])
+def test_quadrature_agrees_with_mpmath(depth, width):
+    # V = depth on [0, width]: f(0, y) = cos(20 (3 - y)) in the well and
+    # cosh(5 (10 - y)) in the barrier.  The moments of V f(0, .) with
+    # weights 1 and y, summed from the walked edge, agree with mpmath's
+    # to 1e-12 relative.
+    mpmath = pytest.importorskip("mpmath")
+    pot = hl.Potential(n=1, pieces=((0.0, width, np.array([[depth]])),))
+    walks = solver._Walks(pot, None, [0.0], points=pot._edges)
+    got = solver._integrate_weighted(pot, 0.0, (lambda y: 1.0, lambda y: y),
+                                     lambda lo, hi: (hi, walks.edges("f", 0.0, hi)))
+    with mpmath.workdps(40):
+        om = mpmath.sqrt(abs(depth))
+        f = (lambda y: mpmath.cos(om * (width - y))) if depth < 0 else (
+            lambda y: mpmath.cosh(om * (width - y)))
+        for total, weight in zip(got, (lambda y: 1, lambda y: y)):
+            want = complex(mpmath.quad(lambda y: weight(y) * depth * f(y),
+                                       mpmath.linspace(0, width, 31)))
+            assert abs(total[0, 0] - want) <= 1e-12 * abs(want)
+
+
+def test_walk_edge_gather_reads_every_point_at_once(rng):
+    # edges stacks the single reads of one k from either walk, bit for bit;
+    # a point or k no walk holds raises KeyError, and an overflowed state
+    # the overflow error, from one check.
+    pot = rand_potential(rng, 2, 4)
+    bc = rand_bc(rng, 2)
+    walks = solver._Walks(pot, bc, [0.0, 1.0], [0.0], points=pot._edges)
+    xs = np.array(pot._edges[1:])
+    for which, read in (("f", walks.f), ("phi", walks.phi)):
+        psi = walks.edges(which, 0.0, xs)
+        assert np.array_equal(psi, [(read(0.0, x).value, read(0.0, x).deriv) for x in xs])
+    with pytest.raises(KeyError):
+        walks.edges("f", 0.0, [0.5 * (xs[0] + xs[1])])
+    with pytest.raises(KeyError):
+        walks.edges("phi", 2.0, xs)
+    barrier = hl.Potential(n=1, pieces=((0.0, 20.0, np.array([[2000.0]])), (21.0, 22.0,
+                                                                           np.eye(1))))
+    walks = solver._Walks(barrier, None, [0.0], points=barrier._edges)
+    with pytest.raises(NumericalError, match="overflows"):
+        walks.edges("f", 0.0, barrier._edges)
+    assert walks.edges("f", 0.0, barrier._edges[2:]).shape == (2, 2, 1, 1)
 
 
 def test_rk45_quadratures_agree_with_analytic(rng):
@@ -748,12 +803,14 @@ def test_rk45_quadratures_agree_with_analytic(rng):
     bc = rand_bc(rng, 2)
     (moment,), _ = _per_node_quadrature(
         pot, 0.0, (lambda y: 1.0,),
-        lambda lo, hi: rk45_regular_solution(pot, bc, 0.0, lo, **RK45_TIGHT), _reference_nodes)
+        lambda lo, hi: _stacked(lambda x: rk45_regular_solution(pot, bc, 0.0, x, **RK45_TIGHT),
+                                lo), _reference_nodes)
     assert np.linalg.norm(bc.B + moment - hl.jost_matrix_zero(pot, bc), 2) < 1e-9
     for a in (0.0, 0.5 * pot.x_max):
         (m0, m1), _ = _per_node_quadrature(
             pot, a, (lambda y: 1.0, lambda y: y),
-            lambda lo, hi: rk45_jost_solution(pot, 0.0, hi, **RK45_TIGHT), _reference_nodes)
+            lambda lo, hi: _stacked(lambda x: rk45_jost_solution(pot, 0.0, x, **RK45_TIGHT), hi),
+            _reference_nodes)
         f0a = rk45_jost_solution(pot, 0.0, a, **RK45_TIGHT)
         assert np.linalg.norm(m0 + f0a.deriv, 2) < 1e-10
         assert np.linalg.norm(m1 - f0a.value + a * f0a.deriv + np.eye(2), 2) < 1e-10
