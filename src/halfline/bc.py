@@ -386,10 +386,11 @@ def number_from_json(x) -> float:
 def complex_matrix_from_json(data, name: str = "matrix") -> np.ndarray:
     try:
         rows = []
-        for row in data:  # complex(re, im) refuses strings, which float() would read
-            rows.append([complex(z[0], z[1]) for z in row])
+        for row in data:  # complex(re, im) refuses strings, which float() would read;
+            # unpacking refuses an entry that is not one [re, im] pair
+            rows.append([complex(re, im) for re, im in row])
         a = np.array(rows, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name}: expected [[[re, im], ...], ...]") from exc
     if a.ndim != 2:
         raise ValidationError(f"{name}: expected a 2-d matrix")

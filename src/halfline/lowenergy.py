@@ -533,8 +533,9 @@ def zero_energy_pipeline(
     (route (i) of J(0), f(0, a) of R and the probes' f(-k, .)), and phi(k, .)
     for the same k once from 0 to max(a, x_max) (routes (ii) and (iii),
     phi(0, a) of R and the probes' phi(k, a)); both keep their states at 0,
-    a and every piece edge.  A caller that holds such walks, and J(0)
-    computed from them, passes both (``verify`` does).
+    a and x_max, phi also at the lower edge of every piece.  A caller that
+    holds such walks, and J(0) computed from them, passes both (``verify``
+    does).
     """
     if pot.n != bc.n:
         raise ValidationError("potential and boundary pair sizes differ")
@@ -542,7 +543,7 @@ def zero_energy_pipeline(
     probes = list(DEFAULT_PROBES)
     if walks is None and mode != "exact":
         ks = [0.0, *probes, *(-kp for kp in probes)]
-        walks = _Walks(pot, bc, ks, ks, points=(0.0, a, *pot._edges))
+        walks = _Walks(pot, bc, ks, ks, points=(0.0, a, pot.x_max), edges=("phi",))
 
     n = bc.n
     exact = None

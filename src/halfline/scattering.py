@@ -25,7 +25,7 @@ Solutions are read from ``solver._Walks``, the only read path: one
 backward walk of f(kappa, .) from the support edge and one forward walk of
 phi(k, .) from 0, each over the union of their k as one stack.  The grid
 walks f(-k, .) for every +k and -k, and phi(k, .), which is even in k,
-once per k^2, from one table of step coefficients per k^2, keeping the
+once per k^2, from one table of step blocks per k^2, keeping the
 states at 0 and a.  A function here that reads walked solutions takes
 such a ``walks`` or makes walks of what it reads.  A solution that
 overflows fails where it is read; in a stack of S(k), its row alone.
@@ -193,13 +193,14 @@ def jost_matrix_zero(pot: Potential, bc: BCPair, walks: Optional[_Walks] = None)
     of the regular solution, (iii) phi'(0, x_max), the coefficient of
     phi(0, .) along the growing zero-energy solution with data (x_max I, I)
     at x_max (the bounded one, f(0, .), has (I, 0) there).  Route (i) reads
-    f(0, 0), routes (ii) and (iii) phi(0, .) at every interface, from
-    ``walks``: a caller's, or else a walk of f(0, .) down to 0 and one of
-    phi(0, .) up to x_max made here.  Route (ii) steps its nodes off one
-    stack of edge states, not the walk, so a wrong leg in either walk shows.
+    f(0, 0), routes (ii) and (iii) phi(0, .) at each lower piece edge and
+    at x_max, from ``walks``: a caller's, or else a walk of f(0, .) down to
+    0 and one of phi(0, .) up to x_max made here.  Route (ii) steps its
+    nodes off one stack of edge states, not the walk, so a wrong block or
+    product in either walk shows.
     """
     _check_sizes(pot, bc)
-    walks = walks or _Walks(pot, bc, [0.0], [0.0], points=(0.0, *pot._edges))
+    walks = walks or _Walks(pot, bc, [0.0], [0.0], points=(0.0, pot.x_max), edges=("phi",))
     J_pairing = wronskian(walks.f(0.0, 0.0), walks.phi(0.0, 0.0))
 
     (moment,) = _integrate_weighted(pot, 0.0, (lambda y: 1.0,),
@@ -321,7 +322,7 @@ def smatrix_grid(
     ``{"k", "error"}`` with the "<ExcName>: <message>" that :func:`smatrix`
     raises at that k.  The evaluator behind both walks f(-k, .) for +k and
     -k of the whole grid as one stack and phi(k, .) once per k^2, from one
-    table of step coefficients per k^2; a k whose solutions overflow fails
+    table of step blocks per k^2; a k whose solutions overflow fails
     its row alone, and nothing is redone.
     """
     _check_sizes(pot, bc)

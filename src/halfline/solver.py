@@ -26,19 +26,27 @@ here takes a method, a tolerance or a step size.
 
 All functions are pure and start no threads of their own (BLAS may split a
 large product over threads).  One propagation may carry a stack of k: a
-step holds it transposed, as rows psi^T, so each rotation into or out of
-V's eigenbasis is one 2-D product of all K n rows with a fixed n x n
-factor, and a stacked row keeps the bits of its scalar call (see _step).
+walk holds it transposed, as rows psi^T, in the eigenbasis of the piece it
+is in, so every product is one 2-D product of all K n rows with a fixed
+n x n factor, and a stacked row keeps the bits of its scalar call.
 
-One kernel (``_legs``) steps a walk leg by leg, checking nothing: an
-overflowed solution stays inf or NaN.  :func:`propagate` keeps and checks
-its last state; ``_Walks``, which crosses the support once per solution
-family over a stack of k, keeps the states at the points it is given and
-no others (a reader of interface states, such as the zero-energy Jost
-routes and the moment quadrature, lists the piece edges), reads one
-``_Table`` of step coefficients per k^2 and checks what it hands out.  The
-quadrature (``_integrate_weighted``) sums step coefficients over panels
-fixed a priori, in one pass in V's eigenbasis, and forms no node state.
+The support is cut after each piece into units, a free gap (empty where
+pieces touch) and the piece after it.  One kernel (``_walk``) steps every
+walk: it enters a unit by one product per value and derivative rows, with
+QT_i conj(Q_j) from the piece before (both directions computed once per
+Potential), crosses a unit whole by one 2 x 2 block per eigenvalue into
+which the free step of its gap is composed (a free step is a scalar per k,
+so it commutes with any rotation), and rotates rows out only where it hands
+a state out.  A kept point inside a unit is carried to from the unit's
+entry, so a state has the bits of a direct propagation to its point.
+``_Table`` computes the blocks once per distinct k^2, vectorised over runs
+of units, shared by f(k), f(-k) and phi(k).  Nothing is checked while
+walking: an overflowed solution stays inf or NaN.  :func:`propagate`
+checks its last state; ``_Walks``, which crosses the support once per
+solution family over a stack of k, keeps the states at the points it is
+given and no others and checks what it hands out.  The quadrature
+(``_integrate_weighted``) sums step coefficients over panels fixed a
+priori, in one pass in V's eigenbasis, and forms no node state.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -145,14 +153,13 @@ class Potential:
             if lo2 < hi1 - 1e-15:
                 raise ValidationError("potential pieces overlap")
         # The pieces' V and, from one eigh call, the factors (w, Q^T, conj Q)
-        # that rotate rows (see _step), as (P, ...) stacks; V and _eigs[i] view them.
+        # that rotate rows (see _walk), as (P, ...) stacks; V views them.
         Vs = np.array([V for _, _, V in cleaned], dtype=complex).reshape(-1, self.n, self.n)
         w, Q = np.linalg.eigh(Vs)
         stacks = (Vs, w, np.ascontiguousarray(Q.swapaxes(-1, -2)), Q.conj())
         for s in stacks:
             s.setflags(write=False)
         object.__setattr__(self, "_stacks", stacks)
-        object.__setattr__(self, "_eigs", tuple(zip(*stacks[1:])))
         object.__setattr__(self, "pieces", tuple((p[0], p[1], V) for p, V in zip(cleaned, Vs)))
         object.__setattr__(self, "x_max", cleaned[-1][1] if cleaned else 0.0)
         # Piece lookup by bisection: the sorted distinct piece edges, and the
@@ -162,6 +169,13 @@ class Potential:
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_reach", list(itertools.accumulate(
             (hi for _, hi, _ in cleaned), max)))
+
+    @functools.cached_property
+    def _units(self) -> "_Units":
+        """The units the walks cross, made at the first walk: their
+        interface products are BLAS calls, which would start BLAS's
+        threads while a configuration is only being read."""
+        return _make_units(self)
 
     def piece_at(self, x: float) -> Optional[int]:
         """Index of the piece containing x, or None on free territory.
@@ -219,43 +233,45 @@ class StateMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Exact stepping within a constant piece.
+# Exact stepping in V's eigenbasis.
 # ---------------------------------------------------------------------------
 
-def _step(eig, c, s, g, value, deriv):
-    """One exact step through a constant piece, from its coefficients.
+class _Units(NamedTuple):
+    """The support [0, x_max] cut after each piece into units: unit u is a
+    free gap on [start[u], mid[u]] (empty where pieces touch) and then the
+    piece ``piece[u]`` on [mid[u], end[u]].  ``up[u]`` = QT_u conj(Q_(u+1))
+    carries rows held in unit u's eigenbasis into unit u+1's, ``down[u]`` =
+    QT_(u+1) conj(Q_u) back."""
 
-    ``c``, ``s`` and ``g`` are cos(omega h), sin(omega h)/omega and -omega^2
-    times s (see :func:`_coefficients`), of stack shape S, () or (m,), plus
-    an eigen axis; ``value``, ``deriv`` and the result are (n, n) or S + (n, n).
-    ``eig`` is the piece's (w, Q^T, conj Q), or None on free territory (no
-    rotation, an eigen axis of length 1).  Nothing is checked: a row that
-    overflows comes out inf or NaN, and any later step keeps it so.
+    start: list
+    mid: list
+    end: list
+    piece: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
 
-    The state is held transposed for the length of the step, as rows: psi^T
-    is (..., n, n) with one row per column of psi, and Q' psi is
-    (psi^T conj Q)^T.  So each rotation is one 2-D product of every row of
-    the stack with a fixed n x n factor (``_rotate``), and c, s and g scale
-    the last axis.  With the factor fixed, BLAS computes a row of that
-    product the same way whatever the number of rows, so a stacked row
-    keeps the bits of its scalar call.  The result is a transposed view of
-    those rows, which the next step reshapes without a copy.
-    """
-    QT, QhT = (None, None) if eig is None else eig[1:]
-    with np.errstate(all="ignore"):
-        c, s, g = c[..., None, :], s[..., None, :], g[..., None, :]
-        rows_v, rows_d = value.swapaxes(-1, -2), deriv.swapaxes(-1, -2)
-        if QT is not None:
-            rows_v, rows_d = _rotate(rows_v, QhT), _rotate(rows_d, QhT)
-        # in place, and out into the spent rotated rows: fresh arrays of a
-        # large stack cost more in page faults than their arithmetic
-        new_v = c * rows_v
-        new_v += s * rows_d
-        new_d = g * rows_v
-        new_d += c * rows_d
-        if QT is not None:
-            new_v, new_d = _rotate(new_v, QT, rows_v), _rotate(new_d, QT, rows_d)
-    return new_v.swapaxes(-1, -2), new_d.swapaxes(-1, -2)
+
+def _make_units(pot: Potential) -> _Units:
+    """The units of ``pot``; a gap goes with the piece after it, and the
+    legs of one piece that an overlapping piece's edge cuts form one unit."""
+    cuts, mids, piece = [0.0], [], []
+    stops = sorted({0.0, *pot._edges})
+    for x0, x1 in zip(stops, stops[1:]):
+        i = pot.piece_at(0.5 * (x0 + x1))
+        if i is None:
+            continue
+        if piece and piece[-1] == i and cuts[-1] == x0:
+            cuts[-1] = x1
+        else:
+            cuts.append(x1)
+            mids.append(x0)
+            piece.append(i)
+    piece = np.array(piece, dtype=int)
+    _, _, QT, QhT = pot._stacks
+    up, down = QT[piece[:-1]] @ QhT[piece[1:]], QT[piece[1:]] @ QhT[piece[:-1]]
+    for a in (up, down):
+        a.setflags(write=False)
+    return _Units(cuts[:-1], mids, cuts[1:], piece, up, down)
 
 
 def _coefficients(w, k, h):
@@ -273,96 +289,217 @@ def _coefficients(w, k, h):
     return c, s * h, om2
 
 
-def _rotate(rows, RT, spare=None):
+_TABLE = 2 ** 14  # most block entries (units x k^2 x eigenvalues) in one run of a table
+
+
+class _Table:
+    """Step blocks of every unit per distinct k^2 of ``ks``, row ``rows[i]``
+    for ks[i]: f(k, .), f(-k, .) and phi(k, .) read one row.
+
+    :meth:`block` is the forward step through a whole unit, its gap and then
+    its piece, as one 2 x 2 block (p, q, r, t) per eigenvalue, (4, K, n);
+    :meth:`gap` is (c, s, g) = (cos(omega h), sin(omega h)/omega, -omega^2 s)
+    of its gap, (3, K, 1): a gap has w = 0, and h = 0 where pieces touch,
+    which is the identity.  Each step has determinant 1, so the backward
+    one is (t, -q, -r, p), and a backward leg negates s and g (see _mix).
+    Consecutive units are computed together, vectorised, in runs of at most
+    _TABLE block entries, each run when a walk first reaches it; a table
+    that ``keep``s them holds every run it made, else only the last (one
+    walk, which reaches each run once)."""
+
+    def __init__(self, pot: Potential, ks, keep=True):
+        keys = _square_keys(ks)
+        self.reps, index = _distinct(ks, keys)
+        self.rows = np.array(list(map(index.__getitem__, keys)), dtype=int)
+        self.size, self.pot, self.keep, self.runs = len(self.reps), pot, keep, {}
+        self.span = max(1, _TABLE // max(1, self.size * pot.n))  # units per run
+
+    def own(self, rows):
+        """``rows``, or None where they are every row of the table in order."""
+        if len(rows) == self.size and (rows == np.arange(len(rows))).all():
+            return None
+        return rows
+
+    def block(self, u, rows):
+        """Unit u's forward block at ``rows`` (None: all, in order)."""
+        return self._take(0, u, rows)
+
+    def gap(self, u, rows):
+        """(c, s, g) of unit u's gap at ``rows`` (None: all, in order)."""
+        return self._take(1, u, rows)
+
+    def _take(self, which, u, rows):
+        i, j = divmod(u, self.span)
+        run = self.runs.get(i)
+        if run is None:
+            if not self.keep:
+                self.runs.clear()
+            run = self.runs[i] = self._run(slice(i * self.span, (i + 1) * self.span))
+        a = run[which][:, j]
+        return a if rows is None else np.take(a, rows, axis=1)
+
+    def _run(self, span):
+        """(blocks, gaps) of the units of ``span``, (4, U, K, n) and (3, U, K, 1)."""
+        units, reps = self.pot._units, self.reps
+        start, mid, end = (np.array(a[span]) for a in (units.start, units.mid, units.end))
+        with np.errstate(all="ignore"):
+            cP, sP, gP = _coefficients(self.pot._stacks[1][units.piece[span]][:, None], reps,
+                                       (end - mid)[:, None])
+            gP = np.negative(gP, out=gP)  # -omega^2 s, in place of omega^2
+            gP *= sP
+            cG, sG, om2 = _coefficients(0.0, reps, (mid - start)[:, None])
+            gG = -om2 * sG
+            # fresh arrays of a large table cost more in page faults than
+            # their arithmetic, so the products go through one scratch array
+            blocks, tmp = np.empty((4,) + cP.shape, complex), np.empty_like(cP)
+            for out, (a, b, c, d) in zip(blocks, ((cP, cG, sP, gG), (cP, sG, sP, cG),
+                                                  (gP, cG, cP, gG), (gP, sG, cP, cG))):
+                np.multiply(a, b, out=out)
+                out += np.multiply(c, d, out=tmp)
+        return blocks, np.stack((cG, sG, gG))
+
+
+def _mix(block, v, d, back=False, out=(None, None, None)):
+    """One step of rows held in an eigenbasis: (p v + q d, r v + t d) for
+    the block (p, q, r, t), each (K, n), or (K, 1) for a scalar step, and
+    rows v, d (K, n, n) scaled along their last (eigen) axis.  Backward,
+    (t v - q d, p d - r v), the inverse.  The result and a scratch array go
+    into ``out`` where given.  Nothing is checked: a row that overflows
+    comes out inf or NaN, and any later step keeps it so."""
+    p, q, r, t = (b[:, None] for b in block)
+    if back:
+        p, t = t, p
+    combine = np.subtract if back else np.add
+    new_v, new_d, tmp = out
+    new_v, new_d = np.multiply(p, v, out=new_v), np.multiply(t, d, out=new_d)
+    tmp = np.multiply(q, d, out=tmp)
+    combine(new_v, tmp, out=new_v)
+    combine(new_d, np.multiply(r, v, out=tmp), out=new_d)
+    return new_v, new_d
+
+
+def _rotate(rows, RT, out=None):
     """rows @ RT for a (..., m, n) stack of rows, as one (M, n) @ (n, n)
-    product.  It is written into ``spare``, a contiguous array no longer
-    needed, when that has the shape of the result."""
+    product, into ``out`` where given: with RT fixed, BLAS computes a row
+    the same way whatever the number of rows, so a stacked row keeps the
+    bits of its scalar call."""
     n = rows.shape[-1]
-    if spare is None or spare.shape != rows.shape:
+    if out is None:
         return (rows.reshape(-1, n) @ RT).reshape(rows.shape)
-    np.matmul(rows.reshape(-1, n), RT, out=spare.reshape(-1, n))
-    return spare
+    np.matmul(rows.reshape(-1, n), RT, out=out.reshape(-1, n))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Piecewise walk.
 # ---------------------------------------------------------------------------
 
-def _breakpoints(pot: Potential, x0: float, x1: float):
-    """Segment boundaries between x0 and x1 (either direction), including
-    every piece interface strictly inside."""
-    lo, hi = min(x0, x1), max(x0, x1)
-    if lo == hi:
-        return [x0]
-    edges = pot._edges
-    cuts = [lo, *edges[bisect_right(edges, lo):bisect_left(edges, hi)], hi]
-    return cuts[::-1] if x1 < x0 else cuts
+def _segments(pot: Potential, x0: float, x1: float):
+    """(unit, y0, y1) of each part [y0, y1] of the walk from x0 to x1 that
+    lies in one unit, in walk order; the unit is None beyond the support."""
+    units, x_max = pot._units, pot.x_max
+    if x1 < x0:
+        if x0 > x_max:
+            yield None, x0, max(x1, x_max)
+        u = bisect_left(units.start, x0) - 1
+        while u >= 0 and units.end[u] > x1:
+            yield u, min(x0, units.end[u]), max(x1, units.start[u])
+            u -= 1
+    elif x0 < x1:
+        u = bisect_right(units.end, x0)
+        while u < len(units.end) and units.start[u] < x1:
+            yield u, max(x0, units.start[u]), min(x1, units.end[u])
+            u += 1
+        if x1 > x_max:
+            yield None, max(x0, x_max), x1
 
 
-_TABLE = 2 ** 14  # most step coefficients (legs x k x eigenvalues) in one block
+def _part(pot: Potential, ks, table, rows, u, y0, y1, v, d):
+    """Rows (v, d) held in unit u's eigenbasis (the standard one beyond the
+    support, u None) carried from y0 to y1 within the unit, its gap and its
+    piece one at a time: a gap the walk covers whole from ``table`` at
+    ``rows``, any other leg from coefficients at ``ks`` of its own."""
+    if u is None:
+        legs = [(0.0, pot.x_max, math.inf, False)]
+    else:
+        units = pot._units
+        legs = [(0.0, units.start[u], units.mid[u], True),
+                (pot._stacks[1][units.piece[u]], units.mid[u], units.end[u], False)]
+    back = y1 < y0
+    for w, a, b, gap in (legs[::-1] if back else legs):
+        lo, hi = max(a, min(y0, y1)), min(b, max(y0, y1))
+        if lo >= hi:
+            continue
+        if gap and (lo, hi) == (a, b):
+            c, s, g = table.gap(u, rows)
+        else:
+            c, s, om2 = _coefficients(w, ks, np.asarray(hi - lo))
+            g = -om2 * s
+        v, d = _mix((c, s, g, c), v, d, back)
+    return v, d
 
 
-def _leg_coefficients(pot: Potential, k, legs):
-    """(c, s, g) of each leg (piece index or None, h, ...) at each k, in order,
-    per block of at most _TABLE coefficients as it is reached: one
-    :func:`_coefficients` call for its piece legs, one for its free legs (w = 0)."""
-    axes = (1,) * k.ndim  # the k axis, if any, between the leg and eigen axes
-    size = max(1, _TABLE // (k.size * pot.n))
-    for block in (legs[i:i + size] for i in range(0, len(legs), size)):
-        table = {}
-        for free in (True, False):
-            rows = [j for j, leg in enumerate(block) if (leg[0] is None) == free]
-            if rows:
-                h = np.array([block[j][1] for j in rows]).reshape(-1, *axes)
-                w = 0.0 if free else pot._stacks[1][[block[j][0] for j in rows]].reshape(
-                    h.shape + (pot.n,))
-                with np.errstate(all="ignore"):
-                    c, s, om2 = _coefficients(w, k[None], h)
-                    table.update(zip(rows, zip(c, s, -om2 * s)))
-        yield from (table[j] for j in range(len(block)))
+def _walk(pot: Potential, ks, table, rows, x0, value, deriv, x1, keep) -> dict:
+    """The states of the exact walk of (value, deriv), (K, n, n) stacks at
+    x0, to x1 (either direction) at each point of ``keep`` strictly beyond
+    x0, as {x: StateMatrix}; ``ks`` (K,) and ``table`` at ``rows`` give
+    the steps.
 
+    The rows psi^T are held in the eigenbasis of the unit the walk is in:
+    entering a unit is one product per value and derivative rows, and a
+    unit crossed whole is one step by its block.  A kept point is rotated
+    out from the unit's entry rows carried to it (see _part), so a state
+    depends on its point alone, not on the other points kept.  A row that
+    overflows does not stop the others.
+    """
+    back, (lo, hi) = bool(x1 < x0), sorted((x0, x1))
+    todo = sorted((x for x in keep if lo <= x <= hi and x != x0), reverse=back)
+    # ``at``: the unit whose eigenbasis holds the rows, None: the standard one
+    states, at = {}, None
+    if not todo:
+        return states
+    units, (QT, QhT) = pot._units, pot._stacks[2:]
+    rows, v, d = table.own(rows), value.swapaxes(-1, -2), deriv.swapaxes(-1, -2)
+    # the rows entering a unit and the rows leaving it, and a scratch array,
+    # made at the first unit; nothing handed out is one of them
+    entered = left = None
 
-class _Table:
-    """(c, s, g) of the step h = hi - lo > 0 of each leg [lo, hi] of ``runs``
-    (lists of stops) per distinct k^2 of ``ks``, row ``rows[i]`` for ks[i].
-    f(k, .), f(-k, .) and phi(k, .) read one row, a backward leg negates s
-    and g; only zero signs can differ from computing them for each k and h."""
+    def state(x, u, v, d):
+        if u is not None:
+            v, d = _rotate(v, QT[units.piece[u]]), _rotate(d, QT[units.piece[u]])
+        return StateMatrix._trusted(x, v.swapaxes(-1, -2), d.swapaxes(-1, -2))
 
-    def __init__(self, pot: Potential, ks, runs):
-        keys = _square_keys(ks)
-        reps, index = _distinct(ks, keys)
-        self.rows = np.array(list(map(index.__getitem__, keys)), dtype=int)
-        legs = sorted({(min(leg), max(leg)) for stops in runs for leg in zip(stops, stops[1:])})
-        self._coefs = dict(zip(legs, _leg_coefficients(
-            pot, reps, [(pot.piece_at(0.5 * (lo + hi)), hi - lo) for lo, hi in legs])))
-
-    def read(self, rows, stops):
-        """(c, s, g) of each leg of ``stops`` in order, at ``rows`` (indices or a slice)."""
-        for x0, x1 in zip(stops, stops[1:]):
-            c, s, g = (a[rows] for a in self._coefs[min(x0, x1), max(x0, x1)])
-            yield (c, s, g) if x0 < x1 else (c, -s, -g)
-
-
-def _legs(pot: Potential, k, value, deriv, stops, coefs=None):
-    """The exact walk of (value, deriv) at stops[0] through ``stops``, with
-    no piece edge strictly between two stops: the StateMatrix at each later
-    stop, in order.  ``k`` is 0-d or 1-D complex.  Each leg is stepped with
-    :func:`_step` from its coefficients in ``coefs`` (a :meth:`_Table.read`)
-    or else from :func:`_leg_coefficients`.  A coefficient depends on its
-    k^2, w and h alone, so every state has the value of stepping its legs
-    one at a time, and without ``coefs`` its bits; a row that overflows
-    does not stop the others."""
-    legs = [(pot.piece_at(0.5 * (x0 + x1)), x1 - x0, x1) for x0, x1 in zip(stops, stops[1:])]
-    for (idx, _, x), (c, s, g) in zip(legs, coefs or _leg_coefficients(pot, k, legs)):
-        value, deriv = _step(None if idx is None else pot._eigs[idx], c, s, g, value, deriv)
-        yield StateMatrix._trusted(x, value, deriv)
+    with np.errstate(all="ignore"):
+        for u, y0, y1 in _segments(pot, x0, x1):
+            if u != at:
+                R = (QhT[units.piece[u]] if at is None else QT[units.piece[at]] if u is None
+                     else units.down[u] if back else units.up[at])
+                if entered is None:
+                    entered, left = ([np.empty(v.shape, complex) for _ in range(m)] for m in (2, 3))
+                v, d, at = _rotate(v, R, entered[0]), _rotate(d, R, entered[1]), u
+            while todo and (todo[0] > y1 if back else todo[0] < y1):
+                x = todo.pop(0)
+                states[x] = state(x, u, *_part(pot, ks, table, rows, u, y0, x, v, d))
+            a, b = (pot.x_max, math.inf) if u is None else (units.start[u], units.end[u])
+            near, far = (b, a) if back else (a, b)
+            if y1 != far:  # the walk ends inside u
+                if todo:
+                    states[x1] = state(x1, u, *_part(pot, ks, table, rows, u, y0, x1, v, d))
+                break
+            if y0 == near and u is not None:
+                v, d = _mix(table.block(u, rows), v, d, back, left)
+            else:
+                v, d = _part(pot, ks, table, rows, u, y0, y1, v, d)
+            if todo and todo[0] == y1:
+                states[todo.pop(0)] = state(y1, u, v, d)
+    return states
 
 
 def propagate(pot: Potential, k, state: StateMatrix, x_target: float) -> StateMatrix:
     """Move a solution snapshot to x_target through the piece structure.
 
     The first-order system (psi, psi')' = (psi', (V - k^2) psi) is advanced
-    segment by segment; segments never straddle a piece interface.  ``k``
+    exactly, piece by piece; steps never straddle a piece interface.  ``k``
     may be a 1-D array of K values: the result then holds (K, n, n) stacks,
     one solution per k, and ``state`` may be one start or such a stack.
     Raises NumericalError if a solution overflowed: it ends inf or NaN.
@@ -373,14 +510,17 @@ def propagate(pot: Potential, k, state: StateMatrix, x_target: float) -> StateMa
     value, deriv = state.value, state.deriv
     if k.ndim and value.shape[:-2] != k.shape:  # one solution per k, also without steps
         value, deriv = (np.broadcast_to(a, k.shape + a.shape[-2:]) for a in (value, deriv))
-    pts = _breakpoints(pot, state.x, x_target)
-    if len(pts) == 1:  # no step: a checked copy
+    if state.x == x_target:  # no step: a checked copy
         return StateMatrix(x=x_target, value=value, deriv=deriv)
-    for state in _legs(pot, k, value, deriv, pts):  # fresh arrays of the steps
-        pass  # only the last state is kept
-    if not _finite_rows(state).all():
+    ks = k.reshape(-1)
+    table = _Table(pot, ks, keep=False)
+    (end,) = _walk(pot, ks, table, table.rows, state.x, *(a.reshape(-1, *a.shape[-2:])
+                   for a in (value, deriv)), x_target, {x_target}).values()
+    if value.ndim == 2:
+        end = StateMatrix._trusted(x_target, end.value[0], end.deriv[0])
+    if not _finite_rows(end).all():
         raise NumericalError(_OVERFLOW)
-    return state
+    return end
 
 
 def _finite_rows(state: StateMatrix) -> np.ndarray:  # per solution of a state, or for the one
@@ -413,10 +553,11 @@ class _Walks:
 
     The backward walk carries f(kappa, .) for a stack of kappa from the
     support edge down to min(x_max, points), the forward walk phi(k, .) for
-    a stack of k from 0 up to max(points).  :func:`_legs` steps both from
-    one :class:`_Table` through every interface; each keeps exactly its
-    states at ``points`` (a reader of interface states lists the piece
-    edges), and a point inside a leg is one side leg off the walk.
+    a stack of k from 0 up to max(points).  :func:`_walk` steps both from
+    one :class:`_Table`, and each keeps exactly its states at ``points``,
+    and the walks named in ``edges`` also at the edge of every piece on
+    their way through which the moment quadratures enter it: f ("f") at
+    the upper edges, phi ("phi") at the lower ones.
 
     They are the only read path: a read is a slice of a walk, bit for bit
     what :func:`jost_solution` or :func:`regular_solution` gives (f beyond
@@ -426,37 +567,31 @@ class _Walks:
     would, unless read with ``check=False``.
     """
 
-    def __init__(self, pot, bc, kappas=(), ks=(), points=()):
+    def __init__(self, pot, bc, kappas=(), ks=(), points=(), edges=()):
         self.pot = pot
-        runs = [_breakpoints(pot, pot.x_max, min([pot.x_max, *points])),
-                _breakpoints(pot, 0.0, max(points, default=0.0))]
+        lows = [lo for lo, _, _ in pot.pieces] if "phi" in edges else []
+        highs = [hi for _, hi, _ in pot.pieces] if "f" in edges else []
         f, phi = ((keys, *_distinct(k, keys(k))) for keys, k in (  # the distinct k of each walk
             (_k_keys, np.asarray(kappas, dtype=complex).reshape(-1)),
             (_square_keys, np.asarray(ks, dtype=complex).reshape(-1))))
-        walked, m = [run for run, walk in zip(runs, (f, phi)) if walk[1].size], len(phi[1])
-        table = walked and _Table(pot, np.concatenate([phi[1], f[1]]), walked)
-        self._f = self._walk(*f, lambda k: jost_solution(pot, k, pot.x_max), runs[0], points,
-                             table and table.read(table.rows[m:], runs[0]))
+        m, table = len(phi[1]), _Table(pot, np.concatenate([phi[1], f[1]]))
+        self._f = self._walk(*f, lambda k: jost_solution(pot, k, pot.x_max),
+                             min([pot.x_max, *points]), (*points, *highs), table, table.rows[m:])
         self._phi = self._walk(*phi, lambda k: StateMatrix._trusted(  # BCPair checked (A, B)
             0.0, *(np.broadcast_to(M, k.shape + M.shape) for M in (bc.A, bc.B))),
-            runs[1], points, table and table.read(slice(m), runs[1]))
+            max(points, default=0.0), (*points, *lows), table, table.rows[:m])
 
-    def _walk(self, keys, ks, index, start, walk, points, coefs):
+    def _walk(self, keys, ks, index, start, x1, points, table, rows):
         """(keys, row index, states by point) of one walk of the distinct ks
-        from ``start(ks)`` through the stops ``walk``, by ``coefs``."""
-        states, kept = {}, {float(x) for x in points}
+        from ``start(ks)`` to x1, from ``table`` at ``rows``."""
         if not ks.size:
-            return keys, index, states
-        sides = kept.difference(walk)  # the points inside a leg
-        prev = start(ks)
-        legs = _legs(self.pot, ks, prev.value, prev.deriv, walk, coefs)
-        for state in itertools.chain([prev], legs):
-            for side in sides:
-                if min(prev.x, state.x) < side < max(prev.x, state.x):
-                    (states[side],) = _legs(self.pot, ks, prev.value, prev.deriv, [prev.x, side])
-            if state.x in kept:
-                states[state.x] = state
-            prev = state
+            return keys, index, {}
+        s = start(ks)
+        lo, hi = sorted((s.x, x1))
+        kept = {float(x) for x in points if lo <= x <= hi}
+        states = _walk(self.pot, ks, table, rows, s.x, s.value, s.deriv, x1, kept)
+        if s.x in kept:
+            states[s.x] = s
         return keys, index, states
 
     @staticmethod
@@ -617,7 +752,7 @@ def moment_identities_residual(
     of f(0, .) down from the support edge to a), and at the upper edges of
     the pieces beyond a as one stack.
     """
-    walks = walks or _Walks(pot, None, [0.0], points=[a, *(x for x in pot._edges if x > a)])
+    walks = walks or _Walks(pot, None, [0.0], points=[a], edges=("f",))
     f0a = walks.f(0.0, a)
     m0, m1 = _integrate_weighted(pot, a, (lambda y: 1.0, lambda y: y),
                                  lambda lo, hi: (hi, walks.edges("f", 0.0, hi)))

@@ -8,13 +8,13 @@ failing identity cannot hide the others.
 Every solution the checks read comes from two stacked walks across the
 support: one backward walk of f(kappa, .) from the support edge to 0 and
 one forward walk of phi(k, .) from 0 to max(x_max, 1, a), each over the
-union of the k the checks need and each keeping its state at every
-interface and at x1 = max(x_max, 1) and a (``solver._Walks``).  Each
-check reads single states from them, or passes them on to the function it
-calls.  A read is bit for bit the state a check's own propagation gives, or
-raises the overflow error it raises, so each check fails or passes as it
-does alone.  J(0) is computed once, for the zero-energy cross-check and
-the pipeline.
+union of the k the checks need and each keeping its state at 0, x_max,
+x1 = max(x_max, 1) and a, f also at the upper and phi at the lower edge
+of every piece (``solver._Walks``).  Each check reads single states from
+them, or passes them on to the function it calls.  A read is bit for bit
+the state a check's own propagation gives, or raises the overflow error
+it raises, so each check fails or passes as it does alone.  J(0) is
+computed once, for the zero-energy cross-check and the pipeline.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def run_property_checks(job: JobConfig) -> List[dict]:
         pot, bc,
         kappas=[0.0, *ks, *-ks, *(-k for k in split_ks), -wronskian_k, *p_ks, h, -h, *probes],
         ks=[0.0, *ks, *-ks, *split_ks, wronskian_k, *probes],
-        points=(0.0, x1, a, *pot._edges),
+        points=(0.0, x1, a, pot.x_max), edges=("f", "phi"),
     )
     checks: List[dict] = []
 

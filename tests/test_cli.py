@@ -170,6 +170,19 @@ STRING_CONFIGS = {
     "bc_A": (("bc", "A"), [[[0.0, "0"]]], "config.bc.A: expected [[[re, im], ...], ...]"),
     "bc_B": (("bc", "B"), [[["-1", "0"]]], "config.bc.B: expected [[[re, im], ...], ...]"),
     "bc_U": (("bc",), {"U": [[["1", 0.0]]]}, "config.bc.U: expected [[[re, im], ...], ...]"),
+    # an entry that is not one [re, im] pair: an object raised KeyError, and
+    # a third number was dropped
+    "bc_A_object": (("bc", "A"), [[{"re": 1}]], "config.bc.A: expected [[[re, im], ...], ...]"),
+    "bc_A_triple": (("bc", "A"), [[[1.0, 0.0, 7.0]]],
+                    "config.bc.A: expected [[[re, im], ...], ...]"),
+    "bc_U_object": (("bc",), {"U": [[{"re": 1, "im": 0}]]},
+                    "config.bc.U: expected [[[re, im], ...], ...]"),
+    "bc_U_triple": (("bc",), {"U": [[[1.0, 0.0, 7.0]]]},
+                    "config.bc.U: expected [[[re, im], ...], ...]"),
+    "piece_V_object": (("potential", "pieces", 0, "V"), [[{"re": -1.0}]],
+                       "config.potential.pieces[0].V: expected [[[re, im], ...], ...]"),
+    "piece_V_triple": (("potential", "pieces", 0, "V"), [[[-1.0, 0.0, 7.0]]],
+                       "config.potential.pieces[0].V: expected [[[re, im], ...], ...]"),
 }
 
 

@@ -371,14 +371,14 @@ def test_smatrix_grid_propagates_phi_once_per_k_squared(rng, monkeypatch):
     pot = rand_potential(rng, 2, 20, scale=0.3)
     bc = rand_bc(rng, 2)
     grid = np.linspace(0.05, 10.0, 200)
-    legs = solver._legs
+    walk = solver._walk
     stacks = []
 
-    def spy(pot_, k, value, deriv, stops, *args):
-        stacks.append((stops[0], stops[-1], np.size(k)))
-        return legs(pot_, k, value, deriv, stops, *args)
+    def spy(pot_, ks, table, rows, x0, value, deriv, x1, keep):
+        stacks.append((x0, x1, np.size(ks)))
+        return walk(pot_, ks, table, rows, x0, value, deriv, x1, keep)
 
-    monkeypatch.setattr(solver, "_legs", spy)
+    monkeypatch.setattr(solver, "_walk", spy)
     rows = hl.smatrix_grid(pot, bc, grid)
     monkeypatch.undo()
     assert stacks == [(pot.x_max, 0.0, 400), (0.0, pot.x_max, 200)]
@@ -389,15 +389,15 @@ def test_smatrix_grid_computes_one_coefficient_per_k_squared_leg_and_eigenvalue(
                                                                                monkeypatch):
     # f(k, .), f(-k, .) and phi(k, .) read one table: a 200-point grid on 20
     # pieces at n = 8 computes each (k^2, leg, eigenvalue) entry once,
-    # 200 * (20 * 8 + 20 * 1) = 36,000 on 40 legs (one per leg and walk
-    # row, as the f and phi walks did on their own, would be 108,000).
+    # 200 * (20 * 8 + 20 * 1) = 36,000 for the 20 pieces and the 20 gaps
+    # before them (one per leg and walk row, as the f and phi walks did on
+    # their own, would be 108,000).
     from halfline import solver
 
     pot = rand_potential(rng, 8, 20, scale=0.3)
     bc = rand_bc(rng, 8)
-    stops = solver._breakpoints(pot, 0.0, pot.x_max)
-    free = sum(pot.piece_at(0.5 * (x0 + x1)) is None for x0, x1 in zip(stops, stops[1:]))
-    assert (len(stops) - 1, free) == (40, 20)
+    units = pot._units
+    assert len(units.end) == 20 and all(s < m for s, m in zip(units.start, units.mid))
     coefficients, entries = solver._coefficients, []
 
     def spy(w, k, h):
@@ -869,17 +869,20 @@ def test_smatrix_grid_overflowing_row_fails_alone():
     _assert_same_row(high, _ref_row(pot, bc, 50.0, None))
 
 
-def _step_calls(monkeypatch, fn):
-    """Legs the walk kernel steps (solver._step calls) while fn() runs:
-    [outside the moment quadratures, inside them]."""
+def _kernel_calls(monkeypatch, fn):
+    """Steps (solver._mix calls) and products (solver._rotate calls) the
+    walk kernel makes while fn() runs: [outside the moment quadratures,
+    inside them] of each."""
     from halfline import scattering, solver
 
-    counts, inside = [0, 0], [0]
-    step, integrate = solver._step, solver._integrate_weighted
+    counts, inside = {"steps": [0, 0], "products": [0, 0]}, [0]
+    mix, rotate, integrate = solver._mix, solver._rotate, solver._integrate_weighted
 
-    def counted(*args):
-        counts[inside[0]] += 1
-        return step(*args)
+    def counted(name, fn):
+        def call(*args):
+            counts[name][inside[0]] += 1
+            return fn(*args)
+        return call
 
     def quadrature(*args):
         inside[0] = 1
@@ -889,7 +892,8 @@ def _step_calls(monkeypatch, fn):
             inside[0] = 0
 
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "_step", counted)
+        patch.setattr(solver, "_mix", counted("steps", mix))
+        patch.setattr(solver, "_rotate", counted("products", rotate))
         for module in (solver, scattering):
             patch.setattr(module, "_integrate_weighted", quadrature)
         fn()
@@ -898,11 +902,11 @@ def _step_calls(monkeypatch, fn):
 
 def test_step_counts_grow_linearly_with_pieces(rng, monkeypatch):
     # verify and the pipeline each walk f down and phi up once, each walk
-    # over one stack of k, so the legs the kernel steps (80 each at 20
-    # pieces) double with the pieces; a kernel that stepped a leg twice would
-    # exceed the bounds.  The quadratures (route (ii) of J(0) and the tail
-    # moments) sum in V's eigenbasis from the walked edge states and take no
-    # step of their own.
+    # over one stack of k, so the steps and products of the kernel double
+    # with the pieces; a kernel that stepped a unit twice would exceed the
+    # bounds.  The quadratures (route (ii) of J(0) and the tail moments)
+    # sum in V's eigenbasis from the walked edge states and take no step or
+    # product of their own.
     from halfline.config import JobConfig
     from halfline.verify import run_property_checks
 
@@ -911,49 +915,80 @@ def test_step_counts_grow_linearly_with_pieces(rng, monkeypatch):
         pot = rand_potential(rng, 2, pieces)
         bc = rand_bc(rng, 2)
         counts[pieces] = (
-            _step_calls(monkeypatch, lambda: run_property_checks(JobConfig(bc=bc, potential=pot))),
-            _step_calls(monkeypatch, lambda: hl.zero_energy_pipeline(pot, bc)),
+            _kernel_calls(monkeypatch,
+                          lambda: run_property_checks(JobConfig(bc=bc, potential=pot))),
+            _kernel_calls(monkeypatch, lambda: hl.zero_energy_pipeline(pot, bc)),
         )
     (verify20, pipe20), (verify40, pipe40) = counts[20], counts[40]
-    assert sum(verify20) <= 250 and sum(pipe20) <= 150
-    assert verify40[0] <= 2.05 * verify20[0] and pipe40[0] <= 2.05 * pipe20[0]
-    for verify, pipe in counts.values():
-        assert verify[1] == pipe[1] == 0
+    # per walk: a block per piece, a step to each kept lower edge of phi,
+    # two products per piece entered and per state handed out.  Both keep
+    # phi at the lower edges (for route (ii)), only verify also keeps f at
+    # the upper ones (for the tail moments): at 20 pieces 124 products of
+    # the pipeline, 38 more of verify
+    assert sum(verify20["steps"]) <= 65 and sum(pipe20["steps"]) <= 65
+    assert sum(verify20["products"]) <= 175 and sum(pipe20["products"]) <= 130
+    for name in ("steps", "products"):
+        assert verify40[name][0] <= 2.05 * verify20[name][0]
+        assert pipe40[name][0] <= 2.05 * pipe20[name][0]
+        for verify, pipe in counts.values():
+            assert verify[name][1] == pipe[name][1] == 0
+
+
+@pytest.mark.parametrize("touching", [False, True])
+def test_walk_kernel_makes_one_block_per_piece(rng, monkeypatch, touching):
+    # A sweep's two walks, f(-k, .) down from x_max to 0 and phi(k, .) up to
+    # a = x_max, each keeping its states at 0 and a: every piece is one
+    # block step, a gap between two pieces (or before the first) takes no
+    # step of its own, and each walk makes two products (value and
+    # derivative rows) per piece it enters and per state it hands out (f
+    # at 0, phi at x_max; each starts from a state it does not compute).
+    pot = rand_potential(rng, 2, 20, gap=0.0 if touching else 0.2)
+    bc = rand_bc(rng, 2)
+    assert (pot.pieces[0][0] > 0.0) != touching
+    counts = _kernel_calls(monkeypatch, lambda: hl.smatrix_grid(pot, bc, [0.5, 1.7]))
+    assert counts["steps"] == [2 * 20, 0]
+    assert counts["products"] == [2 * (2 * 20 + 2), 0]
 
 
 def test_jost_matrix_zero_catches_one_perturbed_leg(rng, monkeypatch):
     # Routes (ii) and (iii) read phi(0, .) from one walk, route (i) f(0, 0)
-    # from a walk of its own: a wrong leg in either is caught.  A leg
-    # is perturbed where the walk kernel steps it, so that every later stop
-    # of its run inherits the error.
+    # from a walk of its own: a wrong block or interface product in either
+    # is caught.  A block step or a product into a unit is perturbed where
+    # the kernel makes it on a walk's way (the calls that write into the
+    # walk's own arrays, ``out``; a state handed out is made apart), so
+    # that every later state of its walk inherits the error.
     from halfline import solver
 
     pot = rand_potential(rng, 2, 20)
     bc = rand_bc(rng, 2)
-    legs, step = solver._legs, solver._step
-    runs, steps, target = [], [0], [None]
+    walk, runs, calls, target = solver._walk, [], [0], [None]
 
-    def recorded(pot_, k, value, deriv, stops, *args):
-        runs.append(stops)
-        return legs(pot_, k, value, deriv, stops, *args)
+    def recorded(pot_, ks, table, rows, x0, value, deriv, x1, keep):
+        runs.append((x0, x1))
+        return walk(pot_, ks, table, rows, x0, value, deriv, x1, keep)
 
-    def mutated(*args):
-        value, deriv = step(*args)
-        steps[0] += 1
-        if steps[0] == target[0]:
-            deriv = deriv * (1 + 1e-6)
-        return value, deriv
+    def perturbed(name, fn):
+        def call(*args):
+            out = fn(*args)
+            if len(args) == (5 if name == "_mix" else 3):  # on the walk's way
+                calls[0] += 1
+                if calls[0] == target[0]:
+                    out = out * (1 + 1e-6) if name == "_rotate" else (out[0], out[1] * (1 + 1e-6))
+            return out
+        return call
 
-    monkeypatch.setattr(solver, "_legs", recorded)
-    monkeypatch.setattr(solver, "_step", mutated)
-    hl.jost_matrix_zero(pot, bc)
-    assert sum(stops[-1] < stops[0] for stops in runs) == 1  # route (i)
-    total = steps[0]
-    assert total == sum(len(stops) - 1 for stops in runs) > 40
-    for i in [*range(0, total, 4), total - 1]:
-        steps[0], target[0] = 0, i + 1
-        with pytest.raises(NumericalError, match="zero-energy Jost cross-check"):
+    monkeypatch.setattr(solver, "_walk", recorded)
+    for name, count in (("_mix", 40), ("_rotate", 80)):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, name, perturbed(name, getattr(solver, name)))
+            calls[0], runs[:], target[0] = 0, [], None
             hl.jost_matrix_zero(pot, bc)
+            assert sorted(runs) == [(0.0, pot.x_max), (pot.x_max, 0.0)]  # route (i) walks down
+            assert calls[0] == count  # two walks across 20 pieces
+            for i in [*range(0, count, 4), count - 1]:
+                calls[0], target[0] = 0, i + 1
+                with pytest.raises(NumericalError, match="zero-energy Jost cross-check"):
+                    hl.jost_matrix_zero(pot, bc)
 
 
 def test_jost_matrix_zero_takes_spectral_norms_only_when_frobenius_cannot_pass(rng, monkeypatch):

@@ -207,7 +207,7 @@ def test_even_k_symmetry(rng):
     a = 0.4
     # k^2 just below and just above each eigenvalue of V on the first piece,
     # where the square root in the exact step changes branch.
-    edge = [np.sqrt(complex(e)) * (1 + s) for e in pot._eigs[0][0] for s in (-1e-3, 1e-3)]
+    edge = [np.sqrt(complex(e)) * (1 + s) for e in pot._stacks[1][0] for s in (-1e-3, 1e-3)]
     for kp in [k, 0.7, 1e-3, 3.3, *edge]:
         kp = complex(kp)  # -kp of x+0j is -x+0j, whose square is x^2-0j
         plus = hl.regular_solution(pot, bc, kp, x)
@@ -389,6 +389,55 @@ def test_moment_identities_matrix_step(rng):
     assert r1 < 1e-7 and r2 < 1e-7
 
 
+def _mixed_potential(rng, n, pieces):
+    """A potential that starts above 0 (a leading free leg) whose pieces
+    alternately touch the one before and sit behind a gap, every third
+    with V = c I or (for n > 2) two equal eigenvalues."""
+    built, x = [], 0.15
+    for i in range(pieces):
+        lo = x + (0.0 if i % 2 else rng.uniform(0.05, 0.2)) if i else x
+        V = rand_potential(rng, n, 1, scale=0.3).pieces[0][2]
+        if i % 3 == 0:
+            w = rng.uniform(-0.3, 0.3, n)
+            w[: max(2, n // 2)] = w[0]
+            Q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            V = (Q * w) @ Q.conj().T
+        built.append((lo, lo + rng.uniform(0.3, 0.8), V))
+        x = built[-1][1]
+    return hl.Potential(n=n, pieces=tuple(built))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_walks_agree_with_the_rk45_reference(rng, n):
+    # Both walks across 40 pieces, some touching, some behind gaps, after a
+    # leading free leg, a third with repeated eigenvalues of V, for real k
+    # and Im k > 0: f walked down and phi walked up agree with the
+    # reference propagator of tests/conftest.py at 0, at a point inside a
+    # piece, at a point inside a gap and at x_max, to 1e-9 relative.  (The
+    # reference's own error grows with Im k over the ~25 units of length:
+    # at k = 0.6 + 0.4i it reaches about 7e-9.)
+    pot = _mixed_potential(rng, n, 40)
+    units = pot._units
+    touching = sum(units.mid[u] == units.start[u] for u in range(1, 40))
+    repeated = sum(np.isclose(np.diff(w), 0.0).any() for w in pot._stacks[1]) if n > 1 else 40
+    assert units.mid[0] > 0.0 and 15 <= touching < 39 and repeated >= 13
+    bc = rand_bc(rng, n)
+    k = np.array([1.3, 0.6 + 0.15j])
+    inside = units.mid[20] + 0.4 * (units.end[20] - units.mid[20])
+    gap = 0.5 * (units.start[11] + units.mid[11])
+    points = (0.0, gap, inside, pot.x_max)
+    walks = solver._Walks(pot, bc, kappas=k, ks=k, points=points)
+    # the reference carried from point to point, down for f and up for phi
+    for read, ref, order in ((walks.f, rk45_jost_solution(pot, k, pot.x_max), points[::-1]),
+                             (walks.phi, hl.StateMatrix(0.0, bc.A, bc.B), points)):
+        for x in order:
+            ref = rk45_propagate(pot, k, ref, x, **RK45_TIGHT)
+            got = read(k, x)
+            for g, r in ((got.value, ref.value), (got.deriv, ref.deriv)):
+                err = np.linalg.norm(g - r, 2, axis=(-2, -1))
+                assert (err <= 1e-9 * np.maximum(1.0, np.linalg.norm(r, 2, axis=(-2, -1)))).all()
+
+
 def test_rk45_agrees_with_analytic(rng):
     pot = rand_potential(rng, 2)
     for k in (0.7, 1.9, 0.4 + 0.6j):
@@ -440,16 +489,16 @@ def test_propagate_rejects_negative_target():
 
 
 def test_analytic_propagation_returns_its_steps_read_only(rng):
-    # An analytic propagation hands back its last step's fresh arrays without
-    # the check and copy of StateMatrix (it checks only that its end state
-    # is finite): read-only, with the bits and strides that checked copy has.
-    # A propagation without steps still checks and copies its start.
+    # An analytic propagation hands back its last product's fresh arrays
+    # without the check and copy of StateMatrix (it checks only that its end
+    # state is finite): read-only, with the bits and strides that checked
+    # copy has.  A propagation without steps still checks and copies its start.
     pot = rand_potential(rng, 2, 3)
     value, deriv = _random_states(rng, 4, 2)
     start = hl.StateMatrix(0.0, value, deriv)
     k = np.linspace(0.5, 2.0, 4) + 0j
     out = hl.propagate(pot, k, start, pot.x_max)
-    checked = hl.StateMatrix(pot.x_max, *_leg_by_leg(pot, k, start, pot.x_max))
+    checked = hl.StateMatrix(pot.x_max, *_unit_by_unit(pot, k, start, pot.x_max))
     for got, want in ((out.value, checked.value), (out.deriv, checked.deriv)):
         assert not got.flags.writeable and got.strides == want.strides
         assert np.array_equal(got, want)
@@ -457,13 +506,15 @@ def test_analytic_propagation_returns_its_steps_read_only(rng):
     assert again.value is not start.value and np.array_equal(again.value, value)
 
 
-def _step(eig, k, h, value, deriv):
-    """solver._step at each (k, h) pair (0-d or 1-D each), from coefficients
-    computed for this step alone rather than from a walk's table."""
-    with np.errstate(all="ignore"):
-        c, s, om2 = solver._coefficients(0.0 if eig is None else eig[0],
-                                         np.asarray(k), np.asarray(h))
-        return solver._step(eig, c, s, -om2 * s, value, deriv)
+def _walked(pot, k, value, deriv, x0, x1):
+    """(value, deriv) at x0 walked to x1 by the kernel, from a table at k
+    (0-d or 1-D) of its own, unchecked: inf or NaN where a row overflowed."""
+    ks = np.atleast_1d(np.asarray(k, dtype=complex))
+    table = solver._Table(pot, ks)
+    (state,) = solver._walk(pot, ks, table, table.rows, x0,
+                            *(np.reshape(a, (-1, pot.n, pot.n)) for a in (value, deriv)),
+                            x1, {x1}).values()
+    return state.value.reshape(np.shape(value)), state.deriv.reshape(np.shape(deriv))
 
 
 def _random_states(rng, K, n):
@@ -476,43 +527,31 @@ def _assert_same_bits(got, want):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_step_rows_do_not_depend_on_the_stack(rng, n):
-    # A row of a stacked step has the bits it has when stepped alone or in
-    # any other stack, on a piece and on free territory, for real k and for
-    # Im k > 0.  Each rotation is one product over every row of the stack,
-    # so this holds only while BLAS computes a row of a product with an
-    # n x n factor the same way whatever the number of rows.
-    pot = rand_potential(rng, n, 1)
+    # A row of a stacked walk has the bits it has when walked alone or in
+    # any other stack, for real k and for Im k > 0: out across a leading
+    # gap and two pieces (a product into the first piece's eigenbasis, its
+    # block, an interface product, the second block, a product out) and on
+    # over free territory, then back from the rows that walk hands on.
+    # Each product is one over every row of the stack, so this holds only
+    # while BLAS computes a row of a product with an n x n factor the same
+    # way whatever the number of rows.
+    pot = rand_potential(rng, n, 2)
+    assert pot.pieces[0][0] > 0.0
     k = np.linspace(0.05, 10.0, 400) + 0j
-    h = 0.37
-    for eig in (pot._eigs[0], None):
-        for ks in (k, k + 0.3j):
-            v, d = _random_states(rng, 400, n)
-            full = _step(eig, ks, h, v, d)
-            # a second step starts from the transposed rows a step hands on
-            again = _step(eig, ks, h, *full)
-            for K in (1, 2, 3, 7, 200, 400):
-                for off in sorted({0, 1, 5, 400 - K} if K < 400 else {0}):
-                    rows = slice(off, off + K)
-                    part = _step(eig, ks[rows], h, v[rows], d[rows])
-                    _assert_same_bits(part, (a[rows] for a in full))
-                    _assert_same_bits(_step(eig, ks[rows], h, *part),
-                                      (a[rows] for a in again))
-            for i in (0, 1, 199, 399):
-                _assert_same_bits(_step(eig, ks[i], h, v[i], d[i]),
-                                  (a[i] for a in full))
-        # the quadrature form: one (n, n) state, a stack of step lengths
-        v, d = (a[0] for a in _random_states(rng, 1, n))
-        hs = rng.uniform(0.0, 0.8, 384)
-        zero = np.zeros(1, complex)
-        full = _step(eig, zero, hs, v, d)
-        for K in (1, 2, 3, 7, 200, 384):
-            for off in sorted({0, 1, 384 - K}):
+    x = pot.x_max + 0.37
+    for ks in (k, k + 0.3j):
+        v, d = _random_states(rng, 400, n)
+        full = _walked(pot, ks, v, d, 0.0, x)
+        again = _walked(pot, ks, *full, x, 0.0)
+        for K in (1, 2, 3, 7, 200, 400):
+            for off in sorted({0, 1, 5, 400 - K} if K < 400 else {0}):
                 rows = slice(off, off + K)
-                _assert_same_bits(_step(eig, zero, hs[rows], v, d),
-                                  (a[rows] for a in full))
-        for i in (0, 1, 383):
-            _assert_same_bits(_step(eig, zero, hs[i], v, d),
-                              (a[i:i + 1] for a in full))
+                part = _walked(pot, ks[rows], v[rows], d[rows], 0.0, x)
+                _assert_same_bits(part, (a[rows] for a in full))
+                _assert_same_bits(_walked(pot, ks[rows], *part, x, 0.0),
+                                  (a[rows] for a in again))
+        for i in (0, 1, 199, 399):
+            _assert_same_bits(_walked(pot, ks[i], v[i], d[i], 0.0, x), (a[i] for a in full))
 
 
 def _reference_step(V, k, h, value, deriv):
@@ -546,21 +585,26 @@ def _reference_step(V, k, h, value, deriv):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_step_tracks_the_per_k_reference(rng, n):
-    # Each row is within a few ulps of the per-k reference, relative to the
-    # norm of the stepped state: on a piece and on free territory, for real k
-    # and Im k > 0, for stacks of 1, 7 and 400, and on the small-|z| series
-    # branch (a short step, and k^2 at and near each eigenvalue of V, beside
-    # rows off the branch).
-    pot = rand_potential(rng, n, 1)
-    V, eig = pot.pieces[0][2], pot._eigs[0]
+    # A walk across one piece, from 0 where the piece starts there and
+    # across a free gap before it (one block of gap and piece), and a walk
+    # over free territory, are each within a few ulps of the per-k
+    # reference, relative to the norm of the result: for real k and Im k >
+    # 0, for stacks of 1, 7 and 400, and on the small-|z| series branch (a
+    # short piece, and k^2 at and near each eigenvalue of V, beside rows
+    # off the branch).
+    V = rand_potential(rng, n, 1).pieces[0][2]
     k = np.linspace(0.05, 10.0, 400) + 0j
-    near = np.sqrt(np.add.outer(eig[0], [-1e-9, 1e-9, 1e-3]).ravel() + 0j)
+    near = np.sqrt(np.add.outer(np.linalg.eigvalsh(V), [-1e-9, 1e-9, 1e-3]).ravel() + 0j)
     for ks, h in ((k, 0.37), (k + 0.3j, 0.37), (k[:7], 0.37), (k[:1], 0.37),
                   (k[:50], 1e-6), (near, 0.37)):
         v, d = _random_states(rng, len(ks), n)
-        for piece, piece_eig in ((V, eig), (None, None)):
-            got = _step(piece_eig, ks, h, v, d)
-            want = _reference_step(piece, ks, h, v, d)
+        for gap in (0.0, 0.21, None):
+            if gap is None:
+                pot, want = hl.free_potential(n), _reference_step(None, ks, h, v, d)
+            else:
+                pot = hl.Potential(n=n, pieces=((gap, gap + h, V),))
+                want = _reference_step(V, ks, h, *_reference_step(None, ks, gap, v, d))
+            got = _walked(pot, ks, v, d, 0.0, gap + h if gap is not None else h)
             err = sum(np.linalg.norm(g - w, axis=(-2, -1)) ** 2 for g, w in zip(got, want))
             size = sum(np.linalg.norm(w, axis=(-2, -1)) ** 2 for w in want)
             assert (np.sqrt(err / size) <= 8 * np.finfo(float).eps).all()
@@ -569,13 +613,13 @@ def test_step_tracks_the_per_k_reference(rng, n):
 @pytest.mark.parametrize("n", [1, 2, 8])
 def test_step_overflows_where_the_reference_does(rng, n):
     # A barrier deep enough that the step overflows for small k and not for
-    # large k.  The step checks nothing: each k alone comes out inf or NaN
+    # large k.  The walk checks nothing: each k alone comes out inf or NaN
     # exactly where the reference raises, and a propagation over that one
     # step, which checks its end state, raises there with the same text; a
     # stack raises when any of its rows does.
     barrier = 1e6 * np.eye(n) + rand_potential(rng, n, 1).pieces[0][2]
     pot = hl.Potential(n=n, pieces=((0.0, 1.0, barrier),))
-    V, eig = pot.pieces[0][2], pot._eigs[0]
+    V = pot.pieces[0][2]
     h = 709.8 / np.sqrt(1e6 - 150.0 ** 2)
     v, d = _random_states(rng, 1, n)
     raised = []
@@ -589,7 +633,7 @@ def test_step_overflows_where_the_reference_does(rng, n):
             except NumericalError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
-        finite = all(np.isfinite(a).all() for a in _step(eig, kj, h, v[0], d[0]))
+        finite = all(np.isfinite(a).all() for a in _walked(pot, kj, v[0], d[0], 0.0, h))
         assert finite == (outcomes[0] is None)
         raised.append(outcomes[0] is not None)
     assert any(raised) and not all(raised)
@@ -616,7 +660,7 @@ def test_an_overflowed_row_stays_non_finite_on_every_later_leg(rng, n):
     for read, alone, x0, x1 in ((walks.f, lambda kj, x: hl.jost_solution(pot, kj, x), 33.0, 0.0),
                                 (walks.phi, lambda kj, x: hl.regular_solution(pot, bc, kj, x),
                                  0.0, 33.0)):
-        stops = solver._breakpoints(pot, x0, x1)
+        stops = sorted({0.0, *pot._edges}, reverse=x1 < x0)
         finite = np.array([solver._finite_rows(read(k, x, check=False)) for x in stops])
         assert not (finite[1:] & ~finite[:-1]).any()
         assert finite[-1].any() and not finite[-1].all()
@@ -632,12 +676,12 @@ def test_an_overflowed_row_stays_non_finite_on_every_later_leg(rng, n):
                 assert got.deriv.tobytes() == ref.deriv.tobytes()
 
 
-def _exact_nodes(pot, eig, edge, ys):
-    """psi at the nodes ys, by one stacked exact step from the piece edge."""
-    return _step(eig, np.zeros(1, complex), ys - edge.x, edge.value, edge.deriv)[0]
+def _exact_nodes(pot, edge, ys):
+    """psi at the nodes ys, each propagated exactly from the piece edge."""
+    return np.array([hl.propagate(pot, 0.0, edge, y).value for y in ys])
 
 
-def _reference_nodes(pot, eig, edge, ys):
+def _reference_nodes(pot, edge, ys):
     """psi at the nodes ys, each integrated from the piece edge by the reference."""
     return np.array([rk45_propagate(pot, 0.0, edge, y, **RK45_TIGHT).value for y in ys])
 
@@ -662,16 +706,16 @@ def _per_node_quadrature(pot, a, weights, edges, nodes=_exact_nodes):
     solver._integrate_weighted (``_panels``, cut by np.linspace).  ``edges``
     as there.  Returns the totals and the (nodes, states) of every piece."""
     xs, ws = solver._gauss_rule(solver._GAUSS_ORDER)
-    live = [(max(lo, a), hi, V, eig) for (lo, hi, V), eig in zip(pot.pieces, pot._eigs)
+    live = [(max(lo, a), hi, V, w) for (lo, hi, V), w in zip(pot.pieces, pot._stacks[1])
             if hi > max(lo, a)]
     xe, psi_e = edges(np.array([p[0] for p in live]), np.array([p[1] for p in live]))
     totals = [np.zeros((pot.n, pot.n), dtype=complex) for _ in weights]
     visited = []
-    for (lo, hi, V, eig), x, (v, d) in zip(live, xe, psi_e):
-        cuts = np.linspace(lo, hi, _panels(np.sqrt(np.abs(eig[0]).max()) * (hi - lo)) + 1)
+    for (lo, hi, V, w), x, (v, d) in zip(live, xe, psi_e):
+        cuts = np.linspace(lo, hi, _panels(np.sqrt(np.abs(w).max()) * (hi - lo)) + 1)
         mid, half = 0.5 * (cuts[:-1] + cuts[1:]), 0.5 * (cuts[1:] - cuts[:-1])
         ys = (mid[:, None] + half[:, None] * xs).ravel()
-        psi = nodes(pot, eig, hl.StateMatrix(float(x), v, d), ys)
+        psi = nodes(pot, hl.StateMatrix(float(x), v, d), ys)
         visited.append((ys, psi))
         Vpsi = V @ psi
         for total, weight in zip(totals, weights):
@@ -693,20 +737,28 @@ def _same_nodes(seen):
 @pytest.mark.parametrize("n,pieces", [(n, p) for n in (1, 2, 8) for p in (2, 20)])
 def test_quadrature_nodes_equal_walked_solutions(rng, n, pieces):
     # The quadrature sums V psi over its Gauss nodes in V's eigenbasis and
-    # forms no node state.  Its oracle forms them: the weights see the
-    # oracle's nodes bit for bit, the totals agree to 1e-12 relative, from 0
-    # and from inside a piece, and each node state equals a full walk to the
-    # node wherever the edge is a walk stop (phi's edge at a inside a piece
-    # is not).
+    # forms no node state.  Its oracle forms them, each propagated from its
+    # piece's edge: the weights see the oracle's nodes bit for bit, and the
+    # totals agree to 1e-12 relative, from 0 and from inside a piece.  Where
+    # the edge is walked (phi's edge at a inside a piece is not), the same
+    # oracle summing the states of one walk that keeps every node agrees to
+    # 1e-12 too, each walked node state equals a full walk to the node (a
+    # direct call) bit for bit, and it agrees with the node state
+    # propagated from the edge to 1e-14 relative: the walk enters a piece
+    # through the interface product from the one before, the edge state
+    # from the standard basis.
     pot = rand_potential(rng, n, pieces, scale=0.3)
     bc = rand_bc(rng, n)
     lo, hi, _ = pot.pieces[pieces // 2]
     inside = 0.5 * (lo + hi)
     phi = (lambda lo, hi: _stacked(lambda x: hl.regular_solution(pot, bc, 0.0, x), lo),
-           lambda y: hl.regular_solution(pot, bc, 0.0, y))
+           lambda y: hl.regular_solution(pot, bc, 0.0, y),
+           lambda ys: solver._Walks(pot, bc, ks=[0.0], points=ys).phi)
     f = (lambda lo, hi: _stacked(lambda x: hl.jost_solution(pot, 0.0, x), hi),
-         lambda y: hl.jost_solution(pot, 0.0, y))
-    for a, (edge, walk) in ((0.0, phi), (0.0, f), (inside, f), (inside, (phi[0], None))):
+         lambda y: hl.jost_solution(pot, 0.0, y),
+         lambda ys: solver._Walks(pot, None, [0.0], points=ys).f)
+    for a, (edge, walk, walked) in ((0.0, phi), (0.0, f), (inside, f),
+                                    (inside, (phi[0], None, None))):
         seen = {"stacked": [], "oracle": []}
         got = solver._integrate_weighted(pot, a, _node_log("stacked", seen), edge)
         want, visited = _per_node_quadrature(pot, a, _node_log("oracle", seen), edge)
@@ -716,9 +768,17 @@ def test_quadrature_nodes_equal_walked_solutions(rng, n, pieces):
         ys = np.concatenate([y for y, _ in visited])
         assert len(visited) >= len(pot.pieces) - pieces // 2 and ys.min() >= a
         if walk is not None:
+            read = walked([float(y) for y in ys])
+            on_walk, _ = _per_node_quadrature(
+                pot, a, (lambda ys: 1.0, lambda ys: ys), edge,
+                lambda pot, edge, ys: np.array([read(0.0, float(y)).value for y in ys]))
+            for g, w in zip(got, on_walk):
+                assert np.linalg.norm(g - w, 2) <= 1e-12 * max(1.0, np.linalg.norm(w, 2))
             psi = np.concatenate([v for _, v in visited])
             for y, v in list(zip(ys, psi))[::7]:
-                assert np.array_equal(walk(float(y)).value, v)
+                state = read(0.0, float(y)).value
+                assert np.array_equal(state, walk(float(y)).value)
+                assert np.linalg.norm(state - v) <= 1e-14 * max(1.0, np.linalg.norm(state))
 
 
 def test_quadrature_panels_follow_the_a_priori_rule():
@@ -900,7 +960,7 @@ def test_walk_keeps_a_outside_the_walk_out(rng):
 def test_walks_keep_exactly_their_points(rng, monkeypatch):
     # A walk holds its states at the points it is given and nowhere else: an
     # interface it crossed but was not given is not held.  Piece edges given
-    # as points are stops to keep, not side legs: each walk is one _legs run.
+    # as points are kept on the way: each walk is one _walk run.
     pot = rand_potential(rng, 2, 6, scale=0.3)
     bc = rand_bc(rng, 2)
     lo, hi, _ = pot.pieces[2]
@@ -911,115 +971,161 @@ def test_walks_keep_exactly_their_points(rng, monkeypatch):
     for read, x in ((walks.f, hi), (walks.f, pot.x_max), (walks.phi, lo)):
         with pytest.raises(KeyError, match="no walk holds"):
             read(k, x)
-    legs, runs = solver._legs, []
+    walk, runs = solver._walk, []
 
-    def spy(pot_, k_, value, deriv, stops, *args):
-        runs.append(stops)
-        return legs(pot_, k_, value, deriv, stops, *args)
+    def spy(pot_, ks, table, rows, x0, value, deriv, x1, keep):
+        runs.append((x0, x1))
+        return walk(pot_, ks, table, rows, x0, value, deriv, x1, keep)
 
-    monkeypatch.setattr(solver, "_legs", spy)
+    monkeypatch.setattr(solver, "_walk", spy)
     walks = solver._Walks(pot, bc, k, k, points=(0.0, *pot._edges))
     monkeypatch.undo()
-    assert [(run[0], run[-1]) for run in runs] == [(pot.x_max, 0.0), (0.0, pot.x_max)]
+    assert runs == [(pot.x_max, 0.0), (0.0, pot.x_max)]
     assert set(_held(walks.f)) == set(_held(walks.phi)) == {0.0, *pot._edges}
+    # a walk named in ``edges`` keeps, f the upper and phi the lower edge
+    # of every piece on its way, and the other walk keeps no edge
+    highs, lows = {p[1] for p in pot.pieces}, {p[0] for p in pot.pieces[:3]}
+    for edges in (("f",), ("phi",), ("f", "phi")):
+        walks = solver._Walks(pot, bc, k, k, points=(0.0, a), edges=edges)
+        assert set(_held(walks.f)) == {0.0, a, *(highs if "f" in edges else ())}
+        assert set(_held(walks.phi)) == {0.0, a, *(lows if "phi" in edges else ())}
 
 
 def test_walk_takes_a_point_listed_twice_once(rng, monkeypatch):
     # verify lists x1 and a, which coincide when a = x1: a point strictly
-    # inside a leg gets one side leg per walk, however often it is listed.
+    # inside a unit is carried to from the unit's entry once per walk,
+    # however often it is listed.
     pot = rand_potential(rng, 2, 4, scale=0.3)
     bc = rand_bc(rng, 2)
     lo, hi, _ = pot.pieces[2]
     a = 0.5 * (lo + hi)
-    legs, targets = solver._legs, []
+    part, targets = solver._part, []
 
-    def spy(pot_, k, value, deriv, stops, *args):
-        targets.append(stops[-1])
-        return legs(pot_, k, value, deriv, stops, *args)
+    def spy(pot_, ks, table, rows, u, y0, y1, v, d):
+        targets.append(y1)
+        return part(pot_, ks, table, rows, u, y0, y1, v, d)
 
-    monkeypatch.setattr(solver, "_legs", spy)
+    monkeypatch.setattr(solver, "_part", spy)
     walks = solver._Walks(pot, bc, [0.0, 0.7], [0.0, 0.7], points=(0.0, a, a))
     monkeypatch.undo()
-    assert targets.count(a) == 2  # one side leg of f, one of phi
+    assert targets.count(a) == 2  # one for f, one for phi
     assert a in _held(walks.f) and a in _held(walks.phi)
     k = np.array([0.0, 0.7])
     _assert_reads_equal_propagation(monkeypatch, walks.phi, k, hl.StateMatrix(0.0, bc.A, bc.B))
     _assert_reads_equal_propagation(monkeypatch, walks.f, k, hl.jost_solution(pot, k, pot.x_max))
 
 
-def _leg_by_leg(pot, k, start, x):
-    """start carried to x one leg at a time, each leg's step coefficients
-    computed on their own rather than from a kernel's table."""
-    v, d = (np.broadcast_to(a, k.shape + a.shape[-2:]) for a in (start.value, start.deriv))
-    pts = solver._breakpoints(pot, start.x, x)
-    for lo, hi in zip(pts, pts[1:]):
-        i = pot.piece_at(0.5 * (lo + hi))
-        v, d = _step(None if i is None else pot._eigs[i], k, hi - lo, v, d)
-    return v, d
+def _unit_by_unit(pot, k, start, x):
+    """start, at 0 or at x_max, carried to x in [0, x_max] one unit at a
+    time by the kernel's own factors, each call on its own: into a unit's
+    eigenbasis by one product (conj Q of the first, then an interface
+    factor), through a unit crossed whole by its table block, to x inside
+    a unit by its gap and piece legs (a gap it covers whole from the
+    table, any other leg from its own coefficients), then out by Q^T."""
+    units, (w, QT, QhT) = pot._units, pot._stacks[1:]
+    table = solver._Table(pot, k)
+    v, d = (np.broadcast_to(a, k.shape + a.shape[-2:]).swapaxes(-1, -2)
+            for a in (start.value, start.deriv))
+    back = x < start.x
+    order = [u for u in range(len(units.end)) if (units.end[u] > x if back else units.start[u] < x)]
+    prev = None
+    for u in (order[::-1] if back else order):
+        R = QhT[units.piece[u]] if prev is None else (units.down[u] if back else units.up[prev])
+        v, d, prev = solver._rotate(v, R), solver._rotate(d, R), u
+        if (units.start[u] >= x) if back else (units.end[u] <= x):
+            v, d = solver._mix(table.block(u, table.rows), v, d, back)
+            continue
+        legs = [(0.0, units.start[u], units.mid[u], True),
+                (w[units.piece[u]], units.mid[u], units.end[u], False)]
+        y0 = units.end[u] if back else units.start[u]
+        for wj, a, b, gap in (legs[::-1] if back else legs):
+            lo, hi = max(a, min(y0, x)), min(b, max(y0, x))
+            if lo >= hi:
+                continue
+            if gap and (lo, hi) == (a, b):  # the whole gap
+                c, s, g = table.gap(u, table.rows)
+            else:
+                with np.errstate(all="ignore"):
+                    c, s, om2 = solver._coefficients(wj, k, np.asarray(hi - lo))
+                g = -om2 * s
+            v, d = solver._mix((c, s, g, c), v, d, back)
+        break
+    if prev is not None:
+        v, d = solver._rotate(v, QT[units.piece[prev]]), solver._rotate(d, QT[units.piece[prev]])
+    return v.swapaxes(-1, -2), d.swapaxes(-1, -2)
 
 
-@pytest.mark.parametrize("legs_per_block", [None, 3])
+@pytest.mark.parametrize("extra", [None, 3])
 @pytest.mark.parametrize("pieces", [2, 20])
 @pytest.mark.parametrize("n", [1, 2, 8])
-def test_walk_states_have_the_bits_of_stepping_leg_by_leg(rng, monkeypatch, n, pieces,
-                                                          legs_per_block):
+def test_walk_states_have_the_bits_of_stepping_leg_by_leg(rng, monkeypatch, n, pieces, extra):
     # Every stop and side point of both walks is, bit for bit (the sign of
-    # a zero included), a direct propagation and the same legs stepped one
-    # at a time, each from its own coefficients: with the walk tabulated in
-    # one block, and in blocks of a few legs that split runs of piece and
-    # free legs.
+    # a zero included), a direct propagation and the same blocks, interface
+    # factors and legs applied one unit at a time: at every piece edge and
+    # at a inside a piece, and with ``extra`` three more points, in the
+    # leading gap, in a later gap and inside the first piece, which move
+    # no other state.
     pot = rand_potential(rng, n, pieces, scale=0.3)
     bc = rand_bc(rng, n)
     k = np.array([0.0, -0.0, 0.7, -0.7, 2.0 + 0.5j])
     lo, hi, _ = pot.pieces[pieces // 2]
     a = lo + 0.3 * (hi - lo)
-    if legs_per_block:
-        monkeypatch.setattr(solver, "_TABLE", legs_per_block * len(k) * n)
-    walks = solver._Walks(pot, bc, kappas=k, ks=k, points=(0.0, a, *pot._edges))
+    units = pot._units
+    more = (0.5 * units.mid[0], 0.5 * (units.start[1] + units.mid[1]),
+            units.mid[0] + 0.7 * (units.end[0] - units.mid[0]))[:extra or 0]
+    assert units.mid[0] > 0.0 and units.mid[1] > units.start[1]
+    walks = solver._Walks(pot, bc, kappas=k, ks=k, points=(0.0, a, *more, *pot._edges))
     for held, start in ((walks._f, lambda ks: hl.jost_solution(pot, ks, pot.x_max)),
                         (walks._phi, lambda ks: hl.StateMatrix(0.0, bc.A, bc.B))):
         keys, _, states = held
         reps = solver._distinct(k, keys(k))[0]
         assert len(reps) == (5 if keys is solver._k_keys else 3)
-        assert set(states) == {b for p in pot.pieces for b in p[:2]} | {0.0, a}
+        assert set(states) == {b for p in pot.pieces for b in p[:2]} | {0.0, a, *more}
         for x, state in states.items():
             ref = hl.propagate(pot, reps, start(reps), x)
             got = [a.tobytes() for a in (state.value, state.deriv)]  # tells -0.0 from 0.0
             assert got == [a.tobytes() for a in (ref.value, ref.deriv)]
-            assert got == [a.tobytes() for a in _leg_by_leg(pot, reps, start(reps), x)]
+            if x != start(reps).x:
+                assert got == [a.tobytes() for a in _unit_by_unit(pot, reps, start(reps), x)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])
 def test_coefficients_are_even_in_k_and_odd_in_h(rng, n):
-    # A walk's table holds each leg's coefficients once per k^2, for h > 0:
-    # f(k, .), f(-k, .) and phi(k, .) all read them, and a backward leg
-    # negates s and g.  So on the 200-point grid, at every piece's
-    # eigenvalues and at w = 0, (c, s, omega^2) at -k* (as the f walk
-    # carries it) and at -h equal (c, s, omega^2) and (c, -s, omega^2) at k
-    # and h, bit for bit apart from the sign of a zero.
+    # A walk's table holds each unit's blocks once per k^2: f(k, .),
+    # f(-k, .) and phi(k, .) all read them, and a backward walk applies
+    # (t, -q, -r, p).  So on the 200-point grid the blocks at -k* (as the f
+    # walk carries it) and at -k equal those at k, and (t, -q, -r, p) equals
+    # the piece stepped back (at -h) and then the gap (at -g), composed by
+    # the test, bit for bit apart from the sign of a zero.
     pot = rand_potential(rng, n, 20, scale=0.3)
     k = np.linspace(0.05, 10.0, 200) + 0j
-    stops = solver._breakpoints(pot, 0.0, pot.x_max)
+    units = pot._units
 
     def bits(a):  # adding 0 maps -0.0 to 0.0 and keeps every other bit
         return (a + 0).tobytes()
 
+    def blocks(table):  # (4, U, K, n)
+        return np.stack([table.block(u, None) for u in range(len(units.end))], axis=1)
+
+    table = blocks(solver._Table(pot, k))
+    for kk in (-k.conj(), -k):
+        assert [bits(a) for a in blocks(solver._Table(pot, kk))] == [bits(a) for a in table]
     with np.errstate(all="ignore"):
-        for x0, x1 in zip(stops, stops[1:]):
-            i = pot.piece_at(0.5 * (x0 + x1))
-            h = np.asarray(x1 - x0)
-            for w in [np.zeros(1)] + ([] if i is None else [pot._eigs[i][0]]):
-                c, s, om2 = solver._coefficients(w, k, h)
-                for kk, hh, sign in ((-k.conj(), h, 1), (-k, h, 1), (k, -h, -1),
-                                     (-k.conj(), -h, -1)):
-                    got = solver._coefficients(w, kk, hh)
-                    assert [bits(a) for a in got] == [bits(c), bits(sign * s), bits(om2)]
+        cP, sP, om2 = solver._coefficients(pot._stacks[1][units.piece][:, None], k,
+                                           -np.subtract(units.end, units.mid)[:, None])
+        gP = -om2 * sP
+        cG, sG, om2 = solver._coefficients(0.0, k, -np.subtract(units.mid, units.start)[:, None])
+        gG = -om2 * sG
+        back = (cG * cP + sG * gP, cG * sP + sG * cP, gG * cP + cG * gP, gG * sP + cG * cP)
+    p, q, r, t = table
+    assert [bits(a) for a in back] == [bits(t), bits(-q), bits(-r), bits(p)]
 
 
-def test_propagation_keeps_only_a_few_states(rng):
+def test_propagation_keeps_only_a_few_states(rng, monkeypatch):
     # A 400-k propagation across 20 pieces at n = 8 keeps the last state of
-    # its run, not one per leg: its peak of traced memory stays below a few
-    # states (41 legs would hold 41).
+    # its run, not one per unit, and of its table one run of blocks at a
+    # time: its peak of traced memory stays below a few states (20 units
+    # would hold 20, and the whole table of blocks 5).
     import tracemalloc
 
     pot = rand_potential(rng, 8, 20)
@@ -1031,8 +1137,20 @@ def test_propagation_keeps_only_a_few_states(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(solver._breakpoints(pot, pot.x_max, 0.0)) == 41
+    assert len(pot._units.end) == 20
     assert peak < 8 * (out.value.nbytes + out.deriv.nbytes)
+    held, init = [], solver._Table.__init__
+
+    def spy(table, *args, **kwargs):
+        init(table, *args, **kwargs)
+        held.append(table)
+
+    monkeypatch.setattr(solver._Table, "__init__", spy)
+    hl.jost_solution(pot, k, 0.0)
+    (table,) = held
+    (run,) = table.runs.values()
+    blocks, gaps = run
+    assert blocks.shape == (4, 5, 400, 8) and gaps.shape == (3, 5, 400, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -1070,14 +1188,23 @@ def _piece_at_scan(pot, x):
     return None
 
 
-def _breakpoints_scan(pot, x0, x1):
-    """The linear scan that ``solver._breakpoints`` replaced."""
-    cuts = {x0, x1}
-    for lo, hi, _ in pot.pieces:
-        for b in (lo, hi):
-            if min(x0, x1) < b < max(x0, x1):
-                cuts.add(b)
-    return sorted(cuts, reverse=bool(x1 < x0))
+def _segments_scan(pot, x0, x1):
+    """The parts of the walk from x0 to x1 between piece edges, in walk
+    order, each with the piece a linear scan finds inside it (None on free
+    territory)."""
+    inner = (b for p in pot.pieces for b in p[:2] if min(x0, x1) < b < max(x0, x1))
+    cuts = sorted({x0, x1, *inner}, reverse=bool(x1 < x0))
+    return [(y0, y1, _piece_at_scan(pot, 0.5 * (y0 + y1))) for y0, y1 in zip(cuts, cuts[1:])]
+
+
+def _merged(parts):
+    """``parts`` with neighbours of one piece joined."""
+    out = []
+    for a, b, p in parts:
+        if out and out[-1][2] == p is not None:
+            a = out.pop()[0]
+        out.append((a, b, p))
+    return out
 
 
 def _overlapping_potential():
@@ -1102,13 +1229,25 @@ def test_piece_lookup_equals_linear_scan(rng, case):
     xs = [0.0, *edges, *mids, pot.x_max + 1.0, *rng.uniform(0.0, pot.x_max, 20)]
     for x in xs:
         assert pot.piece_at(x) == _piece_at_scan(pot, x)
+    # The walk's parts in one unit each, cut where its gap ends, carry the
+    # pieces of the scan (None in a gap and beyond the support); only the
+    # legs of one piece that an overlapping piece's edge cuts form one part.
+    units = pot._units
     for x0 in xs:
         for x1 in xs:
-            assert solver._breakpoints(pot, x0, x1) == _breakpoints_scan(pot, x0, x1)
+            parts = []
+            for u, y0, y1 in solver._segments(pot, x0, x1):
+                gap_end = None if u is None else units.mid[u]
+                ys = [y0, *([gap_end] if u is not None and min(y0, y1) < gap_end < max(y0, y1)
+                            else []), y1]
+                parts += [(a, b, None if u is None or min(a, b) < gap_end else int(units.piece[u]))
+                          for a, b in zip(ys, ys[1:])]
+            scan = _segments_scan(pot, x0, x1)
+            assert parts == (_merged(scan) if case == "overlaps" else scan)
     free = hl.free_potential(2)
     assert free.piece_at(0.0) is None
-    assert solver._breakpoints(free, 0.0, 1.0) == [0.0, 1.0]
-    assert solver._breakpoints(free, 1.0, 1.0) == [1.0]
+    assert list(solver._segments(free, 0.0, 1.0)) == [(None, 0.0, 1.0)]
+    assert list(solver._segments(free, 1.0, 1.0)) == []
 
 
 def _norm2_le_cases(rng, n):
