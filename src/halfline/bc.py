@@ -29,13 +29,17 @@ Left multiplication of the condition by any invertible D, i.e. the map
 quantity derived from it; ``gauge_transform`` implements it and
 ``bc_subspace_equal`` decides equivalence of two pairs.
 
+A BCPair is only (n, A, B), and it is selfadjoint by construction: it
+refuses any pair that ``validate_ab`` rejects, so no function that takes
+one checks it again.  Every other form is an input form that is converted
+to (A, B) on the way in; the JSON encoding writes (A, B) as ``general_ab``.
+
 All functions are pure; BCPair values are immutable and thread-safe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -93,28 +97,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BCPair:
-    """A vertex condition -B' psi(0) + A' psi'(0) = 0.
+    """A selfadjoint vertex condition -B' psi(0) + A' psi'(0) = 0.
 
     Attributes
     ----------
     n : int
         Number of channels (matrix size).
     A, B : ndarray
-        The defining n x n matrices.
-    formulation : str
-        One of ``kostrykin_ab``, ``harmer_unitary``, ``general_ab``,
-        ``normalized``; records how the pair was produced.
-    E : ndarray, optional
-        The positive square root of A'A + B'B, cached when known
-        (I for normalized pairs); an E that is not Hermitian with
-        E^2 = A'A + B'B (relative to EPS_CHECK) is refused.
+        The defining n x n matrices, read-only.
+
+    A pair that :func:`validate_ab` rejects is refused with
+    ``invalid boundary pair: <violations>``.
     """
 
     n: int
     A: np.ndarray
     B: np.ndarray
-    formulation: str = "general_ab"
-    E: Optional[np.ndarray] = None
 
     def __post_init__(self):
         A = _as_matrix(self.A, "A")
@@ -123,18 +121,11 @@ class BCPair:
             raise ValidationError(f"A and B differ in shape: {A.shape} vs {B.shape}")
         if A.shape[0] != self.n:
             raise ValidationError(f"n = {self.n} does not match matrix size {A.shape[0]}")
-        if self.formulation not in FORMULATIONS:
-            raise ValidationError(f"unknown formulation {self.formulation!r}")
+        report = validate_ab(A, B)
+        if not report.ok:
+            raise ValidationError(f"invalid boundary pair: {report.violations}")
         object.__setattr__(self, "A", _frozen(A))
         object.__setattr__(self, "B", _frozen(B))
-        if self.E is not None:
-            E = _as_matrix(self.E, "E")
-            gram = A.conj().T @ A + B.conj().T @ B
-            tol = EPS_CHECK * max(1.0, np.linalg.norm(gram, 2))
-            if (E.shape != A.shape or np.linalg.norm(E - E.conj().T, 2) > tol
-                    or np.linalg.norm(E @ E - gram, 2) > tol):
-                raise ValidationError("E is not a Hermitian square root of A'A + B'B")
-            object.__setattr__(self, "E", _frozen(E))
 
 
 @dataclass(frozen=True)
@@ -224,30 +215,16 @@ def validate_kostrykin(A1, B1) -> ValidationReport:
     return ValidationReport(violations)
 
 
-def _require_valid(bc: BCPair) -> None:
-    report = validate_ab(bc.A, bc.B)
-    if not report.ok:
-        raise ValidationError(f"invalid boundary pair: {report.violations}")
-
-
 def e_matrix(bc: BCPair) -> np.ndarray:
-    """Positive square root of A'A + B'B via Hermitian eigendecomposition."""
-    if bc.E is not None:
-        return np.asarray(bc.E)
+    """Positive square root of A'A + B'B via Hermitian eigendecomposition
+    (positive definite: BCPair refuses any other pair)."""
     gram = bc.A.conj().T @ bc.A + bc.B.conj().T @ bc.B
-    gram = 0.5 * (gram + gram.conj().T)
-    w, Q = np.linalg.eigh(gram)
-    scale = max(float(w[-1]), np.finfo(float).tiny)
-    if w[0] <= EPS_POSDEF * scale:
-        raise ValidationError(
-            f"A'A + B'B is not positive definite (min eigenvalue {w[0]:.3e})"
-        )
+    w, Q = np.linalg.eigh(0.5 * (gram + gram.conj().T))
     return (Q * np.sqrt(w)) @ Q.conj().T
 
 
 def to_unitary(bc: BCPair) -> UnitaryBC:
     """Unitary encoding U = (A - iB) (A'A + B'B)^(-1) (A' - iB')."""
-    _require_valid(bc)
     gram = bc.A.conj().T @ bc.A + bc.B.conj().T @ bc.B
     U = (bc.A - 1j * bc.B) @ np.linalg.solve(gram, bc.A.conj().T - 1j * bc.B.conj().T)
     return UnitaryBC(U=U, convention="harmer")
@@ -259,7 +236,7 @@ def from_unitary(u: UnitaryBC) -> BCPair:
     harmer:       A = (U + I)/2,      B = i(U - I)/2
     cosine_sine:  A = i(U - U')/2,    B = (U + U')/2
 
-    Both produce a pair with A'A + B'B = I, so E = I is cached.
+    Both produce a pair with A'A + B'B = I.
     """
     n = u.n
     eye = np.eye(n)
@@ -269,7 +246,7 @@ def from_unitary(u: UnitaryBC) -> BCPair:
     else:
         A = 0.5j * (u.U - u.U.conj().T)
         B = 0.5 * (u.U + u.U.conj().T)
-    return BCPair(n=n, A=A, B=B, formulation="harmer_unitary", E=eye)
+    return BCPair(n=n, A=A, B=B)
 
 
 def from_kostrykin(A1, B1) -> BCPair:
@@ -279,12 +256,7 @@ def from_kostrykin(A1, B1) -> BCPair:
         raise ValidationError(f"invalid rank-n pair: {report.violations}")
     A1 = _as_matrix(A1, "A1")
     B1 = _as_matrix(B1, "B1")
-    return BCPair(
-        n=A1.shape[0],
-        A=B1.conj().T,
-        B=-A1.conj().T,
-        formulation="kostrykin_ab",
-    )
+    return BCPair(n=A1.shape[0], A=B1.conj().T, B=-A1.conj().T)
 
 
 def from_angles(thetas) -> BCPair:
@@ -302,32 +274,36 @@ def from_angles(thetas) -> BCPair:
     n = th.size
     A = -np.diag(np.sin(th)).astype(complex)
     B = np.diag(np.cos(th)).astype(complex)
-    return BCPair(n=n, A=A, B=B, formulation="normalized", E=np.eye(n))
+    return BCPair(n=n, A=A, B=B)
 
 
 def normalize(bc: BCPair) -> BCPair:
-    """Right-multiply by E^(-1) so that A A' + B B' = I and B A' = A B'."""
-    _require_valid(bc)
-    E = e_matrix(bc)
+    """Right-multiply by E^(-1) so that A A' + B B' = I and B A' = A B'.
+
+    E = I where A'A + B'B = I within EPS_CHECK, as for every unitary,
+    angle, Dirichlet and Neumann pair, so their entries are kept.
+    """
+    gram, eye = bc.A.conj().T @ bc.A + bc.B.conj().T @ bc.B, np.eye(bc.n, dtype=complex)
+    E = eye if np.linalg.norm(gram - eye, 2) <= EPS_CHECK else e_matrix(bc)
     A = np.linalg.solve(E.conj().T, bc.A.conj().T).conj().T
     B = np.linalg.solve(E.conj().T, bc.B.conj().T).conj().T
-    return BCPair(n=bc.n, A=A, B=B, formulation="normalized", E=np.eye(bc.n))
+    return BCPair(n=bc.n, A=A, B=B)
 
 
 def gauge_transform(bc: BCPair, D) -> BCPair:
-    """Apply (A, B) -> (A D', B D') for an invertible, well-conditioned D."""
+    """Apply (A, B) -> (A D', B D') for an invertible, well-conditioned D.
+
+    The result is a BCPair, so a D that leaves a pair :func:`validate_ab`
+    rejects is refused as well: its ``gram_posdef`` test is relative, which
+    an ill-conditioned D (cond(D) of about 1e5 and beyond) can fail.
+    """
     D = _as_matrix(D, "D")
     if D.shape[0] != bc.n:
         raise ValidationError(f"D has size {D.shape[0]}, expected {bc.n}")
     sv = np.linalg.svd(D, compute_uv=False)
     if sv[-1] <= 0 or sv[0] / sv[-1] > GAUGE_COND_CAP:
         raise ValidationError("gauge factor D is singular or too ill-conditioned")
-    return BCPair(
-        n=bc.n,
-        A=bc.A @ D.conj().T,
-        B=bc.B @ D.conj().T,
-        formulation="general_ab",
-    )
+    return BCPair(n=bc.n, A=bc.A @ D.conj().T, B=bc.B @ D.conj().T)
 
 
 def bc_subspace_equal(bc1: BCPair, bc2: BCPair) -> bool:
@@ -355,14 +331,12 @@ def bc_subspace_equal(bc1: BCPair, bc2: BCPair) -> bool:
 
 def dirichlet(n: int) -> BCPair:
     """psi(0) = 0 on every channel: A = 0, B = -I."""
-    return BCPair(n=n, A=np.zeros((n, n), dtype=complex), B=-np.eye(n, dtype=complex),
-                  formulation="normalized", E=np.eye(n))
+    return BCPair(n=n, A=np.zeros((n, n), dtype=complex), B=-np.eye(n, dtype=complex))
 
 
 def neumann(n: int) -> BCPair:
     """psi'(0) = 0 on every channel: A = -I, B = 0."""
-    return BCPair(n=n, A=-np.eye(n, dtype=complex), B=np.zeros((n, n), dtype=complex),
-                  formulation="normalized", E=np.eye(n))
+    return BCPair(n=n, A=-np.eye(n, dtype=complex), B=np.zeros((n, n), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +374,7 @@ def complex_matrix_from_json(data, name: str = "matrix") -> np.ndarray:
 def bc_to_json(bc: BCPair) -> dict:
     return {
         "n": bc.n,
-        "formulation": bc.formulation,
+        "formulation": "general_ab",
         "A": complex_matrix_to_json(bc.A),
         "B": complex_matrix_to_json(bc.B),
     }
@@ -411,6 +385,10 @@ def bc_from_json(data: dict, path: str = "bc") -> BCPair:
 
     ``{"n", "formulation", "A", "B"}`` | ``{"angles": [...]}`` |
     ``{"U": [[...]], "convention": "harmer" | "cosine_sine"}``
+
+    ``"formulation"`` is an input form: ``"kostrykin_ab"`` reads the
+    matrices as (A1, B1) of the rank-n form, the other names of
+    ``FORMULATIONS`` (and none) as (A, B).
     """
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected an object")
@@ -447,8 +425,9 @@ def bc_from_json(data: dict, path: str = "bc") -> BCPair:
     formulation = data.get("formulation", "general_ab")
     if formulation == "kostrykin_ab":
         return from_kostrykin(A, B)
-    bc = BCPair(n=n, A=A, B=B, formulation=formulation)
-    report = validate_ab(A, B)
-    if not report.ok:
-        raise ValidationError(f"{path}: invalid boundary pair: {report.violations}")
-    return bc
+    if formulation not in FORMULATIONS:
+        raise ValidationError(f"unknown formulation {formulation!r}")
+    try:
+        return BCPair(n=n, A=A, B=B)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

@@ -30,8 +30,9 @@ walk holds it transposed, as rows psi^T, in the eigenbasis of the piece it
 is in, so every product is one 2-D product of all K n rows with a fixed
 n x n factor, and a stacked row keeps the bits of its scalar call.
 
-The support is cut after each piece into units, a free gap (empty where
-pieces touch) and the piece after it.  One kernel (``_walk``) steps every
+The pieces of a Potential are disjoint (it clips overlaps shorter than
+1e-15), and unit u of the support is piece u with the free gap before it
+(empty where pieces touch).  One kernel (``_walk``) steps every
 walk: it enters a unit by one product per value and derivative rows, with
 QT_i conj(Q_j) from the piece before (both directions computed once per
 Potential), crosses a unit whole by one 2 x 2 block per eigenvalue into
@@ -120,6 +121,11 @@ class Potential:
     ``pieces`` is a sorted tuple of (x_lo, x_hi, V) with disjoint intervals
     inside [0, x_max]; V vanishes outside the pieces.  Finite support means
     the first-moment integrability the theory needs holds automatically.
+
+    Pieces are made disjoint here, once: a piece that overlaps the pieces
+    before it by less than 1e-15 starts where they end (they own the
+    overlap), a piece that leaves nothing is dropped, and a longer overlap
+    is refused.
     """
 
     n: int
@@ -149,26 +155,27 @@ class Potential:
                     )
             cleaned.append((lo, hi, 0.5 * (V + V.conj().T)))
         cleaned.sort(key=lambda p: p[0])
-        for (lo1, hi1, _), (lo2, _, _) in zip(cleaned, cleaned[1:]):
-            if lo2 < hi1 - 1e-15:
+        disjoint, reach = [], 0.0  # reach: the end of every piece before
+        for lo, hi, V in cleaned:
+            if lo < reach - 1e-15:
                 raise ValidationError("potential pieces overlap")
+            if max(lo, reach) < hi:
+                disjoint.append((max(lo, reach), hi, V))
+                reach = hi
         # The pieces' V and, from one eigh call, the factors (w, Q^T, conj Q)
         # that rotate rows (see _walk), as (P, ...) stacks; V views them.
-        Vs = np.array([V for _, _, V in cleaned], dtype=complex).reshape(-1, self.n, self.n)
+        Vs = np.array([V for _, _, V in disjoint], dtype=complex).reshape(-1, self.n, self.n)
         w, Q = np.linalg.eigh(Vs)
         stacks = (Vs, w, np.ascontiguousarray(Q.swapaxes(-1, -2)), Q.conj())
         for s in stacks:
             s.setflags(write=False)
         object.__setattr__(self, "_stacks", stacks)
-        object.__setattr__(self, "pieces", tuple((p[0], p[1], V) for p, V in zip(cleaned, Vs)))
-        object.__setattr__(self, "x_max", cleaned[-1][1] if cleaned else 0.0)
-        # Piece lookup by bisection: the sorted distinct piece edges, and the
-        # running maximum of the piece ends (nondecreasing even where pieces
-        # overlap by less than the 1e-15 the check above lets through).
-        edges = sorted({b for lo, hi, _ in cleaned for b in (lo, hi)})
-        object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_reach", list(itertools.accumulate(
-            (hi for _, hi, _ in cleaned), max)))
+        object.__setattr__(self, "pieces", tuple((p[0], p[1], V) for p, V in zip(disjoint, Vs)))
+        object.__setattr__(self, "x_max", reach)
+        # The piece ends, increasing, for piece_at's bisection, and the
+        # sorted distinct piece edges.
+        object.__setattr__(self, "_ends", [hi for _, hi, _ in disjoint])
+        object.__setattr__(self, "_edges", sorted({b for lo, hi, _ in disjoint for b in (lo, hi)}))
 
     @functools.cached_property
     def _units(self) -> "_Units":
@@ -178,12 +185,9 @@ class Potential:
         return _make_units(self)
 
     def piece_at(self, x: float) -> Optional[int]:
-        """Index of the piece containing x, or None on free territory.
-
-        Where pieces overlap, the first one in ``pieces`` that contains x.
-        """
-        # The first piece ending beyond x; later pieces start no earlier.
-        i = bisect_right(self._reach, x)
+        """Index of the piece containing x (the later one where two touch),
+        or None on free territory."""
+        i = bisect_right(self._ends, x)  # the first piece ending beyond x
         if i < len(self.pieces) and self.pieces[i][0] <= x:
             return i
         return None
@@ -238,40 +242,25 @@ class StateMatrix:
 
 class _Units(NamedTuple):
     """The support [0, x_max] cut after each piece into units: unit u is a
-    free gap on [start[u], mid[u]] (empty where pieces touch) and then the
-    piece ``piece[u]`` on [mid[u], end[u]].  ``up[u]`` = QT_u conj(Q_(u+1))
-    carries rows held in unit u's eigenbasis into unit u+1's, ``down[u]`` =
-    QT_(u+1) conj(Q_u) back."""
+    free gap on [start[u], mid[u]] (empty where pieces touch) and then
+    piece u on [mid[u], end[u]], so unit u indexes the eigen-stacks.
+    ``up[u]`` = QT_u conj(Q_(u+1)) carries rows held in unit u's eigenbasis
+    into unit u+1's, ``down[u]`` = QT_(u+1) conj(Q_u) back."""
 
     start: list
     mid: list
     end: list
-    piece: np.ndarray
     up: np.ndarray
     down: np.ndarray
 
 
 def _make_units(pot: Potential) -> _Units:
-    """The units of ``pot``; a gap goes with the piece after it, and the
-    legs of one piece that an overlapping piece's edge cuts form one unit."""
-    cuts, mids, piece = [0.0], [], []
-    stops = sorted({0.0, *pot._edges})
-    for x0, x1 in zip(stops, stops[1:]):
-        i = pot.piece_at(0.5 * (x0 + x1))
-        if i is None:
-            continue
-        if piece and piece[-1] == i and cuts[-1] == x0:
-            cuts[-1] = x1
-        else:
-            cuts.append(x1)
-            mids.append(x0)
-            piece.append(i)
-    piece = np.array(piece, dtype=int)
+    """The units of ``pot``: each piece with the gap before it."""
     _, _, QT, QhT = pot._stacks
-    up, down = QT[piece[:-1]] @ QhT[piece[1:]], QT[piece[1:]] @ QhT[piece[:-1]]
+    up, down = QT[:-1] @ QhT[1:], QT[1:] @ QhT[:-1]
     for a in (up, down):
         a.setflags(write=False)
-    return _Units(cuts[:-1], mids, cuts[1:], piece, up, down)
+    return _Units([0.0, *pot._ends[:-1]], [lo for lo, _, _ in pot.pieces], pot._ends, up, down)
 
 
 def _coefficients(w, k, h):
@@ -343,7 +332,7 @@ class _Table:
         units, reps = self.pot._units, self.reps
         start, mid, end = (np.array(a[span]) for a in (units.start, units.mid, units.end))
         with np.errstate(all="ignore"):
-            cP, sP, gP = _coefficients(self.pot._stacks[1][units.piece[span]][:, None], reps,
+            cP, sP, gP = _coefficients(self.pot._stacks[1][span][:, None], reps,
                                        (end - mid)[:, None])
             gP = np.negative(gP, out=gP)  # -omega^2 s, in place of omega^2
             gP *= sP
@@ -424,7 +413,7 @@ def _part(pot: Potential, ks, table, rows, u, y0, y1, v, d):
     else:
         units = pot._units
         legs = [(0.0, units.start[u], units.mid[u], True),
-                (pot._stacks[1][units.piece[u]], units.mid[u], units.end[u], False)]
+                (pot._stacks[1][u], units.mid[u], units.end[u], False)]
     back = y1 < y0
     for w, a, b, gap in (legs[::-1] if back else legs):
         lo, hi = max(a, min(y0, y1)), min(b, max(y0, y1))
@@ -466,13 +455,13 @@ def _walk(pot: Potential, ks, table, rows, x0, value, deriv, x1, keep) -> dict:
 
     def state(x, u, v, d):
         if u is not None:
-            v, d = _rotate(v, QT[units.piece[u]]), _rotate(d, QT[units.piece[u]])
+            v, d = _rotate(v, QT[u]), _rotate(d, QT[u])
         return StateMatrix._trusted(x, v.swapaxes(-1, -2), d.swapaxes(-1, -2))
 
     with np.errstate(all="ignore"):
         for u, y0, y1 in _segments(pot, x0, x1):
             if u != at:
-                R = (QhT[units.piece[u]] if at is None else QT[units.piece[at]] if u is None
+                R = (QhT[u] if at is None else QT[at] if u is None
                      else units.down[u] if back else units.up[at])
                 if entered is None:
                     entered, left = ([np.empty(v.shape, complex) for _ in range(m)] for m in (2, 3))

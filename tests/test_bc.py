@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import halfline as hl
-from halfline.bc import bc_from_json, bc_to_json, e_matrix
+from halfline.bc import EPS_CHECK, bc_from_json, bc_to_json, e_matrix
 from halfline.errors import ValidationError
 from conftest import free_closed_forms, rand_bc, rand_unitary
 
@@ -36,42 +36,36 @@ def test_validate_ab_rejects_degenerate_gram():
     assert "gram_posdef" in rules
 
 
-@pytest.mark.parametrize("field", ["A", "B", "E"])
+@pytest.mark.parametrize("field", ["A", "B"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_bc_pair_rejects_non_finite_matrices(field, bad):
-    mats = {"A": np.zeros((2, 2), dtype=complex), "B": np.eye(2, dtype=complex),
-            "E": np.eye(2, dtype=complex)}
+    mats = {"A": np.zeros((2, 2), dtype=complex), "B": np.eye(2, dtype=complex)}
     mats[field][1, 0] = bad
     with pytest.raises(ValidationError, match=f"{field} has non-finite entries"):
         hl.BCPair(n=2, **mats)
 
 
-@pytest.mark.parametrize("A,B,E", [
-    ([[2.0]], [[0.0]], [[1.0]]),                          # E^2 = 1, A'A + B'B = 4
-    (np.eye(2), np.zeros((2, 2)), [[1.0, 0.5], [0.0, -1.0]]),  # E^2 = I, E not Hermitian
-    (np.eye(2), np.zeros((2, 2)), [[1.0, 1e-9], [1e-9, 1.0]]),  # off by 2e-9
-    (np.eye(2), np.zeros((2, 2)), [[1.0]]),               # wrong size
-])
-def test_bc_pair_refuses_an_e_that_is_not_the_root_of_the_gram(A, B, E):
-    # normalize trusts E: given E = 1 for A = 2 it returned A = 2 labelled
-    # normalized, with AA' + BB' = 4.
-    with pytest.raises(ValidationError, match="E is not a Hermitian square root"):
-        hl.BCPair(n=len(A), A=A, B=B, E=E)
-
-
 def test_bc_pair_accepts_the_e_of_every_constructor(rng):
-    # Each constructor that caches E passes the check as it stands, and an
-    # E within EPS_CHECK of the root is accepted.
+    # Every constructor that promises a normalized pair gives A'A + B'B = I
+    # within EPS_CHECK.
     n = 3
     pairs = [hl.from_unitary(hl.UnitaryBC(U=rand_unitary(rng, n), convention=c))
              for c in ("harmer", "cosine_sine") for _ in range(20)]
     pairs += [hl.from_angles(rng.uniform(0.1, np.pi, size=n)), hl.dirichlet(n), hl.neumann(n)]
     pairs += [hl.normalize(hl.gauge_transform(bc, rng.normal(size=(n, n)) + 2 * np.eye(n)))
               for bc in pairs[:10]]
+    pairs += [hl.normalize(hl.BCPair(n=1, A=[[2.0]], B=[[0.0]]))]
     for bc in pairs:
-        assert np.array_equal(bc.E, np.eye(n))
-    near = hl.BCPair(n=1, A=[[2.0]], B=[[0.0]], E=[[2.0 + 1e-11]])
-    assert hl.normalize(near).E[0, 0] == 1.0
+        gram = bc.A.conj().T @ bc.A + bc.B.conj().T @ bc.B
+        assert np.linalg.norm(gram - np.eye(bc.n), 2) <= EPS_CHECK
+
+
+def test_bc_pair_refuses_a_pair_that_is_not_selfadjoint():
+    # smatrix took this pair and returned an S with unitarity residual 4.83.
+    with pytest.raises(ValidationError, match="invalid boundary pair.*pairing_selfadjoint"):
+        hl.BCPair(n=2, A=np.eye(2), B=[[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValidationError, match="invalid boundary pair.*gram_posdef"):
+        hl.BCPair(n=2, A=np.zeros((2, 2)), B=np.diag([1.0, 0.0]))
 
 
 def test_validate_kostrykin_dirichlet_and_zero():
@@ -221,6 +215,15 @@ def test_gauge_transform_rejects_singular_factor():
         hl.gauge_transform(hl.dirichlet(2), np.diag([1.0, 0.0]))
 
 
+def test_gauge_transform_refuses_a_factor_that_leaves_an_invalid_pair():
+    # gram_posdef is relative: D = diag(1, e) takes A'A + B'B = I to
+    # diag(1, e^2), refused once e^2 <= 1e-10, at cond(D) of 1e5 and beyond,
+    # far below GAUGE_COND_CAP.
+    assert hl.gauge_transform(hl.dirichlet(2), np.diag([1.0, 1e-4])).n == 2
+    with pytest.raises(ValidationError, match="invalid boundary pair.*gram_posdef"):
+        hl.gauge_transform(hl.dirichlet(2), np.diag([1.0, 1e-6]))
+
+
 def test_gauge_transform_preserves_validity(rng):
     for _ in range(10):
         bc = rand_bc(rng, 3)
@@ -250,6 +253,30 @@ def test_bc_json_round_trip():
     data = bc_to_json(bc)
     back = bc_from_json(data)
     assert np.allclose(back.A, bc.A) and np.allclose(back.B, bc.B)
+
+
+def test_bc_json_round_trips_a_kostrykin_pair():
+    # bc_to_json wrote a from_kostrykin pair as "kostrykin_ab", which
+    # bc_from_json reads as (A1, B1): Dirichlet came back as Neumann.
+    bc = hl.from_kostrykin(np.eye(2), np.zeros((2, 2)))
+    assert hl.bc_subspace_equal(bc, hl.dirichlet(2))
+    data = bc_to_json(bc)
+    assert data["formulation"] == "general_ab"
+    assert hl.bc_subspace_equal(bc_from_json(data), hl.dirichlet(2))
+
+
+def test_bc_json_formulation_is_an_input_form():
+    # "kostrykin_ab" reads (A1, B1); the other names read (A, B).
+    data = {"n": 1, "A": [[[1.0, 0.0]]], "B": [[[0.0, 0.0]]]}
+    for name in ("general_ab", "normalized", "harmer_unitary", None):
+        named = data if name is None else dict(data, formulation=name)
+        assert hl.bc_subspace_equal(bc_from_json(named), hl.neumann(1))
+    kostrykin = bc_from_json(dict(data, formulation="kostrykin_ab"))
+    assert hl.bc_subspace_equal(kostrykin, hl.dirichlet(1))
+    with pytest.raises(ValidationError, match="unknown formulation 'other'"):
+        bc_from_json(dict(data, formulation="other"))
+    with pytest.raises(ValidationError, match=r"^bc: invalid boundary pair: \(\('gram_posdef'"):
+        bc_from_json(dict(data, A=[[[0.0, 0.0]]]))
 
 
 def test_bc_json_angles_and_unitary_forms():

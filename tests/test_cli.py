@@ -254,21 +254,37 @@ def test_bc_validate_command(tmp_path, capsys):
     path = write_cfg(tmp_path, ANGLES_CFG)
     assert cli.main(["bc", "validate", "--config", path]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["ok"] is True
+    assert payload == {"ok": True, "violations": []}
+
+
+def test_bc_validate_refuses_an_invalid_pair_as_it_parses(tmp_path, capsys):
+    # A'B - B'A = [[0, 1], [-1, 0]]: the config does not parse, so no report
+    # is written.
+    eye = complex_matrix_to_json(np.eye(2))
+    path = write_cfg(tmp_path, {"bc": {"n": 2, "A": eye,
+                                       "B": complex_matrix_to_json([[0, 1], [0, 0]])}})
+    assert cli.main(["bc", "validate", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("validation error: config.bc: invalid boundary pair: "
+                            "(('pairing_selfadjoint', 1.0),)\n")
 
 
 def test_bc_convert_round_trips(tmp_path, capsys):
-    path = write_cfg(tmp_path, {"bc": WELL_CFG["bc"]})
-    for target in ("normalized", "kostrykin", "unitary-harmer",
-                   "unitary-cosine-sine", "general-ab"):
-        assert cli.main(["bc", "convert", "--config", path, "--to", target]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        if target == "kostrykin":
-            # feeding the converted form back re-validates it as a condition
-            from halfline.bc import bc_from_json
-            import halfline as hl
-            back = bc_from_json(payload)
-            assert hl.bc_subspace_equal(back, hl.dirichlet(1))
+    # Every target, fed back as the bc of a config, is the input's condition:
+    # a general pair, angles, and a rank-n (A1, B1) pair.
+    from halfline.bc import bc_from_json, bc_subspace_equal
+
+    kostrykin = {"n": 2, "formulation": "kostrykin_ab", "A": complex_matrix_to_json(np.eye(2)),
+                 "B": complex_matrix_to_json([[1.0, 0.5], [0.5, 0.0]])}
+    for bc in (WELL_CFG["bc"], ANGLES_CFG["bc"], kostrykin):
+        path = write_cfg(tmp_path, {"bc": bc})
+        given = parse_config(json.dumps({"bc": bc})).bc
+        for target in ("normalized", "kostrykin", "unitary-harmer",
+                       "unitary-cosine-sine", "general-ab"):
+            assert cli.main(["bc", "convert", "--config", path, "--to", target]) == 0
+            back = bc_from_json(json.loads(capsys.readouterr().out))
+            assert bc_subspace_equal(back, given), (bc, target)
 
 
 def test_sweep_csv_shape_and_values(tmp_path, capsys):

@@ -83,6 +83,11 @@ def test_no_public_callable_takes_a_solver_config():
     assert takers == []
 
 
+def test_bc_pair_holds_only_its_matrices():
+    # No formulation label and no cached E: the pair is decided by (A, B).
+    assert [f.name for f in dataclasses.fields(hl.BCPair)] == ["n", "A", "B"]
+
+
 def test_job_config_holds_the_matching_point_and_no_solver():
     assert [f.name for f in dataclasses.fields(JobConfig)] == [
         "bc", "potential", "kgrid", "outputs", "a"]

@@ -1030,13 +1030,13 @@ def _unit_by_unit(pot, k, start, x):
     order = [u for u in range(len(units.end)) if (units.end[u] > x if back else units.start[u] < x)]
     prev = None
     for u in (order[::-1] if back else order):
-        R = QhT[units.piece[u]] if prev is None else (units.down[u] if back else units.up[prev])
+        R = QhT[u] if prev is None else (units.down[u] if back else units.up[prev])
         v, d, prev = solver._rotate(v, R), solver._rotate(d, R), u
         if (units.start[u] >= x) if back else (units.end[u] <= x):
             v, d = solver._mix(table.block(u, table.rows), v, d, back)
             continue
         legs = [(0.0, units.start[u], units.mid[u], True),
-                (w[units.piece[u]], units.mid[u], units.end[u], False)]
+                (w[u], units.mid[u], units.end[u], False)]
         y0 = units.end[u] if back else units.start[u]
         for wj, a, b, gap in (legs[::-1] if back else legs):
             lo, hi = max(a, min(y0, x)), min(b, max(y0, x))
@@ -1051,7 +1051,7 @@ def _unit_by_unit(pot, k, start, x):
             v, d = solver._mix((c, s, g, c), v, d, back)
         break
     if prev is not None:
-        v, d = solver._rotate(v, QT[units.piece[prev]]), solver._rotate(d, QT[units.piece[prev]])
+        v, d = solver._rotate(v, QT[prev]), solver._rotate(d, QT[prev])
     return v.swapaxes(-1, -2), d.swapaxes(-1, -2)
 
 
@@ -1111,7 +1111,7 @@ def test_coefficients_are_even_in_k_and_odd_in_h(rng, n):
     for kk in (-k.conj(), -k):
         assert [bits(a) for a in blocks(solver._Table(pot, kk))] == [bits(a) for a in table]
     with np.errstate(all="ignore"):
-        cP, sP, om2 = solver._coefficients(pot._stacks[1][units.piece][:, None], k,
+        cP, sP, om2 = solver._coefficients(pot._stacks[1][:, None], k,
                                            -np.subtract(units.end, units.mid)[:, None])
         gP = -om2 * sP
         cG, sG, om2 = solver._coefficients(0.0, k, -np.subtract(units.mid, units.start)[:, None])
@@ -1222,6 +1222,10 @@ def test_piece_lookup_equals_linear_scan(rng, case):
     if case == "overlaps":
         pot = _overlapping_potential()
         assert pot.piece_at(1.0 - 3 * 2.0 ** -53) == 0
+        # the nested piece is gone and the next starts where the first ends
+        assert [(lo, hi, V[0, 0]) for lo, hi, V in pot.pieces[:2]] == [(0.0, 1.0, 1), (1.0, 2.0, 3)]
+        assert len(pot.pieces) == 4
+        assert all(hi <= lo for (_, hi, _), (lo, _, _) in zip(pot.pieces, pot.pieces[1:]))
     else:
         pot = rand_potential(rng, 2, 20, gap=0.0 if case == "touching" else 0.2)
     edges = sorted({b for lo, hi, _ in pot.pieces for b in (lo, hi)})
@@ -1240,7 +1244,7 @@ def test_piece_lookup_equals_linear_scan(rng, case):
                 gap_end = None if u is None else units.mid[u]
                 ys = [y0, *([gap_end] if u is not None and min(y0, y1) < gap_end < max(y0, y1)
                             else []), y1]
-                parts += [(a, b, None if u is None or min(a, b) < gap_end else int(units.piece[u]))
+                parts += [(a, b, None if u is None or min(a, b) < gap_end else u)
                           for a, b in zip(ys, ys[1:])]
             scan = _segments_scan(pot, x0, x1)
             assert parts == (_merged(scan) if case == "overlaps" else scan)
