@@ -73,8 +73,6 @@ EPS_CHECK = 1e-10
 EPS_POSDEF = 1e-10
 #: Relative singular-value threshold for rank decisions.
 EPS_RANK = 1e-10
-#: Largest accepted condition number for a gauge factor D.
-GAUGE_COND_CAP = 1e12
 
 FORMULATIONS = ("kostrykin_ab", "harmer_unitary", "general_ab", "normalized")
 UNITARY_CONVENTIONS = ("harmer", "cosine_sine")
@@ -250,13 +248,20 @@ def from_unitary(u: UnitaryBC) -> BCPair:
 
 
 def from_kostrykin(A1, B1) -> BCPair:
-    """Convert the rank-n form to a boundary pair via (A, B) = (B1', -A1')."""
+    """Convert the rank-n form to a boundary pair via (A, B) = (B1', -A1'),
+    normalized where rows of very different scale fail the relative
+    ``gram_posdef`` test (A1 = diag(1, 1e-7), B1 = 0 is Dirichlet): then
+    the pair is W V' of the SVD [B1'; -A1'] = W S V', the rows
+    (A1 A1' + B1 B1')^(-1/2) [A1 B1], which state the same condition."""
     report = validate_kostrykin(A1, B1)
     if not report.ok:
         raise ValidationError(f"invalid rank-n pair: {report.violations}")
-    A1 = _as_matrix(A1, "A1")
-    B1 = _as_matrix(B1, "B1")
-    return BCPair(n=A1.shape[0], A=B1.conj().T, B=-A1.conj().T)
+    A1, B1 = _as_matrix(A1, "A1"), _as_matrix(B1, "B1")
+    A, B = B1.conj().T, -A1.conj().T
+    if not validate_ab(A, B).ok:
+        W, _, Vh = np.linalg.svd(np.vstack([A, B]), full_matrices=False)
+        A, B = np.vsplit(W @ Vh, 2)
+    return BCPair(n=A1.shape[0], A=A, B=B)
 
 
 def from_angles(thetas) -> BCPair:
@@ -285,8 +290,7 @@ def normalize(bc: BCPair) -> BCPair:
     """
     gram, eye = bc.A.conj().T @ bc.A + bc.B.conj().T @ bc.B, np.eye(bc.n, dtype=complex)
     E = eye if np.linalg.norm(gram - eye, 2) <= EPS_CHECK else e_matrix(bc)
-    A = np.linalg.solve(E.conj().T, bc.A.conj().T).conj().T
-    B = np.linalg.solve(E.conj().T, bc.B.conj().T).conj().T
+    A, B = (np.linalg.solve(E.conj().T, M.conj().T).conj().T for M in (bc.A, bc.B))
     return BCPair(n=bc.n, A=A, B=B)
 
 
@@ -294,15 +298,12 @@ def gauge_transform(bc: BCPair, D) -> BCPair:
     """Apply (A, B) -> (A D', B D') for an invertible, well-conditioned D.
 
     The result is a BCPair, so a D that leaves a pair :func:`validate_ab`
-    rejects is refused as well: its ``gram_posdef`` test is relative, which
-    an ill-conditioned D (cond(D) of about 1e5 and beyond) can fail.
+    rejects is refused: a singular D, and, as its ``gram_posdef`` test is
+    relative, an ill-conditioned one (cond(D) of about 1e5 and beyond).
     """
     D = _as_matrix(D, "D")
     if D.shape[0] != bc.n:
         raise ValidationError(f"D has size {D.shape[0]}, expected {bc.n}")
-    sv = np.linalg.svd(D, compute_uv=False)
-    if sv[-1] <= 0 or sv[0] / sv[-1] > GAUGE_COND_CAP:
-        raise ValidationError("gauge factor D is singular or too ill-conditioned")
     return BCPair(n=bc.n, A=bc.A @ D.conj().T, B=bc.B @ D.conj().T)
 
 
@@ -423,11 +424,11 @@ def bc_from_json(data: dict, path: str = "bc") -> BCPair:
     if A.shape != (n, n) or B.shape != (n, n):
         raise ValidationError(f"{path}: A and B must be {n} x {n}")
     formulation = data.get("formulation", "general_ab")
-    if formulation == "kostrykin_ab":
-        return from_kostrykin(A, B)
     if formulation not in FORMULATIONS:
         raise ValidationError(f"unknown formulation {formulation!r}")
     try:
+        if formulation == "kostrykin_ab":
+            return from_kostrykin(A, B)
         return BCPair(n=n, A=A, B=B)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc

@@ -95,8 +95,7 @@ def cmd_bc(args) -> int:
     # convert
     target = args.to
     if target == "normalized":
-        out_bc = normalize(cfg.bc)
-        payload = bc_to_json(out_bc)
+        payload = bc_to_json(normalize(cfg.bc))
     elif target == "kostrykin":
         # dictionary (A1, B1) = (-B', A') into the rank-n form
         payload = {

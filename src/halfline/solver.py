@@ -172,10 +172,8 @@ class Potential:
         object.__setattr__(self, "_stacks", stacks)
         object.__setattr__(self, "pieces", tuple((p[0], p[1], V) for p, V in zip(disjoint, Vs)))
         object.__setattr__(self, "x_max", reach)
-        # The piece ends, increasing, for piece_at's bisection, and the
-        # sorted distinct piece edges.
+        # The piece ends, increasing, for piece_at's bisection.
         object.__setattr__(self, "_ends", [hi for _, hi, _ in disjoint])
-        object.__setattr__(self, "_edges", sorted({b for lo, hi, _ in disjoint for b in (lo, hi)}))
 
     @functools.cached_property
     def _units(self) -> "_Units":
@@ -260,7 +258,8 @@ def _make_units(pot: Potential) -> _Units:
     up, down = QT[:-1] @ QhT[1:], QT[1:] @ QhT[:-1]
     for a in (up, down):
         a.setflags(write=False)
-    return _Units([0.0, *pot._ends[:-1]], [lo for lo, _, _ in pot.pieces], pot._ends, up, down)
+    start = [0.0, *pot._ends][:len(pot._ends)]
+    return _Units(start, [lo for lo, _, _ in pot.pieces], pot._ends, up, down)
 
 
 def _coefficients(w, k, h):

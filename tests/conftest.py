@@ -45,6 +45,11 @@ def rand_potential(rng, n, pieces=2, scale=1.0, gap=0.2):
     return hl.Potential(n=n, pieces=tuple(built))
 
 
+def piece_edges(pot: Potential) -> List[float]:
+    """The distinct ends of ``pot``'s pieces, increasing."""
+    return sorted({b for lo, hi, _ in pot.pieces for b in (lo, hi)})
+
+
 def scalar_well(v0=1.0, width=1.0):
     return hl.Potential(n=1, pieces=((0.0, width, np.array([[-v0]])),))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import halfline as hl
-from halfline.bc import EPS_CHECK, bc_from_json, bc_to_json, e_matrix
+from halfline.bc import EPS_CHECK, bc_from_json, bc_to_json, complex_matrix_to_json, e_matrix
 from halfline.errors import ValidationError
 from conftest import free_closed_forms, rand_bc, rand_unitary
 
@@ -216,9 +216,9 @@ def test_gauge_transform_rejects_singular_factor():
 
 
 def test_gauge_transform_refuses_a_factor_that_leaves_an_invalid_pair():
-    # gram_posdef is relative: D = diag(1, e) takes A'A + B'B = I to
-    # diag(1, e^2), refused once e^2 <= 1e-10, at cond(D) of 1e5 and beyond,
-    # far below GAUGE_COND_CAP.
+    # The result is a BCPair, and gram_posdef is relative: D = diag(1, e)
+    # takes A'A + B'B = I to diag(1, e^2), refused once e^2 <= 1e-10, at
+    # cond(D) of 1e5 and beyond.
     assert hl.gauge_transform(hl.dirichlet(2), np.diag([1.0, 1e-4])).n == 2
     with pytest.raises(ValidationError, match="invalid boundary pair.*gram_posdef"):
         hl.gauge_transform(hl.dirichlet(2), np.diag([1.0, 1e-6]))
@@ -253,6 +253,32 @@ def test_bc_json_round_trip():
     data = bc_to_json(bc)
     back = bc_from_json(data)
     assert np.allclose(back.A, bc.A) and np.allclose(back.B, bc.B)
+
+
+def test_from_kostrykin_takes_every_pair_validate_kostrykin_accepts(rng):
+    # Rows of very different scale state a fine condition; (B1', -A1') of
+    # A1 = diag(1, 1e-7), B1 = 0 fails the relative gram_posdef test, so
+    # the pair is normalized on the way in.
+    A1, B1 = np.diag([1.0, 1e-7]), np.zeros((2, 2))
+    assert hl.validate_kostrykin(A1, B1).ok
+    assert not hl.validate_ab(B1.conj().T, -A1.conj().T).ok
+    bc = hl.from_kostrykin(A1, B1)
+    assert hl.bc_subspace_equal(bc, hl.dirichlet(2))
+    np.testing.assert_allclose(hl.smatrix(hl.free_potential(2), bc, 1.0).S, -np.eye(2), atol=1e-14)
+    data = {"n": 2, "formulation": "kostrykin_ab", "A": complex_matrix_to_json(A1),
+            "B": complex_matrix_to_json(B1)}
+    assert hl.bc_subspace_equal(bc_from_json(data), hl.dirichlet(2))
+    # a dense pair, its rows scaled over eight decades, keeps its condition
+    fx = rand_bc(rng, 3)
+    D = np.diag([1.0, 1e-4, 1e-8])
+    A1, B1 = D @ -fx.B.conj().T, D @ fx.A.conj().T
+    assert hl.validate_kostrykin(A1, B1).ok
+    bc = hl.from_kostrykin(A1, B1)
+    assert hl.bc_subspace_equal(bc, fx)
+    gram = bc.A.conj().T @ bc.A + bc.B.conj().T @ bc.B
+    assert np.linalg.norm(gram - np.eye(3), 2) <= EPS_CHECK
+    with pytest.raises(ValidationError, match=r"^bc: invalid rank-n pair: \(\('rank_full'"):
+        bc_from_json(dict(data, A=complex_matrix_to_json(np.zeros((2, 2)))))
 
 
 def test_bc_json_round_trips_a_kostrykin_pair():

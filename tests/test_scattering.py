@@ -9,7 +9,7 @@ import pytest
 import halfline as hl
 from halfline.errors import HalflineError, NumericalError, ValidationError
 from halfline.fixtures import get_fixture
-from conftest import RK45_TIGHT, free_closed_forms, rand_bc, rand_potential, \
+from conftest import RK45_TIGHT, free_closed_forms, piece_edges, rand_bc, rand_potential, \
     rk45_jost_solution, rk45_regular_solution, scalar_jost_function, scalar_smatrix, scalar_well
 
 
@@ -278,7 +278,7 @@ def _walks_of_three_k(rng):
     lo, hi, _ = pot.pieces[5]
     a, x1 = lo + 0.3 * (hi - lo), pot.x_max + 1.0
     walks = _Walks(pot, bc, [0.0, -0.7, 0.3], [0.0, 0.7, 2.0 + 0.5j],
-                   points=(0.0, a, x1, *pot._edges))
+                   points=(0.0, a, x1, *piece_edges(pot)))
     return walks, pot, bc, a, x1
 
 
@@ -1019,7 +1019,7 @@ def test_jost_matrix_zero_takes_spectral_norms_only_when_frobenius_cannot_pass(r
         assert np.array_equal(hl.jost_matrix_zero(pot, bc), J)
         assert sum(spectral) == svds
     shift[0] = 2 * tol * scale
-    walks = solver._Walks(pot, bc, [], [0.0], points=pot._edges)
+    walks = solver._Walks(pot, bc, [], [0.0], points=piece_edges(pot))
     J_moment = bc.B + integrate(pot, 0.0, (lambda y: 1.0,),
                                 lambda lo, hi: (lo, walks.edges("phi", 0.0, lo)))[0] \
         + shift[0] * np.eye(2)

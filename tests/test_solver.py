@@ -14,8 +14,8 @@ import halfline as hl
 from halfline import solver
 from halfline.errors import NumericalError, ValidationError
 from halfline.solver import potential_from_json, potential_to_json
-from conftest import RK45_TIGHT, rand_bc, rand_potential, rk45_jost_solution, rk45_propagate, \
-    rk45_regular_solution, scalar_well
+from conftest import RK45_TIGHT, piece_edges, rand_bc, rand_potential, rk45_jost_solution, \
+    rk45_propagate, rk45_regular_solution, scalar_well
 
 
 def test_potential_validation():
@@ -656,11 +656,11 @@ def test_an_overflowed_row_stays_non_finite_on_every_later_leg(rng, n):
         (11.5, 31.5, 2000.0 * eye + small[2]), (32.0, 33.0, small[0])))
     bc = rand_bc(rng, n)
     k = np.linspace(0.0, 60.0, 41) + 0j
-    walks = solver._Walks(pot, bc, k, k, points=(0.0, *pot._edges))
+    walks = solver._Walks(pot, bc, k, k, points=(0.0, *piece_edges(pot)))
     for read, alone, x0, x1 in ((walks.f, lambda kj, x: hl.jost_solution(pot, kj, x), 33.0, 0.0),
                                 (walks.phi, lambda kj, x: hl.regular_solution(pot, bc, kj, x),
                                  0.0, 33.0)):
-        stops = sorted({0.0, *pot._edges}, reverse=x1 < x0)
+        stops = sorted({0.0, *piece_edges(pot)}, reverse=x1 < x0)
         finite = np.array([solver._finite_rows(read(k, x, check=False)) for x in stops])
         assert not (finite[1:] & ~finite[:-1]).any()
         assert finite[-1].any() and not finite[-1].all()
@@ -818,7 +818,7 @@ def test_quadrature_agrees_with_mpmath(depth, width):
     # to 1e-12 relative.
     mpmath = pytest.importorskip("mpmath")
     pot = hl.Potential(n=1, pieces=((0.0, width, np.array([[depth]])),))
-    walks = solver._Walks(pot, None, [0.0], points=pot._edges)
+    walks = solver._Walks(pot, None, [0.0], points=piece_edges(pot))
     got = solver._integrate_weighted(pot, 0.0, (lambda y: 1.0, lambda y: y),
                                      lambda lo, hi: (hi, walks.edges("f", 0.0, hi)))
     with mpmath.workdps(40):
@@ -837,8 +837,8 @@ def test_walk_edge_gather_reads_every_point_at_once(rng):
     # the overflow error, from one check.
     pot = rand_potential(rng, 2, 4)
     bc = rand_bc(rng, 2)
-    walks = solver._Walks(pot, bc, [0.0, 1.0], [0.0], points=pot._edges)
-    xs = np.array(pot._edges[1:])
+    walks = solver._Walks(pot, bc, [0.0, 1.0], [0.0], points=piece_edges(pot))
+    xs = np.array(piece_edges(pot)[1:])
     for which, read in (("f", walks.f), ("phi", walks.phi)):
         psi = walks.edges(which, 0.0, xs)
         assert np.array_equal(psi, [(read(0.0, x).value, read(0.0, x).deriv) for x in xs])
@@ -848,10 +848,10 @@ def test_walk_edge_gather_reads_every_point_at_once(rng):
         walks.edges("phi", 2.0, xs)
     barrier = hl.Potential(n=1, pieces=((0.0, 20.0, np.array([[2000.0]])), (21.0, 22.0,
                                                                            np.eye(1))))
-    walks = solver._Walks(barrier, None, [0.0], points=barrier._edges)
+    walks = solver._Walks(barrier, None, [0.0], points=piece_edges(barrier))
     with pytest.raises(NumericalError, match="overflows"):
-        walks.edges("f", 0.0, barrier._edges)
-    assert walks.edges("f", 0.0, barrier._edges[2:]).shape == (2, 2, 1, 1)
+        walks.edges("f", 0.0, piece_edges(barrier))
+    assert walks.edges("f", 0.0, piece_edges(barrier)[2:]).shape == (2, 2, 1, 1)
 
 
 def test_rk45_quadratures_agree_with_analytic(rng):
@@ -914,7 +914,7 @@ def test_walk_states_equal_direct_propagation(rng, monkeypatch, method, k, direc
     bc = rand_bc(rng, 2)
     lo, hi, _ = pot.pieces[len(pot.pieces) // 2]
     a = lo + 0.3 * (hi - lo)
-    points = (0.0, a, *pot._edges)
+    points = (0.0, a, *piece_edges(pot))
     if direction == "forward":
         read = solver._Walks(pot, bc, ks=k, points=points).phi
         start = hl.StateMatrix(0.0, bc.A, bc.B)
@@ -936,7 +936,7 @@ def test_walk_reaches_several_side_points(rng, monkeypatch):
     inside = (0.5 * (lo1 + hi1), 0.3 * lo4 + 0.7 * hi4)
     beyond = (pot.x_max + 0.5, pot.x_max + 2.0)
     k = np.array([0.0, 0.7])
-    walks = solver._Walks(pot, bc, k, k, points=(0.0, *inside, *beyond, *pot._edges))
+    walks = solver._Walks(pot, bc, k, k, points=(0.0, *inside, *beyond, *piece_edges(pot)))
     interfaces = {b for p in pot.pieces for b in p[:2]}
     assert set(_held(walks.phi)) == interfaces | {0.0, *inside, *beyond}
     assert set(_held(walks.f)) == interfaces | {0.0, *inside}
@@ -978,10 +978,10 @@ def test_walks_keep_exactly_their_points(rng, monkeypatch):
         return walk(pot_, ks, table, rows, x0, value, deriv, x1, keep)
 
     monkeypatch.setattr(solver, "_walk", spy)
-    walks = solver._Walks(pot, bc, k, k, points=(0.0, *pot._edges))
+    walks = solver._Walks(pot, bc, k, k, points=(0.0, *piece_edges(pot)))
     monkeypatch.undo()
     assert runs == [(pot.x_max, 0.0), (0.0, pot.x_max)]
-    assert set(_held(walks.f)) == set(_held(walks.phi)) == {0.0, *pot._edges}
+    assert set(_held(walks.f)) == set(_held(walks.phi)) == {0.0, *piece_edges(pot)}
     # a walk named in ``edges`` keeps, f the upper and phi the lower edge
     # of every piece on its way, and the other walk keeps no edge
     highs, lows = {p[1] for p in pot.pieces}, {p[0] for p in pot.pieces[:3]}
@@ -1074,7 +1074,7 @@ def test_walk_states_have_the_bits_of_stepping_leg_by_leg(rng, monkeypatch, n, p
     more = (0.5 * units.mid[0], 0.5 * (units.start[1] + units.mid[1]),
             units.mid[0] + 0.7 * (units.end[0] - units.mid[0]))[:extra or 0]
     assert units.mid[0] > 0.0 and units.mid[1] > units.start[1]
-    walks = solver._Walks(pot, bc, kappas=k, ks=k, points=(0.0, a, *more, *pot._edges))
+    walks = solver._Walks(pot, bc, kappas=k, ks=k, points=(0.0, a, *more, *piece_edges(pot)))
     for held, start in ((walks._f, lambda ks: hl.jost_solution(pot, ks, pot.x_max)),
                         (walks._phi, lambda ks: hl.StateMatrix(0.0, bc.A, bc.B))):
         keys, _, states = held
@@ -1228,7 +1228,7 @@ def test_piece_lookup_equals_linear_scan(rng, case):
         assert all(hi <= lo for (_, hi, _), (lo, _, _) in zip(pot.pieces, pot.pieces[1:]))
     else:
         pot = rand_potential(rng, 2, 20, gap=0.0 if case == "touching" else 0.2)
-    edges = sorted({b for lo, hi, _ in pot.pieces for b in (lo, hi)})
+    edges = piece_edges(pot)
     mids = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
     xs = [0.0, *edges, *mids, pot.x_max + 1.0, *rng.uniform(0.0, pot.x_max, 20)]
     for x in xs:
@@ -1252,6 +1252,12 @@ def test_piece_lookup_equals_linear_scan(rng, case):
     assert free.piece_at(0.0) is None
     assert list(solver._segments(free, 0.0, 1.0)) == [(None, 0.0, 1.0)]
     assert list(solver._segments(free, 1.0, 1.0)) == []
+    assert list(solver._segments(free, 1.0, 0.0)) == [(None, 1.0, 0.0)]
+    k = np.array([0.5, 2.0]) + 0j
+    back = hl.propagate(free, k, hl.StateMatrix(1.0, np.eye(2), np.zeros((2, 2))), 0.0)
+    assert back.x == 0.0
+    np.testing.assert_allclose(back.value, np.cos(k)[:, None, None] * np.eye(2), rtol=1e-14)
+    np.testing.assert_allclose(back.deriv, (k * np.sin(k))[:, None, None] * np.eye(2), rtol=1e-14)
 
 
 def _norm2_le_cases(rng, n):
