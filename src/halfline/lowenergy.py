@@ -58,7 +58,6 @@ from .errors import JordanAmbiguityError, NumericalError, ValidationError
 from .scattering import (
     COND_CAP,
     SMatrixEvaluation,
-    _check_sizes,
     _cond_error,
     _first_error,
     _jost_stack,
@@ -481,7 +480,6 @@ def z_of_k(
 ) -> np.ndarray:
     """Z(k) = P2 Sinv F(k) Smat P1 with F(k) the rescaled Jost matrix
     f(0,a)' [f(-k*,a)']^(-1) J(k), all read from one pair of walks."""
-    _check_sizes(pot, bc)
     a = pot.x_max if a is None else a
     km = -complex(k).conjugate()
     walks = _Walks(pot, bc, [0.0, km], [k], points=(0.0, a))
@@ -527,29 +525,29 @@ def zero_energy_pipeline(
     the zero potential and exactly-representable boundary matrices.
 
     The continuity probes compare S(0) with S(k) at k in ``DEFAULT_PROBES``.
-    In numeric mode every solution is read from ``walks``
-    (``solver._Walks``).  By default f(kappa, .) for kappa in
-    {0, probes, -probes} is walked once down from the support edge to 0
-    (route (i) of J(0), f(0, a) of R and the probes' f(-k, .)), and phi(k, .)
-    for the same k once from 0 to max(a, x_max) (routes (ii) and (iii),
-    phi(0, a) of R and the probes' phi(k, a)); both keep their states at 0,
-    a and x_max, phi also at the lower edge of every piece.  A caller that
-    holds such walks, and J(0) computed from them, passes both (``verify``
-    does).
+    Every solution is read from ``walks`` (``solver._Walks``, which refuses
+    a bad size, k or a), in exact mode the probes' alone.  By default
+    f(kappa, .) for kappa in {0, probes, -probes} is walked once down from
+    the support edge to 0 (route (i) of J(0), f(0, a) of R and the probes'
+    f(-k, .)), and phi(k, .) for the same k once from 0 to max(a, x_max)
+    (routes (ii) and (iii), phi(0, a) of R and the probes' phi(k, a)); both
+    keep their states at 0, a and x_max, phi also at the lower edge of every
+    piece.  A caller that holds such walks, and J(0) computed from them,
+    passes both (``verify`` does).
     """
-    if pot.n != bc.n:
-        raise ValidationError("potential and boundary pair sizes differ")
+    if mode not in ("numeric", "exact"):
+        raise ValidationError(f"unknown mode {mode!r}: use 'numeric' or 'exact'")
+    if mode == "exact" and pot.pieces:
+        raise ValidationError("exact mode supports only the zero potential")
     a = pot.x_max if a is None else a
     probes = list(DEFAULT_PROBES)
-    if walks is None and mode != "exact":
+    if walks is None:
         ks = [0.0, *probes, *(-kp for kp in probes)]
         walks = _Walks(pot, bc, ks, ks, points=(0.0, a, pot.x_max), edges=("phi",))
 
     n = bc.n
     exact = None
     if mode == "exact":
-        if pot.pieces:
-            raise ValidationError("exact mode supports only the zero potential")
         Aq = _snap_matrix(bc.A, "A")
         Bq = _snap_matrix(bc.B, "B")
         jd, exact = exact_free_pipeline(Aq, Bq, a=_snap_exact(a, "matching point a"))

@@ -16,19 +16,19 @@ the regime handled by :mod:`halfline.lowenergy`.
 
 Both are evaluated once, over a stack of k, for :func:`jost_matrix`,
 :func:`smatrix`, :func:`smatrix_grid`, the S(0) continuity probes of
-:mod:`halfline.lowenergy` and the fixed-k checks of :mod:`halfline.verify`.
-A stack of S(k) pairs J at each of its k and then at each -k; the walks
-carry each distinct kappa and k^2 once, so S(k) and S(-k) asked for
-together share their solutions.  The x = 0 cross-check of J and its
-condition cap take SVDs only where Frobenius bounds leave them open.
-Solutions are read from ``solver._Walks``, the only read path: one
-backward walk of f(kappa, .) from the support edge and one forward walk of
-phi(k, .) from 0, each over the union of their k as one stack.  The grid
-walks f(-k, .) for every +k and -k, and phi(k, .), which is even in k,
-once per k^2, from one table of step blocks per k^2, keeping the
-states at 0 and a.  A function here that reads walked solutions takes
-such a ``walks`` or makes walks of what it reads.  A solution that
-overflows fails where it is read; in a stack of S(k), its row alone.
+:mod:`halfline.lowenergy` and the fixed-k checks of :mod:`halfline.verify`;
+the stack of S(k) alone refuses k = 0.  It pairs J at each of its k and
+then at each -k; the walks carry each distinct kappa and k^2 once, so S(k)
+and S(-k) asked for together share their solutions.  The x = 0 cross-check
+of J and its condition cap take SVDs only where Frobenius bounds leave
+them open.  Every solution is read from ``solver._Walks``: one backward
+walk of f(kappa, .) from the support edge and one forward walk of phi(k, .)
+from 0, each over the union of their k as one stack and kept at the points
+read (for a grid, 0 and a).  A function here takes such a ``walks`` or
+makes walks of what it reads, and the walks alone refuse a boundary pair
+of the wrong size, a k that is not finite and a matching point off
+[0, inf).  A solution that overflows fails where it is read; in a stack of
+S(k), its row alone.
 
 Every solution comes from the one exact propagator of :mod:`halfline.solver`;
 nothing here takes a solver setting.  A function that reads solutions at a
@@ -90,8 +90,6 @@ COND_CAP = 1e10
 CROSSCHECK_TOL = 1e-8
 _COND_MARGIN = 1e-3  # by which a Frobenius bound clears COND_CAP to skip the SVD
 
-_ZERO_K = "k = 0 is handled by the zero-energy pipeline"
-
 
 @dataclass(frozen=True)
 class JostEvaluation:
@@ -111,11 +109,6 @@ class SMatrixEvaluation:
     unitarity_residual: float
 
 
-def _check_sizes(pot: Potential, bc: BCPair) -> None:
-    if pot.n != bc.n:
-        raise ValidationError("potential and boundary pair sizes differ")
-
-
 def jost_matrix(
     pot: Potential,
     bc: BCPair,
@@ -127,10 +120,7 @@ def jost_matrix(
     The same pairing is read off at x = 0 and the two values must agree;
     disagreement signals a propagation swamped by roundoff.
     """
-    _check_sizes(pot, bc)
     k = complex(k)
-    if k.imag < -1e-14:
-        raise ValidationError("Jost matrix requires Im k >= 0")
     a = pot.x_max if a is None else a
     (J,), errors, *_ = _jost_stack(pot, bc, [k], a)
     _first_error(errors)
@@ -199,7 +189,6 @@ def jost_matrix_zero(pot: Potential, bc: BCPair, walks: Optional[_Walks] = None)
     nodes off one stack of edge states, not the walk, so a wrong block or
     product in either walk shows.
     """
-    _check_sizes(pot, bc)
     walks = walks or _Walks(pot, bc, [0.0], [0.0], points=(0.0, pot.x_max), edges=("phi",))
     J_pairing = wronskian(walks.f(0.0, 0.0), walks.phi(0.0, 0.0))
 
@@ -226,8 +215,8 @@ def jost_matrix_zero(pot: Potential, bc: BCPair, walks: Optional[_Walks] = None)
 
 def l_matrix(pot: Potential, bc: BCPair, k: float) -> np.ndarray:
     """L(k) = f'(-k, 0)' B E^(-2) + f(-k, 0)' A E^(-2) for real k."""
-    _check_sizes(pot, bc)
-    return _l_matrix(bc, jost_solution(pot, -float(k), 0.0))
+    km = -float(k)
+    return _l_matrix(bc, _Walks(pot, bc, [km], points=(0.0,)).f(km, 0.0))
 
 
 def _l_matrix(bc: BCPair, F: StateMatrix) -> np.ndarray:
@@ -250,9 +239,6 @@ def smatrix(
     precision rather than a mathematical obstruction.
     """
     k = float(k)
-    if k == 0.0:
-        raise ValidationError(_ZERO_K)
-    _check_sizes(pot, bc)
     a = pot.x_max if a is None else a
     (row,) = _first_error(_smatrix_stack(pot, bc, [k], a))
     return SMatrixEvaluation(k=k, S=row["S"], unitarity_residual=row["unitarity_residual"])
@@ -264,10 +250,15 @@ def _smatrix_stack(pot, bc, ks: List[float], a, walks: Optional[_Walks] = None) 
     Per k: the row ``{"k", "S", "unitarity_residual", "det_J_abs"}`` or the
     NumericalError :func:`smatrix` raises there (an overflow or the x = 0
     cross-check of J(k), then of J(-k), the condition cap), never one for
-    the whole stack.  Solutions are read from ``walks``, else walked here;
-    either way each distinct kappa and k^2 is walked once.
+    the whole stack.  k = 0 is refused here, for every reader of S(k), and
+    an empty stack has no rows.  Solutions are read from ``walks``, else
+    walked here; either way each distinct kappa and k^2 is walked once.
     """
+    if 0.0 in ks:
+        raise ValidationError("k = 0 is handled by the zero-energy pipeline")
     m = len(ks)
+    if not m:
+        return []
     J, errors, *_ = _jost_stack(pot, bc, [*ks, *(-k for k in ks)], a, walks)
     Jp, Jm = J[:m], J[m:]
     out = [errors[i] or errors[m + i] for i in range(m)]
@@ -320,15 +311,10 @@ def smatrix_grid(
     A row is ``{"k", "S", "unitarity_residual", "det_J_abs"}`` (|det J(k)|,
     ``inf`` where it overflows a float although S(k) is fine), or
     ``{"k", "error"}`` with the "<ExcName>: <message>" that :func:`smatrix`
-    raises at that k.  The evaluator behind both walks f(-k, .) for +k and
-    -k of the whole grid as one stack and phi(k, .) once per k^2, from one
-    table of step blocks per k^2; a k whose solutions overflow fails
-    its row alone, and nothing is redone.
+    raises at that k.  The grid is one stack of S(k) (see the module
+    docstring): a k whose solutions overflow fails its row alone.
     """
-    _check_sizes(pot, bc)
     ks = [float(k) for k in ks]
-    if 0.0 in ks:
-        raise ValidationError(_ZERO_K)
     a = pot.x_max if a is None else a
     return [{"k": k, "error": f"{type(r).__name__}: {r}"} if isinstance(r, HalflineError)
             else r for k, r in zip(ks, _smatrix_stack(pot, bc, ks, a))]
@@ -398,7 +384,6 @@ def jost_decomposition(
     phi(k, .) and one of f(0, .) together with f(-k*, .).  ``walks`` as in
     :func:`p_matrix`.
     """
-    _check_sizes(pot, bc)
     k = np.asarray(k, dtype=complex)
     a = pot.x_max if a is None else a
     km = -k.conj()

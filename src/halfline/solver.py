@@ -42,10 +42,11 @@ a state out.  A kept point inside a unit is carried to from the unit's
 entry, so a state has the bits of a direct propagation to its point.
 ``_Table`` computes the blocks once per distinct k^2, vectorised over runs
 of units, shared by f(k), f(-k) and phi(k).  Nothing is checked while
-walking: an overflowed solution stays inf or NaN.  :func:`propagate`
-checks its last state; ``_Walks``, which crosses the support once per
-solution family over a stack of k, keeps the states at the points it is
-given and no others and checks what it hands out.  The quadrature
+walking: an overflowed solution stays inf or NaN.  ``_Walks`` crosses the
+support once per solution family over a stack of k, keeps the states at
+the points it is given and no others, and checks what it hands out: it is
+the only reader of f and phi, and the one place that refuses a bad size,
+k or point.  :func:`propagate` walks from any start.  The quadrature
 (``_integrate_weighted``) sums step coefficients over panels fixed a
 priori, in one pass in V's eigenbasis, and forms no node state.
 """
@@ -211,8 +212,7 @@ class StateMatrix:
             raise ValidationError("value and deriv must be matrices of equal shape")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
             raise ValidationError("state contains non-finite entries")
-        if self.x < 0:
-            raise ValidationError("states live on x >= 0")
+        _point(self.x)
         for name, a in (("value", v), ("deriv", d)):
             a = np.array(a)
             a.setflags(write=False)
@@ -492,9 +492,7 @@ def propagate(pot: Potential, k, state: StateMatrix, x_target: float) -> StateMa
     one solution per k, and ``state`` may be one start or such a stack.
     Raises NumericalError if a solution overflowed: it ends inf or NaN.
     """
-    if x_target < 0:
-        raise ValidationError("x_target must be >= 0")
-    k = np.asarray(k, dtype=complex)
+    k, x_target = _finite_k(k), _point(x_target)
     value, deriv = state.value, state.deriv
     if k.ndim and value.shape[:-2] != k.shape:  # one solution per k, also without steps
         value, deriv = (np.broadcast_to(a, k.shape + a.shape[-2:]) for a in (value, deriv))
@@ -509,6 +507,20 @@ def propagate(pot: Potential, k, state: StateMatrix, x_target: float) -> StateMa
     if not _finite_rows(end).all():
         raise NumericalError(_OVERFLOW)
     return end
+
+
+def _finite_k(k) -> np.ndarray:  # k, a scalar or 1-D, as complex, refused unless finite
+    k = np.asarray(k, dtype=complex)
+    if not np.isfinite(k).all():
+        raise ValidationError("k must be finite")
+    return k
+
+
+def _point(x) -> float:  # x as a float, refused unless a point of the half line
+    x = float(x)
+    if not 0 <= x < math.inf:
+        raise ValidationError(f"x = {x} is not a point of the half line [0, inf)")
+    return x
 
 
 def _finite_rows(state: StateMatrix) -> np.ndarray:  # per solution of a state, or for the one
@@ -542,27 +554,32 @@ class _Walks:
     The backward walk carries f(kappa, .) for a stack of kappa from the
     support edge down to min(x_max, points), the forward walk phi(k, .) for
     a stack of k from 0 up to max(points).  :func:`_walk` steps both from
-    one :class:`_Table`, and each keeps exactly its states at ``points``,
-    and the walks named in ``edges`` also at the edge of every piece on
-    their way through which the moment quadratures enter it: f ("f") at
-    the upper edges, phi ("phi") at the lower ones.
+    one :class:`_Table` (which keeps its runs only for two walks), and each
+    keeps exactly its states at ``points``, and the walks named in ``edges``
+    also at the edge of every piece on their way through which the moment
+    quadratures enter it: f ("f") at the upper edges, phi ("phi") at the
+    lower ones.
 
-    They are the only read path: a read is a slice of a walk, bit for bit
-    what :func:`jost_solution` or :func:`regular_solution` gives (f beyond
-    the support is its closed form); a k or point not held raises KeyError.
-    f is held per k bit for bit (-0.0 is not 0.0), phi once per k^2.  A row
-    that overflowed raises the overflow error where its own propagation
-    would, unless read with ``check=False``.
+    They are the only reader of f and phi, :func:`jost_solution` and
+    :func:`regular_solution` too, and refuse a bc of the wrong size, a k
+    that is not finite and a point (a matching point too) off [0, inf).  A
+    read is a slice of a walk (f beyond the support its closed form); a k
+    or point not held raises KeyError.  f is held per k bit for bit (-0.0
+    is not 0.0), phi once per k^2.  An overflowed row raises the overflow
+    error where its own propagation would, unless read with ``check=False``.
     """
 
     def __init__(self, pot, bc, kappas=(), ks=(), points=(), edges=()):
+        if bc is not None and bc.n != pot.n:
+            raise ValidationError("potential and boundary pair sizes differ")
+        points = [_point(x) for x in points]
         self.pot = pot
         lows = [lo for lo, _, _ in pot.pieces] if "phi" in edges else []
         highs = [hi for _, hi, _ in pot.pieces] if "f" in edges else []
         f, phi = ((keys, *_distinct(k, keys(k))) for keys, k in (  # the distinct k of each walk
-            (_k_keys, np.asarray(kappas, dtype=complex).reshape(-1)),
-            (_square_keys, np.asarray(ks, dtype=complex).reshape(-1))))
-        m, table = len(phi[1]), _Table(pot, np.concatenate([phi[1], f[1]]))
+            (_k_keys, _finite_k(kappas).reshape(-1)), (_square_keys, _finite_k(ks).reshape(-1))))
+        m = len(phi[1])
+        table = _Table(pot, np.concatenate([phi[1], f[1]]), keep=bool(m and len(f[1])))
         self._f = self._walk(*f, lambda k: jost_solution(pot, k, pot.x_max),
                              min([pot.x_max, *points]), (*points, *highs), table, table.rows[m:])
         self._phi = self._walk(*phi, lambda k: StateMatrix._trusted(  # BCPair checked (A, B)
@@ -576,7 +593,7 @@ class _Walks:
             return keys, index, {}
         s = start(ks)
         lo, hi = sorted((s.x, x1))
-        kept = {float(x) for x in points if lo <= x <= hi}
+        kept = {x for x in points if lo <= x <= hi}
         states = _walk(self.pot, ks, table, rows, s.x, s.value, s.deriv, x1, kept)
         if s.x in kept:
             states[s.x] = s
@@ -622,39 +639,27 @@ class _Walks:
 def jost_solution(pot: Potential, k, x: float) -> StateMatrix:
     """Outgoing solution equal to exp(ikx) I beyond the support.
 
-    Defined for Im k >= 0; ``k`` may be a 1-D array (see :func:`propagate`).
-    On x >= x_max the closed form is returned directly; otherwise the edge
-    data is propagated backward.
+    Defined for Im k >= 0; ``k`` may be a 1-D array, giving (K, n, n)
+    stacks.  On x >= x_max this is the closed form, the start of every
+    backward walk; below, a read of one such walk (``_Walks``).
     """
-    k = np.asarray(k, dtype=complex)
+    if not x >= pot.x_max:  # NaN too, which the walk refuses
+        return _Walks(pot, None, k, points=(x,)).f(k, x)
+    k, x = _finite_k(k), _point(x)
     if (k.imag < -1e-14).any():
         raise ValidationError("outgoing solution needs Im k >= 0")
-    x_edge = max(x, pot.x_max)
-    ph = np.exp(1j * k * x_edge)[..., None, None]
+    ph = np.exp(1j * k * x)[..., None, None]
     eye = np.eye(pot.n)
-    edge = StateMatrix(x=x_edge, value=ph * eye, deriv=(1j * k)[..., None, None] * ph * eye)
-    return edge if x >= pot.x_max else propagate(pot, k, edge, x)
+    return StateMatrix(x=x, value=ph * eye, deriv=(1j * k)[..., None, None] * ph * eye)
 
 
 def regular_solution(pot: Potential, bc: BCPair, k, x: float) -> StateMatrix:
     """Solution with data (A, B) at the origin; entire in k (a scalar or 1-D array).
 
-    k enters only as k^2, so phi is even in k: a stack propagates each
-    distinct k^2 once, and every k of it receives its row.
+    A read of one forward walk from 0 (``_Walks``); k enters only as k^2,
+    so the walk carries each distinct k^2 once and every k gets its row.
     """
-    if bc.n != pot.n:
-        raise ValidationError("boundary pair and potential sizes differ")
-    start = StateMatrix(x=0.0, value=bc.A, deriv=bc.B)
-    if np.ndim(k) == 0:
-        return propagate(pot, k, start, x)
-    k = np.asarray(k, dtype=complex)
-    keys = _square_keys(k)
-    reps, index = _distinct(k, keys)
-    state = propagate(pot, reps, start, x)
-    if len(reps) == len(k):
-        return state
-    rows = [index[key] for key in keys]
-    return StateMatrix._trusted(state.x, state.value[rows], state.deriv[rows])
+    return _Walks(pot, bc, ks=k, points=(x,)).phi(k, x)
 
 
 def wronskian(Fstate: StateMatrix, Gstate: StateMatrix) -> np.ndarray:

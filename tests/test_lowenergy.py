@@ -898,3 +898,10 @@ def test_kernel_characterization_matches_boundedness(rng):
     assert not okv
     far = np.linalg.norm(hl.regular_solution(pot, bc, 0.0, 50.0).value @ v)
     assert far > 10.0
+
+
+@pytest.mark.parametrize("mode", ["Exact", "numerical", ""])
+def test_zero_energy_pipeline_refuses_an_unknown_mode(mode):
+    # Any mode but the two is refused, not run as numeric.
+    with pytest.raises(ValidationError, match="unknown mode .*'numeric' or 'exact'"):
+        hl.zero_energy_pipeline(hl.free_potential(1), hl.dirichlet(1), mode=mode)

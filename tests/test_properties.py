@@ -13,7 +13,8 @@ from hypothesis import assume, given, reject, seed, settings, strategies as st  
 
 import halfline as hl  # noqa: E402
 from halfline.errors import JordanAmbiguityError  # noqa: E402
-from conftest import exceptional_bc  # noqa: E402
+from halfline.scattering import CROSSCHECK_TOL  # noqa: E402
+from conftest import exceptional_bc, rand_bc, rand_potential  # noqa: E402
 
 KS = (0.3, 1.7, 4.9)
 
@@ -93,3 +94,59 @@ def test_kernel_theorem(config):
     f00 = hl.jost_solution(pot, 0.0, 0.0)
     assert np.linalg.norm(f00.value @ xi - bc.A @ U, 2) <= 1e-8
     assert np.linalg.norm(f00.deriv @ xi - bc.B @ U, 2) <= 1e-8
+
+
+
+def _twenty_pieces(n, kind, seed):
+    """A fixed-seed case beyond the generated ones: 20 pieces, and a random
+    condition or one that puts f(0, .) xi for one random xi in ker J(0)."""
+    rng = np.random.default_rng([n, seed])
+    pot = rand_potential(rng, n, 20)
+    xi = rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))
+    return pot, rand_bc(rng, n) if kind == "generic" else exceptional_bc(pot, xi)
+
+
+def _pipeline(pot, bc):
+    try:
+        return hl.zero_energy_pipeline(pot, bc)
+    except JordanAmbiguityError:
+        return None  # refused, not guessed, as in test_kernel_theorem
+
+
+TWENTY_PIECES = [(n, kind, seed) for n in (2, 8) for kind in ("generic", "exceptional")
+                 for seed in range(5)]
+
+
+@pytest.mark.parametrize("n, kind, seed", TWENTY_PIECES)
+def test_identities_on_twenty_pieces(n, kind, seed):
+    # S(0)^2 = I, S(k) unitary and S(-k) S(k) = I at |k| up to 50, and J at
+    # Im k > 0 the same read at the support edge and halfway into it.
+    pot, bc = _twenty_pieces(n, kind, seed)
+    eye = np.eye(n)
+    res = _pipeline(pot, bc)
+    assert res is None or res.involution_residual <= 1e-9
+    ks = (20.0, 35.0, 50.0)
+    rows = hl.smatrix_grid(pot, bc, ks + tuple(-k for k in ks))
+    assert all("error" not in row for row in rows)
+    for Sp, Sm in zip(rows[:3], rows[3:]):
+        assert Sp["unitarity_residual"] <= 1e-7 and Sm["unitarity_residual"] <= 1e-7
+        assert np.linalg.norm(Sm["S"] @ Sp["S"] - eye, 2) <= 1e-8
+    for k in (1 + 0.3j, 0.4 + 0.5j):
+        J = hl.jost_matrix(pot, bc, k).J
+        J_mid = hl.jost_matrix(pot, bc, k, pot.x_max / 2).J
+        assert np.linalg.norm(J_mid - J, 2) <= CROSSCHECK_TOL * np.linalg.norm(J, 2)
+
+
+#: Exceptional cases whose S(0) misses unitarity: the residual grows about
+#: like 1e-15 |f(0, 0)|^2, and f(0, .) grows to |f(0, 0)| = 4e4 (n = 2,
+#: seed 1) and 2e5 to 2e6 (n = 8) across these supports.
+S0_NOT_UNITARY = {(2, "exceptional", 1), *((8, "exceptional", seed) for seed in range(5))}
+
+
+@pytest.mark.parametrize("n, kind, seed", [
+    pytest.param(*case, marks=pytest.mark.xfail(
+        strict=True, reason="exceptional S(0) loses unitarity as f(0, .) grows"))
+    if case in S0_NOT_UNITARY else case for case in TWENTY_PIECES])
+def test_s0_is_unitary_on_twenty_pieces(n, kind, seed):
+    res = _pipeline(*_twenty_pieces(n, kind, seed))
+    assert res is None or res.s0.unitarity_residual <= 1e-7

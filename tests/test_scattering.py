@@ -1029,3 +1029,79 @@ def test_jost_matrix_zero_takes_spectral_norms_only_when_frobenius_cannot_pass(r
     with pytest.raises(NumericalError) as info:
         hl.jost_matrix_zero(pot, bc)
     assert str(info.value) == text
+
+
+def _contract_case():
+    rng = np.random.default_rng(30)
+    pot = rand_potential(rng, 2, 3)
+    return pot, rand_bc(rng, 2)
+
+
+def _z_of_k(pot, bc, a):
+    from halfline.lowenergy import jordan_form, z_of_k
+
+    return z_of_k(pot, bc, 0.1, a, jordan_form(hl.jost_matrix_zero(pot, bc)), np.eye(2), np.eye(2))
+
+
+MATCHING_POINT_READERS = {
+    "smatrix": lambda pot, bc, a: hl.smatrix(pot, bc, 1.0, a),
+    "smatrix_grid": lambda pot, bc, a: hl.smatrix_grid(pot, bc, [1.0, 2.0], a),
+    "jost_matrix": lambda pot, bc, a: hl.jost_matrix(pot, bc, 1.0, a),
+    "p_matrix": lambda pot, bc, a: hl.p_matrix(pot, 1.0, a),
+    "log_derivative": lambda pot, bc, a: hl.log_derivative(pot, 1.0, a),
+    "jost_decomposition": lambda pot, bc, a: hl.jost_decomposition(pot, bc, 0.3, a),
+    "moment_identities_residual": lambda pot, bc, a: hl.moment_identities_residual(pot, a),
+    "zero_energy_pipeline": lambda pot, bc, a: hl.zero_energy_pipeline(pot, bc, a),
+    "z_of_k": _z_of_k,
+}
+
+
+@pytest.mark.parametrize("a", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("reader", sorted(MATCHING_POINT_READERS))
+def test_a_matching_point_off_the_half_line_is_refused(reader, a):
+    # The walks refuse a read point outside [0, inf) before walking, so no
+    # reader meets a KeyError for a point it never walked to.
+    pot, bc = _contract_case()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="not a point of the half line"):
+            MATCHING_POINT_READERS[reader](pot, bc, a)
+
+
+@pytest.mark.parametrize("reader", ["jost_solution", "regular_solution", "propagate"])
+def test_a_nan_read_point_is_refused(reader):
+    pot, bc = _contract_case()
+    call = {"jost_solution": lambda: hl.jost_solution(pot, 1.0, np.nan),
+            "regular_solution": lambda: hl.regular_solution(pot, bc, 1.0, np.nan),
+            "propagate": lambda: hl.propagate(pot, 1.0, hl.StateMatrix(0.0, bc.A, bc.B), np.nan)}
+    with pytest.raises(ValidationError, match="x = nan is not a point of the half line"):
+        call[reader]()
+
+
+@pytest.mark.parametrize("k", [np.nan, np.inf])
+@pytest.mark.parametrize("reader", ["jost_matrix", "smatrix", "smatrix_grid", "jost_solution"])
+def test_a_k_that_is_not_finite_is_refused_without_warnings(reader, k):
+    pot, bc = _contract_case()
+    call = {"jost_matrix": lambda: hl.jost_matrix(pot, bc, k),
+            "smatrix": lambda: hl.smatrix(pot, bc, k),
+            "smatrix_grid": lambda: hl.smatrix_grid(pot, bc, [1.0, k]),
+            "jost_solution": lambda: hl.jost_solution(pot, k, 0.3)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="k must be finite"):
+            call[reader]()
+
+
+@pytest.mark.parametrize("reader", ["l_matrix", "regular_solution", "zero_energy_pipeline"])
+def test_a_size_mismatch_reads_the_same_from_every_reader(reader):
+    pot, _ = _contract_case()
+    bc = rand_bc(np.random.default_rng(31), 3)
+    call = {"l_matrix": lambda: hl.l_matrix(pot, bc, 1.0),
+            "regular_solution": lambda: hl.regular_solution(pot, bc, 1.0, 0.3),
+            "zero_energy_pipeline": lambda: hl.zero_energy_pipeline(pot, bc)}
+    with pytest.raises(ValidationError, match="^potential and boundary pair sizes differ$"):
+        call[reader]()
+
+
+def test_an_empty_grid_has_no_rows():
+    assert hl.smatrix_grid(*_contract_case(), []) == []

@@ -225,19 +225,19 @@ def test_even_k_symmetry(rng):
 
 @pytest.mark.parametrize("method", ["analytic"])  # the one propagator
 def test_regular_solution_stack_propagates_once_per_k_squared(rng, monkeypatch, method):
-    # A stack with -k beside k (real, complex, -0.0 beside 0.0) propagates
-    # each distinct k^2 once; every k reads what its own scalar call gives.
+    # A stack with -k beside k (real, complex, -0.0 beside 0.0) is one walk
+    # of each distinct k^2; every k reads what its own scalar call gives.
     bc = rand_bc(rng, 2)
     pot = rand_potential(rng, 2)
     ks = [0.7, -0.7, 0.0, -0.0, 0.9 + 0.2j, -0.9 - 0.2j, 0.9 - 0.2j, 2.5, 0.7]
     sizes = []
-    propagate = solver.propagate
+    walk = solver._walk
 
-    def spy(pot, k, *args):
+    def spy(pot_, k, *args):
         sizes.append(np.size(k))
-        return propagate(pot, k, *args)
+        return walk(pot_, k, *args)
 
-    monkeypatch.setattr(solver, "propagate", spy)
+    monkeypatch.setattr(solver, "_walk", spy)
     got = hl.regular_solution(pot, bc, ks, 1.1)
     monkeypatch.undo()
     assert sizes == [5]  # 0.49, 0, 0.77+0.36j, 0.77-0.36j, 6.25
@@ -1306,3 +1306,10 @@ def test_norm2_le_handles_non_finite_entries_as_the_svd_does():
         for arg in (M, M[None]):
             for t in (1e-8, 1e300):
                 assert outcome(solver._norm2_le, arg, t) == outcome(reference, arg, t)
+
+
+@pytest.mark.parametrize("x", [-1.0, np.nan, np.inf])
+def test_state_matrix_lives_on_the_half_line(x):
+    # NaN passed the old x < 0 test, and a walk from such a state had no end.
+    with pytest.raises(ValidationError, match="not a point of the half line"):
+        hl.StateMatrix(x, np.eye(2), np.zeros((2, 2)))
