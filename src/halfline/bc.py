@@ -398,7 +398,7 @@ def bc_from_json(data: dict, path: str = "bc") -> BCPair:
         if extra:
             raise ValidationError(f"{path}: unknown keys {sorted(extra)}")
         angles = data["angles"]
-        if isinstance(angles, list) and any(isinstance(t, str) for t in angles):
+        if not (isinstance(angles, list) and all(isinstance(t, (int, float)) for t in angles)):
             raise ValidationError(f"{path}.angles: each angle must be a number")
         return from_angles(angles)
     if "U" in data:

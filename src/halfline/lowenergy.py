@@ -29,16 +29,19 @@ gives S(0) = I.
 
 The numeric and the exact arithmetic backend run the same code, written
 with numpy operators, on complex arrays or on object arrays of Gaussian
-rationals: one rank staircase ``_jordan_chains`` builds the chains of each
-eigenvalue (step 1), and one ``_assemble`` does steps 2-4 and returns a
-whole :class:`LowEnergyExpansion`.  Each backend brings only its rules.
+rationals.  Each maps M to one :class:`JordanData` (step 1), built by
+one rank staircase ``_jordan_chains``, and one ``_assemble`` does steps
+2-4 on it and returns a whole :class:`LowEnergyExpansion`; P1 and P2 are
+applied as index gathers derived from the chains wherever they are used,
+and only returned as matrices.  Each backend brings only its rules.
 The numeric one (:func:`jordan_form`) clusters eigenvalues at the radius
 EPS_EIG, takes kernels from SVDs thresholded at EPS_RANK and picks chain
 generators by projection; it refuses when the defective structure is
 ambiguous at the thresholds.  The exact one (:func:`exact_free_pipeline`;
 entries must be exactly representable) proposes eigenvalues numerically,
 snaps them to small-denominator rationals, keeps those whose shifted
-matrix is exactly singular, and picks generators by exact rank.
+matrix is exactly singular, and picks as generators the candidates that
+are pivots of one reduced row echelon form per staircase level.
 Chain ordering is deterministic in both: zero chains first, remaining
 eigenvalues by (Re, Im), and inside a cluster by the pivot position of
 the chain eigenvector.
@@ -90,7 +93,8 @@ DEFAULT_PROBES = (1e-1, 1e-2, 1e-3)
 
 @dataclass(frozen=True)
 class JordanData:
-    """Jordan decomposition of a matrix M with zero chains ordered first.
+    """Jordan decomposition of a matrix M with zero chains ordered first,
+    as complex arrays or object arrays of Gaussian rationals.
 
     Columns of Smat are the chain vectors in chain order (eigenvector
     first within each chain); rows of Sinv form the adjoint basis.
@@ -245,11 +249,22 @@ def _cluster_eigenvalues(vals: np.ndarray, radius: float):
     return [np.flatnonzero(np.array(label) == x) for x in dict.fromkeys(label)]
 
 
-def _numeric_jordan(M: np.ndarray) -> JordanData:
-    """Jordan data of M from a rank staircase per eigenvalue cluster centre
-    lam, the first rungs ker(M - lam I) from one SVD stack.  Thresholds are
-    relative to max(||M||, 1): the inputs are O(1)-scaled Jost matrices, and
-    a purely relative radius could not call a near-zero M exceptional."""
+def jordan_form(M) -> JordanData:
+    """Numeric Jordan decomposition of a nonempty finite square M, with zero
+    chains first; its ``M`` is a complex copy of the input.
+
+    A rank staircase per eigenvalue cluster centre lam (clustered at radius
+    ``EPS_EIG``), the first rungs ker(M - lam I) from one SVD stack, every
+    kernel thresholded at ``EPS_RANK``.  Thresholds are relative to
+    max(||M||, 1): the inputs are O(1)-scaled Jost matrices, and a purely
+    relative radius could not call a near-zero M exceptional.  The exact
+    backend runs in :func:`exact_free_pipeline`.
+    """
+    M = np.array(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValidationError("jordan_form needs a square matrix")
+    if not (M.size and np.isfinite(M).all()):
+        raise ValidationError("jordan_form needs a nonempty finite matrix")
     n = M.shape[0]
     scale = max(float(np.linalg.norm(M, 2)), 1.0)
     radius = EPS_EIG * scale
@@ -324,7 +339,7 @@ def _numeric_jordan(M: np.ndarray) -> JordanData:
     Smat, chain_info = _basis(chains)
     if np.linalg.cond(Smat) > COND_CAP:
         raise JordanAmbiguityError("Jordan basis is numerically singular")
-    return JordanData(np.array(M), Smat, np.linalg.inv(Smat), chain_info)
+    return JordanData(M, Smat, np.linalg.inv(Smat), chain_info)
 
 
 # ---------------------------------------------------------------------------
@@ -337,25 +352,19 @@ EXACT_CLUSTER_RADII = (1e-3, 1e-1)
 
 
 def _exact_pick(lower, carried, candidates, need, j):
-    """The first ``need`` candidates that each raise the rank of ker N^(j-1)
-    plus the carried images."""
-    obstruction = np.column_stack([lower] + carried)
-    span = xa.rank(obstruction)
-    picked = []
-    for cand in candidates:
-        if len(picked) == need:
-            break
-        grown = np.column_stack([obstruction, cand])
-        if xa.rank(grown) > span:  # cand is independent of the obstruction
-            obstruction, span = grown, span + 1
-            picked.append(cand)
+    """The first ``need`` candidates whose columns are pivots of the RREF of
+    [ker N^(j-1) | carried images | candidates]: a column is a pivot exactly
+    when it raises the rank of all the columns to its left."""
+    skip = lower.shape[1] + len(carried)
+    _, pivots = xa.rref(np.column_stack([lower, *carried, *candidates]))
+    picked = [candidates[c - skip] for c in pivots if c >= skip][:need]
     if len(picked) != need:
         raise NumericalError("exact Jordan staircase failed to find enough generators")
     return picked
 
 
-def _exact_jordan(Mq: np.ndarray):
-    """(Smat, Sinv, chains) of a Gaussian-rational matrix, all over QC.
+def _exact_jordan(Mq: np.ndarray) -> JordanData:
+    """Jordan data of a Gaussian-rational matrix, all over QC.
 
     Candidates are the snapped float eigenvalues, zero, and the snapped
     mean of each cluster of them at ``EXACT_CLUSTER_RADII``: roundoff splits
@@ -372,38 +381,23 @@ def _exact_jordan(Mq: np.ndarray):
     floats = dict.fromkeys(complex(v) for v in [*raw, 0.0, *means])
     candidates = dict.fromkeys(map(xa.snap, floats))  # QC hashes as it compares
     eye = np.eye(n, dtype=object)
-    chains, total = [], 0
+    chains = []
     for lam in candidates:
-        found, kernels = _jordan_chains(
-            Mq - eye * lam, lambda power, j: xa.nullspace(power), _exact_pick)
-        total += kernels[-1].shape[1]
+        found, _ = _jordan_chains(Mq - eye * lam, lambda power, j: xa.nullspace(power), _exact_pick)
         chains += [(lam, vecs, next(i for i, x in enumerate(vecs[0]) if x)) for vecs in found]
-    if total != n:
+    if sum(len(vecs) for _, vecs, _ in chains) != n:  # each staircase spans its top kernel
         raise NumericalError(
             "exact mode failed: eigenvalues are not Gaussian rationals "
             "within the snapping denominator (use numeric mode)"
         )
     Smat, chain_info = _basis(chains)
-    return Smat, xa.inverse(Smat), chain_info
+    return JordanData(Mq, Smat, xa.inverse(Smat), chain_info)
 
 
-def _complex_jordan(Mq, Smat, Sinv, chains) -> JordanData:
-    """The complex copy of exact Jordan data of ``Mq``."""
-    return JordanData(
-        Mq.astype(complex), Smat.astype(complex), Sinv.astype(complex),
-        tuple((complex(lam), length) for lam, length in chains),
-    )
-
-
-def jordan_form(M) -> JordanData:
-    """Numeric Jordan decomposition with zero chains first: eigenvalue
-    clustering at relative radius ``EPS_EIG`` plus an SVD staircase at
-    ``EPS_RANK``.  The exact backend runs in :func:`exact_free_pipeline`.
-    """
-    Mc = np.asarray(M, dtype=complex)
-    if Mc.ndim != 2 or Mc.shape[0] != Mc.shape[1]:
-        raise ValidationError("jordan_form needs a square matrix")
-    return _numeric_jordan(Mc)
+def _complex_jordan(jd: JordanData) -> JordanData:
+    """The complex copy of exact Jordan data."""
+    return JordanData(*(x.astype(complex) for x in (jd.M, jd.Smat, jd.Sinv)),
+                      tuple((complex(lam), length) for lam, length in jd.chains))
 
 
 # ---------------------------------------------------------------------------
@@ -443,25 +437,24 @@ def _checked_inverse(A1: np.ndarray) -> np.ndarray:
     return np.linalg.inv(A1)
 
 
-def _assemble(Smat, Sinv, chains, R, eye, inv) -> LowEnergyExpansion:
-    """Steps 2-4 of the construction: P1, P2, A1, B1, C1, D0 and S(0).
+def _assemble(jd: JordanData, R, eye, inv) -> LowEnergyExpansion:
+    """Steps 2-4 of the construction on the Jordan data ``jd``: P1, P2,
+    A1, B1, C1, D0 and S(0).
 
     Shared by both arithmetic backends: complex arrays with a checked
     ``np.linalg.inv``, or object arrays of Gaussian rationals with an exact
-    inverse; ``eye`` is the identity in the backend's scalar type.
-    ``chains`` lists (eigenvalue, length) in the order of the columns of
-    ``Smat``.  The products apply P1, P2 and P2' as the index gathers of
-    :func:`_perm_gathers`, in the order the products would take them.
+    inverse; ``eye`` is the identity in the backend's scalar type.  The
+    products apply P1, P2 and P2' as the index gathers of
+    :func:`_perm_gathers`, in the order the products would take them; the
+    permutation matrices are only returned.
     """
-    mu = sum(1 for lam, _ in chains if not lam)
-    cols, rows = _perm_gathers(chains, len(eye))
+    mu, Smat, Sinv = jd.mu, jd.Smat, jd.Sinv
+    cols, rows = _perm_gathers(jd.chains, jd.n)
     Mt = (Sinv[rows] @ R @ Smat)[:, cols]  # P2 Sinv R Smat P1
     A1 = -1j * Mt[:mu, :mu]
     B1 = -1j * Mt[:mu, mu:]
     C1 = -1j * Mt[mu:, :mu]
-    D0 = _jordan_matrix(
-        [c for c in chains if c[0]], eye[mu:, mu:].astype(Mt.dtype)
-    )
+    D0 = _jordan_matrix([c for c in jd.chains if c[0]], eye[mu:, mu:].astype(Mt.dtype))
     lower = 2 * C1 @ inv(A1) if mu else eye[mu:, :mu]
     mid = np.block([[eye[:mu, :mu], eye[:mu, mu:]], [lower, -eye[mu:, mu:]]])
     S0 = (Smat[:, rows] @ mid)[:, np.argsort(rows)] @ Sinv  # Smat P2' mid P2 Sinv
@@ -469,17 +462,11 @@ def _assemble(Smat, Sinv, chains, R, eye, inv) -> LowEnergyExpansion:
                               A1=A1, B1=B1, C1=C1, D0=D0, S0=S0)
 
 
-def z_of_k(
-    pot: Potential,
-    bc: BCPair,
-    k: complex,
-    a: Optional[float],
-    jd: JordanData,
-    P1: np.ndarray,
-    P2: np.ndarray,
-) -> np.ndarray:
+def z_of_k(pot: Potential, bc: BCPair, k: complex, a: Optional[float],
+           jd: JordanData) -> np.ndarray:
     """Z(k) = P2 Sinv F(k) Smat P1 with F(k) the rescaled Jost matrix
-    f(0,a)' [f(-k*,a)']^(-1) J(k), all read from one pair of walks."""
+    f(0,a)' [f(-k*,a)']^(-1) J(k), all read from one pair of walks; P1 and
+    P2 are the gathers of ``jd``'s chains."""
     a = pot.x_max if a is None else a
     km = -complex(k).conjugate()
     walks = _Walks(pot, bc, [0.0, km], [k], points=(0.0, a))
@@ -487,7 +474,8 @@ def z_of_k(
     _first_error(errors)
     f0, fm = walks.f(0.0, a), walks.f(km, a)
     F = f0.value.conj().T @ np.linalg.solve(fm.value.conj().T, J)
-    return P2 @ jd.Sinv @ F @ jd.Smat @ P1
+    cols, rows = _perm_gathers(jd.chains, jd.n)
+    return (jd.Sinv[rows] @ F @ jd.Smat)[:, cols]
 
 
 def _snap_exact(x, name: str) -> xa.QC:
@@ -558,7 +546,7 @@ def zero_energy_pipeline(
             J0 = jost_matrix_zero(pot, bc, walks=walks)
         jd = jordan_form(J0)
         R = _r_matrix(walks.f(0.0, a), walks.phi(0.0, a))
-        expansion = _assemble(jd.Smat, jd.Sinv, jd.chains, R, np.eye(n), _checked_inverse)
+        expansion = _assemble(jd, R, np.eye(n), _checked_inverse)
 
     S0, eye = expansion.S0, np.eye(n)
     rows = _first_error(_smatrix_stack(pot, bc, probes, a, walks))
@@ -567,18 +555,11 @@ def zero_energy_pipeline(
                              *(row["S"] - S0 for row in rows)])).tolist()
     # exact S(0)^2 = I reads 0.0, though the complex copy may miss I by roundoff
     exactly = exact is not None and (exact.S0 @ exact.S0 == np.eye(n, dtype=object)).all()
-    inv_resid = 0.0 if exactly else norms[0]
-    uni_resid = norms[1]
-    probe_list = [(row["k"], d) for row, d in zip(rows, norms[2:])]
-    s0_eval = SMatrixEvaluation(k=0.0, S=S0, unitarity_residual=uni_resid)
     return LowEnergyResult(
-        jordan=jd,
-        expansion=expansion,
-        s0=s0_eval,
-        involution_residual=inv_resid,
-        continuity_probes=tuple(probe_list),
-        exact=exact,
-    )
+        jordan=jd, expansion=expansion,
+        s0=SMatrixEvaluation(k=0.0, S=S0, unitarity_residual=norms[1]),
+        involution_residual=0.0 if exactly else norms[0],
+        continuity_probes=tuple((row["k"], d) for row, d in zip(rows, norms[2:])), exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -589,40 +570,37 @@ def exact_free_pipeline(Aq, Bq, a=xa.QC(0)) -> Tuple[JordanData, LowEnergyExpans
     """Exact zero-energy pipeline for the zero potential.
 
     There J(k) = B - ikA exactly, J(0) = B, and the slope matrix is
-    R = A + aB.  Returns the Jordan data of B and the expansion, whose
+    R = A + aB.  Everything is carried out over Gaussian rationals; returns
+    the complex copy of the Jordan data of B and the expansion, whose
     matrices (permutations, R, blocks, S(0)) are numpy object arrays of
-    :class:`exactalg.QC`: everything is carried out over Gaussian
-    rationals.
+    :class:`exactalg.QC`.
     """
     Aq = xa.mat(Aq)
     Bq = xa.mat(Bq)
-    Smat, Sinv, chains = _exact_jordan(Bq)
+    jd = _exact_jordan(Bq)
     eye = xa.mat(np.eye(len(Bq), dtype=object))
-    return (_complex_jordan(Bq, Smat, Sinv, chains),
-            _assemble(Smat, Sinv, chains, Aq + Bq * xa.qc(a), eye, xa.inverse))
+    return _complex_jordan(jd), _assemble(jd, Aq + Bq * xa.qc(a), eye, xa.inverse)
 
 
 # ---------------------------------------------------------------------------
 # Inverse asymptotics.
 # ---------------------------------------------------------------------------
 
-def jost_inverse_asymptotics(
-    expansion: LowEnergyExpansion, jd: JordanData
-) -> Tuple[np.ndarray, int]:
+def jost_inverse_asymptotics(expansion: LowEnergyExpansion,
+                             jd: JordanData) -> Tuple[np.ndarray, int]:
     """Leading term of J(k)^(-1) near k = 0.
 
     Exceptional case (mu >= 1): returns the 1/k residue
     Smat P1 diag(A1^(-1), 0) P2 Sinv with order 1, so k J(k)^(-1) tends to
-    it.  Generic case: order 0 with leading J(0)^(-1), refused when J(0)
-    is beyond the condition cap.
+    it; P1 and P2 are applied as the gathers of ``jd``'s chains.  Generic
+    case: order 0 with leading J(0)^(-1), refused when J(0) is beyond the
+    condition cap.
     """
-    n, mu = jd.n, jd.mu
+    mu = jd.mu
     if mu == 0:
         cond = np.linalg.cond(jd.M)
         if cond > COND_CAP:
             raise _cond_error(0.0, cond)
         return np.linalg.inv(jd.M), 0
-    block = np.zeros((n, n), dtype=complex)
-    block[:mu, :mu] = np.linalg.inv(expansion.A1)
-    leading = jd.Smat @ expansion.P1 @ block @ expansion.P2 @ jd.Sinv
-    return leading, 1
+    cols, rows = _perm_gathers(jd.chains, jd.n)
+    return jd.Smat[:, cols[:mu]] @ np.linalg.inv(expansion.A1) @ jd.Sinv[rows[:mu]], 1

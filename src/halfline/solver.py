@@ -648,7 +648,10 @@ def jost_solution(pot: Potential, k, x: float) -> StateMatrix:
     k, x = _finite_k(k), _point(x)
     if (k.imag < -1e-14).any():
         raise ValidationError("outgoing solution needs Im k >= 0")
-    ph = np.exp(1j * k * x)[..., None, None]
+    with np.errstate(all="ignore"):
+        ph = np.exp(1j * k * x)[..., None, None]
+    if not np.isfinite(ph).all():
+        raise NumericalError(f"outgoing phase exp(ikx) at x = {x:g} is not finite")
     eye = np.eye(pot.n)
     return StateMatrix(x=x, value=ph * eye, deriv=(1j * k)[..., None, None] * ph * eye)
 
@@ -720,8 +723,8 @@ def _integrate_weighted(pot: Potential, a: float, weights, edges):
     xs, ws = _gauss_rule(_GAUSS_ORDER)
     ys, gw = (mid[:, None] + half[:, None] * xs).reshape(-1), (half[:, None] * ws).reshape(-1)
     node = np.repeat(piece, _GAUSS_ORDER)
-    coefs = np.array([gw * weight(ys) for weight in weights])
     with np.errstate(all="ignore"):
+        coefs = np.array([gw * weight(ys) for weight in weights])
         c, s, _ = _coefficients(w[node], np.zeros(1, complex), ys - xe[node])
         terms = coefs[:, :, None, None] * np.stack((c, s), axis=-2)
         cs = np.add.reduceat(terms, np.flatnonzero(j == 0) * _GAUSS_ORDER, axis=1) * w[:, None]

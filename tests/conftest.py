@@ -119,7 +119,7 @@ def exact_jordan_form(M) -> JordanData:
     if isinstance(M, np.ndarray) and M.dtype != object:
         M = M.astype(complex)
     Mq = xa.mat(M)
-    return _complex_jordan(Mq, *_exact_jordan(Mq))
+    return _complex_jordan(_exact_jordan(Mq))
 
 
 def per_centre_jordan(M: np.ndarray) -> JordanData:

@@ -233,8 +233,7 @@ def test_criterion_8_gauge_and_basis_independence():
         rows[pos:pos + L, :] /= c
         pos += L
     jd2 = JordanData(M=jd.M, Smat=cols, Sinv=rows, chains=jd.chains)
-    ex2 = _assemble(jd2.Smat, jd2.Sinv, jd2.chains, base.expansion.R, np.eye(jd.n),
-                    _checked_inverse)
+    ex2 = _assemble(jd2, base.expansion.R, np.eye(jd.n), _checked_inverse)
     ok &= np.linalg.norm(ex2.S0 - base.s0.S, 2) <= 1e-8
 
     report(8, bool(ok), "S(k) and S(0) invariant at 1e-8 under random gauge "

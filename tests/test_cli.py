@@ -158,6 +158,16 @@ def test_booleans_are_validation_errors(tmp_path, capsys, name, command):
 # of these configs ran before; the field path is named.
 STRING_CONFIGS = {
     "bc_angles": (("bc",), {"angles": ["0.3"]}, "config.bc.angles: each angle must be a number"),
+    # anything but a list of numbers: from_angles raised ValueError or
+    # TypeError on a string or an object, and a null passed as NaN
+    "bc_angles_string": (("bc",), {"angles": "abc"},
+                         "config.bc.angles: each angle must be a number"),
+    "bc_angles_object": (("bc",), {"angles": {"a": 1}},
+                         "config.bc.angles: each angle must be a number"),
+    "bc_angles_null": (("bc",), {"angles": [None]},
+                       "config.bc.angles: each angle must be a number"),
+    "bc_angles_nested": (("bc",), {"angles": [[1.0]]},
+                         "config.bc.angles: each angle must be a number"),
     "kgrid_k_min": (("kgrid",), ["0.5", 2.0, 3], "config.kgrid: k_min/k_max must be numbers"),
     "kgrid_k_max": (("kgrid",), [0.5, "2", 3], "config.kgrid: k_min/k_max must be numbers"),
     "a_choice": (("a_choice",), "0.5", "config.a_choice: 'auto' or a number"),
@@ -610,6 +620,22 @@ def test_verify_on_a_deep_barrier_fails_the_overflowing_pairings(tmp_path, capsy
     assert len(report["checks"]) == 15
     for check in report["checks"]:
         assert (check["residual"] is None) == (check["name"] in errors)
+
+
+def test_verify_at_a_far_matching_point_fails_as_numerical_errors(tmp_path, capsys):
+    # a = 1e308: exp(ika) overflows for k != 0.  The checks that read f(k, a)
+    # fail as numerical errors naming the phase, without warnings, where
+    # they reported a validation error for a valid config.
+    path = write_cfg(tmp_path, dict(WELL_CFG, a_choice=1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", "--config", path]) == 3
+        captured = capsys.readouterr()
+    report = json.loads(captured.out, parse_constant=_reject_constant)
+    errors = [c["error"] for c in report["checks"] if "error" in c]
+    assert "NumericalError: outgoing phase exp(ikx) at x = 1e+308 is not finite" in errors
+    assert not any(e.startswith("ValidationError") for e in errors)
+    assert captured.err == ""
 
 
 def test_verify_on_a_deep_barrier_with_a_inside_fails_the_split(tmp_path, capsys):

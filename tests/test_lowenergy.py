@@ -16,6 +16,8 @@ from halfline.lowenergy import (
     JordanData,
     _assemble,
     _checked_inverse,
+    _exact_jordan,
+    _exact_pick,
     _jordan_matrix,
     _perm_gathers,
     exact_free_pipeline,
@@ -79,6 +81,27 @@ def test_jordan_zero_matrix():
     jd = hl.jordan_form(np.zeros((3, 3)))
     assert (jd.mu, jd.nu, jd.kappa) == (3, 3, 3)
     assert np.allclose(jd.Smat, np.eye(3))
+
+
+@pytest.mark.parametrize("M,message", [
+    (np.ones(3), "jordan_form needs a square matrix"),
+    (np.ones((2, 3)), "jordan_form needs a square matrix"),
+    (np.zeros((0, 0)), "jordan_form needs a nonempty finite matrix"),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), "jordan_form needs a nonempty finite matrix"),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), "jordan_form needs a nonempty finite matrix"),
+])
+def test_jordan_form_refuses_what_it_cannot_decompose(M, message):
+    # An empty matrix raised IndexError and a non-finite one LinAlgError
+    # from the SVD; every such input is now a validation error.
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        hl.jordan_form(M)
+
+
+def test_jordan_form_stores_a_copy_of_its_input():
+    M = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    jd = hl.jordan_form(M)
+    M[0, 1] = 2.0
+    assert jd.M[0, 1] == 1.0
 
 
 def test_jordan_single_nilpotent_block():
@@ -267,7 +290,7 @@ def _expansion(pot, bc, a, jd=None):
     ex = hl.zero_energy_pipeline(pot, bc, a=a).expansion
     if jd is None:
         return ex
-    return _assemble(jd.Smat, jd.Sinv, jd.chains, ex.R, np.eye(jd.n), _checked_inverse)
+    return _assemble(jd, ex.R, np.eye(jd.n), _checked_inverse)
 
 
 def test_build_permutations_fixture_values():
@@ -366,9 +389,8 @@ def test_z_of_k_matches_fixture_display():
     fx = get_fixture("7.1")
     pot, bc = fx.potential(), fx.bc()
     jd = exact_jordan_form(hl.jost_matrix_zero(pot, bc))
-    ex = _expansion(pot, bc, None, jd)
     k = 0.3
-    Z = hl.z_of_k(pot, bc, k, 0.0, jd, ex.P1, ex.P2)
+    Z = hl.z_of_k(pot, bc, k, 0.0, jd)
     a = 2.0
     expect = np.array([
         [-1j * k, -1j * k, (a - 2) * 1j * k],
@@ -385,9 +407,8 @@ def test_z_of_k_matches_kirchhoff_display_up_to_chain_scaling():
     fx = get_fixture("7.2")
     pot, bc = fx.potential(), fx.bc()
     jd = exact_jordan_form(hl.jost_matrix_zero(pot, bc))
-    ex = _expansion(pot, bc, None, jd)
     k = 0.37
-    Z = hl.z_of_k(pot, bc, k, 0.0, jd, ex.P1, ex.P2)
+    Z = hl.z_of_k(pot, bc, k, 0.0, jd)
     gamma = np.diag([1.0, 1 / np.sqrt(2), 1 / np.sqrt(2)])
     displayed = np.array([
         [-3j * k, -3j * k / np.sqrt(2), 0],
@@ -402,7 +423,7 @@ def test_z_of_k_zero_is_permuted_jordan_form(rng):
     bc = rand_bc(rng, 2)
     jd = hl.jordan_form(hl.jost_matrix_zero(pot, bc))
     ex = _expansion(pot, bc, None, jd)
-    Z0 = hl.z_of_k(pot, bc, 0.0, None, jd, ex.P1, ex.P2)
+    Z0 = hl.z_of_k(pot, bc, 0.0, None, jd)
     expect = ex.P2 @ _jordan_matrix(jd.chains, np.eye(jd.n, dtype=complex)) @ ex.P1
     assert np.linalg.norm(Z0 - expect, 2) < 1e-8
 
@@ -416,7 +437,7 @@ def test_z_of_k_linear_term_matches_blocks():
     mu = jd.mu
     errs = []
     for k in (1e-2, 1e-3):
-        Z = hl.z_of_k(pot, bc, k, None, jd, exp.P1, exp.P2)
+        Z = hl.z_of_k(pot, bc, k, None, jd)
         errs.append(abs(Z[:mu, :mu] / k - exp.A1).max())
     assert errs[1] < 0.5 * errs[0]
 
@@ -429,8 +450,8 @@ def test_z_ratio_limit_structure():
     jd, exp = res.jordan, res.expansion
     mu = jd.mu
     k = 1e-4
-    Zp = hl.z_of_k(pot, bc, k, None, jd, exp.P1, exp.P2)
-    Zm = hl.z_of_k(pot, bc, -k, None, jd, exp.P1, exp.P2)
+    Zp = hl.z_of_k(pot, bc, k, None, jd)
+    Zm = hl.z_of_k(pot, bc, -k, None, jd)
     ratio = Zm @ np.linalg.inv(Zp)
     n = jd.n
     assert np.linalg.norm(ratio[:mu, :mu] + np.eye(mu), 2) < 1e-3
@@ -535,8 +556,7 @@ def test_s_zero_basis_independence(rng):
         scales.append(c)
         pos += L
     jd2 = JordanData(M=jd.M, Smat=cols, Sinv=rows, chains=jd.chains)
-    ex2 = _assemble(jd2.Smat, jd2.Sinv, jd2.chains, base.expansion.R, np.eye(jd.n),
-                    _checked_inverse)
+    ex2 = _assemble(jd2, base.expansion.R, np.eye(jd.n), _checked_inverse)
     assert np.linalg.norm(ex2.S0 - base.s0.S, 2) < 1e-9
 
 
@@ -608,6 +628,16 @@ def _unimodular(rng, n):
     return P, Pinv
 
 
+def _integer_similarity_draw(lengths):
+    """The generator and M = P J P^(-1) over the integers, where J has zero
+    chains of the given lengths and a simple eigenvalue 2."""
+    rng = np.random.default_rng([20261019, *lengths])
+    J = _nilpotent_jordan(lengths + [1]).astype(int)
+    J[-1, -1] = 2
+    P, Pinv = _unimodular(rng, len(J))
+    return rng, P @ J @ Pinv
+
+
 @pytest.mark.parametrize("lengths", CHAIN_LENGTHS)
 def test_numeric_jordan_and_assembly_agree_with_exact_or_refuse(lengths):
     # J(0) = P J P^(-1) over the integers, where J has zero chains of the
@@ -616,12 +646,8 @@ def test_numeric_jordan_and_assembly_agree_with_exact_or_refuse(lengths):
     # with S(0)^2 = I exactly; numeric jordan_form plus _assemble on the
     # complex copies must give the exact (mu, nu) and S(0) within 1e-8
     # relative, or refuse.  It must never return a wrong S(0).
-    rng = np.random.default_rng([20261019, *lengths])
-    n = sum(lengths) + 1
-    J = _nilpotent_jordan(lengths + [1]).astype(int)
-    J[-1, -1] = 2
-    P, Pinv = _unimodular(rng, n)
-    M = P @ J @ Pinv
+    rng, M = _integer_similarity_draw(lengths)
+    n = len(M)
     while True:
         R = rng.integers(-3, 4, size=(n, n))
         try:
@@ -634,12 +660,87 @@ def test_numeric_jordan_and_assembly_agree_with_exact_or_refuse(lengths):
     S0 = ex.S0.astype(complex)
     try:
         jn = hl.jordan_form(M.astype(complex))
-        got = _assemble(jn.Smat, jn.Sinv, jn.chains, R.astype(complex), np.eye(n),
-                        _checked_inverse).S0
+        got = _assemble(jn, R.astype(complex), np.eye(n), _checked_inverse).S0
     except NumericalError:  # JordanAmbiguityError included: a refusal
         return
     assert (jn.mu, jn.nu) == (jd.mu, jd.nu)
     assert np.linalg.norm(got - S0, 2) <= 1e-8 * np.linalg.norm(S0, 2)
+
+
+def _greedy_pick(lower, carried, candidates, need, j):
+    """The exact generator rule as one rank per candidate: the first
+    ``need`` candidates that each raise the rank of ker N^(j-1), the
+    carried images and the candidates picked before them."""
+    obstruction = np.column_stack([lower] + carried)
+    span = xa.rank(obstruction)
+    picked = []
+    for cand in candidates:
+        if len(picked) == need:
+            break
+        grown = np.column_stack([obstruction, cand])
+        if xa.rank(grown) > span:  # cand is independent of the obstruction
+            obstruction, span = grown, span + 1
+            picked.append(cand)
+    if len(picked) != need:
+        raise NumericalError("exact Jordan staircase failed to find enough generators")
+    return picked
+
+
+def _gaussian_rationals(rng, n, m):
+    """An n x m QC array of random entries (a + b i)/d, |a|, |b| <= 2, d <= 3."""
+    re, im = rng.integers(-2, 3, size=(2, n, m))
+    d = rng.integers(1, 4, size=(n, m))
+    return xa.mat([[xa.QC(Fraction(int(a), int(c)), Fraction(int(b), int(c)))
+                    for a, b, c in zip(*rows)] for rows in zip(re, im, d)])
+
+
+def _pick_outcome(pick, lower, carried, candidates, need):
+    """Positions of the picked candidates (by identity), or the refusal."""
+    try:
+        picked = pick(lower, carried, candidates, need, 1)
+    except NumericalError as exc:
+        return str(exc)
+    return [next(i for i, c in enumerate(candidates) if c is p) for p in picked]
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_exact_pick_is_the_greedy_rank_rule(n):
+    # The pivots of one RREF are the candidates a rank per candidate picks,
+    # in order: on obstructions of every rank 0..n (the kernel below plus
+    # carried images, which may depend on it), candidates with dependencies
+    # on the obstruction and on each other, and every need up to their count.
+    rng = np.random.default_rng([20261022, n])
+    picked = refused = 0
+    for rank_lower in range(n + 1):
+        for n_carried in range(3):
+            lower = _gaussian_rationals(rng, n, rank_lower)
+            carried = list(_gaussian_rationals(rng, n, n_carried).T)
+            if carried and lower.shape[1]:  # one carried image inside ker N^(j-1)
+                carried[0] = lower @ _gaussian_rationals(rng, rank_lower, 1)[:, 0]
+            fresh = list(_gaussian_rationals(rng, n, 3).T)
+            left = np.column_stack([lower, *carried, *fresh])
+            mixed = [left @ _gaussian_rationals(rng, left.shape[1], 1)[:, 0] for _ in range(2)]
+            candidates = [fresh[0], mixed[0], fresh[1], fresh[0] * xa.QC(2, -1), mixed[1],
+                          fresh[2], np.zeros(n, dtype=object) + xa.QC(0)]
+            for need in range(1, len(candidates) + 1):
+                want = _pick_outcome(_greedy_pick, lower, carried, candidates, need)
+                got = _pick_outcome(_exact_pick, lower, carried, candidates, need)
+                assert got == want, (rank_lower, n_carried, need)
+                picked += isinstance(want, list)
+                refused += isinstance(want, str)
+    assert picked and refused
+
+
+@pytest.mark.parametrize("lengths", CHAIN_LENGTHS)
+def test_exact_jordan_is_the_same_with_the_greedy_rank_rule(lengths, monkeypatch):
+    # The integer similarity draws of the exact/numeric agreement test.
+    Mq = xa.mat(_integer_similarity_draw(lengths)[1].tolist())
+    want = _exact_jordan(Mq)
+    monkeypatch.setattr(hl.lowenergy, "_exact_pick", _greedy_pick)
+    got = _exact_jordan(Mq)
+    assert got.chains == want.chains
+    for name in ("M", "Smat", "Sinv"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def _bits(M):

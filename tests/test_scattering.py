@@ -1040,7 +1040,7 @@ def _contract_case():
 def _z_of_k(pot, bc, a):
     from halfline.lowenergy import jordan_form, z_of_k
 
-    return z_of_k(pot, bc, 0.1, a, jordan_form(hl.jost_matrix_zero(pot, bc)), np.eye(2), np.eye(2))
+    return z_of_k(pot, bc, 0.1, a, jordan_form(hl.jost_matrix_zero(pot, bc)))
 
 
 MATCHING_POINT_READERS = {

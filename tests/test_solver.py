@@ -95,6 +95,18 @@ def test_jost_solution_scalar_well_frozen():
     assert abs(f.deriv[0, 0] - np.sin(1.0)) < 1e-14
 
 
+def test_jost_solution_refuses_an_overflowing_phase():
+    # k x leaves the float range: exp(ikx) is NaN, a numerical error that
+    # names the phase, once for the stack of k and without warnings.
+    pot = scalar_well(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (5.0, np.array([1e-300, 5.0])):
+            with pytest.raises(NumericalError, match=r"^outgoing phase exp\(ikx\) at x = "
+                                                     r"1e\+308 is not finite$"):
+                hl.jost_solution(pot, k, 1e308)
+
+
 def test_jost_rejects_lower_half_plane():
     with pytest.raises(ValidationError):
         hl.jost_solution(hl.free_potential(1), 1.0 - 0.5j, 0.0)
@@ -381,6 +393,16 @@ def test_moment_identities_free_is_exact():
 def test_moment_identities_scalar_well():
     r1, r2 = hl.moment_identities_residual(scalar_well(1.0), 0.0)
     assert r1 < 1e-8 and r2 < 1e-8
+
+
+def test_moment_identities_on_a_wide_piece_overflow_without_warnings():
+    # V = 0 on [0, 1e300]: the node weights y w overflow, and so does the
+    # sum; the overflow error is raised with no RuntimeWarning on the way.
+    pot = hl.Potential(n=1, pieces=((0.0, 1e300, np.zeros((1, 1))),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^solution overflows"):
+            hl.moment_identities_residual(pot, 0.0)
 
 
 def test_moment_identities_matrix_step(rng):

@@ -34,7 +34,7 @@ def _reference_pipeline(pot, bc, a, probes=DEFAULT_PROBES):
     J0 = hl.jost_matrix_zero(pot, bc)
     jd = jordan_form(J0)
     R = _r_matrix(hl.jost_solution(pot, 0.0, a), hl.regular_solution(pot, bc, 0.0, a))
-    S0 = _assemble(jd.Smat, jd.Sinv, jd.chains, R, np.eye(n), _checked_inverse).S0
+    S0 = _assemble(jd, R, np.eye(n), _checked_inverse).S0
     inv_resid = float(np.linalg.norm(S0 @ S0 - np.eye(n), 2))
     uni_resid = float(np.linalg.norm(S0.conj().T @ S0 - np.eye(n), 2))
     rows = _first_error(_smatrix_stack(pot, bc, [float(kp) for kp in probes], a))
